@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install ci-install test bench bench-pytest bench-ci fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
+.PHONY: install ci-install test bench bench-pytest bench-ci ledger-smoke fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -26,6 +26,12 @@ bench-pytest:
 # Machine-readable bench gate (what CI uploads as BENCH_ci.json).
 bench-ci:
 	$(PYTHON) benchmarks/ci_export.py --out BENCH_ci.json
+
+# The repo's benchmark (BENCHMARK.json) smoke-sized, plus the harness's
+# own unit tests: every declared metric emitted, no probe target
+# missing, outcome fingerprints equal benchmarks/ledger/EXPECTED.json.
+ledger-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ledger -q
 
 # Multi-tenant fairness determinism gate (docs/multi-tenancy.md):
 # noisy-neighbor Jain's index pinned vs benchmarks/TENANT_FAIRNESS.json.

@@ -4,9 +4,9 @@ The ROADMAP's north star is month-long, million-invocation replays
 "as fast as the hardware allows"; this module is how the repository
 *measures* that promise instead of asserting it. It defines a small
 suite of pinned-seed scenarios — 100k-invocation TTL, HIST, and GDSF
-(GD) replays through the columnar engine, a streamed million-plus
-invocation TTL replay, a harvested-capacity GD replay through the
-object simulator, and one sweep cell — and a runner that:
+(GD) replays of columnar traces, a streamed million-plus invocation
+TTL replay, a harvested-capacity GD replay of an object trace, and
+one sweep cell — and a runner that:
 
 * times each scenario (best-of-N wall clocks via
   :func:`repro.core.clock.wall_clock_s`, the sanctioned accessor);
@@ -42,10 +42,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checks.sanitize import sanitize_enabled
 from repro.core.clock import wall_clock_s
-from repro.core.policies import create_policy
 from repro.faults import FaultSpec
-from repro.sim.columnar import ColumnarReplayEngine
-from repro.sim.scheduler import KeepAliveSimulator, SimulationResult
+from repro.sim.scheduler import SimulationResult, simulate
 from repro.sim.server import GB_MB
 from repro.sim.sweep import point_fingerprint, run_cell
 from repro.traces.columnar import ColumnarTrace
@@ -210,6 +208,20 @@ def _scaled(count: int, scale: float, floor: int = 8) -> int:
     return max(floor, int(round(count * scale)))
 
 
+def _kernel_replay_payload(
+    trace, capacity_mb: float, scenario: str
+) -> Dict[str, object]:
+    """TTL replay that must be answered by the vectorized kernel."""
+    result = simulate(trace, "TTL", capacity_mb, engine="columnar", ttl_s=300.0)
+    if result.path != "vectorized-ttl" and not sanitize_enabled():
+        # The slowdown gate would eventually notice, but a silent
+        # fallback means a kernel precondition regressed — fail
+        # loudly, right here. (Sanitized runs take the arrival loop
+        # by design, for maximal invariant coverage.)
+        raise RuntimeError(f"{scenario} fell back to the sequential path")
+    return _metrics_payload(result)
+
+
 def _ttl_scenario(scale: float):
     trace = ColumnarTrace.from_trace(
         churn_trace(num_functions=_scaled(1620, scale), seed=_CHURN_SEED_TTL)
@@ -217,17 +229,7 @@ def _ttl_scenario(scale: float):
     capacity_mb = 2048.0 * 128.0
 
     def run() -> Dict[str, object]:
-        engine = ColumnarReplayEngine("TTL", capacity_mb, ttl_s=300.0)
-        payload = _metrics_payload(engine.run(trace))
-        if engine.last_path != "vectorized-ttl" and not sanitize_enabled():
-            # The slowdown gate would eventually notice, but a silent
-            # fallback means a kernel precondition regressed — fail
-            # loudly, right here. (Sanitized runs take the sequential
-            # path by design, for maximal invariant coverage.)
-            raise RuntimeError(
-                "ttl_replay_100k fell back to the sequential path"
-            )
-        return payload
+        return _kernel_replay_payload(trace, capacity_mb, "ttl_replay_100k")
 
     return len(trace), run
 
@@ -243,8 +245,9 @@ def _hist_scenario(scale: float):
     capacity_mb = 2048.0 * 128.0
 
     def run() -> Dict[str, object]:
-        engine = ColumnarReplayEngine("HIST", capacity_mb)
-        return _metrics_payload(engine.run(trace))
+        return _metrics_payload(
+            simulate(trace, "HIST", capacity_mb, engine="columnar")
+        )
 
     return len(trace), run
 
@@ -255,8 +258,9 @@ def _gdsf_scenario(scale: float):
     )
 
     def run() -> Dict[str, object]:
-        engine = ColumnarReplayEngine("GD", 24.0 * 1024.0)
-        return _metrics_payload(engine.run(trace))
+        return _metrics_payload(
+            simulate(trace, "GD", 24.0 * 1024.0, engine="columnar")
+        )
 
     return len(trace), run
 
@@ -274,24 +278,16 @@ def _ttl_stream_1m_scenario(scale: float):
     invocations = sum(len(times) for times, __ in trace.chunks())
 
     def run() -> Dict[str, object]:
-        engine = ColumnarReplayEngine("TTL", capacity_mb, ttl_s=300.0)
-        payload = _metrics_payload(engine.run(trace))
-        if engine.last_path != "vectorized-ttl" and not sanitize_enabled():
-            raise RuntimeError(
-                "ttl_stream_1m fell back to the sequential path"
-            )
-        return payload
+        return _kernel_replay_payload(trace, capacity_mb, "ttl_stream_1m")
 
     return invocations, run
 
 
 def _harvest_scenario(scale: float):
-    # Harvested/spot capacity exercises the object simulator (any
-    # fault spec routes the columnar engine to its sequential oracle,
-    # so the object path is what production harvest runs pay for): a
-    # near-full churn pool under periodic harvest shrink/grow steps
-    # plus spot evict/restore cycles, stressing graceful deflation's
-    # lazy victim-index walks and the deferred-resume path.
+    # Harvested/spot capacity: a near-full churn pool under periodic
+    # harvest shrink/grow steps plus spot evict/restore cycles,
+    # stressing graceful deflation's lazy victim-index walks and the
+    # deferred-resume path.
     trace = churn_trace(
         num_functions=_scaled(1620, scale),
         seed=_HARVEST_SEED,
@@ -308,10 +304,9 @@ def _harvest_scenario(scale: float):
     )
 
     def run() -> Dict[str, object]:
-        simulator = KeepAliveSimulator(
-            trace, create_policy("GD"), capacity_mb, fault_spec=spec
+        return _metrics_payload(
+            simulate(trace, "GD", capacity_mb, fault_spec=spec)
         )
-        return _metrics_payload(simulator.run())
 
     return len(trace), run
 
@@ -377,12 +372,12 @@ def _sweep_cell_scenario(scale: float):
 
 
 #: The pinned-seed suite, in execution order. TTL exercises the
-#: vectorized columnar kernel, HIST and GDSF the batched sequential
-#: path (histogram/expiry hot paths and the victim index), the
-#: streamed scenario the million-invocation bound-memory claim, the
-#: harvest scenario the graceful-deflation path of the object
-#: simulator, and the sweep cell covers the run_cell plumbing both
-#: sweep engines share.
+#: vectorized columnar kernel, HIST and GDSF the arrival loop fed
+#: from columnar chunks (histogram/expiry hot paths and the victim
+#: index), the streamed scenario the million-invocation bound-memory
+#: claim, the harvest scenario the simulator's graceful-deflation
+#: path, and the sweep cell covers the run_cell plumbing both sweep
+#: engines share.
 SCENARIOS: Tuple[BenchScenario, ...] = (
     BenchScenario(
         "ttl_replay_100k",

@@ -176,6 +176,19 @@ def _parse_tenant_map(
     return parsed
 
 
+def _run_config(args: argparse.Namespace, **fields):
+    """The RunConfig of a subcommand's ``--tenant-mode`` /
+    ``--tenant-quota`` / (where it has one) ``--fault-spec`` flags."""
+    from repro.sim.config import RunConfig
+
+    return RunConfig(
+        fault_spec=_load_fault_spec(getattr(args, "fault_spec", None)),
+        tenant_mode=args.tenant_mode,
+        tenant_quotas=_parse_tenant_map(args.tenant_quota, "--tenant-quota"),
+        **fields,
+    )
+
+
 def _tenant_policy_kwargs(args: argparse.Namespace) -> dict:
     """Policy kwargs implied by ``--tenant-weights`` (empty when the
     flag is absent, so tenant-less invocations stay untouched)."""
@@ -294,22 +307,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     _apply_sanitize(args)
     trace = _load_trace(args.trace)
-    fault_spec = _load_fault_spec(args.fault_spec)
+    config = _run_config(
+        args,
+        warmup_s=args.warmup_s,
+        reserved_concurrency=_parse_reserved(args.reserve),
+    )
     tracer, close_tracer = _make_tracer(args.trace_out, args.metrics_out)
     try:
         result = simulate(
             trace,
             args.policy,
             args.memory_gb * 1024.0,
-            warmup_s=args.warmup_s,
-            reserved_concurrency=_parse_reserved(args.reserve),
+            config,
             tracer=tracer,
-            fault_spec=fault_spec,
             engine=args.engine,
-            tenant_mode=args.tenant_mode,
-            tenant_quotas=_parse_tenant_map(
-                args.tenant_quota, "--tenant-quota"
-            ),
             **_tenant_policy_kwargs(args),
         )
     finally:
@@ -356,9 +367,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     _apply_sanitize(args)
     trace = _load_trace(args.trace)
-    fault_spec = _load_fault_spec(args.fault_spec)
+    config = _run_config(args)
     policies = args.policies or list(PAPER_POLICIES)
-    tenant_quotas = _parse_tenant_map(args.tenant_quota, "--tenant-quota")
     policy_kwargs = _tenant_policy_kwargs(args) or None
     if args.workers is not None and args.workers != 1:
         def report(done: int, total: int, policy: str, memory_gb: float) -> None:
@@ -374,9 +384,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             max_workers=args.workers or None,
             progress=report if not args.quiet else None,
             trace_dir=args.trace_dir,
-            fault_spec=fault_spec,
-            tenant_mode=args.tenant_mode,
-            tenant_quotas=tenant_quotas,
+            config=config,
             policy_kwargs=policy_kwargs,
         )
         for cell in sweep.failed_cells:
@@ -388,8 +396,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         sweep = run_sweep(
             trace, args.memory_gb, policies=policies,
-            trace_dir=args.trace_dir, fault_spec=fault_spec,
-            tenant_mode=args.tenant_mode, tenant_quotas=tenant_quotas,
+            trace_dir=args.trace_dir, config=config,
             policy_kwargs=policy_kwargs,
         )
     if args.trace_dir:
@@ -633,19 +640,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     _apply_sanitize(args)
     trace = _load_trace(args.trace)
-    fault_spec = _load_fault_spec(args.fault_spec)
+    config = _run_config(args)
     tracer, close_tracer = _make_tracer(
         args.out, args.metrics_out, strict=args.strict
     )
     try:
         result = simulate(
-            trace, args.policy, args.memory_gb * 1024.0, tracer=tracer,
-            fault_spec=fault_spec,
-            tenant_mode=args.tenant_mode,
-            tenant_quotas=_parse_tenant_map(
-                args.tenant_quota, "--tenant-quota"
-            ),
-            **_tenant_policy_kwargs(args),
+            trace, args.policy, args.memory_gb * 1024.0, config,
+            tracer=tracer, **_tenant_policy_kwargs(args),
         )
     finally:
         close_tracer()
@@ -752,6 +754,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.live.service import LivePoolService
 
     trace = _load_trace(args.trace)
+    config = _run_config(args)
     tracer, close_tracer = _make_tracer(args.trace_out, args.metrics_out)
     service = LivePoolService(
         trace,
@@ -759,8 +762,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.memory_gb * 1024.0,
         clock=SimClock() if args.clock == "sim" else None,
         tracer=tracer,
-        tenant_mode=args.tenant_mode,
-        tenant_quotas=_parse_tenant_map(args.tenant_quota, "--tenant-quota"),
+        config=config,
         **_tenant_policy_kwargs(args),
     )
     server = LiveHTTPServer(
@@ -952,9 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("object", "columnar"),
         default="object",
         help=(
-            "replay engine: per-invocation object simulator (default) "
-            "or the batched columnar engine (identical metrics; see "
-            "docs/performance.md)"
+            "object (default): the per-arrival loop, always; columnar: "
+            "the vectorized TTL kernel answers when the run is eligible "
+            "(identical metrics; see docs/performance.md)"
         ),
     )
     _add_tenant_flags(simulate)

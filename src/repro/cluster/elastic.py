@@ -29,6 +29,7 @@ from repro.core.policies.base import create_policy
 from repro.faults import FaultModel, FaultSpec
 from repro.obs.tracer import Tracer, active_tracer
 from repro.provisioning.cpu_autoscale import ReactiveCpuScaler
+from repro.sim.config import RunConfig
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Trace
@@ -135,17 +136,14 @@ class ElasticClusterSimulation:
             else None
         )
         self._server_spec = _server_level_spec(self._fault_spec)
-        self._outages: Deque[Tuple[float, int, str]] = deque()
-        # Harvest/spot capacity events over the same ring positions:
-        # (time_s, ring index, kind, value).
-        self._capacity: Deque[Tuple[float, int, str, float]] = deque()
+        # Outage transitions and harvest/spot capacity events over the
+        # ring positions, merged: (time_s, ring index, kind, value).
+        self._server_events: Deque[Tuple[float, int, str, float]] = deque()
         if self._fault_spec is not None:
-            model = FaultModel(self._fault_spec)
-            self._outages = deque(
-                model.server_schedule(max_servers, trace.duration_s)
-            )
-            self._capacity = deque(
-                model.capacity_schedule(max_servers, trace.duration_s)
+            self._server_events.extend(
+                FaultModel(self._fault_spec).server_events(
+                    range(max_servers), trace.last_arrival_s
+                )
             )
         # Ring positions currently failed; routing and scale-up skip
         # them until the scheduled recovery.
@@ -168,13 +166,14 @@ class ElasticClusterSimulation:
             self.trace,
             create_policy(self.policy_name),
             self.server_memory_mb,
+            RunConfig(
+                fault_spec=self._server_spec, server_index=ring_index
+            ),
             tracer=(
                 self._tracer.bind(server=ring_index)
                 if self._tracer is not None
                 else None
             ),
-            fault_spec=self._server_spec,
-            server_index=ring_index,
         )
 
     # ------------------------------------------------------------------
@@ -241,34 +240,7 @@ class ElasticClusterSimulation:
             retired.drain_retries()
             self._fold_metrics(retired.metrics, result)
 
-    def _apply_outages(self, now_s: float, result: ElasticClusterResult) -> None:
-        """Fail/recover ring positions per the outage schedule, and
-        apply harvest/spot capacity events, chronologically merged (at
-        equal times outage transitions win, matching the lower
-        layers)."""
-        outages = self._outages
-        capacity = self._capacity
-        while True:
-            out_due = outages[0][0] if outages else float("inf")
-            cap_due = capacity[0][0] if capacity else float("inf")
-            if min(out_due, cap_due) > now_s:
-                return
-            if out_due <= cap_due:
-                at_s, index, kind = outages.popleft()
-                server = self._servers[index]
-                if kind == "down":
-                    self._failed.add(index)
-                    if server is not None:
-                        server.fail_server(at_s)
-                else:
-                    self._failed.discard(index)
-                    if server is not None:
-                        server.recover_server(at_s)
-            else:
-                at_s, index, kind, value = capacity.popleft()
-                self._apply_capacity_event(at_s, index, kind, value, result)
-
-    def _apply_capacity_event(
+    def _apply_server_event(
         self,
         at_s: float,
         index: int,
@@ -276,7 +248,9 @@ class ElasticClusterSimulation:
         value: float,
         result: ElasticClusterResult,
     ) -> None:
-        """One harvest/spot event against a ring position.
+        """One scheduled event against a ring position: an outage
+        transition (``down`` / ``up`` fail and recover the position,
+        and its server if one is active) or a harvest/spot event.
 
         Unlike the fixed-size cluster, an elastic ring treats a spot
         eviction as *permanent loss of that instance*: the server is
@@ -288,7 +262,15 @@ class ElasticClusterSimulation:
         scale-ups.
         """
         server = self._servers[index]
-        if kind == "capacity":
+        if kind == "down":
+            self._failed.add(index)
+            if server is not None:
+                server.fail_server(at_s)
+        elif kind == "up":
+            self._failed.discard(index)
+            if server is not None:
+                server.recover_server(at_s)
+        elif kind == "capacity":
             if server is not None and index not in self._failed:
                 server.set_harvest_capacity(at_s, value)
         elif kind == "notice":
@@ -356,6 +338,7 @@ class ElasticClusterSimulation:
         next_tick = period
         arrivals_in_period = 0
         result.server_timeline.append((0.0, self._active))
+        events = self._server_events
         for invocation in self.trace:
             while invocation.time_s >= next_tick:
                 rate = arrivals_in_period / period
@@ -378,8 +361,10 @@ class ElasticClusterSimulation:
                 arrivals_in_period = 0
                 next_tick += period
             arrivals_in_period += 1
-            if self._outages or self._capacity:
-                self._apply_outages(invocation.time_s, result)
+            # Everything scheduled up to this arrival, in
+            # :meth:`FaultModel.server_events` order.
+            while events and events[0][0] <= invocation.time_s:
+                self._apply_server_event(*events.popleft(), result)
             server = self._route(invocation.function_name)
             if server is None:
                 # Every active ring position is down right now.

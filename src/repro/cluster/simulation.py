@@ -24,6 +24,7 @@ from repro.cluster.loadbalancer import (
 from repro.core.policies.base import KeepAlivePolicy, create_policy
 from repro.faults import FaultModel, FaultSpec
 from repro.obs.tracer import Tracer, active_tracer
+from repro.sim.config import RunConfig
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Trace
@@ -159,68 +160,39 @@ class ClusterSimulator:
             fault_spec if fault_spec is not None and fault_spec.enabled
             else None
         )
-        self._server_schedule: Deque[Tuple[float, int, str]] = deque()
-        # Harvest/spot capacity events, merged across servers:
-        # (time_s, server, kind, value) with kind one of "capacity",
-        # "notice", "evict", "restore".
-        self._capacity_schedule: Deque[Tuple[float, int, str, float]] = (
-            deque()
-        )
-        server_spec = _server_level_spec(self._fault_spec)
+        # Outage transitions and harvest/spot capacity events of every
+        # server, merged time-ordered: (time_s, server, kind, value).
+        self._server_events: Deque[Tuple[float, int, str, float]] = deque()
         if self._fault_spec is not None:
-            model = FaultModel(self._fault_spec)
-            self._server_schedule = deque(
-                model.server_schedule(num_servers, trace.duration_s)
+            self._server_events.extend(
+                FaultModel(self._fault_spec).server_events(
+                    range(num_servers), trace.last_arrival_s
+                )
             )
-            self._capacity_schedule = deque(
-                model.capacity_schedule(num_servers, trace.duration_s)
-            )
+        server_spec = _server_level_spec(self._fault_spec)
         self.servers = [
             KeepAliveSimulator(
                 trace,
                 create_policy(policy),
                 server_memory_mb,
+                RunConfig(fault_spec=server_spec, server_index=i),
                 tracer=(
                     self._tracer.bind(server=i)
                     if self._tracer is not None
                     else None
                 ),
-                fault_spec=server_spec,
-                server_index=i,
             )
             for i in range(num_servers)
         ]
 
-    def _apply_outages(self, now_s: float) -> None:
-        """Apply every scheduled down/up transition and capacity event
-        up to ``now_s``, chronologically merged across both streams, to
-        both the affected server and the balancer's routing view. At
-        equal times outage transitions win (matching the single-server
-        simulator's transitions-then-capacity tie order)."""
-        outages = self._server_schedule
-        capacity = self._capacity_schedule
-        while True:
-            out_due = outages[0][0] if outages else float("inf")
-            cap_due = capacity[0][0] if capacity else float("inf")
-            if min(out_due, cap_due) > now_s:
-                return
-            if out_due <= cap_due:
-                at_s, index, kind = outages.popleft()
-                if kind == "down":
-                    self.servers[index].fail_server(at_s)
-                    self.balancer.mark_down(index)
-                else:
-                    self.servers[index].recover_server(at_s)
-                    self.balancer.mark_up(index)
-            else:
-                at_s, index, kind, value = capacity.popleft()
-                self._apply_capacity_event(at_s, index, kind, value)
-
-    def _apply_capacity_event(
+    def _apply_server_event(
         self, at_s: float, index: int, kind: str, value: float
     ) -> None:
-        """Apply one harvest/spot event to a server and the balancer.
+        """Apply one scheduled event to a server and the balancer.
 
+        * ``down`` / ``up`` — a whole-server outage starts / ends: the
+          server fails or recovers and leaves or rejoins the routing
+          set.
         * ``capacity`` — resize the server's pool (graceful deflation
           on shrink); routing is unaffected, the balancer's load signal
           sees the smaller pool on the next decision.
@@ -233,7 +205,13 @@ class ClusterSimulator:
           nominal capacity, back in the routing set.
         """
         server = self.servers[index]
-        if kind == "capacity":
+        if kind == "down":
+            server.fail_server(at_s)
+            self.balancer.mark_down(index)
+        elif kind == "up":
+            server.recover_server(at_s)
+            self.balancer.mark_up(index)
+        elif kind == "capacity":
             server.set_harvest_capacity(at_s, value)
         elif kind == "notice":
             self.balancer.mark_draining(index)
@@ -270,9 +248,12 @@ class ClusterSimulator:
             routed=routed,
         )
         queue_signal = self.balancer.load_signal == "queue"
+        events = self._server_events
         for invocation in self.trace:
-            if self._server_schedule or self._capacity_schedule:
-                self._apply_outages(invocation.time_s)
+            # Everything scheduled up to this arrival, in
+            # :meth:`FaultModel.server_events` order.
+            while events and events[0][0] <= invocation.time_s:
+                self._apply_server_event(*events.popleft())
             if queue_signal:
                 used = [float(server.outstanding) for server in self.servers]
             else:

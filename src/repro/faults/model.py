@@ -32,7 +32,7 @@ import pathlib
 import random
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
     "FaultSpec",
@@ -417,25 +417,6 @@ class FaultModel:
                 merged.append((down_s, up_s))
         return merged
 
-    def server_schedule(
-        self, num_servers: int, horizon_s: float
-    ) -> List[Tuple[float, int, str]]:
-        """All servers' transitions as a time-ordered event list.
-
-        Each element is ``(time_s, server, kind)`` with kind ``"down"``
-        or ``"up"`` — the form the cluster simulators consume while
-        replaying a trace.
-        """
-        events: List[Tuple[float, int, str]] = []
-        for server in range(num_servers):
-            for down_s, up_s in self.downtime_spans(server, horizon_s):
-                events.append((down_s, server, "down"))
-                events.append((up_s, server, "up"))
-        # "up" before "down" at equal times so a zero-gap repair cannot
-        # leave a server stuck down; server index breaks the remainder.
-        events.sort(key=lambda e: (e[0], e[2] != "up", e[1]))
-        return events
-
     def capacity_timeline(
         self, server: int, horizon_s: float
     ) -> List[Tuple[float, float]]:
@@ -492,19 +473,25 @@ class FaultModel:
             t += rng.expovariate(1.0 / spec.spot_mtbf_s)
         return pairs
 
-    #: Tie order of capacity-schedule kinds at equal times: a restore
-    #: precedes new shrinks/notices, and the eviction itself lands
-    #: last so a zero-notice spec still sees its notice event.
-    _CAPACITY_KIND_ORDER = {"restore": 0, "capacity": 1,
-                            "notice": 2, "evict": 3}
+    #: Tie order of event kinds at equal times: "up" before "down" so a
+    #: zero-gap repair cannot leave a server stuck down; outage
+    #: transitions before capacity events; a restore precedes new
+    #: shrinks/notices, and the eviction itself lands last so a
+    #: zero-notice spec still sees its notice event.
+    _EVENT_KIND_ORDER = {"up": 0, "down": 1, "restore": 2,
+                         "capacity": 3, "notice": 4, "evict": 5}
 
-    def server_capacity_events(
-        self, server: int, horizon_s: float
-    ) -> List[Tuple[float, str, float]]:
-        """One server's capacity events as time-ordered
-        ``(time_s, kind, value)`` triples — the form a single-server
-        simulator consumes (:class:`repro.sim.scheduler`):
+    def server_events(
+        self, servers: Iterable[int], horizon_s: float
+    ) -> List[Tuple[float, int, str, float]]:
+        """Every scheduled event of ``servers`` up to ``horizon_s`` as
+        one time-ordered list of ``(time_s, server, kind, value)`` —
+        the form both the single-server simulator (one index) and the
+        cluster layers (all of theirs) consume from one deque:
 
+        ``("down", 0.0)`` / ``("up", 0.0)``
+            A whole-server outage starts / ends
+            (:meth:`downtime_spans`).
         ``("capacity", frac)``
             The server's capacity becomes ``frac`` of nominal.
         ``("notice", evict_at_s)``
@@ -514,34 +501,26 @@ class FaultModel:
         ``("restore", 1.0)``
             A replacement server is up at full (cold) capacity,
             ``server_recovery_s`` after the eviction.
-        """
-        events: List[Tuple[float, str, float]] = []
-        order = self._CAPACITY_KIND_ORDER
-        for time_s, frac in self.capacity_timeline(server, horizon_s):
-            events.append((time_s, "capacity", frac))
-        for notice_s, evict_s in self.spot_evictions(server, horizon_s):
-            events.append((notice_s, "notice", evict_s))
-            events.append((evict_s, "evict", 0.0))
-            events.append(
-                (evict_s + self.spec.server_recovery_s, "restore", 1.0)
-            )
-        events.sort(key=lambda e: (e[0], order[e[1]]))
-        return events
 
-    def capacity_schedule(
-        self, num_servers: int, horizon_s: float
-    ) -> List[Tuple[float, int, str, float]]:
-        """All servers' capacity events as a time-ordered list of
-        ``(time_s, server, kind, value)`` — the cluster-level merge of
-        :meth:`server_capacity_events` (same kinds, same tie order,
-        server index breaking the remainder)."""
+        Equal times are ordered by kind (up, down, restore, capacity,
+        notice, evict), then by server index; equal-time capacity
+        steps of one server keep their :meth:`capacity_timeline` order.
+        """
         events: List[Tuple[float, int, str, float]] = []
-        order = self._CAPACITY_KIND_ORDER
-        for server in range(num_servers):
-            for time_s, kind, value in self.server_capacity_events(
-                server, horizon_s
-            ):
-                events.append((time_s, server, kind, value))
+        for server in servers:
+            for down_s, up_s in self.downtime_spans(server, horizon_s):
+                events.append((down_s, server, "down", 0.0))
+                events.append((up_s, server, "up", 0.0))
+            for time_s, frac in self.capacity_timeline(server, horizon_s):
+                events.append((time_s, server, "capacity", frac))
+            for notice_s, evict_s in self.spot_evictions(server, horizon_s):
+                events.append((notice_s, server, "notice", evict_s))
+                events.append((evict_s, server, "evict", 0.0))
+                events.append(
+                    (evict_s + self.spec.server_recovery_s, server,
+                     "restore", 1.0)
+                )
+        order = self._EVENT_KIND_ORDER
         events.sort(key=lambda e: (e[0], order[e[2]], e[1]))
         return events
 

@@ -24,6 +24,7 @@ from repro.core.clock import Clock, RealTimeClock, wall_clock_s
 from repro.core.policies.base import KeepAlivePolicy, create_policy
 from repro.live.latency import LatencyHistogram
 from repro.obs.tracer import Tracer
+from repro.sim.config import RunConfig
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Trace
 
@@ -65,22 +66,21 @@ class LivePoolService:
         memory_mb: float,
         clock: Optional[Clock] = None,
         tracer: Optional[Tracer] = None,
-        tenant_mode: str = "shared",
-        tenant_quotas: Optional[Dict[int, float]] = None,
-        **policy_kwargs,
+        config: Optional[RunConfig] = None,
+        **kwargs,
     ) -> None:
+        """``config`` / its fields as keywords (``tenant_mode=…``,
+        ``tenant_quotas=…``, ...) configure the engine exactly as they
+        do :func:`repro.sim.scheduler.simulate`; the remaining keywords
+        configure the policy and need a policy *name*."""
+        config, policy_kwargs = RunConfig.split(kwargs, config)
         if isinstance(policy, str):
             policy = create_policy(policy, **policy_kwargs)
         elif policy_kwargs:
             raise ValueError("policy_kwargs are only valid with a policy name")
         self._lock = threading.Lock()
         self._sim = KeepAliveSimulator(
-            trace,
-            policy,
-            memory_mb,
-            tracer=tracer,
-            tenant_mode=tenant_mode,
-            tenant_quotas=tenant_quotas,
+            trace, policy, memory_mb, config, tracer=tracer
         )
         self._functions = trace.functions
         self._clock: Clock = clock if clock is not None else RealTimeClock()

@@ -1,5 +1,6 @@
 """Trace-driven discrete-event keep-alive simulator (paper Section 6)."""
 
+from repro.sim.config import RunConfig
 from repro.sim.events import EventQueue
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.parallel import run_sweep_parallel, simulate_cell
@@ -18,6 +19,7 @@ __all__ = [
     "EventQueue",
     "FunctionOutcome",
     "SimulationMetrics",
+    "RunConfig",
     "run_sweep_parallel",
     "simulate_cell",
     "KeepAliveSimulator",

@@ -1,58 +1,49 @@
-"""Columnar replay engine: batched replay of struct-of-arrays traces.
+"""The vectorized TTL kernel: an exact closed-form replay.
 
-The object-based :class:`~repro.sim.scheduler.KeepAliveSimulator`
-pays per-invocation Python dispatch for every arrival. This engine
-replays :class:`~repro.traces.columnar.ColumnarTrace` (or streaming)
-workloads in chunks and, where the policy's semantics allow it,
-replaces the per-arrival loop with vectorized NumPy recurrences —
-while producing **byte-identical** :class:`SimulationMetrics` to the
-object path, which stays in the tree as the differential-testing
-oracle (``tests/test_columnar_differential.py``).
+Every replay normally runs the per-arrival loop of
+:meth:`~repro.sim.scheduler.KeepAliveSimulator.run`, which pays Python
+dispatch for every arrival. For one configuration that loop can be
+replaced by vectorized NumPy recurrences producing **byte-identical**
+:class:`SimulationMetrics`: ``simulate(engine="columnar")`` asks
+:func:`try_ttl_kernel` first and falls back to the loop when it
+declines. The loop stays the reference the kernel is differentially
+tested against (``tests/test_columnar_differential.py``); which of the
+two ran is reported as ``SimulationResult.path``.
 
-Two paths, chosen per run and reported via :attr:`last_path`:
+The kernel applies only when the replay is provably equivalent to the
+simulator: pure :class:`TTLPolicy`, no tracer / faults / warmup /
+timeline / reserved concurrency / tenants, every function's arrival
+gap covers its cold time (so a function never holds two containers),
+and the arriving functions' total footprint fits in capacity (so
+pressure eviction never fires). Under those preconditions each
+function's container deadline follows the recurrence ``d_i = (t_i +
+dur_i) + ttl`` with ``cold_i ⇔ d_{i-1} <= t_i``, which resolves chunk
+by chunk with three vectorized classifications (certainly-cold,
+certainly-warm, and an alternating ambiguous band) — see
+``docs/performance.md`` for the derivation. Metric sums use
+``np.add.accumulate``, whose strict left-to-right evaluation
+reproduces the simulator's sequential ``+=`` bit for bit.
 
-``vectorized-ttl``
-    An exact closed-form replay of the plain-TTL policy. Applies only
-    when the replay is provably equivalent to the object simulator:
-    pure :class:`TTLPolicy`, no tracer / faults / warmup / timeline /
-    reserved concurrency, every function's arrival gap covers its
-    cold time (so a function never holds two containers), and the
-    arriving functions' total footprint fits in capacity (so pressure
-    eviction never fires). Under those preconditions each function's
-    container deadline follows the recurrence ``d_i = (t_i + dur_i) +
-    ttl`` with ``cold_i ⇔ d_{i-1} <= t_i``, which resolves chunk by
-    chunk with three vectorized classifications (certainly-cold,
-    certainly-warm, and an alternating ambiguous band) — see
-    ``docs/performance.md`` for the derivation. Metric sums use
-    ``np.add.accumulate``, whose strict left-to-right evaluation
-    reproduces the oracle's sequential ``+=`` bit for bit.
-
-``sequential``
-    The fallback for every other policy/configuration: the same
-    object simulator, fed from chunked ``tolist`` buffers so a
-    streamed trace never materializes invocation objects beyond the
-    current chunk. Used unconditionally under ``REPRO_SANITIZE`` so
-    the sanitizer's per-event invariant checks always see every
-    arrival.
-
-The kernel's preconditions are re-validated on every chunk; a
-violation discovered mid-stream discards the kernel state and
-restarts on the sequential path (chunk sources are restartable by
-contract), so the fast path can never silently diverge.
+The per-trace preconditions are re-validated on every chunk; a
+violation discovered mid-stream discards the kernel state and the
+caller replays from the start through the loop (chunk sources are
+restartable by contract), so the fast path can never silently diverge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.checks.sanitize import sanitize_enabled
 from repro.core.clock import wall_clock_s
-from repro.core.policies.base import KeepAlivePolicy, create_policy
+from repro.core.policies.base import KeepAlivePolicy
 from repro.core.policies.ttl import TTLPolicy
+from repro.obs.tracer import Tracer
+from repro.sim.config import RunConfig
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
-from repro.sim.scheduler import KeepAliveSimulator, SimulationResult
+from repro.sim.scheduler import SimulationResult
 from repro.traces.columnar import (
     DEFAULT_CHUNK_INVOCATIONS,
     ColumnarTrace,
@@ -61,11 +52,11 @@ from repro.traces.columnar import (
 from repro.traces.model import Trace
 from repro.traces.streaming import StreamingChurnTrace
 
-__all__ = ["ColumnarReplayEngine", "replay_columnar"]
+__all__ = ["ttl_kernel_eligible", "try_ttl_kernel", "run_ttl_kernel"]
 
-#: Trace forms the engine replays: materialized columnar arrays or a
-#: restartable chunk stream (both expose ``name``, ``functions``,
-#: ``functions_table``, and ``duration_s``).
+#: Trace forms the kernel reads: materialized columnar arrays or a
+#: restartable chunk stream (both expose ``name`` and
+#: ``functions_table``).
 ColumnarSource = Union[ColumnarTrace, StreamingChurnTrace]
 
 
@@ -77,139 +68,55 @@ def _chunks_of(
     return trace.chunks()
 
 
-class ColumnarReplayEngine:
-    """Replay columnar traces; vectorize when provably equivalent."""
+def ttl_kernel_eligible(
+    policy: KeepAlivePolicy, config: RunConfig, tracer: Optional[Tracer]
+) -> bool:
+    """Static preconditions for the vectorized TTL kernel.
 
-    def __init__(
-        self,
-        policy: Union[str, KeepAlivePolicy],
-        memory_mb: float,
-        chunk_invocations: int = DEFAULT_CHUNK_INVOCATIONS,
-        track_memory_timeline: bool = False,
-        timeline_interval_s: float = 60.0,
-        prewarm_effectiveness: float = 1.0,
-        reserved_concurrency: Optional[dict] = None,
-        warmup_s: float = 0.0,
-        tracer=None,
-        fault_spec=None,
-        server_index: int = 0,
-        tenant_mode: str = "shared",
-        tenant_quotas: Optional[Dict[int, float]] = None,
-        **policy_kwargs,
-    ) -> None:
-        """Same knobs as :class:`KeepAliveSimulator`; ``policy`` may be
-        a registry name (with ``policy_kwargs``) or an instance. Like
-        the simulator, one engine instance runs one replay — policies
-        accumulate state across invocations by design."""
-        if isinstance(policy, str):
-            policy = create_policy(policy, **policy_kwargs)
-        elif policy_kwargs:
-            raise ValueError(
-                "policy_kwargs are only valid with a policy name"
-            )
-        if chunk_invocations < 1:
-            raise ValueError(
-                f"chunk size must be >= 1, got {chunk_invocations}"
-            )
-        self.policy = policy
-        self.memory_mb = float(memory_mb)
-        self.chunk_invocations = chunk_invocations
-        self._sim_kwargs = dict(
-            track_memory_timeline=track_memory_timeline,
-            timeline_interval_s=timeline_interval_s,
-            prewarm_effectiveness=prewarm_effectiveness,
-            reserved_concurrency=reserved_concurrency,
-            warmup_s=warmup_s,
-            tracer=tracer,
-            fault_spec=fault_spec,
-            server_index=server_index,
-            tenant_mode=tenant_mode,
-            tenant_quotas=tenant_quotas,
-        )
-        #: Which path the last :meth:`run` took: ``"vectorized-ttl"``
-        #: or ``"sequential"`` (None before the first run).
-        self.last_path: Optional[str] = None
+    Exact type match (a subclass may override any hook), default
+    simulator configuration only, and never under the runtime
+    sanitizer — the arrival loop is what the sanitizer's per-event
+    invariants instrument, so sanitized runs take it unconditionally
+    (maximal checking beats maximal speed there). Tenancy disqualifies
+    the kernel twice over: non-shared pool modes change victim
+    selection, and even a shared-mode replay of a tenant-tagged trace
+    must fall back so the per-tenant metrics the simulator records are
+    produced (:func:`try_ttl_kernel` additionally checks the trace's
+    tenant column). Per-trace preconditions (arrival gaps, capacity
+    headroom) are validated chunk by chunk inside the kernel itself.
+    """
+    return (
+        type(policy) is TTLPolicy
+        and tracer is None
+        and config.fault_spec is None
+        and not config.reserved_concurrency
+        and not config.track_memory_timeline
+        and config.warmup_s <= 0.0
+        and config.tenant_mode == "shared"
+        and not sanitize_enabled()
+    )
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
 
-    def run(self, trace: Union[Trace, ColumnarSource]) -> SimulationResult:
-        """Replay ``trace`` and return the collected metrics."""
-        if isinstance(trace, Trace):
-            trace = ColumnarTrace.from_trace(trace)
-        if self._kernel_eligible() and not trace.functions_table.has_tenants:
-            result = _run_ttl_kernel(
-                trace,
-                self.policy.ttl_s,
-                self.memory_mb,
-                self.policy.name,
-                self.chunk_invocations,
-            )
-            if result is not None:
-                self.last_path = "vectorized-ttl"
-                return result
-        self.last_path = "sequential"
-        return self._run_sequential(trace)
-
-    # ------------------------------------------------------------------
-    # Path selection
-    # ------------------------------------------------------------------
-
-    def _kernel_eligible(self) -> bool:
-        """Static preconditions for the vectorized TTL kernel.
-
-        Exact type match (a subclass may override any hook), default
-        simulator configuration only, and never under the runtime
-        sanitizer — the sequential loop is what the sanitizer's
-        per-event invariants instrument, so sanitized runs take it
-        unconditionally (maximal checking beats maximal speed there).
-        Tenancy disqualifies the kernel twice over: non-shared pool
-        modes change victim selection, and even a shared-mode replay of
-        a tenant-tagged trace must fall back so the per-tenant metrics
-        the oracle records are produced (``run`` additionally checks
-        the trace's tenant column). Per-trace preconditions (arrival
-        gaps, capacity headroom) are validated chunk by chunk inside
-        the kernel itself.
-        """
-        if type(self.policy) is not TTLPolicy:
-            return False
-        kwargs = self._sim_kwargs
-        if (
-            kwargs["tracer"] is not None
-            or kwargs["fault_spec"] is not None
-            or kwargs["reserved_concurrency"]
-            or kwargs["track_memory_timeline"]
-            or kwargs["warmup_s"] > 0.0
-            or kwargs["tenant_mode"] != "shared"
-        ):
-            return False
-        if sanitize_enabled():
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Sequential path (the oracle, fed in chunks)
-    # ------------------------------------------------------------------
-
-    def _run_sequential(self, trace: ColumnarSource) -> SimulationResult:
-        simulator = KeepAliveSimulator(
-            trace, self.policy, self.memory_mb, **self._sim_kwargs
-        )
-        started = wall_clock_s()
-        objects = trace.functions_table.objects()
-        process = simulator.process_invocation
-        end_s = 0.0
-        for times, fids in _chunks_of(trace, self.chunk_invocations):
-            # One bulk conversion per chunk: the inner loop runs on
-            # plain floats and ints, with no per-invocation array
-            # indexing or object construction.
-            time_list = times.tolist()
-            for now_s, fid in zip(time_list, fids.tolist()):
-                process(objects[fid], now_s)
-            if time_list:
-                end_s = time_list[-1]
-        return simulator.finalize(end_s, started)
+def try_ttl_kernel(
+    trace: Union[Trace, ColumnarSource],
+    policy: KeepAlivePolicy,
+    memory_mb: float,
+    config: RunConfig,
+    tracer: Optional[Tracer],
+) -> Optional[SimulationResult]:
+    """The kernel's answer for this run, or ``None`` when it is not
+    eligible (statically, or by a per-trace precondition) and the
+    arrival loop must run instead. An object :class:`Trace` is
+    transposed first — only once the static checks have passed."""
+    if not ttl_kernel_eligible(policy, config, tracer):
+        return None
+    if isinstance(trace, Trace):
+        trace = ColumnarTrace.from_trace(trace)
+    if trace.functions_table.has_tenants:
+        return None
+    return run_ttl_kernel(
+        trace, policy.ttl_s, float(memory_mb), policy.name
+    )
 
 
 # ----------------------------------------------------------------------
@@ -260,14 +167,17 @@ class _TTLKernelState:
         self.t_last = 0.0
 
 
-def _run_ttl_kernel(
+def run_ttl_kernel(
     trace: ColumnarSource,
     ttl_s: float,
     capacity_mb: float,
     policy_name: str,
-    chunk_invocations: int,
+    chunk_invocations: int = DEFAULT_CHUNK_INVOCATIONS,
 ) -> Optional[SimulationResult]:
-    """Closed-form TTL replay; None when a precondition fails."""
+    """Closed-form TTL replay; None when a per-trace precondition
+    fails. The result does not depend on ``chunk_invocations`` (which
+    only a materialized :class:`ColumnarTrace` honours; a stream
+    brings its own chunking)."""
     started = wall_clock_s()
     table = trace.functions_table
     state = _TTLKernelState(table)
@@ -281,6 +191,7 @@ def _run_ttl_kernel(
         policy_name=policy_name,
         memory_mb=capacity_mb,
         metrics=metrics,
+        path="vectorized-ttl",
     )
 
 
@@ -422,14 +333,3 @@ def _ttl_kernel_metrics(
             warm=int(total_counts[fid]) - cold, cold=cold
         )
     return metrics
-
-
-def replay_columnar(
-    trace: Union[Trace, ColumnarSource],
-    policy: Union[str, KeepAlivePolicy],
-    memory_mb: float,
-    **kwargs,
-) -> SimulationResult:
-    """One-shot columnar replay (mirrors :func:`repro.sim.scheduler.simulate`)."""
-    engine = ColumnarReplayEngine(policy, memory_mb, **kwargs)
-    return engine.run(trace)

@@ -41,36 +41,25 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.policies import PAPER_POLICIES
-from repro.faults import FaultSpec
 from repro.obs.tracer import Tracer
+from repro.sim.config import RunConfig
 from repro.sim.sweep import FailedCell, SweepResult, run_cell
 from repro.traces.model import Trace
 
 __all__ = ["run_sweep_parallel", "simulate_cell"]
 
-#: Per-worker trace cache, populated by the pool initializer so each
-#: cell submission only pickles its (policy, memory) coordinates.
-_WORKER_TRACE: Optional[Trace] = None
-
-#: Per-worker event-trace directory (or None). Broadcast as a *path*
-#: through the initializer: each worker opens its own per-cell JSONL
-#: sink, so no file handle ever crosses a process boundary.
-_WORKER_TRACE_DIR: Optional[str] = None
-
-#: Per-worker sweep-level fault spec (or None). The worker derives
-#: each cell's seed from it locally (``repro.faults.cell_fault_spec``),
-#: so fault decisions are a pure function of the cell coordinates —
-#: identical in every process and on every retry.
-_WORKER_FAULT_SPEC: Optional[FaultSpec] = None
-
-#: Per-worker tenancy/policy configuration shared by every cell:
-#: ``(tenant_mode, tenant_quotas, policy_kwargs)``. Plain picklable
-#: values, broadcast once like the trace (docs/multi-tenancy.md).
-_WORKER_CELL_CONFIG: Tuple[str, Optional[dict], Optional[dict]] = (
-    "shared",
-    None,
-    None,
-)
+#: What every cell of one sweep shares, broadcast once per worker
+#: through the pool initializer so a cell submission only pickles its
+#: (policy, memory) coordinates: ``(trace, trace_dir, config,
+#: policy_kwargs)``. The event-trace directory travels as a *path* —
+#: each worker opens its own per-cell JSONL sink, so no file handle
+#: ever crosses a process boundary — and the config's sweep-level
+#: fault spec is turned into each cell's seed worker-side
+#: (``repro.faults.cell_fault_spec``), so fault decisions are a pure
+#: function of the cell coordinates: identical in every process and on
+#: every retry.
+_Broadcast = Tuple[Trace, Optional[str], RunConfig, Optional[dict]]
+_WORKER_STATE: Optional[_Broadcast] = None
 
 #: How many times a crashed pool is rebuilt before falling back to
 #: per-cell quarantine. Rebuilding keeps the surviving cells parallel;
@@ -82,38 +71,19 @@ _MAX_POOL_GENERATIONS = 3
 ProgressCallback = Callable[[int, int, str, float], None]
 
 
-def _init_worker(
-    trace: Trace,
-    trace_dir: Optional[str] = None,
-    fault_spec: Optional[FaultSpec] = None,
-    cell_config: Tuple[str, Optional[dict], Optional[dict]] = (
-        "shared",
-        None,
-        None,
-    ),
-) -> None:
-    global _WORKER_TRACE, _WORKER_TRACE_DIR, _WORKER_FAULT_SPEC
-    global _WORKER_CELL_CONFIG
-    _WORKER_TRACE = trace
-    _WORKER_TRACE_DIR = trace_dir
-    _WORKER_FAULT_SPEC = fault_spec
-    _WORKER_CELL_CONFIG = cell_config
+def _init_worker(*state) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = state
 
 
 def _run_cell(policy_name: str, memory_gb: float):
-    """Worker-side cell execution against the broadcast trace."""
-    if _WORKER_TRACE is None:
+    """Worker-side cell execution against the broadcast state."""
+    if _WORKER_STATE is None:
         raise RuntimeError("worker pool was not initialized with a trace")
-    tenant_mode, tenant_quotas, policy_kwargs = _WORKER_CELL_CONFIG
-    return simulate_cell(
-        _WORKER_TRACE,
-        policy_name,
-        memory_gb,
-        trace_dir=_WORKER_TRACE_DIR,
-        fault_spec=_WORKER_FAULT_SPEC,
-        tenant_mode=tenant_mode,
-        tenant_quotas=tenant_quotas,
-        policy_kwargs=policy_kwargs,
+    trace, trace_dir, config, policy_kwargs = _WORKER_STATE
+    return run_cell(
+        trace, policy_name, memory_gb, trace_dir=trace_dir,
+        config=config, policy_kwargs=policy_kwargs,
     )
 
 
@@ -122,46 +92,14 @@ def simulate_cell(
     policy_name: str,
     memory_gb: float,
     trace_dir: Optional[str] = None,
-    fault_spec: Optional[FaultSpec] = None,
-    tenant_mode: str = "shared",
-    tenant_quotas: Optional[dict] = None,
-    policy_kwargs: Optional[dict] = None,
+    **cell_kwargs,
 ):
-    """Run one (policy, memory) cell; module-level so it pickles.
-
-    ``trace_dir`` (optional) writes the cell's lifecycle events to its
-    own JSONL file — see :func:`repro.sim.sweep.cell_trace_path`.
-    ``fault_spec`` is the sweep-level spec; the cell seed is derived
-    inside :func:`repro.sim.sweep.run_cell`. The tenancy arguments
-    mirror :func:`repro.sim.sweep.run_cell`'s.
-    """
+    """Run one (policy, memory) cell: :func:`repro.sim.sweep.run_cell`
+    without the process-local ``tracer`` (``cell_kwargs`` are its
+    ``config`` / config fields / ``policy_kwargs``)."""
     return run_cell(
-        trace, policy_name, memory_gb, trace_dir=trace_dir,
-        fault_spec=fault_spec, tenant_mode=tenant_mode,
-        tenant_quotas=tenant_quotas, policy_kwargs=policy_kwargs,
+        trace, policy_name, memory_gb, trace_dir=trace_dir, **cell_kwargs
     )
-
-
-def _run_cell_isolated(
-    trace: Trace,
-    policy_name: str,
-    memory_gb: float,
-    trace_dir: Optional[str] = None,
-    fault_spec: Optional[FaultSpec] = None,
-    cell_config: Tuple[str, Optional[dict], Optional[dict]] = (
-        "shared",
-        None,
-        None,
-    ),
-):
-    """Last-resort execution of one cell in its own single-worker
-    pool, isolating hard worker crashes to the cell that caused them."""
-    with ProcessPoolExecutor(
-        max_workers=1,
-        initializer=_init_worker,
-        initargs=(trace, trace_dir, fault_spec, cell_config),
-    ) as solo:
-        return solo.submit(_run_cell, policy_name, memory_gb).result()
 
 
 def run_sweep_parallel(
@@ -173,10 +111,9 @@ def run_sweep_parallel(
     retries: int = 1,
     tracer: Optional[Tracer] = None,
     trace_dir: Optional[str] = None,
-    fault_spec: Optional[FaultSpec] = None,
-    tenant_mode: str = "shared",
-    tenant_quotas: Optional[dict] = None,
+    config: Optional[RunConfig] = None,
     policy_kwargs: Optional[dict] = None,
+    **config_fields,
 ) -> SweepResult:
     """Like :func:`repro.sim.sweep.run_sweep`, fanned out over processes.
 
@@ -202,17 +139,15 @@ def run_sweep_parallel(
     with multiprocess workers therefore raises :class:`ValueError`
     instead of silently corrupting the output.
 
-    ``fault_spec`` (a plain frozen dataclass, safely picklable) is
-    broadcast once through the pool initializer like the trace; each
-    worker derives per-cell seeds locally, so parallel and sequential
-    fault sweeps produce bit-identical grids.
-
-    The tenancy arguments (``tenant_mode``, ``tenant_quotas``,
-    ``policy_kwargs`` — see :func:`repro.sim.sweep.run_cell`) are plain
-    picklable values broadcast the same way and applied identically to
-    every cell, so tenant-aware parallel sweeps stay bit-identical to
-    their sequential counterparts.
+    ``config`` / its fields as keywords (``fault_spec=…``,
+    ``tenant_mode=…``, ... — see :func:`repro.sim.sweep.run_cell`) and
+    ``policy_kwargs`` are plain picklable values broadcast once
+    through the pool initializer like the trace and applied
+    identically to every cell; each worker derives per-cell fault
+    seeds locally, so fault-injected and tenant-aware parallel sweeps
+    stay bit-identical to their sequential counterparts.
     """
+    config = RunConfig.resolve(config, config_fields)
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     if tracer is not None and trace_dir is not None:
@@ -225,11 +160,7 @@ def run_sweep_parallel(
             "processes; pass trace_dir=<directory> for per-cell JSONL "
             "files, or max_workers=1 to trace in-process"
         )
-    cell_config: Tuple[str, Optional[dict], Optional[dict]] = (
-        tenant_mode,
-        tenant_quotas,
-        policy_kwargs,
-    )
+    state: _Broadcast = (trace, trace_dir, config, policy_kwargs)
     cells: List[Tuple[str, float]] = [
         (policy, memory_gb)
         for policy in policies
@@ -258,9 +189,7 @@ def run_sweep_parallel(
                     memory_gb,
                     tracer=tracer,
                     trace_dir=trace_dir,
-                    fault_spec=fault_spec,
-                    tenant_mode=tenant_mode,
-                    tenant_quotas=tenant_quotas,
+                    config=config,
                     policy_kwargs=policy_kwargs,
                 )
             except Exception as exc:
@@ -287,7 +216,7 @@ def run_sweep_parallel(
         with ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_init_worker,
-            initargs=(trace, trace_dir, fault_spec, cell_config),
+            initargs=state,
         ) as pool:
             futures: Dict[object, Tuple[int, int]] = {}
             for index in sorted(remaining):
@@ -344,14 +273,10 @@ def run_sweep_parallel(
     for index in sorted(remaining):
         policy_name, memory_gb = cells[index]
         try:
-            point = _run_cell_isolated(
-                trace,
-                policy_name,
-                memory_gb,
-                trace_dir=trace_dir,
-                fault_spec=fault_spec,
-                cell_config=cell_config,
-            )
+            with ProcessPoolExecutor(
+                max_workers=1, initializer=_init_worker, initargs=state
+            ) as solo:
+                point = solo.submit(_run_cell, policy_name, memory_gb).result()
         except Exception as exc:
             result.failed_cells.append(
                 FailedCell(policy_name, memory_gb, repr(exc))

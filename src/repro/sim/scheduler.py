@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.checks.sanitize import (
     ReportSink,
@@ -37,8 +37,9 @@ from repro.core.clock import SimClock, wall_clock_s
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, create_policy
 from repro.core.pool import CapacityError, ContainerPool
-from repro.faults import FaultModel, FaultSpec, RetryPolicy
+from repro.faults import FaultModel, RetryPolicy
 from repro.obs.tracer import Tracer, active_tracer
+from repro.sim.config import RunConfig
 from repro.sim.metrics import SimulationMetrics
 from repro.traces.model import Trace, TraceFunction
 
@@ -53,6 +54,10 @@ class SimulationResult:
     policy_name: str
     memory_mb: float
     metrics: SimulationMetrics
+    #: How the arrivals were replayed: ``"sequential"`` (the arrival
+    #: loop of :meth:`KeepAliveSimulator.run`) or ``"vectorized-ttl"``
+    #: (the closed-form kernel of :mod:`repro.sim.columnar`).
+    path: str = "sequential"
 
     def __repr__(self) -> str:
         return (
@@ -71,40 +76,19 @@ class KeepAliveSimulator:
         trace: Trace,
         policy: KeepAlivePolicy,
         memory_mb: float,
-        track_memory_timeline: bool = False,
-        timeline_interval_s: float = 60.0,
-        prewarm_effectiveness: float = 1.0,
-        reserved_concurrency: Optional[dict] = None,
-        warmup_s: float = 0.0,
+        config: Optional[RunConfig] = None,
         tracer: Optional[Tracer] = None,
-        fault_spec: Optional[FaultSpec] = None,
-        server_index: int = 0,
-        tenant_mode: str = "shared",
-        tenant_quotas: Optional[Dict[int, float]] = None,
+        **config_fields,
     ) -> None:
-        """``prewarm_effectiveness`` models Section 9's explicit-
-        initialization discussion: a prefetched (HIST) container only
-        skips the application-level initialization if the function
-        provides an explicit init callback, which the paper found FaaS
-        applications rarely do. 1.0 means prewarming covers the whole
-        init cost (explicit init everywhere); 0.0 means the first
-        invocation on a prewarmed container still pays the full init
-        (prewarming only saved the environment creation the trace's
-        cold overhead does not include anyway).
+        """``trace`` is read three times, here: its function registry,
+        its name, and (under a fault spec) its last arrival time; only
+        :meth:`run` iterates it, so drivers that feed
+        :meth:`process_invocation` themselves — live serving, the
+        cluster layers — use the trace as a registry and nothing else.
 
-        ``reserved_concurrency`` maps function names to a number of
-        *pinned* containers created before replay — AWS-style
-        provisioned concurrency (the paper's introduction cites
-        exactly this industry mechanism). Pinned containers serve warm
-        starts but can never be evicted or expired, so they both
-        guarantee their function's warmth and permanently shrink the
-        cache available to everyone else.
-
-        ``warmup_s`` excludes a measurement warmup: invocations before
-        this time are simulated with full fidelity (they populate the
-        cache and the policy state) but are not counted in the
-        metrics, removing the compulsory-miss transient from short
-        replays — standard discrete-event-simulation practice.
+        ``config`` holds every simulator knob (:class:`RunConfig`
+        documents them); any of its fields may also be given as a
+        keyword and overrides the config's value.
 
         ``tracer`` (a :class:`repro.obs.Tracer`) turns on structured
         lifecycle-event emission: arrivals, warm hits, cold starts,
@@ -114,33 +98,16 @@ class KeepAliveSimulator:
         *every* invocation, including those before ``warmup_s`` that
         the metrics exclude.
 
-        ``fault_spec`` (a :class:`repro.faults.FaultSpec`) turns on
-        deterministic fault injection and retry/shed recovery; see
-        ``docs/robustness.md``. A ``None`` or all-zero spec leaves the
-        failure-free path byte-identical to a simulator built without
-        the parameter. ``server_index`` identifies this server both in
-        ``server_down``/``server_recovered`` events and as the
-        coordinate for rate-based whole-server outages.
-
-        ``tenant_mode`` selects the pool's multi-tenant behavior
-        (docs/multi-tenancy.md): ``shared`` (the default, today's
-        single-owner semantics), ``partitioned`` (hard per-tenant
-        capacity slices), or ``quota`` (soft limits — an over-quota
-        tenant becomes preferentially evictable). ``tenant_quotas``
-        maps tenant ids to slice/quota MB; if omitted in a non-shared
-        mode, capacity is split equally across the tenants appearing
-        in the trace. Per-tenant metrics and ``tenant`` event fields
-        are recorded whenever the trace carries tenant ids, in every
-        mode; tenant-less traces replay byte-identically to the
-        pre-tenancy simulator."""
-        if not 0.0 <= prewarm_effectiveness <= 1.0:
-            raise ValueError(
-                f"prewarm effectiveness must be in [0, 1], "
-                f"got {prewarm_effectiveness}"
-            )
-        if warmup_s < 0.0:
-            raise ValueError(f"warmup must be >= 0, got {warmup_s}")
+        Per-tenant metrics and ``tenant`` event fields are recorded
+        whenever the trace carries tenant ids, in every tenant mode;
+        tenant-less traces replay byte-identically to the pre-tenancy
+        simulator."""
+        config = RunConfig.resolve(config, config_fields)
+        warmup_s = config.warmup_s
+        tenant_mode = config.tenant_mode
         self.trace = trace
+        self._functions = functions = trace.functions
+        self._trace_name = trace.name
         self.policy = policy
         # ``None`` when tracing is disabled: every emission site guards
         # with a plain ``is None`` test, the cheapest off switch.
@@ -159,15 +126,13 @@ class KeepAliveSimulator:
         # fields) are recorded exactly when the trace carries tenant
         # ids, so tenant-less replays take the legacy path bit for bit.
         self._tenants_active = any(
-            f.tenant_id != 0 for f in trace.functions.values()
+            f.tenant_id != 0 for f in functions.values()
         )
-        limits = tenant_quotas
+        limits = config.tenant_quotas
         if tenant_mode != "shared" and limits is None:
             # Equal split across the trace's tenants — the sensible
             # default for CLI runs that name a mode but no quotas.
-            tenant_ids = sorted(
-                {f.tenant_id for f in trace.functions.values()}
-            )
+            tenant_ids = sorted({f.tenant_id for f in functions.values()})
             share = memory_mb / len(tenant_ids) if tenant_ids else memory_mb
             limits = {tid: share for tid in tenant_ids}
         self.pool = ContainerPool(
@@ -201,10 +166,10 @@ class KeepAliveSimulator:
         self._policy_prewarms = (
             type(policy).due_prewarms is not KeepAlivePolicy.due_prewarms
         )
-        self.prewarm_effectiveness = prewarm_effectiveness
+        self.prewarm_effectiveness = config.prewarm_effectiveness
         self.warmup_s = warmup_s
-        self._track_timeline = track_memory_timeline
-        self._timeline_interval_s = timeline_interval_s
+        self._track_timeline = config.track_memory_timeline
+        self._timeline_interval_s = config.timeline_interval_s
         self._last_sample_s = float("-inf")
         # Min-heap of (finish_time, container_id, container) for
         # running invocations.
@@ -215,53 +180,38 @@ class KeepAliveSimulator:
         # fail_server()/recover_server() externally.
         self._down = False
         self._down_since = 0.0
-        self._server_index = int(server_index)
+        self._server_index = int(config.server_index)
         # Harvested capacity (docs/robustness.md): the provisioned size
         # every capacity fraction is relative to. ``set_harvest_capacity``
         # resizes the pool against this, never against the previous
         # (possibly already-shrunk or deferral-clamped) capacity.
         self._nominal_capacity_mb = float(memory_mb)
+        fault_spec = config.fault_spec
+        # Min-heap of (due_s, seq, function_name, attempt) pending
+        # retries. ``seq`` is a per-simulator counter (never a
+        # process-global one) so heap order — and therefore every
+        # downstream decision — is identical across processes.
+        self._retry_heap: List[Tuple[float, int, str, int]] = []
+        self._retry_seq = 0
+        # Scheduled outage transitions and harvest/spot capacity events
+        # for *this* server, already merged time-ordered (see
+        # :meth:`FaultModel.server_events`).
+        self._server_events: Deque[Tuple[float, int, str, float]] = deque()
+        self._faults: Optional[FaultModel] = None
+        self._retry: Optional[RetryPolicy] = None
         if fault_spec is not None and fault_spec.enabled:
-            self._fault_spec: Optional[FaultSpec] = fault_spec
-            self._faults: Optional[FaultModel] = FaultModel(fault_spec)
-            self._retry: Optional[RetryPolicy] = RetryPolicy.from_spec(
-                fault_spec
-            )
-            # Min-heap of (due_s, seq, function_name, attempt) pending
-            # retries. ``seq`` is a per-simulator counter (never a
-            # process-global one) so heap order — and therefore every
-            # downstream decision — is identical across processes.
-            self._retry_heap: List[Tuple[float, int, str, int]] = []
-            self._retry_seq = 0
-            # Scheduled whole-server outages for *this* server, as a
-            # FIFO of (time_s, kind) transitions with kind "down"/"up".
-            transitions: List[Tuple[float, str]] = []
-            for down_s, up_s in self._faults.downtime_spans(
-                self._server_index, trace.duration_s
-            ):
-                transitions.append((down_s, "down"))
-                transitions.append((up_s, "up"))
-            self._transitions: Deque[Tuple[float, str]] = deque(transitions)
-            # Scheduled capacity events for *this* server: harvest
-            # shrink/grow steps and spot notice/evict/restore triples,
-            # already merged time-ordered (see
-            # :meth:`FaultModel.server_capacity_events`).
-            self._capacity_events: Deque[Tuple[float, str, float]] = deque(
-                self._faults.server_capacity_events(
-                    self._server_index, trace.duration_s
+            self._faults = FaultModel(fault_spec)
+            self._retry = RetryPolicy.from_spec(fault_spec)
+            # Schedules are generated on absolute time from 0, so the
+            # horizon is the last arrival time.
+            self._server_events.extend(
+                self._faults.server_events(
+                    [self._server_index], trace.last_arrival_s
                 )
             )
-        else:
-            self._fault_spec = None
-            self._faults = None
-            self._retry = None
-            self._retry_heap = []
-            self._retry_seq = 0
-            self._transitions = deque()
-            self._capacity_events = deque()
         # Provisioned concurrency: pinned containers exist from t=0.
-        for name, count in (reserved_concurrency or {}).items():
-            function = trace.functions.get(name)
+        for name, count in (config.reserved_concurrency or {}).items():
+            function = functions.get(name)
             if function is None:
                 raise ValueError(f"reserved function {name!r} not in trace")
             if count < 1:
@@ -639,8 +589,8 @@ class KeepAliveSimulator:
         ``queue_full`` — the admission-controlled load shedding that
         replaces unbounded queueing.
         """
-        assert self._fault_spec is not None and self._retry is not None
-        if len(self._retry_heap) >= self._fault_spec.max_pending_retries:
+        assert self._faults is not None and self._retry is not None
+        if len(self._retry_heap) >= self._faults.spec.max_pending_retries:
             return self._shed(function, now_s, attempt, "queue_full")
         delay = self._retry.next_delay(function.name, attempt + 1, now_s)
         if delay is None:
@@ -664,30 +614,21 @@ class KeepAliveSimulator:
         return "retried"
 
     def _advance_faults(self, now_s: float) -> None:
-        """Apply every scheduled outage transition, capacity event, and
-        due retry up to ``now_s``, in chronological order (interleaved,
-        so a retry due while the server is down — or freshly shrunk —
-        sees that state). At equal times: transitions, then capacity
-        events, then retries."""
+        """Apply every scheduled server event and due retry up to
+        ``now_s``, in chronological order (interleaved, so a retry due
+        while the server is down — or freshly shrunk — sees that
+        state). At equal times server events precede retries."""
         heap = self._retry_heap
-        transitions = self._transitions
-        capacity = self._capacity_events
-        functions = self.trace.functions
+        events = self._server_events
+        functions = self._functions
         while True:
             retry_due = heap[0][0] if heap else float("inf")
-            trans_due = transitions[0][0] if transitions else float("inf")
-            cap_due = capacity[0][0] if capacity else float("inf")
-            if min(retry_due, trans_due, cap_due) > now_s:
+            event_due = events[0][0] if events else float("inf")
+            if min(retry_due, event_due) > now_s:
                 return
-            if trans_due <= cap_due and trans_due <= retry_due:
-                at_s, kind = transitions.popleft()
-                if kind == "down":
-                    self.fail_server(at_s)
-                else:
-                    self.recover_server(at_s)
-            elif cap_due <= retry_due:
-                at_s, kind, value = capacity.popleft()
-                self._apply_capacity_event(at_s, kind, value)
+            if event_due <= retry_due:
+                at_s, __, kind, value = events.popleft()
+                self._apply_server_event(at_s, kind, value)
             else:
                 due_s, __, function_name, attempt = heapq.heappop(heap)
                 self._attempt(functions[function_name], due_s, attempt)
@@ -748,12 +689,16 @@ class KeepAliveSimulator:
     # Harvested / spot capacity (docs/robustness.md)
     # ------------------------------------------------------------------
 
-    def _apply_capacity_event(
+    def _apply_server_event(
         self, at_s: float, kind: str, value: float
     ) -> None:
-        """Dispatch one scheduled capacity event (see
-        :meth:`repro.faults.FaultModel.server_capacity_events`)."""
-        if kind == "capacity":
+        """Dispatch one scheduled outage or capacity event (see
+        :meth:`repro.faults.FaultModel.server_events`)."""
+        if kind == "down":
+            self.fail_server(at_s)
+        elif kind == "up":
+            self.recover_server(at_s)
+        elif kind == "capacity":
             self.set_harvest_capacity(at_s, value)
         elif kind == "notice":
             self.notice_eviction(at_s, evict_at_s=value)
@@ -881,6 +826,10 @@ class KeepAliveSimulator:
     def run(self) -> SimulationResult:
         """Replay the whole trace and return the collected metrics.
 
+        The one arrival loop: every trace form (object, columnar,
+        streamed) hands over ``(time_s, function)`` pairs through its
+        ``arrivals()``, so nothing here depends on the representation.
+
         Besides the paper's counters this also records throughput
         observability: the wall-clock time of the replay and (derived)
         invocations simulated per second, so sweep harnesses can spot
@@ -891,25 +840,24 @@ class KeepAliveSimulator:
         dropped.
         """
         started = wall_clock_s()
-        functions = self.trace.functions
         clock = self.clock
         end_s = 0.0
-        for invocation in self.trace:
+        for time_s, function in self.trace.arrivals():
             # Timestamps flow through the SimClock (traces are sorted,
             # so advance_to/now round-trips each arrival time exactly —
-            # byte-identical to passing invocation.time_s directly).
-            clock.advance_to(invocation.time_s)
+            # byte-identical to passing the arrival time directly).
+            clock.advance_to(time_s)
             end_s = clock.now()
-            self.process_invocation(functions[invocation.function_name], end_s)
+            self.process_invocation(function, end_s)
         return self.finalize(end_s, started)
 
     def finalize(self, end_s: float, started_wall_s: float) -> SimulationResult:
         """Post-replay epilogue shared by :meth:`run` and external
-        arrival drivers (the columnar engine's chunked loop): drain
-        pending retries, close the memory timeline, stamp the wall
-        clock, run the sanitizer's trace/metrics counter-equality
-        check, and package the result. ``end_s`` is the time of the
-        last processed arrival (0.0 for an empty replay)."""
+        arrival drivers: drain pending retries, close the memory
+        timeline, stamp the wall clock, run the sanitizer's
+        trace/metrics counter-equality check, and package the result.
+        ``end_s`` is the time of the last processed arrival (0.0 for an
+        empty replay)."""
         # Give every pending retry a terminal outcome before reporting.
         self.drain_retries()
         if self._track_timeline and end_s > self._last_sample_s:
@@ -926,7 +874,7 @@ class KeepAliveSimulator:
                 self._sanitize_report.report, self.metrics.tenant_counters()
             )
         return SimulationResult(
-            trace_name=self.trace.name,
+            trace_name=self._trace_name,
             policy_name=self.policy.name,
             memory_mb=self.pool.capacity_mb,
             metrics=self.metrics,
@@ -937,39 +885,34 @@ def simulate(
     trace: Trace,
     policy: str | KeepAlivePolicy,
     memory_mb: float,
-    track_memory_timeline: bool = False,
-    timeline_interval_s: float = 60.0,
-    prewarm_effectiveness: float = 1.0,
-    reserved_concurrency: Optional[dict] = None,
-    warmup_s: float = 0.0,
+    config: Optional[RunConfig] = None,
     tracer: Optional[Tracer] = None,
-    fault_spec: Optional[FaultSpec] = None,
     engine: str = "object",
-    tenant_mode: str = "shared",
-    tenant_quotas: Optional[Dict[int, float]] = None,
-    **policy_kwargs,
+    **kwargs,
 ) -> SimulationResult:
     """Convenience one-shot simulation.
 
     ``policy`` may be a short policy name (``"GD"``, ``"TTL"``, ...) or
     an already-constructed policy instance. The simulator's own knobs
-    (``timeline_interval_s``, ``prewarm_effectiveness``,
-    ``reserved_concurrency``, ``warmup_s``, ``tracer``,
-    ``fault_spec``) are forwarded to :class:`KeepAliveSimulator`
-    explicitly; any remaining keyword arguments configure the *policy*
-    and are therefore only valid with a policy name.
+    are the fields of :class:`~repro.sim.config.RunConfig`, given as
+    ``config`` and/or as individual keywords (``warmup_s=…``,
+    ``fault_spec=…``, ...); any remaining keyword arguments configure
+    the *policy* and are therefore only valid with a policy name.
 
-    ``engine`` selects the replay implementation: ``"object"`` (this
-    module's per-invocation simulator) or ``"columnar"``
-    (:class:`repro.sim.columnar.ColumnarReplayEngine`, batched and —
-    for eligible TTL configurations — vectorized). The two produce
-    byte-identical metrics; the differential suite holds them to it.
+    Every replay runs the arrival loop of
+    :meth:`KeepAliveSimulator.run`. ``engine="columnar"`` additionally
+    allows the exact vectorized TTL kernel
+    (:func:`repro.sim.columnar.try_ttl_kernel`) to answer instead when
+    the run is provably eligible; ``"object"`` (the default) never
+    tries it and is the reference the differential suite holds the
+    kernel to. Which one ran is reported as :attr:`SimulationResult.path`.
 
     >>> from repro.traces.synth import skewed_frequency_trace
     >>> result = simulate(skewed_frequency_trace(seed=1), "GD", 4096)
     >>> result.metrics.served > 0
     True
     """
+    config, policy_kwargs = RunConfig.split(kwargs, config)
     if isinstance(policy, str):
         policy = create_policy(policy, **policy_kwargs)
     elif policy_kwargs:
@@ -980,33 +923,11 @@ def simulate(
         )
     if engine == "columnar":
         # Imported here: repro.sim.columnar imports this module.
-        from repro.sim.columnar import ColumnarReplayEngine
+        from repro.sim.columnar import try_ttl_kernel
 
-        return ColumnarReplayEngine(
-            policy,
-            memory_mb,
-            track_memory_timeline=track_memory_timeline,
-            timeline_interval_s=timeline_interval_s,
-            prewarm_effectiveness=prewarm_effectiveness,
-            reserved_concurrency=reserved_concurrency,
-            warmup_s=warmup_s,
-            tracer=tracer,
-            fault_spec=fault_spec,
-            tenant_mode=tenant_mode,
-            tenant_quotas=tenant_quotas,
-        ).run(trace)
-    simulator = KeepAliveSimulator(
-        trace,
-        policy,
-        memory_mb,
-        track_memory_timeline=track_memory_timeline,
-        timeline_interval_s=timeline_interval_s,
-        prewarm_effectiveness=prewarm_effectiveness,
-        reserved_concurrency=reserved_concurrency,
-        warmup_s=warmup_s,
-        tracer=tracer,
-        fault_spec=fault_spec,
-        tenant_mode=tenant_mode,
-        tenant_quotas=tenant_quotas,
-    )
-    return simulator.run()
+        result = try_ttl_kernel(trace, policy, memory_mb, config, tracer)
+        if result is not None:
+            return result
+    return KeepAliveSimulator(
+        trace, policy, memory_mb, config, tracer=tracer
+    ).run()

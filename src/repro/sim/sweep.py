@@ -9,6 +9,7 @@ and plotting code consume.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.policies import PAPER_POLICIES, create_policy
-from repro.faults import FaultSpec, cell_fault_spec
+from repro.faults import cell_fault_spec
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
+from repro.sim.config import RunConfig
 from repro.sim.scheduler import KeepAliveSimulator, SimulationResult
 from repro.sim.server import GB_MB
 from repro.traces.model import Trace
@@ -244,10 +246,9 @@ def run_cell(
     memory_gb: float,
     tracer: Optional[Tracer] = None,
     trace_dir: Optional[str] = None,
-    fault_spec: Optional[FaultSpec] = None,
-    tenant_mode: str = "shared",
-    tenant_quotas: Optional[Dict[int, float]] = None,
+    config: Optional[RunConfig] = None,
     policy_kwargs: Optional[Mapping[str, object]] = None,
+    **config_fields,
 ) -> SweepPoint:
     """Run one (policy, memory) cell with optional tracing.
 
@@ -257,18 +258,20 @@ def run_cell(
     file (see :func:`cell_trace_path`) — the only tracing mode that is
     safe across processes.
 
-    ``fault_spec`` is the *sweep-level* spec: the cell derives its own
-    seed from it via :func:`repro.faults.cell_fault_spec`, a pure
-    function of the cell coordinates. Cells therefore see independent
-    fault draws, while any re-execution of the same cell — sequential,
-    parallel, or a retry after a worker crash — replays the identical
-    fault sequence.
+    ``config`` (and/or its fields as keywords, e.g. ``fault_spec=…``,
+    ``tenant_mode=…``) is the *sweep-level*
+    :class:`~repro.sim.config.RunConfig`. Its ``fault_spec`` is the
+    sweep-level spec: the cell derives its own seed from it via
+    :func:`repro.faults.cell_fault_spec`, a pure function of the cell
+    coordinates. Cells therefore see independent fault draws, while
+    any re-execution of the same cell — sequential, parallel, or a
+    retry after a worker crash — replays the identical fault sequence.
 
-    ``tenant_mode``/``tenant_quotas`` configure the cell's pool
-    (docs/multi-tenancy.md); ``policy_kwargs`` are forwarded to
-    :func:`create_policy` (e.g. GD's ``tenant_weights``) — callers own
-    matching them to policies that accept them.
+    ``policy_kwargs`` are forwarded to :func:`create_policy` (e.g.
+    GD's ``tenant_weights``) — callers own matching them to policies
+    that accept them.
     """
+    config = RunConfig.resolve(config, config_fields)
     cell_tracer = None
     owned_sink = None
     if trace_dir is not None:
@@ -280,21 +283,15 @@ def run_cell(
         cell_tracer = Tracer(owned_sink)
     elif tracer is not None:
         cell_tracer = tracer.bind(policy=policy_name, memory_gb=memory_gb)
-    cell_spec = (
-        cell_fault_spec(fault_spec, policy_name, memory_gb)
-        if fault_spec is not None and fault_spec.enabled
-        else None
-    )
+    spec = config.fault_spec
+    if spec is not None:
+        config = dataclasses.replace(
+            config, fault_spec=cell_fault_spec(spec, policy_name, memory_gb)
+        )
     try:
         policy = create_policy(policy_name, **dict(policy_kwargs or {}))
         sim = KeepAliveSimulator(
-            trace,
-            policy,
-            memory_gb * GB_MB,
-            tracer=cell_tracer,
-            fault_spec=cell_spec,
-            tenant_mode=tenant_mode,
-            tenant_quotas=tenant_quotas,
+            trace, policy, memory_gb * GB_MB, config, tracer=cell_tracer
         )
         return point_from_result(policy_name, memory_gb, sim.run())
     finally:
@@ -309,10 +306,9 @@ def run_sweep(
     progress: Optional[Callable[[str, float], None]] = None,
     tracer: Optional[Tracer] = None,
     trace_dir: Optional[str] = None,
-    fault_spec: Optional[FaultSpec] = None,
-    tenant_mode: str = "shared",
-    tenant_quotas: Optional[Dict[int, float]] = None,
+    config: Optional[RunConfig] = None,
     policy_kwargs: Optional[Mapping[str, object]] = None,
+    **config_fields,
 ) -> SweepResult:
     """Simulate every (policy, memory) cell over ``trace``.
 
@@ -325,9 +321,11 @@ def run_sweep(
     ``trace_dir`` writes one JSONL file per cell instead (the layout
     the parallel engine also produces).
 
-    ``fault_spec`` injects deterministic faults into every cell, each
-    under its own coordinate-derived seed (see :func:`run_cell`).
+    ``config`` / its fields as keywords apply to every cell; a
+    ``fault_spec`` injects deterministic faults into each under its
+    own coordinate-derived seed (see :func:`run_cell`).
     """
+    config = RunConfig.resolve(config, config_fields)
     result = SweepResult(trace_name=trace.name)
     for policy_name in policies:
         for memory_gb in memory_gbs:
@@ -340,9 +338,7 @@ def run_sweep(
                     memory_gb,
                     tracer=tracer,
                     trace_dir=trace_dir,
-                    fault_spec=fault_spec,
-                    tenant_mode=tenant_mode,
-                    tenant_quotas=tenant_quotas,
+                    config=config,
                     policy_kwargs=policy_kwargs,
                 )
             )

@@ -23,7 +23,8 @@ simulator hooks expect.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +57,9 @@ class FunctionTable:
             objects.append(func)
         self._objects: Tuple[TraceFunction, ...] = tuple(objects)
         self._index = index
+        self._by_name: Mapping[str, TraceFunction] = MappingProxyType(
+            {f.name: f for f in objects}
+        )
         self.names: Tuple[str, ...] = tuple(f.name for f in objects)
         self.memory_mb = np.array(
             [f.memory_mb for f in objects], dtype=np.float64
@@ -83,9 +87,21 @@ class FunctionTable:
         """The interned :class:`TraceFunction` row objects, by id."""
         return self._objects
 
-    def as_dict(self) -> Dict[str, TraceFunction]:
-        """Name-to-function mapping (the object ``Trace`` contract)."""
-        return {f.name: f for f in self._objects}
+    def as_dict(self) -> Mapping[str, TraceFunction]:
+        """Name-to-function mapping (the object ``Trace`` contract).
+        Built once; every call returns the same read-only view."""
+        return self._by_name
+
+    def arrivals(
+        self, chunks: Iterable[Tuple[np.ndarray, np.ndarray]]
+    ) -> Iterator[Tuple[float, TraceFunction]]:
+        """``(time_s, function)`` per invocation of ``chunks``. One
+        bulk ``tolist`` per chunk: the consumer sees plain floats and
+        interned row objects, never per-invocation array indexing."""
+        objects = self._objects
+        for times, function_ids in chunks:
+            for time_s, fid in zip(times.tolist(), function_ids.tolist()):
+                yield time_s, objects[fid]
 
     @property
     def has_tenants(self) -> bool:
@@ -197,14 +213,23 @@ class ColumnarTrace:
     # ------------------------------------------------------------------
 
     @property
-    def functions(self) -> Dict[str, TraceFunction]:
+    def functions(self) -> Mapping[str, TraceFunction]:
         return self.functions_table.as_dict()
+
+    def arrivals(self) -> Iterator[Tuple[float, TraceFunction]]:
+        """``(time_s, function)`` per invocation in replay order."""
+        return self.functions_table.arrivals(self.iter_chunks())
 
     @property
     def duration_s(self) -> float:
         if not self.times_s.size:
             return 0.0
         return float(self.times_s[-1]) - float(self.times_s[0])
+
+    @property
+    def last_arrival_s(self) -> float:
+        """Absolute time of the last invocation (0.0 when empty)."""
+        return float(self.times_s[-1]) if self.times_s.size else 0.0
 
     @property
     def num_functions(self) -> int:

@@ -128,12 +128,25 @@ class Trace:
     def __iter__(self) -> Iterator[Invocation]:
         return iter(self._invocations)
 
+    def arrivals(self) -> Iterator[Tuple[float, TraceFunction]]:
+        """``(time_s, function)`` per invocation in replay order — the
+        iteration contract every trace form gives the simulator."""
+        functions = self._functions
+        for invocation in self._invocations:
+            yield invocation.time_s, functions[invocation.function_name]
+
     @property
     def duration_s(self) -> float:
         """Time span from the first to the last invocation."""
         if not self._invocations:
             return 0.0
         return self._invocations[-1].time_s - self._invocations[0].time_s
+
+    @property
+    def last_arrival_s(self) -> float:
+        """Absolute time of the last invocation (0.0 when empty): the
+        horizon schedules generated on absolute time must cover."""
+        return self._invocations[-1].time_s if self._invocations else 0.0
 
     @property
     def num_functions(self) -> int:

@@ -108,6 +108,17 @@ class StreamingChurnTrace:
         """Name-to-function mapping (the object ``Trace`` contract)."""
         return self.functions_table.as_dict()
 
+    @property
+    def last_arrival_s(self) -> float:
+        """Upper bound on the last arrival: streams stop generating at
+        ``duration_s``, and nothing is known tighter without a pass."""
+        return self.duration_s
+
+    def arrivals(self) -> Iterator[Tuple[float, TraceFunction]]:
+        """``(time_s, function)`` per invocation in replay order,
+        generated chunk by chunk (restartable, like :meth:`chunks`)."""
+        return self.functions_table.arrivals(self.chunks())
+
     def _streams(self) -> List[Tuple[float, int, float, random.Random]]:
         """Fresh per-function stream states: (next_t, id, iat, rng)."""
         heap: List[Tuple[float, int, float, random.Random]] = []

@@ -419,6 +419,6 @@ class TestClusterFaults:
         # The server-level spec hands outage ownership to the cluster:
         # members must not also schedule the downtime themselves.
         for server in sim.servers:
-            assert not server._transitions
+            assert not server._server_events
         result = sim.run()
         assert result.server_downs == 1

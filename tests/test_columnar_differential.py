@@ -1,17 +1,17 @@
-"""Differential suite: columnar engine vs the object-path oracle.
+"""Differential suite: ``engine="columnar"`` vs the object-path oracle.
 
-The columnar engine's contract is *byte-identical metrics*: for any
-trace and policy, :class:`ColumnarReplayEngine` must produce exactly
-the payload the per-invocation :class:`KeepAliveSimulator` produces —
-same counters, same ``repr``-precision percentages, same
+The contract is *byte-identical metrics*: for any trace form and
+policy, ``simulate(engine="columnar")`` must produce exactly the
+payload :class:`KeepAliveSimulator` produces replaying the object
+trace — same counters, same ``repr``-precision percentages, same
 ``per_function`` outcomes in the same insertion order. This suite
 holds it to that across:
 
 * randomized seeded workloads x the paper's policy spread (TTL, HIST,
-  GD/GDSF, LRU), through the batched sequential path;
+  GD/GDSF, LRU), columnar traces through the one arrival loop;
 * the vectorized TTL kernel, including chunk-size invariance and the
-  mid-stream fallbacks (burst gaps, capacity pressure) that force it
-  back onto the sequential path;
+  mid-stream fallbacks (burst gaps, capacity pressure) that force the
+  run back onto the arrival loop;
 * the exact-summation primitive (``np.add.accumulate`` + scalar
   carry) the kernel's float accumulation correctness rests on;
 * a ``PYTHONHASHSEED`` subprocess pair — both engines, both seeds,
@@ -31,7 +31,7 @@ from repro.bench import _metrics_payload, churn_trace, eviction_trace
 from repro.checks.sanitize import set_sanitize
 from repro.core.policies.base import create_policy
 from repro.core.policies.ttl import TTLPolicy
-from repro.sim.columnar import ColumnarReplayEngine
+from repro.sim.columnar import run_ttl_kernel
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.columnar import ColumnarTrace, FunctionTable
 from repro.traces.model import TraceFunction
@@ -47,13 +47,14 @@ def oracle_payload(trace, policy_name, memory_mb, **policy_kwargs):
     return _metrics_payload(result), result.metrics.per_function
 
 
-def engine_payload(trace, policy_name, memory_mb, **engine_kwargs):
-    engine = ColumnarReplayEngine(policy_name, memory_mb, **engine_kwargs)
-    result = engine.run(trace)
+def engine_payload(trace, policy, memory_mb, **policy_kwargs):
+    result = simulate(
+        trace, policy, memory_mb, engine="columnar", **policy_kwargs
+    )
     return (
         _metrics_payload(result),
         result.metrics.per_function,
-        engine.last_path,
+        result.path,
     )
 
 
@@ -154,15 +155,11 @@ class TestVectorizedTTLKernel:
             trace, "TTL", 2048 * 128.0, ttl_s=300.0
         )
         assert path == "vectorized-ttl"
-        got, __, path = engine_payload(
-            trace,
-            "TTL",
-            2048 * 128.0,
-            chunk_invocations=chunk,
-            ttl_s=300.0,
+        result = run_ttl_kernel(
+            trace, 300.0, 2048 * 128.0, "TTL", chunk_invocations=chunk
         )
-        assert path == "vectorized-ttl"
-        assert got == baseline
+        assert result.path == "vectorized-ttl"
+        assert _metrics_payload(result) == baseline
 
     def test_kernel_runs_streaming_traces(self):
         stream = StreamingChurnTrace(
@@ -182,15 +179,14 @@ class TestVectorizedTTLKernel:
             pass
 
         trace = ColumnarTrace.from_trace(churn_trace(30, seed=4))
-        engine = ColumnarReplayEngine(
-            TracingTTL(ttl_s=300.0), 64 * 128.0
+        got, __, path = engine_payload(
+            trace, TracingTTL(ttl_s=300.0), 64 * 128.0
         )
-        result = engine.run(trace)
-        assert engine.last_path == "sequential"
+        assert path == "sequential"
         want, __ = oracle_payload(
             trace.to_trace(), "TTL", 64 * 128.0, ttl_s=300.0
         )
-        assert _metrics_payload(result) == want
+        assert got == want
 
     def test_burst_gaps_fall_back_and_agree(self):
         """Same-function arrivals inside the cold time violate the
@@ -237,7 +233,9 @@ class TestVectorizedTTLKernel:
         empty = ColumnarTrace(
             table, np.empty(0), np.empty(0, dtype=np.int32)
         )
-        result = ColumnarReplayEngine("TTL", 1024.0, ttl_s=300.0).run(empty)
+        result = simulate(
+            empty, "TTL", 1024.0, engine="columnar", ttl_s=300.0
+        )
         counters = result.metrics.counters()
         assert counters["warm_starts"] == 0
         assert counters["cold_starts"] == 0
@@ -280,16 +278,16 @@ _SUBPROCESS_SCRIPT = """
 import json
 from repro.bench import _metrics_payload, churn_trace, fingerprint
 from repro.core.policies.base import create_policy
-from repro.sim.columnar import ColumnarReplayEngine
-from repro.sim.scheduler import KeepAliveSimulator
+from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.columnar import ColumnarTrace
 
 trace = churn_trace(num_functions=50, seed=31)
 oracle = KeepAliveSimulator(
     trace, create_policy("HIST"), 96 * 128.0
 ).run()
-engine = ColumnarReplayEngine("HIST", 96 * 128.0)
-columnar = engine.run(ColumnarTrace.from_trace(trace))
+columnar = simulate(
+    ColumnarTrace.from_trace(trace), "HIST", 96 * 128.0, engine="columnar"
+)
 print(json.dumps({
     "oracle": fingerprint(_metrics_payload(oracle)),
     "columnar": fingerprint(_metrics_payload(columnar)),

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.bench import churn_trace
+from repro.faults import FaultSpec
+from repro.sim.scheduler import simulate
 from repro.traces.columnar import ColumnarTrace, FunctionTable
 from repro.traces.model import TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
@@ -48,6 +50,28 @@ class TestFunctionTable:
         trace = make_trace("AB")
         table = FunctionTable(trace.functions.values())
         assert table.as_dict() == trace.functions
+
+    def test_functions_mapping_is_built_once(self, monkeypatch):
+        columnar = small_columnar()
+        assert columnar.functions is columnar.functions
+        stream = StreamingChurnTrace(num_functions=5, duration_s=600.0)
+        assert stream.functions is stream.functions
+        # A faulted replay resolves retries by name on every arrival's
+        # fault-advance: it must read the registry once, not per access.
+        calls = []
+        as_dict = FunctionTable.as_dict
+        monkeypatch.setattr(
+            FunctionTable,
+            "as_dict",
+            lambda table: calls.append(1) or as_dict(table),
+        )
+        spec = FaultSpec(seed=3, crash_rate=0.2, harvest_interval_s=300.0)
+        trace = ColumnarTrace.from_trace(churn_trace(20, duration_s=2400.0))
+        result = simulate(
+            trace, "GD", 12 * 128.0, engine="columnar", fault_spec=spec
+        )
+        assert result.metrics.retries > 0
+        assert len(calls) <= 1
 
 
 class TestColumnarTrace:

@@ -222,12 +222,43 @@ class TestFaultModel:
         spec = FaultSpec(
             server_downtimes=((1, 10.0, 20.0), (0, 10.0, 30.0))
         )
-        schedule = FaultModel(spec).server_schedule(2, 100.0)
-        times = [t for t, __, __ in schedule]
+        schedule = FaultModel(spec).server_events(range(2), 100.0)
+        times = [t for t, *__ in schedule]
         assert times == sorted(times)
-        # "up" sorts before "down" at equal times; index breaks ties.
-        assert schedule[0] == (10.0, 0, "down")
-        assert schedule[1] == (10.0, 1, "down")
+        # Server index breaks equal-time, equal-kind ties.
+        assert schedule[0] == (10.0, 0, "down", 0.0)
+        assert schedule[1] == (10.0, 1, "down", 0.0)
+
+    def test_server_events_tie_order(self):
+        """The one merged schedule all three consumers pop from: at
+        equal times up < down < restore < capacity < notice < evict."""
+        base = FaultSpec(
+            seed=5, spot_mtbf_s=800.0, spot_notice_s=0.0,
+            server_recovery_s=120.0,
+        )
+        __, evict_s = FaultModel(base).spot_evictions(0, 5000.0)[0]
+        restore_s = evict_s + 120.0
+        spec = dataclasses.replace(
+            base,
+            server_downtimes=(
+                (1, evict_s - 50.0, evict_s),
+                (0, evict_s, evict_s + 1.0),
+            ),
+            capacity_steps=((0, evict_s, 0.7), (0, restore_s, 0.8)),
+        )
+        events = FaultModel(spec).server_events(range(2), 5000.0)
+        assert [t for t, *__ in events] == sorted(t for t, *__ in events)
+        assert [e[1:] for e in events if e[0] == evict_s] == [
+            (1, "up", 0.0),
+            (0, "down", 0.0),
+            (0, "capacity", 0.7),
+            (0, "notice", evict_s),
+            (0, "evict", 0.0),
+        ]
+        assert [e[1:] for e in events if e[0] == restore_s] == [
+            (0, "restore", 1.0),
+            (0, "capacity", 0.8),
+        ]
 
 
 class TestRetryPolicy:
@@ -333,6 +364,22 @@ class TestInjectionAndRecovery:
         assert sum(metrics.faults_by_kind.values()) == metrics.faults_injected
         assert sum(metrics.sheds_by_reason.values()) == metrics.sheds
         assert 0.0 < metrics.shed_ratio < 1.0
+
+    def test_outage_on_a_trace_not_starting_at_zero(self):
+        """Schedules run on absolute time, so their horizon is the
+        last arrival — not the first-to-last span, which left the tail
+        of a shifted trace silently fault-free."""
+        trace = skewed_frequency_trace(seed=1, duration_s=600.0)
+        for offset_s in (0.0, 1000.0):
+            spec = FaultSpec(
+                server_downtimes=(
+                    ServerDowntime(0, 300.0 + offset_s, 400.0 + offset_s),
+                )
+            )
+            result = simulate(
+                trace.shifted(offset_s), "GD", 512.0, fault_spec=spec
+            )
+            assert result.metrics.server_downs == 1, offset_s
 
     def test_deterministic_across_runs(self):
         a = self.run_chaos().metrics

@@ -95,7 +95,7 @@ class TestCapacityTimeline:
         model = FaultModel(spec)
         assert model.capacity_timeline(0, 10_000.0) == []
         assert model.spot_evictions(0, 10_000.0) == []
-        assert model.server_capacity_events(0, 10_000.0) == []
+        assert model.server_events([0], 10_000.0) == []
 
     def test_spot_notice_precedes_eviction(self):
         spec = FaultSpec(seed=5, spot_mtbf_s=500.0, spot_notice_s=60.0)
@@ -112,7 +112,12 @@ class TestCapacityTimeline:
             spot_notice_s=30.0,
             server_recovery_s=120.0,
         )
-        events = FaultModel(spec).server_capacity_events(0, 20_000.0)
+        events = [
+            (at_s, kind, value)
+            for at_s, __, kind, value in FaultModel(spec).server_events(
+                [0], 20_000.0
+            )
+        ]
         kinds = [kind for __, kind, __v in events]
         assert "notice" in kinds and "evict" in kinds
         # Every evict is announced by an earlier notice carrying its
@@ -139,7 +144,7 @@ class TestCapacityTimeline:
 
     def test_capacity_schedule_merges_servers_in_time_order(self):
         spec = FaultSpec(seed=2, harvest_interval_s=400.0)
-        schedule = FaultModel(spec).capacity_schedule(3, 10_000.0)
+        schedule = FaultModel(spec).server_events(range(3), 10_000.0)
         assert schedule
         times = [at_s for at_s, __, __k, __v in schedule]
         assert times == sorted(times)

@@ -12,6 +12,7 @@ from repro.core.policies.base import create_policy
 from repro.live.latency import LatencyHistogram
 from repro.live.service import LivePoolService, UnknownFunctionError
 from repro.sim.scheduler import KeepAliveSimulator, simulate
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.synth import skewed_frequency_trace
 
 
@@ -67,12 +68,14 @@ class TestClocks:
 
     def test_simulator_owns_a_sim_clock(self):
         trace = skewed_frequency_trace(seed=5)
-        sim = KeepAliveSimulator(trace, create_policy("GD"), 1024.0)
-        assert isinstance(sim.clock, SimClock)
-        sim.run()
-        # After a replay the clock sits at the last arrival.
         last = max(inv.time_s for inv in trace)
-        assert sim.clock.now() == last
+        # Every trace form goes through the one clock-advancing loop.
+        for form in (trace, ColumnarTrace.from_trace(trace)):
+            sim = KeepAliveSimulator(form, create_policy("GD"), 1024.0)
+            assert isinstance(sim.clock, SimClock)
+            sim.run()
+            # After a replay the clock sits at the last arrival.
+            assert sim.clock.now() == last
 
 
 class TestSimLiveEquivalence:

@@ -1,8 +1,13 @@
 """Unit and behavioural tests for the keep-alive simulator."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.policies import create_policy
+from repro.faults import FaultSpec
+from repro.sim.config import RunConfig
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 from tests.conftest import make_function, make_trace
@@ -338,3 +343,66 @@ class TestSimulateForwarding:
             simulate(
                 make_trace("A"), create_policy("GD"), 1024.0, ttl_s=30.0
             )
+
+    def test_unknown_keyword_still_fails_loudly(self):
+        # With a policy name it reaches create_policy, which rejects it.
+        with pytest.raises(TypeError, match="warmup"):
+            simulate(make_trace("A"), "GD", 1024.0, warmup=15.0)
+        with pytest.raises(ValueError, match="policy_kwargs"):
+            simulate(make_trace("A"), create_policy("GD"), 1024.0, warmup=15.0)
+        with pytest.raises(TypeError, match="warmup"):
+            KeepAliveSimulator(
+                make_trace("A"), create_policy("GD"), 1024.0, warmup=15.0
+            )
+
+
+class TestRunConfig:
+    def test_fields_are_exactly_the_simulator_knobs(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "track_memory_timeline",
+            "timeline_interval_s",
+            "prewarm_effectiveness",
+            "reserved_concurrency",
+            "warmup_s",
+            "fault_spec",
+            "server_index",
+            "tenant_mode",
+            "tenant_quotas",
+        ]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"prewarm_effectiveness": -0.1},
+            {"prewarm_effectiveness": 1.5},
+            {"warmup_s": -1.0},
+            {"tenant_mode": "exclusive"},
+        ],
+    )
+    def test_validates_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+    def test_pickles(self):
+        config = RunConfig(
+            warmup_s=5.0,
+            fault_spec=FaultSpec(seed=3, crash_rate=0.1),
+            reserved_concurrency={"A": 2},
+            tenant_mode="quota",
+            tenant_quotas={1: 512.0},
+        )
+        assert pickle.loads(pickle.dumps(config)) == config
+
+    def test_config_and_keywords_are_one_configuration(self):
+        trace = make_trace("ABAB", gap_s=10.0)
+        by_keyword = simulate(trace, "GD", 1024.0, warmup_s=15.0)
+        by_config = simulate(trace, "GD", 1024.0, RunConfig(warmup_s=15.0))
+        overridden = simulate(
+            trace, "GD", 1024.0, RunConfig(warmup_s=0.0), warmup_s=15.0
+        )
+        assert (
+            by_keyword.metrics.counters()
+            == by_config.metrics.counters()
+            == overridden.metrics.counters()
+        )
+        assert by_config.metrics.total_requests == 2
