@@ -7,7 +7,10 @@ loadgen`` over actual loopback sockets, and fails on:
 
 * any 5xx response,
 * any server/client decision-counter inconsistency,
-* a calibration-normalized decision-latency p99 above the ceiling.
+* a calibration-normalized decision-latency p99 above the ceiling,
+* a pipelined burst ending in an oversized ``Content-Length`` that is
+  not answered in order, ``413`` last, and then closed — or that costs
+  any other connection its service.
 
 This is the two-process path — CLI parsing, signal handling, and the
 port-announce handshake included — as opposed to the in-process
@@ -22,9 +25,12 @@ from __future__ import annotations
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
+
+from repro.live.loadgen import fetch_stats
 
 TRACE = "skewed-frequency"
 POLICY = "GD"
@@ -36,6 +42,49 @@ BASELINE = os.path.join(
 )
 ANNOUNCE = re.compile(r"at http://([\d.]+):(\d+)")
 STARTUP_TIMEOUT_S = 30.0
+SOCKET_TIMEOUT_S = 10.0
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: gate\r\n\r\n"
+
+
+def _exchange(host: str, port: int, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection; everything the server
+    answers until it closes (the request must make it close)."""
+    with socket.create_connection((host, port), SOCKET_TIMEOUT_S) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return received
+            received += data
+
+
+def _statuses(received: bytes) -> list:
+    return [int(s) for s in re.findall(rb"HTTP/1\.1 (\d{3}) ", received)]
+
+
+def refused_burst_failures(host: str, port: int) -> list:
+    """A refused request closes its own connection, after the requests
+    pipelined ahead of it are answered, and nobody else's."""
+    failures = []
+    burst = HEALTHZ * 3 + (
+        b"POST /admit HTTP/1.1\r\nHost: gate\r\n"
+        b"Content-Length: 99999999\r\n\r\n"
+        b'{"function":'  # a body the server must not read as a request
+    )
+    # Returning at all means the server closed: _exchange reads to EOF.
+    received = _exchange(host, port, burst)
+    if _statuses(received) != [200, 200, 200, 413]:
+        failures.append(f"burst answered {_statuses(received)}")
+    if received.count(b"Connection: close") != 1:
+        failures.append("the 413 did not announce the close")
+    closing = HEALTHZ.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+    if _statuses(_exchange(host, port, closing)) != [200]:
+        failures.append("a fresh connection's /healthz did not answer")
+    errors_5xx = fetch_stats(host, port)["http"]["errors_5xx"]
+    if errors_5xx != 0:
+        failures.append(f"stats.http.errors_5xx = {errors_5xx}")
+    return failures
 
 
 def main() -> int:
@@ -87,6 +136,14 @@ def main() -> int:
         )
         if result.returncode != 0:
             print("FAIL: loadgen gate failed", file=sys.stderr)
+            return 1
+        try:
+            failures = refused_burst_failures(host, int(port))
+        except OSError as exc:  # e.g. a timeout: the server never closed
+            failures = [f"refused-burst probe: {exc!r}"]
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
             return 1
         print("live-smoke gate passed")
         return 0

@@ -15,7 +15,9 @@ Two modes, one report:
   scaled by ``speed`` onto the wall clock and each request is sent at
   its scheduled instant *regardless of whether earlier responses have
   arrived* (the open-loop discipline that avoids coordinated
-  omission), striped across ``connections`` persistent sockets.
+  omission), striped across ``connections`` persistent sockets. Each
+  round trip is timed from the instant the request was *due*, so a
+  stall that delays later sends is charged to them.
 
 The report carries client round-trip percentiles, the server's own
 in-engine decision latencies (echoed per response as ``decision_us``),
@@ -135,6 +137,7 @@ async def _run_pipeline(
 ) -> None:
     reader, writer = await asyncio.open_connection(host, port)
     send_times: List[float] = []
+    completion = asyncio.Event()  # set by the reader on every response
     try:
 
         async def _writer() -> None:
@@ -144,7 +147,8 @@ async def _run_pipeline(
                 # close to the wire (client RTTs measure the server,
                 # not an unbounded local queue).
                 while report.sent - report.completed >= in_flight_limit:
-                    await asyncio.sleep(0)
+                    completion.clear()
+                    await completion.wait()
                 writer.write(_encode_admit(name, now_s))
                 send_times.append(wall_clock_s())
                 report.sent += 1
@@ -155,6 +159,7 @@ async def _run_pipeline(
                 status, payload = await _read_response(reader)
                 rtt = wall_clock_s() - send_times[report.completed]
                 _note_response(report, status, payload, rtt)
+                completion.set()
 
         await asyncio.gather(_writer(), _reader())
     finally:
@@ -195,24 +200,25 @@ async def _run_openloop(
                 # loop); the time budget simply truncates the tail.
                 if duration_s is not None and offset_s >= duration_s:
                     break
-                delay = started + offset_s - wall_clock_s()
+                due = started + offset_s
+                delay = due - wall_clock_s()
                 if delay > 0:
                     await asyncio.sleep(delay)
                 writer.write(_encode_admit(name, None))
-                pending.put_nowait(wall_clock_s())
+                # Timed from when it was due, not when it left: a late
+                # sleep or a blocked drain is latency its caller saw.
+                pending.put_nowait(due)
                 report.sent += 1
                 await writer.drain()
             pending.put_nowait(None)  # sentinel: lane done sending
 
         async def _recv() -> None:
             while True:
-                sent_at = await pending.get()
-                if sent_at is None:
+                due = await pending.get()
+                if due is None:
                     return
                 status, payload = await _read_response(reader)
-                _note_response(
-                    report, status, payload, wall_clock_s() - sent_at
-                )
+                _note_response(report, status, payload, wall_clock_s() - due)
 
         try:
             await asyncio.gather(_send(), _recv())

@@ -1,23 +1,31 @@
 """Asyncio HTTP frontend for the live keep-alive service.
 
-A deliberately small HTTP/1.1 server on stdlib ``asyncio`` streams —
-no web framework, no thread-per-request — exposing the
+A deliberately small HTTP/1.1 server on one stdlib
+:class:`asyncio.Protocol` — no web framework, no thread, coroutine or
+future per request — exposing the
 :class:`~repro.live.service.LivePoolService` API as JSON endpoints:
 
 * ``POST /admit``   ``{"function": NAME, "now_s": optional}`` →
   admission decision (``now_s`` only honoured under a sim clock);
 * ``POST /release`` → completed invocations returned to the pool;
 * ``GET /stats``    → counters, decision-latency percentiles, pool
-  occupancy;
+  occupancy, HTTP counters;
 * ``GET /healthz``  → liveness.
 
-Connections are keep-alive and fully pipelined: requests on one
-connection are answered in order, which is what lets the deterministic
-load generator replay a trace at high QPS over a single socket while
-preserving the simulator's arrival order. Decision work happens inline
-on the event loop — a decision is microseconds of lock-protected
-computation, so handing it to a thread pool would cost more than it
-frees. A periodic timer drains expirations during idle stretches.
+Connections are keep-alive and fully pipelined. Each socket read lands
+in the connection's buffer; every complete request already buffered is
+framed from its head bytes, answered in order, and the replies leave in
+one transport write — which is what lets one client replay a trace at
+high QPS over a single socket in the simulator's arrival order. A
+client that stops reading pauses the connection (``pause_writing`` →
+``pause_reading``) until the transport drains. A request the server
+cannot frame (oversized head or body, bad ``Content-Length``, any
+``Transfer-Encoding``) is answered ``Connection: close`` and the
+connection dropped, as is one that asks for ``Connection: close``.
+Decision work happens inline on the event loop — a decision is
+microseconds of lock-protected computation, so handing it to a thread
+pool would cost more than it frees. A periodic timer drains expirations
+during idle stretches.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.live.service import LivePoolService, UnknownFunctionError
 
@@ -33,6 +41,10 @@ __all__ = ["LiveHTTPServer", "ServerThread"]
 
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
+# Replies accumulated past this are written before the batch goes on,
+# so a paused connection holds at most this much beyond the transport's
+# own high-water mark.
+_WRITE_CHUNK_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -43,17 +55,153 @@ _REASONS = {
     500: "Internal Server Error",
 }
 
-
-def _encode_response(status: int, payload: dict) -> bytes:
-    body = json.dumps(payload, separators=(",", ":")).encode()
-    reason = _REASONS.get(status, "Unknown")
-    head = (
+_HEADS = {
+    status: (
         f"HTTP/1.1 {status} {reason}\r\n"
         "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        "Connection: keep-alive\r\n\r\n"
+        "Content-Length: "
     ).encode()
-    return head + body
+    for status, reason in _REASONS.items()
+}
+_KEEP_ALIVE = b"\r\nConnection: keep-alive\r\n\r\n"
+_CLOSE = b"\r\nConnection: close\r\n\r\n"
+# json.dumps(..., separators=...) builds a fresh encoder per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _encode_response(status: int, payload: dict, close: bool = False) -> bytes:
+    body = _encode_json(payload).encode()
+    return b"%b%d%b%b" % (
+        _HEADS[status], len(body), _CLOSE if close else _KEEP_ALIVE, body
+    )
+
+
+class _Unframed(Exception):
+    """``(status, error)`` for a request whose end cannot be found."""
+
+
+def _header_value(lower: bytes, key: bytes) -> Optional[bytes]:
+    """The value of the first header line starting with ``key``
+    (``b"\\r\\nname:"``) in a lowercased head, or ``None``."""
+    at = lower.find(key)
+    if at < 0:
+        return None
+    at += len(key)
+    return lower[at:lower.index(b"\r\n", at)].strip()
+
+
+def _frame(head: bytes) -> Tuple[int, bool]:
+    """``(body length, close after the reply)`` off a request's head
+    bytes: the request line and header lines, each CRLF-terminated."""
+    lower = head.lower()
+    if b"\r\ntransfer-encoding:" in lower:
+        raise _Unframed(400, "transfer-encoding is not supported")
+    length = 0
+    value = _header_value(lower, b"\r\ncontent-length:")
+    if value is not None:
+        if not value.isdigit() or lower.count(b"\r\ncontent-length:") > 1:
+            raise _Unframed(400, "malformed request")
+        # int() itself refuses digit strings in the thousands.
+        length = int(value) if len(value) < 20 else _MAX_BODY_BYTES + 1
+        if length > _MAX_BODY_BYTES:
+            raise _Unframed(413, "body too large")
+    asked = _header_value(lower, b"\r\nconnection:") or b""
+    if lower[:lower.index(b"\r\n")].endswith(b" http/1.0"):
+        return length, b"keep-alive" not in asked
+    return length, b"close" in asked
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: buffer, frame, answer, write."""
+
+    __slots__ = ("_server", "_transport", "_buffer", "_paused")
+    _transport: asyncio.Transport  # from connection_made on
+
+    def __init__(self, server: "LiveHTTPServer") -> None:
+        self._server = server
+        self._buffer = bytearray()
+        self._paused = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._server.connections += 1
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server.connections -= 1
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if not self._paused:
+            self._answer_buffered()
+
+    # eof_received is the base class's: the transport closes itself
+    # once its write buffer is flushed, so a half-closed client still
+    # reads every reply (reading is paused while replies are held back,
+    # so EOF never overtakes a buffered request).
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._transport.resume_reading()
+        self._answer_buffered()
+
+    def _answer_buffered(self) -> None:
+        """Answer every complete request in the buffer, in order, with
+        one transport write (one more per ``_WRITE_CHUNK_BYTES`` of
+        replies); stop consuming while the transport has writing
+        paused."""
+        buffer = self._buffer
+        server = self._server
+        replies: List[bytes] = []
+        unwritten = 0
+        start = 0
+        close = False
+        while not close:
+            head_end = buffer.find(b"\r\n\r\n", start)
+            # Not found: up to three bytes may be a terminator's start.
+            head_bytes = (head_end if head_end >= 0 else len(buffer) - 3) - start
+            try:
+                if head_bytes > _MAX_HEADER_BYTES:
+                    raise _Unframed(400, "headers too large")
+                if head_end < 0:
+                    break
+                # Through the first CRLF of the terminator, so every
+                # header line ends in one.
+                head = bytes(buffer[start:head_end + 2])
+                length, close_asked = _frame(head)
+            except _Unframed as refusal:
+                # Where the next request starts is unknown: answer,
+                # then drop the connection and whatever it pipelined.
+                status, error = refusal.args
+                payload, close = {"error": error}, True
+            else:
+                body_end = head_end + 4 + length
+                if len(buffer) < body_end:
+                    break
+                body = bytes(buffer[head_end + 4:body_end])
+                status, payload = server._answer(head, body)
+                start, close = body_end, close_asked
+            server.requests_served += 1
+            reply = _encode_response(status, payload, close)
+            replies.append(reply)
+            unwritten += len(reply)
+            if unwritten >= _WRITE_CHUNK_BYTES:
+                self._write(replies)
+                replies, unwritten = [], 0
+                if self._paused:
+                    break
+        del buffer[:len(buffer) if close else start]
+        if replies:
+            self._write(replies)
+        if close:
+            self._transport.close()  # once the write buffer is flushed
+
+    def _write(self, replies: List[bytes]) -> None:
+        self._server.writes += 1
+        self._transport.write(b"".join(replies))
 
 
 class LiveHTTPServer:
@@ -78,10 +226,23 @@ class LiveHTTPServer:
         self._tick_task: Optional["asyncio.Task"] = None
         self.requests_served = 0
         self.errors_5xx = 0
+        self.connections = 0  # currently open
+        self.writes = 0  # transport writes; requests / writes = coalescing
 
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
+
+    def _answer(self, head: bytes, body: bytes) -> Tuple[int, dict]:
+        """One framed request → ``(status, payload)``."""
+        parts = head[:head.index(b"\r\n")].decode("latin-1").split(" ")
+        if len(parts) != 3:
+            return 400, {"error": "malformed request line"}
+        try:
+            return self._dispatch(parts[0].upper(), parts[1], body)
+        except Exception as exc:  # noqa: BLE001 - last-resort 500
+            self.errors_5xx += 1
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
     def _dispatch(
         self, method: str, path: str, body: bytes
@@ -121,6 +282,8 @@ class LiveHTTPServer:
             stats["http"] = {
                 "requests": self.requests_served,
                 "errors_5xx": self.errors_5xx,
+                "connections": self.connections,
+                "writes": self.writes,
             }
             return 200, stats
         if path == "/healthz" and method == "GET":
@@ -128,65 +291,6 @@ class LiveHTTPServer:
         if path in ("/admit", "/release", "/stats", "/healthz"):
             return 405, {"error": f"{method} not allowed on {path}"}
         return 404, {"error": f"no route for {path}"}
-
-    async def _handle_client(
-        self, reader: "asyncio.StreamReader", writer: "asyncio.StreamWriter"
-    ) -> None:
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                ):
-                    break
-                except asyncio.LimitOverrunError:
-                    writer.write(
-                        _encode_response(400, {"error": "headers too large"})
-                    )
-                    break
-                status, payload = await self._one_request(reader, head)
-                self.requests_served += 1
-                if status >= 500:
-                    self.errors_5xx += 1
-                writer.write(_encode_response(status, payload))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            # close() without awaiting wait_closed(): the loop may be
-            # tearing down (stop() mid-connection), and awaiting here
-            # just turns shutdown into cancellation noise.
-            try:
-                writer.close()
-            except RuntimeError:
-                pass
-
-    async def _one_request(
-        self, reader: "asyncio.StreamReader", head: bytes
-    ) -> Tuple[int, dict]:
-        try:
-            lines = head.decode("latin-1").split("\r\n")
-            parts = lines[0].split(" ")
-            if len(parts) != 3:
-                return 400, {"error": "malformed request line"}
-            method, path = parts[0].upper(), parts[1]
-            headers: Dict[str, str] = {}
-            for line in lines[1:]:
-                key, sep, value = line.partition(":")
-                if sep:
-                    headers[key.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
-            if length < 0 or length > _MAX_BODY_BYTES:
-                return 413, {"error": "body too large"}
-            body = await reader.readexactly(length) if length else b""
-        except (ValueError, asyncio.IncompleteReadError):
-            return 400, {"error": "malformed request"}
-        try:
-            return self._dispatch(method, path, body)
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
     async def _tick_loop(self) -> None:
         """Drain completions/expirations on a timer so idle periods
@@ -200,17 +304,14 @@ class LiveHTTPServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_client,
-            self.host,
-            self.port,
-            limit=_MAX_HEADER_BYTES,
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
         if self.tick_interval_s > 0.0:
-            loop = asyncio.get_running_loop()
             self._tick_task = loop.create_task(self._tick_loop())
 
     async def stop(self) -> None:

@@ -5,13 +5,27 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
+import select
+import socket
+import threading
+import time
 
 import pytest
 
 from repro.checks.sanitize import ReportSink
 from repro.core.clock import SimClock
 from repro.live.loadgen import fetch_stats, run_loadgen
-from repro.live.server import ServerThread
+from repro.live.server import (
+    _MAX_BODY_BYTES,
+    _MAX_HEADER_BYTES,
+    _REASONS,
+    _WRITE_CHUNK_BYTES,
+    LiveHTTPServer,
+    ServerThread,
+    _Connection,
+    _encode_response,
+)
 from repro.live.service import LivePoolService
 from repro.obs.tracer import Tracer
 from repro.sim.scheduler import simulate
@@ -185,3 +199,502 @@ class TestLoopbackSmoke:
             assert stats["pool"]["containers"] == 0
         finally:
             thread.stop()
+
+
+# ----------------------------------------------------------------------
+# The connection protocol, driven directly (no socket, no event loop)
+# ----------------------------------------------------------------------
+
+
+class FakeTransport:
+    """Records what a connection hands its transport."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.writes = 0
+        self.closed = False
+        self.reading = True
+
+    def write(self, data):
+        assert not self.closed, "write after close"
+        self.written += data
+        self.writes += 1
+
+    def close(self):
+        self.closed = True
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+def _sim_service(seed=21):
+    trace = skewed_frequency_trace(seed=seed)
+    return trace, LivePoolService(trace, "GD", MEMORY_MB, clock=SimClock())
+
+
+def _connect(server):
+    connection, transport = _Connection(server), FakeTransport()
+    connection.connection_made(transport)
+    return connection, transport
+
+
+def _raw(method, path, body=b"", headers=(), version="HTTP/1.1"):
+    lines = [f"{method} {path} {version}", "Host: test", *headers]
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    return "\r\n".join(lines).encode() + b"\r\n\r\n" + body
+
+
+def _admit(name, now_s, headers=()):
+    body = json.dumps({"function": name, "now_s": now_s}).encode()
+    return _raw("POST", "/admit", body, headers)
+
+
+def _split_responses(data):
+    """``[(status, Connection header, payload)]`` with everything that
+    reads a wall clock, or counts transport writes, taken out."""
+    responses = []
+    data = bytes(data)
+    at = 0
+    while at < len(data):
+        head_end = data.index(b"\r\n\r\n", at)
+        lines = data[at:head_end].decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        at = head_end + 4 + int(headers["Content-Length"])
+        assert at <= len(data), "truncated response"
+        payload = json.loads(data[head_end + 4:at])
+        payload.pop("decision_us", None)
+        payload.pop("decision_latency", None)
+        payload.pop("uptime_s", None)
+        payload.get("http", {}).pop("writes", None)
+        responses.append(
+            (int(lines[0].split(" ")[1]), headers["Connection"], payload)
+        )
+    return responses
+
+
+def _answers(stream, cuts):
+    """Feed ``stream`` to a fresh connection of a fresh service, split
+    at ``cuts``; the parsed responses and the transport."""
+    __, service = _sim_service()
+    connection, transport = _connect(LiveHTTPServer(service))
+    for start, end in zip([0, *cuts], [*cuts, len(stream)]):
+        if transport.closed:  # a closed transport delivers no more
+            break
+        connection.data_received(stream[start:end])
+    return _split_responses(transport.written), transport
+
+
+class TestProtocolFraming:
+    def _mixed_stream(self):
+        trace, __ = _sim_service()
+        names = list(trace.functions)[:6]
+        requests = [
+            _admit(name, float(i)) for i, name in enumerate(names * 3)
+        ]
+        requests[4:4] = [
+            _raw("GET", "/stats"),
+            _raw("POST", "/admit", b"{not json"),
+            _raw("GET", "/nope"),
+            _raw("GET", "/admit"),
+            _admit("no-such-function", 5.0),
+            _raw("POST", "/release", b'{"now_s":7.5}'),
+            b"POST /admit HTTP/1.1\r\ncontent-length:  2 \r\n\r\n{}",
+            b"BROKEN\r\n\r\n",
+            _raw("GET", "/healthz", headers=["Connection: Keep-Alive"]),
+        ]
+        requests.append(_raw("GET", "/stats"))
+        return b"".join(requests), len(requests)
+
+    def test_feeding_does_not_change_the_answers(self):
+        stream, count = self._mixed_stream()
+        whole, transport = _answers(stream, [])
+        assert len(whole) == count
+        assert transport.writes == 1  # one read, one write
+        assert not transport.closed
+        statuses = [status for status, __, __ in whole]
+        assert set(statuses) == {200, 400, 404, 405}
+        assert whole[-1][2]["http"]["requests"] == count - 1
+        by_byte, __ = _answers(stream, range(1, len(stream)))
+        assert by_byte == whole
+        for seed in range(5):
+            rng = random.Random(seed)
+            cuts = sorted(rng.sample(range(1, len(stream)), 25))
+            assert _answers(stream, cuts)[0] == whole, f"seed {seed}"
+
+    def test_head_at_the_limit_is_served_however_it_arrives(self):
+        padding = "X-Pad: " + "x" * (_MAX_HEADER_BYTES - 42)
+        request = _raw("GET", "/healthz", headers=[padding])
+        assert request.index(b"\r\n\r\n") == _MAX_HEADER_BYTES
+        expected = [(200, "keep-alive", {"ok": True})]
+        assert _answers(request, [])[0] == expected
+        assert _answers(request, range(1, len(request)))[0] == expected
+
+    def test_oversized_head_is_400_and_close(self):
+        padding = "X-Pad: " + "x" * _MAX_HEADER_BYTES
+        for request in (
+            _raw("GET", "/healthz", headers=[padding]),
+            b"x" * (_MAX_HEADER_BYTES + 4),  # no terminator in sight
+        ):
+            stream = _raw("GET", "/healthz") + request
+            for cuts in ([], range(1, len(stream))):
+                responses, transport = _answers(stream, cuts)
+                assert responses == [
+                    (200, "keep-alive", {"ok": True}),
+                    (400, "close", {"error": "headers too large"}),
+                ]
+                assert transport.closed
+
+    @pytest.mark.parametrize(
+        "header, status, error",
+        [
+            (f"Content-Length: {_MAX_BODY_BYTES + 1}", 413, "body too large"),
+            ("Content-Length: " + "9" * 5000, 413, "body too large"),
+            ("Content-Length: -5", 400, "malformed request"),
+            ("Content-Length: five", 400, "malformed request"),
+            ("Content-Length: 2\r\nContent-Length: 3", 400, "malformed request"),
+            (
+                "Transfer-Encoding: chunked",
+                400,
+                "transfer-encoding is not supported",
+            ),
+        ],
+        ids=[
+            "over-limit", "beyond-int", "negative", "not-a-number",
+            "duplicated", "transfer-encoding",
+        ],
+    )
+    def test_unframed_request_is_refused_and_closes(
+        self, header, status, error
+    ):
+        # The bytes behind the refused head would parse as requests if
+        # the server read on: exactly one reply, then nothing.
+        stream = (
+            _raw("GET", "/healthz")
+            + _raw("POST", "/admit", headers=[header])
+            + b'2\r\n{}\r\n0\r\n\r\n'
+            + _raw("GET", "/healthz")
+        )
+        for cuts in ([], range(1, len(stream))):
+            responses, transport = _answers(stream, cuts)
+            assert responses == [
+                (200, "keep-alive", {"ok": True}),
+                (status, "close", {"error": error}),
+            ]
+            assert transport.closed
+
+    def test_body_at_the_limit_is_read_not_refused(self):
+        body = b" " * (_MAX_BODY_BYTES - 2) + b"{}"
+        stream = _raw("POST", "/release", body) + _raw("GET", "/healthz")
+        responses, transport = _answers(stream, [100, 70_000, 900_000])
+        assert responses == [
+            (200, "keep-alive", {"released": 0}),
+            (200, "keep-alive", {"ok": True}),
+        ]
+        assert not transport.closed
+
+    @pytest.mark.parametrize(
+        "version, headers, closes",
+        [
+            ("HTTP/1.1", [], False),
+            ("HTTP/1.1", ["Connection: close"], True),
+            ("HTTP/1.1", ["connection: Close"], True),
+            ("HTTP/1.0", [], True),
+            ("HTTP/1.0", ["Connection: keep-alive"], False),
+        ],
+    )
+    def test_connection_close_is_honoured(self, version, headers, closes):
+        stream = _raw("GET", "/healthz", headers=headers, version=version)
+        stream += _raw("GET", "/stats")  # pipelined behind it
+        responses, transport = _answers(stream, [])
+        assert transport.closed == closes
+        assert responses[0] == (
+            200, "close" if closes else "keep-alive", {"ok": True}
+        )
+        assert len(responses) == (1 if closes else 2)
+
+    def test_paused_connection_stops_consuming(self):
+        __, service = _sim_service()
+        server = LiveHTTPServer(service)
+        connection, transport = _connect(server)
+        connection.pause_writing()
+        assert not transport.reading
+        connection.data_received(_raw("GET", "/healthz") * 3)
+        assert transport.writes == 0 and server.requests_served == 0
+        connection.resume_writing()
+        assert transport.reading
+        assert len(_split_responses(transport.written)) == 3
+        assert transport.writes == 1
+
+    def test_pause_mid_batch_holds_the_rest_back(self):
+        __, service = _sim_service()
+        server = LiveHTTPServer(service)
+        connection, transport = _connect(server)
+        # A transport whose buffer is over its high-water mark after
+        # any write, as a client that never reads leaves it.
+        write = transport.write
+        transport.write = lambda data: (write(data), connection.pause_writing())
+        total = 400  # ~1 KB of /stats each: several write chunks
+        connection.data_received(_raw("GET", "/stats") * total)
+        assert 0 < server.requests_served < total
+        assert len(transport.written) < 2 * _WRITE_CHUNK_BYTES
+        rounds = 0
+        while server.requests_served < total:
+            connection.resume_writing()
+            rounds += 1
+            assert rounds <= total
+        answered = _split_responses(transport.written)
+        assert [r[2]["http"]["requests"] for r in answered] == list(
+            range(total)
+        )
+
+    def test_http_counters(self):
+        __, service = _sim_service()
+        server = LiveHTTPServer(service)
+        first, __ = _connect(server)
+        second, transport = _connect(server)
+        second.data_received(_raw("GET", "/healthz") * 9)
+        second.data_received(_raw("GET", "/stats"))
+        http = json.loads(transport.written.rpartition(b"\r\n\r\n")[2])["http"]
+        assert http == {
+            "requests": 9, "errors_5xx": 0, "connections": 2, "writes": 1
+        }
+        first.connection_lost(None)
+        assert server.connections == 1
+
+    def test_dispatcher_failure_is_a_counted_500(self, monkeypatch):
+        __, service = _sim_service()
+        server = LiveHTTPServer(service)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "stats", boom)
+        connection, transport = _connect(server)
+        connection.data_received(_raw("GET", "/stats") + _raw("GET", "/healthz"))
+        assert _split_responses(transport.written) == [
+            (500, "keep-alive", {"error": "RuntimeError: boom"}),
+            (200, "keep-alive", {"ok": True}),
+        ]
+        assert server.errors_5xx == 1 and not transport.closed
+
+
+class TestEncodeResponse:
+    """Kept-alive replies are byte-identical to the framing the streams
+    server produced with ``json.dumps(..., separators=(",", ":"))``."""
+
+    PAYLOADS = [
+        {"ok": True},
+        {"error": "unknown function 'café \"x\"'"},
+        {"outcome": "warm", "function": "f", "now_s": 3, "decision_us": 1e-07},
+        {"now_s": 1e22, "x": 0.1 + 0.2, "y": -0.0, "z": 12345678901234567890},
+        {"nested": {"a": [1, 2.5, None, False]}, "empty": {}},
+    ]
+
+    @staticmethod
+    def _streams_framing(status, payload):
+        body = json.dumps(payload, separators=(",", ":")).encode()
+        head = (
+            f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Connection: keep-alive\r\n\r\n"
+        ).encode()
+        return head + body
+
+    @pytest.mark.parametrize("status", sorted(_REASONS))
+    def test_bytes_equal_the_streams_framing(self, status):
+        for payload in self.PAYLOADS:
+            expected = self._streams_framing(status, payload)
+            assert _encode_response(status, payload) == expected
+            assert _encode_response(status, payload, close=True) == (
+                expected.replace(b"keep-alive", b"close")
+            )
+
+
+# ----------------------------------------------------------------------
+# Over real sockets: what only a transport can show
+# ----------------------------------------------------------------------
+
+
+def _read_to_eof(sock):
+    chunks = []
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return b"".join(chunks)
+        chunks.append(data)
+
+
+class TestSockets:
+    def test_half_closed_client_still_gets_every_reply(self, live_server):
+        trace, __, __, thread = live_server
+        names = list(trace.functions) * 3
+        with socket.create_connection((thread.host, thread.port), 10) as sock:
+            sock.sendall(
+                b"".join(_admit(n, float(i)) for i, n in enumerate(names))
+                + _raw("GET", "/stats")
+            )
+            sock.shutdown(socket.SHUT_WR)
+            responses = _split_responses(_read_to_eof(sock))
+        assert [status for status, __, __ in responses] == (
+            [200] * (len(names) + 1)
+        )
+        assert responses[-1][2]["http"]["requests"] == len(names)
+
+    def test_connection_close_closes_the_socket(self, live_server):
+        __, __, __, thread = live_server
+        with socket.create_connection((thread.host, thread.port), 10) as sock:
+            sock.sendall(
+                _raw("GET", "/healthz")
+                + _raw("GET", "/healthz", headers=["Connection: close"])
+                + _raw("GET", "/healthz")
+            )
+            # EOF without this side closing first: the server hung up.
+            responses = _split_responses(_read_to_eof(sock))
+        assert responses == [
+            (200, "keep-alive", {"ok": True}),
+            (200, "close", {"ok": True}),
+        ]
+
+    def test_oversized_body_does_not_desync_the_connection(self, live_server):
+        __, __, __, thread = live_server
+        oversized = _raw(
+            "POST", "/admit", headers=[f"Content-Length: {2 * _MAX_BODY_BYTES}"]
+        )
+        with socket.create_connection((thread.host, thread.port), 10) as sock:
+            # Some of the body is already on the wire behind the head.
+            sock.sendall(_raw("GET", "/healthz") + oversized + b"x" * 4096)
+            responses = _split_responses(_read_to_eof(sock))
+        assert responses == [
+            (200, "keep-alive", {"ok": True}),
+            (413, "close", {"error": "body too large"}),
+        ]
+        # One connection's refusal is no one else's problem.
+        assert _request(thread, "GET", "/healthz") == (200, {"ok": True})
+        http = fetch_stats(thread.host, thread.port)["http"]
+        assert http["errors_5xx"] == 0
+        assert http["connections"] == 1  # the one asking
+
+    def test_client_that_never_reads_pauses_the_server(
+        self, live_server, monkeypatch
+    ):
+        __, __, __, thread = live_server
+        made = []
+        connection_made = _Connection.connection_made
+
+        def spy(self, transport):
+            made.append((self, transport))
+            connection_made(self, transport)
+
+        monkeypatch.setattr(_Connection, "connection_made", spy)
+        total = 12000  # x ~0.7 KB of /stats: beyond any loopback buffering
+        unsent = bytearray(
+            _raw("GET", "/stats") * (total - 1)
+            + _raw("GET", "/stats", headers=["Connection: close"])
+        )
+
+        def send_some():
+            try:
+                del unsent[:sock.send(unsent)]
+            except BlockingIOError:
+                pass
+
+        sock = socket.socket()
+        # A small, fixed receive window, set before the handshake.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        with sock:
+            sock.connect((thread.host, thread.port))
+            sock.setblocking(False)
+            deadline = time.monotonic() + 20
+            while not (made and made[0][0]._paused):
+                assert time.monotonic() < deadline, "server never paused"
+                send_some()
+                time.sleep(0.001)
+            connection, transport = made[0]
+            time.sleep(0.1)  # paused means paused: nothing moves
+            served = thread.server.requests_served
+            assert connection._paused and served < total
+            high_water = transport.get_write_buffer_limits()[1]
+            assert transport.get_write_buffer_size() <= (
+                high_water + 2 * _WRITE_CHUNK_BYTES
+            )
+            time.sleep(0.05)
+            assert thread.server.requests_served == served
+            # Now read: every request is answered, in order, and the
+            # last one's close ends the stream.
+            received = bytearray()
+            while True:
+                send_some()
+                readable, __, __ = select.select([sock], [], [], 10)
+                assert readable, "server went quiet before its last reply"
+                data = sock.recv(1 << 20)
+                if not data:
+                    break
+                received += data
+        answered = _split_responses(received)
+        assert [r[2]["http"]["requests"] for r in answered] == list(
+            range(total)
+        )
+        assert answered[-1][1] == "close"
+
+
+# ----------------------------------------------------------------------
+# The load generator's own timing
+# ----------------------------------------------------------------------
+
+
+def _stalling_stub_server(stall_s):
+    """A one-connection HTTP stub on a thread that neither reads nor
+    answers for ``stall_s`` after accepting, then answers everything.
+    Returns ``(port, thread)``; the thread ends with the connection."""
+    listener = socket.socket()
+    # Inherited by the accepted socket: little fits in flight.
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        with listener:
+            conn, __ = listener.accept()
+        with conn, conn.makefile("rb") as stream:
+            time.sleep(stall_s)
+            while stream.readline():
+                length = 0
+                for line in iter(stream.readline, b"\r\n"):
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                stream.read(length)
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+                )
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+class TestLoadgenTiming:
+    def test_open_loop_charges_a_stall_to_the_requests_it_delayed(self):
+        from repro.traces.model import Invocation, Trace, TraceFunction
+
+        # 200 requests of 64 KB due inside 20 ms: far more than the
+        # stalled server's socket takes, so most sends block until the
+        # 50 ms stall ends. Timed from when each was due, none can read
+        # under 30 ms; timed from the actual send, the late ones would
+        # read near zero.
+        name = "f" * 65536
+        trace = Trace(
+            [TraceFunction(name, 64.0, 0.001, 0.005)],
+            [Invocation(i * 1e-4, name) for i in range(200)],
+            name="stall",
+        )
+        port, stub = _stalling_stub_server(0.05)
+        report = run_loadgen(trace, "127.0.0.1", port, mode="openloop")
+        stub.join(timeout=10)
+        assert not stub.is_alive()
+        assert report.completed == report.sent == 200
+        assert report.client_latency.percentile(0.0) >= 0.025
