@@ -58,8 +58,9 @@ lint:
 typecheck:
 	mypy src/repro
 
-# The determinism & invariant linter (rules FC001-FC011; see
-# docs/static-analysis.md). Stdlib-only: needs no extra installs.
+# The determinism & invariant linter (rules FC001-FC011, FC005
+# retired; see docs/static-analysis.md). Stdlib-only: needs no extra
+# installs.
 # Uses the incremental cache (.repro-checks-cache.json) so warm
 # re-runs finish in well under 2 seconds.
 check:

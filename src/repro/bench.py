@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.checks.sanitize import sanitize_enabled
 from repro.core.clock import wall_clock_s
 from repro.faults import FaultSpec
+from repro.obs.counters import fingerprint_counters
 from repro.sim.scheduler import SimulationResult, simulate
 from repro.sim.server import GB_MB
 from repro.sim.sweep import point_fingerprint, run_cell
@@ -154,20 +155,14 @@ def _metrics_payload(result: SimulationResult) -> Dict[str, object]:
     Integer lifecycle counters plus the headline percentages, with
     floats carried at full ``repr`` precision — any change here is a
     *results* change, not a performance change. Harvest/spot counters
-    are dropped while zero (mirroring
+    are dropped while zero (the same
+    :func:`~repro.obs.counters.fingerprint_counters` as
     :func:`repro.sim.sweep.point_fingerprint`), so scenarios that
     predate the harvest subsystem keep their pinned fingerprints.
     """
     metrics = result.metrics
-    counters = dict(sorted(metrics.counters().items()))
-    for key in (
-        "capacity_shrinks", "capacity_grows", "eviction_notices",
-        "deflations",
-    ):
-        if not counters.get(key, 0):
-            counters.pop(key, None)
     return {
-        "counters": counters,
+        "counters": fingerprint_counters(metrics.counters()),
         "cold_start_pct": repr(metrics.cold_start_pct),
         "exec_time_increase_pct": repr(metrics.exec_time_increase_pct),
         "hit_ratio": repr(metrics.hit_ratio),

@@ -6,8 +6,8 @@ Two halves:
   (:mod:`repro.checks.dataflow`) summarizes every file, phase 2
   (:mod:`repro.checks.callgraph` + the per-rule modules under
   :mod:`repro.checks.rules`) resolves set types, return summaries,
-  and async/entry-point reachability across files. Rules FC001–FC011,
-  driven by :mod:`repro.checks.linter` (``repro-faascache check`` /
+  and async/entry-point reachability across files. Rules FC001–FC011
+  (FC005 is retired), driven by :mod:`repro.checks.linter` (``repro-faascache check`` /
   ``python -m repro.checks``), with SARIF output
   (:mod:`repro.checks.sarif`), an incremental cache
   (:mod:`repro.checks.cache`) and autofixes

@@ -9,11 +9,11 @@ now runs in two phases:
    :class:`ModuleSummary`: module-level set constants, class attribute
    types inferred from ``__init__`` assignments and dataclass field
    annotations, per-function return summaries and raw call targets,
-   the import table, and the cross-module symbols the FC004/FC005
-   rules already consumed (event schemas, counter contracts). The
-   extraction is *purely syntactic* (sources are parsed, never
-   imported) and the result is JSON-serializable so the incremental
-   cache can keep it keyed by content hash;
+   the import table, and the cross-module symbol FC004 judges
+   against (the event vocabulary). The extraction is *purely
+   syntactic* (sources are parsed, never imported) and the result is
+   JSON-serializable so the incremental cache can keep it keyed by
+   content hash;
 2. **resolve** — a :class:`ProjectIndex` stitches the summaries
    together and answers the interprocedural questions rules ask:
    "does this call return a set?", "is ``self._attr`` set-typed?",
@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
-    "CounterDef",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
@@ -179,32 +178,6 @@ def _set_valued(node: Optional[ast.expr]) -> bool:
 
 
 @dataclass
-class CounterDef:
-    """The ``counters()`` dict-literal keys of one class definition
-    (the FC005 contract's raw material)."""
-
-    path: str
-    line: int
-    keys: List[str] = field(default_factory=list)
-    fields: List[str] = field(default_factory=list)
-    from_checked: bool = False
-    tenant_keys: Optional[List[str]] = None
-    tenant_line: int = 0
-
-    @property
-    def key_set(self) -> Set[str]:
-        return set(self.keys)
-
-    @property
-    def field_set(self) -> Set[str]:
-        return set(self.fields)
-
-    @property
-    def tenant_key_set(self) -> Optional[Set[str]]:
-        return None if self.tenant_keys is None else set(self.tenant_keys)
-
-
-@dataclass
 class FunctionSummary:
     """One function or method, reduced to what rules resolve against.
 
@@ -253,9 +226,6 @@ class ModuleSummary:
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     event_names: Optional[List[str]] = None
-    metrics_def: Optional[CounterDef] = None
-    report_def: Optional[CounterDef] = None
-    sweep_fields: Optional[List[str]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -288,12 +258,6 @@ class ModuleSummary:
             summary.classes[name] = ClassSummary(methods=methods, **payload)
         events = data.get("event_names")
         summary.event_names = None if events is None else list(events)
-        for attr in ("metrics_def", "report_def"):
-            raw = data.get(attr)
-            if raw is not None:
-                setattr(summary, attr, CounterDef(**raw))
-        sweep = data.get("sweep_fields")
-        summary.sweep_fields = None if sweep is None else list(sweep)
         return summary
 
     def identity_facts(self) -> Dict[str, Any]:
@@ -341,24 +305,7 @@ class ModuleSummary:
                 if self.event_names is None
                 else sorted(self.event_names)
             ),
-            "metrics": _counter_facts(self.metrics_def),
-            "report": _counter_facts(self.report_def),
-            "sweep_fields": (
-                None if self.sweep_fields is None else sorted(self.sweep_fields)
-            ),
         }
-
-
-def _counter_facts(definition: Optional[CounterDef]) -> Optional[Tuple[Any, ...]]:
-    if definition is None:
-        return None
-    return (
-        tuple(sorted(definition.keys)),
-        tuple(sorted(definition.fields)),
-        None
-        if definition.tenant_keys is None
-        else tuple(sorted(definition.tenant_keys)),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -554,91 +501,6 @@ def _summarize_class(node: ast.ClassDef, module: Optional[str]) -> ClassSummary:
     return summary
 
 
-def _counters_keys(node: ast.ClassDef) -> Optional[Tuple[int, Set[str]]]:
-    """Keys of the dict literal returned by a ``counters`` method."""
-    for stmt in node.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "counters":
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Return) and isinstance(
-                    sub.value, ast.Dict
-                ):
-                    keys = {
-                        key.value
-                        for key in sub.value.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    }
-                    return stmt.lineno, keys
-    return None
-
-
-def _tenant_counter_keys(
-    node: ast.ClassDef,
-) -> Optional[Tuple[int, Set[str]]]:
-    """Inner dict-literal keys of a ``tenant_counters`` method.
-
-    The method returns ``{tenant_id: {"warm_starts": ..., ...}}`` —
-    the contract lives in the *inner* literal's string keys.
-    """
-    for stmt in node.body:
-        if (
-            isinstance(stmt, ast.FunctionDef)
-            and stmt.name == "tenant_counters"
-        ):
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Dict):
-                    keys = {
-                        key.value
-                        for key in sub.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    }
-                    if keys:
-                        return stmt.lineno, keys
-            return stmt.lineno, set()
-    return None
-
-
-def _class_fields(node: ast.ClassDef) -> Set[str]:
-    names: Set[str] = set()
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            names.add(stmt.target.id)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names
-
-
-def _harvest_counter_def(
-    summary: ModuleSummary, node: ast.ClassDef
-) -> None:
-    if node.name in ("SimulationMetrics", "TraceReport"):
-        found = _counters_keys(node)
-        if found is None:
-            return
-        line, keys = found
-        definition = CounterDef(
-            path=summary.path,
-            line=line,
-            keys=sorted(keys),
-            fields=sorted(_class_fields(node)),
-        )
-        tenant_found = _tenant_counter_keys(node)
-        if tenant_found is not None:
-            definition.tenant_line = tenant_found[0]
-            definition.tenant_keys = sorted(tenant_found[1])
-        if node.name == "SimulationMetrics":
-            summary.metrics_def = definition
-        else:
-            summary.report_def = definition
-    elif node.name == "SweepPoint":
-        summary.sweep_fields = sorted(_class_fields(node))
-
-
 def summarize_module(
     tree: ast.Module, path: pathlib.Path, source: str
 ) -> ModuleSummary:
@@ -718,7 +580,6 @@ def summarize_module(
             summary.classes[node.name] = _summarize_class(
                 node, summary.module
             )
-            _harvest_counter_def(summary, node)
     summary.set_constants = sorted(
         set(summary.set_constants) - poisoned_constants
     )
@@ -734,22 +595,16 @@ def summarize_module(
 
 @dataclass
 class ProjectSymbols:
-    """The cross-module symbols FC004/FC005 judge against."""
+    """The cross-module symbols FC004 judges against."""
 
     event_names: Set[str] = field(default_factory=set)
-    metrics: Optional[CounterDef] = None
-    report: Optional[CounterDef] = None
-    sweep_fields: Optional[Set[str]] = None
-    sweep_from_checked: bool = False
 
 
-#: Canonical project files, used when the checked file set does not
-#: itself (re)define the symbol — e.g. when linting one fixture file.
-_REPRO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-_CANONICAL_EVENTS = _REPRO_ROOT / "obs" / "events.py"
-_CANONICAL_METRICS = _REPRO_ROOT / "sim" / "metrics.py"
-_CANONICAL_REPORT = _REPRO_ROOT / "obs" / "report.py"
-_CANONICAL_SWEEP = _REPRO_ROOT / "sim" / "sweep.py"
+#: The canonical event vocabulary, used when the checked file set does
+#: not itself (re)define it — e.g. when linting one fixture file.
+_CANONICAL_EVENTS = (
+    pathlib.Path(__file__).resolve().parents[1] / "obs" / "events.py"
+)
 
 
 def _load_canonical_summary(path: pathlib.Path) -> Optional[ModuleSummary]:
@@ -775,39 +630,14 @@ class ProjectIndex:
                 self.by_module.setdefault(summary.module, summary)
         self.symbols = self._build_symbols()
 
-    # -- symbol table (FC004/FC005) ---------------------------------
+    # -- symbol table (FC004) ----------------------------------------
 
     def _build_symbols(self) -> ProjectSymbols:
         symbols = ProjectSymbols()
-        for canonical in (_CANONICAL_METRICS, _CANONICAL_REPORT,
-                          _CANONICAL_SWEEP):
-            if str(canonical) in self.by_path:
-                continue
-            loaded = _load_canonical_summary(canonical)
-            if loaded is None:
-                continue
-            if loaded.metrics_def is not None and symbols.metrics is None:
-                symbols.metrics = loaded.metrics_def
-            if loaded.report_def is not None and symbols.report is None:
-                symbols.report = loaded.report_def
-            if loaded.sweep_fields is not None and symbols.sweep_fields is None:
-                symbols.sweep_fields = set(loaded.sweep_fields)
-        checked_events: Set[str] = set()
         for summary in self.summaries:
             if summary.event_names:
-                checked_events.update(summary.event_names)
-            if summary.metrics_def is not None:
-                summary.metrics_def.from_checked = True
-                symbols.metrics = summary.metrics_def
-            if summary.report_def is not None:
-                summary.report_def.from_checked = True
-                symbols.report = summary.report_def
-            if summary.sweep_fields is not None:
-                symbols.sweep_fields = set(summary.sweep_fields)
-                symbols.sweep_from_checked = True
-        if checked_events:
-            symbols.event_names = checked_events
-        else:
+                symbols.event_names.update(summary.event_names)
+        if not symbols.event_names:
             canonical_events = (
                 self.by_path.get(str(_CANONICAL_EVENTS))
                 or _load_canonical_summary(_CANONICAL_EVENTS)

@@ -1,12 +1,13 @@
-"""Driver for the determinism & invariant linter (rules FC001-FC011).
+"""Driver for the determinism & invariant linter (rules FC001-FC011;
+FC005 is retired).
 
 The analysis itself lives in three sibling modules — this file only
 orchestrates the two phases and owns the CLI:
 
 * :mod:`repro.checks.dataflow` — phase 1: each file is parsed once
   and reduced to a JSON-serializable ``ModuleSummary`` (set-typed
-  constants/attributes/returns, counter definitions, concurrency
-  imports). Purely syntactic; never imports the sources it reads.
+  constants/attributes/returns, event names, concurrency imports).
+  Purely syntactic; never imports the sources it reads.
 * :mod:`repro.checks.callgraph` — phase 2 support: resolved call
   edges, async reachability, public-entry-point counts.
 * :mod:`repro.checks.rules` — the rule registry; each rule is one
@@ -287,12 +288,10 @@ def _noqa_guard_findings(
     return out
 
 
-def _is_suppressed(
-    finding: Finding, lines: Optional[List[str]]
-) -> bool:
+def _is_suppressed(finding: Finding, lines: List[str]) -> bool:
     if finding.code == NOQA_GUARD_CODE:
         return False  # the guard must survive the line it polices
-    if lines is None or not 1 <= finding.line <= len(lines):
+    if not 1 <= finding.line <= len(lines):
         return False
     return line_suppresses(lines[finding.line - 1], finding.code)
 
@@ -393,7 +392,6 @@ def check_paths(
     # Phase 3: per-file findings (cache layer: content+env hash).
     all_findings: List[Finding] = []
     all_suppressed: List[Finding] = []
-    lines_by_path: Dict[str, List[str]] = {}
     for state in states:
         assert state.summary is not None
         cached = (
@@ -447,31 +445,8 @@ def check_paths(
                     [_finding_to_dict(item) for item in findings],
                     [_finding_to_dict(item) for item in suppressed],
                 )
-        if state.source is not None:
-            lines_by_path[path_str] = state.source.splitlines()
         all_findings.extend(findings)
         all_suppressed.extend(suppressed)
-
-    # Project-level rules (FC005): cheap, recomputed every run.
-    for rule in ALL_RULES:
-        for finding in rule.check_project(index.symbols):
-            if select is not None and finding.code not in select:
-                continue
-            lines_opt = lines_by_path.get(finding.path)
-            if lines_opt is None:
-                try:
-                    lines_opt = (
-                        pathlib.Path(finding.path)
-                        .read_text()
-                        .splitlines()
-                    )
-                    lines_by_path[finding.path] = lines_opt
-                except OSError:
-                    lines_opt = None
-            if _is_suppressed(finding, lines_opt):
-                all_suppressed.append(finding)
-            else:
-                all_findings.append(finding)
 
     all_findings.extend(file_findings)
     result = CheckResult(files_checked=len(states))
@@ -494,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-checks",
         description=(
             "determinism & invariant linter for the FaasCache "
-            "reproduction (rules FC001-FC011; see "
+            "reproduction (rules FC001-FC011, FC005 retired; see "
             "docs/static-analysis.md)"
         ),
     )

@@ -1294,7 +1294,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help=(
             "run the determinism & invariant linter "
-            "(rules FC001-FC011, docs/static-analysis.md)"
+            "(rules FC001-FC011, FC005 retired; "
+            "docs/static-analysis.md)"
         ),
     )
     check.add_argument(

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.simulation import _server_level_spec
+from repro.cluster.simulation import MemberCounters, _server_level_spec
 from repro.core.policies.base import create_policy
 from repro.faults import FaultModel, FaultSpec
 from repro.obs.tracer import Tracer, active_tracer
@@ -38,46 +38,24 @@ __all__ = ["ElasticClusterResult", "ElasticClusterSimulation"]
 
 
 @dataclass
-class ElasticClusterResult:
+class ElasticClusterResult(MemberCounters):
     """Aggregate outcome plus the scaling timeline."""
 
-    warm_starts: int = 0
-    cold_starts: int = 0
-    dropped: int = 0
+    #: Metrics of every server that ran, retired and evicted ones
+    #: included; the lifecycle counters are their sum.
+    per_server: List[SimulationMetrics] = field(default_factory=list)
     #: (time, active server count) at each control period.
     server_timeline: List[Tuple[float, int]] = field(default_factory=list)
     #: Integral of active servers over time, in server-seconds.
     server_seconds: float = 0.0
     scale_ups: int = 0
     scale_downs: int = 0
-    # -- fault injection / recovery ----------------------------------
-    faults_injected: int = 0
-    retries: int = 0
-    #: Per-server sheds (budget/queue/pressure) folded from members.
-    sheds: int = 0
-    #: Whole-server failures applied across the ring.
-    server_downs: int = 0
     #: Invocations shed at the cluster level: every active ring
-    #: position was failed when they arrived.
+    #: position was failed when they arrived. (``sheds`` counts the
+    #: per-server budget/queue/pressure sheds only.)
     shed_unavailable: int = 0
-    # -- harvested / spot capacity ------------------------------------
-    #: Harvest shrink/grow steps applied across members.
-    capacity_shrinks: int = 0
-    capacity_grows: int = 0
-    #: Spot eviction notices received (pre-drain started).
-    eviction_notices: int = 0
-    #: Containers gracefully deflated away by harvest shrinks.
-    deflations: int = 0
     #: Cold replacement servers spun up after spot evictions.
     replacements: int = 0
-
-    @property
-    def served(self) -> int:
-        return self.warm_starts + self.cold_starts
-
-    @property
-    def cold_start_pct(self) -> float:
-        return 100.0 * self.cold_starts / self.served if self.served else 0.0
 
     @property
     def mean_servers(self) -> float:
@@ -157,12 +135,14 @@ class ElasticClusterSimulation:
         self._servers: List[Optional[KeepAliveSimulator]] = [
             None
         ] * max_servers
+        # Metrics of every server ever started (the result sums them).
+        self._metrics: List[SimulationMetrics] = []
         for i in range(min_servers):
             self._servers[i] = self._new_server(i)
         self._active = min_servers
 
     def _new_server(self, ring_index: int) -> KeepAliveSimulator:
-        return KeepAliveSimulator(
+        server = KeepAliveSimulator(
             self.trace,
             create_policy(self.policy_name),
             self.server_memory_mb,
@@ -175,6 +155,8 @@ class ElasticClusterSimulation:
                 else None
             ),
         )
+        self._metrics.append(server.metrics)
+        return server
 
     # ------------------------------------------------------------------
     # Routing: consistent hashing over the fixed ring of positions,
@@ -238,7 +220,6 @@ class ElasticClusterSimulation:
             self._active -= 1
             result.scale_downs += 1
             retired.drain_retries()
-            self._fold_metrics(retired.metrics, result)
 
     def _apply_server_event(
         self,
@@ -254,7 +235,7 @@ class ElasticClusterSimulation:
 
         Unlike the fixed-size cluster, an elastic ring treats a spot
         eviction as *permanent loss of that instance*: the server is
-        decommissioned (metrics folded, warm state gone) and a cold
+        decommissioned (warm state gone) and a cold
         **replacement** spins up on the lowest free healthy ring
         position immediately, so harvested churn does not silently
         shrink the fleet below what the autoscaler asked for. The
@@ -285,10 +266,9 @@ class ElasticClusterSimulation:
             self._failed.add(index)
             if server is not None:
                 # The instance is gone: doom in-flight work, settle
-                # retries, fold what it measured, release the slot.
+                # retries, release the slot.
                 server.fail_server(at_s)
                 server.drain_retries()
-                self._fold_metrics(server.metrics, result)
                 self._servers[index] = None
                 self._active -= 1
                 self._spin_replacement(at_s, result)
@@ -313,26 +293,10 @@ class ElasticClusterSimulation:
                 result.replacements += 1
                 return
 
-    @staticmethod
-    def _fold_metrics(
-        metrics: SimulationMetrics, result: ElasticClusterResult
-    ) -> None:
-        result.warm_starts += metrics.warm_starts
-        result.cold_starts += metrics.cold_starts
-        result.dropped += metrics.dropped
-        result.faults_injected += metrics.faults_injected
-        result.retries += metrics.retries
-        result.sheds += metrics.sheds
-        result.server_downs += metrics.server_downs
-        result.capacity_shrinks += metrics.capacity_shrinks
-        result.capacity_grows += metrics.capacity_grows
-        result.eviction_notices += metrics.eviction_notices
-        result.deflations += metrics.deflations
-
     # ------------------------------------------------------------------
 
     def run(self) -> ElasticClusterResult:
-        result = ElasticClusterResult()
+        result = ElasticClusterResult(per_server=self._metrics)
         functions = self.trace.functions
         period = self.control_period_s
         next_tick = period
@@ -381,9 +345,7 @@ class ElasticClusterSimulation:
             server.process_invocation(
                 functions[invocation.function_name], invocation.time_s
             )
-        # Fold the still-active servers' metrics.
         for server in self._servers:
             if server is not None:
                 server.drain_retries()
-                self._fold_metrics(server.metrics, result)
         return result

@@ -23,13 +23,14 @@ from repro.cluster.loadbalancer import (
 )
 from repro.core.policies.base import KeepAlivePolicy, create_policy
 from repro.faults import FaultModel, FaultSpec
+from repro.obs.counters import counter_names, sum_counters
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim.config import RunConfig
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Trace
 
-__all__ = ["ClusterResult", "ClusterSimulator"]
+__all__ = ["ClusterResult", "ClusterSimulator", "MemberCounters"]
 
 
 def _server_level_spec(spec: Optional[FaultSpec]) -> Optional[FaultSpec]:
@@ -54,8 +55,36 @@ def _server_level_spec(spec: Optional[FaultSpec]) -> Optional[FaultSpec]:
     return stripped if stripped.enabled else None
 
 
+class MemberCounters:
+    """The lifecycle counters of a cluster result: the table-driven sum
+    over ``per_server``, the metrics of every member server. Each
+    counter also reads as an attribute (``result.cold_starts``)."""
+
+    per_server: List[SimulationMetrics]
+
+    def counters(self) -> Dict[str, int]:
+        """Every counter of :data:`repro.obs.counters.COUNTERS`, summed
+        over the member servers' ``metrics.counters()``."""
+        return sum_counters(m.counters() for m in self.per_server)
+
+    def __getattr__(self, name: str) -> int:
+        if name in counter_names():
+            return self.counters()[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    @property
+    def served(self) -> int:
+        return self.warm_starts + self.cold_starts
+
+    @property
+    def cold_start_pct(self) -> float:
+        return 100.0 * self.cold_starts / self.served if self.served else 0.0
+
+
 @dataclass
-class ClusterResult:
+class ClusterResult(MemberCounters):
     """Aggregate and per-server outcomes of one cluster run."""
 
     balancer_name: str
@@ -69,42 +98,10 @@ class ClusterResult:
     shed_unavailable: int = 0
 
     @property
-    def warm_starts(self) -> int:
-        return sum(m.warm_starts for m in self.per_server)
-
-    @property
-    def cold_starts(self) -> int:
-        return sum(m.cold_starts for m in self.per_server)
-
-    @property
-    def dropped(self) -> int:
-        return sum(m.dropped for m in self.per_server)
-
-    @property
-    def served(self) -> int:
-        return self.warm_starts + self.cold_starts
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(m.faults_injected for m in self.per_server)
-
-    @property
-    def retries(self) -> int:
-        return sum(m.retries for m in self.per_server)
-
-    @property
     def sheds(self) -> int:
-        """All shed invocations: per-server sheds plus cluster-level
-        ``shed_unavailable`` ones."""
-        return sum(m.sheds for m in self.per_server) + self.shed_unavailable
-
-    @property
-    def server_downs(self) -> int:
-        return sum(m.server_downs for m in self.per_server)
-
-    @property
-    def cold_start_pct(self) -> float:
-        return 100.0 * self.cold_starts / self.served if self.served else 0.0
+        """All shed invocations: per-server sheds (``counters()``'s
+        ``sheds``) plus cluster-level ``shed_unavailable`` ones."""
+        return self.counters()["sheds"] + self.shed_unavailable
 
     @property
     def exec_time_increase_pct(self) -> float:

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.live.service import LivePoolService, UnknownFunctionError
 
@@ -80,6 +81,34 @@ class _Unframed(Exception):
     """``(status, error)`` for a request whose end cannot be found."""
 
 
+class _BadBody(Exception):
+    """``(error,)`` for a framed request whose body is answered 400."""
+
+
+def _json_object(body: bytes) -> dict:
+    """The JSON object a request body holds (none for an empty body),
+    its optional ``now_s`` checked to be a finite number: anything else
+    would pin a sim clock at ``inf`` / ``nan`` for every later arrival
+    and put a non-JSON token in the replies."""
+    try:
+        request = json.loads(body) if body else {}
+    except ValueError:
+        raise _BadBody("body is not valid JSON") from None
+    if not isinstance(request, dict):
+        raise _BadBody("body must be a JSON object")
+    now_s = request.get("now_s")
+    if now_s is not None:
+        try:
+            # The exact types: json.loads yields no others, and bool
+            # (an int subclass) is not a time.
+            finite = type(now_s) in (int, float) and math.isfinite(now_s)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise _BadBody("'now_s' must be a finite number")
+    return request
+
+
 def _header_value(lower: bytes, key: bytes) -> Optional[bytes]:
     """The value of the first header line starting with ``key``
     (``b"\\r\\nname:"``) in a lowercased head, or ``None``."""
@@ -124,10 +153,13 @@ class _Connection(asyncio.Protocol):
 
     def connection_made(self, transport) -> None:
         self._transport = transport
-        self._server.connections += 1
+        self._server.connections.add(self)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._server.connections -= 1
+        self._server.connections.discard(self)
+
+    def close(self) -> None:
+        self._transport.close()  # once the write buffer is flushed
 
     def data_received(self, data: bytes) -> None:
         self._buffer += data
@@ -197,7 +229,7 @@ class _Connection(asyncio.Protocol):
         if replies:
             self._write(replies)
         if close:
-            self._transport.close()  # once the write buffer is flushed
+            self.close()
 
     def _write(self, replies: List[bytes]) -> None:
         self._server.writes += 1
@@ -226,7 +258,7 @@ class LiveHTTPServer:
         self._tick_task: Optional["asyncio.Task"] = None
         self.requests_served = 0
         self.errors_5xx = 0
-        self.connections = 0  # currently open
+        self.connections: Set[_Connection] = set()  # currently open
         self.writes = 0  # transport writes; requests / writes = coalescing
 
     # ------------------------------------------------------------------
@@ -240,6 +272,8 @@ class LiveHTTPServer:
             return 400, {"error": "malformed request line"}
         try:
             return self._dispatch(parts[0].upper(), parts[1], body)
+        except _BadBody as refusal:
+            return 400, {"error": refusal.args[0]}
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             self.errors_5xx += 1
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
@@ -248,18 +282,12 @@ class LiveHTTPServer:
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, dict]:
         if path == "/admit" and method == "POST":
-            try:
-                request = json.loads(body) if body else {}
-            except ValueError:
-                return 400, {"error": "body is not valid JSON"}
+            request = _json_object(body)
             name = request.get("function")
             if not isinstance(name, str):
                 return 400, {"error": "missing string field 'function'"}
-            now_s = request.get("now_s")
-            if now_s is not None and not isinstance(now_s, (int, float)):
-                return 400, {"error": "'now_s' must be a number"}
             try:
-                decision = self.service.admit(name, now_s)
+                decision = self.service.admit(name, request.get("now_s"))
             except UnknownFunctionError:
                 return 404, {"error": f"unknown function {name!r}"}
             return 200, {
@@ -269,20 +297,14 @@ class LiveHTTPServer:
                 "decision_us": decision.decision_latency_s * 1e6,
             }
         if path == "/release" and method == "POST":
-            try:
-                request = json.loads(body) if body else {}
-            except ValueError:
-                return 400, {"error": "body is not valid JSON"}
-            now_s = request.get("now_s")
-            if now_s is not None and not isinstance(now_s, (int, float)):
-                return 400, {"error": "'now_s' must be a number"}
+            now_s = _json_object(body).get("now_s")
             return 200, {"released": self.service.release(now_s)}
         if path == "/stats" and method == "GET":
             stats = self.service.stats()
             stats["http"] = {
                 "requests": self.requests_served,
                 "errors_5xx": self.errors_5xx,
-                "connections": self.connections,
+                "connections": len(self.connections),
                 "writes": self.writes,
             }
             return 200, stats
@@ -324,6 +346,11 @@ class LiveHTTPServer:
             self._tick_task = None
         if self._server is not None:
             self._server.close()
+            # Connections a client holds open would otherwise outlive
+            # the listener (and, from Python 3.12 on, keep
+            # wait_closed() waiting for the client to hang up).
+            for connection in list(self.connections):
+                connection.close()
             await self._server.wait_closed()
             self._server = None
 

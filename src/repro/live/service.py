@@ -175,7 +175,7 @@ class LivePoolService:
             }
 
     def counters(self) -> Dict[str, int]:
-        """The engine's aggregate lifecycle counters (the same 14-key
-        contract SimulationMetrics.counters() pins)."""
+        """The engine's aggregate lifecycle counters (the counter
+        table's keys, as SimulationMetrics.counters() reports them)."""
         with self._lock:
             return dict(self._sim.metrics.counters())

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.obs.counters import CounterTally
 from repro.obs.sinks import PathLike, read_jsonl_events
 
 __all__ = [
@@ -99,8 +100,7 @@ class TraceReport:
         # Eviction breakdown by reason.
         self.evictions_by_reason: Dict[str, int] = {}
         self.evictions_by_policy: Dict[str, int] = {}
-        # Spawn breakdown.
-        self.prewarmed_spawns = 0
+        # Provisioned-concurrency spawns.
         self.pinned_spawns = 0
         # Fault injection / recovery (docs/robustness.md).
         self.faults_by_kind: Dict[str, int] = {}
@@ -109,11 +109,9 @@ class TraceReport:
         # Harvested/spot capacity (docs/robustness.md).
         self.deflated_mb = 0.0
         self.capacity_deferred_mb = 0.0
-        # Per-tenant outcome counts, rebuilt from the optional
-        # ``tenant`` context field on warm_hit/cold_start/dropped
-        # events (docs/multi-tenancy.md). Tenant-less traces never
-        # carry the field, leaving this empty.
-        self._tenant_outcomes: Dict[int, Dict[str, int]] = {}
+        # The lifecycle counters, aggregate and per tenant, as the
+        # counter table defines them (repro.obs.counters).
+        self._tally = CounterTally()
         # Open eviction -> next cold-start gap tracking.
         self._evicted_at: Dict[str, float] = {}
 
@@ -133,22 +131,7 @@ class TraceReport:
             self.first_time_s = time_s
         self.last_time_s = time_s
 
-        if event_type in ("warm_hit", "cold_start", "dropped"):
-            tenant = event.get("tenant")
-            if tenant is not None:
-                outcome = self._tenant_outcomes.get(tenant)
-                if outcome is None:
-                    outcome = self._tenant_outcomes[tenant] = {
-                        "warm_starts": 0,
-                        "cold_starts": 0,
-                        "dropped": 0,
-                    }
-                if event_type == "warm_hit":
-                    outcome["warm_starts"] += 1
-                elif event_type == "cold_start":
-                    outcome["cold_starts"] += 1
-                else:
-                    outcome["dropped"] += 1
+        self._tally.add(event)
 
         function = event.get("function")
         if function is not None and event_type in _TIMELINE_EVENTS:
@@ -183,8 +166,6 @@ class TraceReport:
                 entry.refaults += 1
                 entry.refault_gap_s += time_s - evicted_at
         elif event_type == "container_spawned":
-            if event.get("prewarmed"):
-                self.prewarmed_spawns += 1
             if event.get("pinned"):
                 self.pinned_spawns += 1
         elif event_type == "fault_injected":
@@ -222,66 +203,29 @@ class TraceReport:
         """The simulator's lifecycle counters, rebuilt from the trace.
 
         Keyed exactly like
-        :meth:`repro.sim.metrics.SimulationMetrics.counters`, so the
-        two can be compared directly (the trace/aggregate consistency
-        gate). Note the simulator's ``expirations`` counter covers both
-        time-based expiry and doorkeeper admission refusals — the
-        trace keeps them distinguishable via the ``reason`` field.
-        ``failure`` evictions (crashed containers, dead servers) are
-        excluded from both sides by the same rule: the fault itself is
-        counted by ``faults_injected`` / ``server_downs``.
+        :meth:`repro.sim.metrics.SimulationMetrics.counters` — both are
+        views of the one counter table
+        (:data:`repro.obs.counters.COUNTERS`, which says what event
+        and ``reason`` each counter counts) — so the two can be
+        compared directly (the trace/aggregate consistency gate).
         """
-        by_reason = self.evictions_by_reason
-        return {
-            "warm_starts": self.event_counts.get("warm_hit", 0),
-            "cold_starts": self.event_counts.get("cold_start", 0),
-            "dropped": self.event_counts.get("dropped", 0),
-            "evictions": by_reason.get("pressure", 0),
-            "expirations": (
-                by_reason.get("expiry", 0) + by_reason.get("admission", 0)
-            ),
-            "prewarms": self.prewarmed_spawns,
-            "faults_injected": self.event_counts.get("fault_injected", 0),
-            "retries": self.event_counts.get("invocation_retried", 0),
-            "sheds": self.event_counts.get("invocation_shed", 0),
-            "server_downs": self.event_counts.get("server_down", 0),
-            "capacity_shrinks": self.event_counts.get("capacity_shrunk", 0),
-            "capacity_grows": self.event_counts.get("capacity_grown", 0),
-            "eviction_notices": self.event_counts.get("eviction_notice", 0),
-            "deflations": self.event_counts.get("container_deflated", 0),
-        }
+        return self._tally.counters()
 
     def tenant_counters(self) -> Dict[int, Dict[str, int]]:
-        """Per-tenant lifecycle counters rebuilt from the trace.
-
-        Keyed exactly like
-        :meth:`repro.sim.metrics.SimulationMetrics.tenant_counters`
-        (the per-tenant half of the trace/aggregate contract; FC005
-        checks the inner key set for drift). Empty for tenant-less
-        traces, whose events never carry a ``tenant`` field.
-        """
-        return {
-            tenant_id: {
-                "warm_starts": outcome["warm_starts"],
-                "cold_starts": outcome["cold_starts"],
-                "dropped": outcome["dropped"],
-            }
-            for tenant_id, outcome in sorted(self._tenant_outcomes.items())
-        }
+        """Per-tenant lifecycle counters rebuilt from the events'
+        ``tenant`` fields, keyed exactly like
+        :meth:`repro.sim.metrics.SimulationMetrics.tenant_counters`.
+        Empty for tenant-less traces, whose events never carry the
+        field."""
+        return self._tally.tenant_counters()
 
     @property
     def jain_fairness_index(self) -> float:
         """Jain's fairness index over per-tenant warm-hit ratios,
-        rebuilt from the trace (mirrors
-        :attr:`SimulationMetrics.jain_fairness_index`)."""
-        from repro.sim.metrics import jain_index
+        rebuilt from the trace."""
+        from repro.sim.metrics import tenant_fairness
 
-        ratios = []
-        for __, outcome in sorted(self._tenant_outcomes.items()):
-            served = outcome["warm_starts"] + outcome["cold_starts"]
-            if served:
-                ratios.append(outcome["warm_starts"] / served)
-        return jain_index(ratios)
+        return tenant_fairness(self.tenant_counters())
 
     def check_tenant_counters(
         self, expected: Mapping[int, Mapping[str, int]]

@@ -18,9 +18,16 @@ small cache sizes (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["FunctionOutcome", "SimulationMetrics", "jain_index"]
+from repro.obs.counters import read_counters, read_tenant_counters
+
+__all__ = [
+    "FunctionOutcome",
+    "SimulationMetrics",
+    "jain_index",
+    "tenant_fairness",
+]
 
 
 def jain_index(values: List[float]) -> float:
@@ -41,6 +48,22 @@ def jain_index(values: List[float]) -> float:
     if square <= 0.0:
         return 1.0
     return (total * total) / (n * square)
+
+
+def tenant_fairness(tenant_counters: Mapping[int, Mapping[str, int]]) -> float:
+    """Jain's fairness index over per-tenant warm-hit ratios, from a
+    ``tenant_counters()`` view (aggregate metrics or rebuilt trace).
+
+    Tenants that had nothing served contribute no allocation and are
+    excluded; no tenant data (or no tenant served) reads as perfectly
+    fair (1.0).
+    """
+    ratios = []
+    for counts in tenant_counters.values():
+        served = counts["warm_starts"] + counts["cold_starts"]
+        if served:
+            ratios.append(counts["warm_starts"] / served)
+    return jain_index(ratios)
 
 
 @dataclass
@@ -295,49 +318,27 @@ class SimulationMetrics:
         return weighted / span
 
     def counters(self) -> Dict[str, int]:
-        """The integer lifecycle counters only.
+        """The integer lifecycle counters only, as the counter table
+        (:data:`repro.obs.counters.COUNTERS`) lists them.
 
-        This is the contract shared with the observability layer:
         :meth:`repro.obs.report.TraceReport.counters` rebuilds exactly
         these keys from an event trace, and the two must agree for a
         fully-traced run (the CI trace-consistency gate). Sweeps also
         snapshot this dict per cell.
         """
-        return {
-            "warm_starts": self.warm_starts,
-            "cold_starts": self.cold_starts,
-            "dropped": self.dropped,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "prewarms": self.prewarms,
-            "faults_injected": self.faults_injected,
-            "retries": self.retries,
-            "sheds": self.sheds,
-            "server_downs": self.server_downs,
-            "capacity_shrinks": self.capacity_shrinks,
-            "capacity_grows": self.capacity_grows,
-            "eviction_notices": self.eviction_notices,
-            "deflations": self.deflations,
-        }
+        return read_counters(self)
 
     def tenant_counters(self) -> Dict[int, Dict[str, int]]:
-        """Per-tenant lifecycle counters, in ascending tenant-id order.
+        """Per-tenant lifecycle counters (the table's ``per_tenant``
+        rows), in ascending tenant-id order.
 
-        The per-tenant half of the trace/aggregate contract:
         :meth:`repro.obs.report.TraceReport.tenant_counters` rebuilds
         exactly these keys from the events' ``tenant`` fields, and the
         two must agree for a fully-traced tenant run (checked by the
         sanitizer and the tenant-fairness CI job). Empty on tenant-less
-        runs. The inner key set is covered by the FC005 drift check.
+        runs.
         """
-        return {
-            tenant_id: {
-                "warm_starts": outcome.warm,
-                "cold_starts": outcome.cold,
-                "dropped": outcome.dropped,
-            }
-            for tenant_id, outcome in sorted(self.per_tenant.items())
-        }
+        return read_tenant_counters(self.per_tenant)
 
     def tenant_cold_start_ratios(self) -> Dict[int, float]:
         """Per-tenant cold-start ratio over served invocations, in
@@ -351,19 +352,9 @@ class SimulationMetrics:
 
     @property
     def jain_fairness_index(self) -> float:
-        """Jain's fairness index over per-tenant warm-hit ratios.
-
-        Tenants that had nothing served contribute no allocation and
-        are excluded; a run with no tenant data (or where no tenant was
-        served) reads as perfectly fair (1.0).
-        """
-        return jain_index(
-            [
-                outcome.hit_ratio
-                for __, outcome in sorted(self.per_tenant.items())
-                if outcome.served
-            ]
-        )
+        """Jain's fairness index over per-tenant warm-hit ratios
+        (:func:`tenant_fairness`)."""
+        return tenant_fairness(self.tenant_counters())
 
     @property
     def shed_ratio(self) -> float:
@@ -380,20 +371,7 @@ class SimulationMetrics:
     def summary(self) -> Dict[str, float]:
         """A flat dict of the headline numbers, for tables and tests."""
         return {
-            "warm_starts": self.warm_starts,
-            "cold_starts": self.cold_starts,
-            "dropped": self.dropped,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "prewarms": self.prewarms,
-            "faults_injected": self.faults_injected,
-            "retries": self.retries,
-            "sheds": self.sheds,
-            "server_downs": self.server_downs,
-            "capacity_shrinks": self.capacity_shrinks,
-            "capacity_grows": self.capacity_grows,
-            "eviction_notices": self.eviction_notices,
-            "deflations": self.deflations,
+            **self.counters(),
             "cold_start_pct": self.cold_start_pct,
             "exec_time_increase_pct": self.exec_time_increase_pct,
             "hit_ratio": self.hit_ratio,

@@ -38,6 +38,7 @@ from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, create_policy
 from repro.core.pool import CapacityError, ContainerPool
 from repro.faults import FaultModel, RetryPolicy
+from repro.obs.counters import eviction_counters
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim.config import RunConfig
 from repro.sim.metrics import SimulationMetrics
@@ -142,6 +143,9 @@ class KeepAliveSimulator:
             tenant_limits_mb=limits if tenant_mode != "shared" else None,
         )
         self.metrics = SimulationMetrics()
+        # Eviction reason -> the counter it bumps, resolved from the
+        # counter table once so :meth:`_evict` pays one dict lookup.
+        self._eviction_counter = eviction_counters()
         # Timestamp source (docs/live-serving.md): the replay loop
         # advances this to each arrival and reads ``now_s`` back from
         # it, so sim and live mode share one code path — the live
@@ -225,22 +229,32 @@ class KeepAliveSimulator:
     # Per-arrival phases
     # ------------------------------------------------------------------
 
-    def _trace_evicted(
-        self, container: Container, now_s: float, reason: str
-    ) -> None:
-        """Emit one ``evicted`` event (callers guard on the tracer)."""
-        self._tracer.emit(
-            "evicted",
-            now_s,
-            function=container.function.name,
-            container_id=container.container_id,
-            policy=self.policy.name,
-            reason=reason,
-            freed_mb=container.memory_mb,
-            priority=self.policy.eviction_priority(container, now_s),
-            idle_s=container.idle_time_s(now_s),
-            age_s=max(0.0, now_s - container.created_at_s),
+    def _evict(self, container: Container, now_s: float, reason: str) -> None:
+        """Terminate ``container``: trace it, free its memory, tell the
+        policy, and bump the counter the counter table assigns to
+        ``reason`` (one of ``EVICTION_REASONS``). ``failure`` bumps
+        none: the fault was already counted when it was injected."""
+        if self._tracer is not None:
+            self._tracer.emit(
+                "evicted",
+                now_s,
+                function=container.function.name,
+                container_id=container.container_id,
+                policy=self.policy.name,
+                reason=reason,
+                freed_mb=container.memory_mb,
+                priority=self.policy.eviction_priority(container, now_s),
+                idle_s=container.idle_time_s(now_s),
+                age_s=max(0.0, now_s - container.created_at_s),
+            )
+        self.pool.evict(container)
+        self.policy.on_evict(
+            container, now_s, self.pool, pressure=reason == "pressure"
         )
+        counter = self._eviction_counter.get(reason)
+        if counter is not None:
+            metrics = self.metrics
+            setattr(metrics, counter, getattr(metrics, counter) + 1)
 
     def _release_finished(self, now_s: float) -> None:
         while self._running and self._running[0][0] <= now_s:
@@ -248,16 +262,9 @@ class KeepAliveSimulator:
             container.finish_invocation(finish_s)
             # A doomed container (its invocation crashed, or its server
             # died under it) is torn down instead of returning to the
-            # warm pool. Reason "failure" is excluded from the
-            # evictions/expirations counters: the fault was already
-            # counted when it was injected.
+            # warm pool.
             if container.doomed:
-                if self._tracer is not None:
-                    self._trace_evicted(container, finish_s, "failure")
-                self.pool.evict(container)
-                self.policy.on_evict(
-                    container, finish_s, self.pool, pressure=False
-                )
+                self._evict(container, finish_s, "failure")
                 continue
             # Provisioned concurrency is retained by definition: the
             # admission gate below must never see a pinned container
@@ -267,13 +274,7 @@ class KeepAliveSimulator:
             # Admission gate: policies with a doorkeeper may refuse to
             # keep an unproven function's container warm at all.
             if not self.policy.should_retain(container, finish_s, self.pool):
-                if self._tracer is not None:
-                    self._trace_evicted(container, finish_s, "admission")
-                self.pool.evict(container)
-                self.policy.on_evict(
-                    container, finish_s, self.pool, pressure=False
-                )
-                self.metrics.expirations += 1
+                self._evict(container, finish_s, "admission")
         # A deferred deflation (shrink below what busy containers held)
         # resumes as those containers idle: the pool re-walks its lazy
         # victim index and frees whatever it can. Cheap when no shrink
@@ -285,11 +286,7 @@ class KeepAliveSimulator:
 
     def _expire_containers(self, now_s: float) -> None:
         for container, __ in self.policy.expired_containers(self.pool, now_s):
-            if self._tracer is not None:
-                self._trace_evicted(container, now_s, "expiry")
-            self.pool.evict(container)
-            self.policy.on_evict(container, now_s, self.pool, pressure=False)
-            self.metrics.expirations += 1
+            self._evict(container, now_s, "expiry")
 
     def _materialize_prewarms(self, now_s: float) -> None:
         for request in self.policy.due_prewarms(now_s):
@@ -332,11 +329,7 @@ class KeepAliveSimulator:
         if victims is None:
             return False
         for container in victims:
-            if tracer is not None:
-                self._trace_evicted(container, now_s, "pressure")
-            self.pool.evict(container)
-            self.policy.on_evict(container, now_s, self.pool, pressure=True)
-            self.metrics.evictions += 1
+            self._evict(container, now_s, "pressure")
         return True
 
     def _sample_memory(self, now_s: float) -> None:
@@ -649,10 +642,7 @@ class KeepAliveSimulator:
             self._tracer.emit("server_down", now_s, server=self._server_index)
         self._release_finished(now_s)
         for container in self.pool.idle_containers():
-            if self._tracer is not None:
-                self._trace_evicted(container, now_s, "failure")
-            self.pool.evict(container)
-            self.policy.on_evict(container, now_s, self.pool, pressure=False)
+            self._evict(container, now_s, "failure")
         for container in self.pool.running_containers():
             if not container.pinned:
                 container.doomed = True

@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.policies import PAPER_POLICIES, create_policy
 from repro.faults import cell_fault_spec
+from repro.obs.counters import fingerprint_counters
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 from repro.sim.config import RunConfig
@@ -111,17 +112,6 @@ def point_from_result(
     )
 
 
-#: Counters dropped from :func:`point_fingerprint` when zero, so cells
-#: untouched by the harvest/spot subsystem keep their pre-subsystem
-#: fingerprints (committed baselines stay valid without regeneration).
-_ZERO_EXCLUDED_COUNTERS = (
-    "capacity_shrinks",
-    "capacity_grows",
-    "eviction_notices",
-    "deflations",
-)
-
-
 def point_fingerprint(point: SweepPoint) -> str:
     """SHA-256 over the deterministic fields of a sweep cell.
 
@@ -136,15 +126,12 @@ def point_fingerprint(point: SweepPoint) -> str:
     has one: tenant-less cells fingerprint exactly as they did before
     multi-tenancy existed, so committed baselines
     (``benchmarks/BASELINE.json``) stay valid without regeneration.
-    The harvested-capacity counters follow the same rule — a zero
-    counter (no harvest/spot activity) is dropped from the hash, so
+    The harvested-capacity counters follow the same rule
+    (:func:`repro.obs.counters.fingerprint_counters`): a zero counter
+    (no harvest/spot activity) is dropped from the hash, so
     harvest-free cells fingerprint exactly as before the subsystem
     existed.
     """
-    counters = dict(sorted(point.counters.items()))
-    for key in _ZERO_EXCLUDED_COUNTERS:
-        if not counters.get(key, 0):
-            counters.pop(key, None)
     payload = {
         "policy": point.policy,
         "memory_gb": repr(point.memory_gb),
@@ -153,7 +140,7 @@ def point_fingerprint(point: SweepPoint) -> str:
         "drop_ratio": repr(point.drop_ratio),
         "hit_ratio": repr(point.hit_ratio),
         "global_hit_ratio": repr(point.global_hit_ratio),
-        "counters": counters,
+        "counters": fingerprint_counters(point.counters),
     }
     if point.tenant_counters:
         payload["tenant_counters"] = {

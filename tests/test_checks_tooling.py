@@ -283,6 +283,21 @@ class TestNoqaGuard:
         assert "FC999" in result.findings[0].message
         assert "typo" in result.findings[0].message
 
+    def test_retired_fc005_is_an_unknown_code(self, tmp_path):
+        # FC005 is retired and not reused: a leftover suppression
+        # comment naming it suppresses nothing, like any other typo.
+        assert "FC005" not in RULES
+        path = _write(
+            tmp_path,
+            "mod.py",
+            "# repro-checks-module: repro.sim.fixture_retired\n"
+            "def nothing():\n"
+            "    return 0  # noqa" + ": FC005\n",
+        )
+        result = check_paths([path])
+        assert [f.code for f in result.findings] == ["FC000"]
+        assert "FC005" in result.findings[0].message
+
     def test_foreign_codes_ignored(self, tmp_path):
         path = _write(
             tmp_path,

@@ -111,6 +111,57 @@ class TestEndpoints:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("path", ["/admit", "/release"])
+    @pytest.mark.parametrize("body", [b"[1,2]", b'"x"', b"7", b"null"])
+    def test_non_object_json_is_400(self, live_server, path, body):
+        __, __, __, thread = live_server
+        conn = http.client.HTTPConnection(
+            thread.host, thread.port, timeout=10
+        )
+        try:
+            conn.request("POST", path, body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read()) == {
+                "error": "body must be a JSON object"
+            }
+        finally:
+            conn.close()
+        assert thread.server.errors_5xx == 0
+
+    @pytest.mark.parametrize("path", ["/admit", "/release"])
+    @pytest.mark.parametrize(
+        "now_s",
+        [
+            "Infinity", "-Infinity", "NaN", "true", "1e999",
+            pytest.param("1" + "0" * 400, id="int-beyond-float"),
+        ],
+    )
+    def test_non_finite_now_s_is_400_and_leaves_the_clock(
+        self, live_server, path, now_s
+    ):
+        trace, service, __, thread = live_server
+        name = next(iter(trace.functions))
+        body = b'{"function": "%b", "now_s": %b}' % (
+            name.encode(), now_s.encode()
+        )
+        conn = http.client.HTTPConnection(
+            thread.host, thread.port, timeout=10
+        )
+        try:
+            conn.request("POST", path, body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "now_s" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert service.clock.now() == 0.0
+        status, payload = _request(
+            thread, "POST", "/admit", {"function": name, "now_s": 2.0}
+        )
+        assert (status, payload["now_s"]) == (200, 2.0)
+        assert thread.server.errors_5xx == 0
+
     def test_missing_function_field_is_400(self, live_server):
         __, __, __, thread = live_server
         status, __ = _request(thread, "POST", "/admit", {"now_s": 1.0})
@@ -463,7 +514,7 @@ class TestProtocolFraming:
             "requests": 9, "errors_5xx": 0, "connections": 2, "writes": 1
         }
         first.connection_lost(None)
-        assert server.connections == 1
+        assert server.connections == {second}
 
     def test_dispatcher_failure_is_a_counted_500(self, monkeypatch):
         __, service = _sim_service()
@@ -559,6 +610,19 @@ class TestSockets:
             (200, "keep-alive", {"ok": True}),
             (200, "close", {"ok": True}),
         ]
+
+    def test_stop_hangs_up_on_idle_keep_alive_clients(self):
+        __, service = _sim_service()
+        thread = ServerThread(service).start()
+        with socket.create_connection((thread.host, thread.port), 10) as sock:
+            sock.sendall(_raw("GET", "/healthz"))
+            reply = _encode_response(200, {"ok": True})
+            assert sock.recv(65536) == reply  # connected, now idle
+            started = time.perf_counter()
+            thread.stop()
+            assert time.perf_counter() - started < 1.0
+            assert _read_to_eof(sock) == b""
+        assert thread.server.connections == set()
 
     def test_oversized_body_does_not_desync_the_connection(self, live_server):
         __, __, __, thread = live_server
