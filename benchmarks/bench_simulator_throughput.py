@@ -13,9 +13,11 @@ Two configurations:
   figure sweeps, guarded by an absolute invocations/second floor;
 * the **eviction-heavy** workload — a working set far above capacity
   cycling through a large idle pool, where every arrival is a miss
-  that must select a victim. Here the pool's lazy victim index
-  (:meth:`ContainerPool.iter_victims`) is required to beat the
-  sort-every-miss path by a healthy margin.
+  that must select a victim. Here :meth:`KeepAlivePolicy.victim_order`
+  walking the pool's lazy victim index
+  (:meth:`ContainerPool.iter_victims`) is required to beat the same
+  method's sort-every-miss branch (forced by clearing
+  ``monotone_priority``) by a healthy margin.
 
 Unlike the figure benches (single-shot ``pedantic`` runs), these use
 pytest-benchmark's normal repeated timing; the index-vs-sort ratio is

@@ -25,7 +25,16 @@ paper's Figures 5 and 6, and instantiated through
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+)
 
 from repro.core.container import Container
 from repro.core.pool import ContainerPool
@@ -65,18 +74,24 @@ class KeepAlivePolicy(abc.ABC):
     #: Short name used in the registry and in the paper's figures.
     name: str = "base"
 
-    #: Opt-in to the pool's lazy victim index
-    #: (:meth:`ContainerPool.iter_victims`). A policy may set this to
-    #: True only if its victim-selection key ``(priority, last_used,
-    #: id)`` never *decreases* for a container while it remains in the
-    #: pool — i.e. :meth:`priority` is independent of ``now_s`` between
-    #: lifecycle events and every lifecycle event can only raise it.
-    #: GD/GDS (clock + frequency, both monotone), LRU/TTL (last-used
-    #: time), FREQ (frequency), SIZE/FIFO/RAND (constant per
-    #: container), and LRU-K (backward K-distance) qualify; policies
-    #: whose scores decay with time (HYPERBOLIC, HIST) or that demote
-    #: entries (SLRU) must keep the default and get the exact
-    #: sort-every-miss path.
+    #: How :meth:`victim_order` — the one order every eviction and
+    #: deflation path consumes — is produced. True: a walk of the
+    #: pool's lazy victim index (:meth:`ContainerPool.iter_victims`),
+    #: O((victims + touched) * log n) per selection and never a
+    #: materialized idle set. False (the default): an exact sort of the
+    #: idle set per selection, right for arbitrary priorities. Both
+    #: yield the same containers in the same order for a policy that
+    #: may set the flag, which is one whose victim key ``(priority,
+    #: last_used, id)`` never *decreases* for a container while it
+    #: remains in the pool — i.e. :meth:`priority` is independent of
+    #: ``now_s`` between lifecycle events and every lifecycle event can
+    #: only raise it. GD/GDS (clock + frequency, both monotone),
+    #: LRU/TTL (last-used time), FREQ (frequency), SIZE/FIFO/RAND
+    #: (constant per container), and LRU-K (backward K-distance)
+    #: qualify; policies whose scores decay with time (HYPERBOLIC,
+    #: HIST), depend on the future (ORACLE) or demote entries (SLRU,
+    #: LND's rent) must keep the default. ``REPRO_SANITIZE=1`` checks
+    #: the claim on every index walk.
     monotone_priority: bool = False
 
     def __init__(self) -> None:
@@ -146,9 +161,10 @@ class KeepAlivePolicy(abc.ABC):
     def priority(self, container: Container, now_s: float) -> float:
         """Eviction priority; lower values are evicted first.
 
-        The default victim selection sorts idle containers by this.
-        Subclasses either override this or all of
-        :meth:`select_victims`.
+        :meth:`victim_order` ranks idle containers by this. A policy
+        that selects pressure victims some other way overrides
+        :meth:`select_victims` as well, but still scores containers
+        here: deflation and tenant-aware selection read the order.
         """
         raise NotImplementedError
 
@@ -169,56 +185,23 @@ class KeepAlivePolicy(abc.ABC):
         except NotImplementedError:
             return None
 
-    def select_victims(
-        self, pool: ContainerPool, needed_mb: float, now_s: float
-    ) -> Optional[List[Container]]:
-        """Choose idle containers to evict so ``needed_mb`` can fit.
+    def victim_order(
+        self, pool: ContainerPool, now_s: float
+    ) -> Iterator[Container]:
+        """``pool``'s idle unpinned containers, next victim first:
+        ascending ``(priority, last_used, id)`` with priorities frozen
+        at ``now_s``.
 
-        Returns the victim list (possibly empty when enough memory is
-        already free), or ``None`` when the request cannot be satisfied
-        even by evicting every idle container — the invocation is then
-        dropped by the caller.
-
-        Policies with :attr:`monotone_priority` use the pool's lazy
-        victim index, selecting in O((victims + touched) * log n);
-        everyone else sorts the idle set, which is exact for arbitrary
-        (e.g. time-decaying) priorities. Both paths pick the same
-        victims in the same order for a monotone policy.
-        """
-        deficit = needed_mb - pool.free_mb
-        if deficit <= 1e-9:
-            return []
-        if pool.evictable_mb() < deficit - 1e-9:
-            # O(1) drop decision: evicting every idle container would
-            # still not make room, so don't score anything.
-            return None
-        if self.monotone_priority:
-            return self._select_victims_indexed(pool, deficit, now_s)
-        idle = pool.idle_containers()
-        idle.sort(
-            key=lambda c: (self.priority(c, now_s), c.last_used_s, c.container_id)
-        )
-        victims: List[Container] = []
-        reclaimed = 0.0
-        for container in idle:
-            victims.append(container)
-            reclaimed += container.memory_mb
-            if reclaimed >= deficit - 1e-9:
-                break
-        return victims
-
-    def _select_victims_indexed(
-        self, pool: ContainerPool, deficit_mb: float, now_s: float
-    ) -> Optional[List[Container]]:
-        """Take lowest-key containers from the pool's lazy index until
-        ``deficit_mb`` is covered; ``None`` if the whole idle set is
-        not enough (the caller then drops the request).
-
-        Uses the consuming :meth:`ContainerPool.take_victims` variant:
-        selected entries leave the index with the selection instead of
-        being restored and lazily re-discarded after the eviction, and
-        a caller that walks away without evicting gets them back on
-        the next selection.
+        The one victim order behind every eviction and deflation path
+        — pressure selection in all tenant modes, graceful deflation,
+        the invoker's batch and background reclaim, cascade deflation —
+        and the only reader of :attr:`monotone_priority`: a monotone
+        policy's order is a walk of the pool's lazy index
+        (:meth:`ContainerPool.iter_victims`), everyone else's is the
+        exact sort of the idle set. Consumers take what they need off
+        the front (:meth:`ContainerPool.take_victims`) and may evict
+        what they were handed while iterating; a wrapper policy
+        delegates this the way it delegates :meth:`priority`.
         """
 
         def key_of(container: Container) -> Tuple[float, float, int]:
@@ -228,7 +211,29 @@ class KeepAlivePolicy(abc.ABC):
                 container.container_id,
             )
 
-        return pool.take_victims(key_of, deficit_mb)
+        if self.monotone_priority:
+            return pool.iter_victims(key_of)
+        return iter(sorted(pool.idle_containers(), key=key_of))
+
+    def select_victims(
+        self, pool: ContainerPool, needed_mb: float, now_s: float
+    ) -> Optional[List[Container]]:
+        """Choose idle containers to evict so ``needed_mb`` can fit.
+
+        Returns the victim list (possibly empty when enough memory is
+        already free), or ``None`` when the request cannot be satisfied
+        even by evicting every idle container — the invocation is then
+        dropped by the caller. The victims are the prefix of
+        :meth:`victim_order` that covers the deficit.
+        """
+        deficit = needed_mb - pool.free_mb
+        if deficit <= 1e-9:
+            return []
+        if pool.evictable_mb() < deficit - 1e-9:
+            # O(1) drop decision: evicting every idle container would
+            # still not make room, so don't score anything.
+            return None
+        return pool.take_victims(self.victim_order(pool, now_s), deficit)
 
     def select_victims_tenant(
         self,
@@ -242,16 +247,18 @@ class KeepAlivePolicy(abc.ABC):
         The generalization of :meth:`select_victims` the simulator
         calls when the pool is not in ``shared`` mode — for shared
         pools it delegates to the plain path, so tenant-less runs are
-        untouched.
+        untouched. The other modes are the same cover rule over the
+        same :meth:`victim_order`, with a tenant rank and filter:
 
-        * ``partitioned`` — the deficit is measured against the
-          requesting tenant's slice and only that tenant's idle
+        * ``partitioned`` — only the requesting tenant's idle
           containers are candidates: one tenant's miss can never evict
-          another tenant's container.
-        * ``quota`` — the deficit is global, but candidates are ranked
-          ``(over_quota_rank, priority, last_used, id)``: every idle
-          container of a currently over-quota tenant is offered before
-          any within-quota container, regardless of policy priority.
+          another tenant's container. The deficit is the larger of the
+          tenant's slice deficit and the pool's: while a deferred
+          shrink (:meth:`ContainerPool.deflate_to`) clamps capacity to
+          the busy memory, room in the slice is not room in the pool.
+        * ``quota`` — the deficit is global, and every idle container
+          of a currently over-quota tenant is offered before any
+          within-quota container, regardless of policy priority.
           Additionally, a miss whose admission would push the
           requesting tenant *over* its quota may only evict that
           tenant's own containers or other over-quota tenants' — quota
@@ -261,132 +268,34 @@ class KeepAlivePolicy(abc.ABC):
         Over-quota status is frozen at selection start (evicting a
         victim mid-selection may bring its tenant back under quota;
         re-ranking mid-scan would make the choice order-dependent).
-        Because it is frozen, a monotone policy's quota selection runs
-        through the pool's lazy victim index: one walk yields ascending
-        ``(priority, last_used, id)`` and the over-quota rank merely
-        splits that stream in two, so no sort of the idle set is ever
-        materialized (the ROADMAP's thousands-of-tenants scaling
-        bottleneck). Non-monotone policies and the partitioned mode
-        (whose candidate filter depends on the requester) keep the
-        exact sort-every-miss path.
         """
         mode = pool.tenant_mode
         if mode == "shared":
             return self.select_victims(pool, needed_mb, now_s)
+        deficit = needed_mb - pool.free_mb
+        preferred: AbstractSet[int] = frozenset()
+        allowed: Optional[AbstractSet[int]] = None
         if mode == "partitioned":
-            deficit = needed_mb - pool.tenant_free_mb(tenant_id)
-            if deficit <= 1e-9:
-                return []
-            candidates = [
-                c
-                for c in pool.idle_containers()
-                if c.function.tenant_id == tenant_id
-            ]
-        else:  # quota
-            deficit = needed_mb - pool.free_mb
-            if deficit <= 1e-9:
-                return []
-            over = pool.over_quota_tenants()
-            restricted = pool.quota_exceeded_by(tenant_id, needed_mb)
-            if not restricted and pool.evictable_mb() < deficit - 1e-9:
-                # Fast path (unrestricted candidate set only): total
-                # idle memory cannot cover the deficit.
-                return None
-            if self.monotone_priority:
-                return self._select_victims_quota_indexed(
-                    pool, deficit, now_s, tenant_id, over, restricted
-                )
-            candidates = pool.idle_containers()
-            if restricted:
+            deficit = max(deficit, needed_mb - pool.tenant_free_mb(tenant_id))
+            allowed = {tenant_id}
+        elif deficit > 1e-9:  # quota
+            preferred = pool.over_quota_tenants()
+            if pool.quota_exceeded_by(tenant_id, needed_mb):
                 # The requester would land over quota: it may only feed
                 # on itself and on other over-quota tenants.
-                candidates = [
-                    c
-                    for c in candidates
-                    if c.function.tenant_id == tenant_id
-                    or c.function.tenant_id in over
-                ]
-            candidates.sort(
-                key=lambda c: (
-                    0 if c.function.tenant_id in over else 1,
-                    self.priority(c, now_s),
-                    c.last_used_s,
-                    c.container_id,
-                )
-            )
-            return self._accumulate_victims(candidates, deficit)
-        candidates.sort(
-            key=lambda c: (
-                self.priority(c, now_s),
-                c.last_used_s,
-                c.container_id,
-            )
+                allowed = {tenant_id}
+        if deficit <= 1e-9:
+            return []
+        if allowed is None and pool.evictable_mb() < deficit - 1e-9:
+            # O(1) drop decision (unrestricted candidate set only):
+            # total idle memory cannot cover the deficit.
+            return None
+        return pool.take_victims(
+            self.victim_order(pool, now_s),
+            deficit,
+            preferred=preferred,
+            allowed=allowed,
         )
-        return self._accumulate_victims(candidates, deficit)
-
-    def _select_victims_quota_indexed(
-        self,
-        pool: ContainerPool,
-        deficit_mb: float,
-        now_s: float,
-        tenant_id: int,
-        over: frozenset,
-        restricted: bool,
-    ) -> Optional[List[Container]]:
-        """Quota-mode selection through the pool's lazy victim index.
-
-        One walk of :meth:`ContainerPool.iter_victims` splits the
-        stream by frozen over-quota rank: within each rank the index
-        already yields ascending ``(priority, last_used, id)``, so
-        ``preferred + rest`` is byte-identical to sorting every idle
-        container by ``(over_quota_rank, priority, last_used, id)`` —
-        without materializing or sorting the idle set. The walk stops
-        as soon as over-quota victims alone cover the deficit; returns
-        ``None`` when even the full candidate set cannot (the caller
-        then drops the request).
-        """
-
-        def key_of(container: Container) -> Tuple[float, float, int]:
-            return (
-                self.priority(container, now_s),
-                container.last_used_s,
-                container.container_id,
-            )
-
-        preferred: List[Container] = []
-        rest: List[Container] = []
-        reclaimed = 0.0
-        for container in pool.iter_victims(key_of):
-            tid = container.function.tenant_id
-            if tid in over:
-                preferred.append(container)
-                reclaimed += container.memory_mb
-                if reclaimed >= deficit_mb - 1e-9:
-                    return preferred
-            elif not restricted or tid == tenant_id:
-                rest.append(container)
-        victims = preferred
-        for container in rest:
-            victims.append(container)
-            reclaimed += container.memory_mb
-            if reclaimed >= deficit_mb - 1e-9:
-                return victims
-        return None
-
-    @staticmethod
-    def _accumulate_victims(
-        candidates: List[Container], deficit_mb: float
-    ) -> Optional[List[Container]]:
-        """Prefix of ``candidates`` covering ``deficit_mb``, or
-        ``None`` when even the whole list is not enough."""
-        victims: List[Container] = []
-        reclaimed = 0.0
-        for container in candidates:
-            victims.append(container)
-            reclaimed += container.memory_mb
-            if reclaimed >= deficit_mb - 1e-9:
-                return victims
-        return None
 
     def expired_containers(
         self, pool: ContainerPool, now_s: float

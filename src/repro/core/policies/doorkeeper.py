@@ -22,7 +22,7 @@ come back.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.container import Container
 from repro.core.policies.base import (
@@ -123,6 +123,11 @@ class DoorkeeperPolicy(KeepAlivePolicy):
 
     def priority(self, container: Container, now_s: float) -> float:
         return self.inner.priority(container, now_s)
+
+    def victim_order(
+        self, pool: ContainerPool, now_s: float
+    ) -> Iterator[Container]:
+        return self.inner.victim_order(pool, now_s)
 
     def select_victims(
         self, pool: ContainerPool, needed_mb: float, now_s: float

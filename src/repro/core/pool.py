@@ -18,6 +18,7 @@ import math
 from bisect import bisect_left, insort
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Callable,
     Dict,
     Iterable,
@@ -161,10 +162,10 @@ class ContainerPool:
         # actually empty instead of masking real accounting bugs.
         self._evictable_mb = 0.0
         self._idle_unpinned = 0
-        # Victim-index entries consumed by :meth:`take_victims` whose
-        # containers have not been evicted yet. ``evict`` discards the
-        # pending entry; a caller that walks away without evicting gets
-        # its entries restored at the start of the next selection.
+        # Victim-index entries of containers the current (or last)
+        # :meth:`iter_victims` walk yielded and nobody evicted yet.
+        # ``evict`` discards the pending entry; whatever is left is
+        # re-enrolled when the next walk starts.
         self._taken: Dict[int, Tuple[Tuple[float, float, int], int]] = {}
         # Victim-index entries whose containers were busy when popped.
         # Instead of re-pushing them for the *next* selection to pop
@@ -243,22 +244,22 @@ class ContainerPool:
         return max(0.0, self._used_mb - self._deflation_target_mb)
 
     def deflate_to(
-        self,
-        capacity_mb: float,
-        key_of: Callable[[Container], Tuple[float, float, int]],
+        self, capacity_mb: float, ordered: Iterable[Container]
     ) -> List[Container]:
         """Gracefully resize toward ``capacity_mb``, evicting idle
-        containers in the policy's victim order as needed.
+        containers from ``ordered`` — the policy's victim order
+        (:meth:`KeepAlivePolicy.victim_order`) — as needed.
 
         The harvest-capacity counterpart of :meth:`set_capacity`:
         instead of refusing a shrink below used memory, the pool frees
-        idle containers lowest-``key_of`` first (through the same lazy
-        monotone victim index as pressure eviction — never a sort) and,
-        when busy containers still hold more than the target, *defers*
-        the remainder: nominal capacity is clamped to the used memory
-        so nothing new can be admitted, and :meth:`resume_deflation`
-        finishes the shrink as containers go idle. Growth (target at or
-        above used memory) applies immediately.
+        the lowest-priority idle containers first (the same order and
+        the same cover rule, :meth:`take_victims`, as pressure
+        eviction) and, when busy containers still hold more than the
+        target, *defers* the remainder: nominal capacity is clamped to
+        the used memory so nothing new can be admitted, and
+        :meth:`resume_deflation` finishes the shrink as containers go
+        idle. Growth (target at or above used memory) applies
+        immediately and leaves ``ordered`` untouched.
 
         Tenant modes: partitioned slices scale proportionally with the
         target (and are restored from the configured baseline when
@@ -278,16 +279,13 @@ class ContainerPool:
         if self._tenant_mode == "partitioned":
             self._tenant_limits_mb = self._scaled_tenant_limits(target)
         self._deflation_target_mb = target
-        return self._advance_deflation(key_of)
+        return self._advance_deflation(ordered)
 
-    def resume_deflation(
-        self,
-        key_of: Callable[[Container], Tuple[float, float, int]],
-    ) -> List[Container]:
+    def resume_deflation(self, ordered: Iterable[Container]) -> List[Container]:
         """Continue a deferred shrink; no-op unless one is pending."""
         if self._deflation_target_mb is None:
             return []
-        return self._advance_deflation(key_of)
+        return self._advance_deflation(ordered)
 
     def _scaled_tenant_limits(self, target_mb: float) -> Dict[int, float]:
         """Partition slices scaled proportionally to ``target_mb``
@@ -299,10 +297,7 @@ class ContainerPool:
         scale = target_mb / total
         return {tid: limit * scale for tid, limit in base.items()}
 
-    def _advance_deflation(
-        self,
-        key_of: Callable[[Container], Tuple[float, float, int]],
-    ) -> List[Container]:
+    def _advance_deflation(self, ordered: Iterable[Container]) -> List[Container]:
         target = self._deflation_target_mb
         if target is None:  # pragma: no cover - guarded by callers
             return []
@@ -310,17 +305,21 @@ class ContainerPool:
         if self._tenant_mode == "partitioned":
             # Each tenant within its scaled slice implies the global
             # target: the scaled slices sum to at most the target.
-            selected = self._over_slice_victims(key_of, settle_slack)
+            selected = self._over_slice_victims(ordered, settle_slack)
         else:
-            deficit = self._used_mb - target
-            if deficit <= settle_slack:
-                selected = []
-            elif self._tenant_mode == "quota":
-                selected = self._quota_deflation_victims(
-                    key_of, deficit, settle_slack
-                )
-            else:
-                selected = self._shared_deflation_victims(key_of, deficit)
+            # Never ask for more than the idle set holds: what busy
+            # containers keep is the deferral below, not a failed cover.
+            deficit = min(self._used_mb - target, self._evictable_mb)
+            selected = []
+            if deficit > settle_slack:
+                # Quota fairness: over-quota tenants' containers first
+                # (no tenant is ever over quota in shared mode).
+                selected = self.take_victims(
+                    ordered,
+                    deficit,
+                    settle_slack,
+                    preferred=self.over_quota_tenants(),
+                ) or []
         for container in selected:
             self.evict(container)
         settle_slack = 1e-9 * max(self._capacity_mb, target)
@@ -337,60 +336,12 @@ class ContainerPool:
             self._slack_mb = 1e-9 * self._capacity_mb
         return selected
 
-    def _shared_deflation_victims(
-        self,
-        key_of: Callable[[Container], Tuple[float, float, int]],
-        deficit_mb: float,
-    ) -> List[Container]:
-        """Lowest-key idle containers covering ``deficit_mb`` — or the
-        whole idle set when it cannot (the deferral case)."""
-        selected: List[Container] = []
-        freed = 0.0
-        for container in self.iter_victims(key_of):
-            selected.append(container)
-            freed += container.memory_mb
-            if freed >= deficit_mb - self._slack_mb:
-                break
-        return selected
-
-    def _quota_deflation_victims(
-        self,
-        key_of: Callable[[Container], Tuple[float, float, int]],
-        deficit_mb: float,
-        slack_mb: float,
-    ) -> List[Container]:
-        """Deflation victims with quota fairness: over-quota tenants'
-        containers first (in key order), then everyone else's."""
-        over = self.over_quota_tenants()
-        if not over:
-            return self._shared_deflation_victims(key_of, deficit_mb)
-        preferred: List[Container] = []
-        rest: List[Container] = []
-        freed = 0.0
-        for container in self.iter_victims(key_of):
-            if container.function.tenant_id in over:
-                preferred.append(container)
-                freed += container.memory_mb
-                if freed >= deficit_mb - slack_mb:
-                    return preferred
-            else:
-                rest.append(container)
-        selected = preferred
-        for container in rest:
-            if freed >= deficit_mb - slack_mb:
-                break
-            selected.append(container)
-            freed += container.memory_mb
-        return selected
-
     def _over_slice_victims(
-        self,
-        key_of: Callable[[Container], Tuple[float, float, int]],
-        slack_mb: float,
+        self, ordered: Iterable[Container], slack_mb: float
     ) -> List[Container]:
         """Partitioned-mode deflation victims: for every tenant over
-        its (scaled) slice, its lowest-key idle containers until the
-        slice fits."""
+        its (scaled) slice, its first containers in ``ordered`` until
+        the slice fits."""
         limits = self._tenant_limits_mb
         excess: Dict[int, float] = {}
         for tid, used_t in self._tenant_used_mb.items():
@@ -400,7 +351,7 @@ class ContainerPool:
         if not excess:
             return []
         selected: List[Container] = []
-        for container in self.iter_victims(key_of):
+        for container in ordered:
             tid = container.function.tenant_id
             remaining = excess.get(tid)
             if remaining is None:
@@ -841,15 +792,16 @@ class ContainerPool:
     ) -> Iterator[Container]:
         """Idle, unpinned containers in ascending ``key_of`` order.
 
-        The lazy priority index behind the policies' victim selection:
-        instead of sorting every idle container on each miss, entries
-        sit in a min-heap under the key they were last scored with and
-        are revalidated when popped. A popped entry whose stored key no
-        longer matches the container's current key is re-pushed under
-        the fresh key and the scan continues, so each selection costs
-        O((victims + touched) * log n), where *touched* is the number
-        of containers whose key changed since the last selection — not
-        the whole idle population.
+        The lazy priority index behind victim selection, and the only
+        code that pops it: instead of sorting every idle container on
+        each miss, entries sit in a min-heap under the key they were
+        last scored with and are revalidated when popped. A popped
+        entry whose stored key no longer matches the container's
+        current key is re-pushed under the fresh key and the scan
+        continues, so each selection costs O((victims + touched) *
+        log n), where *touched* is the number of containers whose key
+        changed since the last selection — not the whole idle
+        population.
 
         Correctness requires **monotone keys**: a container's key must
         never decrease while it stays in the pool (see
@@ -858,90 +810,31 @@ class ContainerPool:
         minimum, because every other entry's stored key is a lower
         bound on its current key.
 
-        Running containers are set aside and restored when the
-        iterator closes; yielded containers keep their index entry, so
-        callers may evict all, some, or none of them afterwards —
-        entries of evicted containers are discarded on a later pop.
+        The walk *consumes*: a yielded container's entry leaves the
+        heap and waits in ``_taken``. :meth:`evict` discards it there
+        — no restore-push, no dead entry to pop later — and whatever
+        the caller did not evict is re-enrolled when the next walk
+        starts, so callers may evict all, some, or none of what they
+        were offered and may abandon the walk at any point. Running
+        containers are parked until they go idle again. One walk at a
+        time: starting a new one ends the previous one's claim on its
+        yielded entries.
         """
-        if self._taken:
-            self._restore_taken()
         heap = self._victim_heap
-        restore: List[Tuple[Tuple[float, float, int], int]] = []
+        taken = self._taken
+        if taken:
+            # Dict iteration is insertion-ordered: deterministic.
+            for entry in taken.values():
+                heapq.heappush(heap, entry)
+            taken.clear()
+        containers = self._containers
+        parked = self._parked
+        sanitize = self._sanitize
+        warm = ContainerState.WARM
         # Sanitizer: the monotone-key contract implies yielded keys
         # never decrease; a regression here would silently evict the
         # wrong containers.
         last_yielded: Optional[Tuple[float, float, int]] = None
-        try:
-            while heap:
-                stored_key, container_id = heapq.heappop(heap)
-                container = self._containers.get(container_id)
-                if container is None:
-                    continue  # evicted since enrollment: drop the entry
-                if container.pinned:
-                    continue  # reserved capacity: never a candidate
-                if not container.is_idle:
-                    # Busy right now; park the entry until the container
-                    # goes idle again (its key can only have grown by
-                    # then, and a running container can never be a
-                    # candidate, so re-pushing it for every scan to pop
-                    # and skip again is pure churn).
-                    self._parked[container_id] = (stored_key, container_id)
-                    continue
-                current_key = key_of(container)
-                if current_key != stored_key:
-                    heapq.heappush(heap, (current_key, container_id))
-                    continue
-                if self._sanitize:
-                    if last_yielded is not None and current_key < last_yielded:
-                        raise SanitizeError(
-                            f"victim-index monotonicity violated: key "
-                            f"{current_key} yielded after {last_yielded} "
-                            "(policy key decreased while pooled)"
-                        )
-                    last_yielded = current_key
-                restore.append((stored_key, container_id))
-                yield container
-        finally:
-            for entry in restore:
-                heapq.heappush(heap, entry)
-
-    def _restore_taken(self) -> None:
-        """Re-enroll entries a previous :meth:`take_victims` consumed
-        for containers the caller never evicted. Dict iteration is
-        insertion-ordered, so this is deterministic."""
-        heap = self._victim_heap
-        for entry in self._taken.values():
-            heapq.heappush(heap, entry)
-        self._taken.clear()
-
-    def take_victims(
-        self,
-        key_of: Callable[[Container], Tuple[float, float, int]],
-        deficit_mb: float,
-    ) -> Optional[List[Container]]:
-        """Lowest-``key_of`` idle unpinned containers covering
-        ``deficit_mb``, or ``None`` when the whole idle set is not
-        enough (everything is then restored and the caller drops).
-
-        The consuming variant of :meth:`iter_victims` for callers that
-        evict every selected victim (the simulator's pressure path):
-        selected entries leave the heap immediately and the subsequent
-        :meth:`evict` just discards the pending record, saving the
-        restore-push and the later dead-entry pop that the iterator
-        pays per victim. Selection order and the monotone-key contract
-        are identical to :meth:`iter_victims`; a caller that does not
-        evict a returned container loses nothing — its entry is
-        re-enrolled at the start of the next selection.
-        """
-        if self._taken:
-            self._restore_taken()
-        heap = self._victim_heap
-        taken = self._taken
-        containers = self._containers
-        victims: List[Container] = []
-        reclaimed = 0.0
-        last_yielded: Optional[Tuple[float, float, int]] = None
-        covered = False
         while heap:
             entry = heapq.heappop(heap)
             stored_key, container_id = entry
@@ -950,16 +843,19 @@ class ContainerPool:
                 continue  # evicted since enrollment: drop the entry
             if container.pinned:
                 continue  # reserved capacity: never a candidate
-            if not container.is_idle:
-                # Parked until the container goes idle again — see
-                # :meth:`iter_victims`.
-                self._parked[container_id] = entry
+            if container.state != warm:
+                # Busy right now; park the entry until the container
+                # goes idle again (its key can only have grown by then,
+                # and a running container can never be a candidate, so
+                # re-pushing it for every scan to pop and skip again is
+                # pure churn).
+                parked[container_id] = entry
                 continue
             current_key = key_of(container)
             if current_key != stored_key:
                 heapq.heappush(heap, (current_key, container_id))
                 continue
-            if self._sanitize:
+            if sanitize:
                 if last_yielded is not None and current_key < last_yielded:
                     raise SanitizeError(
                         f"victim-index monotonicity violated: key "
@@ -967,18 +863,51 @@ class ContainerPool:
                         "(policy key decreased while pooled)"
                     )
                 last_yielded = current_key
-            victims.append(container)
             taken[container_id] = entry
-            reclaimed += container.memory_mb
-            if reclaimed >= deficit_mb - 1e-9:
-                covered = True
-                break
-        if not covered:
-            # Insufficient idle memory: nothing will be evicted, so
-            # put every consumed entry back.
-            self._restore_taken()
-            return None
-        return victims
+            yield container
+
+    def take_victims(
+        self,
+        ordered: Iterable[Container],
+        deficit_mb: float,
+        slack_mb: float = 1e-9,
+        preferred: AbstractSet[int] = frozenset(),
+        allowed: Optional[AbstractSet[int]] = None,
+    ) -> Optional[List[Container]]:
+        """The cover rule: the shortest prefix of ``ordered`` that
+        frees ``deficit_mb`` (within ``slack_mb``), or ``None`` when
+        all of it is not enough — the caller then drops the request.
+
+        ``ordered`` is the policy's victim order
+        (:meth:`KeepAlivePolicy.victim_order`). The tenant arguments
+        (docs/multi-tenancy.md) rank and filter it without re-sorting:
+        containers of ``preferred`` tenants are taken first, in stream
+        order, before anyone else's; when ``allowed`` is given, only
+        its tenants' (and the preferred tenants') containers are
+        candidates at all. Splitting an ascending stream by a tenant
+        rank frozen for the selection equals sorting by ``(rank,
+        key)``, so no idle set is ever materialized for it, and the
+        stream is consumed no further than the cover needs.
+        """
+        victims: List[Container] = []
+        rest: List[Container] = []
+        by_tenant = bool(preferred) or allowed is not None
+        reclaimed = 0.0
+        # ``rest`` fills while ``ordered`` drains and is read after it.
+        for stream in (ordered, rest):
+            ranking = by_tenant and stream is not rest
+            for container in stream:
+                if ranking:
+                    tid = container.function.tenant_id
+                    if tid not in preferred:
+                        if allowed is None or tid in allowed:
+                            rest.append(container)
+                        continue
+                victims.append(container)
+                reclaimed += container.function.memory_mb
+                if reclaimed >= deficit_mb - slack_mb:
+                    return victims
+        return None
 
     # ------------------------------------------------------------------
     # Incremental expiry index

@@ -151,15 +151,7 @@ class InvokerContainerPool:
             target_free = min(
                 max(needed_mb, self.free_threshold_mb), self.pool.capacity_mb
             )
-            idle = self.pool.idle_containers()
-            idle.sort(
-                key=lambda c: (
-                    self.policy.priority(c, now_s),
-                    c.last_used_s,
-                    c.container_id,
-                )
-            )
-            for container in idle:
+            for container in self.policy.victim_order(self.pool, now_s):
                 if self.pool.free_mb >= target_free - 1e-9:
                     break
                 self._evict(container, now_s, pressure=True)
@@ -189,21 +181,14 @@ class InvokerContainerPool:
             return 0
         target_free = min(self.free_threshold_mb, self.pool.capacity_mb)
         reclaimed = 0
-        while self.pool.free_mb < target_free - 1e-9:
-            idle = self.pool.idle_containers()
-            if not idle:
-                break
-            victim = min(
-                idle,
-                key=lambda c: (
-                    self.policy.priority(c, now_s),
-                    c.last_used_s,
-                    c.container_id,
-                ),
-            )
+        if self.pool.free_mb >= target_free - 1e-9:
+            return reclaimed  # the common call: nothing to order
+        for victim in self.policy.victim_order(self.pool, now_s):
             self._evict(victim, now_s, pressure=True)
             self.background_evictions += 1
             reclaimed += 1
+            if self.pool.free_mb >= target_free - 1e-9:
+                break
         return reclaimed
 
     def _evict(self, container: Container, now_s: float, pressure: bool) -> None:

@@ -107,18 +107,9 @@ class DeflationEngine:
         # Stage 1: shrink the container pool.
         evicted = 0
         pool_shrink_mb = 0.0
-        while pool.used_mb > new_capacity_mb + 1e-9:
-            idle = pool.idle_containers()
-            if not idle:
+        for victim in policy.victim_order(pool, now_s):
+            if pool.used_mb <= new_capacity_mb + 1e-9:
                 break
-            idle.sort(
-                key=lambda c: (
-                    policy.priority(c, now_s),
-                    c.last_used_s,
-                    c.container_id,
-                )
-            )
-            victim = idle[0]
             pool.evict(victim)
             policy.on_evict(victim, now_s, pool, pressure=True)
             pool_shrink_mb += victim.memory_mb

@@ -276,12 +276,14 @@ class KeepAliveSimulator:
             if not self.policy.should_retain(container, finish_s, self.pool):
                 self._evict(container, finish_s, "admission")
         # A deferred deflation (shrink below what busy containers held)
-        # resumes as those containers idle: the pool re-walks its lazy
-        # victim index and frees whatever it can. Cheap when no shrink
-        # is pending (a single ``is None`` check).
+        # resumes as those containers idle: the pool takes whatever it
+        # can off the front of the policy's victim order. Cheap when no
+        # shrink is pending (a single ``is None`` check).
         if self.pool.deflation_target_mb is not None:
             target = self.pool.deflation_target_mb
-            victims = self.pool.resume_deflation(self._deflation_key_of(now_s))
+            victims = self.pool.resume_deflation(
+                self.policy.victim_order(self.pool, now_s)
+            )
             self._note_deflations(victims, now_s, target)
 
     def _expire_containers(self, now_s: float) -> None:
@@ -698,22 +700,6 @@ class KeepAliveSimulator:
             self.recover_server(at_s)
             self.set_harvest_capacity(at_s, 1.0)
 
-    def _deflation_key_of(self, now_s: float):
-        """The policy's victim key, frozen at ``now_s``, for the
-        pool's lazy victim index. Policies that select victims without
-        a scalar priority fall back to LRU order (last-used, then id) —
-        the same tie-break every scored key already carries."""
-        policy = self.policy
-
-        def key_of(container: Container) -> Tuple[float, float, int]:
-            try:
-                prio = policy.priority(container, now_s)
-            except NotImplementedError:
-                prio = 0.0
-            return (prio, container.last_used_s, container.container_id)
-
-        return key_of
-
     def _note_deflations(
         self, victims: List[Container], now_s: float, target_mb: float
     ) -> None:
@@ -753,7 +739,9 @@ class KeepAliveSimulator:
             raise ValueError(f"capacity fraction must be > 0, got {frac}")
         target = frac * self._nominal_capacity_mb
         old = self.pool.capacity_mb
-        victims = self.pool.deflate_to(target, self._deflation_key_of(now_s))
+        victims = self.pool.deflate_to(
+            target, self.policy.victim_order(self.pool, now_s)
+        )
         self._note_deflations(victims, now_s, target)
         slack = 1e-9 * max(old, target)
         if target < old - slack:

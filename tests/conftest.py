@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.checks.sanitize import set_sanitize
 from repro.traces.azure import AzureGeneratorConfig, generate_azure_dataset
 from repro.traces.model import Invocation, Trace, TraceFunction
 
@@ -36,6 +37,15 @@ def make_trace(sequence, functions=None, gap_s: float = 10.0) -> Trace:
         Invocation(i * gap_s, name) for i, name in enumerate(sequence)
     ]
     return Trace(functions, invocations, name="seq")
+
+
+@pytest.fixture
+def sanitized():
+    """Arm the runtime invariant sanitizer (REPRO_SANITIZE=1) for
+    everything the test constructs."""
+    set_sanitize(True)
+    yield
+    set_sanitize(None)
 
 
 @pytest.fixture

@@ -26,13 +26,6 @@ from tests.conftest import make_function
 
 
 @pytest.fixture
-def sanitized():
-    set_sanitize(True)
-    yield
-    set_sanitize(None)
-
-
-@pytest.fixture
 def unsanitized():
     set_sanitize(False)
     yield

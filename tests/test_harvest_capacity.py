@@ -32,14 +32,15 @@ from repro.cluster.loadbalancer import (
     NoHealthyServers,
     create_balancer,
 )
+from repro.bench import churn_trace
 from repro.cluster.simulation import ClusterSimulator, _server_level_spec
 from repro.core.container import Container
-from repro.core.policies.base import create_policy
+from repro.core.policies.base import available_policies, create_policy
 from repro.core.pool import CapacityError, ContainerPool
 from repro.faults import CapacityStep, FaultModel, FaultSpec
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
-from repro.sim.scheduler import KeepAliveSimulator
+from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.synth import harvest_day_trace
 
@@ -198,7 +199,7 @@ class TestDeflateTo:
 
     def test_idle_eviction_in_victim_order(self):
         pool, containers = self._pool_with_idle()
-        victims = pool.deflate_to(300.0, _key_of)
+        victims = pool.deflate_to(300.0, pool.iter_victims(_key_of))
         assert victims == containers[:2]
         assert pool.capacity_mb == 300.0
         assert pool.deflation_target_mb is None
@@ -212,13 +213,13 @@ class TestDeflateTo:
     def test_deflate_rejects_nonpositive_target(self):
         pool, __ = self._pool_with_idle()
         with pytest.raises(ValueError):
-            pool.deflate_to(0.0, _key_of)
+            pool.deflate_to(0.0, pool.iter_victims(_key_of))
 
     def test_busy_containers_defer_the_shrink(self):
         pool, containers = self._pool_with_idle()
         for c in containers:
             c.start_invocation(10.0, 100.0)  # all busy until t=110
-        victims = pool.deflate_to(250.0, _key_of)
+        victims = pool.deflate_to(250.0, pool.iter_victims(_key_of))
         assert victims == []
         # No admissions while deferred: capacity clamps to what the
         # busy containers hold, and the shortfall is visible.
@@ -228,30 +229,30 @@ class TestDeflateTo:
         # Two containers finish: resumption frees exactly them.
         for c in containers[:2]:
             c.finish_invocation(110.0)
-        resumed = pool.resume_deflation(_key_of)
+        resumed = pool.resume_deflation(pool.iter_victims(_key_of))
         assert resumed == containers[:2]
         assert pool.deflation_target_mb == pytest.approx(250.0)
         # The rest finish; the deflation settles at the target.
         for c in containers[2:]:
             c.finish_invocation(120.0)
-        resumed = pool.resume_deflation(_key_of)
+        resumed = pool.resume_deflation(pool.iter_victims(_key_of))
         assert len(resumed) == 1
         assert pool.deflation_target_mb is None
         assert pool.capacity_mb == pytest.approx(250.0)
 
     def test_resume_without_pending_is_noop(self):
         pool, __ = self._pool_with_idle()
-        assert pool.resume_deflation(_key_of) == []
+        assert pool.resume_deflation(pool.iter_victims(_key_of)) == []
 
     def test_growth_restores_partitioned_slices(self):
         limits = {1: 300.0, 2: 200.0}
         pool = ContainerPool(
             500.0, tenant_mode="partitioned", tenant_limits_mb=limits
         )
-        pool.deflate_to(250.0, _key_of)
+        pool.deflate_to(250.0, pool.iter_victims(_key_of))
         assert pool.tenant_limit_mb(1) == pytest.approx(150.0)
         assert pool.tenant_limit_mb(2) == pytest.approx(100.0)
-        pool.deflate_to(500.0, _key_of)  # grow back
+        pool.deflate_to(500.0, pool.iter_victims(_key_of))  # grow back
         assert pool.tenant_limit_mb(1) == pytest.approx(300.0)
         assert pool.tenant_limit_mb(2) == pytest.approx(200.0)
 
@@ -271,7 +272,7 @@ class TestDeflateTo:
             c.last_used_s = float(i)  # oldest — plain LRU would pick these
             pool.add(c)
             quiet.append(c)
-        victims = pool.deflate_to(300.0, _key_of)
+        victims = pool.deflate_to(300.0, pool.iter_victims(_key_of))
         # The 200 MB deficit comes entirely out of the over-quota
         # tenant despite its containers being the most recently used.
         assert victims == hog[:2]
@@ -284,7 +285,7 @@ class TestDeflateTo:
         pool.add(pinned)
         idle = Container(make_function("idle", 100.0), 0.0)
         pool.add(idle)
-        victims = pool.deflate_to(50.0, _key_of)
+        victims = pool.deflate_to(50.0, pool.iter_victims(_key_of))
         assert victims == [idle]
         # The pinned container keeps the deflation deferred forever.
         assert pool.deflation_target_mb == pytest.approx(50.0)
@@ -314,9 +315,10 @@ class TestQuotaSelectionIndexed:
     def test_monotone_quota_selection_never_materializes_idle_set(
         self, monkeypatch
     ):
-        """Regression: the GD quota branch must run through
-        ``iter_victims``; grabbing + sorting the idle set is the
-        scaling bottleneck the lazy index exists to avoid."""
+        """Regression: the GD quota branch must walk the index
+        (``victim_order`` -> ``iter_victims``); grabbing + sorting the
+        idle set is the scaling bottleneck the lazy index exists to
+        avoid."""
         pool = self._quota_pool()
         policy = create_policy("GD")
         assert policy.monotone_priority
@@ -332,6 +334,29 @@ class TestQuotaSelectionIndexed:
         assert victims is not None and len(victims) == 2
         # Over-quota tenant 1 is preferred despite higher recency.
         assert {c.function.tenant_id for c in victims} == {1}
+
+    def test_monotone_shared_pressure_and_deflation_never_materialize(
+        self, monkeypatch
+    ):
+        """The same guard for the shared pressure path and for shared
+        deflation as the simulator drives them: a monotone policy's
+        victim order is an index walk on every path."""
+        functions = [make_function(f"f{i}", 100.0) for i in range(6)]
+        trace = Trace(
+            functions,
+            [Invocation(10.0 * i, f.name) for i, f in enumerate(functions)],
+        )
+        sim = KeepAliveSimulator(trace, create_policy("GD"), 500.0)
+
+        def boom():
+            raise AssertionError("victim selection materialized the idle set")
+
+        monkeypatch.setattr(sim.pool, "idle_containers", boom)
+        result = sim.run()  # f5 arrives to a full pool: one eviction
+        assert result.metrics.evictions == 1
+        sim.set_harvest_capacity(100.0, 0.4)  # 500 -> 200 MB
+        assert sim.metrics.deflations == 3
+        assert sim.pool.capacity_mb == pytest.approx(200.0)
 
     def test_indexed_path_matches_forced_sort_path(self, monkeypatch):
         for needed, tenant in ((500.0, 2), (400.0, 2), (650.0, 1)):
@@ -594,6 +619,90 @@ class TestSchedulerHarvest:
 
 
 # ----------------------------------------------------------------------
+# One victim order: deflation follows it for every policy, and a
+# partitioned miss respects a deferred shrink
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", available_policies())
+def test_deflation_evicts_a_prefix_of_the_victim_order(name, sanitized):
+    """At every harvest shrink the deflated containers are exactly the
+    front of the idle set sorted by ``(priority, last_used, id)``, and
+    the replay survives the sanitizer. Regression: deflation used to
+    walk the monotone-only index for every policy, so time-decaying
+    and rent-charging scores (HYPERBOLIC, LND, the oracles, HIST)
+    deflated the wrong containers or tripped the monotonicity check."""
+    trace = churn_trace(num_functions=200, duration_s=9600.0, seed=5)
+    kwargs = {"trace": trace} if name.startswith("ORACLE") else {}
+    policy = create_policy(name, **kwargs)
+    spec = FaultSpec(
+        seed=3,
+        harvest_interval_s=600.0,
+        harvest_min_frac=0.55,
+        harvest_max_frac=0.95,
+    )
+    sim = KeepAliveSimulator(trace, policy, 20_000.0, fault_spec=spec)
+    shrinks = []
+    resize = sim.set_harvest_capacity
+
+    def checked_resize(now_s, frac):
+        order = sorted(
+            sim.pool.idle_containers(),
+            key=lambda c: (
+                policy.priority(c, now_s), c.last_used_s, c.container_id
+            ),
+        )
+        resize(now_s, frac)
+        deflated = [c for c in order if c not in sim.pool]
+        assert deflated == order[: len(deflated)], (
+            f"{name}: shrink at t={now_s:.0f}s left the victim order"
+        )
+        shrinks.append(len(deflated))
+
+    sim.set_harvest_capacity = checked_resize
+    result = sim.run()
+    assert sum(shrinks) == result.metrics.deflations > 0
+
+
+@pytest.mark.parametrize("name", ["GD", "HIST"])
+def test_partitioned_miss_under_deferred_shrink_drops(name):
+    """A deferred shrink clamps capacity to the busy memory, so room
+    in a tenant's slice is not room in the pool: the miss must go the
+    way of any uncoverable miss. Regression: the deficit was measured
+    against the slice only, selection returned ``[]`` and ``pool.add``
+    raised ``CapacityError`` mid-replay."""
+    long_running = [
+        TraceFunction(f"big{i}", 250.0, 900.0, 901.0, tenant_id=2)
+        for i in range(2)
+    ]
+    small = TraceFunction("small", 100.0, 1.0, 2.0, tenant_id=1)
+    invocations = [Invocation(0.0, "big0"), Invocation(0.0, "big1")]
+    invocations += [Invocation(160.0 + 40.0 * i, "small") for i in range(30)]
+    trace = Trace(long_running + [small], invocations, name="part-defer")
+    spec = FaultSpec(
+        seed=3,
+        harvest_interval_s=100.0,
+        harvest_min_frac=0.3,
+        harvest_max_frac=0.45,
+    )
+    result = simulate(
+        trace,
+        name,
+        1000.0,
+        tenant_mode="partitioned",
+        tenant_quotas={1: 500, 2: 500},
+        fault_spec=spec,
+    )
+    metrics = result.metrics
+    # Tenant 2's two invocations hold 500 MB until t=901 while every
+    # harvest target is at most 450 MB: until then tenant 1's arrivals
+    # meet a pool with no free and no evictable memory (retried, then
+    # shed); once the shrink lands they are served from its slice.
+    assert metrics.retries > 0 and metrics.sheds > 0
+    assert metrics.cold_starts == 3 and metrics.warm_starts > 0
+
+
+# ----------------------------------------------------------------------
 # Determinism: cross-hash-seed subprocesses and batching independence
 # ----------------------------------------------------------------------
 
@@ -684,11 +793,14 @@ class TestBatchingIndependence:
                 return self._random_pool(random.Random(seed))
 
             one_shot = build()
-            one_shot.deflate_to(4096.0 * target_frac, _key_of)
+            one_shot.deflate_to(
+                4096.0 * target_frac, one_shot.iter_victims(_key_of)
+            )
             chunked = build()
-            for frac in steps:
-                chunked.deflate_to(4096.0 * frac, _key_of)
-            chunked.deflate_to(4096.0 * target_frac, _key_of)
+            for frac in steps + [target_frac]:
+                chunked.deflate_to(
+                    4096.0 * frac, chunked.iter_victims(_key_of)
+                )
             assert self._fingerprint(chunked) == self._fingerprint(
                 one_shot
             ), f"trial {trial}: batching changed the deflation outcome"

@@ -1,10 +1,12 @@
 """The pool's lazy victim index and its policy-facing contract.
 
 Two layers: unit tests of :meth:`ContainerPool.iter_victims` (lazy
-revalidation, busy deferral, pinned exclusion, tolerance of evictions
-mid-scan), and end-to-end equivalence — every ``monotone_priority``
-policy must produce *identical* simulation results whether victims
-come from the index or from the exact sort-every-miss path.
+revalidation, busy deferral, pinned exclusion, the consuming walk:
+evictions mid-scan, abandoned and partly-evicted walks), and
+end-to-end equivalence — every ``monotone_priority`` policy must
+produce *identical* simulation results whether
+:meth:`KeepAlivePolicy.victim_order` walks the index or sorts the idle
+set.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from repro.core.container import Container
 from repro.core.policies import available_policies, create_policy
 from repro.core.pool import ContainerPool
 from repro.sim.scheduler import KeepAliveSimulator
+from repro.traces.model import TraceFunction
 from repro.traces.synth import multitenant_trace, skewed_frequency_trace
 from tests.conftest import make_function, make_trace
 
@@ -89,6 +92,37 @@ class TestIterVictims:
         it.close()  # caller stopped early: nothing lost
         assert list(pool.iter_victims(_key_of)) == [a, b, c]
 
+    def test_abandoned_walk_reoffers_its_yields_first(self):
+        """A walk dropped after k yields (never closed, nothing
+        evicted) costs nothing: the next walk starts with the same k."""
+        pool, (a, b, c, d) = self._pool_with(
+            ("A", 100.0, 1.0), ("B", 100.0, 2.0),
+            ("C", 100.0, 3.0), ("D", 100.0, 4.0),
+        )
+        abandoned = pool.iter_victims(_key_of)
+        assert [next(abandoned), next(abandoned)] == [a, b]
+        again = pool.iter_victims(_key_of)
+        assert [next(again), next(again)] == [a, b]
+        assert list(pool.iter_victims(_key_of)) == [a, b, c, d]
+
+    def test_yielded_then_reused_container_offered_exactly_once(self):
+        """Yielded, not evicted, then busy and idle again: its entry
+        comes back from the walk's pending set, not a second time from
+        the idle transition."""
+        pool, (a, b) = self._pool_with(("A", 100.0, 1.0), ("B", 100.0, 2.0))
+        walk = pool.iter_victims(_key_of)
+        assert next(walk) == a
+        a.start_invocation(10.0, 5.0)
+        a.finish_invocation(15.0)
+        assert list(pool.iter_victims(_key_of)) == [a, b]
+        # Same while it is still busy when the next walk starts.
+        walk = pool.iter_victims(_key_of)
+        assert next(walk) == a
+        a.start_invocation(20.0, 5.0)
+        assert list(pool.iter_victims(_key_of)) == [b]
+        a.finish_invocation(25.0)
+        assert list(pool.iter_victims(_key_of)) == [a, b]
+
     def test_eviction_of_yielded_victim_during_scan(self):
         """The simulator's actual pattern: evict what was yielded."""
         pool, (a, b, c) = self._pool_with(
@@ -101,6 +135,18 @@ class TestIterVictims:
                 break
         for v in victims:
             pool.evict(v)
+        assert list(pool.iter_victims(_key_of)) == [c]
+
+    def test_eviction_inside_the_loop(self):
+        """The invoker's and the deflation engine's pattern: evict
+        each container as the walk hands it over."""
+        pool, (a, b, c) = self._pool_with(
+            ("A", 100.0, 1.0), ("B", 100.0, 2.0), ("C", 100.0, 3.0)
+        )
+        for container in pool.iter_victims(_key_of):
+            pool.evict(container)
+            if container is b:
+                break
         assert list(pool.iter_victims(_key_of)) == [c]
 
 
@@ -169,6 +215,69 @@ class TestIndexedMatchesSort:
         assert indexed == sorted_
 
 
+class TestCoverRule:
+    """:meth:`ContainerPool.take_victims` over a plain ordered list:
+    the rule is independent of how the order was produced."""
+
+    def _ordered(self, *specs):
+        """specs: (tenant_id, memory_mb) pairs, already in victim order."""
+        pool = ContainerPool(100_000.0)
+        ordered = []
+        for i, (tenant, mem) in enumerate(specs):
+            function = TraceFunction(
+                f"f{i}", mem, 1.0, 3.0, tenant_id=tenant
+            )
+            c = Container(function, float(i))
+            pool.add(c)
+            ordered.append(c)
+        return pool, ordered
+
+    def test_shortest_covering_prefix(self):
+        pool, (a, b, c) = self._ordered((0, 100.0), (0, 100.0), (0, 100.0))
+        assert pool.take_victims(iter([a, b, c]), 150.0) == [a, b]
+        assert pool.take_victims(iter([a, b, c]), 200.0) == [a, b]
+        assert pool.take_victims(iter([a, b, c]), 300.0 + 1e-10) == [a, b, c]
+        assert pool.take_victims(iter([a, b, c]), 301.0) is None
+
+    def test_stream_consumed_no_further_than_the_cover(self):
+        pool, (a, b, c) = self._ordered((0, 100.0), (0, 100.0), (0, 100.0))
+        stream = iter([a, b, c])
+        assert pool.take_victims(stream, 100.0) == [a]
+        assert list(stream) == [b, c]
+
+    def test_slack_is_the_callers(self):
+        pool, (a, b) = self._ordered((0, 100.0), (0, 100.0))
+        assert pool.take_victims(iter([a, b]), 100.5) == [a, b]
+        assert pool.take_victims(iter([a, b]), 100.5, slack_mb=1.0) == [a]
+
+    def test_preferred_tenants_first_in_stream_order(self):
+        pool, (a, b, c, d) = self._ordered(
+            (1, 100.0), (2, 100.0), (1, 100.0), (2, 100.0)
+        )
+        take = lambda deficit: pool.take_victims(
+            iter([a, b, c, d]), deficit, preferred=frozenset({2})
+        )
+        assert take(100.0) == [b]
+        assert take(200.0) == [b, d]
+        assert take(300.0) == [b, d, a]  # then everyone else, in order
+        assert take(401.0) is None
+
+    def test_allowed_filters_everyone_but_preferred(self):
+        pool, (a, b, c, d) = self._ordered(
+            (1, 100.0), (2, 100.0), (3, 100.0), (1, 100.0)
+        )
+        take = lambda deficit: pool.take_victims(
+            iter([a, b, c, d]),
+            deficit,
+            preferred=frozenset({3}),
+            allowed={1},
+        )
+        assert take(100.0) == [c]
+        assert take(300.0) == [c, a, d]
+        assert take(301.0) is None  # tenant 2's container is off limits
+        assert pool.take_victims(iter([a, b, c, d]), 200.0, allowed={2}) is None
+
+
 class TestParkedBusyEntries:
     """Busy containers leave the heap entirely while running: parked
     on first encounter, re-enrolled only on the idle transition. A
@@ -201,13 +310,18 @@ class TestParkedBusyEntries:
             ("A", 100.0, 1.0), ("B", 100.0, 2.0), ("C", 100.0, 3.0)
         )
         a.start_invocation(10.0, 100.0)
-        victims = pool.take_victims(_key_of, 200.0)
+        victims = pool.take_victims(pool.iter_victims(_key_of), 200.0)
         assert victims == [b, c]
         for victim in victims:
             pool.evict(victim)
         a.finish_invocation(110.0)
         a.priority = 1.0
-        assert pool.take_victims(_key_of, 100.0) == [a]
+        assert pool.take_victims(pool.iter_victims(_key_of), 100.0) == [a]
+
+    def test_uncovered_take_loses_nothing(self):
+        pool, (a, b) = self._pool_with(("A", 100.0, 1.0), ("B", 100.0, 2.0))
+        assert pool.take_victims(pool.iter_victims(_key_of), 300.0) is None
+        assert pool.take_victims(pool.iter_victims(_key_of), 200.0) == [a, b]
 
     def test_parked_entry_discarded_when_evicted_after_idle(self):
         pool, (a, b) = self._pool_with(("A", 100.0, 1.0), ("B", 100.0, 2.0))
