@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install ci-install test bench bench-pytest bench-ci ledger-smoke fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
+.PHONY: install ci-install test bench bench-pytest bench-ci ledger-smoke ledger-pairs fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -32,6 +32,15 @@ bench-ci:
 # missing, outcome fingerprints equal benchmarks/ledger/EXPECTED.json.
 ledger-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ledger -q
+
+# The perf protocol (docs/performance.md) in one command: >= 10
+# alternating pairs of the ledger on BASE (a temporary git worktree)
+# and on this tree; medians, quartiles and win counts per metric,
+# non-zero exit if any run is not `correct: true`.
+BASE ?= HEAD~1
+WORKLOADS ?= gd_evict gd_warm
+ledger-pairs:
+	$(PYTHON) benchmarks/ledger_pairs.py --base $(BASE) --workloads $(WORKLOADS)
 
 # Multi-tenant fairness determinism gate (docs/multi-tenancy.md):
 # noisy-neighbor Jain's index pinned vs benchmarks/TENANT_FAIRNESS.json.

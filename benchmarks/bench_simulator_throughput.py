@@ -147,9 +147,9 @@ def test_victim_index_speedup():
 # the hot path pays only ``is None`` tests. The same budget covers the
 # repro.faults layer — with no fault spec the hot path pays one
 # ``self._faults is not None`` and one ``self._down`` bool test per
-# invocation. The baseline below is a frozen copy of the
-# pre-observability, pre-fault hot-path methods (every tracer line and
-# fault guard deleted); running both variants interleaved and comparing
+# invocation. The baseline below is a frozen copy of the hot-path
+# methods as they would read without either layer (every tracer line
+# and fault guard deleted); running both variants interleaved and comparing
 # best-of-N wall clocks measures exactly what the emission-site and
 # fault guards cost together. A metrics-identity assertion keeps the
 # frozen copy honest — if the real hot path changes behaviour, the
@@ -162,38 +162,43 @@ class _UntracedPool(ContainerPool):
     """ContainerPool.add without the spawn-event emission branch."""
 
     def add(self, container):
+        cid = container.container_id
+        function = container.function
+        memory_mb = function.memory_mb
+        tenant_id = function.tenant_id
         if container.state == ContainerState.DEAD:
             raise ValueError("cannot add a dead container")
-        if container.container_id in self._containers:
-            raise ValueError(
-                f"container {container.container_id} already pooled"
-            )
-        if not self.can_fit(container.memory_mb):
+        if cid in self._containers:
+            raise ValueError(f"container {cid} already pooled")
+        if memory_mb > self._capacity_mb - self._used_mb + self._slack_mb:
             raise CapacityError(
-                f"container needs {container.memory_mb} MB but only "
+                f"container needs {memory_mb} MB but only "
                 f"{self.free_mb:.1f} MB is free"
             )
         if container.pool is not None:
-            raise ValueError(
-                f"container {container.container_id} already belongs "
-                "to a pool"
-            )
+            raise ValueError(f"container {cid} already belongs to a pool")
         container.pool = self
-        self._containers[container.container_id] = container
-        peers = self._by_function.setdefault(container.function.name, [])
-        if peers and container.container_id < peers[-1]:
-            insort(peers, container.container_id)
+        self._containers[cid] = container
+        peers = self._by_function.setdefault(function.name, [])
+        if peers and cid < peers[-1]:
+            insort(peers, cid)
         else:
-            peers.append(container.container_id)
-        self._used_mb += container.memory_mb
+            peers.append(cid)
+        self._used_mb += memory_mb
+        self._tenant_used_mb[tenant_id] = (
+            self._tenant_used_mb.get(tenant_id, 0.0) + memory_mb
+        )
+        self._tenant_count[tenant_id] = (
+            self._tenant_count.get(tenant_id, 0) + 1
+        )
         if not container.pinned:
-            heapq.heappush(
-                self._victim_heap, (_UNSCORED_KEY, container.container_id)
-            )
-            self._unscheduled[container.container_id] = container
-            if container.is_idle:
-                self._evictable_mb += container.memory_mb
+            self._unscheduled[cid] = container
+            if container.state == ContainerState.WARM:
+                heapq.heappush(self._victim_heap, (_UNSCORED_KEY, cid))
+                self._evictable_mb += memory_mb
                 self._idle_unpinned += 1
+            else:
+                self._parked[cid] = (_UNSCORED_KEY, cid)
         if self._sanitize:
             self._sanitize_accounting()
 
@@ -205,42 +210,51 @@ class _UntracedSimulator(KeepAliveSimulator):
         super().__init__(trace, policy, memory_mb)
         self.pool = _UntracedPool(memory_mb)
 
+    def _evict(self, container, now_s, reason):
+        self.pool.evict(container)
+        self.policy.on_evict(
+            container, now_s, self.pool, pressure=reason == "pressure"
+        )
+        counter = self._eviction_counter.get(reason)
+        if counter is not None:
+            metrics = self.metrics
+            setattr(metrics, counter, getattr(metrics, counter) + 1)
+
     def _release_finished(self, now_s):
         while self._running and self._running[0][0] <= now_s:
             finish_s, __, container = heapq.heappop(self._running)
             container.finish_invocation(finish_s)
             if container.pinned:
                 continue
-            if not self.policy.should_retain(container, finish_s, self.pool):
-                self.pool.evict(container)
-                self.policy.on_evict(
-                    container, finish_s, self.pool, pressure=False
-                )
-                self.metrics.expirations += 1
+            if self._policy_retains and not self.policy.should_retain(
+                container, finish_s, self.pool
+            ):
+                self._evict(container, finish_s, "admission")
 
-    def _expire_containers(self, now_s):
-        for container, __ in self.policy.expired_containers(self.pool, now_s):
-            self.pool.evict(container)
-            self.policy.on_evict(container, now_s, self.pool, pressure=False)
-            self.metrics.expirations += 1
-
-    def _evict_for(self, needed_mb, now_s):
-        victims = self.policy.select_victims(self.pool, needed_mb, now_s)
+    def _evict_for(self, function, now_s):
+        victims = self.policy.select_victims(
+            self.pool, function.memory_mb, now_s
+        )
         if victims is None:
             return False
         for container in victims:
-            self.pool.evict(container)
-            self.policy.on_evict(container, now_s, self.pool, pressure=True)
-            self.metrics.evictions += 1
+            self._evict(container, now_s, "pressure")
         return True
 
-    def process_invocation(self, function, now_s):
-        self._release_finished(now_s)
-        self._expire_containers(now_s)
-        self._materialize_prewarms(now_s)
-        self.policy.on_invocation(function, now_s, self.pool)
+    def process_invocation(self, function, now_s, attempt=0):
+        pool = self.pool
+        policy = self.policy
+        running = self._running
+        if running and running[0][0] <= now_s:
+            self._release_finished(now_s)
+        if self._policy_expires and policy.next_expiry_s(pool) <= now_s:
+            self._expire_containers(now_s)
+        if self._policy_prewarms and policy.next_prewarm_s() <= now_s:
+            self._materialize_prewarms(now_s)
+        policy.on_invocation(function, now_s, pool)
+        tenant_id = function.tenant_id if self._tenants_active else None
 
-        container = self.pool.idle_warm_container(function.name)
+        container = pool.idle_warm_container(function.name)
         if container is not None:
             duration = function.warm_time_s
             if container.prewarmed and container.invocation_count == 0:
@@ -249,36 +263,45 @@ class _UntracedSimulator(KeepAliveSimulator):
                 )
             container.start_invocation(now_s, duration)
             heapq.heappush(
-                self._running,
+                running,
                 (container.busy_until_s, container.container_id, container),
             )
-            self.policy.on_warm_start(container, now_s, self.pool)
+            policy.on_warm_start(container, now_s, pool)
             if now_s >= self.warmup_s:
                 self.metrics.record_warm(
-                    function.name, function.warm_time_s, actual_time_s=duration
+                    function.name,
+                    function.warm_time_s,
+                    actual_time_s=duration,
+                    tenant_id=tenant_id,
                 )
-            self._sample_memory(now_s)
+            if self._track_timeline:
+                self._sample_memory(now_s)
             return "warm"
 
-        if not self._evict_for(function.memory_mb, now_s):
+        if not self._evict_for(function, now_s):
             if now_s >= self.warmup_s:
-                self.metrics.record_dropped(function.name)
-            self._sample_memory(now_s)
+                self.metrics.record_dropped(function.name, tenant_id=tenant_id)
+            if self._track_timeline:
+                self._sample_memory(now_s)
             return "dropped"
 
         container = Container(function, created_at_s=now_s)
-        self.pool.add(container)
         container.start_invocation(now_s, function.cold_time_s)
+        pool.add(container)
         heapq.heappush(
-            self._running,
+            running,
             (container.busy_until_s, container.container_id, container),
         )
-        self.policy.on_cold_start(container, now_s, self.pool)
+        policy.on_cold_start(container, now_s, pool)
         if now_s >= self.warmup_s:
             self.metrics.record_cold(
-                function.name, function.warm_time_s, function.cold_time_s
+                function.name,
+                function.warm_time_s,
+                function.cold_time_s,
+                tenant_id=tenant_id,
             )
-        self._sample_memory(now_s)
+        if self._track_timeline:
+            self._sample_memory(now_s)
         return "cold"
 
 

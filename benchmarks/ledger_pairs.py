@@ -1,0 +1,143 @@
+"""Alternating parent/change pairs of the ledger, one command.
+
+The measuring protocol behind every performance claim in this
+repository (docs/performance.md): run ``benchmarks/ledger/run.py`` on a
+base commit and on this working tree in N alternating pairs, print each
+end-to-end metric's median and quartiles per side with the per-pair
+win count, and fail if any run was not ``correct: true``.
+
+    python benchmarks/ledger_pairs.py --base HEAD~1 --workloads gd_evict gd_warm
+    make ledger-pairs BASE=HEAD~1 WORKLOADS="gd_evict gd_warm"
+
+``--base REF`` is checked out into a temporary ``git worktree`` that is
+removed afterwards; ``--base-dir DIR`` uses an existing checkout of the
+base instead. This file only *calls* the ledger, one fresh process per
+(side, workload) exactly as the driver does; it owns no workload,
+metric or bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from statistics import median, quantiles
+from typing import Dict, List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+
+def run_ledger(tree: Path, workload: str, seconds: float, seed: Optional[int]) -> dict:
+    """One ledger run in a fresh process; its closing result line."""
+    command = [
+        sys.executable, "benchmarks/ledger/run.py", "--workload", workload,
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+    if seed is not None:
+        command += ["--seed", str(seed)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
+        return {"correct": False, "metrics": {}}
+
+
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """(q1, median, q3), by the rule the ledger's own summary uses."""
+    q1, __, q3 = quantiles(values, n=4) if len(values) >= 2 else values * 3
+    return q1, median(values), q3
+
+
+def summarize(
+    runs: Dict[str, List[Dict[str, float]]], better: Dict[str, str]
+) -> List[str]:
+    """One line per metric: both sides' medians and quartiles, the
+    ratio of medians, and in how many pairs the change read better."""
+    lines = []
+    for metric in runs["base"][0]:
+        base = [run[metric] for run in runs["base"]]
+        change = [run[metric] for run in runs["change"]]
+        higher = better.get(metric) == "higher"
+        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        ties = sum(c == b for b, c in zip(base, change))
+        (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
+        lines.append(
+            f"  {metric:16s} base {bmed:12.4f} [{bq1:.4f} {bq3:.4f}]  "
+            f"change {cmed:12.4f} [{cq1:.4f} {cq3:.4f}]  "
+            f"x{cmed / bmed if bmed else float('nan'):.3f}  "
+            f"wins {wins}/{len(base)} ties {ties} ({better.get(metric, '?')} is better)"
+        )
+    return lines
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--base", metavar="REF", help="git ref of the base commit")
+    source.add_argument("--base-dir", metavar="DIR", help="existing checkout of the base")
+    parser.add_argument("--workloads", nargs="+", default=["gd_evict", "gd_warm"])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=7.0)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", metavar="FILE", help="also write every run as JSON")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    worktree: Optional[Path] = None
+    if args.base_dir:
+        base_tree = Path(args.base_dir).resolve()
+    else:
+        worktree = base_tree = Path(tempfile.mkdtemp(prefix="ledger-pairs-")) / "base"
+        subprocess.run(
+            ["git", "worktree", "add", "--detach", str(base_tree), args.base],
+            cwd=ROOT, check=True, capture_output=True,
+        )
+    trees = {"base": base_tree, "change": ROOT}
+    runs: Dict[str, Dict[str, List[Dict[str, float]]]] = {
+        w: {side: [] for side in SIDES} for w in args.workloads
+    }
+    incorrect: List[str] = []
+    try:
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for workload in args.workloads:
+                for side in order:
+                    line = run_ledger(trees[side], workload, args.seconds, args.seed)
+                    if not line.get("correct"):
+                        incorrect.append(f"pair {pair + 1} {side} {workload}")
+                    values = {k: v["value"] for k, v in line["metrics"].items()}
+                    runs[workload][side].append(values)
+                    print(
+                        f"pair {pair + 1:2d} {side:6s} {workload:14s} "
+                        f"correct={line.get('correct')} "
+                        f"inv_per_s={values.get('inv_per_s', float('nan')):.1f}",
+                        flush=True,
+                    )
+    finally:
+        if worktree is not None:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(worktree)],
+                cwd=ROOT, capture_output=True,
+            )
+            shutil.rmtree(worktree.parent, ignore_errors=True)
+    for workload in args.workloads:
+        print(f"== {workload}: {args.pairs} alternating pairs, {args.seconds:g} s runs")
+        if all(len(r) == args.pairs and all(r) for r in runs[workload].values()):
+            print("\n".join(summarize(runs[workload], better)))
+    if args.out:
+        Path(args.out).write_text(json.dumps(runs, indent=2) + "\n")
+    for entry in incorrect:
+        print(f"NOT CORRECT {entry}")
+    return 1 if incorrect else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

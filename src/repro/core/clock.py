@@ -122,9 +122,9 @@ class SimClock:
 
     >>> clock = SimClock()
     >>> clock.advance_to(2.5)
-    >>> clock.now()
     2.5
     >>> clock.advance_to(1.0)  # stale instants are ignored
+    2.5
     >>> clock.now()
     2.5
     """
@@ -137,11 +137,12 @@ class SimClock:
     def now(self) -> float:
         return self._now_s
 
-    def advance_to(self, now_s: float) -> None:
-        """Move simulated time forward to ``now_s``; ignores smaller
-        values so out-of-order ticks cannot rewind the clock."""
+    def advance_to(self, now_s: float) -> float:
+        """Move simulated time forward to ``now_s`` and return :meth:`now`;
+        smaller values are ignored, so out-of-order ticks cannot rewind it."""
         if now_s > self._now_s:
             self._now_s = float(now_s)
+        return self._now_s
 
     def __repr__(self) -> str:
         return f"SimClock(now_s={self._now_s})"

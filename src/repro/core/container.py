@@ -116,7 +116,8 @@ class Container:
                 f"is not running"
             )
         self.state = ContainerState.WARM
-        self.last_used_s = max(self.last_used_s, now_s)
+        if now_s > self.last_used_s:
+            self.last_used_s = now_s
         if self.pool is not None:
             self.pool._container_became_idle(self)
 

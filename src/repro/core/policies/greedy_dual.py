@@ -78,9 +78,10 @@ class GreedyDualPolicy(KeepAlivePolicy):
             tenant_weights = dict(tenant_weights)
         self._tenant_weights = tenant_weights
         # Name of the function whose resident containers were refreshed
-        # by the latest pool-aware ``on_invocation``; lets the start
-        # hooks skip the sibling sweep they would otherwise repeat.
+        # by the latest pool-aware ``on_invocation`` and the value term
+        # used; lets that arrival's start hook skip sweep and recompute.
         self._arrival_refreshed_fn: Optional[str] = None
+        self._arrival_value = 0.0
 
     # ------------------------------------------------------------------
     # Priority
@@ -89,7 +90,7 @@ class GreedyDualPolicy(KeepAlivePolicy):
     def _value_term(self, function: TraceFunction) -> float:
         """The Freq * Cost / Size part of Equation 1, scaled by the
         function's tenant weight when weights are configured."""
-        freq = self.frequency_of(function.name)
+        freq = self._frequency.get(function.name, 0)
         cost = function.init_time_s
         value = (
             (self._frequency_weight * freq)
@@ -102,32 +103,22 @@ class GreedyDualPolicy(KeepAlivePolicy):
             value *= self._tenant_weights.get(function.tenant_id, 1.0)
         return value
 
-    def _refresh_function_priorities(
-        self, function: TraceFunction, pool: ContainerPool
-    ) -> None:
-        """Recompute priorities of all in-memory containers of a function.
-
-        Containers share the frequency, cost, and size terms but keep
-        their individual clock stamps, so the least recently used
-        container of a function is still evicted first (tie-breaking,
-        Section 4.1).
-        """
-        value = self._value_term(function)
-        for container in pool.containers_of(function.name):
-            container.priority = container.clock_stamp + value
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     #
     # The Freq term changes in exactly two places: ``on_invocation``
-    # increments it, and the base ``on_evict`` resets it when the last
-    # container dies (leaving nothing to refresh). Refreshing *here*,
-    # at the increment, keeps every resident sibling's cached priority
+    # increments it, and ``on_evict`` resets it when the last container
+    # dies (leaving nothing to refresh). Refreshing *here*, at the
+    # increment, keeps every resident sibling's cached priority
     # consistent on every path — including arrivals that drop or shed
-    # before any start hook runs, which previously left siblings scored
-    # with the pre-arrival frequency. The start hooks then only need to
-    # stamp and score the one container they were called for.
+    # before any start hook runs. Siblings share the value term but keep
+    # their own clock stamps, so a function's least recently used
+    # container is still evicted first (tie-breaking, Section 4.1). The
+    # start hook of the same arrival then stamps and scores only its own
+    # container, with the term computed here. Frequency bookkeeping is
+    # spelled out, not chained to the base class: these hooks run on
+    # every arrival and each chained frame shows in the replay ledger.
 
     def on_invocation(
         self,
@@ -135,36 +126,35 @@ class GreedyDualPolicy(KeepAlivePolicy):
         now_s: float,
         pool: Optional[ContainerPool] = None,
     ) -> None:
-        super().on_invocation(function, now_s, pool)
-        if pool is not None:
-            self._refresh_function_priorities(function, pool)
-            self._arrival_refreshed_fn = function.name
-        else:
+        name = function.name
+        self._frequency[name] = self._frequency.get(name, 0) + 1
+        if pool is None:
             self._arrival_refreshed_fn = None
-
-    def _on_start(self, container: Container, pool: ContainerPool) -> None:
-        container.clock_stamp = self.clock.value
-        if self._arrival_refreshed_fn == container.function.name:
-            # Siblings were refreshed when this arrival was announced
-            # (their stamps have not changed since); only the started
-            # container's own stamp — and hence priority — moved.
-            container.priority = container.clock_stamp + self._value_term(
-                container.function
-            )
-        else:
-            # Pool-less driver (bare lifecycle tests): fall back to the
-            # full sibling sweep so cached priorities stay consistent.
-            self._refresh_function_priorities(container.function, pool)
+            return
+        self._arrival_value = value = self._value_term(function)
+        for container in pool.containers_of(name):
+            container.priority = container.clock_stamp + value
+        self._arrival_refreshed_fn = name
 
     def on_warm_start(
         self, container: Container, now_s: float, pool: ContainerPool
     ) -> None:
-        self._on_start(container, pool)
+        container.clock_stamp = stamp = self.clock.value
+        function = container.function
+        if self._arrival_refreshed_fn == function.name:
+            # Siblings were refreshed when this arrival was announced
+            # (their stamps have not changed since); only the started
+            # container's own stamp — and hence priority — moved.
+            container.priority = stamp + self._arrival_value
+        else:
+            # Pool-less driver (bare lifecycle tests): no term to reuse,
+            # so rescore every sibling to keep cached priorities consistent.
+            value = self._value_term(function)
+            for sibling in pool.containers_of(function.name):
+                sibling.priority = sibling.clock_stamp + value
 
-    def on_cold_start(
-        self, container: Container, now_s: float, pool: ContainerPool
-    ) -> None:
-        self._on_start(container, pool)
+    # A cold start is stamped and scored exactly like a warm one.
+    on_cold_start = on_warm_start
 
     def on_evict(
         self,
@@ -177,7 +167,11 @@ class GreedyDualPolicy(KeepAlivePolicy):
             # Clock = max priority over the evicted set; advancing to
             # each evicted priority in turn computes exactly that.
             self.clock.advance_to(container.priority)
-        super().on_evict(container, now_s, pool, pressure)
+        name = container.function.name
+        if not pool.has_containers_of(name):
+            self._frequency.pop(name, None)
+            if name == self._arrival_refreshed_fn:
+                self._arrival_refreshed_fn = None  # its term used that Freq
 
     def priority(self, container: Container, now_s: float) -> float:
         return container.priority

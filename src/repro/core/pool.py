@@ -135,10 +135,10 @@ class ContainerPool:
         # paying a per-call ``sorted()``.
         self._by_function: Dict[str, List[int]] = {}
         # Lazy victim index: a min-heap of (key, container_id) entries,
-        # at most one live entry per container. Entries are pushed with
-        # a sentinel key on admission and revalidated against the
-        # policy's current key on pop (see :meth:`iter_victims`);
-        # entries of evicted containers are discarded lazily.
+        # at most one live entry per container, enrolled under a
+        # sentinel key when the container is first idle (see :meth:`add`)
+        # and revalidated against the policy's current key on pop (see
+        # :meth:`iter_victims`); evicted entries are discarded lazily.
         self._victim_heap: List[Tuple[Tuple[float, float, int], int]] = []
         # Incremental expiry index: a min-heap of (deadline, id)
         # entries validated against the authoritative deadline map on
@@ -167,12 +167,12 @@ class ContainerPool:
         # ``evict`` discards the pending entry; whatever is left is
         # re-enrolled when the next walk starts.
         self._taken: Dict[int, Tuple[Tuple[float, float, int], int]] = {}
-        # Victim-index entries whose containers were busy when popped.
-        # Instead of re-pushing them for the *next* selection to pop
-        # and skip again (running containers dominate the heap front
-        # under eviction pressure), they wait here and re-enter the
-        # heap when the container actually goes idle — the stored key
-        # is unchanged, so selection order is identical.
+        # Victim-index entries of busy containers: admitted RUNNING
+        # (unscored, not yet enrolled) or busy when popped. Instead of
+        # sitting in the heap for every selection to pop and skip, they
+        # wait here and enter the heap when the container actually goes
+        # idle — the stored key is unchanged, so selection order is
+        # identical.
         self._parked: Dict[int, Tuple[Tuple[float, float, int], int]] = {}
         # Runtime sanitizer flag, captured once at construction
         # (docs/static-analysis.md): when off, admission/eviction pay
@@ -371,42 +371,46 @@ class ContainerPool:
     # ------------------------------------------------------------------
 
     def add(self, container: Container) -> None:
-        """Admit a container; raises :class:`CapacityError` if it won't fit."""
+        """Admit a container; raises :class:`CapacityError` if it won't fit.
+
+        Admitted WARM it joins the victim index and the evictable count
+        at once; admitted RUNNING (a cold start) its unscored entry waits
+        in ``_parked`` until it first idles; pinned, it never enrolls.
+        """
+        cid = container.container_id
+        function = container.function
+        memory_mb = function.memory_mb
+        tenant_id = function.tenant_id
         if container.state == ContainerState.DEAD:
             raise ValueError("cannot add a dead container")
-        if container.container_id in self._containers:
-            raise ValueError(f"container {container.container_id} already pooled")
-        if not self.can_fit(container.memory_mb):
+        if cid in self._containers:
+            raise ValueError(f"container {cid} already pooled")
+        if memory_mb > self._capacity_mb - self._used_mb + self._slack_mb:
             raise CapacityError(
-                f"container needs {container.memory_mb} MB but only "
+                f"container needs {memory_mb} MB but only "
                 f"{self.free_mb:.1f} MB is free"
             )
         if self._tenant_mode == "partitioned":
-            tenant_id = container.function.tenant_id
             free_t = self.tenant_free_mb(tenant_id)
-            if container.memory_mb > free_t + self._slack_mb:
+            if memory_mb > free_t + self._slack_mb:
                 raise CapacityError(
-                    f"tenant {tenant_id} needs {container.memory_mb} MB "
+                    f"tenant {tenant_id} needs {memory_mb} MB "
                     f"but its partition has only {free_t:.1f} MB free"
                 )
         if container.pool is not None:
-            raise ValueError(
-                f"container {container.container_id} already belongs "
-                "to a pool"
-            )
+            raise ValueError(f"container {cid} already belongs to a pool")
         container.pool = self
-        self._containers[container.container_id] = container
-        peers = self._by_function.setdefault(container.function.name, [])
-        if peers and container.container_id < peers[-1]:
+        self._containers[cid] = container
+        peers = self._by_function.setdefault(function.name, [])
+        if peers and cid < peers[-1]:
             # Only reachable with externally-built containers; ids from
             # the global counter always append in ascending order.
-            insort(peers, container.container_id)
+            insort(peers, cid)
         else:
-            peers.append(container.container_id)
-        self._used_mb += container.memory_mb
-        tenant_id = container.function.tenant_id
+            peers.append(cid)
+        self._used_mb += memory_mb
         self._tenant_used_mb[tenant_id] = (
-            self._tenant_used_mb.get(tenant_id, 0.0) + container.memory_mb
+            self._tenant_used_mb.get(tenant_id, 0.0) + memory_mb
         )
         self._tenant_count[tenant_id] = (
             self._tenant_count.get(tenant_id, 0) + 1
@@ -415,9 +419,9 @@ class ContainerPool:
             self._tracer.emit(
                 "container_spawned",
                 container.created_at_s,
-                function=container.function.name,
-                container_id=container.container_id,
-                memory_mb=container.memory_mb,
+                function=function.name,
+                container_id=cid,
+                memory_mb=memory_mb,
                 pinned=container.pinned,
                 prewarmed=container.prewarmed,
             )
@@ -425,13 +429,13 @@ class ContainerPool:
             # Pinned containers are never eviction candidates; everyone
             # else enters the victim index unscored and the expiry
             # index unscheduled (until a policy hook sets a deadline).
-            heapq.heappush(
-                self._victim_heap, (_UNSCORED_KEY, container.container_id)
-            )
-            self._unscheduled[container.container_id] = container
-            if container.is_idle:
-                self._evictable_mb += container.memory_mb
+            self._unscheduled[cid] = container
+            if container.state == ContainerState.WARM:
+                heapq.heappush(self._victim_heap, (_UNSCORED_KEY, cid))
+                self._evictable_mb += memory_mb
                 self._idle_unpinned += 1
+            else:
+                self._parked[cid] = (_UNSCORED_KEY, cid)
         if self._sanitize:
             self._sanitize_accounting()
 
@@ -441,21 +445,24 @@ class ContainerPool:
         Returns silently having removed the container; raises if the
         container is running or not in this pool.
         """
-        if container.container_id not in self._containers:
-            raise KeyError(f"container {container.container_id} not in pool")
+        cid = container.container_id
+        if cid not in self._containers:
+            raise KeyError(f"container {cid} not in pool")
         if container.pinned:
             raise ValueError(
-                f"container {container.container_id} is pinned "
+                f"container {cid} is pinned "
                 "(provisioned concurrency) and cannot be evicted"
             )
         container.terminate()  # raises if RUNNING
         container.pool = None
-        del self._containers[container.container_id]
-        peers = self._by_function[container.function.name]
-        del peers[bisect_left(peers, container.container_id)]
+        del self._containers[cid]
+        function = container.function
+        memory_mb = function.memory_mb
+        peers = self._by_function[function.name]
+        del peers[bisect_left(peers, cid)]
         if not peers:
-            del self._by_function[container.function.name]
-        self._used_mb -= container.memory_mb
+            del self._by_function[function.name]
+        self._used_mb -= memory_mb
         # Drift cleanup, not error masking: only reset the accumulator
         # when the pool is *actually* empty and the residual is within
         # the float-drift slack. A near-zero value with containers
@@ -463,8 +470,8 @@ class ContainerPool:
         # real bug and must stay visible to the sanitizer.
         if not self._containers and abs(self._used_mb) <= self._slack_mb:
             self._used_mb = 0.0
-        tenant_id = container.function.tenant_id
-        self._tenant_used_mb[tenant_id] -= container.memory_mb
+        tenant_id = function.tenant_id
+        self._tenant_used_mb[tenant_id] -= memory_mb
         remaining = self._tenant_count[tenant_id] - 1
         if remaining:
             self._tenant_count[tenant_id] = remaining
@@ -480,13 +487,12 @@ class ContainerPool:
         # Expiry bookkeeping: dropping the authoritative deadline turns
         # any heap entries for this id into stale tombstones, discarded
         # when popped.
-        self._expiry_deadline.pop(container.container_id, None)
-        self._unscheduled.pop(container.container_id, None)
-        self._taken.pop(container.container_id, None)
-        self._parked.pop(container.container_id, None)
+        self._expiry_deadline.pop(cid, None)
+        self._unscheduled.pop(cid, None)
+        self._taken.pop(cid, None)
         # An evicted container was necessarily idle (terminate refuses
-        # RUNNING ones) and unpinned, so it was counted as evictable.
-        self._evictable_mb -= container.memory_mb
+        # RUNNING ones: never parked) and unpinned: counted evictable.
+        self._evictable_mb -= memory_mb
         self._idle_unpinned -= 1
         if self._idle_unpinned == 0 and abs(self._evictable_mb) <= self._slack_mb:
             self._evictable_mb = 0.0
@@ -616,11 +622,12 @@ class ContainerPool:
         if not ids:
             return None
         containers = self._containers
+        warm = ContainerState.WARM
         best: Optional[Container] = None
         best_last = 0.0
         for cid in ids:
             container = containers[cid]
-            if not container.is_idle:
+            if container.state != warm:
                 continue
             if best is None or container.last_used_s < best_last:
                 best = container
@@ -765,7 +772,7 @@ class ContainerPool:
 
     def _container_became_busy(self, container: Container) -> None:
         if not container.pinned:
-            self._evictable_mb -= container.memory_mb
+            self._evictable_mb -= container.function.memory_mb
             self._idle_unpinned -= 1
             # Same rule as eviction: reset the accumulator only when
             # the idle set is genuinely empty and the residual is mere
@@ -783,7 +790,7 @@ class ContainerPool:
             # container was running (a pinned one is discarded on pop).
             heapq.heappush(self._victim_heap, entry)
         if not container.pinned:
-            self._evictable_mb += container.memory_mb
+            self._evictable_mb += container.function.memory_mb
             self._idle_unpinned += 1
 
     def iter_victims(
@@ -797,11 +804,11 @@ class ContainerPool:
         each miss, entries sit in a min-heap under the key they were
         last scored with and are revalidated when popped. A popped
         entry whose stored key no longer matches the container's
-        current key is re-pushed under the fresh key and the scan
-        continues, so each selection costs O((victims + touched) *
-        log n), where *touched* is the number of containers whose key
-        changed since the last selection — not the whole idle
-        population.
+        current key is re-filed under the fresh key (one
+        ``heappushpop``) and the scan continues, so each selection
+        costs O((victims + touched) * log n), where *touched* is the
+        number of containers whose key changed since the last
+        selection — not the whole idle population.
 
         Correctness requires **monotone keys**: a container's key must
         never decrease while it stays in the pool (see
@@ -816,9 +823,9 @@ class ContainerPool:
         the caller did not evict is re-enrolled when the next walk
         starts, so callers may evict all, some, or none of what they
         were offered and may abandon the walk at any point. Running
-        containers are parked until they go idle again. One walk at a
-        time: starting a new one ends the previous one's claim on its
-        yielded entries.
+        containers (one admitted running included) are parked until
+        they go idle. One walk at a time: starting a new one ends the
+        previous one's claim on its yielded entries.
         """
         heap = self._victim_heap
         taken = self._taken
@@ -835,8 +842,12 @@ class ContainerPool:
         # never decrease; a regression here would silently evict the
         # wrong containers.
         last_yielded: Optional[Tuple[float, float, int]] = None
-        while heap:
-            entry = heapq.heappop(heap)
+        rescored = None  # fresh entry of the stale one just popped
+        while heap or rescored is not None:
+            if rescored is None:
+                entry = heapq.heappop(heap)
+            else:  # re-file it and take the new minimum in one sift
+                entry, rescored = heapq.heappushpop(heap, rescored), None
             stored_key, container_id = entry
             container = containers.get(container_id)
             if container is None:
@@ -853,7 +864,7 @@ class ContainerPool:
                 continue
             current_key = key_of(container)
             if current_key != stored_key:
-                heapq.heappush(heap, (current_key, container_id))
+                rescored = (current_key, container_id)
                 continue
             if sanitize:
                 if last_yielded is not None and current_key < last_yielded:

@@ -52,6 +52,17 @@ class OnlineGreedyDualPolicy(GreedyDualPolicy):
         cost = self._stats.get(function.name).init_time_s
         return freq * cost / function.memory_mb
 
+    def on_warm_start(
+        self, container: Container, now_s: float, pool: ContainerPool
+    ) -> None:
+        # A queued request starts after completions have moved the
+        # learned cost: rescore then, not with the arrival's term.
+        if self._arrival_refreshed_fn == container.function.name:
+            self._arrival_value = self._value_term(container.function)
+        super().on_warm_start(container, now_s, pool)
+
+    on_cold_start = on_warm_start
+
 
 class InvokerContainerPool:
     """Policy-managed container pool with batched eviction."""

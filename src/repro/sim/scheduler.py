@@ -170,6 +170,9 @@ class KeepAliveSimulator:
         self._policy_prewarms = (
             type(policy).due_prewarms is not KeepAlivePolicy.due_prewarms
         )
+        # Admission fast path, same trick: only a doorkeeper overrides
+        # ``should_retain``; everyone else retains all and is never asked.
+        self._policy_retains = type(policy).should_retain is not KeepAlivePolicy.should_retain
         self.prewarm_effectiveness = config.prewarm_effectiveness
         self.warmup_s = warmup_s
         self._track_timeline = config.track_memory_timeline
@@ -266,10 +269,10 @@ class KeepAliveSimulator:
             if container.doomed:
                 self._evict(container, finish_s, "failure")
                 continue
-            # Provisioned concurrency is retained by definition: the
-            # admission gate below must never see a pinned container
-            # (``pool.evict`` rightly refuses to terminate one).
-            if container.pinned:
+            # Provisioned concurrency is retained by definition — the
+            # gate below must never see a pinned container (``pool.evict``
+            # refuses one) — and so is all under a policy without a gate.
+            if container.pinned or not self._policy_retains:
                 continue
             # Admission gate: policies with a doorkeeper may refuse to
             # keep an unproven function's container warm at all.
@@ -345,21 +348,15 @@ class KeepAliveSimulator:
     # Main loop
     # ------------------------------------------------------------------
 
-    def process_invocation(self, function: TraceFunction, now_s: float) -> str:
-        """Handle one arrival; returns 'warm', 'cold', 'dropped',
-        'retried', or 'shed' (the last two only with a fault spec)."""
-        if self._faults is not None:
-            self._advance_faults(now_s)
-        return self._attempt(function, now_s, attempt=0)
-
     def housekeeping(self, now_s: float) -> None:
         """Apply everything due by ``now_s`` that is not an arrival:
         release finished invocations back to the warm pool, expire
         containers past their policy deadline (draining the pool's
         incremental expiry heap), and materialize due prewarms.
 
-        Every attempt runs this as its prologue; the live serving mode
-        (docs/live-serving.md) also calls it from a periodic timer so
+        Every attempt runs these phases as its prologue (inlined, each
+        behind an "anything due?" guard); the live serving mode
+        (docs/live-serving.md) also calls this from a periodic timer so
         expirations drain during idle stretches with no arrivals."""
         self._release_finished(now_s)
         if self._policy_expires and self.policy.next_expiry_s(self.pool) <= now_s:
@@ -367,42 +364,58 @@ class KeepAliveSimulator:
         if self._policy_prewarms and self.policy.next_prewarm_s() <= now_s:
             self._materialize_prewarms(now_s)
 
-    def _attempt(self, function: TraceFunction, now_s: float, attempt: int) -> str:
-        """One attempt (first try or retry) at serving an invocation."""
-        self.housekeeping(now_s)
-        self.policy.on_invocation(function, now_s, self.pool)
+    def process_invocation(self, function: TraceFunction, now_s: float, attempt: int = 0) -> str:
+        """Handle one arrival; returns 'warm', 'cold', 'dropped',
+        'retried', or 'shed' (the last two only with a fault spec).
+        ``attempt`` > 0 is the retry queue re-entering: one attempt at
+        serving, no fault-schedule advance, no ``invocation_arrived``."""
+        faults = self._faults
+        if faults is not None and attempt == 0:
+            self._advance_faults(now_s)
+        pool = self.pool
+        policy = self.policy
+        # :meth:`housekeeping`, phase by phase: nothing to release unless
+        # an invocation has finished or a deferred deflation is pending.
+        running = self._running
+        if (running and running[0][0] <= now_s) or pool.deflation_target_mb is not None:
+            self._release_finished(now_s)
+        if self._policy_expires and policy.next_expiry_s(pool) <= now_s:
+            self._expire_containers(now_s)
+        if self._policy_prewarms and policy.next_prewarm_s() <= now_s:
+            self._materialize_prewarms(now_s)
+        policy.on_invocation(function, now_s, pool)
         tracer = self._tracer
         # ``None`` on tenant-less runs: metrics skip per-tenant
         # bookkeeping and events carry no ``tenant`` field, keeping
         # legacy traces byte-identical.
         tenant_id = function.tenant_id if self._tenants_active else None
-        tenant_extra = {} if tenant_id is None else {"tenant": tenant_id}
-        if tracer is not None and attempt == 0:
-            tracer.emit(
-                "invocation_arrived",
-                now_s,
-                function=function.name,
-                **tenant_extra,
-            )
+        if tracer is not None:
+            tenant_extra = {} if tenant_id is None else {"tenant": tenant_id}
+            if attempt == 0:
+                tracer.emit(
+                    "invocation_arrived",
+                    now_s,
+                    function=function.name,
+                    **tenant_extra,
+                )
 
         if self._down:
             # Routed to (or retried on) a failed server. With a fault
             # spec the retry policy gets a say; without one (cluster
             # layers driving fail_server externally) shed outright.
-            if self._faults is not None:
+            if faults is not None:
                 return self._handle_failure(
                     function, now_s, attempt, "unavailable"
                 )
             return self._shed(function, now_s, attempt, "unavailable")
 
-        faults = self._faults
         fault_kind = (
             faults.invocation_fault(function.name, now_s, attempt)
             if faults is not None
             else None
         )
 
-        container = self.pool.idle_warm_container(function.name)
+        container = pool.idle_warm_container(function.name)
         if container is not None:
             duration = function.warm_time_s
             if container.prewarmed and container.invocation_count == 0:
@@ -419,10 +432,10 @@ class KeepAliveSimulator:
                 )
             container.start_invocation(now_s, duration)
             heapq.heappush(
-                self._running,
+                running,
                 (container.busy_until_s, container.container_id, container),
             )
-            self.policy.on_warm_start(container, now_s, self.pool)
+            policy.on_warm_start(container, now_s, pool)
             if tracer is not None:
                 tracer.emit(
                     "warm_hit",
@@ -439,7 +452,8 @@ class KeepAliveSimulator:
                     actual_time_s=duration,
                     tenant_id=tenant_id,
                 )
-            self._sample_memory(now_s)
+            if self._track_timeline:
+                self._sample_memory(now_s)
             return "warm"
 
         # A spawn failure strikes before any eviction work happens: the
@@ -476,22 +490,25 @@ class KeepAliveSimulator:
                 )
             if now_s >= self.warmup_s:
                 self.metrics.record_dropped(function.name, tenant_id=tenant_id)
-            self._sample_memory(now_s)
+            if self._track_timeline:
+                self._sample_memory(now_s)
             return "dropped"
 
         container = Container(function, created_at_s=now_s)
-        self.pool.add(container)
         if fault_kind is not None:
             return self._faulted_start(
                 container, function, now_s, attempt, fault_kind,
                 function.cold_time_s, cold=True,
             )
+        # Admit running: no busy notification, and no victim-index entry
+        # until the container first idles (:meth:`ContainerPool.add`).
         container.start_invocation(now_s, function.cold_time_s)
+        pool.add(container)
         heapq.heappush(
-            self._running,
+            running,
             (container.busy_until_s, container.container_id, container),
         )
-        self.policy.on_cold_start(container, now_s, self.pool)
+        policy.on_cold_start(container, now_s, pool)
         if tracer is not None:
             tracer.emit(
                 "cold_start",
@@ -508,7 +525,8 @@ class KeepAliveSimulator:
                 function.cold_time_s,
                 tenant_id=tenant_id,
             )
-        self._sample_memory(now_s)
+        if self._track_timeline:
+            self._sample_memory(now_s)
         return "cold"
 
     # ------------------------------------------------------------------
@@ -534,6 +552,8 @@ class KeepAliveSimulator:
         terminal outcome is the eventual retry or shed.
         """
         container.start_invocation(now_s, duration_s)
+        if cold:  # as on the healthy cold path: start, then admit
+            self.pool.add(container)
         heapq.heappush(
             self._running,
             (container.busy_until_s, container.container_id, container),
@@ -626,7 +646,7 @@ class KeepAliveSimulator:
                 self._apply_server_event(at_s, kind, value)
             else:
                 due_s, __, function_name, attempt = heapq.heappop(heap)
-                self._attempt(functions[function_name], due_s, attempt)
+                self.process_invocation(functions[function_name], due_s, attempt)
 
     def fail_server(self, now_s: float) -> None:
         """Take this server down: its warm pool is lost and running
@@ -822,10 +842,9 @@ class KeepAliveSimulator:
         end_s = 0.0
         for time_s, function in self.trace.arrivals():
             # Timestamps flow through the SimClock (traces are sorted,
-            # so advance_to/now round-trips each arrival time exactly —
+            # so advance_to hands each arrival time back exactly —
             # byte-identical to passing the arrival time directly).
-            clock.advance_to(time_s)
-            end_s = clock.now()
+            end_s = clock.advance_to(time_s)
             self.process_invocation(function, end_s)
         return self.finalize(end_s, started)
 

@@ -1,0 +1,123 @@
+"""A deterministic call budget for the replay hot path.
+
+``replay.py_calls_per_inv`` of the ledger (benchmarks/ledger) is the
+one performance number that repeats exactly: function calls, Python
+and builtin alike, made inside one ``simulate()``. This suite counts
+them the same way — ``sys.setprofile``, no clock anywhere — over two
+small GD replays and holds them to what the code pays today, so a
+refactor that puts a frame or a builtin back on every arrival fails
+here instead of showing up as a few percent of noise in a timing run.
+
+The budgets are the counts measured on CPython 3.11 (3.12 inlines
+comprehensions and counts fewer). Lowering one after a real cut is
+the point; raising one needs the ledger row that paid for it.
+"""
+
+import random
+import sys
+
+import pytest
+
+from repro.checks.sanitize import set_sanitize
+from repro.sim.scheduler import simulate
+from repro.traces.model import Invocation, Trace, TraceFunction
+
+CONTAINER_MB = 128.0
+
+#: Total calls of one replay, as landed by PR 16 (the parent commit
+#: paid 57,611 and 32,498): 63.87 per arrival over the 600 arrivals of
+#: the eviction replay, 27.99 over the 711 of the warm one.
+EVICT_CALLS = 38_320
+WARM_CALLS = 19_903
+
+
+@pytest.fixture
+def unsanitized():
+    """The sanitizer attaches a tracer and recomputes the accounting
+    on every add/evict: a different (and deliberately slow) path."""
+    set_sanitize(False)
+    yield
+    set_sanitize(None)
+
+
+def round_robin_trace(num_functions=200, rounds=3, seed=16):
+    """Every function once per round in a fresh seeded order, 50 ms
+    apart, on a pool a quarter of the working set: nearly every
+    arrival is a cold start that picks a victim."""
+    functions = [
+        TraceFunction(f"rr-{i:03d}", CONTAINER_MB, 0.2, 1.0)
+        for i in range(num_functions)
+    ]
+    rng = random.Random(seed)
+    order = list(range(num_functions))
+    invocations, t = [], 0.0
+    for __ in range(rounds):
+        rng.shuffle(order)
+        for i in order:
+            invocations.append(Invocation(round(t, 6), functions[i].name))
+            t += 0.05
+    return Trace(functions, invocations, name="rr")
+
+
+def churn_trace(num_functions=60, duration_s=1200.0, seed=16):
+    """Roughly periodic per-function arrivals (60-240 s apart, +/-30 %
+    jitter) on a pool above the working set: all warm after the
+    compulsory misses, nothing ever evicted."""
+    rng = random.Random(seed)
+    functions, invocations = [], []
+    for i in range(num_functions):
+        function = TraceFunction(f"churn-{i:03d}", CONTAINER_MB, 0.2, 1.2)
+        functions.append(function)
+        iat = (60.0, 120.0, 240.0)[i % 3]
+        t = rng.uniform(0.0, iat)
+        while t < duration_s:
+            invocations.append(Invocation(round(t, 6), function.name))
+            t += iat * rng.uniform(0.7, 1.3)
+    return Trace(functions, invocations, name="churn")
+
+
+def count_calls(trace, memory_mb):
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = simulate(trace, "GD", memory_mb)
+    finally:
+        sys.setprofile(None)
+    return calls, result.metrics
+
+
+def test_eviction_replay_call_budget(unsanitized):
+    trace = round_robin_trace()
+    calls, metrics = count_calls(trace, 48 * CONTAINER_MB)
+    # The replay is the one the budget was set on: a victim per miss.
+    assert len(trace) == 600
+    assert (metrics.cold_starts, metrics.evictions) == (590, 542)
+    assert calls <= EVICT_CALLS, (
+        f"{calls / 600:.2f} calls per arrival on the eviction replay, "
+        f"budget {EVICT_CALLS / 600:.2f}"
+    )
+
+
+def test_warm_replay_call_budget(unsanitized):
+    trace = churn_trace()
+    calls, metrics = count_calls(trace, 1.25 * 60 * CONTAINER_MB)
+    assert len(trace) == 711
+    assert metrics.evictions == 0 and metrics.dropped == 0
+    assert metrics.warm_starts == len(trace) - 60
+    assert calls <= WARM_CALLS, (
+        f"{calls / 711:.2f} calls per arrival on the warm replay, "
+        f"budget {WARM_CALLS / 711:.2f}"
+    )
+
+
+def test_counts_repeat_exactly(unsanitized):
+    trace = round_robin_trace(num_functions=50, rounds=2)
+    first, __ = count_calls(trace, 12 * CONTAINER_MB)
+    second, __ = count_calls(trace, 12 * CONTAINER_MB)
+    assert first == second

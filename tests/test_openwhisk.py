@@ -74,6 +74,26 @@ class TestInvokerContainerPool:
         assert kind2 == "hit"
         assert again is container
 
+    def test_queued_start_scores_with_the_cost_learned_meanwhile(self):
+        """A request announced, queued, and started after a completion
+        moved the learned cost is scored with the cost at its start,
+        not the value term of its announcement."""
+        pool = self.make_pool(capacity=100.0)
+        f = make_function("A", memory_mb=100.0)
+        pool.record_arrival(f, 0.0)
+        first, kind = pool.acquire(f, 0.0)
+        first.start_invocation(0.0, 4.0)
+        pool.notify_start(first, kind, 0.0)
+        assert first.priority == 0.0  # nothing observed yet: cost 0
+        pool.record_arrival(f, 1.0)
+        assert pool.acquire(f, 1.0) == (None, "full")  # queued
+        pool.release(first, 4.0, kind, 4.0)  # learns cold time 4 s
+        again, kind2 = pool.acquire(f, 4.0)  # the queued request
+        assert again is first and kind2 == "hit"
+        again.start_invocation(4.0, 1.0)
+        pool.notify_start(again, kind2, 4.0)
+        assert again.priority == again.clock_stamp + 2 * 4.0 / 100.0
+
     def test_full_when_everything_running(self):
         pool = self.make_pool(capacity=100.0)
         f = make_function("A", memory_mb=100.0)

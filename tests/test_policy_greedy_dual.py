@@ -236,3 +236,93 @@ class TestArrivalRefresh:
         a3 = start_cold(policy, pool, fa, now=20.0)
         assert policy.frequency_of("A") == 1
         assert a3.priority == a3.clock_stamp + self._value(policy, fa)
+
+
+class TestArrivalValueTerm:
+    """The value term computed when an arrival is announced is reused
+    by the start hook of *that* arrival only; it must never score a
+    container of another arrival, another function, or a frequency
+    that has since reset."""
+
+    def _value(self, policy, function):
+        return (
+            policy.frequency_of(function.name)
+            * function.init_time_s
+            / function.memory_mb
+        )
+
+    def _cold(self, policy, pool, function, now, announce=True):
+        if announce:
+            policy.on_invocation(function, now, pool)
+        container = Container(function, now)
+        container.start_invocation(now, function.cold_time_s)
+        pool.add(container)
+        policy.on_cold_start(container, now, pool)
+        container.finish_invocation(now + function.cold_time_s)
+        return container
+
+    def test_dropped_arrival_does_not_score_the_next_function(self):
+        policy = GreedyDualPolicy()
+        pool = ContainerPool(10_000.0)
+        fa = make_function("A", memory_mb=100.0, cold_time_s=9.0)
+        fb = make_function("B", memory_mb=400.0, cold_time_s=2.0)
+        a = self._cold(policy, pool, fa, 0.0)
+        # A's next arrival is dropped: announced, no start hook.
+        policy.on_invocation(fa, 20.0, pool)
+        assert a.priority == a.clock_stamp + self._value(policy, fa)
+        b = self._cold(policy, pool, fb, 21.0)
+        assert b.priority == b.clock_stamp + self._value(policy, fb)
+        assert a.priority == a.clock_stamp + self._value(policy, fa)
+
+    def test_pool_less_arrival_falls_back_to_the_sibling_sweep(self):
+        policy = GreedyDualPolicy()
+        pool = ContainerPool(10_000.0)
+        fa = make_function("A", memory_mb=100.0, cold_time_s=9.0)
+        fb = make_function("B", memory_mb=400.0, cold_time_s=2.0)
+        a1 = self._cold(policy, pool, fa, 0.0)
+        a2 = self._cold(policy, pool, fa, 1.0)
+        self._cold(policy, pool, fb, 20.0)  # leaves B's term behind
+        # Bare lifecycle driver: no pool on the announcement.
+        policy.on_invocation(fa, 30.0)
+        a1.start_invocation(30.0, fa.warm_time_s)
+        policy.on_warm_start(a1, 30.0, pool)
+        value = self._value(policy, fa)
+        assert policy.frequency_of("A") == 3
+        assert a1.priority == a1.clock_stamp + value
+        assert a2.priority == a2.clock_stamp + value
+
+    def test_start_hook_without_any_announcement_uses_current_frequency(self):
+        policy = GreedyDualPolicy()
+        pool = ContainerPool(10_000.0)
+        fa = make_function("A", memory_mb=100.0, cold_time_s=9.0)
+        a = self._cold(policy, pool, fa, 0.0)
+        hit(policy, pool, a, now=20.0)  # pool-less announcement
+        assert a.priority == a.clock_stamp + self._value(policy, fa)
+        assert policy.frequency_of("A") == 2
+
+    def test_frequency_reset_between_announcement_and_start(self):
+        policy = GreedyDualPolicy()
+        pool = ContainerPool(10_000.0)
+        fa = make_function("A", memory_mb=100.0, cold_time_s=9.0)
+        old = self._cold(policy, pool, fa, 0.0)
+        policy.on_invocation(fa, 20.0, pool)  # Freq 2, term cached
+        pool.evict(old)
+        policy.on_evict(old, 20.0, pool, pressure=True)  # Freq resets
+        fresh = self._cold(policy, pool, fa, 20.0, announce=False)
+        assert policy.frequency_of("A") == 0
+        assert fresh.priority == fresh.clock_stamp  # 0 * Cost / Size
+
+    def test_gds_and_tenant_weights_score_through_the_same_term(self):
+        from repro.core.policies import create_policy
+
+        fa = make_function("A", memory_mb=100.0, cold_time_s=9.0)
+        for policy, expected in (
+            (create_policy("GDS"), fa.init_time_s / fa.memory_mb),
+            (
+                GreedyDualPolicy(tenant_weights={0: 3.0}),
+                3.0 * fa.init_time_s / fa.memory_mb,
+            ),
+        ):
+            pool = ContainerPool(10_000.0)
+            a = self._cold(policy, pool, fa, 0.0)
+            assert a.priority == pytest.approx(expected)

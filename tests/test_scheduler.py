@@ -313,6 +313,124 @@ class TestTimelineClosingSample:
         assert times == sorted(set(times))
 
 
+class TestGuardedPrologue:
+    """An arrival runs the housekeeping phases behind "anything due?"
+    guards instead of through :meth:`housekeeping`; the guards must
+    never skip work that is due."""
+
+    def test_doorkeeper_still_refuses_unproven_functions_on_release(self):
+        from repro.core.policies.doorkeeper import DoorkeeperPolicy
+
+        policy = DoorkeeperPolicy(inner="GD", admission_threshold=2)
+        metrics = simulate(make_trace("ABAB"), policy, 10_000.0).metrics
+        # First A and first B are unproven: released, not retained, so
+        # the second A and B are cold again and only then admitted.
+        assert policy.rejections == 2
+        assert metrics.expirations == 2
+        assert metrics.cold_starts == 4 and metrics.warm_starts == 0
+
+    def test_overridden_should_retain_is_consulted_per_release(self):
+        class Counting(type(create_policy("LRU"))):
+            asked = 0
+
+            def should_retain(self, container, now_s, pool):
+                self.asked += 1
+                return True
+
+        policy = Counting()
+        simulate(make_trace("ABAB"), policy, 10_000.0)
+        # Every invocation but the last finishes before the trace ends.
+        assert policy.asked == 3
+
+    def test_base_should_retain_is_never_called(self, monkeypatch):
+        from repro.core.policies.base import KeepAlivePolicy
+
+        calls = []
+
+        def counting(self, container, now_s, pool):
+            calls.append(container)
+            return True
+
+        monkeypatch.setattr(KeepAlivePolicy, "should_retain", counting)
+        metrics = simulate(make_trace("ABAB"), "GD", 10_000.0).metrics
+        assert metrics.warm_starts == 2
+        assert calls == []
+
+    def test_housekeeping_releases_with_no_arrival_due(self):
+        sim = KeepAliveSimulator(make_trace("A"), create_policy("GD"), 1024.0)
+        sim.process_invocation(sim.trace.functions["A"], 0.0)
+        assert sim.outstanding == 1 and sim.pool.evictable_mb() == 0.0
+        sim.housekeeping(2.0)  # cold run lasts 3 s: nothing due yet
+        assert sim.outstanding == 1
+        sim.housekeeping(10.0)  # the live tick, no arrival
+        assert sim.outstanding == 0
+        assert sim.pool.evictable_mb() == 256.0
+
+    def test_housekeeping_resumes_a_deferred_deflation(self):
+        a = make_function("A", memory_mb=400.0)
+        b = make_function("B", memory_mb=400.0)
+        trace = Trace([a, b], [Invocation(0.0, "A"), Invocation(0.5, "B")])
+        sim = KeepAliveSimulator(trace, create_policy("GD"), 1000.0)
+        sim.process_invocation(a, 0.0)
+        sim.process_invocation(b, 0.5)
+        sim.set_harvest_capacity(1.0, 0.5)  # both busy: nothing to evict
+        assert sim.pool.deflation_target_mb == 500.0
+        assert sim.pool.capacity_mb == 800.0
+        sim.housekeeping(10.0)  # both finished; no arrival since
+        assert sim.pool.deflation_target_mb is None
+        assert sim.pool.capacity_mb == 500.0
+        assert len(sim.pool) == 1 and sim.metrics.deflations == 1
+
+    def test_arrival_resumes_a_deferred_deflation_with_nothing_finishing(self):
+        """The release guard also opens for a pending deflation, as the
+        unguarded prologue did: containers an external driver idled
+        itself are deflated at the next arrival even though the
+        scheduler has no invocation finishing at it."""
+        a = make_function("A", memory_mb=400.0)
+        b = make_function("B", memory_mb=400.0)
+        c = make_function("C", memory_mb=100.0)
+        trace = Trace([a, b, c], [Invocation(0.0, "A")])
+        sim = KeepAliveSimulator(trace, create_policy("GD"), 1000.0)
+        sim.process_invocation(a, 0.0)
+        sim.process_invocation(b, 0.5)
+        sim.set_harvest_capacity(1.0, 0.5)
+        # Idle both behind the scheduler's back: its running heap is
+        # empty, so only the pending deflation can open the guard.
+        sim._running.clear()
+        for container in sim.pool.all_containers():
+            container.finish_invocation(4.0)
+        assert sim.process_invocation(c, 20.0) == "cold"
+        assert sim.pool.deflation_target_mb is None
+        assert sim.pool.capacity_mb == 500.0
+
+    @pytest.mark.parametrize("policy_name", ["GD", "TTL", "HIST"])
+    def test_timeline_sampled_after_every_due_arrival(self, policy_name):
+        """The timeline of ``run()`` equals the one rebuilt from outside
+        by stepping an untracked simulator: a sample of ``used_mb``
+        after every arrival at least an interval past the previous
+        sample — warm, cold and dropped alike — plus the closing one."""
+        from repro.traces.synth import skewed_frequency_trace
+
+        trace = skewed_frequency_trace(seed=5)
+        interval_s = 7.0
+        tracked = simulate(
+            trace, policy_name, 512.0,
+            track_memory_timeline=True, timeline_interval_s=interval_s,
+        ).metrics
+        assert tracked.dropped and tracked.warm_starts and tracked.cold_starts
+        stepped = KeepAliveSimulator(trace, create_policy(policy_name), 512.0)
+        expected, last_s, now_s = [], float("-inf"), 0.0
+        for now_s, function in trace.arrivals():
+            stepped.process_invocation(function, now_s)
+            if now_s - last_s >= interval_s:
+                expected.append((now_s, stepped.pool.used_mb))
+                last_s = now_s
+        if now_s > last_s:
+            expected.append((now_s, stepped.pool.used_mb))
+        assert tracked.memory_timeline == expected
+        assert len(expected) > 20
+
+
 class TestSimulateForwarding:
     """simulate() must forward every simulator knob (a bug once
     swallowed them into policy kwargs)."""

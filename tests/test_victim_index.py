@@ -331,3 +331,162 @@ class TestParkedBusyEntries:
         a.priority = 1.0
         pool.evict(a)
         assert list(pool.iter_victims(_key_of)) == [b]
+
+
+class _ScriptedServer:
+    """A pool + policy driven through the simulator's hook order, with
+    the cold admission order as the one parameter: ``add`` the WARM
+    container then start it (how every container was admitted before
+    admit-running), or start it then ``add`` it RUNNING."""
+
+    def __init__(self, policy_name, functions, capacity_mb, start_first):
+        self.pool = ContainerPool(capacity_mb)
+        self.policy = create_policy(policy_name)
+        self.functions = functions
+        self.start_first = start_first
+        self.created = []  # script-order index <-> container
+        self.running = []
+
+    def arrive(self, index, now_s):
+        function = self.functions[index]
+        pool, policy = self.pool, self.policy
+        policy.on_invocation(function, now_s, pool)
+        container = pool.idle_warm_container(function.name)
+        if container is not None:
+            container.start_invocation(now_s, function.warm_time_s)
+            policy.on_warm_start(container, now_s, pool)
+            self.running.append(container)
+            return
+        victims = policy.select_victims(pool, function.memory_mb, now_s)
+        if victims is None:
+            return  # dropped
+        for victim in victims:
+            pool.evict(victim)
+            policy.on_evict(victim, now_s, pool, pressure=True)
+        container = Container(function, now_s)
+        if self.start_first:
+            container.start_invocation(now_s, function.cold_time_s)
+            pool.add(container)
+        else:
+            pool.add(container)
+            container.start_invocation(now_s, function.cold_time_s)
+        policy.on_cold_start(container, now_s, pool)
+        self.created.append(container)
+        self.running.append(container)
+
+    def finish(self, now_s):
+        if self.running:
+            self.running.pop(0).finish_invocation(now_s)
+
+    def evict_next(self, now_s):
+        for victim in self.policy.victim_order(self.pool, now_s):
+            self.pool.evict(victim)
+            self.policy.on_evict(victim, now_s, self.pool, pressure=False)
+            return
+
+    def observe(self, now_s):
+        """Everything victim selection and accounting can see; container
+        ids differ between two servers, script positions do not."""
+        pool = self.pool
+        position = {c.container_id: i for i, c in enumerate(self.created)}
+        return (
+            [
+                position[c.container_id]
+                for c in self.policy.victim_order(pool, now_s)
+            ],
+            pool.evictable_mb(),
+            pool._idle_unpinned,
+            pool.used_mb,
+            pool.tenant_usage(),
+            {t: pool.tenant_container_count(t) for t in pool.tenant_usage()},
+        )
+
+
+class TestAdmitRunningIsInvisible:
+    """Starting a cold container before ``add`` (it parks, and is
+    enrolled at its first idle) must be indistinguishable from adding
+    it WARM and starting it afterwards."""
+
+    @pytest.mark.parametrize("name", EQUIVALENCE)
+    def test_same_victims_and_accounting_after_every_step(
+        self, name, sanitized
+    ):
+        import random
+
+        functions = [
+            TraceFunction(
+                f"f{i}", 100.0 + 50.0 * (i % 3), 1.0, 2.0 + i % 4,
+                tenant_id=i % 3,
+            )
+            for i in range(12)
+        ]
+        warm_first = _ScriptedServer(name, functions, 1000.0, False)
+        start_first = _ScriptedServer(name, functions, 1000.0, True)
+        rng = random.Random(16)
+        now_s = 0.0
+        for __ in range(400):
+            now_s += rng.uniform(0.1, 1.0)
+            roll = rng.random()
+            index = rng.randrange(len(functions))
+            for server in (warm_first, start_first):
+                if roll < 0.55:
+                    server.arrive(index, now_s)
+                elif roll < 0.9:
+                    server.finish(now_s)
+                else:
+                    server.evict_next(now_s)
+            assert start_first.observe(now_s) == warm_first.observe(now_s)
+        # The script must have exercised what it compares.
+        assert len(warm_first.created) > 50
+        assert len(warm_first.pool) < len(warm_first.created)
+
+    def test_admitted_running_and_never_finished_is_never_offered(
+        self, sanitized
+    ):
+        pool = ContainerPool(1000.0)
+        idle = Container(make_function("A", memory_mb=100.0), 0.0)
+        pool.add(idle)
+        busy = Container(make_function("B", memory_mb=100.0), 0.0)
+        busy.start_invocation(0.0, 1e9)
+        pool.add(busy)
+        assert pool.evictable_mb() == 100.0 and pool._idle_unpinned == 1
+        for __ in range(3):
+            assert list(pool.iter_victims(_key_of)) == [idle]
+        assert pool.take_victims(pool.iter_victims(_key_of), 150.0) is None
+        assert busy.container_id in pool._parked
+
+    def test_never_idled_parked_container_cannot_be_evicted(self, sanitized):
+        pool = ContainerPool(1000.0)
+        busy = Container(make_function("A", memory_mb=100.0), 0.0)
+        busy.start_invocation(0.0, 5.0)
+        pool.add(busy)
+        with pytest.raises(RuntimeError, match="while running"):
+            pool.evict(busy)
+        # The refused eviction changed nothing.
+        assert busy in pool and pool.used_mb == 100.0
+        assert busy.container_id in pool._parked
+        busy.finish_invocation(5.0)  # first idle: enrolled and counted
+        assert not pool._parked and pool.evictable_mb() == 100.0
+        assert list(pool.iter_victims(_key_of)) == [busy]
+        pool.evict(busy)
+        assert len(pool) == 0 and pool.evictable_mb() == 0.0
+
+    def test_add_enrolls_by_state(self, sanitized):
+        """WARM: enrolled and evictable at once (prewarm, external
+        drivers). RUNNING: parked. Pinned: never enrolled either way."""
+        pool = ContainerPool(1000.0)
+        warm = Container(make_function("A", memory_mb=100.0), 0.0)
+        pool.add(warm)
+        assert pool.evictable_mb() == 100.0
+        assert list(pool.iter_victims(_key_of)) == [warm]
+        for start in (False, True):
+            pinned = Container(make_function("P", memory_mb=100.0), 0.0)
+            pinned.pinned = True
+            if start:
+                pinned.start_invocation(0.0, 1.0)
+            pool.add(pinned)
+            if start:
+                pinned.finish_invocation(1.0)
+            assert pinned.container_id not in pool._parked
+            assert pool.evictable_mb() == 100.0 and pool._idle_unpinned == 1
+            assert list(pool.iter_victims(_key_of)) == [warm]
