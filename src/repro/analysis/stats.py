@@ -32,7 +32,9 @@ class Welford:
 
     Numerically stable single-pass computation; used by the HIST policy
     to maintain the coefficient of variation of a function's
-    inter-arrival times without storing them all.
+    inter-arrival times without storing them all. ``count`` and ``mean``
+    are plain attributes (HIST reads them on every arrival); only
+    :meth:`update` and :meth:`merge` write them.
 
     >>> w = Welford()
     >>> for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
@@ -44,32 +46,24 @@ class Welford:
     """
 
     def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
+        self.count = 0
+        self.mean = 0.0
         self._m2 = 0.0
 
     def update(self, value: float) -> None:
         """Fold one observation into the running statistics."""
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        delta2 = value - self._mean
+        self.count += 1
+        delta = value - self.mean
+        self.mean += delta / self.count
+        delta2 = value - self.mean
         self._m2 += delta * delta2
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        return self._mean
 
     @property
     def variance(self) -> float:
         """Sample variance (Bessel-corrected); zero for < 2 samples."""
-        if self._count < 2:
+        if self.count < 2:
             return 0.0
-        return self._m2 / (self._count - 1)
+        return self._m2 / (self.count - 1)
 
     @property
     def stddev(self) -> float:
@@ -82,48 +76,50 @@ class Welford:
         The HIST policy treats a function as *predictable* when this is
         at most 2 (Section 7.1).
         """
-        if self._count < 2:
+        if self.count < 2:
             return 0.0
         # Restructured away from a float ``== 0.0`` guard (FC007): a
         # zero denominator is exactly the non-positive case of its
         # absolute value, and the division is guarded by the same
         # quantity it divides by.
-        denominator = abs(self._mean)
+        denominator = abs(self.mean)
         if denominator <= 0.0:
             return math.inf if self._m2 > 0.0 else 0.0
-        return self.stddev / denominator
+        # ``stddev`` spelled out (same expression, same rounding): HIST
+        # reads this once per arrival and each property hop is a frame.
+        return math.sqrt(self._m2 / (self.count - 1)) / denominator
 
     def merge(self, other: "Welford") -> "Welford":
         """Return a new accumulator equivalent to seeing both streams."""
         merged = Welford()
-        if self._count == 0:
-            merged._count, merged._mean, merged._m2 = (
-                other._count,
-                other._mean,
+        if self.count == 0:
+            merged.count, merged.mean, merged._m2 = (
+                other.count,
+                other.mean,
                 other._m2,
             )
             return merged
-        if other._count == 0:
-            merged._count, merged._mean, merged._m2 = (
-                self._count,
-                self._mean,
+        if other.count == 0:
+            merged.count, merged.mean, merged._m2 = (
+                self.count,
+                self.mean,
                 self._m2,
             )
             return merged
-        total = self._count + other._count
-        delta = other._mean - self._mean
-        merged._count = total
-        merged._mean = self._mean + delta * other._count / total
+        total = self.count + other.count
+        delta = other.mean - self.mean
+        merged.count = total
+        merged.mean = self.mean + delta * other.count / total
         merged._m2 = (
             self._m2
             + other._m2
-            + delta * delta * self._count * other._count / total
+            + delta * delta * self.count * other.count / total
         )
         return merged
 
     def __repr__(self) -> str:
         return (
-            f"Welford(count={self._count}, mean={self._mean:.6g}, "
+            f"Welford(count={self.count}, mean={self.mean:.6g}, "
             f"variance={self.variance:.6g})"
         )
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.stats import Welford
@@ -48,76 +47,84 @@ __all__ = ["HistogramPolicy", "FunctionHistogram"]
 
 _MINUTE_S = 60.0
 
+#: What HIST does after an invocation of a function, as offsets from
+#: the invocation time: ``(keep_s, prewarm_after_s, prewarm_keep_s,
+#: predicted_gap_s)`` — expire the started container after ``keep_s``;
+#: unless ``prewarm_after_s`` is None, pre-warm one after that long and
+#: keep it until ``prewarm_keep_s``; expect the next arrival after
+#: ``predicted_gap_s`` (the pressure-eviction score).
+Plan = Tuple[float, Optional[float], float, float]
 
-@dataclass
+
 class FunctionHistogram:
     """Per-function IAT histogram in minute buckets plus online CoV.
 
-    Percentile queries are answered from a Fenwick (binary-indexed)
-    tree maintained alongside the plain ``buckets`` list: the policy
-    asks for the head and tail on *every* container start, so the old
-    full-bucket scans (O(window) each, three per plan) dominated the
-    HIST replay hot path. The tree answers a nearest-rank query in
-    O(log window) and costs O(log window) per recorded arrival.
+    The policy reads the head (5th percentile) and tail (99th) after
+    *every* arrival, so each is tracked by a *rank cursor*: a ``[bucket,
+    count_below]`` pair with ``count_below == sum(buckets[:bucket])``,
+    resting on the nearest-rank bucket of its percentile — the smallest
+    bucket whose cumulative count reaches the target rank, ``count_below
+    < target <= count_below + buckets[bucket]``, exactly what a full
+    cumulative scan finds. :meth:`record_arrival` keeps both true: a
+    sample under a cursor bumps its ``count_below``, then the cursor
+    steps to the new target. A target rank moves by at most one per
+    sample, so that is O(1) amortised while the samples form one
+    populated region; at worst a cursor crosses the empty gap between
+    two regions its rank flips between, never more than the one scan it
+    replaces. :meth:`head_s` and :meth:`tail_s` just read the cursors.
+
+    All state starts empty and is fed through :meth:`record_arrival`
+    alone (the constructor takes the window and nothing else), so the
+    in-window sample count has one source, ``welford.count``: it is the
+    total the percentiles rank against *and* the count
+    :meth:`is_predictable` and :meth:`mean_iat_s` read.
     """
 
-    window_minutes: int
-    buckets: List[int] = field(default_factory=list)
-    welford: Welford = field(default_factory=Welford)
-    out_of_window: int = 0
-    last_arrival_s: Optional[float] = None
+    __slots__ = (
+        "window_minutes", "buckets", "welford", "out_of_window",
+        "last_arrival_s", "plan", "_head", "_tail",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.buckets:
-            self.buckets = [0] * self.window_minutes
-        # Fenwick tree over the buckets (1-based), plus the largest
-        # power of two <= window for the descending prefix search.
-        self._fenwick = [0] * (self.window_minutes + 1)
-        msb = 1
-        while msb * 2 <= self.window_minutes:
-            msb *= 2
-        self._fenwick_msb = msb
-        self._total = 0
-        for bucket, count in enumerate(self.buckets):
-            if count:
-                self._fenwick_add(bucket, count)
-
-    def _fenwick_add(self, bucket: int, delta: int) -> None:
-        self._total += delta
-        tree = self._fenwick
-        i = bucket + 1
-        n = self.window_minutes
-        while i <= n:
-            tree[i] += delta
-            i += i & -i
-
-    def _nearest_rank_bucket(self, target: int) -> int:
-        """Smallest 0-based bucket whose cumulative count reaches
-        ``target`` (callers guarantee ``1 <= target <= total``)."""
-        tree = self._fenwick
-        n = self.window_minutes
-        pos = 0
-        remaining = target
-        bit = self._fenwick_msb
-        while bit:
-            nxt = pos + bit
-            if nxt <= n and tree[nxt] < remaining:
-                remaining -= tree[nxt]
-                pos = nxt
-            bit >>= 1
-        return pos
+    def __init__(self, window_minutes: int) -> None:
+        self.window_minutes = window_minutes
+        self.buckets: List[int] = [0] * window_minutes
+        self.welford = Welford()
+        self.out_of_window = 0
+        self.last_arrival_s: Optional[float] = None
+        #: The owning policy's :data:`Plan` for the current state, None
+        #: until it computes one; every recorded arrival clears it.
+        self.plan: Optional[Plan] = None
+        self._head = [0, 0]
+        self._tail = [0, 0]
 
     def record_arrival(self, now_s: float) -> None:
         if self.last_arrival_s is not None:
             iat_minutes = (now_s - self.last_arrival_s) / _MINUTE_S
             bucket = int(iat_minutes)
             if bucket < self.window_minutes:
-                self.buckets[bucket] += 1
-                self._fenwick_add(bucket, 1)
+                buckets = self.buckets
+                buckets[bucket] += 1
                 self.welford.update(iat_minutes)
+                total = self.welford.count
+                for cursor, target in (
+                    (self._head, round(0.05 * total) or 1),
+                    (self._tail, round(0.99 * total) or 1),
+                ):
+                    at, below = cursor
+                    if bucket < at:
+                        below += 1
+                    while below >= target:
+                        at -= 1
+                        below -= buckets[at]
+                    while below + buckets[at] < target:
+                        below += buckets[at]
+                        at += 1
+                    cursor[0] = at
+                    cursor[1] = below
             else:
                 self.out_of_window += 1
         self.last_arrival_s = now_s
+        self.plan = None
 
     @property
     def in_window_count(self) -> int:
@@ -125,40 +132,25 @@ class FunctionHistogram:
 
     def is_predictable(self, cov_threshold: float, min_samples: int) -> bool:
         """CoV <= threshold, enough samples, mostly in-window IATs."""
-        if self.in_window_count < min_samples:
+        in_window = self.welford.count
+        if in_window < min_samples:
             return False
-        total = self.in_window_count + self.out_of_window
-        if self.out_of_window > total / 2:
+        if self.out_of_window > (in_window + self.out_of_window) / 2:
             return False
         return self.welford.coefficient_of_variation <= cov_threshold
 
-    def percentile_minutes(self, q: float) -> float:
-        """Nearest-rank percentile over the minute-bucket histogram.
-
-        Returns the *upper edge* of the bucket so the returned window
-        covers every IAT that fell in it.
-        """
-        total = self._total
-        if total == 0:
-            return 0.0
-        target = max(1, int(round(q / 100.0 * total)))
-        if target > total:
-            return float(self.window_minutes)
-        return float(self._nearest_rank_bucket(target) + 1)
-
     def head_s(self) -> float:
-        """Pre-warm window: 5th-percentile IAT, lower bucket edge."""
-        total = self._total
-        if total == 0:
-            return 0.0
-        target = max(1, int(round(0.05 * total)))
-        if target > total:
-            return 0.0
-        return float(self._nearest_rank_bucket(target)) * _MINUTE_S
+        """Pre-warm window: nearest-rank 5th-percentile IAT, lower
+        bucket edge (0 on an empty histogram)."""
+        return float(self._head[0]) * _MINUTE_S
 
     def tail_s(self) -> float:
-        """Keep-alive window: 99th-percentile IAT, upper bucket edge."""
-        return self.percentile_minutes(99.0) * _MINUTE_S
+        """Keep-alive window: nearest-rank 99th-percentile IAT, *upper*
+        bucket edge so the window covers every IAT that fell in it (0 on
+        an empty histogram)."""
+        if self.welford.count == 0:
+            return 0.0
+        return float(self._tail[0] + 1) * _MINUTE_S
 
     def mean_iat_s(self) -> Optional[float]:
         if self.welford.count == 0:
@@ -214,11 +206,15 @@ class HistogramPolicy(KeepAlivePolicy):
         now_s: float,
         pool: Optional[ContainerPool] = None,
     ) -> None:
-        super().on_invocation(function, now_s, pool)
-        self.histogram_of(function.name).record_arrival(now_s)
+        # Frequency bookkeeping is spelled out, not chained to the base
+        # class: this runs on every arrival and each chained frame shows
+        # in the replay ledger.
+        name = function.name
+        self._frequency[name] = self._frequency.get(name, 0) + 1
+        (self._histograms.get(name) or self.histogram_of(name)).record_arrival(now_s)
         # The anticipated invocation arrived; cancel any pending
-        # prewarm for this function (it will be rescheduled below).
-        pending = self._pending_prewarm.pop(function.name, None)
+        # prewarm for this function (the start hook files the next).
+        pending = self._pending_prewarm.pop(name, None)
         if pending is not None:
             pending.at_time_s = -1.0  # tombstone, skipped when popped
 
@@ -226,47 +222,54 @@ class HistogramPolicy(KeepAlivePolicy):
     # Expiry / prewarm scheduling
     # ------------------------------------------------------------------
 
-    def _plan_for(self, function: TraceFunction, now_s: float) -> Tuple[float, Optional[PrewarmRequest]]:
-        """Compute (container expiry, optional prewarm) after an invocation."""
-        hist = self.histogram_of(function.name)
-        if not hist.is_predictable(self.cov_threshold, self.min_samples):
-            return now_s + self.generic_ttl_s, None
-        head = hist.head_s()
-        tail = max(hist.tail_s(), head + _MINUTE_S)
-        if head > self.release_threshold_s:
-            # Release soon, pre-warm just before the predicted arrival.
-            expiry = now_s + self.release_threshold_s
-            prewarm_at = now_s + self.head_margin * head
-            prewarm_expiry = now_s + self.tail_margin * tail
-            request = PrewarmRequest(function, prewarm_at, prewarm_expiry)
-            return expiry, request
-        # Frequent function: keep alive through the whole window.
-        return now_s + self.tail_margin * tail, None
+    def _plan(self, hist: FunctionHistogram) -> Plan:
+        """Compute ``hist``'s :data:`Plan` and cache it on ``hist``.
 
-    def _apply_plan(
-        self, container: Container, now_s: float, pool: ContainerPool
-    ) -> None:
-        # Deadlines live in the pool's incremental expiry index rather
-        # than a policy-side dict: plans are re-issued on every start
-        # (and can move a deadline *earlier*), which the index handles
-        # by superseding the old entry.
-        expiry, request = self._plan_for(container.function, now_s)
-        pool.schedule_expiry(container, expiry)
-        if request is not None:
-            self._pending_prewarm[container.function.name] = request
-            heapq.heappush(
-                self._prewarm_heap, (request.at_time_s, next(self._seq), request)
-            )
+        A pure function of the histogram's state (and this policy's
+        constructor parameters), so one computation serves every start
+        hook and every :meth:`priority` call until the next arrival of
+        the function clears it.
+        """
+        if hist.is_predictable(self.cov_threshold, self.min_samples):
+            head = hist.head_s()
+            keep_s = self.tail_margin * max(hist.tail_s(), head + _MINUTE_S)
+            if head > self.release_threshold_s:
+                # Release soon, pre-warm just before the predicted arrival.
+                plan = (self.release_threshold_s, self.head_margin * head, keep_s, head)
+            else:
+                # Frequent function: keep alive through the whole window.
+                plan = (keep_s, None, keep_s, head)
+        else:
+            ttl_s = self.generic_ttl_s
+            mean_iat_s = hist.mean_iat_s()
+            plan = (ttl_s, None, ttl_s, ttl_s if mean_iat_s is None else mean_iat_s)
+        hist.plan = plan
+        return plan
 
     def on_warm_start(
         self, container: Container, now_s: float, pool: ContainerPool
     ) -> None:
-        self._apply_plan(container, now_s, pool)
+        function = container.function
+        # No histogram yet means a driver that announced no arrival: an
+        # empty one plans the generic TTL.
+        hist = self._histograms.get(function.name) or self.histogram_of(function.name)
+        keep_s, prewarm_after_s, prewarm_keep_s, __ = hist.plan or self._plan(hist)
+        # Deadlines live in the pool's incremental expiry index rather
+        # than a policy-side dict: plans are re-issued on every start
+        # (and can move a deadline *earlier*), which the index handles
+        # by superseding the old entry.
+        pool.schedule_expiry(container, now_s + keep_s)
+        if prewarm_after_s is not None:
+            request = PrewarmRequest(
+                function, now_s + prewarm_after_s, now_s + prewarm_keep_s
+            )
+            self._pending_prewarm[function.name] = request
+            heapq.heappush(
+                self._prewarm_heap, (request.at_time_s, next(self._seq), request)
+            )
 
-    def on_cold_start(
-        self, container: Container, now_s: float, pool: ContainerPool
-    ) -> None:
-        self._apply_plan(container, now_s, pool)
+    # A cold start is planned exactly like a warm one.
+    on_cold_start = on_warm_start
 
     def on_prewarm(
         self, container: Container, request: PrewarmRequest, pool: ContainerPool
@@ -322,17 +325,15 @@ class HistogramPolicy(KeepAlivePolicy):
     # ------------------------------------------------------------------
 
     def priority(self, container: Container, now_s: float) -> float:
-        """Evict the container predicted to be needed furthest away."""
+        """Evict the container predicted to be needed furthest away:
+        the head after its last use if the function is predictable, else
+        its mean IAT, else (no IAT seen yet) the generic TTL."""
         hist = self._histograms.get(container.function.name)
-        if hist is not None and hist.is_predictable(
-            self.cov_threshold, self.min_samples
-        ):
-            predicted_next = container.last_used_s + hist.head_s()
-        elif hist is not None and hist.mean_iat_s() is not None:
-            predicted_next = container.last_used_s + hist.mean_iat_s()
+        if hist is None:
+            predicted_gap_s = self.generic_ttl_s
         else:
-            predicted_next = container.last_used_s + self.generic_ttl_s
-        return -(predicted_next - now_s)
+            predicted_gap_s = (hist.plan or self._plan(hist))[3]
+        return -(container.last_used_s + predicted_gap_s - now_s)
 
     def reset(self) -> None:
         super().reset()

@@ -4,15 +4,17 @@
 one performance number that repeats exactly: function calls, Python
 and builtin alike, made inside one ``simulate()``. This suite counts
 them the same way — ``sys.setprofile``, no clock anywhere — over two
-small GD replays and holds them to what the code pays today, so a
-refactor that puts a frame or a builtin back on every arrival fails
-here instead of showing up as a few percent of noise in a timing run.
+small GD replays and a HIST one and holds them to what the code pays
+today, so a refactor that puts a frame or a builtin back on every
+arrival fails here instead of showing up as a few percent of noise in
+a timing run.
 
 The budgets are the counts measured on CPython 3.11 (3.12 inlines
 comprehensions and counts fewer). Lowering one after a real cut is
 the point; raising one needs the ledger row that paid for it.
 """
 
+import gc
 import random
 import sys
 
@@ -29,6 +31,10 @@ CONTAINER_MB = 128.0
 #: the eviction replay, 27.99 over the 711 of the warm one.
 EVICT_CALLS = 38_320
 WARM_CALLS = 19_903
+#: HIST on the warm replay's trace, as landed by PR 17 (the parent paid
+#: 45,971 = 64.66 per arrival): 50.68 per arrival with a histogram
+#: sample, a plan and an expiry deadline on every one of them.
+HIST_CALLS = 36_035
 
 
 @pytest.fixture
@@ -76,7 +82,7 @@ def churn_trace(num_functions=60, duration_s=1200.0, seed=16):
     return Trace(functions, invocations, name="churn")
 
 
-def count_calls(trace, memory_mb):
+def count_calls(trace, memory_mb, policy="GD"):
     calls = 0
 
     def profiler(frame, event, arg):
@@ -84,11 +90,16 @@ def count_calls(trace, memory_mb):
         if event == "call" or event == "c_call":
             calls += 1
 
+    # Finalizers of an earlier test's garbage are calls too: collect it
+    # now and keep the collector out of the counted region.
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
-        result = simulate(trace, "GD", memory_mb)
+        result = simulate(trace, policy, memory_mb)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls, result.metrics
 
 
@@ -113,6 +124,19 @@ def test_warm_replay_call_budget(unsanitized):
     assert calls <= WARM_CALLS, (
         f"{calls / 711:.2f} calls per arrival on the warm replay, "
         f"budget {WARM_CALLS / 711:.2f}"
+    )
+
+
+def test_hist_replay_call_budget(unsanitized):
+    trace = churn_trace()
+    calls, metrics = count_calls(trace, 1.25 * 60 * CONTAINER_MB, "HIST")
+    # The replay is the one the budget was set on: HIST releases and
+    # pre-warms where GD, above, only ever kept warm.
+    assert metrics.evictions == 0 and metrics.dropped == 0
+    assert (metrics.expirations, metrics.prewarms) == (79, 59)
+    assert calls <= HIST_CALLS, (
+        f"{calls / 711:.2f} calls per arrival on the HIST replay, "
+        f"budget {HIST_CALLS / 711:.2f}"
     )
 
 

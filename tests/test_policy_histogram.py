@@ -1,13 +1,47 @@
 """Unit tests for the HIST (hybrid histogram) policy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.container import Container
 from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
 from repro.core.pool import ContainerPool
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
+from repro.sim.scheduler import KeepAliveSimulator
 from tests.conftest import make_function
+from tests.test_hot_path_budget import CONTAINER_MB, churn_trace
 
 MIN = 60.0
+
+
+def naive_windows(in_window_buckets):
+    """``(head_s, tail_s)`` by nearest rank over the sorted list of
+    every in-window sample's bucket: the definition the rank cursors
+    must agree with."""
+    ranked = sorted(in_window_buckets)
+    if not ranked:
+        return 0.0, 0.0
+    total = len(ranked)
+    head = ranked[max(1, int(round(0.05 * total))) - 1]
+    tail = ranked[max(1, int(round(99.0 / 100.0 * total))) - 1]
+    return float(head) * MIN, float(tail + 1) * MIN
+
+
+@st.composite
+def windows_and_gaps(draw):
+    """A window (tiny or the policy's 240 minutes) and up to 300 gaps in
+    whole seconds (so arrival times add up exactly): mostly spread over
+    the window and a quarter beyond it, salted with zero gaps, bucket
+    edges, the window's own edge and repeats of all of those."""
+    window = draw(st.sampled_from([1, 3, 240]))
+    edge = window * 60
+    gap = st.one_of(
+        st.integers(0, edge * 5 // 4),
+        st.sampled_from([0, 59, 60, 61, edge - 1, edge, edge + 1, 4 * edge]),
+    )
+    return window, draw(st.lists(gap, max_size=300))
 
 
 class TestFunctionHistogram:
@@ -71,6 +105,37 @@ class TestFunctionHistogram:
         assert h.head_s() == 0.0
         assert h.tail_s() == 0.0
         assert h.mean_iat_s() is None
+
+    def test_state_is_fed_by_arrivals_only(self):
+        # Preloaded buckets used to rank percentiles against a total
+        # that is_predictable / mean_iat_s never saw (welford.count
+        # stayed 0): the constructor takes the window and nothing else.
+        with pytest.raises(TypeError):
+            FunctionHistogram(window_minutes=240, buckets=[0, 3] + [0] * 238)
+        h = FunctionHistogram(window_minutes=240)
+        for i in range(4):
+            h.record_arrival(i * 90.0)
+        assert h.in_window_count == sum(h.buckets) == 3
+        assert h.head_s() == 1 * MIN and h.tail_s() == 2 * MIN
+        assert h.is_predictable(cov_threshold=2.0, min_samples=3)
+        assert h.mean_iat_s() == pytest.approx(90.0)
+
+    @settings(deadline=None, max_examples=150)
+    @given(windows_and_gaps())
+    def test_rank_cursors_match_naive_nearest_rank(self, window_and_gaps):
+        window, gaps = window_and_gaps
+        h = FunctionHistogram(window_minutes=window)
+        now_s, in_window, beyond = 0.0, [], 0
+        h.record_arrival(now_s)
+        for gap_s in gaps:
+            now_s += gap_s
+            h.record_arrival(now_s)
+            if gap_s // 60 < window:
+                in_window.append(gap_s // 60)
+            else:
+                beyond += 1
+            assert (h.head_s(), h.tail_s()) == naive_windows(in_window)
+            assert (h.in_window_count, h.out_of_window) == (len(in_window), beyond)
 
 
 class TestHistogramPolicyExpiry:
@@ -167,6 +232,99 @@ class TestHistogramPolicyExpiry:
         assert pool.expiry_deadline_of(c) is None
 
 
+def reference_plan(policy, hist, now_s):
+    """``(expiry, prewarm times or None)`` as absolute times built from
+    the histogram's public queries at the start itself: the arithmetic
+    the cached offsets must reproduce."""
+    if not hist.is_predictable(policy.cov_threshold, policy.min_samples):
+        return now_s + policy.generic_ttl_s, None
+    head = hist.head_s()
+    tail = max(hist.tail_s(), head + MIN)
+    if head > policy.release_threshold_s:
+        return now_s + policy.release_threshold_s, (
+            now_s + policy.head_margin * head,
+            now_s + policy.tail_margin * tail,
+        )
+    return now_s + policy.tail_margin * tail, None
+
+
+class TestPlanCache:
+    def _started(self, policy, arrivals_s):
+        pool = ContainerPool(1000.0)
+        f = make_function("A")
+        c = Container(f, 0.0)
+        pool.add(c)
+        for t in arrivals_s:
+            policy.on_invocation(f, t)
+        policy.on_warm_start(c, arrivals_s[-1], pool)
+        return pool, f, c
+
+    def test_starts_between_arrivals_share_one_plan(self):
+        policy = HistogramPolicy()
+        pool, f, c = self._started(policy, [0.0, 600.0, 1200.0])
+        plan = policy.histogram_of("A").plan
+        assert plan is not None
+        sibling = Container(f, 1200.0)
+        pool.add(sibling)
+        policy.on_cold_start(sibling, 1201.0, pool)
+        policy.priority(c, 1300.0)
+        assert policy.histogram_of("A").plan is plan
+
+    @pytest.mark.parametrize("gap_s", [600.0, 241 * MIN])  # in / out of window
+    def test_every_arrival_invalidates_the_plan(self, gap_s):
+        policy = HistogramPolicy()
+        pool, f, c = self._started(policy, [0.0, 600.0, 1200.0])
+        hist = policy.histogram_of("A")
+        stale = hist.plan
+        policy.on_invocation(f, 1200.0 + gap_s)
+        assert hist.plan is None
+        policy.on_warm_start(c, 1200.0 + gap_s, pool)
+        assert hist.plan is not None and hist.plan is not stale
+
+    def test_reset_drops_cached_plans(self):
+        policy = HistogramPolicy()
+        self._started(policy, [0.0, 600.0, 1200.0])
+        policy.reset()
+        assert policy.histogram_of("A").plan is None
+
+    def test_unannounced_start_plans_the_generic_ttl(self):
+        # Bare lifecycle drivers may call a start hook with no
+        # on_invocation before it: no histogram yet, generic TTL.
+        policy = HistogramPolicy(generic_ttl_s=7200.0)
+        pool = ContainerPool(1000.0)
+        c = Container(make_function("A"), 5.0)
+        pool.add(c)
+        policy.on_cold_start(c, 5.0, pool)
+        assert pool.expiry_deadline_of(c) == 5.0 + 7200.0
+        assert policy.due_prewarms(float("inf")) == []
+        assert policy.priority(c, 5.0) == -(c.last_used_s + 7200.0 - 5.0)
+
+    @pytest.mark.parametrize("mean_gap_s", [20.0, 200.3, 613.7, 3333.3])
+    def test_cached_offsets_reproduce_the_absolute_plan_exactly(self, mean_gap_s):
+        # Frequent (keep through the tail), sparse (release + prewarm)
+        # and not-yet-predictable starts, at times with no short binary
+        # form: every deadline must equal the old formula bit for bit.
+        policy = HistogramPolicy()
+        pool = ContainerPool(1000.0)
+        f = make_function("A")
+        c = Container(f, 0.0)
+        pool.add(c)
+        now_s, prewarms = 0.1, 0
+        for i in range(40):
+            now_s += mean_gap_s * (0.7 + 0.6 * ((i * 7) % 10) / 9.0)
+            policy.on_invocation(f, now_s)
+            policy.on_warm_start(c, now_s, pool)
+            expiry, prewarm = reference_plan(policy, policy.histogram_of("A"), now_s)
+            assert pool.expiry_deadline_of(c) == expiry
+            due = policy.due_prewarms(float("inf"))
+            if prewarm is None:
+                assert due == []
+            else:
+                assert [(r.at_time_s, r.expiry_s) for r in due] == [prewarm]
+                prewarms += 1
+        assert (prewarms > 0) == (mean_gap_s > 100.0)
+
+
 class TestHistogramPolicyPressure:
     def test_evicts_furthest_predicted_first(self):
         policy = HistogramPolicy(min_samples=2)
@@ -186,6 +344,43 @@ class TestHistogramPolicyPressure:
         pool.add(cl)
         victims = policy.select_victims(pool, 100.0, 1100.0)
         assert victims == [cl]
+
+    def test_cached_priorities_evict_the_naive_order(self):
+        # The hist_churn shape at 0.4 x working set, scaled down: every
+        # miss under pressure scores the whole idle set. Scoring from
+        # the cached plan must pick the victims, with the priorities,
+        # that recomputing from the histogram's public queries does.
+        class NaivePriority(HistogramPolicy):
+            def priority(self, container, now_s):
+                hist = self.histogram_of(container.function.name)
+                if hist.is_predictable(self.cov_threshold, self.min_samples):
+                    gap_s = hist.head_s()
+                elif hist.mean_iat_s() is not None:
+                    gap_s = hist.mean_iat_s()
+                else:
+                    gap_s = self.generic_ttl_s
+                return -((container.last_used_s + gap_s) - now_s)
+
+        def evictions(policy):
+            sink = RingBufferSink(capacity=1_000_000)
+            KeepAliveSimulator(
+                churn_trace(duration_s=3600.0), policy, 0.4 * 60 * CONTAINER_MB,
+                tracer=Tracer(sink, strict=True),
+            ).run()
+            events = sink.snapshot()
+            # Container ids are process-global: number them per run.
+            ordinal = {}
+            for e in events:
+                if e["event"] == "container_spawned":
+                    ordinal[e["container_id"]] = len(ordinal)
+            return [
+                (e["function"], ordinal[e["container_id"]], e["reason"], e["priority"])
+                for e in events if e["event"] == "evicted"
+            ]
+
+        cached, naive = evictions(HistogramPolicy()), evictions(NaivePriority())
+        assert sum(reason == "pressure" for __, __, reason, __ in cached) > 200
+        assert cached == naive
 
     def test_reset_clears_everything(self):
         policy = HistogramPolicy()
