@@ -4,10 +4,13 @@ The measuring protocol behind every performance claim in this
 repository (docs/performance.md): run ``benchmarks/ledger/run.py`` on a
 base commit and on this working tree in N alternating pairs, print each
 end-to-end metric's median and quartiles per side with the per-pair
-win count, and fail if any run was not ``correct: true``.
+win count, and fail if any run was not ``correct: true``. ``--layers``
+runs the same pairs traced (``--trace 1``) and summarises the per-layer
+rows instead: "the ledger row that moved", by the same protocol.
 
     python benchmarks/ledger_pairs.py --base HEAD~1 --workloads gd_evict gd_warm
     make ledger-pairs BASE=HEAD~1 WORKLOADS="gd_evict gd_warm"
+    make ledger-pairs BASE=HEAD~1 WORKLOADS=live_pipelined LAYERS=1
 
 ``--base REF`` is checked out into a temporary ``git worktree`` that is
 removed afterwards; ``--base-dir DIR`` uses an existing checkout of the
@@ -42,8 +45,7 @@ SIDES = ("base", "change")
 def run_ledger(tree: Path, env: Dict[str, str], workload: str, *options: str) -> dict:
     """One end-to-end ledger run in a fresh process; its closing result line."""
     command = [
-        sys.executable, "benchmarks/ledger/run.py", "--workload", workload,
-        "--trace", "0", *options,
+        sys.executable, "benchmarks/ledger/run.py", "--workload", workload, *options,
     ]
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -60,25 +62,57 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, median(values), q3
 
 
+def headline(values: Dict[str, Optional[float]]) -> str:
+    """The one number of a run worth a progress line: what the server
+    decided per second where the workload has a server (``inv_per_s`` is
+    then its offline reference replay), else the replay's own rate; on a
+    traced run, the server's CPU per request or the replay's call count."""
+    names = ["inv_per_s", "live.server.cpu_us_per_req", "replay.py_calls_per_inv"]
+    if values.get("decisions_per_s") != values.get("inv_per_s"):
+        names.insert(0, "decisions_per_s")
+    for name in names:
+        if values.get(name):
+            return f"{name}={values[name]:.1f}"
+    return "no headline metric"
+
+
+def ratio(change: float, base: float) -> float:
+    return change / base if base else float("nan")
+
+
 def summarize(
-    runs: Dict[str, List[Dict[str, float]]], better: Dict[str, str]
+    runs: Dict[str, List[Dict[str, Optional[float]]]], better: Dict[str, str]
 ) -> List[str]:
     """One line per metric: both sides' medians and quartiles, the
-    ratio of medians, and in how many pairs the change read better."""
+    ratio of medians, and in how many pairs the change read better. A
+    row that repeats exactly on each side (the ``*_calls`` counts of a
+    traced run) is shown as the two counts it is; a row that is zero
+    throughout (a layer this workload never enters) is left out."""
     lines = []
+    width = max(map(len, runs["base"][0]))
     for metric in runs["base"][0]:
         base = [run[metric] for run in runs["base"]]
         change = [run[metric] for run in runs["change"]]
-        higher = better.get(metric) == "higher"
-        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-        ties = sum(c == b for b, c in zip(base, change))
-        (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
-        lines.append(
-            f"  {metric:16s} base {bmed:12.4f} [{bq1:.4f} {bq3:.4f}]  "
-            f"change {cmed:12.4f} [{cq1:.4f} {cq3:.4f}]  "
-            f"x{cmed / bmed if bmed else float('nan'):.3f}  "
-            f"wins {wins}/{len(base)} ties {ties} ({better.get(metric, '?')} is better)"
-        )
+        if None in base or None in change:
+            lines.append(f"  {metric:{width}s} null in some run: a layer not read")
+        elif len(base) > 1 and len(set(base)) == 1 == len(set(change)):
+            if base[0] or change[0]:
+                lines.append(
+                    f"  {metric:{width}s} base {base[0]:12.4f}  change {change[0]:12.4f}  "
+                    f"x{ratio(change[0], base[0]):.3f}  "
+                    f"exactly, in all {len(base)} runs of each side"
+                )
+        else:
+            higher = better.get(metric) == "higher"
+            wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+            ties = sum(c == b for b, c in zip(base, change))
+            (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
+            lines.append(
+                f"  {metric:{width}s} base {bmed:12.4f} [{bq1:.4f} {bq3:.4f}]  "
+                f"change {cmed:12.4f} [{cq1:.4f} {cq3:.4f}]  "
+                f"x{ratio(cmed, bmed):.3f}  "
+                f"wins {wins}/{len(base)} ties {ties} ({better.get(metric, '?')} is better)"
+            )
     return lines
 
 
@@ -91,11 +125,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=7.0)
     parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument(
+        "--layers", action="store_true",
+        help="traced pairs (--trace 1): summarise the per-layer rows, not the end-to-end ones",
+    )
     parser.add_argument("--out", metavar="FILE", help="also write every run as JSON")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     scratch = Path(tempfile.mkdtemp(prefix="ledger-pairs-"))
     worktree: Optional[Path] = None
     if args.base_dir:
@@ -110,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         side: dict(writable, PYTHONPYCACHEPREFIX=str(scratch / f"pycache-{side}"))
         for side in SIDES
     }
-    options = ["--seconds", str(args.seconds)]
+    options = ["--trace", "1" if args.layers else "0", "--seconds", str(args.seconds)]
     if args.seed is not None:
         options += ["--seed", str(args.seed)]
     runs: Dict[str, Dict[str, List[Dict[str, float]]]] = {
@@ -125,7 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         for side in SIDES:
             for workload in args.workloads:
-                run_ledger(trees[side], envs[side], workload, "--smoke")
+                run_ledger(trees[side], envs[side], workload, "--trace", "0", "--smoke")
         print(
             f"bytecode caches: PYTHONPYCACHEPREFIX={scratch}/pycache-<side>, each "
             "filled by one discarded --smoke run per workload (in-tree "
@@ -143,8 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     runs[workload][side].append(values)
                     print(
                         f"pair {pair + 1:2d} {side:6s} {workload:14s} "
-                        f"correct={line.get('correct')} "
-                        f"inv_per_s={values.get('inv_per_s', float('nan')):.1f}",
+                        f"correct={line.get('correct')} {headline(values)}",
                         flush=True,
                     )
     finally:
@@ -155,7 +192,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         shutil.rmtree(scratch, ignore_errors=True)
     for workload in args.workloads:
-        print(f"== {workload}: {args.pairs} alternating pairs, {args.seconds:g} s runs")
+        kind = "traced (per-layer)" if args.layers else f"{args.seconds:g} s"
+        print(f"== {workload}: {args.pairs} alternating pairs, {kind} runs")
         if all(len(r) == args.pairs and all(r) for r in runs[workload].values()):
             print("\n".join(summarize(runs[workload], better)))
     if args.out:

@@ -10,7 +10,12 @@ loadgen`` over actual loopback sockets, and fails on:
 * a calibration-normalized decision-latency p99 above the ceiling,
 * a pipelined burst ending in an oversized ``Content-Length`` that is
   not answered in order, ``413`` last, and then closed — or that costs
-  any other connection its service.
+  any other connection its service,
+* a failed expiry tick, or a head memo that was not hit (the loadgen's
+  10k heads differ only in ``Content-Length``: tens of misses, not
+  thousands),
+* a ``SIGTERM`` — what ``kill``, systemd, Docker and Kubernetes send —
+  that does not end the server with exit status 0 and "shutting down".
 
 This is the two-process path — CLI parsing, signal handling, and the
 port-announce handshake included — as opposed to the in-process
@@ -44,6 +49,7 @@ ANNOUNCE = re.compile(r"at http://([\d.]+):(\d+)")
 STARTUP_TIMEOUT_S = 30.0
 SOCKET_TIMEOUT_S = 10.0
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: gate\r\n\r\n"
+MAX_HEAD_MISSES = 100  # of LIMIT requests; a miss per request is ~10,000
 
 
 def _exchange(host: str, port: int, request: bytes) -> bytes:
@@ -81,9 +87,32 @@ def refused_burst_failures(host: str, port: int) -> list:
     closing = HEALTHZ.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
     if _statuses(_exchange(host, port, closing)) != [200]:
         failures.append("a fresh connection's /healthz did not answer")
-    errors_5xx = fetch_stats(host, port)["http"]["errors_5xx"]
-    if errors_5xx != 0:
-        failures.append(f"stats.http.errors_5xx = {errors_5xx}")
+    http = fetch_stats(host, port)["http"]
+    if http["errors_5xx"] != 0:
+        failures.append(f"stats.http.errors_5xx = {http['errors_5xx']}")
+    if http["tick_errors"] != 0:
+        failures.append(f"stats.http.tick_errors = {http['tick_errors']}")
+    if not 0 < http["head_misses"] < MAX_HEAD_MISSES:
+        failures.append(
+            f"stats.http.head_misses = {http['head_misses']} of "
+            f"{http['requests']} requests: the head memo is not being hit"
+        )
+    return failures
+
+
+def shutdown_failures(server: subprocess.Popen) -> list:
+    """SIGTERM ends the server the way Ctrl-C does: cleanly."""
+    server.send_signal(signal.SIGTERM)
+    try:
+        __, stderr = server.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        return ["the server was still running 10 s after SIGTERM"]
+    sys.stderr.write("".join(f"[serve] {line}\n" for line in stderr.splitlines()))
+    failures = []
+    if server.returncode != 0:
+        failures.append(f"SIGTERM ended the server with status {server.returncode}")
+    if "shutting down" not in stderr:
+        failures.append('the server did not say "shutting down"')
     return failures
 
 
@@ -141,6 +170,7 @@ def main() -> int:
             failures = refused_burst_failures(host, int(port))
         except OSError as exc:  # e.g. a timeout: the server never closed
             failures = [f"refused-burst probe: {exc!r}"]
+        failures += shutdown_failures(server)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         if failures:
@@ -148,10 +178,7 @@ def main() -> int:
         print("live-smoke gate passed")
         return 0
     finally:
-        server.send_signal(signal.SIGINT)
-        try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
+        if server.poll() is None:  # failed before the SIGTERM check
             server.kill()
             server.wait()
 

@@ -748,6 +748,7 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the live HTTP serving mode (docs/live-serving.md)."""
     import asyncio
+    import signal
 
     from repro.core.clock import SimClock
     from repro.live.server import LiveHTTPServer
@@ -782,9 +783,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
 
+    async def serve() -> None:
+        # kill <pid> (systemd, Docker, Kubernetes) stops it as Ctrl-C does.
+        cancel = asyncio.current_task().cancel
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, cancel)
+        await server.serve_forever(on_ready=announce)
+
     try:
-        asyncio.run(server.serve_forever(on_ready=announce))
-    except KeyboardInterrupt:
+        asyncio.run(serve())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down", file=sys.stderr)
     finally:
         close_tracer()

@@ -63,17 +63,17 @@ class LatencyHistogram:
         self._min: Optional[float] = None
         self._max: Optional[float] = None
 
-    def _index(self, value_s: float) -> int:
-        if value_s <= 0.0:
-            return 0
-        idx = int(
-            (math.log10(value_s) - self._log_min) * self._buckets_per_decade
-        )
-        return min(max(idx, 0), len(self._buckets) - 1)
-
     def record(self, value_s: float) -> None:
         """Add one sample (seconds)."""
-        self._buckets[self._index(value_s)] += 1
+        buckets = self._buckets
+        index = 0 if value_s <= 0.0 else int(
+            (math.log10(value_s) - self._log_min) * self._buckets_per_decade
+        )
+        if index < 0:
+            index = 0
+        elif index >= len(buckets):
+            index = len(buckets) - 1
+        buckets[index] += 1
         self.count += 1
         self._sum += value_s
         if self._min is None or value_s < self._min:

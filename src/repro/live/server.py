@@ -34,7 +34,7 @@ import asyncio
 import json
 import math
 import threading
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.live.service import LivePoolService, UnknownFunctionError
 
@@ -46,6 +46,10 @@ _MAX_BODY_BYTES = 1024 * 1024
 # so a paused connection holds at most this much beyond the transport's
 # own high-water mark.
 _WRITE_CHUNK_BYTES = 64 * 1024
+# The head memo (a client repeats its head byte for byte): at most this
+# many heads of at most this many bytes, cleared when full -- no LRU.
+_MEMO_HEADS = 256
+_MEMO_HEAD_BYTES = 1024
 
 _REASONS = {
     200: "OK",
@@ -66,12 +70,24 @@ _HEADS = {
 }
 _KEEP_ALIVE = b"\r\nConnection: keep-alive\r\n\r\n"
 _CLOSE = b"\r\nConnection: close\r\n\r\n"
-# json.dumps(..., separators=...) builds a fresh encoder per call.
+# json.dumps(..., separators=...) builds a fresh encoder per call, and
+# json.loads(bytes) sniffs every body's encoding.
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
+_INF = math.inf
+_Route = Optional[Tuple[str, str]]  # (METHOD, path); None: malformed line
+_Payload = Union[dict, bytes]  # a reply to encode, or its JSON already
 
 
-def _encode_response(status: int, payload: dict, close: bool = False) -> bytes:
-    body = _encode_json(payload).encode()
+class _Quoted(Dict[str, str]):
+    """``text -> its JSON string literal``, encoded once per text."""
+
+    def __missing__(self, text: str) -> str:
+        return self.setdefault(text, _encode_json(text))
+
+
+def _encode_response(status: int, payload: _Payload, close=False) -> bytes:
+    body = payload if type(payload) is bytes else _encode_json(payload).encode()
     return b"%b%d%b%b" % (
         _HEADS[status], len(body), _CLOSE if close else _KEEP_ALIVE, body
     )
@@ -91,7 +107,11 @@ def _json_object(body: bytes) -> dict:
     would pin a sim clock at ``inf`` / ``nan`` for every later arrival
     and put a non-JSON token in the replies."""
     try:
-        request = json.loads(body) if body else {}
+        try:
+            request = _decode_json(body.decode()) if body else {}
+        except ValueError:
+            # UTF-16/32, a BOM, a lone surrogate, bad JSON: loads' verdict.
+            request = json.loads(body)
     except ValueError:
         raise _BadBody("body is not valid JSON") from None
     if not isinstance(request, dict):
@@ -119,9 +139,9 @@ def _header_value(lower: bytes, key: bytes) -> Optional[bytes]:
     return lower[at:lower.index(b"\r\n", at)].strip()
 
 
-def _frame(head: bytes) -> Tuple[int, bool]:
-    """``(body length, close after the reply)`` off a request's head
-    bytes: the request line and header lines, each CRLF-terminated."""
+def _frame(head: bytes) -> Tuple[int, bool, _Route]:
+    """``(body length, close after the reply, route)`` off a request's
+    head bytes alone: the request line and header lines, CRLF-terminated."""
     lower = head.lower()
     if b"\r\ntransfer-encoding:" in lower:
         raise _Unframed(400, "transfer-encoding is not supported")
@@ -135,9 +155,11 @@ def _frame(head: bytes) -> Tuple[int, bool]:
         if length > _MAX_BODY_BYTES:
             raise _Unframed(413, "body too large")
     asked = _header_value(lower, b"\r\nconnection:") or b""
+    parts = head[:head.index(b"\r\n")].decode("latin-1").split(" ")
+    route = (parts[0].upper(), parts[1]) if len(parts) == 3 else None
     if lower[:lower.index(b"\r\n")].endswith(b" http/1.0"):
-        return length, b"keep-alive" not in asked
-    return length, b"close" in asked
+        return length, b"keep-alive" not in asked, route
+    return length, b"close" in asked, route
 
 
 class _Connection(asyncio.Protocol):
@@ -187,6 +209,8 @@ class _Connection(asyncio.Protocol):
         paused."""
         buffer = self._buffer
         server = self._server
+        heads = server._heads
+        payload: _Payload
         replies: List[bytes] = []
         unwritten = 0
         start = 0
@@ -203,7 +227,16 @@ class _Connection(asyncio.Protocol):
                 # Through the first CRLF of the terminator, so every
                 # header line ends in one.
                 head = bytes(buffer[start:head_end + 2])
-                length, close_asked = _frame(head)
+                framed = heads.get(head)
+                # A verdict outlives no limit it was reached under.
+                if framed is None or framed[0] > _MAX_BODY_BYTES:
+                    server.head_misses += 1
+                    framed = _frame(head)  # a refusal is not remembered
+                    if len(head) <= _MEMO_HEAD_BYTES:
+                        if len(heads) >= _MEMO_HEADS:
+                            heads.clear()
+                        heads[head] = framed
+                length, close_asked, route = framed
             except _Unframed as refusal:
                 # Where the next request starts is unknown: answer,
                 # then drop the connection and whatever it pipelined.
@@ -214,7 +247,7 @@ class _Connection(asyncio.Protocol):
                 if len(buffer) < body_end:
                     break
                 body = bytes(buffer[head_end + 4:body_end])
-                status, payload = server._answer(head, body)
+                status, payload = server._answer(route, body)
                 start, close = body_end, close_asked
             server.requests_served += 1
             reply = _encode_response(status, payload, close)
@@ -260,18 +293,21 @@ class LiveHTTPServer:
         self.errors_5xx = 0
         self.connections: Set[_Connection] = set()  # currently open
         self.writes = 0  # transport writes; requests / writes = coalescing
+        self.head_misses = 0  # heads framed, not answered from the memo
+        self.tick_errors = 0  # expire_tick() failures the timer survived
+        self._heads: Dict[bytes, Tuple[int, bool, _Route]] = {}
+        self._quoted = _Quoted()  # outcomes and admitted function names
 
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
 
-    def _answer(self, head: bytes, body: bytes) -> Tuple[int, dict]:
+    def _answer(self, route: _Route, body: bytes) -> Tuple[int, _Payload]:
         """One framed request → ``(status, payload)``."""
-        parts = head[:head.index(b"\r\n")].decode("latin-1").split(" ")
-        if len(parts) != 3:
+        if route is None:
             return 400, {"error": "malformed request line"}
         try:
-            return self._dispatch(parts[0].upper(), parts[1], body)
+            return self._dispatch(route[0], route[1], body)
         except _BadBody as refusal:
             return 400, {"error": refusal.args[0]}
         except Exception as exc:  # noqa: BLE001 - last-resort 500
@@ -280,7 +316,7 @@ class LiveHTTPServer:
 
     def _dispatch(
         self, method: str, path: str, body: bytes
-    ) -> Tuple[int, dict]:
+    ) -> Tuple[int, _Payload]:
         if path == "/admit" and method == "POST":
             request = _json_object(body)
             name = request.get("function")
@@ -290,11 +326,23 @@ class LiveHTTPServer:
                 decision = self.service.admit(name, request.get("now_s"))
             except UnknownFunctionError:
                 return 404, {"error": f"unknown function {name!r}"}
+            now_s = decision.now_s
+            decision_us = decision.decision_latency_s * 1e6
+            if type(now_s) is float is type(decision_us) and (
+                -_INF < now_s < _INF and -_INF < decision_us < _INF
+            ):
+                # The encoder's bytes for the dict below (it, too, writes
+                # a finite float with float.__repr__), without the dict.
+                return 200, (
+                    f'{{"outcome":{self._quoted[decision.outcome]},"function":'
+                    f'{self._quoted[decision.function]},"now_s":{now_s!r},'
+                    f'"decision_us":{decision_us!r}}}'
+                ).encode()
             return 200, {
                 "outcome": decision.outcome,
                 "function": decision.function,
-                "now_s": decision.now_s,
-                "decision_us": decision.decision_latency_s * 1e6,
+                "now_s": now_s,
+                "decision_us": decision_us,
             }
         if path == "/release" and method == "POST":
             now_s = _json_object(body).get("now_s")
@@ -306,6 +354,8 @@ class LiveHTTPServer:
                 "errors_5xx": self.errors_5xx,
                 "connections": len(self.connections),
                 "writes": self.writes,
+                "head_misses": self.head_misses,
+                "tick_errors": self.tick_errors,
             }
             return 200, stats
         if path == "/healthz" and method == "GET":
@@ -319,7 +369,10 @@ class LiveHTTPServer:
         (no arrivals to piggyback housekeeping on) still free memory."""
         while True:
             await asyncio.sleep(self.tick_interval_s)
-            self.service.expire_tick()
+            try:
+                self.service.expire_tick()
+            except Exception:  # noqa: BLE001 - counted; the timer lives
+                self.tick_errors += 1
 
     # ------------------------------------------------------------------
     # Lifecycle

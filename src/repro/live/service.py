@@ -17,8 +17,7 @@ pool or policy state is ever touched outside the lock.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.core.clock import Clock, RealTimeClock, wall_clock_s
 from repro.core.policies.base import KeepAlivePolicy, create_policy
@@ -36,8 +35,7 @@ class UnknownFunctionError(KeyError):
     its registry (frontends map this to HTTP 404)."""
 
 
-@dataclass(frozen=True)
-class AdmitDecision:
+class AdmitDecision(NamedTuple):
     """One admission decision as the frontend reports it."""
 
     outcome: str  # 'warm' | 'cold' | 'dropped' | 'retried' | 'shed'
@@ -126,7 +124,9 @@ class LivePoolService:
             function = self._functions.get(function_name)
             if function is None:
                 raise UnknownFunctionError(function_name)
-            now = self._resolve_now(now_s)
+            if now_s is not None and self._advance_to is not None:
+                self._advance_to(now_s)
+            now = self._clock.now()  # _resolve_now, inline: the hot path
             entered_s = wall_clock_s()
             outcome = self._sim.process_invocation(function, now)
             latency_s = wall_clock_s() - entered_s

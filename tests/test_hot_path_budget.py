@@ -4,10 +4,10 @@
 one performance number that repeats exactly: function calls, Python
 and builtin alike, made inside one ``simulate()``. This suite counts
 them the same way — ``sys.setprofile``, no clock anywhere — over two
-small GD replays and a HIST one and holds them to what the code pays
-today, so a refactor that puts a frame or a builtin back on every
-arrival fails here instead of showing up as a few percent of noise in
-a timing run.
+small GD replays, a HIST one and a pipelined live request stream, and
+holds them to what the code pays today, so a refactor that puts a frame
+or a builtin back on every arrival fails here instead of showing up as
+a few percent of noise in a timing run.
 
 The budgets are the counts measured on CPython 3.11 (3.12 inlines
 comprehensions and counts fewer). Lowering one after a real cut is
@@ -15,12 +15,17 @@ the point; raising one needs the ledger row that paid for it.
 """
 
 import gc
+import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from repro.checks.sanitize import set_sanitize
+from repro.core.clock import SimClock
+from repro.live.server import LiveHTTPServer, _Connection
+from repro.live.service import LivePoolService
 from repro.sim.scheduler import simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 
@@ -35,6 +40,12 @@ WARM_CALLS = 19_903
 #: 45,971 = 64.66 per arrival): 50.68 per arrival with a histogram
 #: sample, a plan and an expiry deadline on every one of them.
 HIST_CALLS = 36_035
+#: The whole live request path, ``_Connection.data_received`` down, over
+#: the warm replay's trace as pipelined ``/admit`` requests on a pool of
+#: 0.8 x the working set, as landed by PR 18 (the parent paid 76,720 =
+#: 107.90 per request; on the ledger's live trace 102.75 -> 68.85):
+#: 74.49 per request to frame, decode, decide, evict and reply.
+LIVE_CALLS = 52_961
 
 
 @pytest.fixture
@@ -82,7 +93,8 @@ def churn_trace(num_functions=60, duration_s=1200.0, seed=16):
     return Trace(functions, invocations, name="churn")
 
 
-def count_calls(trace, memory_mb, policy="GD"):
+def counted(run, *args):
+    """``(calls made inside run(*args), its result)``."""
     calls = 0
 
     def profiler(frame, event, arg):
@@ -96,10 +108,15 @@ def count_calls(trace, memory_mb, policy="GD"):
     gc.disable()
     sys.setprofile(profiler)
     try:
-        result = simulate(trace, policy, memory_mb)
+        result = run(*args)
     finally:
         sys.setprofile(None)
         gc.enable()
+    return calls, result
+
+
+def count_calls(trace, memory_mb, policy="GD"):
+    calls, result = counted(simulate, trace, policy, memory_mb)
     return calls, result.metrics
 
 
@@ -137,6 +154,60 @@ def test_hist_replay_call_budget(unsanitized):
     assert calls <= HIST_CALLS, (
         f"{calls / 711:.2f} calls per arrival on the HIST replay, "
         f"budget {HIST_CALLS / 711:.2f}"
+    )
+
+
+class RecordingTransport:
+    def __init__(self):
+        self.written = bytearray()
+
+    def write(self, data):
+        self.written += data
+
+
+def test_live_request_call_budget(unsanitized):
+    """64 requests per read, as the ledger's ``live_pipelined`` window
+    delivers them, on a pool that holds 0.8 of the working set (warm
+    hits mixed with cold starts that evict)."""
+    trace = churn_trace()
+    memory_mb = 0.8 * 60 * CONTAINER_MB
+    requests = []
+    for inv in trace:
+        body = json.dumps(
+            {"function": inv.function_name, "now_s": inv.time_s},
+            separators=(",", ":"),
+        ).encode()
+        requests.append(
+            b"POST /admit HTTP/1.1\r\nHost: budget\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+    reads = [b"".join(requests[i:i + 64]) for i in range(0, len(requests), 64)]
+    service = LivePoolService(trace, "GD", memory_mb, clock=SimClock())
+    connection, transport = _Connection(LiveHTTPServer(service)), RecordingTransport()
+    connection.connection_made(transport)
+
+    def serve():
+        for read in reads:
+            connection.data_received(read)
+
+    calls, __ = counted(serve)
+    # The budgeted path is the real one: every request got the decision
+    # the offline replay makes, in order.
+    replies = [
+        json.loads(part.partition(b"\r\n\r\n")[2])
+        for part in bytes(transport.written).split(b"HTTP/1.1 200 OK\r\n")[1:]
+    ]
+    offline = simulate(trace, "GD", memory_mb).metrics
+    assert [r["function"] for r in replies] == [i.function_name for i in trace]
+    assert Counter(r["outcome"] for r in replies) == {
+        "warm": offline.warm_starts, "cold": offline.cold_starts,
+    }
+    assert offline.evictions > 0 and offline.dropped == 0
+    assert service.counters() == offline.counters()
+    assert calls <= LIVE_CALLS, (
+        f"{calls / 711:.2f} calls per request on the live path, "
+        f"budget {LIVE_CALLS / 711:.2f}"
     )
 
 

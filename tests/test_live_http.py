@@ -5,28 +5,44 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
+import os
 import random
+import re
 import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.checks.sanitize import ReportSink
 from repro.core.clock import SimClock
+from repro.live import server as server_module
 from repro.live.loadgen import fetch_stats, run_loadgen
 from repro.live.server import (
     _MAX_BODY_BYTES,
     _MAX_HEADER_BYTES,
+    _MEMO_HEAD_BYTES,
+    _MEMO_HEADS,
     _REASONS,
     _WRITE_CHUNK_BYTES,
     LiveHTTPServer,
     ServerThread,
+    _BadBody,
     _Connection,
     _encode_response,
+    _json_object,
 )
-from repro.live.service import LivePoolService
+from repro.live.service import AdmitDecision, LivePoolService
 from repro.obs.tracer import Tracer
 from repro.sim.scheduler import simulate
 from repro.traces.synth import skewed_frequency_trace
@@ -209,15 +225,14 @@ class TestLoopbackSmoke:
         offline = simulate(trace, "GD", MEMORY_MB)
         assert service.counters() == offline.metrics.counters()
 
-    def test_expiry_timer_drains_idle_pool(self):
-        import time
-
+    @staticmethod
+    def _ticking_server_with_one_idle_container_due():
+        """One fast function so the invocation completes in real
+        milliseconds; then the background tick alone must expire the
+        idle container (no further arrivals to piggyback on)."""
         from repro.core.policies.base import create_policy
         from repro.traces.model import Trace, TraceFunction
 
-        # One fast function so the invocation completes in real
-        # milliseconds; then the background tick alone must expire the
-        # idle container (no further arrivals to piggyback on).
         trace = Trace(
             [
                 TraceFunction(
@@ -233,23 +248,53 @@ class TestLoopbackSmoke:
         service = LivePoolService(
             trace, create_policy("TTL", ttl_s=0.05), MEMORY_MB
         )
-        thread = ServerThread(service, tick_interval_s=0.02).start()
+        return service, ServerThread(service, tick_interval_s=0.02)
+
+    @staticmethod
+    def _stats_once_expired(thread):
+        status, __ = _request(thread, "POST", "/admit", {"function": "quick"})
+        assert status == 200
+        stats = None
+        for __ in range(250):  # up to ~5 s on a loaded machine
+            stats = fetch_stats(thread.host, thread.port)
+            if stats["counters"]["expirations"] >= 1:
+                break
+            time.sleep(0.02)
+        assert stats is not None
+        assert stats["counters"]["expirations"] >= 1
+        assert stats["pool"]["containers"] == 0
+        return stats
+
+    def test_expiry_timer_drains_idle_pool(self):
+        __, thread = self._ticking_server_with_one_idle_container_due()
+        thread.start()
         try:
-            status, __ = _request(
-                thread, "POST", "/admit", {"function": "quick"}
-            )
-            assert status == 200
-            stats = None
-            for __ in range(250):  # up to ~5 s on a loaded machine
-                stats = fetch_stats(thread.host, thread.port)
-                if stats["counters"]["expirations"] >= 1:
-                    break
-                time.sleep(0.02)
-            assert stats is not None
-            assert stats["counters"]["expirations"] >= 1
-            assert stats["pool"]["containers"] == 0
+            stats = self._stats_once_expired(thread)
+            assert stats["http"]["tick_errors"] == 0
         finally:
             thread.stop()
+
+    def test_expiry_timer_survives_a_failing_tick(self, monkeypatch):
+        service, thread = self._ticking_server_with_one_idle_container_due()
+        expire_tick = service.expire_tick
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return expire_tick(*args)
+
+        monkeypatch.setattr(service, "expire_tick", fails_once)
+        thread.start()
+        try:
+            # The failed tick is counted and the next one still drains.
+            stats = self._stats_once_expired(thread)
+            assert stats["http"]["tick_errors"] == 1
+            assert stats["http"]["errors_5xx"] == 0
+        finally:
+            thread.stop()  # and stop() has nothing to re-raise
+        assert thread.error is None and len(calls) >= 2
 
 
 # ----------------------------------------------------------------------
@@ -327,11 +372,13 @@ def _split_responses(data):
     return responses
 
 
-def _answers(stream, cuts):
-    """Feed ``stream`` to a fresh connection of a fresh service, split
-    at ``cuts``; the parsed responses and the transport."""
-    __, service = _sim_service()
-    connection, transport = _connect(LiveHTTPServer(service))
+def _answers(stream, cuts, server=None):
+    """Feed ``stream`` to a fresh connection of a fresh service (or of
+    ``server``), split at ``cuts``; the parsed responses and the
+    transport."""
+    if server is None:
+        server = LiveHTTPServer(_sim_service()[1])
+    connection, transport = _connect(server)
     for start, end in zip([0, *cuts], [*cuts, len(stream)]):
         if transport.closed:  # a closed transport delivers no more
             break
@@ -375,6 +422,33 @@ class TestProtocolFraming:
             rng = random.Random(seed)
             cuts = sorted(rng.sample(range(1, len(stream)), 25))
             assert _answers(stream, cuts)[0] == whole, f"seed {seed}"
+
+    def test_a_warm_head_memo_does_not_change_the_answers(self):
+        stream, __ = self._mixed_stream()
+        cold, __ = _answers(stream, [])
+        seen = LiveHTTPServer(_sim_service()[1])
+        _answers(stream, [], seen)
+        # One miss per distinct head, and the stream repeats its heads.
+        assert len(seen._heads) == cold[-1][2]["http"]["head_misses"]
+        assert 0 < len(seen._heads) < len(cold)
+
+        def warm_answers(cuts):
+            """A fresh service behind a memo that has seen it all."""
+            server = LiveHTTPServer(_sim_service()[1])
+            server._heads.update(seen._heads)
+            answers, __ = _answers(stream, cuts, server)
+            # Every head of the stream can be framed, so none misses.
+            assert server.head_misses == 0
+            return answers
+
+        for __, __, payload in cold:
+            payload.get("http", {})["head_misses"] = 0
+        assert warm_answers([]) == cold
+        assert warm_answers(range(1, len(stream))) == cold
+        for seed in range(5):
+            rng = random.Random(seed)
+            cuts = sorted(rng.sample(range(1, len(stream)), 25))
+            assert warm_answers(cuts) == cold, f"seed {seed}"
 
     def test_head_at_the_limit_is_served_however_it_arrives(self):
         padding = "X-Pad: " + "x" * (_MAX_HEADER_BYTES - 42)
@@ -429,13 +503,76 @@ class TestProtocolFraming:
             + b'2\r\n{}\r\n0\r\n\r\n'
             + _raw("GET", "/healthz")
         )
-        for cuts in ([], range(1, len(stream))):
-            responses, transport = _answers(stream, cuts)
+        # On one server: a refusal is refused again, never remembered.
+        server = LiveHTTPServer(_sim_service()[1])
+        for cuts in ([], range(1, len(stream)), []):
+            responses, transport = _answers(stream, cuts, server)
             assert responses == [
                 (200, "keep-alive", {"ok": True}),
                 (status, "close", {"error": error}),
             ]
             assert transport.closed
+        assert list(server._heads) == [_raw("GET", "/healthz")[:-2]]
+        assert server.head_misses == 1 + 3
+
+    def test_a_remembered_head_does_not_outlive_the_body_limit(
+        self, monkeypatch
+    ):
+        server = LiveHTTPServer(_sim_service()[1])
+        stream = _raw("POST", "/release", b" " * 98 + b"{}")
+        served = [(200, "keep-alive", {"released": 0})]
+        assert _answers(stream, [], server)[0] == served
+        assert _answers(stream, [], server)[0] == served
+        assert server.head_misses == 1  # the second came from the memo
+        monkeypatch.setattr(server_module, "_MAX_BODY_BYTES", 99)
+        responses, transport = _answers(stream, [], server)
+        assert responses == [(413, "close", {"error": "body too large"})]
+        assert transport.closed
+        monkeypatch.undo()
+        assert _answers(stream, [], server)[0] == served
+
+    def test_distinct_heads_leave_the_memo_within_its_bound(
+        self, monkeypatch
+    ):
+        trace, __ = _sim_service()
+        names = list(trace.functions)
+        rng = random.Random(18)
+
+        def distinct(i):
+            """Some request under a head no other request has."""
+            headers = [f"traceparent: 00-{i:032x}-{rng.getrandbits(64):016x}-01"]
+            if rng.random() < 0.1:  # too long to be remembered
+                headers.append("X-Pad: " + "x" * _MEMO_HEAD_BYTES)
+            kind = rng.randrange(4)
+            if kind == 0:
+                return _admit(rng.choice(names), float(i), headers)
+            if kind == 1:
+                return _raw("POST", "/release", b'{"now_s":%d}' % i, headers)
+            if kind == 2:
+                return _raw("GET", rng.choice(["/healthz", "/nope"]), headers=headers)
+            return b"BROKEN %d\r\n" % i + _raw("GET", "/stats", headers=headers)
+
+        requests = [distinct(i) for i in range(10_000)]
+        assert len({r.partition(b"\r\n\r\n")[0] for r in requests}) == 10_000
+
+        def served():
+            server = LiveHTTPServer(_sim_service()[1])
+            connection, transport = _connect(server)
+            for request in requests:
+                connection.data_received(request)
+                assert len(server._heads) <= _MEMO_HEADS
+            assert server.head_misses == len(requests)
+            assert all(len(head) <= _MEMO_HEAD_BYTES for head in server._heads)
+            return _split_responses(transport.written), server
+
+        memoised, server = served()
+        assert server._heads
+        assert len(memoised) == len(requests)
+        # No head is ever remembered: every answer is _frame's own.
+        monkeypatch.setattr(server_module, "_MEMO_HEAD_BYTES", 0)
+        unremembered, server = served()
+        assert not server._heads
+        assert memoised == unremembered
 
     def test_body_at_the_limit_is_read_not_refused(self):
         body = b" " * (_MAX_BODY_BYTES - 2) + b"{}"
@@ -511,7 +648,9 @@ class TestProtocolFraming:
         second.data_received(_raw("GET", "/stats"))
         http = json.loads(transport.written.rpartition(b"\r\n\r\n")[2])["http"]
         assert http == {
-            "requests": 9, "errors_5xx": 0, "connections": 2, "writes": 1
+            "requests": 9, "errors_5xx": 0, "connections": 2, "writes": 1,
+            # /healthz once (eight answered from the memo), then /stats.
+            "head_misses": 2, "tick_errors": 0,
         }
         first.connection_lost(None)
         assert server.connections == {second}
@@ -564,6 +703,207 @@ class TestEncodeResponse:
             assert _encode_response(status, payload, close=True) == (
                 expected.replace(b"keep-alive", b"close")
             )
+
+
+OUTCOMES = ["warm", "cold", "dropped", "retried", "shed"]
+AWKWARD_NAMES = [
+    'say "hi"', "back\\slash", "tab\tnewline\n\x00\x1f\x7f", "café-λ-日本",
+    "astral-\U0001f680", "lone-\ud800", "</script>\u2028", "",
+]
+
+
+class TestAdmitReplyBytes:
+    """The formatted ``/admit`` body is, byte for byte, what the generic
+    encoder makes of the same decision."""
+
+    @staticmethod
+    def _reply(decision):
+        """``_dispatch``'s payload for a service that decided so, and
+        the dict the parent handed the encoder for that decision."""
+        service = SimpleNamespace(admit=lambda name, now_s: decision)
+        body = json.dumps({"function": decision.function}).encode()
+        status, payload = LiveHTTPServer(service)._dispatch(
+            "POST", "/admit", body
+        )
+        assert status == 200
+        return payload, {
+            "outcome": decision.outcome,
+            "function": decision.function,
+            "now_s": decision.now_s,
+            "decision_us": decision.decision_latency_s * 1e6,
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        outcome=st.sampled_from(OUTCOMES) | st.text(max_size=8),
+        name=st.sampled_from(AWKWARD_NAMES) | st.text(max_size=24),
+        now_s=st.floats(allow_nan=False, allow_infinity=False),
+        latency_s=st.floats(min_value=0.0, allow_nan=False),
+    )
+    @example("warm", "f", -0.0, 5e-324)
+    @example("cold", "f", 5e-324, 1e-7)
+    @example("shed", "f", 1e22, 1e-13)
+    @example("warm", "f", 1e-7, 0.1 + 0.2)
+    @example("warm", "f", 0.30000000000000004, 1.2345678901234567e-05)
+    @example("warm", "f", 1.7976931348623157e308, 1.7976931348623157e302)
+    @example("warm", "f", 1.0, 1e308)  # decision_us overflows to inf
+    @example("warm", "f", 1.0, math.inf)
+    def test_formatted_body_equals_the_encoders(
+        self, outcome, name, now_s, latency_s
+    ):
+        payload, parents = self._reply(
+            AdmitDecision(outcome, name, now_s, latency_s)
+        )
+        # Formatted exactly when both numbers are finite floats.
+        assert (type(payload) is bytes) == math.isfinite(latency_s * 1e6)
+        for close in (False, True):
+            assert _encode_response(200, payload, close) == (
+                _encode_response(200, parents, close)
+            )
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("name", AWKWARD_NAMES)
+    def test_every_outcome_and_awkward_name(self, outcome, name):
+        payload, parents = self._reply(AdmitDecision(outcome, name, 2.5, 3e-6))
+        assert payload == json.dumps(parents, separators=(",", ":")).encode()
+
+    @pytest.mark.parametrize(
+        "now_s, latency_s",
+        [
+            (3, 1e-6), (True, 1e-6), (math.inf, 1e-6), (-math.inf, 1e-6),
+            (math.nan, 1e-6), (10 ** 400, 1e-6), (2.5, math.nan),
+        ],
+    )
+    def test_anything_but_two_finite_floats_is_the_encoders(
+        self, now_s, latency_s
+    ):
+        payload, parents = self._reply(
+            AdmitDecision("warm", "f", now_s, latency_s)
+        )
+        assert type(payload) is dict
+        assert repr(payload) == repr(parents)  # repr: nan != nan
+
+    def test_int_time_of_a_custom_clock_is_written_as_an_int(self):
+        class MinuteClock:
+            def now(self):
+                return 60
+
+        trace = skewed_frequency_trace(seed=21)
+        service = LivePoolService(trace, "GD", MEMORY_MB, clock=MinuteClock())
+        name = next(iter(trace.functions))
+        responses, __ = _answers(
+            _admit(name, 1.5), [], LiveHTTPServer(service)
+        )
+        assert responses == [
+            (200, "keep-alive",
+             {"outcome": "cold", "function": name, "now_s": 60}),
+        ]
+        assert type(responses[0][2]["now_s"]) is int
+
+    def test_clock_pinned_at_infinity_reads_infinity_as_before(self):
+        trace, service = _sim_service()
+        name = next(iter(trace.functions))
+        # Not reachable over HTTP (a non-finite now_s is a 400); a
+        # direct caller can still pin the clock there.
+        assert service.admit(name, math.inf).now_s == math.inf
+        connection, transport = _connect(LiveHTTPServer(service))
+        connection.data_received(_admit(name, 7.0))
+        body = bytes(transport.written).partition(b"\r\n\r\n")[2]
+        assert body.startswith(
+            b'{"outcome":"warm","function":"%b","now_s":Infinity,'
+            b'"decision_us":' % name.encode()
+        )
+
+
+def _verdict(body):
+    """What ``_json_object`` makes of ``body``, comparably (``repr``
+    tells 1 from 1.0 from True, and equates nan with nan)."""
+    try:
+        return repr(_json_object(body))
+    except _BadBody as refusal:
+        return refusal.args
+
+
+_OBJECT = '{"function": "f-\u00e9-\U0001f680", "now_s": 12.5}'
+BODY_CORPUS = [
+    b"", b"{}", b" \r\n\t{ } \n", _OBJECT.encode(),
+    b"\xef\xbb\xbf" + _OBJECT.encode(),  # UTF-8 BOM
+    *(
+        _OBJECT.encode(codec)
+        for codec in (
+            "utf-16", "utf-16-le", "utf-16-be",
+            "utf-32", "utf-32-le", "utf-32-be",
+        )
+    ),
+    b"\xff\xfe" + _OBJECT.encode("utf-16-be"),  # a BOM that lies
+    b'{"function": "\xed\xa0\x80"}',  # a surrogate, UTF-8-encoded
+    b'{"function": "\\ud800"}',
+    b'{"function": "\xff"}', b'{"function": "\xc3"}',
+    b'{"function": "a\x00b"}', b'{"function": "f"}\x00', b"\x00{}",
+    b"{\x00}", b'{"function": "f"} trailing', b'{"function": "f"}{}',
+    b'{"function": "f",}', b"{'function': 'f'}", b"{not json", b"{",
+    b'{"now_s": 1, "now_s": 2.0, "function": "a", "function": "b"}',
+    b'{"now_s": true}', b'{"now_s": 1e999}', b'{"now_s": -1e999}',
+    b'{"now_s": NaN}', b'{"now_s": Infinity}', b'{"now_s": -Infinity}',
+    b'{"now_s": %s}' % (b"1" + b"0" * 400), b'{"now_s": "1"}',
+    b'{"now_s": null}', b'{"now_s": -0.0}', b'{"now_s": 1E+2}',
+    b"[1,2]", b'"x"', b"7", b"null", b"true", b"1e999", b"NaN",
+    b"[" * 50 + b"]" * 50, b"\xfe\xff", b"\xef\xbb\xbf", b"\x00", b" ",
+]
+
+
+class TestJsonObject:
+    """The decoder without the sniff gives ``json.loads``' verdicts."""
+
+    @staticmethod
+    def _loads_only(monkeypatch):
+        """``_json_object`` as the parent had it: ``json.loads`` alone
+        (the strict decoder made to refuse everything)."""
+
+        def refuse(text):
+            raise ValueError(text)
+
+        monkeypatch.setattr(server_module, "_decode_json", refuse)
+
+    def test_corpus_has_every_verdict(self):
+        verdicts = {_verdict(body) for body in BODY_CORPUS}
+        assert {
+            ("body is not valid JSON",),
+            ("body must be a JSON object",),
+            ("'now_s' must be a finite number",),
+            "{}",
+            repr(json.loads(_OBJECT)),
+        } <= verdicts
+
+    def test_corpus_agrees_with_json_loads_alone(self, monkeypatch):
+        ours = [_verdict(body) for body in BODY_CORPUS]
+        self._loads_only(monkeypatch)
+        assert ours == [_verdict(body) for body in BODY_CORPUS]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        body=st.binary(max_size=48)
+        | st.builds(
+            lambda value, codec, pad: pad + json.dumps(value).encode(codec),
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=8),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(
+                    st.sampled_from(["function", "now_s", "x"]), inner,
+                    max_size=3,
+                ),
+                max_leaves=6,
+            ),
+            st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-32-le"]),
+            st.sampled_from([b"", b" ", b"\n"]),
+        )
+    )
+    def test_any_body_agrees_with_json_loads_alone(self, body):
+        ours = _verdict(body)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._loads_only(monkeypatch)
+            assert _verdict(body) == ours
 
 
 # ----------------------------------------------------------------------
@@ -704,6 +1044,63 @@ class TestSockets:
             range(total)
         )
         assert answered[-1][1] == "close"
+
+
+class TestServeChild:
+    """``repro-faascache serve`` as a process: what only signals show."""
+
+    def test_sigterm_shuts_down_cleanly_and_writes_the_metrics(self, tmp_path):
+        metrics = tmp_path / "metrics.prom"
+        src = Path(__file__).resolve().parent.parent / "src"
+        child = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--trace", "skewed-frequency", "--policy", "GD",
+                "--memory-gb", "2", "--port", "0", "--clock", "sim",
+                "--metrics-out", str(metrics),
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        watchdog = threading.Timer(60.0, child.kill)  # no read below hangs
+        watchdog.start()
+        try:
+            announced = re.search(
+                r"at http://([\d.]+):(\d+)", child.stderr.readline()
+            )
+            assert announced, "serve never announced its port"
+            host, port = announced.group(1), int(announced.group(2))
+            at = SimpleNamespace(host=host, port=port)
+            replied = Counter()
+            names = list(skewed_frequency_trace().functions)
+            for i, name in enumerate(names * 3):
+                status, payload = _request(
+                    at, "POST", "/admit", {"function": name, "now_s": i * 0.5}
+                )
+                assert status == 200
+                replied[payload["outcome"]] += 1
+            with socket.create_connection((host, port), 10) as held:
+                held.sendall(_raw("GET", "/healthz"))
+                assert held.recv(65536) == _encode_response(200, {"ok": True})
+                child.send_signal(signal.SIGTERM)  # what `kill <pid>` sends
+                assert _read_to_eof(held) == b""  # hung up on, not left open
+            __, stderr = child.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert child.returncode == 0, stderr
+        assert "shutting down" in stderr
+        # The tracer was closed on the way out: the textfile holds a
+        # decision for every reply given.
+        written = re.findall(
+            r'faascache_invocations_total\{outcome="(\w+)"\} (\d+)',
+            metrics.read_text(),
+        )
+        assert {k: int(v) for k, v in written} == replied
+        assert sum(replied.values()) == 3 * len(names) and len(replied) > 1
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,11 @@ import pytest
 from repro.core.clock import Clock, RealTimeClock, SimClock
 from repro.core.policies.base import create_policy
 from repro.live.latency import LatencyHistogram
-from repro.live.service import LivePoolService, UnknownFunctionError
+from repro.live.service import (
+    AdmitDecision,
+    LivePoolService,
+    UnknownFunctionError,
+)
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.synth import skewed_frequency_trace
@@ -161,6 +165,16 @@ class TestLivePoolService:
         decision = service.admit(name, now_s=999.0)
         assert decision.now_s == 5.0
 
+    def test_admit_decision_is_positional_named_and_immutable(self):
+        decision = AdmitDecision("warm", "f", 1.5, 2e-6)
+        assert decision == AdmitDecision(
+            outcome="warm", function="f", now_s=1.5, decision_latency_s=2e-6
+        )
+        assert (decision.outcome, decision.function) == ("warm", "f")
+        assert (decision.now_s, decision.decision_latency_s) == (1.5, 2e-6)
+        with pytest.raises(AttributeError):
+            decision.outcome = "cold"
+
     def test_release_returns_completions(self):
         trace = skewed_frequency_trace(seed=1)
         service = LivePoolService(trace, "GD", 4096.0, clock=SimClock())
@@ -262,6 +276,17 @@ class TestLatencyHistogram:
         # extremes stay exact in the summary.
         assert hist.percentile(1.0) > 10.0
         assert hist.summary()["max_us"] == 1e15
+
+    def test_record_files_each_sample_in_its_log_bucket(self):
+        # 13 buckets, two per decade from 1 us: bucket = the clamped
+        # int((log10(v) + 6) * 2).
+        hist = LatencyHistogram(min_s=1e-6, max_s=1.0, buckets_per_decade=2)
+        for value_s in (-1.0, 0.0, 1e-9, 1e-6, 3.2e-6, 1e-3, 0.999, 1.0, 50.0):
+            hist.record(value_s)
+        assert hist._buckets == [4, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 2]
+        with pytest.raises(ValueError):
+            hist.record(float("nan"))
+        assert hist.count == 9  # refused before anything was counted
 
     def test_merge(self):
         a, b = LatencyHistogram(), LatencyHistogram()
