@@ -36,12 +36,15 @@ ledger-smoke:
 # The perf protocol (docs/performance.md) in one command: >= 10
 # alternating pairs of the ledger on BASE (a temporary git worktree)
 # and on this tree; medians, quartiles and win counts per metric,
-# non-zero exit if any run is not `correct: true`. LAYERS=1 runs the
-# pairs traced and summarises the per-layer rows instead.
+# and a verdict against BENCHMARK.json's bound; non-zero exit if any
+# run is not `correct: true` or any metric reads WORSE. LAYERS=1 runs
+# the pairs traced and summarises the per-layer rows instead; PAIRS=5
+# SEED=7 repeats a claim on an unseen seed.
 BASE ?= HEAD~1
 WORKLOADS ?= gd_evict gd_warm
 ledger-pairs:
-	$(PYTHON) benchmarks/ledger_pairs.py --base $(BASE) --workloads $(WORKLOADS) $(if $(LAYERS),--layers)
+	$(PYTHON) benchmarks/ledger_pairs.py --base $(BASE) --workloads $(WORKLOADS) \
+		$(if $(LAYERS),--layers) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
 
 # Multi-tenant fairness determinism gate (docs/multi-tenancy.md):
 # noisy-neighbor Jain's index pinned vs benchmarks/TENANT_FAIRNESS.json.

@@ -4,13 +4,17 @@ The measuring protocol behind every performance claim in this
 repository (docs/performance.md): run ``benchmarks/ledger/run.py`` on a
 base commit and on this working tree in N alternating pairs, print each
 end-to-end metric's median and quartiles per side with the per-pair
-win count, and fail if any run was not ``correct: true``. ``--layers``
-runs the same pairs traced (``--trace 1``) and summarises the per-layer
-rows instead: "the ledger row that moved", by the same protocol.
+win count and a verdict (:func:`verdict`: ``gain``, ``within bound``,
+``unresolved`` or ``WORSE``, from ``BENCHMARK.json``'s bounds), and fail
+if any run was not ``correct: true`` or any metric reads ``WORSE``.
+``--layers`` runs the same pairs traced (``--trace 1``) and summarises
+the per-layer rows instead: "the ledger row that moved", by the same
+protocol.
 
     python benchmarks/ledger_pairs.py --base HEAD~1 --workloads gd_evict gd_warm
     make ledger-pairs BASE=HEAD~1 WORKLOADS="gd_evict gd_warm"
     make ledger-pairs BASE=HEAD~1 WORKLOADS=live_pipelined LAYERS=1
+    make ledger-pairs BASE=HEAD~1 WORKLOADS=ttl_stream PAIRS=5 SEED=7
 
 ``--base REF`` is checked out into a temporary ``git worktree`` that is
 removed afterwards; ``--base-dir DIR`` uses an existing checkout of the
@@ -80,11 +84,60 @@ def ratio(change: float, base: float) -> float:
     return change / base if base else float("nan")
 
 
+def tally(base: List[float], change: List[float], higher: bool) -> Tuple[int, int]:
+    """(pairs in which the change read better, pairs that tied)."""
+    wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+    return wins, sum(c == b for b, c in zip(base, change))
+
+
+def verdict(base: List[float], change: List[float], higher: bool, bound: float) -> str:
+    """What the pairs say of one end-to-end metric, by the rule every
+    claim here is held to (choosing-metrics, "measuring in a small
+    sandbox"), ``bound`` being the share of the base's median the
+    benchmark lets the metric worsen by. ``gain``: the change wins at
+    least nine tenths of the untied pairs and the medians differ by
+    more than the distance between the base's quartiles. ``WORSE``: the
+    change's median is beyond the bound, the wrong way. ``unresolved``:
+    the base's own quartiles are further apart than the bound, and not
+    every run of the change reads better than every run of the base.
+    ``within bound`` otherwise."""
+    (bq1, bmed, bq3), cmed = quartiles(base), median(change)
+    ahead = cmed - bmed if higher else bmed - cmed
+    wins, ties = tally(base, change, higher)
+    untied = len(base) - ties
+    if untied and wins >= 0.9 * untied and ahead > bq3 - bq1:
+        return "gain"
+    if -ahead > bound * abs(bmed):
+        return "WORSE"
+    clear = min(change) > max(base) if higher else max(change) < min(base)
+    if bq3 - bq1 > bound * abs(bmed) and not clear:
+        return "unresolved"
+    return "within bound"
+
+
+def verdicts(
+    runs: Dict[str, List[Dict[str, Optional[float]]]],
+    better: Dict[str, str],
+    bounds: Dict[str, float],
+) -> Dict[str, str]:
+    """The :func:`verdict` of every metric that has a bound (the
+    end-to-end ones) and was read in every run."""
+    words = {}
+    for metric, bound in bounds.items():
+        base, change = ([run.get(metric) for run in runs[side]] for side in SIDES)
+        if None not in base + change:
+            words[metric] = verdict(base, change, better[metric] == "higher", bound)
+    return words
+
+
 def summarize(
-    runs: Dict[str, List[Dict[str, Optional[float]]]], better: Dict[str, str]
+    runs: Dict[str, List[Dict[str, Optional[float]]]],
+    better: Dict[str, str],
+    words: Dict[str, str],
 ) -> List[str]:
     """One line per metric: both sides' medians and quartiles, the
-    ratio of medians, and in how many pairs the change read better. A
+    ratio of medians, in how many pairs the change read better and its
+    word in ``words`` (:func:`verdicts`) where it has one. A
     row that repeats exactly on each side (the ``*_calls`` counts of a
     traced run) is shown as the two counts it is; a row that is zero
     throughout (a layer this workload never enters) is left out."""
@@ -95,23 +148,24 @@ def summarize(
         change = [run[metric] for run in runs["change"]]
         if None in base or None in change:
             lines.append(f"  {metric:{width}s} null in some run: a layer not read")
-        elif len(base) > 1 and len(set(base)) == 1 == len(set(change)):
+            continue
+        word = f"  {words[metric]}" if metric in words else ""
+        if len(base) > 1 and len(set(base)) == 1 == len(set(change)):
             if base[0] or change[0]:
                 lines.append(
                     f"  {metric:{width}s} base {base[0]:12.4f}  change {change[0]:12.4f}  "
                     f"x{ratio(change[0], base[0]):.3f}  "
-                    f"exactly, in all {len(base)} runs of each side"
+                    f"exactly, in all {len(base)} runs of each side{word}"
                 )
         else:
-            higher = better.get(metric) == "higher"
-            wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-            ties = sum(c == b for b, c in zip(base, change))
+            wins, ties = tally(base, change, better.get(metric) == "higher")
             (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
             lines.append(
                 f"  {metric:{width}s} base {bmed:12.4f} [{bq1:.4f} {bq3:.4f}]  "
                 f"change {cmed:12.4f} [{cq1:.4f} {cq3:.4f}]  "
                 f"x{ratio(cmed, bmed):.3f}  "
                 f"wins {wins}/{len(base)} ties {ties} ({better.get(metric, '?')} is better)"
+                f"{word}"
             )
     return lines
 
@@ -134,6 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     scratch = Path(tempfile.mkdtemp(prefix="ledger-pairs-"))
     worktree: Optional[Path] = None
     if args.base_dir:
@@ -155,6 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         w: {side: [] for side in SIDES} for w in args.workloads
     }
     incorrect: List[str] = []
+    worse: List[str] = []
     try:
         if worktree is not None:
             subprocess.run(
@@ -195,12 +251,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         kind = "traced (per-layer)" if args.layers else f"{args.seconds:g} s"
         print(f"== {workload}: {args.pairs} alternating pairs, {kind} runs")
         if all(len(r) == args.pairs and all(r) for r in runs[workload].values()):
-            print("\n".join(summarize(runs[workload], better)))
+            words = verdicts(runs[workload], better, bounds)
+            print("\n".join(summarize(runs[workload], better, words)))
+            worse += [f"{workload} {m}" for m, word in words.items() if word == "WORSE"]
     if args.out:
         Path(args.out).write_text(json.dumps(runs, indent=2) + "\n")
     for entry in incorrect:
         print(f"NOT CORRECT {entry}")
-    return 1 if incorrect else 0
+    for entry in worse:
+        print(f"WORSE {entry}")
+    return 1 if incorrect or worse else 0
 
 
 if __name__ == "__main__":

@@ -138,12 +138,16 @@ class ColumnarTrace:
                 f"shapes {times_s.shape} and {function_ids.shape}"
             )
         if times_s.size:
-            if float(times_s[0]) < 0.0:
+            # Written so that a NaN, false in every comparison, fails.
+            if not (0.0 <= float(times_s[0]) and float(times_s[-1]) < np.inf):
                 raise ValueError(
-                    f"invocation times must be >= 0, got {times_s[0]}"
+                    f"invocation times must be finite and >= 0, got "
+                    f"{times_s[0]} .. {times_s[-1]}"
                 )
-            if np.any(times_s[1:] < times_s[:-1]):
-                raise ValueError("invocation times must be non-decreasing")
+            if not np.all(times_s[1:] >= times_s[:-1]):
+                raise ValueError(
+                    "invocation times must be non-decreasing (and not NaN)"
+                )
             lo = int(function_ids.min())
             hi = int(function_ids.max())
             if lo < 0 or hi >= len(functions):

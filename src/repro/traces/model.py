@@ -14,6 +14,7 @@ All times are in **seconds**; memory is in **megabytes**.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = ["TraceFunction", "Invocation", "Trace"]
@@ -76,8 +77,10 @@ class Invocation:
     function_name: str
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError(f"invocation time must be >= 0, got {self.time_s}")
+        if not 0 <= self.time_s < inf:  # a NaN fails every comparison
+            raise ValueError(
+                f"invocation time must be finite and >= 0, got {self.time_s}"
+            )
 
 
 class Trace:

@@ -174,6 +174,26 @@ class TestVectorizedTTLKernel:
         assert path == "vectorized-ttl"
         assert got == want
 
+    def test_kernel_groups_ids_past_sixteen_bits(self):
+        """The kernel sorts a chunk by a 16-bit copy of the ids only
+        where every id of the table fits: here ids 0 and 65,536 (and
+        63 and 65,599) alternate and would fold into one group."""
+        table = FunctionTable(
+            TraceFunction(f"w{i:05d}", 128.0, 0.2, 1.2) for i in range(65_600)
+        )
+        ids = np.array([0, 65_536, 63, 65_599, 65_535] * 6, dtype=np.int32)
+        trace = ColumnarTrace(
+            table, np.arange(ids.size) * 50.0, ids, name="wide"
+        )
+        want, want_pf = oracle_payload(
+            trace.to_trace(), "TTL", 8 * 128.0, ttl_s=300.0
+        )
+        got, got_pf, path = engine_payload(trace, "TTL", 8 * 128.0, ttl_s=300.0)
+        assert path == "vectorized-ttl"
+        assert got == want
+        assert list(got_pf.items()) == list(want_pf.items())
+        assert got["counters"]["warm_starts"] == 25
+
     def test_ttl_subclass_takes_sequential_path(self):
         class TracingTTL(TTLPolicy):
             pass

@@ -4,10 +4,10 @@
 one performance number that repeats exactly: function calls, Python
 and builtin alike, made inside one ``simulate()``. This suite counts
 them the same way — ``sys.setprofile``, no clock anywhere — over two
-small GD replays, a HIST one and a pipelined live request stream, and
-holds them to what the code pays today, so a refactor that puts a frame
-or a builtin back on every arrival fails here instead of showing up as
-a few percent of noise in a timing run.
+small GD replays, a HIST one, a streamed kernel replay and a pipelined
+live request stream, and holds them to what the code pays today, so a
+refactor that puts a frame or a builtin back on every arrival fails
+here instead of showing up as a few percent of noise in a timing run.
 
 The budgets are the counts measured on CPython 3.11 (3.12 inlines
 comprehensions and counts fewer). Lowering one after a real cut is
@@ -18,6 +18,7 @@ import gc
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -26,8 +27,10 @@ from repro.checks.sanitize import set_sanitize
 from repro.core.clock import SimClock
 from repro.live.server import LiveHTTPServer, _Connection
 from repro.live.service import LivePoolService
+from repro.sim import columnar  # noqa: F401 - simulate() imports it lazily, on a first call
 from repro.sim.scheduler import simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
+from repro.traces.streaming import StreamingChurnTrace
 
 CONTAINER_MB = 128.0
 
@@ -46,6 +49,13 @@ HIST_CALLS = 36_035
 #: 107.90 per request; on the ledger's live trace 102.75 -> 68.85):
 #: 74.49 per request to frame, decode, decide, evict and reply.
 LIVE_CALLS = 52_961
+#: The vectorized TTL kernel over a 300-function, 3,600 s stream, trace
+#: generation included, as landed by PR 20 (the parent paid 60,411 =
+#: 8.69 per arrival, a heap pop, ``uniform``, ``round`` and push each;
+#: on the ledger's 2,000-function ``ttl_stream`` 8.78 -> 1.39): 2.38 per
+#: arrival, one ``random()`` per uniform drawn (a block per function at
+#: a time, so a short stream over-draws) and a few ufuncs per round.
+STREAM_CALLS = 16_544
 
 
 @pytest.fixture
@@ -155,6 +165,47 @@ def test_hist_replay_call_budget(unsanitized):
         f"{calls / 711:.2f} calls per arrival on the HIST replay, "
         f"budget {HIST_CALLS / 711:.2f}"
     )
+
+
+def test_streamed_kernel_replay_call_budget(unsanitized):
+    stream = StreamingChurnTrace(num_functions=300, duration_s=3600.0, seed=16)
+    calls, result = counted(
+        lambda: simulate(
+            stream, "TTL", 2 * 300 * CONTAINER_MB, engine="columnar", ttl_s=300.0
+        )
+    )
+    # The replay is the one the budget was set on, on the kernel.
+    assert result.path == "vectorized-ttl"
+    metrics = result.metrics
+    assert (metrics.served, metrics.cold_starts, metrics.expirations) == (
+        6953, 951, 718,
+    )
+    assert calls <= STREAM_CALLS, (
+        f"{calls / 6953:.2f} calls per arrival on the streamed replay, "
+        f"budget {STREAM_CALLS / 6953:.2f}"
+    )
+
+
+def generation_peak_bytes(duration_s):
+    stream = StreamingChurnTrace(
+        num_functions=300, duration_s=duration_s, seed=16, chunk_invocations=2048
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        arrivals = sum(len(times) for times, __ in stream.chunks())
+        return arrivals, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_generation_memory_does_not_grow_with_duration():
+    """``O(functions + chunk)``: four times the arrivals, the same peak
+    (generator state, one merge window, one chunk held back)."""
+    arrivals, peak = generation_peak_bytes(20_000.0)
+    longer_arrivals, longer_peak = generation_peak_bytes(80_000.0)
+    assert longer_arrivals > 3.9 * arrivals > 100_000
+    assert longer_peak <= 1.1 * peak
 
 
 class RecordingTransport:
