@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install ci-install test bench bench-pytest bench-ci ledger-smoke ledger-pairs fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
+.PHONY: install ci-install test bench bench-pytest bench-ci ledger-smoke import-budget ledger-pairs fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -32,6 +32,20 @@ bench-ci:
 # missing, outcome fingerprints equal benchmarks/ledger/EXPECTED.json.
 ledger-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ledger -q
+
+# The tool's own cold start (docs/performance.md): the 15 costliest
+# imports, by self time, of the three entry points in a fresh
+# interpreter, then the exact module budget.
+IMPORTTIME = PYTHONPATH=src $(PYTHON) -X importtime
+TOP15 = 2>&1 >/dev/null | grep '^import time' | sort -t: -k2 -n | tail -15
+import-budget:
+	@echo "== replay probe (the ledger's import child)"
+	@$(IMPORTTIME) -c "import repro.sim.scheduler, repro.sim.columnar, repro.traces.streaming" $(TOP15)
+	@echo "== cli --help"
+	@$(IMPORTTIME) -m repro.cli --help $(TOP15)
+	@echo "== serve (modules behind the serve subcommand)"
+	@$(IMPORTTIME) -c "import repro.cli, repro.core.clock, repro.live.server, repro.live.service, repro.traces.io" $(TOP15)
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_import_budget.py -q
 
 # The perf protocol (docs/performance.md) in one command: >= 10
 # alternating pairs of the ledger on BASE (a temporary git worktree)

@@ -26,47 +26,41 @@ Quickstart::
     print(result.metrics.summary())
 """
 
-from repro.core.policies import (
-    PAPER_POLICIES,
-    available_policies,
-    create_policy,
-)
-from repro.provisioning import (
-    HitRatioCurve,
-    ProportionalController,
-    StaticProvisioner,
-    curve_from_trace,
-    reuse_distances,
-)
-from repro.sim import KeepAliveSimulator, SimulationResult, simulate
-from repro.traces import (
-    Trace,
-    TraceFunction,
-    functionbench_apps,
-    generate_azure_dataset,
-    make_paper_traces,
-    skewed_frequency_trace,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.policies import PAPER_POLICIES, available_policies, create_policy
+    from repro.provisioning import (
+        HitRatioCurve, ProportionalController, StaticProvisioner, curve_from_trace, reuse_distances,
+    )
+    from repro.sim import KeepAliveSimulator, SimulationResult, simulate
+    from repro.traces import (
+        Trace, TraceFunction, functionbench_apps, generate_azure_dataset, make_paper_traces,
+        skewed_frequency_trace,
+    )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "PAPER_POLICIES",
-    "available_policies",
-    "create_policy",
-    "HitRatioCurve",
-    "ProportionalController",
-    "StaticProvisioner",
-    "curve_from_trace",
+    "PAPER_POLICIES", "available_policies", "create_policy",
+    "HitRatioCurve", "ProportionalController", "StaticProvisioner", "curve_from_trace",
     "reuse_distances",
-    "KeepAliveSimulator",
-    "SimulationResult",
-    "simulate",
-    "Trace",
-    "TraceFunction",
-    "functionbench_apps",
-    "generate_azure_dataset",
-    "make_paper_traces",
+    "KeepAliveSimulator", "SimulationResult", "simulate",
+    "Trace", "TraceFunction", "functionbench_apps", "generate_azure_dataset", "make_paper_traces",
     "skewed_frequency_trace",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core.policies": "PAPER_POLICIES available_policies create_policy",
+    "provisioning": (
+        "HitRatioCurve ProportionalController StaticProvisioner curve_from_trace reuse_distances"
+    ),
+    "sim": "KeepAliveSimulator SimulationResult simulate",
+    "traces": (
+        "Trace TraceFunction functionbench_apps generate_azure_dataset make_paper_traces "
+        "skewed_frequency_trace"
+    ),
+})

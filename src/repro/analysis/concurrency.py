@@ -41,14 +41,13 @@ def concurrency_profile(trace: Trace, use_cold_time: bool = False) -> Dict[str, 
     needs to avoid concurrency-induced cold starts.
     """
     events: Dict[str, List[Tuple[float, int]]] = {}
-    for invocation in trace:
-        function = trace.functions[invocation.function_name]
+    for time_s, function in trace.arrivals():
         duration = (
             function.cold_time_s if use_cold_time else function.warm_time_s
         )
-        per_fn = events.setdefault(invocation.function_name, [])
-        per_fn.append((invocation.time_s, +1))
-        per_fn.append((invocation.time_s + duration, -1))
+        per_fn = events.setdefault(function.name, [])
+        per_fn.append((time_s, +1))
+        per_fn.append((time_s + duration, -1))
     peaks: Dict[str, int] = {name: 0 for name in trace.functions}
     for name, fn_events in events.items():
         # Ends sort before starts at equal times: back-to-back reuse
@@ -66,13 +65,12 @@ def concurrency_profile(trace: Trace, use_cold_time: bool = False) -> Dict[str, 
 def max_concurrency(trace: Trace, use_cold_time: bool = False) -> int:
     """Peak overlapping invocations across *all* functions."""
     events: List[Tuple[float, int]] = []
-    for invocation in trace:
-        function = trace.functions[invocation.function_name]
+    for time_s, function in trace.arrivals():
         duration = (
             function.cold_time_s if use_cold_time else function.warm_time_s
         )
-        events.append((invocation.time_s, +1))
-        events.append((invocation.time_s + duration, -1))
+        events.append((time_s, +1))
+        events.append((time_s + duration, -1))
     events.sort(key=lambda e: (e[0], e[1]))
     current = peak = 0
     for __, delta in events:
@@ -90,7 +88,7 @@ def concurrency_headroom_mb(trace: Trace, use_cold_time: bool = False) -> float:
     """
     profile = concurrency_profile(trace, use_cold_time=use_cold_time)
     return sum(
-        (peak - 1) * trace.functions[name].memory_mb
+        (peak - 1) * trace.function(name).memory_mb
         for name, peak in profile.items()
         if peak > 1
     )
@@ -99,4 +97,4 @@ def concurrency_headroom_mb(trace: Trace, use_cold_time: bool = False) -> float:
 def working_set_mb(trace: Trace) -> float:
     """Total memory of one container per (invoked) function."""
     invoked = {inv.function_name for inv in trace}
-    return sum(trace.functions[name].memory_mb for name in invoked)
+    return sum(trace.function(name).memory_mb for name in invoked)

@@ -76,7 +76,7 @@ def diurnal_peak_to_mean(
     if len(trace) == 0:
         return 0.0
     start = trace.invocations[0].time_s
-    end = trace.invocations[-1].time_s
+    end = trace.last_arrival_s
     num_windows = max(1, int((end - start) / window_s) + 1)
     counts = [0] * num_windows
     for invocation in trace.invocations:

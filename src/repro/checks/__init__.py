@@ -18,30 +18,22 @@ Two halves:
 See ``docs/static-analysis.md`` for the rule catalog and rationale.
 """
 
-from repro.checks.linter import (
-    RULES,
-    CheckResult,
-    Finding,
-    check_paths,
-    format_finding,
-)
-from repro.checks.sanitize import (
-    ReportSink,
-    SanitizeError,
-    check_counter_equality,
-    sanitize_enabled,
-    set_sanitize,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.checks.linter import RULES, CheckResult, Finding, check_paths, format_finding
+    from repro.checks.sanitize import (
+        ReportSink, SanitizeError, check_counter_equality, sanitize_enabled, set_sanitize,
+    )
 
 __all__ = [
-    "RULES",
-    "CheckResult",
-    "Finding",
-    "check_paths",
-    "format_finding",
-    "ReportSink",
-    "SanitizeError",
-    "check_counter_equality",
-    "sanitize_enabled",
-    "set_sanitize",
+    "RULES", "CheckResult", "Finding", "check_paths", "format_finding",
+    "ReportSink", "SanitizeError", "check_counter_equality", "sanitize_enabled", "set_sanitize",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "linter": "RULES CheckResult Finding check_paths format_finding",
+    "sanitize": "ReportSink SanitizeError check_counter_equality sanitize_enabled set_sanitize",
+})

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "FunctionSummary",
@@ -501,6 +501,19 @@ def _summarize_class(node: ast.ClassDef, module: Optional[str]) -> ClassSummary:
     return summary
 
 
+_TYPE_CHECKING = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+
+
+def _top_level(tree: ast.Module) -> Iterator[ast.stmt]:
+    """Module statements, ``if TYPE_CHECKING:`` bodies inlined: that is
+    where a lazy package ``__init__`` declares its re-exports."""
+    for node in tree.body:
+        if isinstance(node, ast.If) and dotted_name(node.test) in _TYPE_CHECKING:
+            yield from node.body
+        else:
+            yield node
+
+
 def summarize_module(
     tree: ast.Module, path: pathlib.Path, source: str
 ) -> ModuleSummary:
@@ -512,7 +525,7 @@ def summarize_module(
     )
     event_names: Set[str] = set()
     poisoned_constants: Set[str] = set()
-    for node in tree.body:
+    for node in _top_level(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 root = alias.name.split(".")[0]

@@ -30,10 +30,10 @@ the disabled path.
 from __future__ import annotations
 
 import os
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.obs.report import TraceReport
-from repro.obs.sinks import Sink
+if TYPE_CHECKING:
+    from repro.obs.report import ReportSink, TraceReport
 
 __all__ = [
     "SanitizeError",
@@ -79,16 +79,14 @@ def set_sanitize(value: Optional[bool]) -> None:
     _FORCED = value
 
 
-class ReportSink(Sink):
-    """Feeds every event straight into an in-memory
-    :class:`TraceReport`, so a sanitized simulator can rebuild its
-    lifecycle counters without serializing anything."""
+def __getattr__(name: str) -> Any:
+    """``ReportSink`` lives beside :class:`TraceReport`; resolving it on
+    first use keeps ``repro.obs.report`` out of an unsanitized run."""
+    if name != "ReportSink":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.obs.report import ReportSink
 
-    def __init__(self) -> None:
-        self.report = TraceReport()
-
-    def emit(self, event: Mapping[str, Any]) -> None:
-        self.report.add(event)
+    return ReportSink
 
 
 def check_counter_equality(

@@ -41,11 +41,12 @@ import argparse
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.analysis.reporting import format_series_table, format_table
-from repro.core.policies import PAPER_POLICIES
-from repro.traces.model import Trace
+
+if TYPE_CHECKING:
+    from repro.traces.model import Trace
 
 __all__ = ["main", "build_parser"]
 
@@ -362,6 +363,7 @@ def _parse_reserved(specs: Optional[List[str]]) -> Optional[dict]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.core.policies import PAPER_POLICIES
     from repro.sim.parallel import run_sweep_parallel
     from repro.sim.sweep import run_sweep
 

@@ -23,24 +23,27 @@ A spec whose every rate is zero and whose schedule is empty is
 code path as a run with no spec at all, so baselines are unperturbed.
 """
 
-from repro.faults.model import (
-    CapacityStep,
-    FaultModel,
-    FaultSpec,
-    ServerDowntime,
-    cell_fault_spec,
-    derive_seed,
-    load_fault_spec,
-)
-from repro.faults.retry import RetryPolicy
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.model import (
+        CapacityStep, FaultModel, FaultSpec, ServerDowntime, cell_fault_spec, derive_seed,
+        load_fault_spec,
+    )
+    from repro.faults.retry import RetryPolicy
 
 __all__ = [
-    "CapacityStep",
-    "FaultModel",
-    "FaultSpec",
-    "ServerDowntime",
+    "CapacityStep", "FaultModel", "FaultSpec", "ServerDowntime",
     "RetryPolicy",
-    "cell_fault_spec",
-    "derive_seed",
-    "load_fault_spec",
+    "cell_fault_spec", "derive_seed", "load_fault_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "model": (
+        "CapacityStep FaultModel FaultSpec ServerDowntime cell_fault_spec derive_seed "
+        "load_fault_spec"
+    ),
+    "retry": "RetryPolicy",
+})

@@ -16,14 +16,15 @@ requests under a :class:`~repro.core.clock.RealTimeClock` —
   with p50/p99/p999 decision-latency reporting.
 """
 
-from repro.live.latency import LatencyHistogram
-from repro.live.loadgen import LoadgenReport, fetch_stats, run_loadgen
-from repro.live.server import LiveHTTPServer, ServerThread
-from repro.live.service import (
-    AdmitDecision,
-    LivePoolService,
-    UnknownFunctionError,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.live.latency import LatencyHistogram
+    from repro.live.loadgen import LoadgenReport, fetch_stats, run_loadgen
+    from repro.live.server import LiveHTTPServer, ServerThread
+    from repro.live.service import AdmitDecision, LivePoolService, UnknownFunctionError
 
 __all__ = [
     "AdmitDecision",
@@ -33,6 +34,12 @@ __all__ = [
     "LoadgenReport",
     "ServerThread",
     "UnknownFunctionError",
-    "fetch_stats",
-    "run_loadgen",
+    "fetch_stats", "run_loadgen",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "latency": "LatencyHistogram",
+    "loadgen": "LoadgenReport fetch_stats run_loadgen",
+    "server": "LiveHTTPServer ServerThread",
+    "service": "AdmitDecision LivePoolService UnknownFunctionError",
+})

@@ -23,49 +23,40 @@ pays only a ``None`` check per emission site (guarded to <2% overhead
 by the throughput benchmark).
 """
 
-from repro.obs.events import (
-    EVENT_SCHEMAS,
-    EVENT_TYPES,
-    EVICTION_REASONS,
-    FAULT_KINDS,
-    SHED_REASONS,
-    SchemaError,
-    validate_event,
-)
-from repro.obs.report import TraceReport, load_report, report_from_events
-from repro.obs.sinks import (
-    JsonlSink,
-    MultiSink,
-    NullSink,
-    PrometheusTextfileSink,
-    RingBufferSink,
-    Sink,
-    read_jsonl_events,
-    write_counters_textfile,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, active_tracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.events import (
+        EVENT_SCHEMAS, EVENT_TYPES, EVICTION_REASONS, FAULT_KINDS, SHED_REASONS, SchemaError,
+        validate_event,
+    )
+    from repro.obs.report import TraceReport, load_report, report_from_events
+    from repro.obs.sinks import (
+        JsonlSink, MultiSink, NullSink, PrometheusTextfileSink, RingBufferSink, Sink,
+        read_jsonl_events, write_counters_textfile,
+    )
+    from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, active_tracer
 
 __all__ = [
-    "EVENT_SCHEMAS",
-    "EVENT_TYPES",
-    "EVICTION_REASONS",
-    "FAULT_KINDS",
-    "SHED_REASONS",
-    "SchemaError",
-    "validate_event",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "active_tracer",
-    "Sink",
-    "NullSink",
-    "RingBufferSink",
-    "JsonlSink",
-    "PrometheusTextfileSink",
-    "MultiSink",
-    "read_jsonl_events",
-    "write_counters_textfile",
-    "TraceReport",
-    "report_from_events",
-    "load_report",
+    "EVENT_SCHEMAS", "EVENT_TYPES", "EVICTION_REASONS", "FAULT_KINDS", "SHED_REASONS",
+    "SchemaError", "validate_event",
+    "Tracer", "NullTracer", "NULL_TRACER", "active_tracer",
+    "Sink", "NullSink", "RingBufferSink", "JsonlSink", "PrometheusTextfileSink", "MultiSink",
+    "read_jsonl_events", "write_counters_textfile",
+    "TraceReport", "report_from_events", "load_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "events": (
+        "EVENT_SCHEMAS EVENT_TYPES EVICTION_REASONS FAULT_KINDS SHED_REASONS SchemaError "
+        "validate_event"
+    ),
+    "report": "TraceReport load_report report_from_events",
+    "sinks": (
+        "JsonlSink MultiSink NullSink PrometheusTextfileSink RingBufferSink Sink "
+        "read_jsonl_events write_counters_textfile"
+    ),
+    "tracer": "NULL_TRACER NullTracer Tracer active_tracer",
+})

@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs.counters import CounterTally
-from repro.obs.sinks import PathLike, read_jsonl_events
+from repro.obs.sinks import PathLike, Sink, read_jsonl_events
 
 __all__ = [
     "FunctionTimeline",
     "ChurnEntry",
     "TraceReport",
+    "ReportSink",
     "report_from_events",
     "load_report",
 ]
@@ -360,6 +361,18 @@ class TraceReport:
             f"deficit {self.total_deficit_mb:.0f} MB"
         )
         return "\n".join(lines)
+
+
+class ReportSink(Sink):
+    """Feeds every event straight into an in-memory
+    :class:`TraceReport`, so a sanitized simulator can rebuild its
+    lifecycle counters without serializing anything."""
+
+    def __init__(self) -> None:
+        self.report = TraceReport()
+
+    def emit(self, event: Mapping[str, Any]) -> None:
+        self.report.add(event)
 
 
 def report_from_events(events: Iterable[Mapping[str, Any]]) -> TraceReport:

@@ -427,7 +427,7 @@ class SimulatedInvoker:
             self._events.push(invocation.time_s, (_Event.ARRIVAL, record))
         if self.controller is not None and len(trace):
             period = self.controller.control_period_s
-            span = trace.invocations[-1].time_s
+            span = trace.last_arrival_s
             tick = period
             while tick <= span + period:
                 self._events.push(tick, (_Event.CONTROL_TICK, None))

@@ -81,7 +81,7 @@ def models_from_trace(trace: Trace) -> List[FunctionArrivalModel]:
             FunctionArrivalModel(
                 name=name,
                 rate_per_s=count / duration,
-                size_mb=trace.functions[name].memory_mb,
+                size_mb=trace.function(name).memory_mb,
             )
         )
     if not models:

@@ -20,7 +20,7 @@ function's container deadline follows the recurrence ``d_i = (t_i +
 dur_i) + ttl`` with ``cold_i ⇔ d_{i-1} <= t_i``, which resolves chunk
 by chunk with three vectorized classifications (certainly-cold,
 certainly-warm, and an alternating ambiguous band) — see
-``docs/performance.md`` for the derivation. Metric sums use
+``docs/performance-log.md`` for the derivation. Metric sums use
 ``np.add.accumulate``, whose strict left-to-right evaluation
 reproduces the simulator's sequential ``+=`` bit for bit.
 

@@ -25,10 +25,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.checks.sanitize import (
-    ReportSink,
     check_counter_equality,
     check_tenant_counter_equality,
     sanitize_enabled,
@@ -43,6 +42,9 @@ from repro.obs.tracer import Tracer, active_tracer
 from repro.sim.config import RunConfig
 from repro.sim.metrics import SimulationMetrics
 from repro.traces.model import Trace, TraceFunction
+
+if TYPE_CHECKING:
+    from repro.obs.report import ReportSink
 
 __all__ = ["KeepAliveSimulator", "SimulationResult", "simulate"]
 
@@ -121,7 +123,9 @@ class KeepAliveSimulator:
         # while the trace stream sees all of them.
         self._sanitize_report: Optional[ReportSink] = None
         if sanitize_enabled() and self._tracer is None and warmup_s <= 0.0:
-            self._sanitize_report = ReportSink()
+            from repro.obs import report  # only a sanitized run loads it
+
+            self._sanitize_report = report.ReportSink()
             self._tracer = Tracer(self._sanitize_report)
         # Multi-tenancy: per-tenant metrics (and ``tenant`` event
         # fields) are recorded exactly when the trace carries tenant

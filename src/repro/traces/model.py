@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 __all__ = ["TraceFunction", "Invocation", "Trace"]
 
@@ -86,8 +87,9 @@ class Invocation:
 class Trace:
     """A replayable workload: functions plus time-ordered invocations.
 
-    Invocations are sorted by time at construction so replay order is
-    deterministic regardless of how the trace was assembled.
+    Invocations are sorted by ``(time_s, function_name)`` at
+    construction so replay order is deterministic regardless of how the
+    trace was assembled.
     """
 
     def __init__(
@@ -102,7 +104,11 @@ class Trace:
             if func.name in self._functions:
                 raise ValueError(f"duplicate function name {func.name!r}")
             self._functions[func.name] = func
-        self._invocations: List[Invocation] = sorted(invocations)
+        # ``sorted(invocations)`` in two stable passes whose keys compare
+        # in C, not through the dataclass's Python-level ``__lt__``.
+        ordered = sorted(invocations, key=attrgetter("function_name"))
+        ordered.sort(key=attrgetter("time_s"))
+        self._invocations: Tuple[Invocation, ...] = tuple(ordered)
         missing = {
             inv.function_name
             for inv in self._invocations
@@ -115,12 +121,14 @@ class Trace:
 
     @property
     def functions(self) -> Dict[str, TraceFunction]:
-        """Mapping from function name to its static characteristics."""
+        """Mapping from function name to its static characteristics: a
+        fresh copy per access, so hoist it out of a loop (or use
+        :meth:`function` / :meth:`arrivals`)."""
         return dict(self._functions)
 
     @property
     def invocations(self) -> Sequence[Invocation]:
-        return tuple(self._invocations)
+        return self._invocations
 
     def function(self, name: str) -> TraceFunction:
         return self._functions[name]
@@ -233,7 +241,7 @@ class Trace:
         functions.update(other._functions)
         return Trace(
             functions=functions.values(),
-            invocations=list(self._invocations) + list(other._invocations),
+            invocations=self._invocations + other._invocations,
             name=name or f"{self.name}+{other.name}",
         )
 

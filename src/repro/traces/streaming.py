@@ -15,8 +15,8 @@ same shape as :func:`repro.bench.churn_trace`) that way:
 * the streams advance as columns, every function due inside a time
   window one step per NumPy round, and one sort per window merges them
   into global ``(time, function name)`` replay order — the object
-  ``Trace``'s canonical sort order (docs/performance.md, "The streamed
-  trace path", has the exactness argument);
+  ``Trace``'s canonical sort order (docs/performance-log.md, "The
+  streamed trace path", has the exactness argument);
 * :meth:`chunks` yields columnar ``(times, function_ids)`` arrays of
   at most ``chunk_invocations`` entries, so peak memory is
   ``O(num_functions + chunk_invocations)`` regardless of duration.
@@ -51,8 +51,8 @@ STREAM_IAT_CHOICES_S = (60.0, 120.0, 240.0, 480.0, 960.0)
 _STREAM_SEED_STRIDE = 1_000_003
 
 #: Uniforms drawn from a function's generator per refill, and arrivals
-#: per merge window: sized in docs/performance.md, "The streamed trace
-#: path" (flat in speed around these, linear in ``peak_mb``).
+#: per merge window: sized in docs/performance-log.md, "The streamed
+#: trace path" (flat in speed around these, linear in ``peak_mb``).
 _DRAW_BLOCK = 32
 _WINDOW_ARRIVALS = 8_192
 

@@ -282,6 +282,45 @@ class TestDegradeToUnknown:
         assert [f.code for f in result.findings] == ["FC003"]
         assert result.findings[0].path == str(consumer)
 
+    def test_type_checking_reexport_resolves(self, tmp_path):
+        """A lazy package ``__init__`` keeps its static imports under
+        ``if TYPE_CHECKING:``; the summarizer must still follow them."""
+        impl = _write(
+            tmp_path,
+            "impl.py",
+            """\
+            # repro-checks-module: repro.sim.pkg.impl
+            def make_names():
+                return {"alpha"}
+            """,
+        )
+        init = _write(
+            tmp_path,
+            "init.py",
+            """\
+            # repro-checks-module: repro.sim.pkg
+            from typing import TYPE_CHECKING
+
+            if TYPE_CHECKING:
+                from repro.sim.pkg.impl import make_names
+            """,
+        )
+        consumer = _write(
+            tmp_path,
+            "consumer.py",
+            """\
+            # repro-checks-module: repro.sim.consumer
+            from repro.sim.pkg import make_names
+
+
+            def walk():
+                return [n for n in make_names()]
+            """,
+        )
+        result = check_paths([impl, init, consumer])
+        assert [f.code for f in result.findings] == ["FC003"]
+        assert result.findings[0].path == str(consumer)
+
     def test_broken_reexport_degrades(self, tmp_path):
         init = _write(
             tmp_path,

@@ -8,6 +8,7 @@ from repro.analysis.concurrency import (
     max_concurrency,
     working_set_mb,
 )
+from repro.provisioning.analytical import models_from_trace
 from repro.traces.model import Invocation, Trace, TraceFunction
 from tests.conftest import make_function, make_trace
 
@@ -99,3 +100,42 @@ class TestHeadroom:
         # One MB less and the concurrency demand cannot be met warm.
         tight = simulate(trace, "GD", size - 100.0).metrics
         assert tight.cold_starts > metrics.cold_starts or tight.dropped > 0
+
+
+class CountingTrace(Trace):
+    """Counts registry copies: ``Trace.functions`` builds a fresh dict
+    on every read (``test_functions_returns_copy`` pins that), so a
+    read per invocation is O(invocations x functions)."""
+
+    copies = 0
+
+    @property
+    def functions(self):
+        self.copies += 1
+        return super().functions
+
+
+class TestRegistryCopies:
+    """``concurrency_profile`` on a 100k-arrival, 1,620-function trace
+    spent 1.45 of its 1.46 s copying the registry, once per arrival.
+    Counted, not timed: the copies may not grow with the trace."""
+
+    @pytest.fixture
+    def trace(self):
+        functions = [make_function(f"f{i:02d}") for i in range(40)]
+        invocations = [
+            Invocation(float(t), function.name)
+            for t in range(25) for function in functions
+        ]
+        return CountingTrace(functions, invocations)
+
+    @pytest.mark.parametrize("analysis, allowed", [
+        (concurrency_profile, 1),  # the zero-filled result, once
+        (max_concurrency, 0),
+        (concurrency_headroom_mb, 1),
+        (working_set_mb, 0),
+        (models_from_trace, 0),
+    ])
+    def test_copies_do_not_grow_with_the_trace(self, trace, analysis, allowed):
+        analysis(trace)
+        assert trace.copies <= allowed

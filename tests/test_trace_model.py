@@ -1,7 +1,12 @@
 """Unit tests for the trace data model."""
 
-import pytest
+import tempfile
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.traces.io import load_trace_json, save_trace_json
 from repro.traces.model import Invocation, Trace, TraceFunction
 from tests.conftest import make_function, make_trace
 
@@ -134,3 +139,59 @@ class TestTrace:
         fns = trace.functions
         fns.clear()
         assert trace.num_functions == 1
+
+    def test_invocations_is_not_rebuilt_per_access(self):
+        trace = make_trace("ABAB")
+        assert isinstance(trace.invocations, tuple)
+        assert trace.invocations is trace.invocations
+
+
+#: Few distinct times (an int among the floats: ``1 == 1.0``) and few
+#: names, so a drawn list is full of repeated times and repeated
+#: ``(time, name)`` pairs — where a sort's stability shows.
+arrival_lists = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1, 1.0, 2.25, 7.0]), st.sampled_from("ABC"))
+).map(lambda pairs: [Invocation(t, name) for t, name in pairs])
+
+
+def same_objects(left, right):
+    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+
+class TestReplayOrder:
+    """``Trace`` orders arrivals with two stable key passes in C; the
+    result must be ``sorted()`` over ``Invocation.__lt__`` (the
+    dataclass's field-tuple comparison) object for object."""
+
+    FUNCTIONS = [make_function(name) for name in "ABC"]
+
+    @given(arrival_lists)
+    def test_constructor_order_is_sorted_order(self, invocations):
+        ordered = Trace(self.FUNCTIONS, invocations).invocations
+        assert same_objects(ordered, sorted(invocations))
+        assert same_objects(
+            ordered, sorted(invocations, key=lambda i: (i.time_s, i.function_name))
+        )
+
+    def test_comparison_operators_are_the_dataclass_ones(self):
+        early, late = Invocation(1.0, "B"), Invocation(1.0, "C")
+        assert early < late and late > early and early <= late and late >= early
+        assert Invocation(1, "B") == early and not early < Invocation(1, "B")
+
+    @given(arrival_lists, arrival_lists, st.sampled_from([0.0, 0.25, 3.0]))
+    def test_derived_traces_come_out_ordered(self, left, right, offset_s):
+        a, b = Trace(self.FUNCTIONS, left), Trace(self.FUNCTIONS, right)
+        for derived in (
+            a.merged_with(b), a.shifted(offset_s), a.truncated(1.0), a.restrict("AB"),
+        ):
+            assert list(derived.invocations) == sorted(derived.invocations)
+        assert same_objects(a.merged_with(b).invocations, sorted(left + right))
+
+    @given(arrival_lists)
+    def test_json_round_trip_keeps_the_order(self, invocations):
+        trace = Trace(self.FUNCTIONS, invocations)
+        # Not tmp_path: a function-scoped fixture is shared by every example.
+        with tempfile.TemporaryDirectory() as tmp:
+            save_trace_json(trace, f"{tmp}/trace.json")
+            loaded = load_trace_json(f"{tmp}/trace.json")
+        assert loaded.invocations == trace.invocations
