@@ -325,8 +325,10 @@ class ContainerPool:
         settle_slack = 1e-9 * max(self._capacity_mb, target)
         if self._used_mb - target <= settle_slack:
             # Target reached (or the pool was never above it): land the
-            # shrink/growth through the strict contract.
-            self._deflation_target_mb = None
+            # shrink/growth through the strict contract. It stays pending
+            # while a tenant's busy containers exceed its scaled slice.
+            if self._tenant_mode != "partitioned" or not self._over_slice_mb(settle_slack):
+                self._deflation_target_mb = None
             self.set_capacity(target)
         else:
             # Busy containers hold more than the target: clamp nominal
@@ -336,18 +338,23 @@ class ContainerPool:
             self._slack_mb = 1e-9 * self._capacity_mb
         return selected
 
-    def _over_slice_victims(
-        self, ordered: Iterable[Container], slack_mb: float
-    ) -> List[Container]:
-        """Partitioned-mode deflation victims: for every tenant over
-        its (scaled) slice, its first containers in ``ordered`` until
-        the slice fits."""
+    def _over_slice_mb(self, slack_mb: float) -> Dict[int, float]:
+        """Tenant -> memory held beyond its (scaled) partition slice."""
         limits = self._tenant_limits_mb
         excess: Dict[int, float] = {}
         for tid, used_t in self._tenant_used_mb.items():
             over_by = used_t - limits.get(tid, 0.0)
             if over_by > slack_mb:
                 excess[tid] = over_by
+        return excess
+
+    def _over_slice_victims(
+        self, ordered: Iterable[Container], slack_mb: float
+    ) -> List[Container]:
+        """Partitioned-mode deflation victims: for every tenant over
+        its (scaled) slice, its first containers in ``ordered`` until
+        the slice fits."""
+        excess = self._over_slice_mb(slack_mb)
         if not excess:
             return []
         selected: List[Container] = []
@@ -932,8 +939,11 @@ class ContainerPool:
         surfaces only containers whose deadline has actually passed.
         Rescheduling is cheap and deadlines need not be monotone: each
         call pushes a fresh heap entry and the deadline map is the
-        single source of truth, so superseded entries die on pop. A
-        pinned container never expires; scheduling one is a no-op.
+        single source of truth, so superseded entries die on pop —
+        unless the deadline returns to a value it held before (A, B,
+        A), which revives the old entry beside the new one;
+        :meth:`pop_expired` drops such a twin. A pinned container never
+        expires; scheduling one is a no-op.
         """
         cid = container.container_id
         if cid not in self._containers or container.pinned:
@@ -1005,13 +1015,17 @@ class ContainerPool:
         heap = self._expiry_heap
         deadlines = self._expiry_deadline
         restore: List[Tuple[float, int]] = []
+        last = None
         while heap and heap[0][0] <= now_s:
-            deadline, cid = heapq.heappop(heap)
+            deadline, cid = entry = heapq.heappop(heap)
             current = deadlines.get(cid)
             if current is None or current != deadline:
                 continue  # evicted or rescheduled since this push
+            if entry == last:
+                continue  # twin of an A -> B -> A reschedule: pops next to it
+            last = entry
             container = self._containers[cid]
-            restore.append((deadline, cid))
+            restore.append(entry)
             if container.is_idle:
                 expired.append((container, deadline))
             # else: busy past its deadline — deferred; the restored

@@ -15,14 +15,12 @@ Covers the time-varying-resources subsystem end to end
 * load-balancer draining semantics and the min-worker-set /
   join-shortest-queue policies;
 * cross-``PYTHONHASHSEED`` subprocess determinism of a harvested
-  replay, and a randomized differential test that deflation's outcome
-  is independent of eviction batching (chunked vs one-shot).
+  replay.
 """
 
 import json
 import os
 import pathlib
-import random
 import subprocess
 import sys
 
@@ -43,6 +41,7 @@ from repro.obs.tracer import Tracer
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.synth import harvest_day_trace
+from tests.test_spec_machine import replay_both
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -627,41 +626,22 @@ class TestSchedulerHarvest:
 @pytest.mark.parametrize("name", available_policies())
 def test_deflation_evicts_a_prefix_of_the_victim_order(name, sanitized):
     """At every harvest shrink the deflated containers are exactly the
-    front of the idle set sorted by ``(priority, last_used, id)``, and
-    the replay survives the sanitizer. Regression: deflation used to
-    walk the monotone-only index for every policy, so time-decaying
-    and rent-charging scores (HYPERBOLIC, LND, the oracles, HIST)
-    deflated the wrong containers or tripped the monotonicity check."""
-    trace = churn_trace(num_functions=200, duration_s=9600.0, seed=5)
-    kwargs = {"trace": trace} if name.startswith("ORACLE") else {}
-    policy = create_policy(name, **kwargs)
+    front of the idle set sorted by ``(priority, last_used, id)`` — the
+    executable specification's ``sorted()``, compared victim by victim
+    (tests/reference_model.py) — and the replay survives the sanitizer.
+    Regression: deflation used to walk the monotone-only index for every
+    policy, so time-decaying and rent-charging scores (HYPERBOLIC, LND,
+    the oracles, HIST) deflated the wrong containers or tripped the
+    monotonicity check."""
+    trace = churn_trace(num_functions=80, duration_s=4800.0, seed=5)
     spec = FaultSpec(
         seed=3,
         harvest_interval_s=600.0,
         harvest_min_frac=0.55,
         harvest_max_frac=0.95,
     )
-    sim = KeepAliveSimulator(trace, policy, 20_000.0, fault_spec=spec)
-    shrinks = []
-    resize = sim.set_harvest_capacity
-
-    def checked_resize(now_s, frac):
-        order = sorted(
-            sim.pool.idle_containers(),
-            key=lambda c: (
-                policy.priority(c, now_s), c.last_used_s, c.container_id
-            ),
-        )
-        resize(now_s, frac)
-        deflated = [c for c in order if c not in sim.pool]
-        assert deflated == order[: len(deflated)], (
-            f"{name}: shrink at t={now_s:.0f}s left the victim order"
-        )
-        shrinks.append(len(deflated))
-
-    sim.set_harvest_capacity = checked_resize
-    result = sim.run()
-    assert sum(shrinks) == result.metrics.deflations > 0
+    metrics = replay_both(trace, name, 8000.0, fault_spec=spec)
+    assert metrics.deflations > 30 and metrics.capacity_shrinks > 2
 
 
 @pytest.mark.parametrize("name", ["GD", "HIST"])
@@ -702,8 +682,31 @@ def test_partitioned_miss_under_deferred_shrink_drops(name):
     assert metrics.cold_starts == 3 and metrics.warm_starts > 0
 
 
+def test_partitioned_shrink_stays_pending_while_a_busy_tenant_is_over_its_slice(sanitized):
+    """A shrink whose global target is met can still leave a tenant's
+    *busy* container above its scaled slice. Regression (found by
+    tests/test_spec_machine.py under the sanitizer): the shrink landed,
+    nothing was left to bring the tenant back inside its slice, and the
+    next admission tripped the sanitizer's slice invariant."""
+    big = TraceFunction("big", 100.0, 5.0, 10.0, tenant_id=2)
+    small = TraceFunction("small", 100.0, 1.0, 2.0, tenant_id=1)
+    trace = Trace([big, small], [Invocation(0.0, "big")], name="part-land")
+    sim = KeepAliveSimulator(
+        trace, create_policy("GD"), 1000.0,
+        tenant_mode="partitioned", tenant_quotas={1: 700.0, 2: 300.0},
+    )
+    assert sim.process_invocation(big, 0.0) == "cold"
+    sim.set_harvest_capacity(1.0, 0.3)  # slices 210 / 90: tenant 2 holds 100, busy
+    assert sim.pool.capacity_mb == 300.0
+    assert sim.pool.deflation_target_mb == 300.0  # met, but not finished
+    assert sim.process_invocation(small, 2.0) == "cold"  # SanitizeError before
+    sim.housekeeping(20.0)  # big idles: deflated back inside the slice
+    assert sim.pool.deflation_target_mb is None
+    assert sim.pool.tenant_used_mb(2) == 0.0 and sim.metrics.deflations == 1
+
+
 # ----------------------------------------------------------------------
-# Determinism: cross-hash-seed subprocesses and batching independence
+# Determinism: cross-hash-seed subprocesses
 # ----------------------------------------------------------------------
 
 _SUBPROCESS_SCRIPT = """
@@ -746,61 +749,3 @@ def test_harvest_replay_stable_across_hash_seeds():
     b = _harvest_counters_with_hashseed("4242")
     assert a == b
     assert a["capacity_shrinks"] > 0 or a["deflations"] > 0
-
-
-class TestBatchingIndependence:
-    """Deflating in chunks must land in the same state as one shot.
-
-    The randomized differential of the satellite checklist: for random
-    pools and random shrink targets, stepping the capacity down through
-    intermediate fractions (chunked eviction) must leave exactly the
-    same surviving containers and final capacity as deflating straight
-    to the final target — the victim order is a total order, so any
-    batching walks the same prefix of it.
-    """
-
-    def _random_pool(self, rng):
-        count = rng.randint(4, 24)
-        pool = ContainerPool(4096.0)
-        for i in range(count):
-            memory = rng.choice([64.0, 128.0, 256.0])
-            c = Container(make_function(f"f{i}", memory), 0.0)
-            c.last_used_s = rng.uniform(0.0, 1000.0)
-            if pool.free_mb >= memory:
-                pool.add(c)
-        return pool
-
-    @staticmethod
-    def _fingerprint(pool):
-        # Function names, not container ids: the id counter is global,
-        # so two otherwise-identical pool builds get different ids.
-        survivors = sorted(
-            c.function.name for c in pool.idle_containers()
-        )
-        return (survivors, round(pool.capacity_mb, 6))
-
-    def test_chunked_equals_one_shot(self):
-        rng = random.Random(20260808)
-        for trial in range(25):
-            seed = rng.randrange(1 << 30)
-            target_frac = rng.uniform(0.2, 0.9)
-            steps = sorted(
-                (rng.uniform(target_frac, 1.0) for __ in range(3)),
-                reverse=True,
-            )
-
-            def build(seed=seed):
-                return self._random_pool(random.Random(seed))
-
-            one_shot = build()
-            one_shot.deflate_to(
-                4096.0 * target_frac, one_shot.iter_victims(_key_of)
-            )
-            chunked = build()
-            for frac in steps + [target_frac]:
-                chunked.deflate_to(
-                    4096.0 * frac, chunked.iter_victims(_key_of)
-                )
-            assert self._fingerprint(chunked) == self._fingerprint(
-                one_shot
-            ), f"trial {trial}: batching changed the deflation outcome"

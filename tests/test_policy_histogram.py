@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from repro.core.container import Container
 from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
 from repro.core.pool import ContainerPool
-from repro.obs.sinks import RingBufferSink
-from repro.obs.tracer import Tracer
-from repro.sim.scheduler import KeepAliveSimulator
+from repro.traces.model import Trace
 from tests.conftest import make_function
 from tests.test_hot_path_budget import CONTAINER_MB, churn_trace
+from tests.test_spec_machine import Pair, replay_both
 
 MIN = 60.0
 
@@ -232,22 +231,6 @@ class TestHistogramPolicyExpiry:
         assert pool.expiry_deadline_of(c) is None
 
 
-def reference_plan(policy, hist, now_s):
-    """``(expiry, prewarm times or None)`` as absolute times built from
-    the histogram's public queries at the start itself: the arithmetic
-    the cached offsets must reproduce."""
-    if not hist.is_predictable(policy.cov_threshold, policy.min_samples):
-        return now_s + policy.generic_ttl_s, None
-    head = hist.head_s()
-    tail = max(hist.tail_s(), head + MIN)
-    if head > policy.release_threshold_s:
-        return now_s + policy.release_threshold_s, (
-            now_s + policy.head_margin * head,
-            now_s + policy.tail_margin * tail,
-        )
-    return now_s + policy.tail_margin * tail, None
-
-
 class TestPlanCache:
     def _started(self, policy, arrivals_s):
         pool = ContainerPool(1000.0)
@@ -258,17 +241,6 @@ class TestPlanCache:
             policy.on_invocation(f, t)
         policy.on_warm_start(c, arrivals_s[-1], pool)
         return pool, f, c
-
-    def test_starts_between_arrivals_share_one_plan(self):
-        policy = HistogramPolicy()
-        pool, f, c = self._started(policy, [0.0, 600.0, 1200.0])
-        plan = policy.histogram_of("A").plan
-        assert plan is not None
-        sibling = Container(f, 1200.0)
-        pool.add(sibling)
-        policy.on_cold_start(sibling, 1201.0, pool)
-        policy.priority(c, 1300.0)
-        assert policy.histogram_of("A").plan is plan
 
     @pytest.mark.parametrize("gap_s", [600.0, 241 * MIN])  # in / out of window
     def test_every_arrival_invalidates_the_plan(self, gap_s):
@@ -303,26 +275,16 @@ class TestPlanCache:
     def test_cached_offsets_reproduce_the_absolute_plan_exactly(self, mean_gap_s):
         # Frequent (keep through the tail), sparse (release + prewarm)
         # and not-yet-predictable starts, at times with no short binary
-        # form: every deadline must equal the old formula bit for bit.
-        policy = HistogramPolicy()
-        pool = ContainerPool(1000.0)
+        # form: every deadline and every prewarm must be the one the
+        # specification recomputes from the raw IAT list at the start
+        # itself (tests/reference_model.py), bit for bit.
         f = make_function("A")
-        c = Container(f, 0.0)
-        pool.add(c)
-        now_s, prewarms = 0.1, 0
-        for i in range(40):
-            now_s += mean_gap_s * (0.7 + 0.6 * ((i * 7) % 10) / 9.0)
-            policy.on_invocation(f, now_s)
-            policy.on_warm_start(c, now_s, pool)
-            expiry, prewarm = reference_plan(policy, policy.histogram_of("A"), now_s)
-            assert pool.expiry_deadline_of(c) == expiry
-            due = policy.due_prewarms(float("inf"))
-            if prewarm is None:
-                assert due == []
-            else:
-                assert [(r.at_time_s, r.expiry_s) for r in due] == [prewarm]
-                prewarms += 1
-        assert (prewarms > 0) == (mean_gap_s > 100.0)
+        now_s = 0.1
+        with Pair(Trace([f], []), "HIST", 1000.0) as pair:
+            for i in range(40):
+                now_s += mean_gap_s * (0.7 + 0.6 * ((i * 7) % 10) / 9.0)
+                pair.admit(f, now_s)
+            assert (pair.sim.metrics.prewarms > 0) == (mean_gap_s > 100.0)
 
 
 class TestHistogramPolicyPressure:
@@ -348,39 +310,12 @@ class TestHistogramPolicyPressure:
     def test_cached_priorities_evict_the_naive_order(self):
         # The hist_churn shape at 0.4 x working set, scaled down: every
         # miss under pressure scores the whole idle set. Scoring from
-        # the cached plan must pick the victims, with the priorities,
-        # that recomputing from the histogram's public queries does.
-        class NaivePriority(HistogramPolicy):
-            def priority(self, container, now_s):
-                hist = self.histogram_of(container.function.name)
-                if hist.is_predictable(self.cov_threshold, self.min_samples):
-                    gap_s = hist.head_s()
-                elif hist.mean_iat_s() is not None:
-                    gap_s = hist.mean_iat_s()
-                else:
-                    gap_s = self.generic_ttl_s
-                return -((container.last_used_s + gap_s) - now_s)
-
-        def evictions(policy):
-            sink = RingBufferSink(capacity=1_000_000)
-            KeepAliveSimulator(
-                churn_trace(duration_s=3600.0), policy, 0.4 * 60 * CONTAINER_MB,
-                tracer=Tracer(sink, strict=True),
-            ).run()
-            events = sink.snapshot()
-            # Container ids are process-global: number them per run.
-            ordinal = {}
-            for e in events:
-                if e["event"] == "container_spawned":
-                    ordinal[e["container_id"]] = len(ordinal)
-            return [
-                (e["function"], ordinal[e["container_id"]], e["reason"], e["priority"])
-                for e in events if e["event"] == "evicted"
-            ]
-
-        cached, naive = evictions(HistogramPolicy()), evictions(NaivePriority())
-        assert sum(reason == "pressure" for __, __, reason, __ in cached) > 200
-        assert cached == naive
+        # the cached plan must pick the victims, in the order, that the
+        # specification picks recomputing every plan from the raw IATs.
+        metrics = replay_both(
+            churn_trace(duration_s=3600.0), "HIST", 0.4 * 60 * CONTAINER_MB
+        )
+        assert metrics.evictions > 200
 
     def test_reset_clears_everything(self):
         policy = HistogramPolicy()

@@ -258,3 +258,34 @@ class TestAutoscaledSimulation:
         result = AutoscaledSimulation(trace, controller).run()
         assert len(result.size_timeline()) == len(result.decisions)
         assert len(result.miss_speed_timeline()) == len(result.decisions)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2 (one timeline): the controller resizes through "
+        "DeflationEngine.resize, a third deflation path past the scheduler's one "
+        "_evict, so its 7 resizes and 363 evictions on this run leave "
+        "capacity_shrinks / capacity_grows / deflations at 0 and emit no event. "
+        "The PR that makes the controller an event source on the replay loop "
+        "flips this test instead of rediscovering the fault.",
+    )
+    def test_counters_account_for_every_controller_resize(self):
+        from repro.bench import churn_trace
+
+        trace = churn_trace()
+        curve = curve_from_trace(trace)
+        static_mb = curve.required_size(min(0.95, curve.max_hit_ratio))
+        controller = ProportionalController.from_miss_ratio_target(
+            curve,
+            desired_miss_ratio=0.2,
+            mean_arrival_rate=trace.arrival_rate(),
+            initial_size_mb=static_mb,
+            max_size_mb=static_mb,
+            control_period_s=600.0,
+        )
+        result = AutoscaledSimulation(trace, controller, policy="GD").run()
+        resizes = sum(1 for decision in result.decisions if decision.resized)
+        evicted = sum(report.evicted_containers for report in result.deflations)
+        assert resizes > 0 and evicted > 0
+        metrics = result.metrics
+        assert metrics.capacity_shrinks + metrics.capacity_grows == resizes
+        assert metrics.deflations == evicted
