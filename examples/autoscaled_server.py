@@ -3,14 +3,27 @@
 
 Replays a diurnal Azure-like workload against a Greedy-Dual keep-alive
 server whose cache size is resized every 10 minutes by the hit-ratio-
-curve proportional controller (30% deadband), actuated by cascade
-deflation. Prints the size/miss-speed timeline and the average-size
-saving over a conservative static provision.
+curve proportional controller (30% deadband) — a periodic event on the
+simulator's timeline that resizes through its one capacity seam, priced
+by cascade deflation. Prints the size/miss-speed timeline, the
+average-size saving over a conservative static provision, and the
+run's own shrink / grow / deflation counters.
 
 Run:  python examples/autoscaled_server.py
+      python examples/autoscaled_server.py run.jsonl run.json
+      repro-faascache trace-report run.jsonl --check run.json
+
+With two paths the run is traced: every event to the first (JSONL),
+the run's counters to the second, for ``trace-report --check`` — the
+controller's resizes are on the books like any harvest step's.
 """
 
+import json
+import sys
+
 from repro.analysis.reporting import format_series_table, format_table
+from repro.obs.sinks import JsonlSink
+from repro.obs.tracer import Tracer
 from repro.provisioning.autoscale import AutoscaledSimulation
 from repro.provisioning.controller import ProportionalController
 from repro.provisioning.deflation import DeflationEngine
@@ -21,7 +34,7 @@ from repro.traces.preprocess import dataset_to_trace
 from repro.traces.sampling import representative_sample
 
 
-def main() -> None:
+def main(trace_out=None, counters_out=None) -> None:
     dataset = generate_azure_dataset(
         AzureGeneratorConfig(num_functions=1000, max_daily_invocations=6000),
         seed=12,
@@ -44,11 +57,20 @@ def main() -> None:
         control_period_s=600.0,
         deadband=0.3,
     )
-    engine = DeflationEngine()
-    result = AutoscaledSimulation(
-        trace, controller, policy="GD", deflation_engine=engine
-    ).run()
+    sink = JsonlSink(trace_out, eager=True) if trace_out else None
+    try:
+        result = AutoscaledSimulation(
+            trace, controller, policy="GD", deflation_engine=DeflationEngine(),
+            tracer=Tracer(sink, strict=True) if sink else None,
+        ).run()
+    finally:
+        if sink:
+            sink.close()
 
+    counters = result.metrics.counters()
+    if counters_out:
+        with open(counters_out, "w") as handle:
+            json.dump({"counters": counters}, handle, indent=2, sort_keys=True)
     # Print every other control period to keep the table readable.
     decisions = result.decisions[::2]
     print()
@@ -69,12 +91,16 @@ def main() -> None:
     print()
     print(
         format_table(
-            ["Static (GB)", "Mean dynamic (GB)", "Saving", "Deflations"],
+            ["Static (GB)", "Mean dynamic (GB)", "Saving", "Shrinks",
+             "Grows", "Deflations", "Actuation (s)"],
             [[
                 static_mb / 1024.0,
                 result.mean_cache_size_mb / 1024.0,
                 f"{result.savings_vs_static(static_mb):.1%}",
-                len(result.deflations),
+                counters["capacity_shrinks"],
+                counters["capacity_grows"],
+                counters["deflations"],
+                sum(report.latency_s for report in result.deflations),
             ]],
             title="Dynamic scaling vs conservative static provisioning",
         )
@@ -82,4 +108,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:3])

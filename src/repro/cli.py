@@ -504,14 +504,19 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
         control_period_s=args.period_s,
     )
     result = AutoscaledSimulation(trace, controller, policy=args.policy).run()
+    counters = result.metrics.counters()
     print(
         format_table(
-            ["Static (GB)", "Mean dynamic (GB)", "Saving", "Resizes"],
+            ["Static (GB)", "Mean dynamic (GB)", "Saving", "Resizes",
+             "Shrinks", "Grows", "Deflations"],
             [[
                 static_mb / 1024.0,
                 result.mean_cache_size_mb / 1024.0,
                 f"{result.savings_vs_static(static_mb):.1%}",
                 sum(1 for d in result.decisions if d.resized),
+                counters["capacity_shrinks"],
+                counters["capacity_grows"],
+                counters["deflations"],
             ]],
             title=f"Autoscaling {trace.name!r}",
         )

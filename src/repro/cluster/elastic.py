@@ -19,10 +19,9 @@ latency-vs-utilization tradeoff.
 from __future__ import annotations
 
 import hashlib
-import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.cluster.simulation import MemberCounters, _server_level_spec
 from repro.core.policies.base import create_policy
@@ -30,6 +29,7 @@ from repro.faults import FaultModel, FaultSpec
 from repro.obs.tracer import Tracer, active_tracer
 from repro.provisioning.cpu_autoscale import ReactiveCpuScaler
 from repro.sim.config import RunConfig
+from repro.sim.events import EventQueue
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Trace
@@ -114,15 +114,6 @@ class ElasticClusterSimulation:
             else None
         )
         self._server_spec = _server_level_spec(self._fault_spec)
-        # Outage transitions and harvest/spot capacity events over the
-        # ring positions, merged: (time_s, ring index, kind, value).
-        self._server_events: Deque[Tuple[float, int, str, float]] = deque()
-        if self._fault_spec is not None:
-            self._server_events.extend(
-                FaultModel(self._fault_spec).server_events(
-                    range(max_servers), trace.last_arrival_s
-                )
-            )
         # Ring positions currently failed; routing and scale-up skip
         # them until the scheduled recovery.
         self._failed: Set[int] = set()
@@ -297,54 +288,67 @@ class ElasticClusterSimulation:
 
     def run(self) -> ElasticClusterResult:
         result = ElasticClusterResult(per_server=self._metrics)
-        functions = self.trace.functions
-        period = self.control_period_s
-        next_tick = period
-        arrivals_in_period = 0
         result.server_timeline.append((0.0, self._active))
-        events = self._server_events
-        for invocation in self.trace:
-            while invocation.time_s >= next_tick:
-                rate = arrivals_in_period / period
-                decision = self._scaler.step(
-                    next_tick,
-                    arrival_rate=rate / self.requests_per_server_per_s,
-                    mean_service_time_s=1.0,
+        period = self.control_period_s
+        # One timeline for everything timed at the cluster level, as
+        # ``action(at_s)`` in (time, insertion) order: the scaler's
+        # period ticks (pushed first, so a tick precedes a server event
+        # of the same instant), then the outage / harvest / spot
+        # schedule over the ring positions.
+        events: EventQueue[Callable[[float], None]] = EventQueue()
+        arrivals_in_period = 0
+
+        def tick(at_s: float) -> None:
+            nonlocal arrivals_in_period
+            rate = arrivals_in_period / period
+            arrivals_in_period = 0
+            decision = self._scaler.step(
+                at_s,
+                arrival_rate=rate / self.requests_per_server_per_s,
+                mean_service_time_s=1.0,
+            )
+            if self._tracer is not None:
+                self._tracer.emit(
+                    "autoscale_decision",
+                    at_s,
+                    desired_servers=decision.cores,
+                    active_servers=self._active,
+                    arrival_rate=rate,
                 )
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "autoscale_decision",
-                        next_tick,
-                        desired_servers=decision.cores,
-                        active_servers=self._active,
-                        arrival_rate=rate,
-                    )
-                self._apply_scaling(decision.cores, result)
-                result.server_timeline.append((next_tick, self._active))
-                result.server_seconds += self._active * period
-                arrivals_in_period = 0
-                next_tick += period
+            self._apply_scaling(decision.cores, result)
+            result.server_timeline.append((at_s, self._active))
+            result.server_seconds += self._active * period
+
+        tick_s = period
+        while tick_s <= self.trace.last_arrival_s:
+            events.push(tick_s, tick)
+            tick_s += period
+        if self._fault_spec is not None:
+            for at_s, index, kind, value in FaultModel(self._fault_spec).server_events(
+                range(self.max_servers), self.trace.last_arrival_s
+            ):
+                events.push(at_s, partial(
+                    self._apply_server_event, index=index, kind=kind, value=value, result=result
+                ))
+        for time_s, function in self.trace.arrivals():
+            if events.next_s <= time_s:
+                for at_s, action in events.pop_until(time_s):
+                    action(at_s)
             arrivals_in_period += 1
-            # Everything scheduled up to this arrival, in
-            # :meth:`FaultModel.server_events` order.
-            while events and events[0][0] <= invocation.time_s:
-                self._apply_server_event(*events.popleft(), result)
-            server = self._route(invocation.function_name)
+            server = self._route(function.name)
             if server is None:
                 # Every active ring position is down right now.
                 result.shed_unavailable += 1
                 if self._tracer is not None:
                     self._tracer.emit(
                         "invocation_shed",
-                        invocation.time_s,
-                        function=invocation.function_name,
+                        time_s,
+                        function=function.name,
                         reason="unavailable",
                         attempts=1,
                     )
                 continue
-            server.process_invocation(
-                functions[invocation.function_name], invocation.time_s
-            )
+            server.process_invocation(function, time_s)
         for server in self._servers:
             if server is not None:
                 server.drain_retries()

@@ -12,9 +12,9 @@ routing at equal total memory.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.loadbalancer import (
     LoadBalancer,
@@ -26,6 +26,7 @@ from repro.faults import FaultModel, FaultSpec
 from repro.obs.counters import counter_names, sum_counters
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim.config import RunConfig
+from repro.sim.events import EventQueue
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Trace
@@ -158,14 +159,15 @@ class ClusterSimulator:
             else None
         )
         # Outage transitions and harvest/spot capacity events of every
-        # server, merged time-ordered: (time_s, server, kind, value).
-        self._server_events: Deque[Tuple[float, int, str, float]] = deque()
+        # server, as ``action(at_s)`` in ``FaultModel.server_events`` order.
+        self._events: EventQueue[Callable[[float], None]] = EventQueue()
         if self._fault_spec is not None:
-            self._server_events.extend(
-                FaultModel(self._fault_spec).server_events(
-                    range(num_servers), trace.last_arrival_s
+            for at_s, index, kind, value in FaultModel(self._fault_spec).server_events(
+                range(num_servers), trace.last_arrival_s
+            ):
+                self._events.push(
+                    at_s, partial(self._apply_server_event, index=index, kind=kind, value=value)
                 )
-            )
         server_spec = _server_level_spec(self._fault_spec)
         self.servers = [
             KeepAliveSimulator(
@@ -235,7 +237,6 @@ class ClusterSimulator:
             )
 
     def run(self) -> ClusterResult:
-        functions = self.trace.functions
         routed = [0] * len(self.servers)
         tracer = self._tracer
         result = ClusterResult(
@@ -245,41 +246,32 @@ class ClusterSimulator:
             routed=routed,
         )
         queue_signal = self.balancer.load_signal == "queue"
-        events = self._server_events
-        for invocation in self.trace:
-            # Everything scheduled up to this arrival, in
-            # :meth:`FaultModel.server_events` order.
-            while events and events[0][0] <= invocation.time_s:
-                self._apply_server_event(*events.popleft())
+        events = self._events
+        for time_s, function in self.trace.arrivals():
+            # Everything scheduled up to this arrival.
+            if events.next_s <= time_s:
+                for at_s, action in events.pop_until(time_s):
+                    action(at_s)
             if queue_signal:
                 used = [float(server.outstanding) for server in self.servers]
             else:
                 used = [server.pool.used_mb for server in self.servers]
             try:
                 if tracer is None:
-                    index = self.balancer.route(
-                        invocation.function_name, used
-                    )
+                    index = self.balancer.route(function.name, used)
                 else:
                     index = self.balancer.route_traced(
-                        invocation.function_name,
-                        used,
-                        invocation.time_s,
-                        tracer,
+                        function.name, used, time_s, tracer
                     )
             except NoHealthyServers:
-                self._shed_unavailable(
-                    result, invocation.function_name, invocation.time_s
-                )
+                self._shed_unavailable(result, function.name, time_s)
                 continue
             if not 0 <= index < len(self.servers):
                 raise ValueError(
                     f"balancer routed to invalid server {index}"
                 )
             routed[index] += 1
-            self.servers[index].process_invocation(
-                functions[invocation.function_name], invocation.time_s
-            )
+            self.servers[index].process_invocation(function, time_s)
         for server in self.servers:
             server.drain_retries()
         return result

@@ -204,11 +204,30 @@ class InvokerContainerPool:
 
     def _evict(self, container: Container, now_s: float, pressure: bool) -> None:
         self.pool.evict(container)
+        self._note_evicted(container, now_s, pressure)
+
+    def _note_evicted(self, container: Container, now_s: float, pressure: bool) -> None:
+        """The bookkeeping of one eviction, whoever took the memory."""
         self.policy.on_evict(container, now_s, self.pool, pressure=pressure)
         if pressure:
             self.evictions += 1
         else:
             self.expirations += 1
+
+    def _note_deflated(self, victims: List[Container], now_s: float) -> None:
+        for victim in victims:  # the pool's deflation already evicted them
+            self._note_evicted(victim, now_s, pressure=True)
+
+    def resize(self, target_mb: float, now_s: float) -> List[Container]:
+        """Resize the pool toward ``target_mb`` — the invoker's one
+        capacity seam, the mechanism of
+        :meth:`KeepAliveSimulator.set_capacity`: a shrink evicts idle
+        containers in the policy's victim order and defers what busy
+        ones hold (:meth:`release` resumes it); growth is immediate.
+        Returns the containers evicted now."""
+        victims = self.pool.deflate_to(target_mb, self.policy.victim_order(self.pool, now_s))
+        self._note_deflated(victims, now_s)
+        return victims
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -224,13 +243,17 @@ class InvokerContainerPool:
     def release(
         self, container: Container, now_s: float, kind: str, elapsed_s: float
     ) -> None:
-        """Finish an invocation and fold its timing into the stats."""
+        """Finish an invocation, fold its timing into the stats, and
+        let a deferred shrink take what just went idle."""
         container.finish_invocation(now_s)
         stats = self.stats.get(container.function.name)
         if kind == "hit":
             stats.observe_warm(elapsed_s)
         else:
             stats.observe_cold(elapsed_s)
+        if self.pool.deflation_target_mb is not None:
+            order = self.policy.victim_order(self.pool, now_s)
+            self._note_deflated(self.pool.resume_deflation(order), now_s)
 
     def expire(self, now_s: float) -> int:
         """Apply the policy's time-based expirations; returns the count."""

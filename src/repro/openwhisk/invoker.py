@@ -229,9 +229,10 @@ class SimulatedInvoker:
         :class:`~repro.provisioning.controller.ProportionalController`)
         attaches the Figure 4 provisioning loop to this invoker: every
         control period the observed arrival and cold-start counts feed
-        the controller, and its size decision is actuated on the
-        container pool via ``deflation_engine`` (cascade deflation by
-        default). Without a controller the pool size is static."""
+        the controller, and its size decision resizes the container
+        pool (:meth:`InvokerContainerPool.resize`), priced by
+        ``deflation_engine`` (cascade deflation by default). Without a
+        controller the pool size is static."""
         if isinstance(policy, str):
             policy = create_policy(policy)
         self.config = config
@@ -401,14 +402,14 @@ class SimulatedInvoker:
         self._period_arrivals = 0
         self._period_colds = 0
         if decision.resized:
-            report = self.deflation_engine.resize(
-                self.pool.pool,
-                self.policy,
-                self.controller.cache_size_mb,
-                now_s,
+            pool = self.pool.pool
+            old_mb = pool.capacity_mb
+            victims = self.pool.resize(decision.cache_size_mb, now_s)
+            self.deflations.append(
+                self.deflation_engine.report(
+                    decision.cache_size_mb, old_mb, pool.capacity_mb, victims
+                )
             )
-            self.controller.cache_size_mb = report.achieved_mb
-            self.deflations.append(report)
             self._drain_queue(now_s, functions)
 
     # ------------------------------------------------------------------

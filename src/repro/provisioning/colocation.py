@@ -12,7 +12,8 @@ This module makes the tradeoff executable:
   a colocated application holds;
 * :class:`ColocationSimulation` — replays a function workload while
   the keep-alive cache tracks the complement of the colocated demand,
-  actuated by cascade deflation;
+  resized through the simulator's capacity seam and priced by cascade
+  deflation;
 * :func:`tradeoff_curve` — the static frontier: function cold-start
   rate as a function of the memory ceded to colocated tenants, next to
   the hit-ratio-curve prediction.
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.policies.base import KeepAlivePolicy, create_policy
+from repro.obs.tracer import Tracer
 from repro.provisioning.deflation import DeflationEngine, DeflationReport
 from repro.provisioning.hit_ratio import HitRatioCurve
 from repro.provisioning.reuse_distance import reuse_distances
@@ -96,7 +98,10 @@ class ColocationSimulation:
         policy: str | KeepAlivePolicy = "GD",
         min_cache_mb: float = 128.0,
         deflation_engine: DeflationEngine | None = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
+        """``trace`` may be any form ``arrivals()`` serves; ``tracer``
+        is the simulator's own."""
         if server_memory_mb <= demand.peak_mb + min_cache_mb:
             raise ValueError(
                 "server memory must exceed peak colocated demand plus "
@@ -110,10 +115,9 @@ class ColocationSimulation:
         self.policy = policy
         self.min_cache_mb = min_cache_mb
         self.engine = deflation_engine or DeflationEngine()
-        initial_cache = max(
-            server_memory_mb - demand.at(0.0), min_cache_mb
+        self.simulator = KeepAliveSimulator(
+            trace, policy, self._cache_target_mb(0.0), tracer=tracer
         )
-        self.simulator = KeepAliveSimulator(trace, policy, initial_cache)
 
     def _cache_target_mb(self, now_s: float) -> float:
         return max(
@@ -121,29 +125,27 @@ class ColocationSimulation:
         )
 
     def run(self) -> ColocationResult:
-        result = ColocationResult(metrics=self.simulator.metrics)
-        result.capacity_timeline.append(
-            (0.0, self.simulator.pool.capacity_mb)
-        )
-        pending_changes = [
-            t for t in self.demand.change_times if t > 0
-        ]
-        functions = self.trace.functions
-        for invocation in self.trace:
-            while pending_changes and invocation.time_s >= pending_changes[0]:
-                change_time = pending_changes.pop(0)
-                target = self._cache_target_mb(change_time)
-                if abs(target - self.simulator.pool.capacity_mb) > 1e-9:
-                    report = self.engine.resize(
-                        self.simulator.pool, self.policy, target, change_time
-                    )
-                    result.deflations.append(report)
-                    result.capacity_timeline.append(
-                        (change_time, self.simulator.pool.capacity_mb)
-                    )
-            self.simulator.process_invocation(
-                functions[invocation.function_name], invocation.time_s
-            )
+        """The simulator's one replay loop, with every demand change a
+        resize event on its timeline."""
+        simulator = self.simulator
+        pool = simulator.pool
+        result = ColocationResult(metrics=simulator.metrics)
+        result.capacity_timeline.append((0.0, pool.capacity_mb))
+
+        def resize(change_time: float) -> None:
+            target = self._cache_target_mb(change_time)
+            old_mb = pool.capacity_mb
+            if abs(target - old_mb) > 1e-9:
+                victims = simulator.set_capacity(change_time, target)
+                result.deflations.append(
+                    self.engine.report(target, old_mb, pool.capacity_mb, victims)
+                )
+                result.capacity_timeline.append((change_time, pool.capacity_mb))
+
+        for change_time in self.demand.change_times:
+            if change_time > 0:
+                simulator.schedule(change_time, resize)
+        simulator.run()
         return result
 
 

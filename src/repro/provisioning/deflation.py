@@ -7,7 +7,8 @@ cheapest mechanism first —
 1. **Container-pool shrink** — evict warm containers (in the
    keep-alive policy's priority order) until the pool fits the new
    size. Nearly free: the cost is future cold starts, which the
-   policy already prices.
+   policy already prices. This stage is the engines' one capacity seam
+   (``KeepAliveSimulator.set_capacity``); nothing here evicts.
 2. **Guest-OS memory hot-unplug** — return now-free guest memory to
    the hypervisor; modelled with a per-GB latency.
 3. **Hypervisor page swapping** — the expensive fallback when memory
@@ -16,24 +17,19 @@ cheapest mechanism first —
 
 The model reports how much each stage reclaimed and the total
 actuation latency, so experiments can weigh controller aggressiveness
-against deflation cost. Running containers are never touched: the
-capacity floor is the memory of in-flight invocations.
+against deflation cost. Running containers are never touched: what
+they hold below the requested size is deferred and lands as they
+finish, so ``achieved_mb`` is the size at actuation.
 """
 
 from __future__ import annotations
 
-import logging
-
 from dataclasses import dataclass
-from typing import List
+from typing import Sequence
 
 from repro.core.container import Container
-from repro.core.policies.base import KeepAlivePolicy
-from repro.core.pool import ContainerPool
 
 __all__ = ["DeflationReport", "DeflationEngine"]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class DeflationReport:
 
 
 class DeflationEngine:
-    """Applies controller size decisions to a live container pool."""
+    """The stage-2/3 latency model of a resize the pool already made."""
 
     def __init__(
         self,
@@ -73,75 +69,34 @@ class DeflationEngine:
         self.page_swap_s_per_gb = page_swap_s_per_gb
         self.unplug_fraction = unplug_fraction
 
-    def resize(
+    def report(
         self,
-        pool: ContainerPool,
-        policy: KeepAlivePolicy,
-        new_capacity_mb: float,
-        now_s: float,
+        requested_mb: float,
+        old_mb: float,
+        achieved_mb: float,
+        victims: Sequence[Container],
     ) -> DeflationReport:
-        """Deflate or inflate ``pool`` toward ``new_capacity_mb``.
-
-        Inflation is instantaneous (memory hot-plug is cheap). For
-        deflation, warm containers are evicted in policy-priority
-        order first; the capacity never drops below the memory held by
-        running containers, so the achieved size may exceed the
-        request.
+        """Price one actuation of the capacity seam
+        (:meth:`KeepAliveSimulator.set_capacity`,
+        :meth:`InvokerContainerPool.resize`): the pool went from
+        ``old_mb`` to ``achieved_mb`` — above ``requested_mb`` while
+        busy containers defer the rest of a shrink — by evicting
+        ``victims``. Inflation is instantaneous (memory hot-plug is
+        cheap); what a shrink reclaimed goes back to the host through
+        stages 2 and 3.
         """
-        if new_capacity_mb <= 0:
-            raise ValueError(f"capacity must be positive, got {new_capacity_mb}")
-        old_capacity = pool.capacity_mb
-
-        if new_capacity_mb >= old_capacity:
-            pool.set_capacity(new_capacity_mb)
-            return DeflationReport(
-                requested_mb=new_capacity_mb,
-                achieved_mb=new_capacity_mb,
-                pool_shrink_mb=0.0,
-                hot_unplug_mb=0.0,
-                page_swap_mb=0.0,
-                evicted_containers=0,
-                latency_s=0.0,
-            )
-
-        # Stage 1: shrink the container pool.
-        evicted = 0
-        pool_shrink_mb = 0.0
-        for victim in policy.victim_order(pool, now_s):
-            if pool.used_mb <= new_capacity_mb + 1e-9:
-                break
-            pool.evict(victim)
-            policy.on_evict(victim, now_s, pool, pressure=True)
-            pool_shrink_mb += victim.memory_mb
-            evicted += 1
-
-        running_floor = pool.used_mb
-        achieved_mb = max(new_capacity_mb, running_floor)
-        pool.set_capacity(achieved_mb)
-
-        # Stages 2 and 3: return the freed memory to the host.
-        reclaimed_gb = (old_capacity - achieved_mb) / 1024.0
+        reclaimed_gb = max(0.0, old_mb - achieved_mb) / 1024.0
         hot_unplug_gb = reclaimed_gb * self.unplug_fraction
         page_swap_gb = reclaimed_gb - hot_unplug_gb
-        latency_s = (
-            hot_unplug_gb * self.hot_unplug_s_per_gb
-            + page_swap_gb * self.page_swap_s_per_gb
-        )
-        logger.debug(
-            "deflation at t=%.0fs: %.0f -> %.0f MB (%d containers evicted, "
-            "%.1f s latency)",
-            now_s,
-            old_capacity,
-            achieved_mb,
-            evicted,
-            latency_s,
-        )
         return DeflationReport(
-            requested_mb=new_capacity_mb,
+            requested_mb=requested_mb,
             achieved_mb=achieved_mb,
-            pool_shrink_mb=pool_shrink_mb,
+            pool_shrink_mb=sum(victim.memory_mb for victim in victims),
             hot_unplug_mb=hot_unplug_gb * 1024.0,
             page_swap_mb=page_swap_gb * 1024.0,
-            evicted_containers=evicted,
-            latency_s=latency_s,
+            evicted_containers=len(victims),
+            latency_s=(
+                hot_unplug_gb * self.hot_unplug_s_per_gb
+                + page_swap_gb * self.page_swap_s_per_gb
+            ),
         )

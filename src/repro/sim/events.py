@@ -1,22 +1,25 @@
 """A minimal discrete-event queue.
 
-The trace-driven keep-alive simulator mostly advances from arrival to
-arrival, but the OpenWhisk invoker model (Section 7.2) needs a genuine
-event heap: request arrivals, container-launch completions, invocation
-completions, and controller ticks interleave. Events at equal times
-are delivered in insertion order (a monotone sequence number breaks
-ties), which keeps simulations deterministic.
+The trace-driven keep-alive simulator advances from arrival to arrival
+and merges everything else that is timed — the fault schedule, pending
+retries, a driver's controller ticks — from one of these; the OpenWhisk
+invoker model (Section 7.2) runs on one outright: request arrivals,
+container-launch completions, invocation completions, and controller
+ticks interleave. Events at equal times are delivered in insertion
+order (a monotone sequence number breaks ties), which keeps
+simulations deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
 
 __all__ = ["EventQueue"]
 
 T = TypeVar("T")
+_INF = float("inf")
 
 
 class EventQueue(Generic[T]):
@@ -25,17 +28,23 @@ class EventQueue(Generic[T]):
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, T]] = []
         self._counter = itertools.count()
+        #: Time of the earliest event, ``inf`` when empty: a plain
+        #: attribute, so "anything due?" is one float compare, no call.
+        self.next_s = _INF
 
     def push(self, time_s: float, payload: T) -> None:
         if time_s < 0:
             raise ValueError(f"event time must be >= 0, got {time_s}")
         heapq.heappush(self._heap, (time_s, next(self._counter), payload))
+        if time_s < self.next_s:
+            self.next_s = time_s
 
     def pop(self) -> Tuple[float, T]:
         """Remove and return the earliest (time, payload) event."""
         if not self._heap:
             raise IndexError("pop from an empty event queue")
         time_s, __, payload = heapq.heappop(self._heap)
+        self.next_s = self._heap[0][0] if self._heap else _INF
         return time_s, payload
 
     def peek_time(self) -> Optional[float]:
@@ -55,3 +64,4 @@ class EventQueue(Generic[T]):
 
     def clear(self) -> None:
         self._heap.clear()
+        self.next_s = _INF

@@ -23,9 +23,9 @@ the behaviour that separates FaaS keep-alive from classical caching
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.checks.sanitize import (
     check_counter_equality,
@@ -40,6 +40,7 @@ from repro.faults import FaultModel, RetryPolicy
 from repro.obs.counters import eviction_counters
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim.config import RunConfig
+from repro.sim.events import EventQueue
 from repro.sim.metrics import SimulationMetrics
 from repro.traces.model import Trace, TraceFunction
 
@@ -109,7 +110,7 @@ class KeepAliveSimulator:
         warmup_s = config.warmup_s
         tenant_mode = config.tenant_mode
         self.trace = trace
-        self._functions = functions = trace.functions
+        functions = trace.functions
         self._trace_name = trace.name
         self.policy = policy
         # ``None`` when tracing is disabled: every emission site guards
@@ -198,16 +199,16 @@ class KeepAliveSimulator:
         # (possibly already-shrunk or deferral-clamped) capacity.
         self._nominal_capacity_mb = float(memory_mb)
         fault_spec = config.fault_spec
-        # Min-heap of (due_s, seq, function_name, attempt) pending
-        # retries. ``seq`` is a per-simulator counter (never a
-        # process-global one) so heap order — and therefore every
-        # downstream decision — is identical across processes.
-        self._retry_heap: List[Tuple[float, int, str, int]] = []
-        self._retry_seq = 0
-        # Scheduled outage transitions and harvest/spot capacity events
-        # for *this* server, already merged time-ordered (see
-        # :meth:`FaultModel.server_events`).
-        self._server_events: Deque[Tuple[float, int, str, float]] = deque()
+        # The one timeline (docs/simulation.md): everything timed that
+        # is not an arrival, as ``action(at_s)`` fired in (time,
+        # insertion) order — this server's outage / harvest / spot
+        # schedule (pushed below, so first among equal times), retries
+        # as they are scheduled, what a driver adds via :meth:`schedule`.
+        # The tie-break is the queue's own counter, never process-global:
+        # every decision is identical across processes.
+        self._events: EventQueue[Callable[[float], None]] = EventQueue()
+        # How many of them are retries (``max_pending_retries`` bounds it).
+        self._pending_retries = 0
         self._faults: Optional[FaultModel] = None
         self._retry: Optional[RetryPolicy] = None
         if fault_spec is not None and fault_spec.enabled:
@@ -215,11 +216,10 @@ class KeepAliveSimulator:
             self._retry = RetryPolicy.from_spec(fault_spec)
             # Schedules are generated on absolute time from 0, so the
             # horizon is the last arrival time.
-            self._server_events.extend(
-                self._faults.server_events(
-                    [self._server_index], trace.last_arrival_s
-                )
-            )
+            for at_s, __, kind, value in self._faults.server_events(
+                [self._server_index], trace.last_arrival_s
+            ):
+                self._events.push(at_s, partial(self._apply_server_event, kind=kind, value=value))
         # Provisioned concurrency: pinned containers exist from t=0.
         for name, count in (config.reserved_concurrency or {}).items():
             function = functions.get(name)
@@ -372,10 +372,10 @@ class KeepAliveSimulator:
         """Handle one arrival; returns 'warm', 'cold', 'dropped',
         'retried', or 'shed' (the last two only with a fault spec).
         ``attempt`` > 0 is the retry queue re-entering: one attempt at
-        serving, no fault-schedule advance, no ``invocation_arrived``."""
-        faults = self._faults
-        if faults is not None and attempt == 0:
+        serving, no timeline advance, no ``invocation_arrived``."""
+        if self._events.next_s <= now_s and attempt == 0:
             self._advance_faults(now_s)
+        faults = self._faults
         pool = self.pool
         policy = self.policy
         # :meth:`housekeeping`, phase by phase: nothing to release unless
@@ -609,16 +609,13 @@ class KeepAliveSimulator:
         replaces unbounded queueing.
         """
         assert self._faults is not None and self._retry is not None
-        if len(self._retry_heap) >= self._faults.spec.max_pending_retries:
+        if self._pending_retries >= self._faults.spec.max_pending_retries:
             return self._shed(function, now_s, attempt, "queue_full")
         delay = self._retry.next_delay(function.name, attempt + 1, now_s)
         if delay is None:
             return self._shed(function, now_s, attempt, shed_reason)
-        heapq.heappush(
-            self._retry_heap,
-            (now_s + delay, self._retry_seq, function.name, attempt + 1),
-        )
-        self._retry_seq += 1
+        self._pending_retries += 1
+        self._events.push(now_s + delay, partial(self._retry_attempt, function, attempt + 1))
         if self._tracer is not None:
             self._tracer.emit(
                 "invocation_retried",
@@ -632,25 +629,25 @@ class KeepAliveSimulator:
         self._sample_memory(now_s)
         return "retried"
 
+    def _retry_attempt(self, function: TraceFunction, attempt: int, due_s: float) -> None:
+        self._pending_retries -= 1
+        self.process_invocation(function, due_s, attempt)
+
+    def schedule(self, due_s: float, action: Callable[[float], None]) -> None:
+        """Put a driver-timed event on the timeline: ``action(due_s)``
+        runs at the top of the first arrival at or after ``due_s``
+        (like a server event), after everything scheduled earlier for
+        that instant. It may call this again (a periodic actor
+        re-schedules itself) and resizes via :meth:`set_capacity`."""
+        self._events.push(due_s, action)
+
     def _advance_faults(self, now_s: float) -> None:
-        """Apply every scheduled server event and due retry up to
-        ``now_s``, in chronological order (interleaved, so a retry due
-        while the server is down — or freshly shrunk — sees that
-        state). At equal times server events precede retries."""
-        heap = self._retry_heap
-        events = self._server_events
-        functions = self._functions
-        while True:
-            retry_due = heap[0][0] if heap else float("inf")
-            event_due = events[0][0] if events else float("inf")
-            if min(retry_due, event_due) > now_s:
-                return
-            if event_due <= retry_due:
-                at_s, __, kind, value = events.popleft()
-                self._apply_server_event(at_s, kind, value)
-            else:
-                due_s, __, function_name, attempt = heapq.heappop(heap)
-                self.process_invocation(functions[function_name], due_s, attempt)
+        """Fire everything due by ``now_s`` in (time, insertion) order —
+        interleaved, so a retry due while the server is down, or freshly
+        shrunk, sees that state; at equal times server events (pushed at
+        construction) precede retries and driver events."""
+        for at_s, action in self._events.pop_until(now_s):
+            action(at_s)
 
     def fail_server(self, now_s: float) -> None:
         """Take this server down: its warm pool is lost and running
@@ -746,22 +743,20 @@ class KeepAliveSimulator:
         if victims:
             self._sample_memory(now_s)
 
-    def set_harvest_capacity(self, now_s: float, frac: float) -> None:
-        """Resize this server to ``frac`` of its nominal capacity.
+    def set_capacity(self, now_s: float, target_mb: float) -> List[Container]:
+        """Resize this server to ``target_mb``: the one capacity seam
+        (harvest steps, the §5.2 controller, colocated demand).
 
-        The graceful path for time-varying (harvested) resources: a
-        shrink evicts idle containers in the policy's victim order via
+        The graceful path for time-varying resources: a shrink evicts
+        idle containers in the policy's victim order via
         :meth:`ContainerPool.deflate_to` and defers whatever busy
         containers still hold (freed as they finish —
         :meth:`_release_finished` resumes the deflation); growth
         applies immediately. Emits ``capacity_shrunk`` /
-        ``capacity_grown`` and keeps the matching counters. Cluster
-        layers may call this directly to drive harvest timelines
-        centrally.
+        ``capacity_grown`` and keeps the matching counters. Returns the
+        containers deflated away now, for callers that price it.
         """
-        if frac <= 0.0:
-            raise ValueError(f"capacity fraction must be > 0, got {frac}")
-        target = frac * self._nominal_capacity_mb
+        target = float(target_mb)
         old = self.pool.capacity_mb
         victims = self.pool.deflate_to(
             target, self.policy.victim_order(self.pool, now_s)
@@ -791,6 +786,14 @@ class KeepAliveSimulator:
                     old_mb=old,
                     new_mb=target,
                 )
+        return victims
+
+    def set_harvest_capacity(self, now_s: float, frac: float) -> None:
+        """Resize this server to ``frac`` of its nominal capacity (the
+        provisioned size, never the previous, possibly deferral-clamped
+        one). Cluster layers may call this directly to drive harvest
+        timelines centrally."""
+        self.set_capacity(now_s, frac * self._nominal_capacity_mb)
 
     def notice_eviction(self, now_s: float, evict_at_s: float) -> None:
         """Record a spot-eviction notice for this server.
@@ -812,18 +815,14 @@ class KeepAliveSimulator:
             )
 
     def drain_retries(self) -> None:
-        """Run every still-pending retry (and any outage transition
-        that precedes it) past the end of the trace, so no failed
-        attempt is left without a terminal outcome. Called by
-        :meth:`run`; cluster drivers call it once arrivals stop."""
-        if self._faults is None:
-            return
-        heap = self._retry_heap
-        while heap:
-            # Advancing to the next due time processes that retry (and
-            # any outage transition before it); retries it schedules in
-            # turn stay in the heap for the next iteration.
-            self._advance_faults(heap[0][0])
+        """Run the timeline on past the end of the trace until no retry
+        is pending, so no failed attempt is left without a terminal
+        outcome (events that precede a retry fire on the way; what lies
+        beyond the last one — a periodic actor's next tick — stays
+        queued). Called by :meth:`run`; cluster drivers call it once
+        arrivals stop."""
+        while self._pending_retries:  # one instant at a time
+            self._advance_faults(self._events.next_s)
 
     def run(self) -> SimulationResult:
         """Replay the whole trace and return the collected metrics.
@@ -859,8 +858,7 @@ class KeepAliveSimulator:
         trace/metrics counter-equality check, and package the result.
         ``end_s`` is the time of the last processed arrival (0.0 for an
         empty replay)."""
-        # Give every pending retry a terminal outcome before reporting.
-        self.drain_retries()
+        self.drain_retries()  # a terminal outcome for every pending retry
         if self._track_timeline and end_s > self._last_sample_s:
             self.metrics.memory_timeline.append((end_s, self.pool.used_mb))
             self._last_sample_s = end_s

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core.policies import create_policy
+from repro.openwhisk.containerpool import InvokerContainerPool
 from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker
 from repro.provisioning.controller import ProportionalController
 from repro.provisioning.hit_ratio import HitRatioCurve
 from repro.provisioning.reuse_distance import reuse_distances
 from repro.traces.synth import multitenant_trace
+from tests.conftest import make_function
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +89,26 @@ class TestAutoscaledInvoker:
         # server.
         assert result.served + result.dropped == result.total
         assert result.dropped < 0.05 * result.total
+
+
+class TestInvokerPoolResize:
+    def test_shrink_below_busy_memory_lands_at_release(self):
+        """The invoker's seam is the simulator's mechanism: deferral,
+        not the clamp ``DeflationEngine.resize`` applied."""
+        pool = InvokerContainerPool(1000.0, create_policy("LRU"))
+        containers = []
+        for i in range(3):
+            function = make_function(f"f{i}", memory_mb=200.0)
+            pool.record_arrival(function, 0.0)
+            container, kind = pool.acquire(function, 0.0)
+            container.start_invocation(0.0, 5.0)
+            pool.notify_start(container, kind, 0.0)
+            containers.append(container)
+        assert pool.resize(300.0, 1.0) == []  # nothing idle to evict
+        assert pool.pool.capacity_mb == 600.0  # clamped to use meanwhile
+        for container in containers:
+            pool.release(container, 5.0, "miss", 5.0)
+        assert pool.pool.capacity_mb == 300.0
+        assert pool.pool.used_mb <= 300.0
+        assert pool.evictions == 2
+        assert containers[2] in pool.pool  # LRU order, ties by creation

@@ -419,6 +419,24 @@ class TestClusterFaults:
         # The server-level spec hands outage ownership to the cluster:
         # members must not also schedule the downtime themselves.
         for server in sim.servers:
-            assert not server._server_events
+            assert len(server._events) == 0
         result = sim.run()
         assert result.server_downs == 1
+
+    def test_columnar_trace_replays_the_same(self):
+        from repro.faults import FaultSpec
+        from repro.traces.columnar import ColumnarTrace
+
+        trace = self._trace()
+        spec = FaultSpec(seed=5, crash_rate=0.05, server_downtimes=((0, 100.0, 160.0),))
+
+        def run(form):
+            return ClusterSimulator(
+                form, "affinity-spillover", num_servers=2,
+                server_memory_mb=1024.0, fault_spec=spec,
+            ).run()
+
+        over_objects, over_columns = run(trace), run(ColumnarTrace.from_trace(trace))
+        assert over_columns.counters() == over_objects.counters()
+        assert over_columns.routed == over_objects.routed
+        assert over_columns.shed_unavailable == over_objects.shed_unavailable

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.checks.sanitize import check_counter_equality
+from repro.obs.report import ReportSink
+from repro.obs.tracer import Tracer
 from repro.provisioning.colocation import (
     ColocatedDemand,
     ColocationSimulation,
     tradeoff_curve,
 )
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.synth import cyclic_trace
 from tests.conftest import make_trace
 
@@ -81,6 +85,29 @@ class TestColocationSimulation:
         )
         times = [t for t, __ in result.capacity_timeline]
         assert times == sorted(times)
+
+    def test_resizes_are_on_the_books_for_any_trace_form(self):
+        """Demand changes are events on the simulator's timeline and go
+        through its capacity seam: counted, traced, and the same over a
+        columnar trace (the parent's own loop took ``Trace`` only and
+        left ``capacity_shrinks`` / ``deflations`` at 0)."""
+        steps = [(0.0, 512.0), (400.0, 3072.0), (1200.0, 512.0)]
+        plain = self.make_sim(steps)
+        expected = plain.run()
+        sink = ReportSink()
+        result = ColocationSimulation(
+            ColumnarTrace.from_trace(plain.trace),
+            ColocatedDemand(steps),
+            server_memory_mb=4096.0,
+            tracer=Tracer(sink),
+        ).run()
+        counters = result.metrics.counters()
+        assert counters == expected.metrics.counters()
+        assert result.capacity_timeline == expected.capacity_timeline
+        check_counter_equality(sink.report, counters)
+        assert (counters["capacity_shrinks"], counters["capacity_grows"]) == (1, 1)
+        evicted = sum(r.evicted_containers for r in result.deflations)
+        assert counters["deflations"] == evicted > 0
 
     def test_more_colocation_means_more_cold_starts(self):
         light = self.make_sim([(0.0, 512.0)]).run()

@@ -189,3 +189,50 @@ class TestElasticFaults:
             nulled.served, nulled.dropped, nulled.scale_ups,
             nulled.scale_downs)
         assert nulled.faults_injected == 0 and nulled.sheds == 0
+
+
+class TestOneClusterTimeline:
+    """Server events and the scaler's tick come off one queue, in time
+    order, and the replay reads any trace form."""
+
+    def test_tick_after_an_earlier_spot_eviction_with_no_arrival_between(self):
+        """The parent fired every due scaler tick before any due server
+        event, so across a gap in the arrivals a tick was applied before
+        the spot eviction that preceded it by 50 s."""
+        from repro.faults import FaultModel, FaultSpec
+        from repro.obs.sinks import RingBufferSink
+        from repro.obs.tracer import Tracer
+
+        spec = FaultSpec(seed=5, spot_mtbf_s=800.0, spot_notice_s=30.0)
+        __, evict_s = FaultModel(spec).spot_evictions(0, 5000.0)[0]
+        function = TraceFunction("f", 128.0, 0.2, 1.2)
+        sparse = Trace(
+            [function],
+            [Invocation(t, "f") for t in (0.0, 1.0, evict_s + 100.0, evict_s + 101.0)],
+        )
+        sink = RingBufferSink()
+        result = ElasticClusterSimulation(
+            sparse, max_servers=3, control_period_s=evict_s + 50.0,
+            fault_spec=spec, tracer=Tracer(sink),
+        ).run()
+        events = sink.snapshot()
+        times = [event["time_s"] for event in events]
+        assert times == sorted(times)
+        kinds = [(event["event"], event.get("server")) for event in events]
+        assert kinds.index(("server_down", 0)) < kinds.index(("autoscale_decision", None))
+        assert result.replacements >= 1
+
+    def test_columnar_trace_replays_the_same(self):
+        from repro.faults import FaultSpec
+        from repro.traces.columnar import ColumnarTrace
+
+        trace = steady_trace(duration_s=1800.0)
+        kwargs = dict(
+            requests_per_server_per_s=10.0, control_period_s=300.0, max_servers=4,
+            fault_spec=FaultSpec(seed=7, crash_rate=0.02, server_downtimes=((0, 300.0, 600.0),)),
+        )
+        over_objects = ElasticClusterSimulation(trace, **kwargs).run()
+        over_columns = ElasticClusterSimulation(ColumnarTrace.from_trace(trace), **kwargs).run()
+        assert over_columns.counters() == over_objects.counters()
+        assert over_columns.server_timeline == over_objects.server_timeline
+        assert over_columns.shed_unavailable == over_objects.shed_unavailable

@@ -45,6 +45,20 @@ class TestEventQueue:
         assert [t for t, __ in drained] == [1.0, 2.0]
         assert len(q) == 2
 
+    def test_next_s_is_the_earliest_time_or_inf(self):
+        q = EventQueue()
+        assert q.next_s == float("inf")
+        q.push(5.0, "x")
+        q.push(3.0, "y")
+        q.push(4.0, "z")
+        assert q.next_s == 3.0
+        q.pop()
+        assert q.next_s == 4.0
+        q.clear()
+        assert q.next_s == float("inf")
+        # "Due by the end of time" on an empty queue is nothing, not a pop.
+        assert list(q.pop_until(float("inf"))) == []
+
     def test_bool_and_clear(self):
         q = EventQueue()
         assert not q

@@ -43,12 +43,14 @@ LAZY_PACKAGES = ("repro",) + tuple(
 REPLAY_PROBE = "import repro.sim.scheduler, repro.sim.columnar, repro.traces.streaming"
 #: ``repro.*`` modules (``repro`` itself included) the probe loads: 8
 #: lazy package ``__init__``s and the helper, the engine (``core`` 3;
-#: ``core.policies`` 17, registered by import), ``sim`` 4, ``traces``
-#: 3, ``faults`` 2, ``obs`` 4 (tracer, its sink base and schema, the
-#: counter table), ``checks.sanitize`` and ``analysis.stats`` (HIST's
-#: Welford). The parent commit loaded 88. Lower it after a real cut;
-#: raising it needs the ``setup_s`` row that paid for it.
-REPLAY_PROBE_MODULES = 44
+#: ``core.policies`` 17, registered by import), ``sim`` 5 (``events``
+#: since the simulator keeps its timeline on ``EventQueue``: stdlib
+#: ``heapq`` / ``itertools`` only), ``traces`` 3, ``faults`` 2, ``obs``
+#: 4 (tracer, its sink base and schema, the counter table),
+#: ``checks.sanitize`` and ``analysis.stats`` (HIST's Welford). PR 22's
+#: parent loaded 88. Lower it after a real cut; raising it needs the
+#: ``setup_s`` row that paid for it.
+REPLAY_PROBE_MODULES = 45
 REPLAY_PROBE_FORBIDDEN = (
     "repro.checks.linter", "repro.checks.dataflow", "repro.provisioning",
     "repro.cluster", "repro.openwhisk", "repro.live", "repro.traces.azure",

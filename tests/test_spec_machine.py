@@ -39,6 +39,7 @@ from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import FunctionHistogram
 from repro.core.pool import TENANT_MODES, CapacityError, ContainerPool
 from repro.faults import FaultSpec
+from repro.sim.events import EventQueue
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Invocation, Trace, TraceFunction
 from tests import reference_model
@@ -77,6 +78,7 @@ class Pair:
         )
         self.steps = 0
         self.victims = []  # ordinals the real pool evicted this step
+        self.scheduled = []  # (at_s, frac) resizes waiting on the real timeline
         evict = self.sim.pool.evict
 
         def recording_evict(container):
@@ -118,12 +120,40 @@ class Pair:
 
     # -- the operations ----------------------------------------------------
 
+    def _model_timeline(self, now_s):
+        """What the real timeline fires by ``now_s``, on the model: it
+        has no driver events, so a scheduled resize that is due is
+        handed to it as the same ``(at_s, frac)``, after whatever of its
+        own was due by then."""
+        due = sorted((r for r in self.scheduled if r[0] <= now_s), key=lambda r: r[0])
+        self.scheduled = [r for r in self.scheduled if r[0] > now_s]
+        for at_s, frac in due:
+            self.model._advance_faults(at_s)
+            self.model.set_harvest_capacity(at_s, frac)
+        self.model._advance_faults(now_s)
+
     def admit(self, function, now_s):
+        """One arrival; what is due fires inside it, on both sides."""
+
+        def model():
+            self._model_timeline(now_s)
+            return self.model.admit(function, now_s)
+
         return self.step(
             f"admit {function.name} at {now_s}",
-            lambda: self.sim.process_invocation(function, now_s),
-            lambda: self.model.admit(function, now_s),
+            lambda: self.sim.process_invocation(function, now_s), model,
         )
+
+    def settle(self, now_s):
+        """The clock moves to ``now_s`` with no arrival: retries and
+        outages that fall due on the way fire first, as in a replay,
+        where nothing runs ahead of the server's own timeline (a retry
+        fired *after* later housekeeping would see time run backwards)."""
+        if self.sim._events.next_s <= now_s:
+            self.step(
+                f"timeline to {now_s}",
+                lambda: self.sim._advance_faults(now_s), lambda: self._model_timeline(now_s),
+            )
 
     def advance(self, now_s):
         self.step(
@@ -131,12 +161,29 @@ class Pair:
             lambda: self.sim.housekeeping(now_s), lambda: self.model.housekeeping(now_s),
         )
 
-    def deflate(self, now_s, frac):
+    def _resize(self, frac, absolute):
+        """The real engine's resize to ``frac`` of nominal, by either
+        door of the one capacity seam."""
+        def resize(at_s):  # the victims set_capacity returns are compared as evictions
+            if absolute:
+                self.sim.set_capacity(at_s, frac * self.model.nominal_mb)
+            else:
+                self.sim.set_harvest_capacity(at_s, frac)
+
+        return resize
+
+    def deflate(self, now_s, frac, absolute=False):
+        resize = self._resize(frac, absolute)
         self.step(
             f"harvest capacity {frac} at {now_s}",
-            lambda: self.sim.set_harvest_capacity(now_s, frac),
-            lambda: self.model.set_harvest_capacity(now_s, frac),
+            lambda: resize(now_s), lambda: self.model.set_harvest_capacity(now_s, frac),
         )
+
+    def schedule_resize(self, at_s, frac, absolute):
+        """A driver-timed resize on the real timeline (``schedule``);
+        it fires inside a later :meth:`admit`."""
+        self.sim.schedule(at_s, self._resize(frac, absolute))
+        self.scheduled.append((at_s, frac))
 
     def set_capacity(self, capacity_mb):
         """The strict resize (vertical scaling): applied or refused."""
@@ -250,12 +297,22 @@ FAULTS = FaultSpec(
     seed=23, spawn_failure_rate=0.1, crash_rate=0.15, timeout_rate=0.1,
     max_retries=2, max_pending_retries=3,
 )
+#: Short outages and unjittered retries (1 s, then 2 s) on the same half-
+#: second grid as the gaps below: a retry falls due at the very instant
+#: the server goes down, and the tie has a rule (server events first).
+OUTAGES = FaultSpec(
+    seed=23, crash_rate=0.4, max_retries=2, max_pending_retries=3, jitter=0.0,
+    server_downtimes=tuple((0, t, t + 0.25) for t in (1.0, 1.5, 2.0, 3.5, 11.0, 62.0)),
+)
+FAULT_SPECS = {"none": None, "rates": FAULTS, "outages": OUTAGES}  # by name: scripts stay short
 #: From concurrent (0 s) over one HIST bucket and the TTL to past the
 #: generic two hours.
 GAP_CHOICES_S = [0.0, 0.5, 1.0, 2.5, 10.0, 61.0, 125.0, 650.0, 7300.0]
 GAPS_S = st.sampled_from(GAP_CHOICES_S)
 INDEX = st.integers(0, len(FUNCTIONS) - 1)
-RESIZES = st.tuples(GAPS_S, st.sampled_from([0.3, 0.6, 1.0]))  # (time before it, fraction)
+FRACTIONS = st.sampled_from([0.3, 0.6, 1.0])
+#: (time before it, fraction of nominal, through ``set_capacity``'s absolute target?)
+RESIZES = st.tuples(GAPS_S, FRACTIONS, st.booleans())
 
 REPLANS_S = [
     shape
@@ -309,15 +366,13 @@ class SpecMachine(RuleBasedStateMachine):
         self.pair = None
         self.now = 0.0
 
-    @initialize(pinned=st.booleans(), faulty=st.booleans())
-    def boot(self, pinned, faulty):
-        config = {"tenant_mode": self.tenant_mode}
+    @initialize(pinned=st.booleans(), faults=st.sampled_from(sorted(FAULT_SPECS)))
+    def boot(self, pinned, faults):
+        config = {"tenant_mode": self.tenant_mode, "fault_spec": FAULT_SPECS[faults]}
         if self.tenant_mode != "shared":
             config["tenant_quotas"] = dict(QUOTAS)
         if pinned:
             config["reserved_concurrency"] = {"f0": 1, "f3": 1}
-        if faulty:
-            config["fault_spec"] = FAULTS
         self.pair = Pair(REGISTRY, self.policy_name, CAPACITY_MB, **config)
 
     def teardown(self):
@@ -340,15 +395,19 @@ class SpecMachine(RuleBasedStateMachine):
             self.now = start + offset_s
             self.pair.admit(FUNCTIONS[marks[i % len(marks)]], self.now)
 
+    def _pass(self, now_s):
+        self.now = now_s
+        self.pair.settle(now_s)
+
     @rule(gap_s=GAPS_S)
     def advance(self, gap_s):
-        self.now += gap_s
+        self._pass(self.now + gap_s)
         self.pair.advance(self.now)
 
     @precondition(lambda self: self._running())
     @rule()
     def release(self):
-        self.now = max(self.now, min(self._running()))
+        self._pass(max(self.now, min(self._running())))
         self.pair.advance(self.now)
 
     @rule(capacity_mb=st.sampled_from([300.0, 600.0, 900.0, 1000.0, 1200.0]))
@@ -363,19 +422,37 @@ class SpecMachine(RuleBasedStateMachine):
         last one, and maybe all of the memory given back after them."""
         for index in burst:
             self.pair.admit(FUNCTIONS[index], self.now)
-        for gap_s, frac in schedule:
-            self.now += gap_s
+        for gap_s, frac, absolute in schedule:
+            self._pass(self.now + gap_s)
             self.pair.advance(self.now)
-            self.pair.deflate(self.now, frac)
+            self.pair.deflate(self.now, frac, absolute)
         for index in racing:
             self.pair.admit(FUNCTIONS[index], self.now)
         if given_back:
             self.pair.deflate(self.now, 1.0)
 
+    @rule(delay_s=GAPS_S, frac=FRACTIONS, absolute=st.booleans(),
+          arrivals=st.lists(st.tuples(INDEX, GAPS_S), max_size=2), last=INDEX)
+    def scheduled_resize(self, delay_s, frac, absolute, arrivals, last):
+        """A driver's timed resize (a controller tick, a demand change):
+        put on the timeline now, fired inside whichever arrival first
+        reaches its time — among, or after, the ``arrivals``. It is due an
+        eighth of a second off the grid arrivals, retries and outages
+        live on: at a tie with a retry the real queue goes by insertion,
+        and the model, which has no queue, cannot say which came first."""
+        due_s = self.now + delay_s + 0.125
+        self.pair.schedule_resize(due_s, frac, absolute)
+        for index, gap_s in arrivals:
+            self.now += gap_s
+            self.pair.admit(FUNCTIONS[index], self.now)
+        self.now = max(self.now, due_s + 0.375)
+        self.pair.admit(FUNCTIONS[last], self.now)
+        assert not self.pair.scheduled
+
     @precondition(lambda self: self.pair.model.target is not None and self._running())
     @rule()
     def resume_deflation(self):
-        self.now = max(self.now, max(self._running()))
+        self._pass(max(self.now, max(self._running())))
         self.pair.advance(self.now)
 
     @rule()
@@ -535,7 +612,7 @@ MUTANTS = {
     ),
     "pr15-deflation-walks-the-index": (  # ... for a non-monotone policy
         (
-            KeepAliveSimulator, "set_harvest_capacity",
+            KeepAliveSimulator, "set_capacity",
             "self.policy.victim_order(self.pool, now_s)", f"self.pool.iter_victims({INDEX_ORDER})",
         ),
         ("ORACLE", "shared", ("admit", "hawkes_burst", "deflate_to")), "victims|monotonicity",
@@ -547,6 +624,10 @@ MUTANTS = {
             "deficit = needed_mb - pool.tenant_free_mb(tenant_id)",
         ),
         ("GD", "partitioned", ("deflate_to",)), "MB is free",
+    ),
+    "retry-ahead-of-a-same-instant-server-event": (  # the one queue's tie rule, broken
+        (EventQueue, "push", "next(self._counter), payload", "-next(self._counter), payload"),
+        ("GD", "shared", ("admit", "advance")), "used_mb",  # served ahead of the outage
     ),
 }
 
