@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install ci-install test bench bench-pytest bench-ci ledger-smoke import-budget ledger-pairs fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
+.PHONY: install ci-install test bench bench-pytest ledger-smoke import-budget ledger-pairs fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -22,10 +22,6 @@ bench:
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Machine-readable bench gate (what CI uploads as BENCH_ci.json).
-bench-ci:
-	$(PYTHON) benchmarks/ci_export.py --out BENCH_ci.json
 
 # The repo's benchmark (BENCHMARK.json) smoke-sized, plus the harness's
 # own unit tests: every declared metric emitted, no probe target

@@ -23,8 +23,8 @@ Zero overhead when disabled: components capture the flag once at
 construction (mirroring the ``None``-tracer convention of
 :mod:`repro.obs.tracer`), so the hot path pays nothing — not even an
 environment lookup. The ``sanitize`` CI job runs the tier-1 suite with
-``REPRO_SANITIZE=1``; the bench-smoke job's 2% overhead budget guards
-the disabled path.
+``REPRO_SANITIZE=1``; the call budgets of
+``tests/test_hot_path_budget.py`` guard the disabled path.
 """
 
 from __future__ import annotations

@@ -76,23 +76,20 @@ class LogicalClock:
     """
 
     def __init__(self, initial: float = 0.0) -> None:
-        self._value = float(initial)
-
-    @property
-    def value(self) -> float:
-        return self._value
+        #: The reading (read on every start); only reset() moves it back.
+        self.value = float(initial)
 
     def advance_to(self, value: float) -> None:
         """Move the clock forward to ``value``; ignores smaller values."""
-        if value > self._value:
-            self._value = float(value)
+        if value > self.value:
+            self.value = float(value)
 
     def reset(self, value: float = 0.0) -> None:
         """Reset the clock (only used when starting a fresh simulation)."""
-        self._value = float(value)
+        self.value = float(value)
 
     def __repr__(self) -> str:
-        return f"LogicalClock(value={self._value})"
+        return f"LogicalClock(value={self.value})"
 
 
 @runtime_checkable

@@ -13,6 +13,7 @@ and the Landlord credit.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from typing import Optional
 
@@ -78,8 +79,8 @@ class Container:
         # finishes instead of returning to the warm pool.
         self.doomed: bool = False
         # Back-reference to the owning ContainerPool (set by the pool
-        # on add/evict) so busy/idle transitions keep the pool's O(1)
-        # evictable-memory accounting current.
+        # on add/evict): the busy/idle transitions below keep its O(1)
+        # evictable-memory accounting and its victim index current.
         self.pool = None
 
     @property
@@ -105,8 +106,12 @@ class Container:
         self.last_used_s = now_s
         self.busy_until_s = now_s + duration_s
         self.invocation_count += 1
-        if self.pool is not None:
-            self.pool._container_became_busy(self)
+        pool = self.pool
+        if pool is not None and not self.pinned:  # the pool's accounting, kept here
+            pool._evictable_mb -= self.function.memory_mb
+            pool._idle_unpinned -= 1
+            if pool._idle_unpinned == 0 and abs(pool._evictable_mb) <= pool._slack_mb:
+                pool._evictable_mb = 0.0  # float drift of an empty idle set, as in evict
 
     def finish_invocation(self, now_s: float) -> None:
         """Transition back to WARM once the invocation completes."""
@@ -118,8 +123,15 @@ class Container:
         self.state = ContainerState.WARM
         if now_s > self.last_used_s:
             self.last_used_s = now_s
-        if self.pool is not None:
-            self.pool._container_became_idle(self)
+        pool = self.pool
+        if pool is not None and not self.pinned:
+            pool._evictable_mb += self.function.memory_mb
+            pool._idle_unpinned += 1
+            cid = self.container_id
+            entry = pool._parked.pop(cid, None)
+            if entry is not None:  # back into the index, under its real key once a walk gave one
+                key_of = pool._key_of
+                heapq.heappush(pool._victim_heap, entry if key_of is None else (key_of(self), cid))
 
     def terminate(self) -> None:
         """Transition to DEAD; a dead container can never be reused."""

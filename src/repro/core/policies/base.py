@@ -229,10 +229,8 @@ class KeepAlivePolicy(abc.ABC):
         deficit = needed_mb - pool.free_mb
         if deficit <= 1e-9:
             return []
-        if pool.evictable_mb() < deficit - 1e-9:
-            # O(1) drop decision: evicting every idle container would
-            # still not make room, so don't score anything.
-            return None
+        if pool._evictable_mb < deficit - 1e-9:  # ``evictable_mb()``, read directly
+            return None  # O(1) drop: evicting every idle container would not make room
         return pool.take_victims(self.victim_order(pool, now_s), deficit)
 
     def select_victims_tenant(

@@ -77,6 +77,8 @@ class GreedyDualPolicy(KeepAlivePolicy):
                     )
             tenant_weights = dict(tenant_weights)
         self._tenant_weights = tenant_weights
+        plain = type(self)._value_term is GreedyDualPolicy._value_term
+        self._inline_term = plain and tenant_weights is None  # see on_invocation
         # Name of the function whose resident containers were refreshed
         # by the latest pool-aware ``on_invocation`` and the value term
         # used; lets that arrival's start hook skip sweep and recompute.
@@ -127,11 +129,16 @@ class GreedyDualPolicy(KeepAlivePolicy):
         pool: Optional[ContainerPool] = None,
     ) -> None:
         name = function.name
-        self._frequency[name] = self._frequency.get(name, 0) + 1
+        self._frequency[name] = freq = self._frequency.get(name, 0) + 1
         if pool is None:
             self._arrival_refreshed_fn = None
             return
-        self._arrival_value = value = self._value_term(function)
+        if self._inline_term:  # :meth:`_value_term`, operation for operation
+            cost = function.cold_time_s - function.warm_time_s
+            value = self._frequency_weight * freq * (self._cost_weight * cost) / function.memory_mb
+        else:
+            value = self._value_term(function)
+        self._arrival_value = value
         for container in pool.containers_of(name):
             container.priority = container.clock_stamp + value
         self._arrival_refreshed_fn = name
@@ -164,9 +171,10 @@ class GreedyDualPolicy(KeepAlivePolicy):
         pressure: bool,
     ) -> None:
         if pressure:
-            # Clock = max priority over the evicted set; advancing to
-            # each evicted priority in turn computes exactly that.
-            self.clock.advance_to(container.priority)
+            # Clock = max priority over the evicted set: advancing to
+            # each evicted priority in turn (``advance_to``, inline).
+            if container.priority > self.clock.value:
+                self.clock.value = container.priority
         name = container.function.name
         if not pool.has_containers_of(name):
             self._frequency.pop(name, None)

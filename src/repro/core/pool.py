@@ -14,6 +14,7 @@ executes it and maintains the invariants:
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from bisect import bisect_left, insort
 from typing import (
@@ -103,11 +104,11 @@ class ContainerPool:
         # ``deflate_to`` shrinks partitioned slices proportionally and
         # restores them from this baseline when capacity returns.
         self._base_tenant_limits_mb = dict(limits)
-        # Pending graceful-shrink target (docs/robustness.md): set when
-        # ``deflate_to`` could not reach its target because busy
-        # containers hold memory; ``resume_deflation`` retries as they
-        # finish. ``None`` means no deflation is in flight.
-        self._deflation_target_mb: Optional[float] = None
+        #: Pending graceful-shrink target (docs/robustness.md; read-only
+        #: outside the pool): set when ``deflate_to`` could not reach it
+        #: because busy containers hold memory; ``resume_deflation``
+        #: retries as they finish. ``None``: no deflation in flight.
+        self.deflation_target_mb: Optional[float] = None
         # Per-tenant incremental accounting (memory + population),
         # maintained in every mode — shared pools answer tenant-usage
         # queries too — at the cost of two dict updates per add/evict.
@@ -135,11 +136,13 @@ class ContainerPool:
         # paying a per-call ``sorted()``.
         self._by_function: Dict[str, List[int]] = {}
         # Lazy victim index: a min-heap of (key, container_id) entries,
-        # at most one live entry per container, enrolled under a
-        # sentinel key when the container is first idle (see :meth:`add`)
-        # and revalidated against the policy's current key on pop (see
-        # :meth:`iter_victims`); evicted entries are discarded lazily.
+        # one live entry per unpinned container (here, in ``_taken`` or
+        # in ``_parked``), revalidated on pop (:meth:`iter_victims`).
+        # ``_stale`` counts evicted containers' entries still in it (see
+        # :meth:`evict`); ``_key_of`` is the latest walk's key function.
         self._victim_heap: List[Tuple[Tuple[float, float, int], int]] = []
+        self._stale = 0
+        self._key_of: Optional[Callable[[Container], Tuple[float, float, int]]] = None
         # Incremental expiry index: a min-heap of (deadline, id)
         # entries validated against the authoritative deadline map on
         # pop. Unlike the victim index, expiry deadlines are NOT
@@ -154,8 +157,8 @@ class ContainerPool:
         # assembled pools (unit tests, external drivers) fall back to a
         # scan over exactly these containers.
         self._unscheduled: Dict[int, Container] = {}
-        # Idle, unpinned memory, maintained incrementally through the
-        # containers' busy/idle notifications so the unsatisfiable-
+        # Idle, unpinned memory, maintained incrementally by the
+        # containers' busy/idle transitions so the unsatisfiable-
         # deficit check on every drop is O(1) instead of a pool scan.
         # ``_idle_unpinned`` counts the same population, so the
         # drift-cleanup clamp below can fire only when the idle set is
@@ -171,8 +174,8 @@ class ContainerPool:
         # (unscored, not yet enrolled) or busy when popped. Instead of
         # sitting in the heap for every selection to pop and skip, they
         # wait here and enter the heap when the container actually goes
-        # idle — the stored key is unchanged, so selection order is
-        # identical.
+        # idle, under its current key (a lower bound like any other, so
+        # selection order is identical).
         self._parked: Dict[int, Tuple[Tuple[float, float, int], int]] = {}
         # Runtime sanitizer flag, captured once at construction
         # (docs/static-analysis.md): when off, admission/eviction pay
@@ -232,16 +235,11 @@ class ContainerPool:
     # ------------------------------------------------------------------
 
     @property
-    def deflation_target_mb(self) -> Optional[float]:
-        """The pending graceful-shrink target, or ``None``."""
-        return self._deflation_target_mb
-
-    @property
     def deflation_deferred_mb(self) -> float:
         """Memory still to be freed before a deferred shrink lands."""
-        if self._deflation_target_mb is None:
+        if self.deflation_target_mb is None:
             return 0.0
-        return max(0.0, self._used_mb - self._deflation_target_mb)
+        return max(0.0, self._used_mb - self.deflation_target_mb)
 
     def deflate_to(
         self, capacity_mb: float, ordered: Iterable[Container]
@@ -278,12 +276,12 @@ class ContainerPool:
         target = float(capacity_mb)
         if self._tenant_mode == "partitioned":
             self._tenant_limits_mb = self._scaled_tenant_limits(target)
-        self._deflation_target_mb = target
+        self.deflation_target_mb = target
         return self._advance_deflation(ordered)
 
     def resume_deflation(self, ordered: Iterable[Container]) -> List[Container]:
         """Continue a deferred shrink; no-op unless one is pending."""
-        if self._deflation_target_mb is None:
+        if self.deflation_target_mb is None:
             return []
         return self._advance_deflation(ordered)
 
@@ -298,7 +296,7 @@ class ContainerPool:
         return {tid: limit * scale for tid, limit in base.items()}
 
     def _advance_deflation(self, ordered: Iterable[Container]) -> List[Container]:
-        target = self._deflation_target_mb
+        target = self.deflation_target_mb
         if target is None:  # pragma: no cover - guarded by callers
             return []
         settle_slack = 1e-9 * max(self._capacity_mb, target)
@@ -328,7 +326,7 @@ class ContainerPool:
             # shrink/growth through the strict contract. It stays pending
             # while a tenant's busy containers exceed its scaled slice.
             if self._tenant_mode != "partitioned" or not self._over_slice_mb(settle_slack):
-                self._deflation_target_mb = None
+                self.deflation_target_mb = None
             self.set_capacity(target)
         else:
             # Busy containers hold more than the target: clamp nominal
@@ -460,7 +458,9 @@ class ContainerPool:
                 f"container {cid} is pinned "
                 "(provisioned concurrency) and cannot be evicted"
             )
-        container.terminate()  # raises if RUNNING
+        if container.state is ContainerState.RUNNING:  # ``terminate()``, inline
+            raise RuntimeError(f"container {cid} cannot be terminated while running")
+        container.state = ContainerState.DEAD
         container.pool = None
         del self._containers[cid]
         function = container.function
@@ -491,18 +491,26 @@ class ContainerPool:
             del self._tenant_used_mb[tenant_id]
         else:
             self._tenant_count[tenant_id] = 0
-        # Expiry bookkeeping: dropping the authoritative deadline turns
-        # any heap entries for this id into stale tombstones, discarded
-        # when popped.
-        self._expiry_deadline.pop(cid, None)
-        self._unscheduled.pop(cid, None)
-        self._taken.pop(cid, None)
-        # An evicted container was necessarily idle (terminate refuses
-        # RUNNING ones: never parked) and unpinned: counted evictable.
+        # Expiry bookkeeping (a container is in exactly one of the two
+        # maps): dropping the authoritative deadline turns any heap
+        # entries for this id into stale tombstones, discarded when popped.
+        if self._unscheduled.pop(cid, None) is None:
+            self._expiry_deadline.pop(cid, None)
+        # Idle (never parked) and unpinned: counted evictable, its one
+        # index entry yielded by a walk (``_taken``) or now stale.
+        if self._taken.pop(cid, None) is None:
+            self._stale += 1
         self._evictable_mb -= memory_mb
         self._idle_unpinned -= 1
         if self._idle_unpinned == 0 and abs(self._evictable_mb) <= self._slack_mb:
             self._evictable_mb = 0.0
+        # No walk pops them under HIST, TTL without pressure, ...: drop
+        # stale entries once they outnumber the idle set (no len()) and
+        # the live entries. Ids are never reused: the same pop order.
+        if self._stale > self._idle_unpinned and 2 * self._stale > len(self._victim_heap):
+            self._victim_heap[:] = [e for e in self._victim_heap if e[1] in self._containers]
+            heapq.heapify(self._victim_heap)
+            self._stale = 0
         if self._sanitize:
             self._sanitize_accounting()
 
@@ -567,7 +575,7 @@ class ContainerPool:
                 # A deferred deflation legitimately leaves tenants over
                 # their freshly-scaled slice until busy containers
                 # finish; the invariant is re-checked once it lands.
-                and self._deflation_target_mb is None
+                and self.deflation_target_mb is None
             ):
                 limit = self._tenant_limits_mb.get(tid, 0.0)
                 if used_t > limit + 1e-6 * max(1.0, limit):
@@ -610,6 +618,17 @@ class ContainerPool:
                     f"victim index parks idle container {cid}; it would "
                     "never be offered for eviction"
                 )
+        # The stale count is exact, and once a walk has supplied keys no
+        # entry is filed above its container's (hiding the true minimum).
+        containers, key_of = self._containers, self._key_of
+        stale = sum(1 for __, cid in self._victim_heap if cid not in containers)
+        if stale != self._stale:
+            raise SanitizeError(f"victim index holds {stale} stale entries, counts {self._stale}")
+        entries = itertools.chain(self._victim_heap, self._taken.values(), self._parked.values())
+        for key, cid in entries if key_of is not None else ():
+            if cid in containers and key > key_of(containers[cid]):
+                raise SanitizeError(f"victim-index monotonicity violated: container {cid} "
+                                    f"is filed under {key}, above its current key")
 
     # ------------------------------------------------------------------
     # Queries for policies and the simulator
@@ -677,8 +696,8 @@ class ContainerPool:
     def evictable_mb(self) -> float:
         """Total memory reclaimable by evicting every idle container.
 
-        O(1): maintained incrementally via the containers' busy/idle
-        notifications instead of scanning the pool.
+        O(1): maintained incrementally by the containers' busy/idle
+        transitions instead of scanning the pool.
         """
         return self._evictable_mb
 
@@ -774,31 +793,8 @@ class ContainerPool:
         )
 
     # ------------------------------------------------------------------
-    # State-change notifications from containers
+    # The victim index (Container's busy/idle transitions keep it current)
     # ------------------------------------------------------------------
-
-    def _container_became_busy(self, container: Container) -> None:
-        if not container.pinned:
-            self._evictable_mb -= container.function.memory_mb
-            self._idle_unpinned -= 1
-            # Same rule as eviction: reset the accumulator only when
-            # the idle set is genuinely empty and the residual is mere
-            # float drift, so real accounting bugs stay observable.
-            if (
-                self._idle_unpinned == 0
-                and abs(self._evictable_mb) <= self._slack_mb
-            ):
-                self._evictable_mb = 0.0
-
-    def _container_became_idle(self, container: Container) -> None:
-        entry = self._parked.pop(container.container_id, None)
-        if entry is not None:
-            # Re-enroll the victim-index entry parked while the
-            # container was running (a pinned one is discarded on pop).
-            heapq.heappush(self._victim_heap, entry)
-        if not container.pinned:
-            self._evictable_mb += container.function.memory_mb
-            self._idle_unpinned += 1
 
     def iter_victims(
         self,
@@ -831,9 +827,11 @@ class ContainerPool:
         starts, so callers may evict all, some, or none of what they
         were offered and may abandon the walk at any point. Running
         containers (one admitted running included) are parked until
-        they go idle. One walk at a time: starting a new one ends the
-        previous one's claim on its yielded entries.
+        they go idle, then re-enter under this ``key_of`` (monotone keys
+        ignore ``now_s``): the next walk pops them without a rescore. One
+        walk at a time: a new one ends the last one's claim on its yields.
         """
+        self._key_of = key_of
         heap = self._victim_heap
         taken = self._taken
         if taken:
@@ -858,6 +856,7 @@ class ContainerPool:
             stored_key, container_id = entry
             container = containers.get(container_id)
             if container is None:
+                self._stale -= 1
                 continue  # evicted since enrollment: drop the entry
             if container.pinned:
                 continue  # reserved capacity: never a candidate
@@ -949,9 +948,10 @@ class ContainerPool:
         if cid not in self._containers or container.pinned:
             return
         previous = self._expiry_deadline.get(cid)
-        if previous is not None and previous == deadline_s:
+        if previous is None:
+            self._unscheduled.pop(cid, None)  # its first deadline
+        elif previous == deadline_s:
             return  # unchanged: the live heap entry still matches
-        self._unscheduled.pop(cid, None)
         self._expiry_deadline[cid] = deadline_s
         heapq.heappush(self._expiry_heap, (deadline_s, cid))
 

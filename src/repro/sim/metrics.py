@@ -155,13 +155,6 @@ class SimulationMetrics:
     # Recording
     # ------------------------------------------------------------------
 
-    def _outcome(self, function_name: str) -> FunctionOutcome:
-        outcome = self.per_function.get(function_name)
-        if outcome is None:
-            outcome = FunctionOutcome()
-            self.per_function[function_name] = outcome
-        return outcome
-
     def _tenant_outcome(self, tenant_id: int) -> FunctionOutcome:
         outcome = self.per_tenant.get(tenant_id)
         if outcome is None:
@@ -186,7 +179,10 @@ class SimulationMetrics:
         self.actual_exec_time_s += (
             warm_time_s if actual_time_s is None else actual_time_s
         )
-        self._outcome(function_name).warm += 1
+        outcome = self.per_function.get(function_name)  # booked inline: every arrival
+        if outcome is None:
+            outcome = self.per_function[function_name] = FunctionOutcome()
+        outcome.warm += 1
         if tenant_id is not None:
             self._tenant_outcome(tenant_id).warm += 1
 
@@ -200,7 +196,10 @@ class SimulationMetrics:
         self.cold_starts += 1
         self.ideal_exec_time_s += warm_time_s
         self.actual_exec_time_s += cold_time_s
-        self._outcome(function_name).cold += 1
+        outcome = self.per_function.get(function_name)
+        if outcome is None:
+            outcome = self.per_function[function_name] = FunctionOutcome()
+        outcome.cold += 1
         if tenant_id is not None:
             self._tenant_outcome(tenant_id).cold += 1
 
@@ -208,7 +207,7 @@ class SimulationMetrics:
         self, function_name: str, tenant_id: Optional[int] = None
     ) -> None:
         self.dropped += 1
-        self._outcome(function_name).dropped += 1
+        self.per_function.setdefault(function_name, FunctionOutcome()).dropped += 1
         if tenant_id is not None:
             self._tenant_outcome(tenant_id).dropped += 1
 

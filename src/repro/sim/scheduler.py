@@ -147,6 +147,7 @@ class KeepAliveSimulator:
             tenant_mode=tenant_mode,
             tenant_limits_mb=limits if tenant_mode != "shared" else None,
         )
+        self._tenant_shared = tenant_mode == "shared"  # fixed for the pool's life
         self.metrics = SimulationMetrics()
         # Eviction reason -> the counter it bumps, resolved from the
         # counter table once so :meth:`_evict` pays one dict lookup.
@@ -286,8 +287,8 @@ class KeepAliveSimulator:
         # resumes as those containers idle: the pool takes whatever it
         # can off the front of the policy's victim order. Cheap when no
         # shrink is pending (a single ``is None`` check).
-        if self.pool.deflation_target_mb is not None:
-            target = self.pool.deflation_target_mb
+        target = self.pool.deflation_target_mb
+        if target is not None:
             victims = self.pool.resume_deflation(
                 self.policy.victim_order(self.pool, now_s)
             )
@@ -329,7 +330,7 @@ class KeepAliveSimulator:
                 used_mb=self.pool.used_mb,
                 capacity_mb=self.pool.capacity_mb,
             )
-        if self.pool.tenant_mode == "shared":
+        if self._tenant_shared:
             victims = self.policy.select_victims(self.pool, needed_mb, now_s)
         else:
             victims = self.policy.select_victims_tenant(

@@ -3,7 +3,7 @@
 The sanitizer must (a) catch deliberately-injected accounting drift,
 victim-order violations, and trace/metrics counter divergence, and
 (b) install nothing at all when disabled — the zero-overhead contract
-the bench-smoke budget relies on.
+the hot-path call budgets rely on.
 """
 
 import os

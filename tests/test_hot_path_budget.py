@@ -34,24 +34,25 @@ from repro.traces.streaming import StreamingChurnTrace
 
 CONTAINER_MB = 128.0
 
-#: Total calls of one replay, as landed by PR 16 (the parent commit
-#: paid 57,611 and 32,498): 63.87 per arrival over the 600 arrivals of
-#: the eviction replay, 27.99 over the 711 of the warm one. PR 24 added
-#: one call per *run* to each object-engine replay (none per arrival):
-#: the simulator's one ``EventQueue()`` is a Python frame where the
-#: ``deque()`` it replaced was not.
-EVICT_CALLS = 38_321
-WARM_CALLS = 19_904
-#: HIST on the warm replay's trace, as landed by PR 17 (the parent paid
-#: 45,971 = 64.66 per arrival): 50.68 per arrival with a histogram
-#: sample, a plan and an expiry deadline on every one of them.
-HIST_CALLS = 36_036
+#: Total calls of one replay. The eviction replay's 600 arrivals paid
+#: 63.87 calls each (38,321) and now pay 50.49 (30,291); the warm
+#: replay's 711 paid 27.99 (19,904) and now pay 20.00 (14,217): one
+#: frame per busy/idle transition, a parked container re-enrolled under
+#: its real key (no rescore and ``heappushpop`` on its next offer), and
+#: stored fields instead of property and helper frames on every arrival.
+#: (One call per *run* is the simulator's ``EventQueue()``.)
+EVICT_CALLS = 30_291
+WARM_CALLS = 14_217
+#: HIST on the warm replay's trace, with a histogram sample, a plan and
+#: an expiry deadline on every arrival: 50.68 calls each (36,036) before
+#: the cuts above, 45.68 (32,481) after.
+HIST_CALLS = 32_481
 #: The whole live request path, ``_Connection.data_received`` down, over
 #: the warm replay's trace as pipelined ``/admit`` requests on a pool of
-#: 0.8 x the working set, as landed by PR 18 (the parent paid 76,720 =
-#: 107.90 per request; on the ledger's live trace 102.75 -> 68.85):
-#: 74.49 per request to frame, decode, decide, evict and reply.
-LIVE_CALLS = 52_961
+#: 0.8 x the working set: 74.49 calls per request (52,961) to frame,
+#: decode, decide, evict and reply before the cuts above, 65.38 (46,484)
+#: after.
+LIVE_CALLS = 46_484
 #: The vectorized TTL kernel over a 300-function, 3,600 s stream, trace
 #: generation included, as landed by PR 20 (the parent paid 60,411 =
 #: 8.69 per arrival, a heap pop, ``uniform``, ``round`` and push each;

@@ -33,6 +33,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import container as container_module
+from repro.core.container import Container
 from repro.core.policies import PAPER_POLICIES, available_policies, create_policy
 from repro.core.policies.base import KeepAlivePolicy
 from repro.core.policies.greedy_dual import GreedyDualPolicy
@@ -628,6 +629,14 @@ MUTANTS = {
     "retry-ahead-of-a-same-instant-server-event": (  # the one queue's tie rule, broken
         (EventQueue, "push", "next(self._counter), payload", "-next(self._counter), payload"),
         ("GD", "shared", ("admit", "advance")), "used_mb",  # served ahead of the outage
+    ),
+    "idle-enrols-above-the-current-key": (  # the one way the lazy index skips the minimum
+        (
+            Container, "finish_invocation",
+            "(key_of(self), cid)", "((key_of(self)[0], self.last_used_s + 1, cid), cid)",
+        ),
+        ("GD", "shared", ("admit", "hawkes_burst", "release", "peek_victim_order")),
+        "victims|monotonicity",
     ),
 }
 

@@ -10,6 +10,7 @@ the index, must evict exactly what the executable specification
 
 import pytest
 
+from repro.bench import churn_trace
 from repro.core.container import Container
 from repro.core.policies import available_policies, create_policy
 from repro.core.pool import ContainerPool
@@ -318,6 +319,21 @@ class TestParkedBusyEntries:
         a.priority = 1.0
         pool.evict(a)
         assert list(pool.iter_victims(_key_of)) == [b]
+
+
+@pytest.mark.parametrize("name", ["HIST", "TTL"])
+def test_stale_entries_stay_bounded_without_walks(name):
+    """HIST never walks the index and TTL walks it only under pressure,
+    so nothing pops an expired container's entry: the heap sheds them
+    itself and never holds more than twice the live containers (it
+    held 9,592 entries for 476 containers here under HIST before)."""
+    trace = churn_trace(650, 9600.0)
+    sim = KeepAliveSimulator(trace, create_policy(name), 1.5 * 650 * 128.0)
+    pool = sim.pool
+    for time_s, function in trace.arrivals():
+        sim.process_invocation(function, time_s)
+        assert len(pool._victim_heap) <= 2 * len(pool) + 1
+    assert sim.metrics.expirations > 1000 and sim.metrics.evictions == 0
 
 
 class TestAdmitRunningIsInvisible:
