@@ -207,8 +207,8 @@ def _kernel_replay_payload(
     trace, capacity_mb: float, scenario: str
 ) -> Dict[str, object]:
     """TTL replay that must be answered by the vectorized kernel."""
-    result = simulate(trace, "TTL", capacity_mb, engine="columnar", ttl_s=300.0)
-    if result.path != "vectorized-ttl" and not sanitize_enabled():
+    result = simulate(trace, "TTL", capacity_mb, ttl_s=300.0)
+    if result.path != "vectorized" and not sanitize_enabled():
         # The slowdown gate would eventually notice, but a silent
         # fallback means a kernel precondition regressed — fail
         # loudly, right here. (Sanitized runs take the arrival loop
@@ -241,7 +241,7 @@ def _hist_scenario(scale: float):
 
     def run() -> Dict[str, object]:
         return _metrics_payload(
-            simulate(trace, "HIST", capacity_mb, engine="columnar")
+            simulate(trace, "HIST", capacity_mb)
         )
 
     return len(trace), run
@@ -254,7 +254,7 @@ def _gdsf_scenario(scale: float):
 
     def run() -> Dict[str, object]:
         return _metrics_payload(
-            simulate(trace, "GD", 24.0 * 1024.0, engine="columnar")
+            simulate(trace, "GD", 24.0 * 1024.0)
         )
 
     return len(trace), run

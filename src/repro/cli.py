@@ -321,7 +321,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.memory_gb * 1024.0,
             config,
             tracer=tracer,
-            engine=args.engine,
             **_tenant_policy_kwargs(args),
         )
     finally:
@@ -929,7 +928,11 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", required=True)
     generate.set_defaults(func=_cmd_generate)
 
-    simulate = sub.add_parser("simulate", help="run one keep-alive simulation")
+    simulate = sub.add_parser(
+        "simulate", help="run one keep-alive simulation",
+        description="Run one keep-alive simulation: the exact vectorized kernel answers a run "
+        "memory pressure cannot reach, the per-arrival loop every other (docs/simulation.md).",
+    )
     simulate.add_argument("--trace", required=True)
     simulate.add_argument("--policy", default="GD")
     simulate.add_argument("--memory-gb", type=float, default=16.0)
@@ -961,16 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "inject deterministic faults per this JSON spec "
             "(see docs/robustness.md)"
-        ),
-    )
-    simulate.add_argument(
-        "--engine",
-        choices=("object", "columnar"),
-        default="object",
-        help=(
-            "object (default): the per-arrival loop, always; columnar: "
-            "the vectorized TTL kernel answers when the run is eligible "
-            "(identical metrics; see docs/performance.md)"
         ),
     )
     _add_tenant_flags(simulate)

@@ -1,47 +1,48 @@
-"""The vectorized TTL kernel: an exact closed-form replay.
+"""The vectorized kernel: an exact closed-form replay.
 
 Every replay normally runs the per-arrival loop of
 :meth:`~repro.sim.scheduler.KeepAliveSimulator.run`, which pays Python
-dispatch for every arrival. For one configuration that loop can be
-replaced by vectorized NumPy recurrences producing **byte-identical**
-:class:`SimulationMetrics`: ``simulate(engine="columnar")`` asks
-:func:`try_ttl_kernel` first and falls back to the loop when it
-declines. The loop stays the reference the kernel is differentially
-tested against (``tests/test_columnar_differential.py``); which of the
-two ran is reported as ``SimulationResult.path``.
+dispatch for every arrival. For the runs memory pressure cannot reach
+that loop can be replaced by vectorized NumPy recurrences producing
+**byte-identical** :class:`SimulationMetrics`: ``simulate()`` asks
+:func:`run_ttl_kernel` whenever its static test
+(:func:`repro.sim.scheduler._kernel_ttl_s`) passes and falls back to
+the loop when the kernel declines. The loop stays the reference the
+kernel is differentially tested against
+(``tests/test_columnar_differential.py``, ``engine="object"``); which
+of the two ran is reported as ``SimulationResult.path``.
 
-The kernel applies only when the replay is provably equivalent to the
-simulator: pure :class:`TTLPolicy`, no tracer / faults / warmup /
-timeline / reserved concurrency / tenants, every function's arrival
-gap covers its cold time (so a function never holds two containers),
-and the arriving functions' total footprint fits in capacity (so
-pressure eviction never fires). Under those preconditions each
-function's container deadline follows the recurrence ``d_i = (t_i +
-dur_i) + ttl`` with ``cold_i ⇔ d_{i-1} <= t_i``, which resolves chunk
-by chunk with three vectorized classifications (certainly-cold,
-certainly-warm, and an alternating ambiguous band) — see
-``docs/performance-log.md`` for the derivation. Metric sums use
+The static test admits an exact :class:`TTLPolicy` (replayed with its
+own ``ttl_s``) and every policy that never lets a container go but
+under pressure (replayed with ``ttl_s = inf``), on a default
+configuration whose pool holds the whole function registry — so
+pressure eviction never fires and no policy state can reach an
+outcome. What it cannot see without a pass over the arrivals is
+checked here, chunk by chunk: every function's arrival gap covers its
+cold time (so a function never holds two containers). Under those
+preconditions each function's container deadline follows the
+recurrence ``d_i = (t_i + dur_i) + ttl`` with ``cold_i ⇔ d_{i-1} <=
+t_i``, which resolves chunk by chunk with three vectorized
+classifications (certainly-cold, certainly-warm, and an alternating
+ambiguous band) — see ``docs/performance-log.md`` for the derivation.
+At ``ttl = inf`` every deadline is ``inf``: a function's first arrival
+is cold, every later one warm, and nothing expires. Metric sums use
 ``np.add.accumulate``, whose strict left-to-right evaluation
 reproduces the simulator's sequential ``+=`` bit for bit.
 
-The per-trace preconditions are re-validated on every chunk; a
-violation discovered mid-stream discards the kernel state and the
-caller replays from the start through the loop (chunk sources are
-restartable by contract), so the fast path can never silently diverge.
+A gap violation discovered mid-stream discards the kernel state and
+the caller replays from the start through the loop (every trace form
+is restartable), so the fast path can never silently diverge.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.checks.sanitize import sanitize_enabled
 from repro.core.clock import wall_clock_s
-from repro.core.policies.base import KeepAlivePolicy
-from repro.core.policies.ttl import TTLPolicy
-from repro.obs.tracer import Tracer
-from repro.sim.config import RunConfig
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.scheduler import SimulationResult
 from repro.traces.columnar import (
@@ -49,78 +50,55 @@ from repro.traces.columnar import (
     ColumnarTrace,
     FunctionTable,
 )
-from repro.traces.model import Trace
+from repro.traces.model import Invocation, Trace
 from repro.traces.streaming import StreamingChurnTrace
 
-__all__ = ["ttl_kernel_eligible", "try_ttl_kernel", "run_ttl_kernel"]
+__all__ = ["run_ttl_kernel"]
 
-#: Trace forms the kernel reads: materialized columnar arrays or a
-#: restartable chunk stream (both expose ``name`` and
-#: ``functions_table``).
-ColumnarSource = Union[ColumnarTrace, StreamingChurnTrace]
+#: Every trace form the kernel reads: an object trace (transposed a
+#: chunk at a time), materialized columnar arrays, or a restartable
+#: chunk stream.
+KernelSource = Union[Trace, ColumnarTrace, StreamingChurnTrace]
+
+#: Arrivals of an object trace transposed per chunk: the kernel's
+#: temporaries stay a few kilobytes each (a whole-trace transpose would
+#: hold the trace twice over, and NumPy's temporaries scale with it).
+_OBJECT_CHUNK = 1024
+
+_TIME = attrgetter("time_s")
+_NAME = attrgetter("function_name")
 
 
-def _chunks_of(
-    trace: ColumnarSource, chunk_invocations: int
+def _transposed(
+    invocations: Sequence[Invocation], table: FunctionTable, chunk: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    for start in range(0, len(invocations), chunk):
+        part = invocations[start:start + chunk]
+        yield (
+            np.fromiter(map(_TIME, part), np.float64, len(part)),
+            np.fromiter(map(table.index_of, map(_NAME, part)), np.int32, len(part)),
+        )
+
+
+def _columns(
+    trace: KernelSource, chunk_invocations: Optional[int]
+) -> Tuple[FunctionTable, Iterator[Tuple[np.ndarray, np.ndarray]]]:
+    """The function table and the ``(times, function_ids)`` chunks of
+    ``trace`` in replay order."""
+    if isinstance(trace, StreamingChurnTrace):
+        return trace.functions_table, trace.chunks()  # its own chunking
     if isinstance(trace, ColumnarTrace):
-        return trace.iter_chunks(chunk_invocations)
-    return trace.chunks()
-
-
-def ttl_kernel_eligible(
-    policy: KeepAlivePolicy, config: RunConfig, tracer: Optional[Tracer]
-) -> bool:
-    """Static preconditions for the vectorized TTL kernel.
-
-    Exact type match (a subclass may override any hook), default
-    simulator configuration only, and never under the runtime
-    sanitizer — the arrival loop is what the sanitizer's per-event
-    invariants instrument, so sanitized runs take it unconditionally
-    (maximal checking beats maximal speed there). Tenancy disqualifies
-    the kernel twice over: non-shared pool modes change victim
-    selection, and even a shared-mode replay of a tenant-tagged trace
-    must fall back so the per-tenant metrics the simulator records are
-    produced (:func:`try_ttl_kernel` additionally checks the trace's
-    tenant column). Per-trace preconditions (arrival gaps, capacity
-    headroom) are validated chunk by chunk inside the kernel itself.
-    """
-    return (
-        type(policy) is TTLPolicy
-        and tracer is None
-        and config.fault_spec is None
-        and not config.reserved_concurrency
-        and not config.track_memory_timeline
-        and config.warmup_s <= 0.0
-        and config.tenant_mode == "shared"
-        and not sanitize_enabled()
-    )
-
-
-def try_ttl_kernel(
-    trace: Union[Trace, ColumnarSource],
-    policy: KeepAlivePolicy,
-    memory_mb: float,
-    config: RunConfig,
-    tracer: Optional[Tracer],
-) -> Optional[SimulationResult]:
-    """The kernel's answer for this run, or ``None`` when it is not
-    eligible (statically, or by a per-trace precondition) and the
-    arrival loop must run instead. An object :class:`Trace` is
-    transposed first — only once the static checks have passed."""
-    if not ttl_kernel_eligible(policy, config, tracer):
-        return None
-    if isinstance(trace, Trace):
-        trace = ColumnarTrace.from_trace(trace)
-    if trace.functions_table.has_tenants:
-        return None
-    return run_ttl_kernel(
-        trace, policy.ttl_s, float(memory_mb), policy.name
+        return trace.functions_table, trace.iter_chunks(
+            chunk_invocations or DEFAULT_CHUNK_INVOCATIONS
+        )
+    table = FunctionTable(trace.functions.values())
+    return table, _transposed(
+        trace.invocations, table, chunk_invocations or _OBJECT_CHUNK
     )
 
 
 # ----------------------------------------------------------------------
-# Vectorized TTL kernel
+# Vectorized kernel
 # ----------------------------------------------------------------------
 #
 # Equivalence argument (with gaps >= cold time and capacity never
@@ -160,7 +138,6 @@ class _TTLKernelState:
         self.cold_counts = np.zeros(count, dtype=np.int64)
         self.total_counts = np.zeros(count, dtype=np.int64)
         self.appearance: List[int] = []  # fids in first-arrival order
-        self.arrived_memory_mb = 0.0
         self.ideal_sum = 0.0
         self.actual_sum = 0.0
         self.invocations = 0
@@ -168,21 +145,23 @@ class _TTLKernelState:
 
 
 def run_ttl_kernel(
-    trace: ColumnarSource,
+    trace: KernelSource,
     ttl_s: float,
     capacity_mb: float,
     policy_name: str,
-    chunk_invocations: int = DEFAULT_CHUNK_INVOCATIONS,
+    chunk_invocations: Optional[int] = None,
 ) -> Optional[SimulationResult]:
-    """Closed-form TTL replay; None when a per-trace precondition
-    fails. The result does not depend on ``chunk_invocations`` (which
-    only a materialized :class:`ColumnarTrace` honours; a stream
-    brings its own chunking)."""
+    """Closed-form replay at keep-alive ``ttl_s`` (``inf``: never
+    expire); None when an arrival gap is shorter than its function's
+    cold time. The caller has established that ``capacity_mb`` holds
+    the whole registry. The result does not depend on
+    ``chunk_invocations`` (default: 65,536 for a :class:`ColumnarTrace`,
+    1,024 for an object trace; a stream brings its own chunking)."""
     started = wall_clock_s()
-    table = trace.functions_table
+    table, chunks = _columns(trace, chunk_invocations)
     state = _TTLKernelState(table)
-    for times, fids in _chunks_of(trace, chunk_invocations):
-        if not _ttl_kernel_chunk(state, table, times, fids, ttl_s, capacity_mb):
+    for times, fids in chunks:
+        if not _ttl_kernel_chunk(state, table, times, fids, ttl_s):
             return None
     metrics = _ttl_kernel_metrics(state, table)
     metrics.wall_time_s = wall_clock_s() - started
@@ -191,7 +170,7 @@ def run_ttl_kernel(
         policy_name=policy_name,
         memory_mb=capacity_mb,
         metrics=metrics,
-        path="vectorized-ttl",
+        path="vectorized",
     )
 
 
@@ -201,7 +180,6 @@ def _ttl_kernel_chunk(
     times: np.ndarray,
     fids: np.ndarray,
     ttl_s: float,
-    capacity_mb: float,
 ) -> bool:
     """Process one chunk; False on a precondition violation."""
     size = times.size
@@ -231,21 +209,13 @@ def _ttl_kernel_chunk(
     if bool(np.any(gaps < cold_t)):
         return False
 
-    # Precondition: the arriving working set fits outright, so the
-    # pressure path (victim selection, drops) can never trigger.
     first_seen = seg_start & ~state.arrived[fs]
     if bool(np.any(first_seen)):
-        new_fids = fs[first_seen]
-        state.arrived_memory_mb += float(
-            np.add.reduce(table.memory_mb[new_fids])
-        )
-        if state.arrived_memory_mb > capacity_mb:
-            return False
         # Record first arrivals (one segment head per function) in
         # *global* chunk order — the order the oracle's per-function
         # dict acquires its keys.
         state.appearance.extend(fids[np.sort(order[first_seen])].tolist())
-        state.arrived[new_fids] = True
+        state.arrived[fs[first_seen]] = True
 
     # Deadline candidates after each arrival: the simulator schedules
     # (start + duration) + ttl with exactly this association order.

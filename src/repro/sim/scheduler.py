@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import partial
+from math import inf
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.checks.sanitize import (
@@ -35,6 +36,7 @@ from repro.checks.sanitize import (
 from repro.core.clock import SimClock, wall_clock_s
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, create_policy
+from repro.core.policies.ttl import TTLPolicy
 from repro.core.pool import CapacityError, ContainerPool
 from repro.faults import FaultModel, RetryPolicy
 from repro.obs.counters import eviction_counters
@@ -59,8 +61,8 @@ class SimulationResult:
     memory_mb: float
     metrics: SimulationMetrics
     #: How the arrivals were replayed: ``"sequential"`` (the arrival
-    #: loop of :meth:`KeepAliveSimulator.run`) or ``"vectorized-ttl"``
-    #: (the closed-form kernel of :mod:`repro.sim.columnar`).
+    #: loop of :meth:`KeepAliveSimulator.run`) or ``"vectorized"`` (the
+    #: closed-form kernel of :mod:`repro.sim.columnar`).
     path: str = "sequential"
 
     def __repr__(self) -> str:
@@ -881,13 +883,53 @@ class KeepAliveSimulator:
         )
 
 
+def _kernel_ttl_s(
+    trace: Trace, policy: KeepAlivePolicy, memory_mb: float, config: RunConfig,
+    tracer: Optional[Tracer],
+) -> Optional[float]:
+    """The keep-alive the vectorized kernel replays this run with, or
+    ``None`` when only the arrival loop may answer it. O(functions), no
+    NumPy: a run declined here has loaded nothing for the kernel.
+
+    An exact :class:`TTLPolicy` keeps its ``ttl_s``. A policy overriding
+    none of the three phase hooks the fast paths above test lets a
+    container go only under pressure, and every ``select_victims``
+    returns ``[]`` on a deficit ≤ 1e-9: on a pool holding the whole
+    registry (``<=``: at equality every deficit is 0) no eviction fires,
+    no policy state reaches an outcome, and the run is the TTL recurrence
+    at ``ttl_s = inf``. Tracer, faults, reserved concurrency, timeline,
+    warm-up, tenants and the sanitizer (which wants every arrival) each
+    leave the run to the loop.
+    """
+    kind = type(policy)
+    if (
+        tracer is not None or config.fault_spec is not None or config.reserved_concurrency
+        or config.track_memory_timeline or config.warmup_s > 0.0
+        or config.tenant_mode != "shared" or sanitize_enabled()
+        or (kind is not TTLPolicy and (
+            kind.expired_containers is not KeepAlivePolicy.expired_containers
+            or kind.due_prewarms is not KeepAlivePolicy.due_prewarms
+            or kind.should_retain is not KeepAlivePolicy.should_retain
+        ))
+    ):
+        return None
+    footprint = 0.0
+    for function in trace.functions.values():
+        if function.tenant_id:
+            return None
+        footprint += function.memory_mb
+    if footprint > memory_mb:
+        return None
+    return policy.ttl_s if type(policy) is TTLPolicy else inf
+
+
 def simulate(
     trace: Trace,
     policy: str | KeepAlivePolicy,
     memory_mb: float,
     config: Optional[RunConfig] = None,
     tracer: Optional[Tracer] = None,
-    engine: str = "object",
+    engine: str = "columnar",
     **kwargs,
 ) -> SimulationResult:
     """Convenience one-shot simulation.
@@ -899,13 +941,13 @@ def simulate(
     ``fault_spec=…``, ...); any remaining keyword arguments configure
     the *policy* and are therefore only valid with a policy name.
 
-    Every replay runs the arrival loop of
-    :meth:`KeepAliveSimulator.run`. ``engine="columnar"`` additionally
-    allows the exact vectorized TTL kernel
-    (:func:`repro.sim.columnar.try_ttl_kernel`) to answer instead when
-    the run is provably eligible; ``"object"`` (the default) never
-    tries it and is the reference the differential suite holds the
-    kernel to. Which one ran is reported as :attr:`SimulationResult.path`.
+    A run that memory pressure cannot reach (:func:`_kernel_ttl_s`) is
+    answered by the exact vectorized kernel
+    (:func:`repro.sim.columnar.run_ttl_kernel`); every other run, and
+    every run with ``engine="object"`` (the reference the differential
+    suite holds the kernel to), takes the arrival loop of
+    :meth:`KeepAliveSimulator.run`. Which one ran is reported as
+    :attr:`SimulationResult.path`.
 
     >>> from repro.traces.synth import skewed_frequency_trace
     >>> result = simulate(skewed_frequency_trace(seed=1), "GD", 4096)
@@ -922,12 +964,14 @@ def simulate(
             f"engine must be 'object' or 'columnar', got {engine!r}"
         )
     if engine == "columnar":
-        # Imported here: repro.sim.columnar imports this module.
-        from repro.sim.columnar import try_ttl_kernel
+        ttl_s = _kernel_ttl_s(trace, policy, memory_mb, config, tracer)
+        if ttl_s is not None:
+            # Imported here: repro.sim.columnar imports this module.
+            from repro.sim.columnar import run_ttl_kernel
 
-        result = try_ttl_kernel(trace, policy, memory_mb, config, tracer)
-        if result is not None:
-            return result
+            result = run_ttl_kernel(trace, ttl_s, float(memory_mb), policy.name)
+            if result is not None:
+                return result
     return KeepAliveSimulator(
         trace, policy, memory_mb, config, tracer=tracer
     ).run()

@@ -22,7 +22,7 @@ from repro.obs.counters import fingerprint_counters
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 from repro.sim.config import RunConfig
-from repro.sim.scheduler import KeepAliveSimulator, SimulationResult
+from repro.sim.scheduler import SimulationResult, simulate
 from repro.sim.server import GB_MB
 from repro.traces.model import Trace
 
@@ -237,7 +237,9 @@ def run_cell(
     policy_kwargs: Optional[Mapping[str, object]] = None,
     **config_fields,
 ) -> SweepPoint:
-    """Run one (policy, memory) cell with optional tracing.
+    """Run one (policy, memory) cell with optional tracing, through
+    :func:`~repro.sim.scheduler.simulate` (so a cell memory pressure
+    cannot reach is answered by the vectorized kernel).
 
     ``tracer`` (in-process use) is bound with the cell coordinates so
     a single sink can receive several cells' events distinguishably;
@@ -277,10 +279,10 @@ def run_cell(
         )
     try:
         policy = create_policy(policy_name, **dict(policy_kwargs or {}))
-        sim = KeepAliveSimulator(
+        result = simulate(
             trace, policy, memory_gb * GB_MB, config, tracer=cell_tracer
         )
-        return point_from_result(policy_name, memory_gb, sim.run())
+        return point_from_result(policy_name, memory_gb, result)
     finally:
         if owned_sink is not None:
             owned_sink.close()

@@ -24,7 +24,7 @@ simulator hooks expect.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,9 @@ class FunctionTable:
             index[func.name] = len(objects)
             objects.append(func)
         self._objects: Tuple[TraceFunction, ...] = tuple(objects)
-        self._index = index
+        #: The id of a function name (``KeyError`` for an unknown one):
+        #: the dict's own lookup, so mapping names over it costs no frame.
+        self.index_of: Callable[[str], int] = index.__getitem__
         self._by_name: Mapping[str, TraceFunction] = MappingProxyType(
             {f.name: f for f in objects}
         )
@@ -76,9 +78,6 @@ class FunctionTable:
 
     def __len__(self) -> int:
         return len(self._objects)
-
-    def index_of(self, name: str) -> int:
-        return self._index[name]
 
     def object_of(self, function_id: int) -> TraceFunction:
         return self._objects[function_id]

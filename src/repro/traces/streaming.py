@@ -54,6 +54,7 @@ _STREAM_SEED_STRIDE = 1_000_003
 #: per merge window: sized in docs/performance-log.md, "The streamed
 #: trace path" (flat in speed around these, linear in ``peak_mb``).
 _DRAW_BLOCK = 32
+_DRAW_BITS = 64 * _DRAW_BLOCK  # random() reads two 32-bit words
 _WINDOW_ARRIVALS = 8_192
 
 
@@ -148,11 +149,11 @@ class StreamingChurnTrace:
         generated chunk by chunk (restartable, like :meth:`chunks`)."""
         return self.functions_table.arrivals(self.chunks())
 
-    def _streams(self) -> Tuple[np.ndarray, np.ndarray, List[Callable[[], float]]]:
+    def _streams(self) -> Tuple[np.ndarray, np.ndarray, List[Callable[[int], int]]]:
         """Fresh per-function stream state, a column each: the next
         (rounded) arrival, ``inf`` once the stream has passed
         ``duration_s``; the inter-arrival time; the function's own
-        uniform generator."""
+        generator's ``getrandbits``."""
         rngs = [
             random.Random(self.seed * _STREAM_SEED_STRIDE + i)
             for i in range(self.num_functions)
@@ -161,7 +162,7 @@ class StreamingChurnTrace:
         iat = [choices[rng.randrange(len(choices))] for rng in rngs]
         first = np.array([rng.uniform(0.0, step) for rng, step in zip(rngs, iat)])
         next_t = np.where(first < self.duration_s, _round6(first), inf)
-        return next_t, np.array(iat), [rng.random for rng in rngs]
+        return next_t, np.array(iat), [rng.getrandbits for rng in rngs]
 
     def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield ``(times, function_ids)`` arrays in replay order.
@@ -169,13 +170,13 @@ class StreamingChurnTrace:
         Restartable: every call regenerates the same arrivals from the
         per-function seeds.
         """
-        next_t, iat, uniforms = self._streams()
+        next_t, iat, bits = self._streams()
         duration_s, chunk = self.duration_s, self.chunk_invocations
         window_s = _WINDOW_ARRIVALS / float(np.add.reduce(1.0 / iat))
         # A function reads its generator _DRAW_BLOCK uniforms at a
         # time: draws[i, cursor[i]] is its next one, column 0 a refill.
-        draws = np.empty((len(uniforms), _DRAW_BLOCK))
-        cursor = np.zeros(len(uniforms), dtype=np.intp)
+        draws = np.empty((len(bits), _DRAW_BLOCK))
+        cursor = np.zeros(len(bits), dtype=np.intp)
         held_t, held_i, held = [], [], 0  # merged, not yet a whole chunk
         while (end_s := float(next_t.min()) + window_s) < inf:
             live = np.flatnonzero(next_t < end_s)
@@ -187,11 +188,15 @@ class StreamingChurnTrace:
                 at = cursor[live]
                 dry = live[at == 0]
                 if dry.size:
-                    draws[dry] = np.array([
-                        uniform()
-                        for uniform in map(uniforms.__getitem__, dry.tolist())
-                        for __ in range(_DRAW_BLOCK)
-                    ]).reshape(-1, _DRAW_BLOCK)
+                    # One getrandbits per refill: the words _DRAW_BLOCK
+                    # random() calls read, in order, by random()'s formula.
+                    words = np.frombuffer(b"".join([
+                        draw(_DRAW_BITS).to_bytes(_DRAW_BITS // 8, "little")
+                        for draw in map(bits.__getitem__, dry.tolist())
+                    ]), dtype="<u4").reshape(-1, 2 * _DRAW_BLOCK)
+                    draws[dry] = (
+                        (words[:, 0::2] >> 5) * 67108864.0 + (words[:, 1::2] >> 6)
+                    ) / 9007199254740992.0
                 cursor[live] = (at + 1) % _DRAW_BLOCK
                 # Advance from the emitted (rounded) time by the scalar
                 # t + iat * rng.uniform(0.7, 1.3), a ufunc per operator.

@@ -1,16 +1,18 @@
-"""Differential suite: ``engine="columnar"`` vs the object-path oracle.
+"""Differential suite: ``simulate()`` vs the object-path oracle.
 
 The contract is *byte-identical metrics*: for any trace form and
-policy, ``simulate(engine="columnar")`` must produce exactly the
-payload :class:`KeepAliveSimulator` produces replaying the object
-trace — same counters, same ``repr``-precision percentages, same
-``per_function`` outcomes in the same insertion order. This suite
-holds it to that across:
+policy, ``simulate()`` (which lets the vectorized kernel answer every
+run pressure cannot reach) must produce exactly the payload
+:class:`KeepAliveSimulator` produces replaying the object trace — same
+counters, same ``repr``-precision percentages, same ``per_function``
+outcomes in the same insertion order. This suite holds it to that
+across:
 
 * randomized seeded workloads x the paper's policy spread (TTL, HIST,
   GD/GDSF, LRU), columnar traces through the one arrival loop;
-* the vectorized TTL kernel, including chunk-size invariance and the
-  mid-stream fallbacks (burst gaps, capacity pressure) that force the
+* the vectorized kernel on every registered policy, including
+  chunk-size invariance, the boundaries of its preconditions (registry
+  == capacity, gap == cold time) and every disqualifier that sends the
   run back onto the arrival loop;
 * the exact-summation primitive (``np.add.accumulate`` + scalar
   carry) the kernel's float accumulation correctness rests on;
@@ -23,18 +25,22 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.bench import _metrics_payload, churn_trace, eviction_trace
 from repro.checks.sanitize import set_sanitize
-from repro.core.policies.base import create_policy
+from repro.core.policies.base import available_policies, create_policy
 from repro.core.policies.ttl import TTLPolicy
+from repro.faults import FaultSpec
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 from repro.sim.columnar import run_ttl_kernel
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.columnar import ColumnarTrace, FunctionTable
-from repro.traces.model import TraceFunction
+from repro.traces.model import Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 from repro.traces.synth import multitenant_trace, skewed_frequency_trace
 
@@ -48,9 +54,7 @@ def oracle_payload(trace, policy_name, memory_mb, **policy_kwargs):
 
 
 def engine_payload(trace, policy, memory_mb, **policy_kwargs):
-    result = simulate(
-        trace, policy, memory_mb, engine="columnar", **policy_kwargs
-    )
+    result = simulate(trace, policy, memory_mb, **policy_kwargs)
     return (
         _metrics_payload(result),
         result.metrics.per_function,
@@ -109,26 +113,29 @@ class TestRandomizedDifferential:
 
     def test_simulate_engine_flag(self):
         trace = churn_trace(num_functions=30, seed=4)
-        obj = simulate(trace, "TTL", 64 * 128.0, ttl_s=300.0)
+        obj = simulate(trace, "TTL", 64 * 128.0, engine="object", ttl_s=300.0)
         col = simulate(
             trace, "TTL", 64 * 128.0, engine="columnar", ttl_s=300.0
         )
+        assert obj.path == "sequential"
         assert _metrics_payload(obj) == _metrics_payload(col)
         with pytest.raises(ValueError, match="engine"):
             simulate(trace, "TTL", 64 * 128.0, engine="rowwise")
 
 
+@pytest.fixture
+def unsanitized():
+    # Sanitized runs deliberately route everything through the
+    # sequential path; pin sanitize off so these tests exercise
+    # the kernel even inside the REPRO_SANITIZE=1 CI job.
+    set_sanitize(False)
+    yield
+    set_sanitize(None)
+
+
+@pytest.mark.usefixtures("unsanitized")
 class TestVectorizedTTLKernel:
     """The closed-form path: taken when eligible, exact always."""
-
-    @pytest.fixture(autouse=True)
-    def _kernel_enabled(self):
-        # Sanitized runs deliberately route everything through the
-        # sequential path; pin sanitize off so these tests exercise
-        # the kernel even inside the REPRO_SANITIZE=1 CI job.
-        set_sanitize(False)
-        yield
-        set_sanitize(None)
 
     def test_kernel_matches_oracle_on_churn(self):
         trace = churn_trace(num_functions=80, seed=21)
@@ -141,7 +148,7 @@ class TestVectorizedTTLKernel:
             2048 * 128.0,
             ttl_s=300.0,
         )
-        assert path == "vectorized-ttl"
+        assert path == "vectorized"
         assert got == want
         assert got_pf == want_pf
         assert list(got_pf) == list(want_pf)
@@ -154,12 +161,14 @@ class TestVectorizedTTLKernel:
         baseline, __, path = engine_payload(
             trace, "TTL", 2048 * 128.0, ttl_s=300.0
         )
-        assert path == "vectorized-ttl"
-        result = run_ttl_kernel(
-            trace, 300.0, 2048 * 128.0, "TTL", chunk_invocations=chunk
-        )
-        assert result.path == "vectorized-ttl"
-        assert _metrics_payload(result) == baseline
+        assert path == "vectorized"
+        # Materialized columns and an object trace transposed per chunk.
+        for form in (trace, trace.to_trace()):
+            result = run_ttl_kernel(
+                form, 300.0, 2048 * 128.0, "TTL", chunk_invocations=chunk
+            )
+            assert result.path == "vectorized"
+            assert _metrics_payload(result) == baseline
 
     def test_kernel_runs_streaming_traces(self):
         stream = StreamingChurnTrace(
@@ -171,7 +180,7 @@ class TestVectorizedTTLKernel:
         got, __, path = engine_payload(
             stream, "TTL", 64 * 128.0, ttl_s=300.0
         )
-        assert path == "vectorized-ttl"
+        assert path == "vectorized"
         assert got == want
 
     def test_kernel_groups_ids_past_sixteen_bits(self):
@@ -185,11 +194,12 @@ class TestVectorizedTTLKernel:
         trace = ColumnarTrace(
             table, np.arange(ids.size) * 50.0, ids, name="wide"
         )
+        registry_mb = 65_600 * 128.0  # the pool must hold every function
         want, want_pf = oracle_payload(
-            trace.to_trace(), "TTL", 8 * 128.0, ttl_s=300.0
+            trace.to_trace(), "TTL", registry_mb, ttl_s=300.0
         )
-        got, got_pf, path = engine_payload(trace, "TTL", 8 * 128.0, ttl_s=300.0)
-        assert path == "vectorized-ttl"
+        got, got_pf, path = engine_payload(trace, "TTL", registry_mb, ttl_s=300.0)
+        assert path == "vectorized"
         assert got == want
         assert list(got_pf.items()) == list(want_pf.items())
         assert got["counters"]["warm_starts"] == 25
@@ -260,6 +270,125 @@ class TestVectorizedTTLKernel:
         assert counters["warm_starts"] == 0
         assert counters["cold_starts"] == 0
         assert counters["expirations"] == 0
+
+
+def loop_and_default(trace, name, memory_mb, policy_kwargs=()):
+    """The same run through the arrival loop (``engine="object"``) and
+    through the default dispatch, each with a fresh policy."""
+    loop = simulate(
+        trace, create_policy(name, **dict(policy_kwargs)), memory_mb,
+        engine="object",
+    )
+    default = simulate(trace, create_policy(name, **dict(policy_kwargs)), memory_mb)
+    return loop, default
+
+
+def assert_same_replay(loop, default):
+    assert _metrics_payload(default) == _metrics_payload(loop)
+    assert list(default.metrics.per_function.items()) == list(
+        loop.metrics.per_function.items()
+    )
+
+
+def registry_mb(trace):
+    return sum(f.memory_mb for f in trace.functions.values())
+
+
+@pytest.mark.usefixtures("unsanitized")
+class TestEveryPolicyOnTheKernel:
+    """A policy that lets a container go only under pressure, on a pool
+    that holds the whole registry, is the TTL recurrence at ttl = inf:
+    the default ``simulate()`` answers it on the kernel."""
+
+    def test_default_simulate_answers_gd_above_the_working_set(self):
+        trace = churn_trace(num_functions=60, duration_s=4800.0, seed=1)
+        result = simulate(trace, "GD", 96 * 128.0)
+        assert result.path == "vectorized"
+        assert result.metrics.cold_starts == 60  # compulsory misses only
+
+    @pytest.mark.parametrize("name", available_policies())
+    def test_every_policy_equals_the_loop(self, name):
+        trace = churn_trace(num_functions=60, duration_s=4800.0, seed=5)
+        kwargs = {"trace": trace} if name.startswith("ORACLE") else {}
+        loop, default = loop_and_default(
+            trace, name, 1.25 * registry_mb(trace), kwargs
+        )
+        # HIST expires and prewarms, DOORKEEPER gates admission: only
+        # the loop answers them.
+        declines = name in ("HIST", "DOORKEEPER")
+        assert default.path == ("sequential" if declines else "vectorized")
+        assert_same_replay(loop, default)
+
+    @pytest.mark.parametrize(
+        "capacity_mb, path",
+        [(1024.0, "vectorized"), (1023.5, "sequential")],
+        ids=["registry-equals-capacity", "registry-above-capacity"],
+    )
+    def test_registry_against_capacity(self, capacity_mb, path):
+        table = FunctionTable(
+            TraceFunction(f"g{i}", 256.0, 0.2, 1.0) for i in range(4)
+        )
+        ids = np.tile(np.arange(4, dtype=np.int32), 3)
+        trace = ColumnarTrace(table, np.arange(12) * 10.0, ids, name="full")
+        loop, default = loop_and_default(trace, "GD", capacity_mb)
+        assert default.path == path
+        assert_same_replay(loop, default)
+
+    @pytest.mark.parametrize(
+        "gap_s, path",
+        [(5.0, "vectorized"), (4.5, "sequential")],
+        ids=["gap-equals-cold-time", "gap-below-cold-time"],
+    )
+    def test_gap_against_cold_time(self, gap_s, path):
+        table = FunctionTable(
+            [
+                TraceFunction("f0", 128.0, 0.2, 5.0),
+                TraceFunction("f1", 128.0, 0.2, 1.0),
+            ]
+        )
+        trace = ColumnarTrace(
+            table,
+            np.array([0.0, 1.0, gap_s, 2 * gap_s]),
+            np.array([0, 1, 0, 0], dtype=np.int32),
+            name="gaps",
+        )
+        loop, default = loop_and_default(trace, "GD", 1024.0)
+        assert default.path == path
+        assert_same_replay(loop, default)
+        # At gap == cold time the cold container is released just in
+        # time; inside it, the second arrival needs a container of its own.
+        assert loop.metrics.cold_starts == (2 if gap_s == 5.0 else 3)
+
+    @pytest.mark.parametrize(
+        "disqualifier",
+        [
+            "tracer", "fault_spec", "reserved_concurrency",
+            "track_memory_timeline", "warmup_s", "tenant_mode", "tenants",
+            "sanitizer", "engine",
+        ],
+    )
+    def test_each_static_disqualifier_declines(self, disqualifier):
+        trace = churn_trace(num_functions=30, seed=4)
+        first = next(iter(trace.functions))
+        kwargs = {
+            "tracer": {"tracer": Tracer(RingBufferSink())},
+            "fault_spec": {"fault_spec": FaultSpec(seed=1)},
+            "reserved_concurrency": {"reserved_concurrency": {first: 1}},
+            "track_memory_timeline": {"track_memory_timeline": True},
+            "warmup_s": {"warmup_s": 60.0},
+            "tenant_mode": {"tenant_mode": "quota"},
+            "engine": {"engine": "object"},
+        }.get(disqualifier, {})
+        if disqualifier == "tenants":
+            trace = Trace(
+                [replace(f, tenant_id=1) for f in trace.functions.values()],
+                trace.invocations,
+                name="tenanted",
+            )
+        elif disqualifier == "sanitizer":
+            set_sanitize(True)
+        result = simulate(trace, "GD", 2 * registry_mb(trace), **kwargs)
+        assert result.path == "sequential"
 
 
 class TestExactSummation:

@@ -4,8 +4,10 @@
 one performance number that repeats exactly: function calls, Python
 and builtin alike, made inside one ``simulate()``. This suite counts
 them the same way — ``sys.setprofile``, no clock anywhere — over two
-small GD replays, a HIST one, a streamed kernel replay and a pipelined
-live request stream, and holds them to what the code pays today, so a
+small GD replays (the warm one on the arrival loop and on the
+vectorized kernel), a HIST one, a streamed kernel replay and a
+pipelined live request stream, and holds them to what the code pays
+today, so a
 refactor that puts a frame or a builtin back on every arrival fails
 here instead of showing up as a few percent of noise in a timing run.
 
@@ -35,18 +37,26 @@ from repro.traces.streaming import StreamingChurnTrace
 CONTAINER_MB = 128.0
 
 #: Total calls of one replay. The eviction replay's 600 arrivals paid
-#: 63.87 calls each (38,321) and now pay 50.49 (30,291); the warm
-#: replay's 711 paid 27.99 (19,904) and now pay 20.00 (14,217): one
-#: frame per busy/idle transition, a parked container re-enrolled under
-#: its real key (no rescore and ``heappushpop`` on its next offer), and
-#: stored fields instead of property and helper frames on every arrival.
-#: (One call per *run* is the simulator's ``EventQueue()``.)
-EVICT_CALLS = 30_291
+#: 63.87 calls each (38,321), then 50.49 (30,291) after one frame per
+#: busy/idle transition, a parked container re-enrolled under its real
+#: key (no rescore and ``heappushpop`` on its next offer), and stored
+#: fields instead of property and helper frames on every arrival; the
+#: kernel's per-run eligibility test adds 4 (30,295: the test, the
+#: sanitizer flag and the registry's ``functions`` / ``values()``).
+#: The warm replay's 711 paid 27.99 (19,904) and pay 20.00 (14,217) on
+#: the arrival loop (``engine="object"``), which the kernel now answers
+#: by default. (One call per *run* is the simulator's ``EventQueue()``.)
+EVICT_CALLS = 30_295
 WARM_CALLS = 14_217
+#: The same warm replay on the vectorized kernel (GD replayed at
+#: ``ttl_s = inf``): 0.53 calls per arrival (379) — the eligibility
+#: test, one object-trace chunk transposed and a few dozen ufuncs.
+KERNEL_WARM_CALLS = 379
 #: HIST on the warm replay's trace, with a histogram sample, a plan and
 #: an expiry deadline on every arrival: 50.68 calls each (36,036) before
-#: the cuts above, 45.68 (32,481) after.
-HIST_CALLS = 32_481
+#: the cuts above, 45.68 (32,481) after, plus 2 for the eligibility
+#: test, which declines on HIST's overridden hooks (32,483).
+HIST_CALLS = 32_483
 #: The whole live request path, ``_Connection.data_received`` down, over
 #: the warm replay's trace as pipelined ``/admit`` requests on a pool of
 #: 0.8 x the working set: 74.49 calls per request (52,961) to frame,
@@ -54,12 +64,13 @@ HIST_CALLS = 32_481
 #: after.
 LIVE_CALLS = 46_484
 #: The vectorized TTL kernel over a 300-function, 3,600 s stream, trace
-#: generation included, as landed by PR 20 (the parent paid 60,411 =
-#: 8.69 per arrival, a heap pop, ``uniform``, ``round`` and push each;
-#: on the ledger's 2,000-function ``ttl_stream`` 8.78 -> 1.39): 2.38 per
-#: arrival, one ``random()`` per uniform drawn (a block per function at
-#: a time, so a short stream over-draws) and a few ufuncs per round.
-STREAM_CALLS = 16_544
+#: generation included. A heap pop, ``uniform``, ``round`` and push per
+#: arrival paid 8.69 calls each (60,411); columns and one sort per window
+#: paid 2.38 (16,543; 16,536 once the kernel's per-chunk footprint test
+#: left), one ``random()`` per uniform drawn; one ``getrandbits`` (and
+#: its ``to_bytes``) per 32-uniform refill of a function (a short stream
+#: over-draws) and a few ufuncs per round pay 0.82 (5,708).
+STREAM_CALLS = 5_708
 
 
 @pytest.fixture
@@ -107,8 +118,8 @@ def churn_trace(num_functions=60, duration_s=1200.0, seed=16):
     return Trace(functions, invocations, name="churn")
 
 
-def counted(run, *args):
-    """``(calls made inside run(*args), its result)``."""
+def counted(run, *args, **kwargs):
+    """``(calls made inside run(*args, **kwargs), its result)``."""
     calls = 0
 
     def profiler(frame, event, arg):
@@ -122,15 +133,15 @@ def counted(run, *args):
     gc.disable()
     sys.setprofile(profiler)
     try:
-        result = run(*args)
+        result = run(*args, **kwargs)
     finally:
         sys.setprofile(None)
         gc.enable()
     return calls, result
 
 
-def count_calls(trace, memory_mb, policy="GD"):
-    calls, result = counted(simulate, trace, policy, memory_mb)
+def count_calls(trace, memory_mb, policy="GD", **kwargs):
+    calls, result = counted(simulate, trace, policy, memory_mb, **kwargs)
     return calls, result.metrics
 
 
@@ -148,13 +159,27 @@ def test_eviction_replay_call_budget(unsanitized):
 
 def test_warm_replay_call_budget(unsanitized):
     trace = churn_trace()
-    calls, metrics = count_calls(trace, 1.25 * 60 * CONTAINER_MB)
+    calls, metrics = count_calls(
+        trace, 1.25 * 60 * CONTAINER_MB, engine="object"
+    )
     assert len(trace) == 711
     assert metrics.evictions == 0 and metrics.dropped == 0
     assert metrics.warm_starts == len(trace) - 60
     assert calls <= WARM_CALLS, (
         f"{calls / 711:.2f} calls per arrival on the warm replay, "
         f"budget {WARM_CALLS / 711:.2f}"
+    )
+
+
+def test_warm_kernel_call_budget(unsanitized):
+    trace = churn_trace()
+    calls, result = counted(simulate, trace, "GD", 1.25 * 60 * CONTAINER_MB)
+    # The replay is the warm one above, answered by the kernel.
+    assert result.path == "vectorized"
+    assert result.metrics.warm_starts == len(trace) - 60
+    assert calls <= KERNEL_WARM_CALLS, (
+        f"{calls / 711:.2f} calls per arrival on the warm kernel replay, "
+        f"budget {KERNEL_WARM_CALLS / 711:.2f}"
     )
 
 
@@ -174,12 +199,10 @@ def test_hist_replay_call_budget(unsanitized):
 def test_streamed_kernel_replay_call_budget(unsanitized):
     stream = StreamingChurnTrace(num_functions=300, duration_s=3600.0, seed=16)
     calls, result = counted(
-        lambda: simulate(
-            stream, "TTL", 2 * 300 * CONTAINER_MB, engine="columnar", ttl_s=300.0
-        )
+        simulate, stream, "TTL", 2 * 300 * CONTAINER_MB, ttl_s=300.0
     )
     # The replay is the one the budget was set on, on the kernel.
-    assert result.path == "vectorized-ttl"
+    assert result.path == "vectorized"
     metrics = result.metrics
     assert (metrics.served, metrics.cold_starts, metrics.expirations) == (
         6953, 951, 718,

@@ -70,6 +70,15 @@ service = LivePoolService(trace, "GD", 2048.0, clock=SimClock())
 assert service.admit(service.function_names()[0], now_s=0.0).outcome == "cold"
 LiveHTTPServer(service, port=0)
 """
+#: A run the vectorized kernel cannot answer (the registry outgrows the
+#: pool), through ``simulate()``'s default dispatch.
+DECLINED_RUN = """
+from repro.sim.scheduler import simulate
+from repro.traces.model import Invocation, Trace, TraceFunction
+functions = [TraceFunction(f"f{i}", 128.0, 0.2, 1.0) for i in range(4)]
+trace = Trace(functions, [Invocation(float(i), f"f{i % 4}") for i in range(40)])
+assert simulate(trace, "GD", 256.0).path == "sequential"
+"""
 CLI_HELP = """
 import repro.cli
 try:
@@ -111,6 +120,12 @@ class TestModuleBudget:
         assert not modules.intersection(
             ("numpy", "repro.checks.linter", "repro.traces.columnar")
         ), ours(modules)
+
+    def test_a_declined_run_loads_no_kernel(self):
+        """The kernel's eligibility test is O(functions) and NumPy-free:
+        a run it declines loads neither the kernel nor NumPy."""
+        modules = loaded_after(DECLINED_RUN)
+        assert not modules.intersection(("numpy", "repro.sim.columnar")), ours(modules)
 
     def test_cli_help_loads_the_cli_alone(self):
         modules = loaded_after(CLI_HELP)
