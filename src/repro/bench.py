@@ -204,11 +204,11 @@ def _scaled(count: int, scale: float, floor: int = 8) -> int:
 
 
 def _kernel_replay_payload(
-    trace, capacity_mb: float, scenario: str
+    trace, policy: str, capacity_mb: float, scenario: str, **policy_kwargs
 ) -> Dict[str, object]:
-    """TTL replay that must be answered by the vectorized kernel."""
-    result = simulate(trace, "TTL", capacity_mb, ttl_s=300.0)
-    if result.path != "vectorized" and not sanitize_enabled():
+    """A replay that must be answered by an exact kernel."""
+    result = simulate(trace, policy, capacity_mb, **policy_kwargs)
+    if result.path == "sequential" and not sanitize_enabled():
         # The slowdown gate would eventually notice, but a silent
         # fallback means a kernel precondition regressed — fail
         # loudly, right here. (Sanitized runs take the arrival loop
@@ -224,7 +224,9 @@ def _ttl_scenario(scale: float):
     capacity_mb = 2048.0 * 128.0
 
     def run() -> Dict[str, object]:
-        return _kernel_replay_payload(trace, capacity_mb, "ttl_replay_100k")
+        return _kernel_replay_payload(
+            trace, "TTL", capacity_mb, "ttl_replay_100k", ttl_s=300.0
+        )
 
     return len(trace), run
 
@@ -240,8 +242,8 @@ def _hist_scenario(scale: float):
     capacity_mb = 2048.0 * 128.0
 
     def run() -> Dict[str, object]:
-        return _metrics_payload(
-            simulate(trace, "HIST", capacity_mb)
+        return _kernel_replay_payload(
+            trace, "HIST", capacity_mb, "hist_replay_100k"
         )
 
     return len(trace), run
@@ -273,7 +275,9 @@ def _ttl_stream_1m_scenario(scale: float):
     invocations = sum(len(times) for times, __ in trace.chunks())
 
     def run() -> Dict[str, object]:
-        return _kernel_replay_payload(trace, capacity_mb, "ttl_stream_1m")
+        return _kernel_replay_payload(
+            trace, "TTL", capacity_mb, "ttl_stream_1m", ttl_s=300.0
+        )
 
     return invocations, run
 
@@ -367,12 +371,12 @@ def _sweep_cell_scenario(scale: float):
 
 
 #: The pinned-seed suite, in execution order. TTL exercises the
-#: vectorized columnar kernel, HIST and GDSF the arrival loop fed
-#: from columnar chunks (histogram/expiry hot paths and the victim
-#: index), the streamed scenario the million-invocation bound-memory
-#: claim, the harvest scenario the simulator's graceful-deflation
-#: path, and the sweep cell covers the run_cell plumbing both sweep
-#: engines share.
+#: vectorized columnar kernel, HIST the per-arrival HIST kernel
+#: (histogram plans and prewarms; its pool holds the registry), GDSF
+#: the arrival loop fed from columnar chunks (the victim index), the
+#: streamed scenario the million-invocation bound-memory claim, the
+#: harvest scenario the simulator's graceful-deflation path, and the
+#: sweep cell covers the run_cell plumbing both sweep engines share.
 SCENARIOS: Tuple[BenchScenario, ...] = (
     BenchScenario(
         "ttl_replay_100k",
@@ -381,7 +385,7 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
     ),
     BenchScenario(
         "hist_replay_100k",
-        "100k-invocation HIST replay, histogram plans + prewarms",
+        "100k-invocation HIST replay, HIST kernel (histogram plans + prewarms)",
         _hist_scenario,
     ),
     BenchScenario(

@@ -1,48 +1,49 @@
-"""The vectorized kernel: an exact closed-form replay.
+"""The exact kernels: replays that skip the pool and the policy hooks.
 
 Every replay normally runs the per-arrival loop of
 :meth:`~repro.sim.scheduler.KeepAliveSimulator.run`, which pays Python
 dispatch for every arrival. For the runs memory pressure cannot reach
-that loop can be replaced by vectorized NumPy recurrences producing
-**byte-identical** :class:`SimulationMetrics`: ``simulate()`` asks
-:func:`run_ttl_kernel` whenever its static test
-(:func:`repro.sim.scheduler._kernel_ttl_s`) passes and falls back to
-the loop when the kernel declines. The loop stays the reference the
-kernel is differentially tested against
-(``tests/test_columnar_differential.py``, ``engine="object"``); which
-of the two ran is reported as ``SimulationResult.path``.
+(a default configuration whose pool holds the whole registry) one of
+two kernels replaces it with **byte-identical**
+:class:`SimulationMetrics`; ``simulate()`` asks the one its static test
+(:func:`repro.sim.scheduler._exact_kernel`) names and falls back to the
+loop when it declines. The loop stays the reference both are
+differentially tested against (``tests/test_columnar_differential.py``,
+``engine="object"``); ``SimulationResult.path`` says which ran.
 
-The static test admits an exact :class:`TTLPolicy` (replayed with its
-own ``ttl_s``) and every policy that never lets a container go but
-under pressure (replayed with ``ttl_s = inf``), on a default
-configuration whose pool holds the whole function registry — so
-pressure eviction never fires and no policy state can reach an
-outcome. What it cannot see without a pass over the arrivals is
-checked here, chunk by chunk: every function's arrival gap covers its
-cold time (so a function never holds two containers). Under those
-preconditions each function's container deadline follows the
-recurrence ``d_i = (t_i + dur_i) + ttl`` with ``cold_i ⇔ d_{i-1} <=
-t_i``, which resolves chunk by chunk with three vectorized
-classifications (certainly-cold, certainly-warm, and an alternating
-ambiguous band) — see ``docs/performance-log.md`` for the derivation.
-At ``ttl = inf`` every deadline is ``inf``: a function's first arrival
-is cold, every later one warm, and nothing expires. Metric sums use
-``np.add.accumulate``, whose strict left-to-right evaluation
-reproduces the simulator's sequential ``+=`` bit for bit.
+* :func:`run_ttl_kernel` (``"vectorized"``) answers an exact
+  :class:`TTLPolicy` at its own ``ttl_s`` and every policy that lets a
+  container go only under pressure at ``ttl_s = inf``: no policy state
+  reaches an outcome. It checks chunk by chunk that every function's
+  arrival gap covers its cold time (so a function never holds two
+  containers). Each deadline then follows the recurrence ``d_i = (t_i +
+  dur_i) + ttl`` with ``cold_i ⇔ d_{i-1} <= t_i``, which resolves with
+  three vectorized classifications (certainly-cold, certainly-warm, and
+  an alternating ambiguous band; ``docs/performance-log.md`` has the
+  derivation). At ``ttl = inf`` a function's first arrival is cold,
+  every later one warm, and nothing expires. Metric sums use
+  ``np.add.accumulate``, whose strict left-to-right evaluation
+  reproduces the simulator's sequential ``+=`` bit for bit.
+* :func:`run_hist_kernel` (``"hist-kernel"``) answers an exact, fresh
+  :class:`HistogramPolicy`, whose state does reach outcomes, in one
+  pass over the arrivals on HIST's own histograms and plans (the
+  argument is above :class:`_HistFunction`).
 
-A gap violation discovered mid-stream discards the kernel state and
-the caller replays from the start through the loop (every trace form
-is restartable), so the fast path can never silently diverge.
+A violation discovered mid-stream discards the kernel state and the
+caller replays from the start through the loop (every trace form is
+restartable), so the fast path can never silently diverge.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.clock import wall_clock_s
+from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.scheduler import SimulationResult
 from repro.traces.columnar import (
@@ -53,7 +54,7 @@ from repro.traces.columnar import (
 from repro.traces.model import Invocation, Trace
 from repro.traces.streaming import StreamingChurnTrace
 
-__all__ = ["run_ttl_kernel"]
+__all__ = ["run_hist_kernel", "run_ttl_kernel"]
 
 #: Every trace form the kernel reads: an object trace (transposed a
 #: chunk at a time), materialized columnar arrays, or a restartable
@@ -302,3 +303,126 @@ def _ttl_kernel_metrics(
             warm=int(total_counts[fid]) - cold, cold=cold
         )
     return metrics
+
+
+# ----------------------------------------------------------------------
+# HIST kernel
+# ----------------------------------------------------------------------
+#
+# Equivalence argument: while every function holds at most one container
+# (the kernel returns None when a function is busy at its next arrival,
+# a plan's deadline falls before its run ends, or a prewarm comes due
+# while its function runs) and nothing is evicted, the loop's phases at
+# an arrival of f at time t reduce to:
+#
+# * expiry: f's container is gone once an arrival after the one that
+#   set its deadline reaches that deadline;
+# * prewarm: a pending prewarm materializes at the first arrival of any
+#   function at or after its due time, unless f's container is alive
+#   there; it lives until its own deadline, and through the arrival it
+#   came up at (whose expiry phase has already run);
+# * the arrival: warm on a live container (a prewarm's first use adds
+#   the uncovered share of the init time), cold otherwise; then HIST's
+#   own histogram sample and plan file the deadline and maybe a prewarm.
+
+
+class _HistFunction:
+    """One function's state in :func:`run_hist_kernel`: its container
+    (at most one) and its counts."""
+
+    __slots__ = ("hist", "busy_until", "deadline", "since", "prewarmed", "pending", "warm", "cold")
+
+    def __init__(self, window_minutes: int) -> None:
+        self.hist = FunctionHistogram(window_minutes)
+        self.busy_until = 0.0  # end of the container's latest run
+        self.deadline = 0.0  # the container's keep-alive deadline
+        self.since = 0  # index of the arrival that set the deadline
+        self.prewarmed = False  # the container is an unused prewarm
+        self.pending = 0  # filing number of the live prewarm; 0: none
+        self.warm = self.cold = 0
+
+
+def run_hist_kernel(
+    trace: KernelSource,
+    policy: HistogramPolicy,
+    capacity_mb: float,
+    prewarm_effectiveness: float,
+) -> Optional[SimulationResult]:
+    """Exact replay of a fresh ``policy`` on a pool the caller has
+    established holds the whole registry; None as soon as a function
+    could need a second container or stay busy past its deadline."""
+    started = wall_clock_s()
+    window = policy.window_minutes
+    plan = policy._plan
+    uncovered = 1.0 - prewarm_effectiveness
+    functions: Dict[str, _HistFunction] = {}
+    # Pending prewarms: (due, filing number, function, keep until).
+    due: List[Tuple[float, int, _HistFunction, float]] = []
+    filed = expirations = prewarms = 0
+    ideal = actual = now = 0.0
+    index = -1
+    for index, (now, function) in enumerate(trace.arrivals()):
+        while due and due[0][0] <= now:
+            __, number, state, keep_until = heappop(due)
+            if state.pending != number:
+                continue  # cancelled by an arrival of its function
+            state.pending = 0
+            if state.busy_until > now:
+                return None  # the prewarm would be a second container
+            if state.deadline > now:
+                continue  # an idle container is still alive: skipped
+            expirations += 1
+            prewarms += 1
+            state.deadline, state.since, state.prewarmed = keep_until, index, True
+        name = function.name
+        state = functions.get(name)
+        if state is None:
+            state = functions[name] = _HistFunction(window)
+            warm = False
+        elif state.busy_until > now:
+            return None  # still running: a second container
+        else:
+            warm = state.deadline > now or state.since == index
+            if not warm:
+                expirations += 1
+        hist = state.hist
+        hist.record_arrival(now)
+        state.pending = 0
+        keep_s, prewarm_after_s, prewarm_keep_s, __ = plan(hist)
+        warm_s = function.warm_time_s
+        if warm:
+            duration = warm_s
+            if state.prewarmed:
+                duration += uncovered * function.init_time_s
+            state.warm += 1
+        else:
+            duration = function.cold_time_s
+            state.cold += 1
+        ideal += warm_s
+        actual += duration
+        busy_until = now + duration
+        deadline = now + keep_s
+        if deadline < busy_until:
+            return None  # it would expire while busy
+        state.busy_until, state.deadline = busy_until, deadline
+        state.since, state.prewarmed = index, False
+        if prewarm_after_s is not None:
+            filed += 1
+            state.pending = filed
+            heappush(due, (now + prewarm_after_s, filed, state, now + prewarm_keep_s))
+    metrics = SimulationMetrics(
+        prewarms=prewarms, ideal_exec_time_s=ideal, actual_exec_time_s=actual
+    )
+    for name, state in functions.items():  # first-arrival order
+        # A deadline the last arrival reached expired there, unless that
+        # arrival set it: its expiry phase had already run.
+        if state.deadline <= now and state.since < index:
+            expirations += 1
+        metrics.per_function[name] = FunctionOutcome(state.warm, state.cold)
+        metrics.cold_starts += state.cold
+    metrics.warm_starts = index + 1 - metrics.cold_starts
+    metrics.expirations = expirations
+    metrics.wall_time_s = wall_clock_s() - started
+    return SimulationResult(
+        trace.name, policy.name, capacity_mb, metrics, path="hist-kernel"
+    )

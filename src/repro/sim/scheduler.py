@@ -36,6 +36,7 @@ from repro.checks.sanitize import (
 from repro.core.clock import SimClock, wall_clock_s
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, create_policy
+from repro.core.policies.histogram import HistogramPolicy
 from repro.core.policies.ttl import TTLPolicy
 from repro.core.pool import CapacityError, ContainerPool
 from repro.faults import FaultModel, RetryPolicy
@@ -61,8 +62,9 @@ class SimulationResult:
     memory_mb: float
     metrics: SimulationMetrics
     #: How the arrivals were replayed: ``"sequential"`` (the arrival
-    #: loop of :meth:`KeepAliveSimulator.run`) or ``"vectorized"`` (the
-    #: closed-form kernel of :mod:`repro.sim.columnar`).
+    #: loop of :meth:`KeepAliveSimulator.run`), ``"vectorized"`` (the
+    #: closed-form TTL kernel of :mod:`repro.sim.columnar`) or
+    #: ``"hist-kernel"`` (its per-arrival HIST kernel).
     path: str = "sequential"
 
     def __repr__(self) -> str:
@@ -883,34 +885,42 @@ class KeepAliveSimulator:
         )
 
 
-def _kernel_ttl_s(
+def _exact_kernel(
     trace: Trace, policy: KeepAlivePolicy, memory_mb: float, config: RunConfig,
     tracer: Optional[Tracer],
-) -> Optional[float]:
-    """The keep-alive the vectorized kernel replays this run with, or
-    ``None`` when only the arrival loop may answer it. O(functions), no
-    NumPy: a run declined here has loaded nothing for the kernel.
+) -> Optional[str]:
+    """Which exact kernel of :mod:`repro.sim.columnar` answers this run:
+    ``"ttl"`` (``run_ttl_kernel``), ``"hist"`` (``run_hist_kernel``), or
+    ``None`` when only the arrival loop may. O(functions), no NumPy: a
+    run declined here has loaded nothing for a kernel.
 
-    An exact :class:`TTLPolicy` keeps its ``ttl_s``. A policy overriding
-    none of the three phase hooks the fast paths above test lets a
-    container go only under pressure, and every ``select_victims``
-    returns ``[]`` on a deficit ≤ 1e-9: on a pool holding the whole
-    registry (``<=``: at equality every deficit is 0) no eviction fires,
-    no policy state reaches an outcome, and the run is the TTL recurrence
-    at ``ttl_s = inf``. Tracer, faults, reserved concurrency, timeline,
-    warm-up, tenants and the sanitizer (which wants every arrival) each
-    leave the run to the loop.
+    Every ``select_victims`` returns ``[]`` on a deficit ≤ 1e-9, so on a
+    pool holding the whole registry (``<=``: at equality every deficit
+    is 0) no eviction fires. An exact :class:`TTLPolicy` is then the TTL
+    recurrence at its own ``ttl_s``. A policy overriding none of the
+    three phase hooks the fast paths above test lets a container go only
+    under pressure, so no policy state reaches an outcome: the
+    recurrence at ``ttl_s = inf``. An exact :class:`HistogramPolicy` is
+    replayed per arrival on its own histograms and plans, if it is fresh
+    (a used one holds histograms the kernel would not see). Tracer,
+    faults, reserved concurrency, timeline, warm-up, tenants and the
+    sanitizer (which wants every arrival) each leave the run to the loop.
     """
     kind = type(policy)
+    if kind is HistogramPolicy and not policy._histograms:
+        kernel = "hist"
+    elif kind is TTLPolicy or (
+        kind.expired_containers is KeepAlivePolicy.expired_containers
+        and kind.due_prewarms is KeepAlivePolicy.due_prewarms
+        and kind.should_retain is KeepAlivePolicy.should_retain
+    ):
+        kernel = "ttl"
+    else:
+        return None
     if (
         tracer is not None or config.fault_spec is not None or config.reserved_concurrency
         or config.track_memory_timeline or config.warmup_s > 0.0
         or config.tenant_mode != "shared" or sanitize_enabled()
-        or (kind is not TTLPolicy and (
-            kind.expired_containers is not KeepAlivePolicy.expired_containers
-            or kind.due_prewarms is not KeepAlivePolicy.due_prewarms
-            or kind.should_retain is not KeepAlivePolicy.should_retain
-        ))
     ):
         return None
     footprint = 0.0
@@ -920,7 +930,7 @@ def _kernel_ttl_s(
         footprint += function.memory_mb
     if footprint > memory_mb:
         return None
-    return policy.ttl_s if type(policy) is TTLPolicy else inf
+    return kernel
 
 
 def simulate(
@@ -941,13 +951,14 @@ def simulate(
     ``fault_spec=…``, ...); any remaining keyword arguments configure
     the *policy* and are therefore only valid with a policy name.
 
-    A run that memory pressure cannot reach (:func:`_kernel_ttl_s`) is
-    answered by the exact vectorized kernel
-    (:func:`repro.sim.columnar.run_ttl_kernel`); every other run, and
-    every run with ``engine="object"`` (the reference the differential
-    suite holds the kernel to), takes the arrival loop of
-    :meth:`KeepAliveSimulator.run`. Which one ran is reported as
-    :attr:`SimulationResult.path`.
+    A run that memory pressure cannot reach is answered by the exact
+    kernel :func:`_exact_kernel` names: the vectorized TTL kernel
+    (:func:`repro.sim.columnar.run_ttl_kernel`) or the per-arrival HIST
+    kernel (:func:`repro.sim.columnar.run_hist_kernel`). Every other
+    run, a run its kernel declines, and every run with
+    ``engine="object"`` (the reference the differential suite holds the
+    kernels to) takes the arrival loop of :meth:`KeepAliveSimulator.run`.
+    Which one ran is reported as :attr:`SimulationResult.path`.
 
     >>> from repro.traces.synth import skewed_frequency_trace
     >>> result = simulate(skewed_frequency_trace(seed=1), "GD", 4096)
@@ -964,12 +975,18 @@ def simulate(
             f"engine must be 'object' or 'columnar', got {engine!r}"
         )
     if engine == "columnar":
-        ttl_s = _kernel_ttl_s(trace, policy, memory_mb, config, tracer)
-        if ttl_s is not None:
+        kernel = _exact_kernel(trace, policy, memory_mb, config, tracer)
+        if kernel is not None:
             # Imported here: repro.sim.columnar imports this module.
-            from repro.sim.columnar import run_ttl_kernel
+            from repro.sim.columnar import run_hist_kernel, run_ttl_kernel
 
-            result = run_ttl_kernel(trace, ttl_s, float(memory_mb), policy.name)
+            if kernel == "hist":
+                result = run_hist_kernel(
+                    trace, policy, float(memory_mb), config.prewarm_effectiveness
+                )
+            else:
+                ttl_s = policy.ttl_s if type(policy) is TTLPolicy else inf
+                result = run_ttl_kernel(trace, ttl_s, float(memory_mb), policy.name)
             if result is not None:
                 return result
     return KeepAliveSimulator(

@@ -14,6 +14,9 @@ across:
   chunk-size invariance, the boundaries of its preconditions (registry
   == capacity, gap == cold time) and every disqualifier that sends the
   run back onto the arrival loop;
+* the HIST kernel: a seeded sweep over HIST's keyword arguments, prewarm
+  effectiveness and the three trace forms, a boundary pair per decline,
+  its two edge cases, and whole runs against the reference model's HIST;
 * the exact-summation primitive (``np.add.accumulate`` + scalar
   carry) the kernel's float accumulation correctness rests on;
 * a ``PYTHONHASHSEED`` subprocess pair — both engines, both seeds,
@@ -23,6 +26,7 @@ across:
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -33,6 +37,7 @@ import pytest
 from repro.bench import _metrics_payload, churn_trace, eviction_trace
 from repro.checks.sanitize import set_sanitize
 from repro.core.policies.base import available_policies, create_policy
+from repro.core.policies.histogram import HistogramPolicy
 from repro.core.policies.ttl import TTLPolicy
 from repro.faults import FaultSpec
 from repro.obs.sinks import RingBufferSink
@@ -40,9 +45,10 @@ from repro.obs.tracer import Tracer
 from repro.sim.columnar import run_ttl_kernel
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.columnar import ColumnarTrace, FunctionTable
-from repro.traces.model import Trace, TraceFunction
+from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 from repro.traces.synth import multitenant_trace, skewed_frequency_trace
+from tests.reference_model import Server
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -272,14 +278,16 @@ class TestVectorizedTTLKernel:
         assert counters["expirations"] == 0
 
 
-def loop_and_default(trace, name, memory_mb, policy_kwargs=()):
+def loop_and_default(trace, name, memory_mb, policy_kwargs=(), **config):
     """The same run through the arrival loop (``engine="object"``) and
     through the default dispatch, each with a fresh policy."""
     loop = simulate(
         trace, create_policy(name, **dict(policy_kwargs)), memory_mb,
-        engine="object",
+        engine="object", **config,
     )
-    default = simulate(trace, create_policy(name, **dict(policy_kwargs)), memory_mb)
+    default = simulate(
+        trace, create_policy(name, **dict(policy_kwargs)), memory_mb, **config
+    )
     return loop, default
 
 
@@ -288,6 +296,10 @@ def assert_same_replay(loop, default):
     assert list(default.metrics.per_function.items()) == list(
         loop.metrics.per_function.items()
     )
+    sums = ("ideal_exec_time_s", "actual_exec_time_s")
+    assert [getattr(default.metrics, s) for s in sums] == [
+        getattr(loop.metrics, s) for s in sums
+    ]
 
 
 def registry_mb(trace):
@@ -313,10 +325,11 @@ class TestEveryPolicyOnTheKernel:
         loop, default = loop_and_default(
             trace, name, 1.25 * registry_mb(trace), kwargs
         )
-        # HIST expires and prewarms, DOORKEEPER gates admission: only
-        # the loop answers them.
-        declines = name in ("HIST", "DOORKEEPER")
-        assert default.path == ("sequential" if declines else "vectorized")
+        # HIST expires and prewarms: its own kernel answers it.
+        # DOORKEEPER gates admission: only the loop does.
+        assert default.path == {"HIST": "hist-kernel", "DOORKEEPER": "sequential"}.get(
+            name, "vectorized"
+        )
         assert_same_replay(loop, default)
 
     @pytest.mark.parametrize(
@@ -359,6 +372,7 @@ class TestEveryPolicyOnTheKernel:
         # time; inside it, the second arrival needs a container of its own.
         assert loop.metrics.cold_starts == (2 if gap_s == 5.0 else 3)
 
+    @pytest.mark.parametrize("policy", ["GD", "HIST"])
     @pytest.mark.parametrize(
         "disqualifier",
         [
@@ -367,7 +381,7 @@ class TestEveryPolicyOnTheKernel:
             "sanitizer", "engine",
         ],
     )
-    def test_each_static_disqualifier_declines(self, disqualifier):
+    def test_each_static_disqualifier_declines(self, disqualifier, policy):
         trace = churn_trace(num_functions=30, seed=4)
         first = next(iter(trace.functions))
         kwargs = {
@@ -387,8 +401,184 @@ class TestEveryPolicyOnTheKernel:
             )
         elif disqualifier == "sanitizer":
             set_sanitize(True)
-        result = simulate(trace, "GD", 2 * registry_mb(trace), **kwargs)
+        result = simulate(trace, policy, 2 * registry_mb(trace), **kwargs)
         assert result.path == "sequential"
+
+
+#: HIST's keyword arguments the seeded sweep draws from: short windows
+#: push IATs out of window, low thresholds make functions unpredictable,
+#: a zero head margin files a prewarm due at once, and a short generic
+#: TTL expires most containers.
+HIST_KNOBS = {
+    "window_minutes": (3, 10, 240),
+    "cov_threshold": (0.1, 0.5, 2.0),
+    "generic_ttl_s": (30.0, 300.0, 7200.0),
+    "head_margin": (0.0, 0.5, 0.85),
+    "tail_margin": (0.5, 1.0, 1.15),
+    "min_samples": (1, 2, 5),
+    "release_threshold_s": (5.0, 60.0, 200.0),
+}
+
+
+def hist_form(form, seed):
+    """A 30-function, 3,000 s churn workload as one of the three forms."""
+    if form == "stream":
+        return StreamingChurnTrace(num_functions=30, duration_s=3000.0, seed=seed)
+    trace = churn_trace(num_functions=30, duration_s=3000.0, seed=seed)
+    return ColumnarTrace.from_trace(trace) if form == "columnar" else trace
+
+
+def edge_trace(functions, arrivals):
+    """``arrivals``: ``(time_s, index into functions)`` pairs."""
+    return Trace(
+        functions,
+        [Invocation(t, functions[i].name) for t, i in arrivals],
+        name="hist-edge",
+    )
+
+
+#: Three arrivals 120 s apart make ``f`` predictable under HIST's
+#: defaults: release after 60 s, a prewarm due 102 s after the third
+#: arrival (t = 342) and kept until 207 s after it (t = 447).
+PREDICTABLE = [(0.0, 0), (120.0, 0), (240.0, 0)]
+EDGE_FUNCTIONS = [
+    TraceFunction("f", 128.0, 0.2, 1.2),
+    TraceFunction("g", 128.0, 0.1, 0.2),
+]
+
+
+@pytest.mark.usefixtures("unsanitized")
+class TestHistKernel:
+    """An exact, fresh HIST on a pool that holds the registry: the
+    per-arrival HIST kernel answers it, equal to the loop."""
+
+    @pytest.mark.parametrize("form", ["object", "columnar", "stream"])
+    def test_seeded_sweep_equals_the_loop(self, form):
+        rng = random.Random(27)
+        taken = prewarmed = 0
+        for case in range(8):
+            knobs = {name: rng.choice(values) for name, values in HIST_KNOBS.items()}
+            trace = hist_form(form, seed=case)
+            for effectiveness in (1.0, 0.5, 0.0):
+                loop, default = loop_and_default(  # case 0: HIST's defaults
+                    trace, "HIST", registry_mb(trace), knobs if case else {},
+                    prewarm_effectiveness=effectiveness,
+                )
+                assert_same_replay(loop, default)
+                if default.path == "hist-kernel":
+                    taken += 1
+                    prewarmed += default.metrics.prewarms > 0
+        assert taken >= 18 and prewarmed >= 9  # of 24 runs
+
+    @pytest.mark.parametrize(
+        "gap_s, path", [(5.0, "hist-kernel"), (4.5, "sequential")],
+        ids=["idle-at-next-arrival", "busy-at-next-arrival"],
+    )
+    def test_gap_against_run_end(self, gap_s, path):
+        trace = edge_trace(
+            [TraceFunction("f", 128.0, 1.0, 5.0)], [(0.0, 0), (gap_s, 0)]
+        )
+        loop, default = loop_and_default(trace, "HIST", 128.0)
+        assert default.path == path
+        assert_same_replay(loop, default)
+        # Inside, the second arrival would need a second container: the
+        # pool holds one, so the loop drops it.
+        assert loop.metrics.warm_starts == (1 if gap_s == 5.0 else 0)
+
+    @pytest.mark.parametrize(
+        "keep_s, path", [(5.0, "hist-kernel"), (4.5, "sequential")],
+        ids=["deadline-at-run-end", "deadline-before-run-end"],
+    )
+    def test_keep_alive_against_run_end(self, keep_s, path):
+        trace = edge_trace(
+            [TraceFunction("f", 128.0, 1.0, 5.0)], [(0.0, 0), (100.0, 0)]
+        )
+        loop, default = loop_and_default(
+            trace, "HIST", 128.0, {"generic_ttl_s": keep_s}
+        )
+        assert default.path == path
+        assert_same_replay(loop, default)
+        assert loop.metrics.expirations == 1
+
+    @pytest.mark.parametrize(
+        "other_s, path, prewarms",
+        [(170.0, "hist-kernel", 0), (169.5, "sequential", 1), (220.0, "hist-kernel", 1)],
+        ids=["prewarm-due-after-run-end", "prewarm-due-while-busy", "at-the-deadline"],
+    )
+    def test_prewarm_against_run_end(self, other_s, path, prewarms):
+        """``f``'s second run (t = 120, 50 s warm) plans a release at 220
+        and a prewarm due at 150, and ``g`` arrives after it fell due: at
+        the end of that run the idle container skips the prewarm; inside
+        it the loop brings up a second container for ``f``; at the
+        release deadline the container has expired and the prewarm
+        replaces it."""
+        functions = [
+            TraceFunction("f", 128.0, 50.0, 60.0),
+            TraceFunction("g", 128.0, 0.1, 0.2),
+        ]
+        trace = edge_trace(
+            functions, [(0.0, 0), (120.0, 0), (other_s, 1), (300.0, 0)]
+        )
+        loop, default = loop_and_default(
+            trace, "HIST", 256.0,
+            {"min_samples": 1, "release_threshold_s": 100.0, "head_margin": 0.25},
+        )
+        assert default.path == path
+        assert_same_replay(loop, default)
+        assert loop.metrics.prewarms == prewarms
+
+    def test_fresh_exact_policy_against_used_or_subclassed(self):
+        class TunedHIST(HistogramPolicy):
+            pass
+
+        trace = churn_trace(num_functions=20, seed=4)
+        memory_mb = registry_mb(trace)
+        policy = create_policy("HIST")
+        assert simulate(trace, policy, memory_mb).path == "hist-kernel"
+        # The kernel left it fresh; the loop leaves it holding histograms.
+        assert simulate(trace, policy, memory_mb).path == "hist-kernel"
+        simulate(trace, policy, memory_mb, engine="object")
+        assert simulate(trace, policy, memory_mb).path == "sequential"
+        assert simulate(trace, TunedHIST(), memory_mb).path == "sequential"
+
+    @pytest.mark.parametrize("effectiveness", [1.0, 0.5])
+    def test_prewarm_at_its_own_arrival_is_warm_past_its_deadline(
+        self, effectiveness
+    ):
+        """The prewarm due at 342 comes up at ``f``'s own arrival at 500,
+        after the expiry phase: kept until 447, it still serves warm."""
+        trace = edge_trace(EDGE_FUNCTIONS, PREDICTABLE + [(500.0, 0)])
+        loop, default = loop_and_default(
+            trace, "HIST", 256.0, prewarm_effectiveness=effectiveness
+        )
+        assert default.path == "hist-kernel"
+        assert_same_replay(loop, default)
+        metrics = loop.metrics
+        assert (metrics.warm_starts, metrics.prewarms, metrics.expirations) == (3, 1, 1)
+
+    def test_prewarm_at_the_last_arrival_is_not_expired(self):
+        """``g``'s arrival at 500 ends the trace: the prewarm it brings up
+        is past its 447 s deadline, but no later expiry phase runs."""
+        trace = edge_trace(EDGE_FUNCTIONS, PREDICTABLE + [(500.0, 1)])
+        loop, default = loop_and_default(trace, "HIST", 256.0)
+        assert default.path == "hist-kernel"
+        assert_same_replay(loop, default)
+        assert (loop.metrics.prewarms, loop.metrics.expirations) == (1, 1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_whole_runs_follow_the_specification(self, seed):
+        """The kernel against the reference model's HIST, whose plan is
+        computed from the raw arrival list on every call."""
+        trace = churn_trace(num_functions=40, duration_s=4800.0, seed=seed)
+        memory_mb = registry_mb(trace)
+        result = simulate(trace, "HIST", memory_mb)
+        assert result.path == "hist-kernel"
+        model = Server(dict(trace.functions), "HIST", memory_mb)
+        for now_s, function in trace.arrivals():
+            model.admit(function, now_s)
+        model.finish()
+        assert result.metrics.counters() == model.counters
+        assert model.counters["prewarms"] and model.counters["expirations"]
 
 
 class TestExactSummation:

@@ -5,11 +5,11 @@ one performance number that repeats exactly: function calls, Python
 and builtin alike, made inside one ``simulate()``. This suite counts
 them the same way — ``sys.setprofile``, no clock anywhere — over two
 small GD replays (the warm one on the arrival loop and on the
-vectorized kernel), a HIST one, a streamed kernel replay and a
-pipelined live request stream, and holds them to what the code pays
-today, so a
-refactor that puts a frame or a builtin back on every arrival fails
-here instead of showing up as a few percent of noise in a timing run.
+vectorized kernel), a HIST one (on the loop and on the HIST kernel), a
+streamed kernel replay and a pipelined live request stream, and holds
+them to what the code pays today, so a refactor that puts a frame or a
+builtin back on every arrival fails here instead of showing up as a
+few percent of noise in a timing run.
 
 The budgets are the counts measured on CPython 3.11 (3.12 inlines
 comprehensions and counts fewer). Lowering one after a real cut is
@@ -54,9 +54,17 @@ WARM_CALLS = 14_217
 KERNEL_WARM_CALLS = 379
 #: HIST on the warm replay's trace, with a histogram sample, a plan and
 #: an expiry deadline on every arrival: 50.68 calls each (36,036) before
-#: the cuts above, 45.68 (32,481) after, plus 2 for the eligibility
-#: test, which declines on HIST's overridden hooks (32,483).
-HIST_CALLS = 32_483
+#: the cuts above, 45.68 (32,481) after, on the arrival loop
+#: (``engine="object"``; the kernels' eligibility test, 2 calls, is not
+#: asked there).
+HIST_CALLS = 32_481
+#: The same HIST replay through the default ``simulate()``, which the
+#: HIST kernel answers: 13.58 calls per arrival (9,653) — the histogram
+#: sample (``record_arrival``, two ``round``, ``Welford.update``) and
+#: the plan (``_plan``, ``is_predictable``, the CoV, ``head_s``,
+#: ``tail_s``, ``max``) are HIST's own code; the kernel adds the
+#: arrivals generator, a dict lookup and a heap push or pop per prewarm.
+HIST_KERNEL_CALLS = 9_653
 #: The whole live request path, ``_Connection.data_received`` down, over
 #: the warm replay's trace as pipelined ``/admit`` requests on a pool of
 #: 0.8 x the working set: 74.49 calls per request (52,961) to frame,
@@ -185,7 +193,9 @@ def test_warm_kernel_call_budget(unsanitized):
 
 def test_hist_replay_call_budget(unsanitized):
     trace = churn_trace()
-    calls, metrics = count_calls(trace, 1.25 * 60 * CONTAINER_MB, "HIST")
+    calls, metrics = count_calls(
+        trace, 1.25 * 60 * CONTAINER_MB, "HIST", engine="object"
+    )
     # The replay is the one the budget was set on: HIST releases and
     # pre-warms where GD, above, only ever kept warm.
     assert metrics.evictions == 0 and metrics.dropped == 0
@@ -193,6 +203,18 @@ def test_hist_replay_call_budget(unsanitized):
     assert calls <= HIST_CALLS, (
         f"{calls / 711:.2f} calls per arrival on the HIST replay, "
         f"budget {HIST_CALLS / 711:.2f}"
+    )
+
+
+def test_hist_kernel_call_budget(unsanitized):
+    trace = churn_trace()
+    calls, result = counted(simulate, trace, "HIST", 1.25 * 60 * CONTAINER_MB)
+    # The HIST replay above, answered by the HIST kernel.
+    assert result.path == "hist-kernel"
+    assert (result.metrics.expirations, result.metrics.prewarms) == (79, 59)
+    assert calls <= HIST_KERNEL_CALLS, (
+        f"{calls / 711:.2f} calls per arrival on the HIST kernel replay, "
+        f"budget {HIST_KERNEL_CALLS / 711:.2f}"
     )
 
 
