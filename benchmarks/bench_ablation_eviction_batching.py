@@ -52,20 +52,20 @@ def run_ablation():
             InvokerConfig(**BASE, **overrides), policy="GD"
         )
         result = invoker.run(trace)
-        results[name] = (result, invoker.pool)
+        results[name] = (result, invoker)
     return results
 
 
 def test_ablation_eviction_batching(benchmark):
     results = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
     rows = []
-    for name, (result, pool) in results.items():
+    for name, (result, invoker) in results.items():
         rows.append(
             [
                 name,
                 result.cold_starts,
-                pool.eviction_events,
-                pool.background_evictions,
+                invoker.eviction_events,
+                invoker.background_evictions,
                 result.mean_latency_s(),
             ]
         )

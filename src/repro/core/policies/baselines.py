@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 
 from repro.core.container import Container
-from repro.core.policies.base import KeepAlivePolicy, register_policy
+from repro.core.policies.base import KeepAlivePolicy, PrewarmRequest, register_policy
+from repro.core.pool import ContainerPool
 
 __all__ = ["FIFOPolicy", "RandomPolicy"]
 
@@ -33,20 +34,34 @@ class FIFOPolicy(KeepAlivePolicy):
 class RandomPolicy(KeepAlivePolicy):
     """Evict a uniformly random idle container.
 
-    Deterministic for a given seed: the priority of a container is a
-    stable pseudo-random number derived from its id, so repeated runs
-    of the same trace produce identical evictions.
+    Deterministic for a given seed: each container draws its priority
+    once, when it is created, from the policy's own seeded stream
+    (restarted by :meth:`reset`), so repeated runs of the same trace
+    produce identical evictions, whatever ran before them.
     """
 
-    # The pseudo-random priority is constant per container, so the
-    # lazy victim index applies.
+    # The drawn priority is constant per container, so the lazy victim
+    # index applies.
     monotone_priority = True
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__()
         self._seed = seed
+        self._rng = random.Random(seed)
+
+    def on_cold_start(
+        self, container: Container, now_s: float, pool: ContainerPool
+    ) -> None:
+        container.priority = self._rng.random()
+
+    def on_prewarm(
+        self, container: Container, request: PrewarmRequest, pool: ContainerPool
+    ) -> None:
+        container.priority = self._rng.random()
 
     def priority(self, container: Container, now_s: float) -> float:
-        return random.Random(
-            (self._seed << 32) ^ container.container_id
-        ).random()
+        return container.priority
+
+    def reset(self) -> None:
+        super().reset()
+        self._rng = random.Random(self._seed)

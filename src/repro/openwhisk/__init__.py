@@ -5,9 +5,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.openwhisk.containerpool import (
-        DEFAULT_FREE_THRESHOLD_MB, InvokerContainerPool, OnlineGreedyDualPolicy,
-    )
+    from repro.openwhisk.containerpool import DEFAULT_FREE_THRESHOLD_MB, OnlineGreedyDualPolicy
     from repro.openwhisk.invoker import (
         InvokerConfig, InvokerResult, RequestRecord, SimulatedInvoker,
     )
@@ -17,14 +15,14 @@ if TYPE_CHECKING:
     )
 
 __all__ = [
-    "DEFAULT_FREE_THRESHOLD_MB", "InvokerContainerPool", "OnlineGreedyDualPolicy",
+    "DEFAULT_FREE_THRESHOLD_MB", "OnlineGreedyDualPolicy",
     "InvokerConfig", "InvokerResult", "RequestRecord", "SimulatedInvoker",
     "ColdStartModel", "PhaseBreakdown",
     "LoadTestComparison", "compare_keepalive_systems", "faascache_invoker", "openwhisk_invoker",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "containerpool": "DEFAULT_FREE_THRESHOLD_MB InvokerContainerPool OnlineGreedyDualPolicy",
+    "containerpool": "DEFAULT_FREE_THRESHOLD_MB OnlineGreedyDualPolicy",
     "invoker": "InvokerConfig InvokerResult RequestRecord SimulatedInvoker",
     "latency": "ColdStartModel PhaseBreakdown",
     "loadgen": "LoadTestComparison compare_keepalive_systems faascache_invoker openwhisk_invoker",

@@ -63,10 +63,8 @@ def faascache_invoker(
         policy=OnlineGreedyDualPolicy(stats),
         cold_start_model=cold_start_model,
     )
-    # The policy and the pool must share one stats table so learned
-    # costs feed the priorities.
+    # The policy prices from the table the invoker's completions feed.
     invoker.stats = stats
-    invoker.pool.stats = stats
     return invoker
 
 

@@ -77,8 +77,8 @@ class DeflationEngine:
         victims: Sequence[Container],
     ) -> DeflationReport:
         """Price one actuation of the capacity seam
-        (:meth:`KeepAliveSimulator.set_capacity`,
-        :meth:`InvokerContainerPool.resize`): the pool went from
+        (:meth:`KeepAliveSimulator.set_capacity`, the one resize of the
+        trace simulator and the §7 invoker alike): the pool went from
         ``old_mb`` to ``achieved_mb`` — above ``requested_mb`` while
         busy containers defer the rest of a shrink — by evicting
         ``victims``. Inflation is instantaneous (memory hot-plug is

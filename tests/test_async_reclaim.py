@@ -2,94 +2,92 @@
 
 import pytest
 
-from repro.core.function import FunctionStatsTable
-from repro.openwhisk.containerpool import (
-    InvokerContainerPool,
-    OnlineGreedyDualPolicy,
-)
 from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker
-from repro.traces.model import Invocation, Trace
+from repro.openwhisk.loadgen import faascache_invoker
+from repro.traces.model import Trace
 from repro.traces.synth import cyclic_trace
 from tests.conftest import make_function
 
 
-def make_pool(capacity, threshold, async_reclaim=True, **kwargs):
-    stats = FunctionStatsTable()
-    return InvokerContainerPool(
-        capacity,
-        OnlineGreedyDualPolicy(stats),
-        free_threshold_mb=threshold,
-        stats=stats,
-        async_reclaim=async_reclaim,
-        **kwargs,
+FUNCTIONS = [make_function(f"f{i}", memory_mb=100.0) for i in range(5)]
+
+
+def make_invoker(capacity, threshold, async_reclaim=True, **kwargs):
+    """A FaasCache invoker whose engine is built over ``FUNCTIONS``
+    (a run with no arrivals), for the tests to drive by hand."""
+    invoker = faascache_invoker(
+        InvokerConfig(
+            memory_mb=capacity, free_threshold_mb=threshold,
+            async_reclaim=async_reclaim, **kwargs,
+        )
     )
+    invoker.run(Trace(FUNCTIONS, []))
+    return invoker
 
 
-def fill_with_idle(pool, count, size_mb=100.0, base_time=0.0):
-    containers = []
+def fill_with_idle(invoker, count):
+    """``count`` cold starts through the engine's own arrival path, all
+    released by t = count + 3 (3 s cold starts, 1 s apart)."""
+    sim = invoker.simulator
     for i in range(count):
-        f = make_function(f"f{i}", memory_mb=size_mb)
-        pool.record_arrival(f, base_time + i)
-        c, kind = pool.acquire(f, base_time + i)
-        assert kind == "miss"
-        c.start_invocation(base_time + i, 0.5)
-        pool.notify_start(c, kind, base_time + i)
-        pool.release(c, base_time + i + 0.5, kind, 0.5)
-        containers.append(c)
-    return containers
+        assert sim.process_invocation(FUNCTIONS[i], float(i)) == "cold"
+    sim.housekeeping(float(count + 3))
+    return sim
 
 
 class TestMaintain:
     def test_reclaims_to_threshold(self):
-        pool = make_pool(capacity=500.0, threshold=200.0)
-        fill_with_idle(pool, 5)
-        assert pool.pool.free_mb == pytest.approx(0.0)
-        reclaimed = pool.maintain(10.0)
-        assert reclaimed == 2
-        assert pool.pool.free_mb >= 200.0
-        assert pool.background_evictions == 2
+        invoker = make_invoker(capacity=500.0, threshold=200.0)
+        sim = fill_with_idle(invoker, 5)
+        assert sim.pool.free_mb == pytest.approx(0.0)
+        invoker.reclaim(10.0)
+        assert sim.pool.free_mb >= 200.0
+        assert invoker.background_evictions == 2
+        assert sim.metrics.evictions == 2  # on the engine's books
 
     def test_noop_without_async_flag(self):
-        pool = make_pool(capacity=500.0, threshold=200.0, async_reclaim=False)
-        fill_with_idle(pool, 4)
-        free_before = pool.pool.free_mb
-        assert pool.maintain(10.0) == 0
-        assert pool.pool.free_mb == pytest.approx(free_before)
-        assert pool.background_evictions == 0
+        invoker = make_invoker(capacity=500.0, threshold=200.0, async_reclaim=False)
+        sim = fill_with_idle(invoker, 4)
+        free_before = sim.pool.free_mb
+        invoker.reclaim(10.0)
+        assert sim.pool.free_mb == pytest.approx(free_before)
+        assert invoker.background_evictions == 0
 
     def test_noop_without_threshold(self):
-        pool = make_pool(capacity=500.0, threshold=0.0)
-        fill_with_idle(pool, 5)
-        assert pool.maintain(10.0) == 0
+        # Background reclaim toward a zero threshold would never run.
+        with pytest.raises(ValueError, match="free threshold"):
+            InvokerConfig(memory_mb=500.0, free_threshold_mb=0.0, async_reclaim=True)
 
     def test_background_evictions_charge_no_latency(self):
-        pool = make_pool(
+        invoker = make_invoker(
             capacity=500.0,
             threshold=200.0,
             eviction_event_latency_s=1.0,
             eviction_per_container_s=1.0,
         )
-        fill_with_idle(pool, 5)
-        pool.maintain(10.0)
-        assert pool.take_eviction_latency() == 0.0
+        fill_with_idle(invoker, 5)
+        invoker.reclaim(10.0)
+        # The next cold start finds its room free: no stall to pay.
+        g = make_function("g", memory_mb=100.0)
+        assert invoker._make_room(g, 10.0) == 0.0
+        assert invoker.eviction_events == 0
 
     def test_running_containers_not_reclaimed(self):
-        pool = make_pool(capacity=300.0, threshold=300.0)
-        containers = fill_with_idle(pool, 3)
-        for c in containers:
-            c.start_invocation(20.0, 100.0)
-        assert pool.maintain(21.0) == 0
+        invoker = make_invoker(capacity=300.0, threshold=300.0)
+        sim = fill_with_idle(invoker, 3)
+        for function in FUNCTIONS[:3]:  # warm starts, busy until 21 s
+            assert sim.process_invocation(function, 20.0) == "warm"
+        invoker.reclaim(20.5)
+        assert invoker.background_evictions == 0
 
     def test_sync_eviction_skips_batching_under_async(self):
-        pool = make_pool(capacity=300.0, threshold=300.0)
-        fill_with_idle(pool, 3)
+        invoker = make_invoker(capacity=300.0, threshold=300.0)
+        sim = fill_with_idle(invoker, 3)
         # A synchronous miss needing 100 MB should evict exactly one
         # container (no batch-to-threshold on the fast path).
         g = make_function("g", memory_mb=100.0)
-        pool.record_arrival(g, 50.0)
-        c, kind = pool.acquire(g, 50.0)
-        assert kind == "miss"
-        assert pool.evictions == 1
+        assert invoker._make_room(g, 50.0) is not None
+        assert sim.metrics.evictions == 1
 
 
 class TestInvokerIntegration:
@@ -131,4 +129,4 @@ class TestInvokerIntegration:
             policy="GD",
         )
         invoker.run(trace)
-        assert invoker.pool.background_evictions > 0
+        assert invoker.background_evictions > 0

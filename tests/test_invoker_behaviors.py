@@ -124,7 +124,7 @@ class TestFeatureInteractions:
         )
         result = invoker.run(trace)
         assert result.served + result.dropped == len(trace)
-        assert invoker.pool.background_evictions > 0
+        assert invoker.background_evictions > 0
 
 
 class TestLatencyComposition:

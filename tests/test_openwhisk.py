@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.bench import churn_trace
+from repro.checks.sanitize import check_counter_equality
 from repro.core.function import FunctionStatsTable
-from repro.openwhisk.containerpool import (
-    InvokerContainerPool,
-    OnlineGreedyDualPolicy,
-)
+from repro.core.policies import available_policies, create_policy
+from repro.openwhisk.containerpool import OnlineGreedyDualPolicy
 from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker
 from repro.openwhisk.latency import ColdStartModel
 from repro.openwhisk.loadgen import (
@@ -14,8 +14,13 @@ from repro.openwhisk.loadgen import (
     faascache_invoker,
     openwhisk_invoker,
 )
+from repro.obs.report import ReportSink
+from repro.obs.tracer import Tracer
+from repro.sim.scheduler import simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
-from repro.traces.synth import cyclic_trace, figure8_trace
+from repro.traces.synth import (
+    cyclic_trace, figure8_trace, multitenant_trace, skewed_size_trace,
+)
 from tests.conftest import make_function
 
 
@@ -52,107 +57,88 @@ class TestColdStartModel:
         assert model.launch_duration_s(f) < model.cold_duration_s(f)
 
 
+#: A platform that adds nothing to the engine's durations.
+ZERO = ColdStartModel(0.0, 0.0, 0.0)
+
+
+def run_invoker(functions, arrivals, policy="GD", **config):
+    """Run ``arrivals`` ((time, name) pairs) through an invoker over the
+    zero-overhead platform; FaasCache's online GD by default."""
+    config = InvokerConfig(**{
+        "memory_mb": 1000.0, "eviction_event_latency_s": 0.0,
+        "eviction_per_container_s": 0.0, **config,
+    })
+    if policy == "GD":
+        invoker = faascache_invoker(config, ZERO)
+    else:
+        invoker = SimulatedInvoker(config, policy, cold_start_model=ZERO)
+    trace = Trace(functions, [Invocation(t, name) for t, name in arrivals])
+    return invoker.run(trace), invoker
+
+
 class TestInvokerContainerPool:
-    def make_pool(self, capacity=1000.0, threshold=0.0, **kwargs):
-        stats = FunctionStatsTable()
-        policy = OnlineGreedyDualPolicy(stats)
-        return InvokerContainerPool(
-            capacity, policy, free_threshold_mb=threshold, stats=stats, **kwargs
-        )
+    """The pool behaviour the §7 invoker asks of the keep-alive engine."""
 
     def test_miss_then_hit(self):
-        pool = self.make_pool()
         f = make_function("A", memory_mb=100.0)
-        pool.record_arrival(f, 0.0)
-        container, kind = pool.acquire(f, 0.0)
-        assert kind == "miss"
-        container.start_invocation(0.0, 1.0)
-        pool.notify_start(container, kind, 0.0)
-        pool.release(container, 1.0, kind, 1.0)
-        pool.record_arrival(f, 2.0)
-        again, kind2 = pool.acquire(f, 2.0)
-        assert kind2 == "hit"
-        assert again is container
+        result, invoker = run_invoker([f], [(0.0, "A"), (5.0, "A")])
+        assert [r.outcome for r in result.records] == ["miss", "hit"]
+        assert len(invoker.simulator.pool.containers_of("A")) == 1
 
     def test_queued_start_scores_with_the_cost_learned_meanwhile(self):
         """A request announced, queued, and started after a completion
         moved the learned cost is scored with the cost at its start,
         not the value term of its announcement."""
-        pool = self.make_pool(capacity=100.0)
-        f = make_function("A", memory_mb=100.0)
-        pool.record_arrival(f, 0.0)
-        first, kind = pool.acquire(f, 0.0)
-        first.start_invocation(0.0, 4.0)
-        pool.notify_start(first, kind, 0.0)
-        assert first.priority == 0.0  # nothing observed yet: cost 0
-        pool.record_arrival(f, 1.0)
-        assert pool.acquire(f, 1.0) == (None, "full")  # queued
-        pool.release(first, 4.0, kind, 4.0)  # learns cold time 4 s
-        again, kind2 = pool.acquire(f, 4.0)  # the queued request
-        assert again is first and kind2 == "hit"
-        again.start_invocation(4.0, 1.0)
-        pool.notify_start(again, kind2, 4.0)
+        f = make_function("A", memory_mb=100.0, warm_time_s=1.0, cold_time_s=4.0)
+        result, invoker = run_invoker(
+            [f], [(0.0, "A"), (1.0, "A")], memory_mb=100.0, request_timeout_s=100.0
+        )
+        # Queued at 1 s (the pool is full and busy), started warm at 4 s
+        # once the completion taught the policy the 4 s cold time.
+        assert [(r.outcome, r.start_s) for r in result.records] == [
+            ("miss", 0.0), ("hit", 4.0)
+        ]
+        (again,) = invoker.simulator.pool.containers_of("A")
         assert again.priority == again.clock_stamp + 2 * 4.0 / 100.0
 
     def test_full_when_everything_running(self):
-        pool = self.make_pool(capacity=100.0)
-        f = make_function("A", memory_mb=100.0)
-        pool.record_arrival(f, 0.0)
-        c, __ = pool.acquire(f, 0.0)
-        c.start_invocation(0.0, 100.0)
-        pool.record_arrival(f, 1.0)
-        c2, kind = pool.acquire(f, 1.0)
-        assert c2 is None and kind == "full"
+        f = make_function("A", memory_mb=100.0, cold_time_s=100.0)
+        result, __ = run_invoker(
+            [f], [(0.0, "A"), (1.0, "A")], memory_mb=100.0, queue_capacity=0
+        )
+        assert [r.outcome for r in result.records] == ["miss", "dropped"]
+        assert result.metrics.dropped == 1 and result.metrics.evictions == 0
 
     def test_eviction_frees_room(self):
-        pool = self.make_pool(capacity=100.0)
         a = make_function("A", memory_mb=100.0)
         b = make_function("B", memory_mb=100.0)
-        pool.record_arrival(a, 0.0)
-        ca, __ = pool.acquire(a, 0.0)
-        ca.start_invocation(0.0, 1.0)
-        pool.notify_start(ca, "miss", 0.0)
-        pool.release(ca, 1.0, "miss", 1.0)
-        pool.record_arrival(b, 2.0)
-        cb, kind = pool.acquire(b, 2.0)
-        assert kind == "miss"
-        assert pool.evictions == 1
+        result, __ = run_invoker([a, b], [(0.0, "A"), (5.0, "B")], memory_mb=100.0)
+        assert result.records[1].outcome == "miss"
+        assert result.metrics.evictions == 1
 
     def test_batched_eviction_reaches_threshold(self):
-        pool = self.make_pool(capacity=400.0, threshold=300.0)
-        functions = [
-            make_function(f"f{i}", memory_mb=100.0) for i in range(4)
-        ]
-        for i, f in enumerate(functions):
-            pool.record_arrival(f, float(i))
-            c, __ = pool.acquire(f, float(i))
-            c.start_invocation(float(i), 0.5)
-            pool.notify_start(c, "miss", float(i))
-            pool.release(c, float(i) + 0.5, "miss", 0.5)
-        # Pool full of 4 idle containers; a new 100 MB miss triggers a
-        # batch that frees up to the 300 MB threshold.
+        functions = [make_function(f"f{i}", memory_mb=100.0) for i in range(4)]
         g = make_function("g", memory_mb=100.0)
-        pool.record_arrival(g, 10.0)
-        c, kind = pool.acquire(g, 10.0)
-        assert kind == "miss"
-        assert pool.pool.free_mb >= 200.0  # 300 threshold minus g itself
+        arrivals = [(float(i), f"f{i}") for i in range(4)] + [(10.0, "g")]
+        # Pool full of 4 idle containers; the 100 MB miss triggers a
+        # batch that frees up to the 300 MB threshold.
+        result, invoker = run_invoker(
+            functions + [g], arrivals, memory_mb=400.0, free_threshold_mb=300.0
+        )
+        assert result.records[-1].outcome == "miss"
+        assert invoker.simulator.pool.free_mb >= 200.0  # 300 threshold minus g itself
+        assert result.metrics.evictions == 3 and invoker.eviction_events == 1
 
     def test_eviction_latency_charged_once(self):
-        pool = self.make_pool(
-            capacity=100.0,
-            eviction_event_latency_s=0.5,
-            eviction_per_container_s=0.25,
+        a = make_function("A", memory_mb=100.0, warm_time_s=0.25, cold_time_s=0.5)
+        b = make_function("B", memory_mb=100.0, warm_time_s=0.25, cold_time_s=0.5)
+        result, __ = run_invoker(
+            [a, b], [(0.0, "A"), (1.0, "B"), (5.0, "B")], memory_mb=100.0,
+            eviction_event_latency_s=0.5, eviction_per_container_s=0.25,
         )
-        a = make_function("A", memory_mb=100.0)
-        b = make_function("B", memory_mb=100.0)
-        pool.record_arrival(a, 0.0)
-        ca, __ = pool.acquire(a, 0.0)
-        ca.start_invocation(0.0, 0.5)
-        pool.release(ca, 0.5, "miss", 0.5)
-        pool.record_arrival(b, 1.0)
-        pool.acquire(b, 1.0)
-        assert pool.take_eviction_latency() == pytest.approx(0.75)
-        assert pool.take_eviction_latency() == 0.0  # consumed
+        # B's cold start evicted A: one round plus one removal, 0.75 s;
+        # its next (warm) start owes nothing.
+        assert [r.service_s for r in result.records] == [0.5, 0.5 + 0.75, 0.25]
 
     def test_online_gd_uses_learned_cost(self):
         stats = FunctionStatsTable()
@@ -169,15 +155,108 @@ class TestInvokerContainerPool:
     def test_expire_delegates_to_policy(self):
         from repro.core.policies.ttl import TTLPolicy
 
-        pool = InvokerContainerPool(1000.0, TTLPolicy(ttl_s=10.0))
         f = make_function("A", memory_mb=100.0)
-        pool.record_arrival(f, 0.0)
-        c, __ = pool.acquire(f, 0.0)
-        c.start_invocation(0.0, 1.0)
-        pool.release(c, 1.0, "miss", 1.0)
-        assert pool.expire(5.0) == 0
-        assert pool.expire(12.0) == 1
-        assert pool.expirations == 1
+        # Expiry 10 s after each finish: the 5 s gap is warm, the 24 s
+        # gap is not.
+        result, __ = run_invoker(
+            [f], [(0.0, "A"), (5.0, "A"), (30.0, "A")], policy=TTLPolicy(ttl_s=10.0)
+        )
+        assert [r.outcome for r in result.records] == ["miss", "hit", "miss"]
+        assert result.metrics.expirations == 1
+
+
+def _footprint_mb(trace):
+    return sum(f.memory_mb for f in trace.functions.values())
+
+
+def _tie_trace():
+    """Each second arrival lands exactly on its function's completion
+    (a 3 s cold start at 0 s, and at 0.5 s)."""
+    functions = [make_function(name, memory_mb=100.0) for name in "AB"]
+    arrivals = [(0.0, "A"), (0.5, "B"), (3.0, "A"), (3.5, "B")]
+    return Trace(functions, [Invocation(t, name) for t, name in arrivals], name="tie")
+
+
+#: name -> (trace, pool MB as a multiple of the registry's footprint).
+DIFFERENTIAL = {
+    "churn-0.4x": (lambda: churn_trace(120, 7200.0, seed=3), 0.4),
+    "churn-2x": (lambda: churn_trace(120, 7200.0, seed=3), 2.0),
+    "multitenant": (lambda: multitenant_trace(duration_s=900.0), 0.4),
+    "skewed-size": (lambda: skewed_size_trace(duration_s=1200.0), 0.4),
+    "tie": (_tie_trace, 1.0),
+}
+
+
+@pytest.fixture(scope="module")
+def differential_traces():
+    return {name: (build(), scale) for name, (build, scale) in DIFFERENTIAL.items()}
+
+
+class TestTheInvokerIsTheEngine:
+    """With every platform mechanism switched off — cores and launch
+    slots for every request, no buffer, no phase latency, no eviction
+    stall, no batching — the invoker is the keep-alive engine: the same
+    outcomes, per function, and the same counters as the arrival loop."""
+
+    @pytest.mark.parametrize("workload", sorted(DIFFERENTIAL))
+    @pytest.mark.parametrize("name", available_policies())
+    def test_degenerate_invoker_equals_the_arrival_loop(
+        self, differential_traces, workload, name
+    ):
+        trace, scale = differential_traces[workload]
+        memory_mb = scale * _footprint_mb(trace)
+
+        def policy():  # the oracles read their future from the trace
+            return create_policy(name, **({"trace": trace} if name.startswith("ORACLE") else {}))
+
+        config = InvokerConfig(
+            memory_mb=memory_mb, cpu_cores=len(trace), max_concurrent_launches=len(trace),
+            queue_capacity=0, eviction_event_latency_s=0.0, eviction_per_container_s=0.0,
+        )
+        got = SimulatedInvoker(config, policy(), cold_start_model=ZERO).run(trace)
+        want = simulate(trace, policy(), memory_mb, engine="object").metrics
+        assert got.metrics.counters() == want.counters()
+        assert got.metrics.per_function == want.per_function
+        assert (got.warm_starts, got.cold_starts, got.dropped) == (
+            want.warm_starts, want.cold_starts, want.dropped
+        )
+
+    def test_an_arrival_on_a_completion_finds_the_container_released(self, differential_traces):
+        trace, __ = differential_traces["tie"]
+        config = InvokerConfig(memory_mb=200.0, queue_capacity=0)
+        result = SimulatedInvoker(config, "LRU", cold_start_model=ZERO).run(trace)
+        assert [r.outcome for r in result.records] == ["miss", "miss", "hit", "hit"]
+
+    def test_simultaneous_completions_free_together(self):
+        """Two invocations finishing at one instant are both released
+        before the buffer is served, so the oldest buffered request
+        gets the memory they free together."""
+        a, b = make_function("A", memory_mb=100.0), make_function("B", memory_mb=100.0)
+        big = make_function("C", memory_mb=200.0)
+        arrivals = [(0.0, "A"), (0.0, "B"), (1.0, "C"), (2.0, "A")]
+        result, __ = run_invoker(
+            [a, b, big], arrivals, policy="LRU", memory_mb=200.0, request_timeout_s=100.0
+        )
+        # At 3 s: C (buffered first) evicts both; A's request waits on C.
+        assert [(r.outcome, r.start_s) for r in result.records] == [
+            ("miss", 0.0), ("miss", 0.0), ("miss", 3.0), ("miss", 6.0)
+        ]
+
+    def test_traced_run_passes_the_trace_report_check(self):
+        sink = ReportSink()
+        trace = multitenant_trace(duration_s=900.0)
+        invoker = faascache_invoker(
+            InvokerConfig(memory_mb=4096.0, cpu_cores=8), free_threshold_mb=256.0
+        )
+        invoker.tracer = Tracer(sink)
+        result = invoker.run(trace)
+        # What ``trace-report --check`` runs.
+        check_counter_equality(sink.report, result.metrics.counters())
+        outcomes = [r.outcome for r in result.records]
+        assert (result.warm_starts, result.cold_starts, result.dropped) == (
+            outcomes.count("hit"), outcomes.count("miss"), outcomes.count("dropped")
+        )
+        assert result.metrics.evictions > 0 and result.dropped > 0
 
 
 class TestSimulatedInvoker:
@@ -280,7 +359,7 @@ class TestLoadgen:
     def test_faascache_invoker_uses_online_gd(self):
         invoker = faascache_invoker(InvokerConfig(memory_mb=1024.0))
         assert isinstance(invoker.policy, OnlineGreedyDualPolicy)
-        assert invoker.pool.stats is invoker.stats
+        assert invoker.policy._stats is invoker.stats
 
     def test_comparison_on_cyclic_workload(self):
         trace = cyclic_trace(num_functions=12, cycle_gap_s=2.0, num_cycles=60)

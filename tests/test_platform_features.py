@@ -25,7 +25,8 @@ class TestStemCells:
             InvokerConfig(memory_mb=4096.0, stem_cell_count=4, stem_cell_mb=256.0),
             policy="GD",
         )
-        assert invoker.pool.pool.capacity_mb == pytest.approx(3072.0)
+        invoker.run(Trace([make_function("A")], []))
+        assert invoker.simulator.pool.capacity_mb == pytest.approx(3072.0)
 
     def test_stem_skips_docker_phase(self):
         f = make_function("A", memory_mb=100.0, warm_time_s=1.0, cold_time_s=3.0)

@@ -95,10 +95,6 @@ class TestPolicyContract:
         assert sim.pool.used_mb <= sim.pool.capacity_mb + 1e-9
 
     def test_reset_allows_reuse(self, name, battery_trace):
-        if name == "RAND":
-            # RAND's priorities hash the globally unique container ids,
-            # so two runs see different coin flips by construction.
-            pytest.skip("RAND is only deterministic for identical ids")
         policy = build_policy(name, battery_trace)
         first = KeepAliveSimulator(battery_trace, policy, 700.0).run().metrics
         policy.reset()

@@ -271,19 +271,19 @@ class TestBaselines:
         victims = policy.select_victims(pool, 200.0, 60.0)
         assert victims == [a]
 
-    def test_random_is_deterministic_per_seed(self):
-        p1, p2 = RandomPolicy(seed=3), RandomPolicy(seed=3)
-        c = Container(make_function("A"), 0.0)
-        assert p1.priority(c, 0.0) == p2.priority(c, 0.0)
-
-    def test_random_seed_changes_order(self):
-        pool = ContainerPool(1000.0)
+    def _random_order(self, seed):
+        """Creation indices of 20 cold-started containers, in the victim
+        order a ``RandomPolicy(seed)`` gives them."""
+        policy, pool = RandomPolicy(seed=seed), ContainerPool(1000.0)
         containers = [
-            cold_start(RandomPolicy(), pool, make_function(f"f{i}", memory_mb=10.0), 0.0)
+            cold_start(policy, pool, make_function(f"f{i}", memory_mb=10.0), 0.0)
             for i in range(20)
         ]
-        order_a = sorted(containers, key=lambda c: RandomPolicy(seed=1).priority(c, 0))
-        order_b = sorted(containers, key=lambda c: RandomPolicy(seed=2).priority(c, 0))
-        assert [c.container_id for c in order_a] != [
-            c.container_id for c in order_b
-        ]
+        ranked = sorted(containers, key=lambda c: policy.priority(c, 0.0))
+        return [containers.index(c) for c in ranked]
+
+    def test_random_is_deterministic_per_seed(self):
+        assert self._random_order(3) == self._random_order(3)
+
+    def test_random_seed_changes_order(self):
+        assert self._random_order(1) != self._random_order(2)

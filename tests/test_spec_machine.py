@@ -59,9 +59,9 @@ class Pair:
     """The real simulator and the model, one step at a time."""
 
     def __init__(self, trace, policy_name, memory_mb, **config):
-        # Container ids come from a process-global counter and RAND
-        # hashes them: restart it so an id *is* the creation ordinal on
-        # both sides (restored by close()).
+        # Container ids come from a process-global counter: restart it
+        # so an id *is* the creation ordinal on both sides, as victims
+        # are compared by id (restored by close()).
         self._ids = container_module._container_ids
         container_module._container_ids = itertools.count()
         if config.get("tenant_mode", "shared") != "shared" and "tenant_quotas" not in config:

@@ -20,19 +20,14 @@ from repro.traces.synth import multitenant_trace, skewed_frequency_trace
 from tests.conftest import make_function, make_trace
 from tests.test_spec_machine import random_script, replay_both
 
-#: Every registered policy that opts into the index. RAND is excluded
-#: from the *equivalence* runs below (its priorities hash globally
-#: unique container ids, so no two runs are comparable — the same
-#: reason test_policy_conformance skips it in reset tests), but its
-#: flag is still exercised by the pinned/conformance batteries.
 def _has_flag(name):
     if name.startswith("ORACLE"):
         return False  # needs a trace to construct; overrides selection
     return create_policy(name).monotone_priority
 
 
+#: Every registered policy that opts into the index.
 MONOTONE = sorted(n for n in available_policies() if _has_flag(n))
-EQUIVALENCE = [n for n in MONOTONE if n != "RAND"]
 
 
 def _key_of(container):
@@ -184,7 +179,7 @@ class TestEvictableAccounting:
             pool_b.add(c)
 
 
-@pytest.mark.parametrize("name", EQUIVALENCE)
+@pytest.mark.parametrize("name", MONOTONE)
 class TestIndexedMatchesSort:
     """The index walk against the specification's ``sorted()``, step by
     step, on the traces that pinned it when the sort lived in ``src/``."""
@@ -341,7 +336,7 @@ class TestAdmitRunningIsInvisible:
     enrolled at its first idle): to the specification, which knows no
     admission order, that must be invisible."""
 
-    @pytest.mark.parametrize("name", EQUIVALENCE)
+    @pytest.mark.parametrize("name", MONOTONE)
     def test_same_victims_and_accounting_after_every_step(self, name, sanitized):
         metrics = random_script(name, 16, steps=400)
         assert metrics.evictions > 50 and metrics.warm_starts > 50
