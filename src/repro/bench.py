@@ -255,8 +255,8 @@ def _gdsf_scenario(scale: float):
     )
 
     def run() -> Dict[str, object]:
-        return _metrics_payload(
-            simulate(trace, "GD", 24.0 * 1024.0)
+        return _kernel_replay_payload(
+            trace, "GD", 24.0 * 1024.0, "gdsf_replay_100k"
         )
 
     return len(trace), run
@@ -373,10 +373,11 @@ def _sweep_cell_scenario(scale: float):
 #: The pinned-seed suite, in execution order. TTL exercises the
 #: vectorized columnar kernel, HIST the per-arrival HIST kernel
 #: (histogram plans and prewarms; its pool holds the registry), GDSF
-#: the arrival loop fed from columnar chunks (the victim index), the
-#: streamed scenario the million-invocation bound-memory claim, the
-#: harvest scenario the simulator's graceful-deflation path, and the
-#: sweep cell covers the run_cell plumbing both sweep engines share.
+#: the per-arrival GD kernel under memory pressure (a victim on almost
+#: every arrival), the streamed scenario the million-invocation
+#: bound-memory claim, the harvest scenario the simulator's
+#: graceful-deflation path, and the sweep cell covers the run_cell
+#: plumbing both sweep engines share.
 SCENARIOS: Tuple[BenchScenario, ...] = (
     BenchScenario(
         "ttl_replay_100k",
@@ -390,7 +391,7 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
     ),
     BenchScenario(
         "gdsf_replay_100k",
-        "100k-invocation GD (GDSF) replay, eviction-heavy (victim index)",
+        "100k-invocation GD (GDSF) replay, eviction-heavy (GD kernel)",
         _gdsf_scenario,
     ),
     BenchScenario(

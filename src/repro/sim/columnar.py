@@ -2,48 +2,59 @@
 
 Every replay normally runs the per-arrival loop of
 :meth:`~repro.sim.scheduler.KeepAliveSimulator.run`, which pays Python
-dispatch for every arrival. For the runs memory pressure cannot reach
-(a default configuration whose pool holds the whole registry) one of
-two kernels replaces it with **byte-identical**
-:class:`SimulationMetrics`; ``simulate()`` asks the one its static test
-(:func:`repro.sim.scheduler._exact_kernel`) names and falls back to the
-loop when it declines. The loop stays the reference both are
-differentially tested against (``tests/test_columnar_differential.py``,
-``engine="object"``); ``SimulationResult.path`` says which ran.
+dispatch for every arrival. Under a default configuration three kernels
+replace it with **byte-identical** :class:`SimulationMetrics`;
+``simulate()`` asks the ones its static test
+(:func:`repro.sim.scheduler._exact_kernels`) names, in order, and falls
+back to the loop when they decline. The loop stays the reference all
+three are differentially tested against
+(``tests/test_columnar_differential.py``, ``engine="object"``);
+``SimulationResult.path`` says which ran.
 
-* :func:`run_ttl_kernel` (``"vectorized"``) answers an exact
-  :class:`TTLPolicy` at its own ``ttl_s`` and every policy that lets a
-  container go only under pressure at ``ttl_s = inf``: no policy state
-  reaches an outcome. It checks chunk by chunk that every function's
-  arrival gap covers its cold time (so a function never holds two
-  containers). Each deadline then follows the recurrence ``d_i = (t_i +
-  dur_i) + ttl`` with ``cold_i ⇔ d_{i-1} <= t_i``, which resolves with
-  three vectorized classifications (certainly-cold, certainly-warm, and
-  an alternating ambiguous band; ``docs/performance-log.md`` has the
-  derivation). At ``ttl = inf`` a function's first arrival is cold,
-  every later one warm, and nothing expires. Metric sums use
-  ``np.add.accumulate``, whose strict left-to-right evaluation
-  reproduces the simulator's sequential ``+=`` bit for bit.
+* :func:`run_ttl_kernel` (``"vectorized"``) answers, on a pool that
+  holds the whole registry, an exact :class:`TTLPolicy` at its own
+  ``ttl_s`` and every policy that lets a container go only under
+  pressure at ``ttl_s = inf``: no policy state reaches an outcome. It
+  checks chunk by chunk that every function's arrival gap covers its
+  cold time (so a function never holds two containers). Each deadline
+  then follows the recurrence ``d_i = (t_i + dur_i) + ttl`` with
+  ``cold_i ⇔ d_{i-1} <= t_i``, which resolves with three vectorized
+  classifications (certainly-cold, certainly-warm, and an alternating
+  ambiguous band; ``docs/performance-log.md`` has the derivation). At
+  ``ttl = inf`` a function's first arrival is cold, every later one
+  warm, and nothing expires. Metric sums use ``np.add.accumulate``,
+  whose strict left-to-right evaluation reproduces the simulator's
+  sequential ``+=`` bit for bit.
 * :func:`run_hist_kernel` (``"hist-kernel"``) answers an exact, fresh
-  :class:`HistogramPolicy`, whose state does reach outcomes, in one
-  pass over the arrivals on HIST's own histograms and plans (the
-  argument is above :class:`_HistFunction`).
+  :class:`HistogramPolicy` on a pool that holds the registry, whose
+  state does reach outcomes, in one pass over the arrivals on HIST's
+  own histograms and plans (the argument is above :class:`_HistFunction`).
+* :func:`run_gd_kernel` (``"gd-kernel"``) answers an exact, fresh
+  :class:`GreedyDualPolicy` without tenant weights at any pool size —
+  the paper's own policy under memory pressure — in one pass on its own
+  container records and heaps, with the loop's float operations in the
+  loop's order (the argument is above :class:`_GdContainer`). It never
+  declines.
 
-A violation discovered mid-stream discards the kernel state and the
-caller replays from the start through the loop (every trace form is
-restartable), so the fast path can never silently diverge.
+A violation the TTL or HIST kernel discovers mid-stream discards the
+kernel state, and the caller replays from the start on the next kernel
+named or through the loop (every trace form is restartable), so a fast
+path can never silently diverge.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
+from math import inf
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.clock import wall_clock_s
+from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
+from repro.core.pool import CapacityError
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.scheduler import SimulationResult
 from repro.traces.columnar import (
@@ -54,7 +65,7 @@ from repro.traces.columnar import (
 from repro.traces.model import Invocation, Trace
 from repro.traces.streaming import StreamingChurnTrace
 
-__all__ = ["run_hist_kernel", "run_ttl_kernel"]
+__all__ = ["run_gd_kernel", "run_hist_kernel", "run_ttl_kernel"]
 
 #: Every trace form the kernel reads: an object trace (transposed a
 #: chunk at a time), materialized columnar arrays, or a restartable
@@ -425,4 +436,204 @@ def run_hist_kernel(
     metrics.wall_time_s = wall_clock_s() - started
     return SimulationResult(
         trace.name, policy.name, capacity_mb, metrics, path="hist-kernel"
+    )
+
+
+# ----------------------------------------------------------------------
+# GD kernel
+# ----------------------------------------------------------------------
+#
+# Equivalence argument: under a default configuration, a fresh
+# GreedyDualPolicy without tenant weights, and any pool size, the loop's
+# phases at an arrival of f at time t reduce to:
+#
+# * release: every run that ended by t idles its container, in (finish,
+#   id) order (container ids count up, so the kernel's own numbering
+#   keeps the loop's order); a container a walk found busy re-enters the
+#   victim index under its current key;
+# * ``on_invocation``: Freq(f) += 1, and every container of f is rescored
+#   at its own stamp plus the new value term;
+# * warm: f's least recently used idle container (lowest id on a tie)
+#   starts, stamped with the clock;
+# * cold: the cover rule takes the shortest prefix of the victim order
+#   that frees the deficit, or the arrival drops (at once when even the
+#   whole idle set is short). Each victim raises the clock to its
+#   priority and takes Freq with its function's last container; then
+#   the new container is stamped with that clock and admitted running.
+#
+# The victim index files the pool's own entries
+# (:meth:`ContainerPool.iter_victims`): one per container, under the key
+# it was last scored with, parked while a walk finds it busy, re-filed
+# when a pop finds its key stale. Keys are unique (the id is in them),
+# so a pop sequence depends only on the entries, not on the heap's
+# layout: the same entries give the loop's order for any weights,
+# monotone or not. Every container leaves through a walk that popped
+# its entry, so no entry ever goes stale: the index never outgrows the
+# pool and needs no purge.
+
+#: A victim-index entry: the pool's ``((priority, last_used, id), id)``
+#: flattened, with the container beside it. An entry filed before any
+#: walk has scored one (the pool's ``_UNSCORED_KEY``) is ``(-inf, -inf,
+#: id, container)``: below every scored key, in id order.
+_Entry = Tuple[float, float, int, "_GdContainer"]
+
+
+class _GdContainer:
+    """One container in :func:`run_gd_kernel`: the fields of
+    :class:`~repro.core.container.Container` GD's loop reads."""
+
+    __slots__ = ("cid", "name", "memory_mb", "stamp", "priority", "last_used", "busy", "parked")
+
+    def __init__(
+        self, cid: int, name: str, memory_mb: float, stamp: float, priority: float,
+        last_used: float,
+    ) -> None:
+        self.cid, self.name, self.memory_mb = cid, name, memory_mb
+        self.stamp, self.priority, self.last_used = stamp, priority, last_used
+        # Admitted running, its entry parked until it first idles.
+        self.busy = self.parked = True
+
+
+def run_gd_kernel(
+    trace: KernelSource, policy: GreedyDualPolicy, capacity_mb: float
+) -> SimulationResult:
+    """Exact replay of a fresh ``policy`` without tenant weights (any
+    ``frequency_weight`` / ``cost_weight``) on a pool of ``capacity_mb``,
+    under pressure or not; it never declines. The policy object is only
+    read: a run leaves it fresh."""
+    started = wall_clock_s()
+    if capacity_mb <= 0:
+        raise ValueError(f"capacity must be positive, got {capacity_mb}")
+    frequency_weight, cost_weight = policy._frequency_weight, policy._cost_weight
+    capacity = float(capacity_mb)
+    slack = 1e-9 * capacity  # the pool's drift slack
+    # A function's Freq and containers (creation order) exist while it
+    # has containers or a live Freq, as in the policy and the pool.
+    frequency: Dict[str, int] = {}
+    by_function: Dict[str, List[_GdContainer]] = {}
+    outcomes: Dict[str, FunctionOutcome] = {}  # first-arrival order
+    running: List[Tuple[float, int, _GdContainer]] = []  # (finish, id)
+    index: List[_Entry] = []
+    walked = False  # a walk has scored entries (the pool's ``_key_of``)
+    used = evictable = clock = ideal = actual = 0.0
+    idle = pooled = evictions = 0
+    cid = -1
+    for now, function in trace.arrivals():
+        while running and running[0][0] <= now:
+            finish, __, box = heappop(running)
+            box.busy = False
+            if finish > box.last_used:
+                box.last_used = finish
+            evictable += box.memory_mb
+            idle += 1
+            if box.parked:
+                box.parked = False
+                if walked:
+                    heappush(index, (box.priority, box.last_used, box.cid, box))
+                else:
+                    heappush(index, (-inf, -inf, box.cid, box))
+        name = function.name
+        outcome = outcomes.get(name)
+        if outcome is None:
+            outcome = outcomes[name] = FunctionOutcome()
+        frequency[name] = freq = frequency.get(name, 0) + 1
+        memory = function.memory_mb
+        value = (
+            frequency_weight * freq * (cost_weight * (function.cold_time_s - function.warm_time_s))
+            / memory
+        )
+        boxes = by_function.get(name)
+        reuse: Optional[_GdContainer] = None  # least recently used idle, lowest id first
+        for box in boxes or ():
+            box.priority = box.stamp + value
+            if not box.busy and (reuse is None or box.last_used < reuse.last_used):
+                reuse = box
+        if reuse is not None:
+            duration = function.warm_time_s
+            reuse.busy = True
+            reuse.last_used = now
+            evictable -= memory
+            idle -= 1
+            if idle == 0 and abs(evictable) <= slack:
+                evictable = 0.0
+            heappush(running, (now + duration, reuse.cid, reuse))
+            reuse.stamp = clock
+            reuse.priority = clock + value
+            ideal += duration
+            actual += duration
+            outcome.warm += 1
+            continue
+        deficit = memory - (capacity - used)
+        if deficit > 1e-9:
+            cover = deficit - 1e-9
+            if evictable < cover:
+                outcome.dropped += 1
+                continue
+            walked = True
+            taken: List[_Entry] = []
+            reclaimed = 0.0
+            rescored: Optional[_Entry] = None
+            while index or rescored is not None:
+                entry = heappop(index) if rescored is None else heappushpop(index, rescored)
+                rescored = None
+                priority, last_used, box_id, box = entry
+                if box.busy:
+                    box.parked = True
+                    continue
+                if (priority, last_used) != (box.priority, box.last_used):
+                    rescored = (box.priority, box.last_used, box_id, box)
+                    continue
+                taken.append(entry)
+                reclaimed += box.memory_mb
+                if reclaimed >= cover:
+                    break
+            else:  # the whole idle set is not enough: offered back, dropped
+                for entry in taken:
+                    heappush(index, entry)
+                outcome.dropped += 1
+                continue
+            for __, __, __, box in taken:  # all idle: none is the arriving function's
+                box_mb = box.memory_mb
+                used -= box_mb
+                pooled -= 1
+                if not pooled and abs(used) <= slack:
+                    used = 0.0
+                evictable -= box_mb
+                idle -= 1
+                if idle == 0 and abs(evictable) <= slack:
+                    evictable = 0.0
+                if box.priority > clock:
+                    clock = box.priority
+                peers = by_function[box.name]
+                peers.remove(box)
+                if not peers:  # Freq goes with the last container
+                    del by_function[box.name], frequency[box.name]
+                evictions += 1
+        if memory > capacity - used + slack:
+            raise CapacityError(
+                f"container needs {memory} MB but only {capacity - used:.1f} MB is free"
+            )
+        used += memory
+        pooled += 1
+        cid += 1
+        box = _GdContainer(cid, name, memory, clock, clock + value, now)
+        if boxes is None:
+            by_function[name] = [box]
+        else:
+            boxes.append(box)
+        heappush(running, (now + function.cold_time_s, cid, box))
+        ideal += function.warm_time_s
+        actual += function.cold_time_s
+        outcome.cold += 1
+    metrics = SimulationMetrics(
+        evictions=evictions, ideal_exec_time_s=ideal, actual_exec_time_s=actual
+    )
+    metrics.per_function = outcomes
+    for outcome in outcomes.values():
+        metrics.warm_starts += outcome.warm
+        metrics.cold_starts += outcome.cold
+        metrics.dropped += outcome.dropped
+    metrics.wall_time_s = wall_clock_s() - started
+    return SimulationResult(
+        trace.name, policy.name, capacity, metrics, path="gd-kernel"
     )

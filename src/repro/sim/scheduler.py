@@ -36,6 +36,7 @@ from repro.checks.sanitize import (
 from repro.core.clock import SimClock, wall_clock_s
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, create_policy
+from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import HistogramPolicy
 from repro.core.policies.ttl import TTLPolicy
 from repro.core.pool import CapacityError, ContainerPool
@@ -63,8 +64,9 @@ class SimulationResult:
     metrics: SimulationMetrics
     #: How the arrivals were replayed: ``"sequential"`` (the arrival
     #: loop of :meth:`KeepAliveSimulator.run`), ``"vectorized"`` (the
-    #: closed-form TTL kernel of :mod:`repro.sim.columnar`) or
-    #: ``"hist-kernel"`` (its per-arrival HIST kernel).
+    #: closed-form TTL kernel of :mod:`repro.sim.columnar`),
+    #: ``"hist-kernel"`` or ``"gd-kernel"`` (its per-arrival HIST and GD
+    #: kernels).
     path: str = "sequential"
 
     def __repr__(self) -> str:
@@ -885,14 +887,15 @@ class KeepAliveSimulator:
         )
 
 
-def _exact_kernel(
+def _exact_kernels(
     trace: Trace, policy: KeepAlivePolicy, memory_mb: float, config: RunConfig,
     tracer: Optional[Tracer],
-) -> Optional[str]:
-    """Which exact kernel of :mod:`repro.sim.columnar` answers this run:
-    ``"ttl"`` (``run_ttl_kernel``), ``"hist"`` (``run_hist_kernel``), or
-    ``None`` when only the arrival loop may. O(functions), no NumPy: a
-    run declined here has loaded nothing for a kernel.
+) -> Tuple[str, ...]:
+    """The exact kernels of :mod:`repro.sim.columnar` that may answer
+    this run, in the order to ask them: ``"ttl"`` (``run_ttl_kernel``),
+    ``"hist"`` (``run_hist_kernel``), ``"gd"`` (``run_gd_kernel``); empty
+    when only the arrival loop may. O(functions), no NumPy: a run
+    declined here has loaded nothing for a kernel.
 
     Every ``select_victims`` returns ``[]`` on a deficit ≤ 1e-9, so on a
     pool holding the whole registry (``<=``: at equality every deficit
@@ -902,35 +905,43 @@ def _exact_kernel(
     under pressure, so no policy state reaches an outcome: the
     recurrence at ``ttl_s = inf``. An exact :class:`HistogramPolicy` is
     replayed per arrival on its own histograms and plans, if it is fresh
-    (a used one holds histograms the kernel would not see). Tracer,
-    faults, reserved concurrency, timeline, warm-up, tenants and the
-    sanitizer (which wants every arrival) each leave the run to the loop.
+    (a used one holds histograms the kernel would not see). An exact
+    :class:`GreedyDualPolicy` without tenant weights is replayed per
+    arrival at any pool size, if it is fresh (no Freq, clock at 0): after
+    the TTL kernel, which declines self-overlapping functions, or alone
+    when the registry outgrows the pool. Tracer, faults, reserved
+    concurrency, timeline, warm-up, tenants and the sanitizer (which
+    wants every arrival) each leave the run to the loop.
     """
     kind = type(policy)
+    gd = (
+        kind is GreedyDualPolicy and policy._tenant_weights is None
+        and not policy._frequency and not policy.clock.value
+    )
     if kind is HistogramPolicy and not policy._histograms:
-        kernel = "hist"
+        kernels: Tuple[str, ...] = ("hist",)
     elif kind is TTLPolicy or (
         kind.expired_containers is KeepAlivePolicy.expired_containers
         and kind.due_prewarms is KeepAlivePolicy.due_prewarms
         and kind.should_retain is KeepAlivePolicy.should_retain
     ):
-        kernel = "ttl"
+        kernels = ("ttl", "gd") if gd else ("ttl",)
     else:
-        return None
+        return ()
     if (
         tracer is not None or config.fault_spec is not None or config.reserved_concurrency
         or config.track_memory_timeline or config.warmup_s > 0.0
         or config.tenant_mode != "shared" or sanitize_enabled()
     ):
-        return None
+        return ()
     footprint = 0.0
     for function in trace.functions.values():
         if function.tenant_id:
-            return None
+            return ()
         footprint += function.memory_mb
     if footprint > memory_mb:
-        return None
-    return kernel
+        return ("gd",) if gd else ()
+    return kernels
 
 
 def simulate(
@@ -951,14 +962,18 @@ def simulate(
     ``fault_spec=…``, ...); any remaining keyword arguments configure
     the *policy* and are therefore only valid with a policy name.
 
-    A run that memory pressure cannot reach is answered by the exact
-    kernel :func:`_exact_kernel` names: the vectorized TTL kernel
-    (:func:`repro.sim.columnar.run_ttl_kernel`) or the per-arrival HIST
-    kernel (:func:`repro.sim.columnar.run_hist_kernel`). Every other
-    run, a run its kernel declines, and every run with
-    ``engine="object"`` (the reference the differential suite holds the
-    kernels to) takes the arrival loop of :meth:`KeepAliveSimulator.run`.
-    Which one ran is reported as :attr:`SimulationResult.path`.
+    A run is answered by the first exact kernel :func:`_exact_kernels`
+    names that does not decline: for a run memory pressure cannot reach,
+    the vectorized TTL kernel (:func:`repro.sim.columnar.run_ttl_kernel`)
+    or the per-arrival HIST kernel
+    (:func:`repro.sim.columnar.run_hist_kernel`); for a fresh, plain GD
+    at any pool size, the per-arrival GD kernel
+    (:func:`repro.sim.columnar.run_gd_kernel`, after the TTL kernel when
+    the registry fits). Every other run, a run its kernels decline, and
+    every run with ``engine="object"`` (the reference the differential
+    suite holds the kernels to) takes the arrival loop of
+    :meth:`KeepAliveSimulator.run`. Which one ran is reported as
+    :attr:`SimulationResult.path`.
 
     >>> from repro.traces.synth import skewed_frequency_trace
     >>> result = simulate(skewed_frequency_trace(seed=1), "GD", 4096)
@@ -974,19 +989,21 @@ def simulate(
         raise ValueError(
             f"engine must be 'object' or 'columnar', got {engine!r}"
         )
-    if engine == "columnar":
-        kernel = _exact_kernel(trace, policy, memory_mb, config, tracer)
-        if kernel is not None:
-            # Imported here: repro.sim.columnar imports this module.
-            from repro.sim.columnar import run_hist_kernel, run_ttl_kernel
+    kernels = _exact_kernels(trace, policy, memory_mb, config, tracer) if engine == "columnar" else ()
+    if kernels:
+        # Imported here: repro.sim.columnar imports this module.
+        from repro.sim.columnar import run_gd_kernel, run_hist_kernel, run_ttl_kernel
 
-            if kernel == "hist":
+        for kernel in kernels:
+            if kernel == "ttl":
+                ttl_s = policy.ttl_s if type(policy) is TTLPolicy else inf
+                result = run_ttl_kernel(trace, ttl_s, float(memory_mb), policy.name)
+            elif kernel == "hist":
                 result = run_hist_kernel(
                     trace, policy, float(memory_mb), config.prewarm_effectiveness
                 )
             else:
-                ttl_s = policy.ttl_s if type(policy) is TTLPolicy else inf
-                result = run_ttl_kernel(trace, ttl_s, float(memory_mb), policy.name)
+                result = run_gd_kernel(trace, policy, float(memory_mb))
             if result is not None:
                 return result
     return KeepAliveSimulator(

@@ -17,6 +17,10 @@ across:
 * the HIST kernel: a seeded sweep over HIST's keyword arguments, prewarm
   effectiveness and the three trace forms, a boundary pair per decline,
   its two edge cases, and whole runs against the reference model's HIST;
+* the GD kernel: a seeded sweep over GD's weights, pools from 0.05x to
+  1x the registry and the three trace forms, a self-overlapping
+  function under pressure, every decline, and whole runs against the
+  reference model's GD;
 * the exact-summation primitive (``np.add.accumulate`` + scalar
   carry) the kernel's float accumulation correctness rests on;
 * a ``PYTHONHASHSEED`` subprocess pair — both engines, both seeds,
@@ -29,6 +33,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -37,12 +42,14 @@ import pytest
 from repro.bench import _metrics_payload, churn_trace, eviction_trace
 from repro.checks.sanitize import set_sanitize
 from repro.core.policies.base import available_policies, create_policy
+from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import HistogramPolicy
 from repro.core.policies.ttl import TTLPolicy
 from repro.faults import FaultSpec
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.sim.columnar import run_ttl_kernel
+from repro.sim.metrics import FunctionOutcome
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.columnar import ColumnarTrace, FunctionTable
 from repro.traces.model import Invocation, Trace, TraceFunction
@@ -86,6 +93,7 @@ class TestRandomizedDifferential:
         assert got_pf == want_pf
         assert list(got_pf) == list(want_pf)
 
+    @pytest.mark.usefixtures("unsanitized")  # a sanitized GD run takes the loop
     @pytest.mark.parametrize("policy", ["GD", "HIST", "LRU"])
     def test_eviction_pressure(self, policy):
         trace = eviction_trace(num_functions=120, rounds=6)
@@ -93,7 +101,7 @@ class TestRandomizedDifferential:
         got, got_pf, path = engine_payload(
             ColumnarTrace.from_trace(trace), policy, 24 * 128.0
         )
-        assert path == "sequential"
+        assert path == ("gd-kernel" if policy == "GD" else "sequential")
         assert got == want
         assert got_pf == want_pf
 
@@ -306,11 +314,43 @@ def registry_mb(trace):
     return sum(f.memory_mb for f in trace.functions.values())
 
 
+#: What sends a run to the arrival loop whatever its policy and pool.
+DISQUALIFIERS = [
+    "tracer", "fault_spec", "reserved_concurrency", "track_memory_timeline",
+    "warmup_s", "tenant_mode", "tenants", "sanitizer", "engine",
+]
+
+
+def disqualified(trace, disqualifier):
+    """``(trace, simulate() keywords)`` with ``disqualifier`` applied
+    (the sanitizer is armed here; the ``unsanitized`` fixture disarms it)."""
+    first = next(iter(trace.functions))
+    kwargs = {
+        "tracer": {"tracer": Tracer(RingBufferSink())},
+        "fault_spec": {"fault_spec": FaultSpec(seed=1)},
+        "reserved_concurrency": {"reserved_concurrency": {first: 1}},
+        "track_memory_timeline": {"track_memory_timeline": True},
+        "warmup_s": {"warmup_s": 60.0},
+        "tenant_mode": {"tenant_mode": "quota"},
+        "engine": {"engine": "object"},
+    }.get(disqualifier, {})
+    if disqualifier == "tenants":
+        trace = Trace(
+            [replace(f, tenant_id=1) for f in trace.functions.values()],
+            trace.invocations,
+            name="tenanted",
+        )
+    elif disqualifier == "sanitizer":
+        set_sanitize(True)
+    return trace, kwargs
+
+
 @pytest.mark.usefixtures("unsanitized")
 class TestEveryPolicyOnTheKernel:
     """A policy that lets a container go only under pressure, on a pool
     that holds the whole registry, is the TTL recurrence at ttl = inf:
-    the default ``simulate()`` answers it on the kernel."""
+    the default ``simulate()`` answers it on the kernel. Under pressure
+    (or where the TTL kernel declines) only GD has a kernel: its own."""
 
     def test_default_simulate_answers_gd_above_the_working_set(self):
         trace = churn_trace(num_functions=60, duration_s=4800.0, seed=1)
@@ -334,7 +374,7 @@ class TestEveryPolicyOnTheKernel:
 
     @pytest.mark.parametrize(
         "capacity_mb, path",
-        [(1024.0, "vectorized"), (1023.5, "sequential")],
+        [(1024.0, "vectorized"), (1023.5, "gd-kernel")],
         ids=["registry-equals-capacity", "registry-above-capacity"],
     )
     def test_registry_against_capacity(self, capacity_mb, path):
@@ -349,7 +389,7 @@ class TestEveryPolicyOnTheKernel:
 
     @pytest.mark.parametrize(
         "gap_s, path",
-        [(5.0, "vectorized"), (4.5, "sequential")],
+        [(5.0, "vectorized"), (4.5, "gd-kernel")],
         ids=["gap-equals-cold-time", "gap-below-cold-time"],
     )
     def test_gap_against_cold_time(self, gap_s, path):
@@ -373,36 +413,24 @@ class TestEveryPolicyOnTheKernel:
         assert loop.metrics.cold_starts == (2 if gap_s == 5.0 else 3)
 
     @pytest.mark.parametrize("policy", ["GD", "HIST"])
-    @pytest.mark.parametrize(
-        "disqualifier",
-        [
-            "tracer", "fault_spec", "reserved_concurrency",
-            "track_memory_timeline", "warmup_s", "tenant_mode", "tenants",
-            "sanitizer", "engine",
-        ],
-    )
+    @pytest.mark.parametrize("disqualifier", DISQUALIFIERS)
     def test_each_static_disqualifier_declines(self, disqualifier, policy):
-        trace = churn_trace(num_functions=30, seed=4)
-        first = next(iter(trace.functions))
-        kwargs = {
-            "tracer": {"tracer": Tracer(RingBufferSink())},
-            "fault_spec": {"fault_spec": FaultSpec(seed=1)},
-            "reserved_concurrency": {"reserved_concurrency": {first: 1}},
-            "track_memory_timeline": {"track_memory_timeline": True},
-            "warmup_s": {"warmup_s": 60.0},
-            "tenant_mode": {"tenant_mode": "quota"},
-            "engine": {"engine": "object"},
-        }.get(disqualifier, {})
-        if disqualifier == "tenants":
-            trace = Trace(
-                [replace(f, tenant_id=1) for f in trace.functions.values()],
-                trace.invocations,
-                name="tenanted",
-            )
-        elif disqualifier == "sanitizer":
-            set_sanitize(True)
+        trace, kwargs = disqualified(churn_trace(num_functions=30, seed=4), disqualifier)
         result = simulate(trace, policy, 2 * registry_mb(trace), **kwargs)
         assert result.path == "sequential"
+
+    @pytest.mark.parametrize("name", available_policies())
+    def test_every_policy_under_pressure_equals_the_loop(self, name):
+        trace = churn_trace(num_functions=60, duration_s=4800.0, seed=5)
+        kwargs = {"trace": trace} if name.startswith("ORACLE") else {}
+        loop, default = loop_and_default(
+            trace, name, 0.5 * registry_mb(trace), kwargs
+        )
+        # Pressure lets policy state reach the outcomes: of all policies
+        # only GD has a kernel that replays it.
+        assert default.path == ("gd-kernel" if name == "GD" else "sequential")
+        assert loop.metrics.evictions > 0
+        assert_same_replay(loop, default)
 
 
 #: HIST's keyword arguments the seeded sweep draws from: short windows
@@ -579,6 +607,129 @@ class TestHistKernel:
         model.finish()
         assert result.metrics.counters() == model.counters
         assert model.counters["prewarms"] and model.counters["expirations"]
+
+
+#: GD's weights the seeded sweep draws from: a zero weight drops its
+#: term (Section 4.2's ablations), the others rescale it.
+GD_WEIGHTS = (0.0, 0.5, 1.0, 2.5)
+#: Pools from 0.05x the registry (a handful of containers) to 1x.
+GD_POOLS = (0.05, 0.2, 0.5, 0.8, 1.0)
+
+
+def gd_workload(rng):
+    """A seeded GD workload: mixed sizes plus one function holding 60 %
+    of the registry (above every pool below that), zero warm and cold
+    times, tied arrival times, and runs long enough for a function to
+    overlap itself."""
+    functions = []
+    for i in range(rng.randint(3, 12)):
+        warm = rng.choice((0.0, 0.1, 1.0, 5.0))
+        cold = warm + rng.choice((0.0, 0.5, 2.0, 30.0))
+        memory_mb = rng.choice((64.0, 128.0, 200.0, 512.0))
+        functions.append(TraceFunction(f"g{i:02d}", memory_mb, warm, cold))
+    functions.append(TraceFunction("giant", 1.5 * sum(f.memory_mb for f in functions), 1.0, 4.0))
+    invocations, t = [], 0.0
+    for __ in range(rng.randint(50, 300)):
+        t += rng.choice((0.0, 0.0, 0.25, 1.0, 3.0, 20.0))
+        function = functions[int(rng.paretovariate(1.2)) % len(functions)]
+        invocations.append(Invocation(t, function.name))
+    return Trace(functions, invocations, name="gd-sweep")
+
+
+@pytest.mark.usefixtures("unsanitized")
+class TestGdKernel:
+    """An exact, fresh GD without tenant weights, at any pool size: the
+    per-arrival GD kernel answers it, equal to the loop."""
+
+    @pytest.mark.parametrize("form", ["object", "columnar", "stream"])
+    def test_seeded_sweep_equals_the_loop(self, form):
+        rng = random.Random(29)
+        seen = Counter()
+        for case in range(40):
+            if form == "stream":
+                trace = StreamingChurnTrace(
+                    num_functions=rng.randint(8, 40), duration_s=2000.0, seed=case
+                )
+            else:
+                trace = gd_workload(rng)
+                if form == "columnar":
+                    trace = ColumnarTrace.from_trace(trace)
+            weights = {
+                "frequency_weight": rng.choice(GD_WEIGHTS),
+                "cost_weight": rng.choice(GD_WEIGHTS),
+            }
+            memory_mb = rng.choice(GD_POOLS) * registry_mb(trace)
+            loop, default = loop_and_default(trace, "GD", memory_mb, weights)
+            assert_same_replay(loop, default)
+            metrics = loop.metrics
+            seen[default.path] += 1
+            seen["evicted"] += metrics.evictions > 0
+            seen["dropped"] += metrics.dropped > 0
+            # More containers alive at the end than functions: one held two.
+            seen["overlap"] += metrics.cold_starts - metrics.evictions > len(metrics.per_function)
+        # At 1x the registry the TTL kernel answers what does not overlap.
+        assert seen["gd-kernel"] >= 30 and seen["evicted"] >= 25, seen
+        assert form == "stream" or (seen["dropped"] >= 10 and seen["overlap"] >= 10), seen
+
+    def test_self_overlap_under_pressure(self):
+        """``f`` runs three 128 MB containers at once on a 512 MB pool;
+        ``g`` (256 MB) then finds every container busy and drops. Once the runs end it
+        evicts one of ``f``'s (equal priorities: the lower id of the two
+        that idled at 10 s), and ``f`` is warm on another."""
+        functions = [
+            TraceFunction("f", 128.0, 1.0, 10.0),
+            TraceFunction("g", 256.0, 0.5, 1.0),
+        ]
+        trace = edge_trace(
+            functions, [(0.0, 0), (0.0, 0), (1.0, 0), (2.0, 1), (20.0, 1), (20.0, 0)]
+        )
+        loop, default = loop_and_default(trace, "GD", 512.0)
+        assert default.path == "gd-kernel"
+        assert_same_replay(loop, default)
+        metrics = loop.metrics
+        assert (metrics.cold_starts, metrics.dropped, metrics.evictions) == (4, 1, 1)
+        assert metrics.per_function["f"] == FunctionOutcome(warm=1, cold=3)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_whole_runs_follow_the_specification(self, seed):
+        """The kernel against the reference model's GD (Equation 1 over
+        plain lists), through ``Server.admit``."""
+        trace = churn_trace(num_functions=40, duration_s=4800.0, seed=seed)
+        memory_mb = 0.4 * registry_mb(trace)
+        result = simulate(trace, "GD", memory_mb)
+        assert result.path == "gd-kernel"
+        model = Server(dict(trace.functions), "GD", memory_mb)
+        for now_s, function in trace.arrivals():
+            model.admit(function, now_s)
+        model.finish()
+        assert result.metrics.counters() == model.counters
+        assert model.counters["evictions"]
+
+    def test_fresh_exact_policy_against_used_or_subclassed(self):
+        class TunedGD(GreedyDualPolicy):
+            pass
+
+        trace = churn_trace(num_functions=20, seed=4)
+        memory_mb = 0.5 * registry_mb(trace)
+        policy = create_policy("GD")
+        assert simulate(trace, policy, memory_mb).path == "gd-kernel"
+        # The kernel left it fresh; the loop leaves it holding Freq and a clock.
+        assert simulate(trace, policy, memory_mb).path == "gd-kernel"
+        simulate(trace, policy, memory_mb, engine="object")
+        assert policy.clock.value > 0.0
+        assert simulate(trace, policy, memory_mb).path == "sequential"
+        # GDS and every other subclass, and tenant weights (even all 1).
+        for declined in (
+            create_policy("GDS"), TunedGD(), GreedyDualPolicy(tenant_weights={0: 1.0}),
+        ):
+            assert simulate(trace, declined, memory_mb).path == "sequential"
+
+    @pytest.mark.parametrize("disqualifier", DISQUALIFIERS)
+    def test_each_static_disqualifier_declines_under_pressure(self, disqualifier):
+        trace, kwargs = disqualified(churn_trace(num_functions=30, seed=4), disqualifier)
+        result = simulate(trace, "GD", 0.5 * registry_mb(trace), **kwargs)
+        assert result.path == "sequential"
+        assert result.metrics.evictions > 0
 
 
 class TestExactSummation:

@@ -4,9 +4,10 @@
 one performance number that repeats exactly: function calls, Python
 and builtin alike, made inside one ``simulate()``. This suite counts
 them the same way — ``sys.setprofile``, no clock anywhere — over two
-small GD replays (the warm one on the arrival loop and on the
-vectorized kernel), a HIST one (on the loop and on the HIST kernel), a
-streamed kernel replay and a pipelined live request stream, and holds
+small GD replays (the eviction one on the arrival loop and on the GD
+kernel, the warm one on the loop and on the vectorized kernel), a HIST
+one (on the loop and on the HIST kernel), a streamed kernel replay and
+a pipelined live request stream, and holds
 them to what the code pays today, so a refactor that puts a frame or a
 builtin back on every arrival fails here instead of showing up as a
 few percent of noise in a timing run.
@@ -25,6 +26,7 @@ from collections import Counter
 
 import pytest
 
+from repro import bench
 from repro.checks.sanitize import set_sanitize
 from repro.core.clock import SimClock
 from repro.live.server import LiveHTTPServer, _Connection
@@ -40,14 +42,20 @@ CONTAINER_MB = 128.0
 #: 63.87 calls each (38,321), then 50.49 (30,291) after one frame per
 #: busy/idle transition, a parked container re-enrolled under its real
 #: key (no rescore and ``heappushpop`` on its next offer), and stored
-#: fields instead of property and helper frames on every arrival; the
-#: kernel's per-run eligibility test adds 4 (30,295: the test, the
-#: sanitizer flag and the registry's ``functions`` / ``values()``).
-#: The warm replay's 711 paid 27.99 (19,904) and pay 20.00 (14,217) on
-#: the arrival loop (``engine="object"``), which the kernel now answers
-#: by default. (One call per *run* is the simulator's ``EventQueue()``.)
-EVICT_CALLS = 30_295
+#: fields instead of property and helper frames on every arrival, on
+#: the arrival loop (``engine="object"``), which the GD kernel now
+#: answers by default. The warm replay's 711 paid 27.99 (19,904) and pay
+#: 20.00 (14,217) on the loop, which the TTL kernel now answers by
+#: default. (One call per *run* is the simulator's ``EventQueue()``.)
+EVICT_CALLS = 30_291
 WARM_CALLS = 14_217
+#: The eviction replay through the default ``simulate()``, which the GD
+#: kernel answers: 11.08 calls per arrival (6,650) — the arrivals
+#: generator, three dict lookups (outcome, Freq, containers), a heap
+#: push and a pop for the run, and per victim a pop off the index, an
+#: ``append`` to the cover, a ``remove`` from its function's list and
+#: the new container's ``__init__``.
+GD_KERNEL_CALLS = 6_650
 #: The same warm replay on the vectorized kernel (GD replayed at
 #: ``ttl_s = inf``): 0.53 calls per arrival (379) — the eligibility
 #: test, one object-trace chunk transposed and a few dozen ufuncs.
@@ -155,13 +163,25 @@ def count_calls(trace, memory_mb, policy="GD", **kwargs):
 
 def test_eviction_replay_call_budget(unsanitized):
     trace = round_robin_trace()
-    calls, metrics = count_calls(trace, 48 * CONTAINER_MB)
+    calls, metrics = count_calls(trace, 48 * CONTAINER_MB, engine="object")
     # The replay is the one the budget was set on: a victim per miss.
     assert len(trace) == 600
     assert (metrics.cold_starts, metrics.evictions) == (590, 542)
     assert calls <= EVICT_CALLS, (
         f"{calls / 600:.2f} calls per arrival on the eviction replay, "
         f"budget {EVICT_CALLS / 600:.2f}"
+    )
+
+
+def test_gd_kernel_call_budget(unsanitized):
+    trace = round_robin_trace()
+    calls, result = counted(simulate, trace, "GD", 48 * CONTAINER_MB)
+    # The eviction replay above, answered by the GD kernel.
+    assert result.path == "gd-kernel"
+    assert (result.metrics.cold_starts, result.metrics.evictions) == (590, 542)
+    assert calls <= GD_KERNEL_CALLS, (
+        f"{calls / 600:.2f} calls per arrival on the GD kernel replay, "
+        f"budget {GD_KERNEL_CALLS / 600:.2f}"
     )
 
 
@@ -257,6 +277,28 @@ def test_stream_generation_memory_does_not_grow_with_duration():
     assert longer_peak <= 1.1 * peak
 
 
+def test_gd_kernel_peak_stays_within_the_loops(unsanitized):
+    """The GD kernel's victim index holds one entry per container, as
+    the pool's does: on a warm-heavy pressured replay (650 functions at
+    0.95 x the registry, a victim every ~40 arrivals) its peak stays at
+    or below the loop's. An index that files an entry per warm start and
+    never purges the superseded ones peaks at ~10x the loop's here."""
+    trace = bench.churn_trace(650, 9600.0, seed=3)
+    memory_mb = 0.95 * sum(f.memory_mb for f in trace.functions.values())
+    peaks = {}
+    for engine in ("object", "columnar"):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = simulate(trace, "GD", memory_mb, engine=engine)
+            peaks[result.path] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    metrics = result.metrics
+    assert (len(trace), metrics.evictions, metrics.warm_starts) == (42_038, 996, 40_425)
+    assert peaks["gd-kernel"] <= peaks["sequential"], peaks
+
+
 class RecordingTransport:
     def __init__(self):
         self.written = bytearray()
@@ -313,6 +355,7 @@ def test_live_request_call_budget(unsanitized):
 
 def test_counts_repeat_exactly(unsanitized):
     trace = round_robin_trace(num_functions=50, rounds=2)
-    first, __ = count_calls(trace, 12 * CONTAINER_MB)
-    second, __ = count_calls(trace, 12 * CONTAINER_MB)
-    assert first == second
+    for engine in ("object", "columnar"):  # the arrival loop, the GD kernel
+        first, __ = count_calls(trace, 12 * CONTAINER_MB, engine=engine)
+        second, __ = count_calls(trace, 12 * CONTAINER_MB, engine=engine)
+        assert first == second, engine

@@ -70,14 +70,14 @@ service = LivePoolService(trace, "GD", 2048.0, clock=SimClock())
 assert service.admit(service.function_names()[0], now_s=0.0).outcome == "cold"
 LiveHTTPServer(service, port=0)
 """
-#: A run the vectorized kernel cannot answer (the registry outgrows the
+#: A run no exact kernel can answer (LRU, and the registry outgrows the
 #: pool), through ``simulate()``'s default dispatch.
 DECLINED_RUN = """
 from repro.sim.scheduler import simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 functions = [TraceFunction(f"f{i}", 128.0, 0.2, 1.0) for i in range(4)]
 trace = Trace(functions, [Invocation(float(i), f"f{i % 4}") for i in range(40)])
-assert simulate(trace, "GD", 256.0).path == "sequential"
+assert simulate(trace, "LRU", 256.0).path == "sequential"
 """
 CLI_HELP = """
 import repro.cli
