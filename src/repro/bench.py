@@ -284,9 +284,9 @@ def _ttl_stream_1m_scenario(scale: float):
 
 def _harvest_scenario(scale: float):
     # Harvested/spot capacity: a near-full churn pool under periodic
-    # harvest shrink/grow steps plus spot evict/restore cycles,
-    # stressing graceful deflation's lazy victim-index walks and the
-    # deferred-resume path.
+    # harvest shrink/grow steps plus spot evict/restore cycles, replayed
+    # by the GD kernel: deflation walks, deferred resumes, outages and
+    # the retry queue on its one timeline.
     trace = churn_trace(
         num_functions=_scaled(1620, scale),
         seed=_HARVEST_SEED,
@@ -303,8 +303,8 @@ def _harvest_scenario(scale: float):
     )
 
     def run() -> Dict[str, object]:
-        return _metrics_payload(
-            simulate(trace, "GD", capacity_mb, fault_spec=spec)
+        return _kernel_replay_payload(
+            trace, "GD", capacity_mb, "harvest_100k", fault_spec=spec
         )
 
     return len(trace), run
@@ -403,7 +403,7 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
     BenchScenario(
         "harvest_100k",
         "100k-invocation GD replay under harvest shrink/grow + spot "
-        "evictions (graceful deflation hot path)",
+        "evictions, GD kernel (deflation, outages, retries)",
         _harvest_scenario,
     ),
     BenchScenario(

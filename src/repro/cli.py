@@ -930,8 +930,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser(
         "simulate", help="run one keep-alive simulation",
-        description="Run one keep-alive simulation: the exact vectorized kernel answers a run "
-        "memory pressure cannot reach, the per-arrival loop every other (docs/simulation.md).",
+        description="Run one keep-alive simulation. Three exact kernels answer what they can: "
+        "the vectorized TTL kernel a run memory pressure cannot reach, the HIST kernel a "
+        "pressure-free HIST, the GD kernel a plain GD at any size and under any --fault-spec; "
+        "the per-arrival loop every other run (docs/simulation.md).",
     )
     simulate.add_argument("--trace", required=True)
     simulate.add_argument("--policy", default="GD")

@@ -26,13 +26,14 @@ cluster has or in which order they are asked.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
 import random
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
     "FaultSpec",
@@ -52,22 +53,29 @@ _SEED_BYTES = 8
 _MASK_53 = (1 << 53) - 1
 
 
-def _pack(part: Union[str, int, float]) -> bytes:
-    """Stable byte encoding of one hash-key part.
+def _pack_str(part: str) -> bytes:
+    data = part.encode("utf-8")
+    return b"s" + len(data).to_bytes(4, "little") + data
 
-    Each part is tagged with its type so ``("a", 1)`` and ``("a1",)``
-    can never collide, and floats go through IEEE-754 packing so the
-    encoding is platform- and repr-independent.
-    """
-    if isinstance(part, str):
-        data = part.encode("utf-8")
-        return b"s" + len(data).to_bytes(4, "little") + data
-    if isinstance(part, bool):  # bool before int: it is an int subclass
-        return b"b" + bytes([part])
-    if isinstance(part, int):
-        return b"i" + part.to_bytes(16, "little", signed=True)
-    if isinstance(part, float):
-        return b"f" + struct.pack("<d", part)
+
+#: The byte encoding of a hash-key part, by type: each is tagged so
+#: ``("a", 1)`` and ``("a1",)`` can never collide, and floats go through
+#: IEEE-754 packing, platform- and repr-independent. Listed bool before
+#: int (an int subclass), the order :func:`_pack` tries them in.
+_PACKERS: Dict[type, Callable[[Any], bytes]] = {
+    str: _pack_str,
+    bool: lambda part: b"b" + bytes([part]),
+    int: lambda part: b"i" + part.to_bytes(16, "little", signed=True),
+    float: functools.partial(struct.Struct("<cd").pack, b"f"),
+}
+
+
+def _pack(part: Union[str, int, float]) -> bytes:
+    """Stable byte encoding of one hash-key part (any subclass of the
+    :data:`_PACKERS` types)."""
+    for kind, pack in _PACKERS.items():
+        if isinstance(part, kind):
+            return pack(part)
     raise TypeError(f"unhashable fault-key part: {part!r}")
 
 
@@ -92,10 +100,37 @@ def derive_seed(base: int, *parts: Union[str, int, float]) -> int:
     return int.from_bytes(_digest(base, parts), "little")
 
 
-def _u01(base: int, *parts: Union[str, int, float]) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` keyed on coordinates."""
-    value = int.from_bytes(_digest(base, parts), "little")
-    return (value & _MASK_53) / float(1 << 53)
+_SCALE_53 = float(1 << 53)
+
+
+class UniformDraws:
+    """Deterministic uniform draws in ``[0, 1)`` keyed on ``seed`` and
+    coordinates: the blake2b of :func:`derive_seed`, mapped to 53 bits.
+
+    One salted hasher is built per seed and copied per draw, so a draw
+    pays the hash of its parts only; the owner of the seed (a
+    :class:`FaultModel`, a :class:`~repro.faults.retry.RetryPolicy`)
+    holds it.
+    """
+
+    __slots__ = ("_base",)
+
+    def __init__(self, seed: int) -> None:
+        self._base = hashlib.blake2b(
+            digest_size=_SEED_BYTES,
+            salt=(seed & ((1 << 64) - 1)).to_bytes(8, "little"),
+        )
+
+    def __call__(self, *parts: Union[str, int, float]) -> float:
+        h = self._base.copy()
+        update = h.update
+        for part in parts:
+            try:
+                pack = _PACKERS[type(part)]
+            except KeyError:  # a subclass, or a part :func:`_pack` refuses
+                pack = _pack
+            update(pack(part))
+        return (int.from_bytes(h.digest(), "little") & _MASK_53) / _SCALE_53
 
 
 @dataclass(frozen=True)
@@ -356,6 +391,7 @@ class FaultModel:
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
+        self._u01 = UniformDraws(spec.seed)
 
     def spawn_fails(
         self, function_name: str, time_s: float, attempt: int
@@ -364,7 +400,7 @@ class FaultModel:
         rate = self.spec.spawn_failure_rate
         if rate <= 0.0:
             return False
-        return _u01(self.spec.seed, "spawn", function_name, time_s, attempt) < rate
+        return self._u01("spawn", function_name, time_s, attempt) < rate
 
     def invocation_fault(
         self, function_name: str, time_s: float, attempt: int
@@ -377,7 +413,7 @@ class FaultModel:
         crash, timeout = self.spec.crash_rate, self.spec.timeout_rate
         if crash <= 0.0 and timeout <= 0.0:
             return None
-        draw = _u01(self.spec.seed, "invoke", function_name, time_s, attempt)
+        draw = self._u01("invoke", function_name, time_s, attempt)
         if draw < crash:
             return "crash"
         if draw < crash + timeout:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.faults.model import FaultSpec, _u01
+from repro.faults.model import FaultSpec, UniformDraws
 
 __all__ = ["RetryPolicy"]
 
@@ -56,6 +56,7 @@ class RetryPolicy:
         self.jitter = jitter
         self.per_function_budget = per_function_budget
         self.seed = seed
+        self._u01 = UniformDraws(seed)
         self._budget_used: Dict[str, int] = {}
 
     @classmethod
@@ -100,9 +101,7 @@ class RetryPolicy:
             self.max_delay_s, self.base_delay_s * (2.0 ** (retry_number - 1))
         )
         if self.jitter > 0.0:
-            u = _u01(
-                self.seed, "jitter", function_name, retry_number, failed_at_s
-            )
+            u = self._u01("jitter", function_name, retry_number, failed_at_s)
             delay *= 1.0 + self.jitter * (u - 0.5)
             # The cap must bound the *final* delay: once the
             # exponential term saturates, upward jitter would otherwise

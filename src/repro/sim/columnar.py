@@ -2,8 +2,9 @@
 
 Every replay normally runs the per-arrival loop of
 :meth:`~repro.sim.scheduler.KeepAliveSimulator.run`, which pays Python
-dispatch for every arrival. Under a default configuration three kernels
-replace it with **byte-identical** :class:`SimulationMetrics`;
+dispatch for every arrival. Under a default configuration (the GD kernel
+also under a fault spec) three kernels replace it with
+**byte-identical** :class:`SimulationMetrics`;
 ``simulate()`` asks the ones its static test
 (:func:`repro.sim.scheduler._exact_kernels`) names, in order, and falls
 back to the loop when they decline. The loop stays the reference all
@@ -31,10 +32,12 @@ three are differentially tested against
   own histograms and plans (the argument is above :class:`_HistFunction`).
 * :func:`run_gd_kernel` (``"gd-kernel"``) answers an exact, fresh
   :class:`GreedyDualPolicy` without tenant weights at any pool size —
-  the paper's own policy under memory pressure — in one pass on its own
-  container records and heaps, with the loop's float operations in the
-  loop's order (the argument is above :class:`_GdContainer`). It never
-  declines.
+  the paper's own policy under memory pressure — and under any fault
+  spec (harvest resizes, outages, spot evictions, per-attempt faults),
+  in one pass on its own container records and heaps that merges the
+  server's fault timeline and retry queue into the arrivals, with the
+  loop's float operations in the loop's order (the argument is above
+  :class:`_GdContainer`). It never declines.
 
 A violation the TTL or HIST kernel discovers mid-stream discards the
 kernel state, and the caller replays from the start on the next kernel
@@ -44,10 +47,11 @@ path can never silently diverge.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heappushpop
+from collections import defaultdict
+from heapq import heapify, heappop, heappush, heappushpop
 from math import inf
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +59,7 @@ from repro.core.clock import wall_clock_s
 from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
 from repro.core.pool import CapacityError
+from repro.faults import FaultModel, FaultSpec, RetryPolicy
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.scheduler import SimulationResult
 from repro.traces.columnar import (
@@ -62,7 +67,7 @@ from repro.traces.columnar import (
     ColumnarTrace,
     FunctionTable,
 )
-from repro.traces.model import Invocation, Trace
+from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 
 __all__ = ["run_gd_kernel", "run_hist_kernel", "run_ttl_kernel"]
@@ -444,32 +449,56 @@ def run_hist_kernel(
 # ----------------------------------------------------------------------
 #
 # Equivalence argument: under a default configuration, a fresh
-# GreedyDualPolicy without tenant weights, and any pool size, the loop's
-# phases at an arrival of f at time t reduce to:
+# GreedyDualPolicy without tenant weights, any pool size and any fault
+# spec, the loop's phases at an attempt of f at time t (an arrival, or a
+# retry re-entering with no timeline advance) reduce to:
 #
+# * timeline (arrivals only): everything due by t fires first, in (time,
+#   insertion) order: the server's events (filed first, so first among
+#   equal times), then retries as they were filed; a retry filed on the
+#   way that is due by t fires too. After the last arrival, the instants
+#   that still hold a retry fire one by one (``drain_retries``);
 # * release: every run that ended by t idles its container, in (finish,
 #   id) order (container ids count up, so the kernel's own numbering
-#   keeps the loop's order); a container a walk found busy re-enters the
-#   victim index under its current key;
+#   keeps the loop's order); a doomed one is torn down instead, and a
+#   container a walk found busy re-enters the victim index under its
+#   current key. Then a pending shrink resumes;
 # * ``on_invocation``: Freq(f) += 1, and every container of f is rescored
-#   at its own stamp plus the new value term;
+#   at its own stamp plus the new value term, even on a failed server;
 # * warm: f's least recently used idle container (lowest id on a tie)
 #   starts, stamped with the clock;
-# * cold: the cover rule takes the shortest prefix of the victim order
-#   that frees the deficit, or the arrival drops (at once when even the
-#   whole idle set is short). Each victim raises the clock to its
-#   priority and takes Freq with its function's last container; then
-#   the new container is stamped with that clock and admitted running.
+# * cold: a spawn failure strikes before any eviction; else the cover
+#   rule takes the shortest prefix of the victim order that frees the
+#   deficit, or the attempt drops (at once when even the whole idle set
+#   is short; under a spec it fails for ``memory_pressure``). Each victim
+#   raises the clock to its priority and takes Freq with its function's
+#   last container; then the new container is stamped with that clock
+#   and admitted running;
+# * a crash or timeout drawn for the attempt lets it start as above,
+#   then fails it (a crash dooms the container). A failed attempt is
+#   shed for ``queue_full`` when the retry queue is full, else filed as
+#   a retry if ``RetryPolicy.next_delay`` grants one, else shed.
+#
+# The server's events act as the loop's do: a ``capacity`` step (and a
+# ``restore``, after recovering) deflates toward its target without a
+# release first; ``down`` / ``evict`` release, then evict every idle
+# container (id order, no clock advance) and doom every running one.
+# Deflation is the pool's cover rule with its settle slack: the clamp to
+# the memory in use while busy containers hold more than the target,
+# the strict landing once they no longer do.
 #
 # The victim index files the pool's own entries
 # (:meth:`ContainerPool.iter_victims`): one per container, under the key
 # it was last scored with, parked while a walk finds it busy, re-filed
 # when a pop finds its key stale. Keys are unique (the id is in them),
-# so a pop sequence depends only on the entries, not on the heap's
+# so a pop sequence depends only on the live entries, not on the heap's
 # layout: the same entries give the loop's order for any weights,
-# monotone or not. Every container leaves through a walk that popped
-# its entry, so no entry ever goes stale: the index never outgrows the
-# pool and needs no purge.
+# monotone or not. A container that leaves through a walk took its entry
+# with it; one that is doomed (a crash, or its server failed) leaves its
+# entry stale. A walk drops stale entries when it pops them, and once
+# they outnumber both the idle set and the live entries the index is
+# purged (the pool's rule), so it never outgrows the pool by more than
+# a constant factor.
 
 #: A victim-index entry: the pool's ``((priority, last_used, id), id)``
 #: flattened, with the container beside it. An entry filed before any
@@ -477,12 +506,20 @@ def run_hist_kernel(
 #: id, container)``: below every scored key, in id order.
 _Entry = Tuple[float, float, int, "_GdContainer"]
 
+#: A timeline entry: ``(due, filing number, function, attempt)`` for a
+#: retry, ``(at, filing number, None, (kind, value))`` for a server event.
+_Timed = Tuple[float, int, Optional[TraceFunction], object]
+
+_CID = attrgetter("cid")
+
 
 class _GdContainer:
     """One container in :func:`run_gd_kernel`: the fields of
     :class:`~repro.core.container.Container` GD's loop reads."""
 
-    __slots__ = ("cid", "name", "memory_mb", "stamp", "priority", "last_used", "busy", "parked")
+    __slots__ = (
+        "cid", "name", "memory_mb", "stamp", "priority", "last_used", "busy", "parked", "doomed",
+    )
 
     def __init__(
         self, cid: int, name: str, memory_mb: float, stamp: float, priority: float,
@@ -492,50 +529,235 @@ class _GdContainer:
         self.stamp, self.priority, self.last_used = stamp, priority, last_used
         # Admitted running, its entry parked until it first idles.
         self.busy = self.parked = True
+        # Torn down at its run's end; once gone it reads busy for good.
+        self.doomed = False
+
+
+def _timeline(
+    arrivals: Iterator[Tuple[float, TraceFunction]], timeline: List[_Timed]
+) -> Iterator[Tuple[float, Optional[TraceFunction]]]:
+    """The loop's one timeline: each arrival after everything due by it,
+    then, while a retry is pending, the next instant's entries
+    (``KeepAliveSimulator.drain_retries``). A due entry comes as ``(its
+    time, None)``, for the consumer to pop: one it files on the way
+    that is due by then comes next."""
+    for arrival in arrivals:
+        while timeline and timeline[0][0] <= arrival[0]:
+            yield timeline[0][0], None
+        yield arrival
+    while any(entry[2] is not None for entry in timeline):
+        instant = timeline[0][0]
+        while timeline and timeline[0][0] <= instant:
+            yield instant, None
 
 
 def run_gd_kernel(
-    trace: KernelSource, policy: GreedyDualPolicy, capacity_mb: float
+    trace: KernelSource,
+    policy: GreedyDualPolicy,
+    capacity_mb: float,
+    fault_spec: Optional[FaultSpec] = None,
+    server_index: int = 0,
 ) -> SimulationResult:
     """Exact replay of a fresh ``policy`` without tenant weights (any
     ``frequency_weight`` / ``cost_weight``) on a pool of ``capacity_mb``,
-    under pressure or not; it never declines. The policy object is only
-    read: a run leaves it fresh."""
+    under pressure or not, and under ``fault_spec`` (the faults of
+    server ``server_index``; a disabled spec is no spec). It never
+    declines. The policy object is only read: a run leaves it fresh."""
     started = wall_clock_s()
     if capacity_mb <= 0:
         raise ValueError(f"capacity must be positive, got {capacity_mb}")
     frequency_weight, cost_weight = policy._frequency_weight, policy._cost_weight
-    capacity = float(capacity_mb)
+    nominal = capacity = float(capacity_mb)
     slack = 1e-9 * capacity  # the pool's drift slack
     # A function's Freq and containers (creation order) exist while it
     # has containers or a live Freq, as in the policy and the pool.
     frequency: Dict[str, int] = {}
     by_function: Dict[str, List[_GdContainer]] = {}
-    outcomes: Dict[str, FunctionOutcome] = {}  # first-arrival order
+    # Booked at a function's first outcome, as the metrics do.
+    outcomes: DefaultDict[str, FunctionOutcome] = defaultdict(FunctionOutcome)
     running: List[Tuple[float, int, _GdContainer]] = []  # (finish, id)
     index: List[_Entry] = []
     walked = False  # a walk has scored entries (the pool's ``_key_of``)
-    used = evictable = clock = ideal = actual = 0.0
-    idle = pooled = evictions = 0
-    cid = -1
-    for now, function in trace.arrivals():
+    used = evictable = clock = ideal = actual = downtime = down_since = 0.0
+    idle = pooled = evictions = deflations = stale = cid = 0
+    faults_injected = retries = sheds = downs = shrinks = grows = notices = 0
+    faults_by_kind: Dict[str, int] = {}
+    sheds_by_reason: Dict[str, int] = {}
+    shrink_to: Optional[float] = None  # a deflation's pending target
+    down = draw_fault = draw_spawn = False
+    timeline: List[_Timed] = []
+    filed = pending = 0  # timeline entries filed; retries on it
+    faults: Optional[FaultModel] = None
+    if fault_spec is not None and fault_spec.enabled:
+        faults = FaultModel(fault_spec)
+        next_delay = RetryPolicy.from_spec(fault_spec).next_delay
+        max_pending = fault_spec.max_pending_retries
+        draw_fault = fault_spec.crash_rate > 0.0 or fault_spec.timeout_rate > 0.0
+        draw_spawn = fault_spec.spawn_failure_rate > 0.0
+        # Sorted by time, then kind: in filing order, a heap already.
+        timeline = [
+            (at_s, filed, None, (kind, value))
+            for filed, (at_s, __, kind, value) in enumerate(
+                faults.server_events([server_index], trace.last_arrival_s)
+            )
+        ]
+        filed = len(timeline)
+        stream = _timeline(trace.arrivals(), timeline)
+    else:
+        stream = trace.arrivals()
+
+    def walk(cover: float) -> Optional[List[_GdContainer]]:
+        """The cover rule over the victim index (``take_victims`` on
+        ``iter_victims``): the shortest prefix of idle containers that
+        reclaims ``cover``, or None, with what it offered filed back."""
+        nonlocal walked, stale
+        walked = True
+        taken: List[_GdContainer] = []
+        reclaimed = 0.0
+        rescored: Optional[_Entry] = None
+        while index or rescored is not None:
+            entry = heappop(index) if rescored is None else heappushpop(index, rescored)
+            rescored = None
+            priority, last_used, box_id, box = entry
+            if box.busy:
+                if box.doomed:
+                    stale -= 1  # dropped: its container is (to be) torn down
+                else:
+                    box.parked = True
+                continue
+            if (priority, last_used) != (box.priority, box.last_used):
+                rescored = (box.priority, box.last_used, box_id, box)
+                continue
+            taken.append(box)
+            reclaimed += box.memory_mb
+            if reclaimed >= cover:
+                return taken
+        for box in taken:  # the whole idle set is not enough
+            heappush(index, (box.priority, box.last_used, box.cid, box))
+        return None
+
+    def evict(boxes: Sequence[_GdContainer], pressure: bool) -> None:
+        """Terminate idle ``boxes`` (``ContainerPool.evict`` plus
+        ``on_evict``): the pool's accounting, Freq with a function's last
+        container and, for pressure and deflation, the clock."""
+        nonlocal used, pooled, evictable, idle, clock
+        for box in boxes:
+            box_mb = box.memory_mb
+            used -= box_mb
+            pooled -= 1
+            if not pooled and abs(used) <= slack:
+                used = 0.0
+            evictable -= box_mb
+            idle -= 1
+            if idle == 0 and abs(evictable) <= slack:
+                evictable = 0.0
+            if pressure and box.priority > clock:
+                clock = box.priority
+            peers = by_function[box.name]
+            peers.remove(box)
+            if not peers:  # Freq goes with the last container
+                del by_function[box.name], frequency[box.name]
+
+    def doom(box: _GdContainer) -> None:
+        """Mark ``box`` for teardown: its index entry, if filed, is stale
+        from now on; purge the index by the pool's rule."""
+        nonlocal stale
+        box.doomed = True
+        if not box.parked:
+            stale += 1
+            if stale > idle and 2 * stale > len(index):
+                index[:] = [entry for entry in index if not entry[3].doomed]
+                heapify(index)
+                stale = 0
+
+    def deflate() -> None:
+        """Advance the shrink to ``shrink_to`` (``deflate_to`` /
+        ``resume_deflation``): the idle victims the target asks for, then
+        the strict landing or the clamp to the memory in use."""
+        nonlocal capacity, slack, shrink_to, deflations
+        settle = 1e-9 * max(capacity, shrink_to)
+        deficit = min(used - shrink_to, evictable)
+        if deficit > settle:
+            victims = walk(deficit - settle)
+            if victims is not None:
+                evict(victims, True)
+                deflations += len(victims)
+        if used - shrink_to <= settle:
+            capacity, shrink_to = shrink_to, None
+        else:
+            capacity = used
+        slack = 1e-9 * capacity
+
+    def resize(target: float) -> None:
+        """``KeepAliveSimulator.set_capacity``: deflate toward ``target``,
+        then count a shrink or a growth against the capacity it replaced."""
+        nonlocal shrink_to, shrinks, grows
+        old = capacity
+        shrink_to = target
+        deflate()
+        edge = 1e-9 * max(old, target)
+        if target < old - edge:
+            shrinks += 1
+        elif target > old + edge:
+            grows += 1
+
+    for now, function in stream:
+        attempt = 0
+        if function is None:  # the timeline's next entry is due
+            __, __, function, attempt = heappop(timeline)
+            if function is None:  # one of the server's events
+                kind, value = attempt
+                if kind == "capacity":
+                    resize(value * nominal)
+                    continue
+                if kind == "notice":
+                    notices += 1
+                    continue
+                if kind == "up" or kind == "restore":
+                    if down:
+                        down = False
+                        downtime += max(0.0, now - down_since)
+                    if kind == "restore":  # a replacement, full size
+                        resize(1.0 * nominal)
+                    continue
+                if down:
+                    continue  # already failed
+                down, down_since = True, now
+                downs += 1  # released below, then lost
+            else:
+                pending -= 1  # a retry re-enters
         while running and running[0][0] <= now:
             finish, __, box = heappop(running)
-            box.busy = False
             if finish > box.last_used:
                 box.last_used = finish
             evictable += box.memory_mb
             idle += 1
+            if box.doomed:
+                evict((box,), False)
+                continue
+            box.busy = False
             if box.parked:
                 box.parked = False
                 if walked:
                     heappush(index, (box.priority, box.last_used, box.cid, box))
                 else:
                     heappush(index, (-inf, -inf, box.cid, box))
+        if shrink_to is not None:
+            deflate()
+        if function is None:  # the server fails: its idle containers go now
+            lost = sorted(
+                (box for peers in by_function.values() for box in peers if not box.busy),
+                key=_CID,
+            )
+            evict(lost, False)
+            for box in lost:
+                box.busy = True
+                doom(box)
+            for __, __, box in running:  # and its running ones at their end
+                if not box.doomed:
+                    doom(box)
+            continue
         name = function.name
-        outcome = outcomes.get(name)
-        if outcome is None:
-            outcome = outcomes[name] = FunctionOutcome()
         frequency[name] = freq = frequency.get(name, 0) + 1
         memory = function.memory_mb
         value = (
@@ -548,6 +770,7 @@ def run_gd_kernel(
             box.priority = box.stamp + value
             if not box.busy and (reuse is None or box.last_used < reuse.last_used):
                 reuse = box
+        fault = faults.invocation_fault(name, now, attempt) if draw_fault else None
         if reuse is not None:
             duration = function.warm_time_s
             reuse.busy = True
@@ -559,81 +782,125 @@ def run_gd_kernel(
             heappush(running, (now + duration, reuse.cid, reuse))
             reuse.stamp = clock
             reuse.priority = clock + value
-            ideal += duration
-            actual += duration
-            outcome.warm += 1
-            continue
-        deficit = memory - (capacity - used)
-        if deficit > 1e-9:
-            cover = deficit - 1e-9
-            if evictable < cover:
-                outcome.dropped += 1
+            if fault is None:
+                ideal += duration
+                actual += duration
+                outcomes[name].warm += 1
                 continue
-            walked = True
-            taken: List[_Entry] = []
-            reclaimed = 0.0
-            rescored: Optional[_Entry] = None
-            while index or rescored is not None:
-                entry = heappop(index) if rescored is None else heappushpop(index, rescored)
-                rescored = None
-                priority, last_used, box_id, box = entry
-                if box.busy:
-                    box.parked = True
-                    continue
-                if (priority, last_used) != (box.priority, box.last_used):
-                    rescored = (box.priority, box.last_used, box_id, box)
-                    continue
-                taken.append(entry)
-                reclaimed += box.memory_mb
-                if reclaimed >= cover:
-                    break
-            else:  # the whole idle set is not enough: offered back, dropped
-                for entry in taken:
-                    heappush(index, entry)
-                outcome.dropped += 1
-                continue
-            for __, __, __, box in taken:  # all idle: none is the arriving function's
-                box_mb = box.memory_mb
-                used -= box_mb
-                pooled -= 1
-                if not pooled and abs(used) <= slack:
-                    used = 0.0
-                evictable -= box_mb
-                idle -= 1
-                if idle == 0 and abs(evictable) <= slack:
-                    evictable = 0.0
-                if box.priority > clock:
-                    clock = box.priority
-                peers = by_function[box.name]
-                peers.remove(box)
-                if not peers:  # Freq goes with the last container
-                    del by_function[box.name], frequency[box.name]
-                evictions += 1
-        if memory > capacity - used + slack:
-            raise CapacityError(
-                f"container needs {memory} MB but only {capacity - used:.1f} MB is free"
-            )
-        used += memory
-        pooled += 1
-        cid += 1
-        box = _GdContainer(cid, name, memory, clock, clock + value, now)
-        if boxes is None:
-            by_function[name] = [box]
+            if fault == "crash":
+                doom(reuse)
+        elif down:  # no container idles on a failed server
+            fault, failure = None, "unavailable"
+        elif draw_spawn and faults.spawn_fails(name, now, attempt):
+            fault = "spawn_failure"  # before any eviction
         else:
-            boxes.append(box)
-        heappush(running, (now + function.cold_time_s, cid, box))
-        ideal += function.warm_time_s
-        actual += function.cold_time_s
-        outcome.cold += 1
+            victims: Optional[List[_GdContainer]] = None
+            deficit = memory - (capacity - used)
+            cover = deficit - 1e-9
+            if deficit <= 1e-9:
+                victims = []
+            elif evictable >= cover:  # ``walk``, inlined: no call per miss
+                walked = True
+                taken: List[_GdContainer] = []
+                reclaimed = 0.0
+                rescored: Optional[_Entry] = None
+                while index or rescored is not None:
+                    entry = heappop(index) if rescored is None else heappushpop(index, rescored)
+                    rescored = None
+                    priority, last_used, box_id, box = entry
+                    if box.busy:
+                        if box.doomed:
+                            stale -= 1  # dropped: its container is (to be) torn down
+                        else:
+                            box.parked = True
+                        continue
+                    if (priority, last_used) != (box.priority, box.last_used):
+                        rescored = (box.priority, box.last_used, box_id, box)
+                        continue
+                    taken.append(box)
+                    reclaimed += box.memory_mb
+                    if reclaimed >= cover:
+                        victims = taken
+                        break
+                else:  # the whole idle set is not enough
+                    for box in taken:
+                        heappush(index, (box.priority, box.last_used, box.cid, box))
+            if victims is None:
+                if faults is None:
+                    outcomes[name].dropped += 1
+                    continue
+                fault = None
+                failure = "memory_pressure"
+            else:
+                for box in victims:  # ``evict(victims, True)``, inlined
+                    box_mb = box.memory_mb
+                    used -= box_mb
+                    pooled -= 1
+                    if not pooled and abs(used) <= slack:
+                        used = 0.0
+                    evictable -= box_mb
+                    idle -= 1
+                    if idle == 0 and abs(evictable) <= slack:
+                        evictable = 0.0
+                    if box.priority > clock:
+                        clock = box.priority
+                    peers = by_function[box.name]
+                    peers.remove(box)
+                    if not peers:  # Freq goes with the last container
+                        del by_function[box.name], frequency[box.name]
+                    evictions += 1
+                if memory > capacity - used + slack:
+                    raise CapacityError(
+                        f"container needs {memory} MB but only "
+                        f"{capacity - used:.1f} MB is free"
+                    )
+                used += memory
+                pooled += 1
+                cid += 1
+                box = _GdContainer(cid, name, memory, clock, clock + value, now)
+                if boxes is None:
+                    by_function[name] = [box]
+                else:
+                    boxes.append(box)
+                heappush(running, (now + function.cold_time_s, cid, box))
+                if fault is None:
+                    ideal += function.warm_time_s
+                    actual += function.cold_time_s
+                    outcomes[name].cold += 1
+                    continue
+                if fault == "crash":
+                    doom(box)
+        if fault is not None:
+            faults_injected += 1
+            faults_by_kind[fault] = faults_by_kind.get(fault, 0) + 1
+            failure = "retry_budget"
+        # A failed attempt (``_handle_failure``): a retry, or a shed.
+        if pending >= max_pending:
+            failure = "queue_full"
+        else:
+            delay = next_delay(name, attempt + 1, now)
+            if delay is not None:
+                pending += 1
+                heappush(timeline, (now + delay, filed, function, attempt + 1))
+                filed += 1
+                retries += 1
+                continue
+        sheds += 1
+        sheds_by_reason[failure] = sheds_by_reason.get(failure, 0) + 1
     metrics = SimulationMetrics(
-        evictions=evictions, ideal_exec_time_s=ideal, actual_exec_time_s=actual
+        evictions=evictions, faults_injected=faults_injected, retries=retries,
+        sheds=sheds, server_downs=downs, downtime_s=downtime, capacity_shrinks=shrinks,
+        capacity_grows=grows, eviction_notices=notices, deflations=deflations,
+        ideal_exec_time_s=ideal, actual_exec_time_s=actual,
+        faults_by_kind=faults_by_kind, sheds_by_reason=sheds_by_reason,
+        per_function=outcomes,
     )
-    metrics.per_function = outcomes
+    outcomes.default_factory = None  # a read of the result books nothing
     for outcome in outcomes.values():
         metrics.warm_starts += outcome.warm
         metrics.cold_starts += outcome.cold
         metrics.dropped += outcome.dropped
     metrics.wall_time_s = wall_clock_s() - started
     return SimulationResult(
-        trace.name, policy.name, capacity, metrics, path="gd-kernel"
+        trace.name, policy.name, nominal, metrics, path="gd-kernel"
     )

@@ -882,7 +882,7 @@ class KeepAliveSimulator:
         return SimulationResult(
             trace_name=self._trace_name,
             policy_name=self.policy.name,
-            memory_mb=self.pool.capacity_mb,
+            memory_mb=self._nominal_capacity_mb,  # provisioned, not the last resize
             metrics=self.metrics,
         )
 
@@ -909,17 +909,25 @@ def _exact_kernels(
     :class:`GreedyDualPolicy` without tenant weights is replayed per
     arrival at any pool size, if it is fresh (no Freq, clock at 0): after
     the TTL kernel, which declines self-overlapping functions, or alone
-    when the registry outgrows the pool. Tracer, faults, reserved
-    concurrency, timeline, warm-up, tenants and the sanitizer (which
-    wants every arrival) each leave the run to the loop.
+    when the registry outgrows the pool. Under an enabled fault spec only
+    the GD kernel may answer (it replays the server's fault timeline and
+    retry queue; the others know nothing of faults); a disabled spec is
+    no spec. Tracer, reserved concurrency, timeline, warm-up, tenants
+    and the sanitizer (which wants every arrival) each leave the run to
+    the loop.
     """
     kind = type(policy)
     gd = (
         kind is GreedyDualPolicy and policy._tenant_weights is None
         and not policy._frequency and not policy.clock.value
     )
-    if kind is HistogramPolicy and not policy._histograms:
-        kernels: Tuple[str, ...] = ("hist",)
+    spec = config.fault_spec
+    if spec is not None and spec.enabled:
+        if not gd:
+            return ()
+        kernels: Tuple[str, ...] = ("gd",)
+    elif kind is HistogramPolicy and not policy._histograms:
+        kernels = ("hist",)
     elif kind is TTLPolicy or (
         kind.expired_containers is KeepAlivePolicy.expired_containers
         and kind.due_prewarms is KeepAlivePolicy.due_prewarms
@@ -929,7 +937,7 @@ def _exact_kernels(
     else:
         return ()
     if (
-        tracer is not None or config.fault_spec is not None or config.reserved_concurrency
+        tracer is not None or config.reserved_concurrency
         or config.track_memory_timeline or config.warmup_s > 0.0
         or config.tenant_mode != "shared" or sanitize_enabled()
     ):
@@ -967,11 +975,12 @@ def simulate(
     the vectorized TTL kernel (:func:`repro.sim.columnar.run_ttl_kernel`)
     or the per-arrival HIST kernel
     (:func:`repro.sim.columnar.run_hist_kernel`); for a fresh, plain GD
-    at any pool size, the per-arrival GD kernel
+    at any pool size and under any fault spec, the per-arrival GD kernel
     (:func:`repro.sim.columnar.run_gd_kernel`, after the TTL kernel when
-    the registry fits). Every other run, a run its kernels decline, and
-    every run with ``engine="object"`` (the reference the differential
-    suite holds the kernels to) takes the arrival loop of
+    the registry fits and no spec is enabled). Every other run, a run its
+    kernels decline, and every run with ``engine="object"`` (the
+    reference the differential suite holds the kernels to) takes the
+    arrival loop of
     :meth:`KeepAliveSimulator.run`. Which one ran is reported as
     :attr:`SimulationResult.path`.
 
@@ -1003,7 +1012,9 @@ def simulate(
                     trace, policy, float(memory_mb), config.prewarm_effectiveness
                 )
             else:
-                result = run_gd_kernel(trace, policy, float(memory_mb))
+                result = run_gd_kernel(
+                    trace, policy, float(memory_mb), config.fault_spec, config.server_index
+                )
             if result is not None:
                 return result
     return KeepAliveSimulator(

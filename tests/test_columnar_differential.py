@@ -20,7 +20,9 @@ across:
 * the GD kernel: a seeded sweep over GD's weights, pools from 0.05x to
   1x the registry and the three trace forms, a self-overlapping
   function under pressure, every decline, and whole runs against the
-  reference model's GD;
+  reference model's GD; then the same under seeded fault specs that set
+  every field (server timeline, retry queue, per-attempt faults), and
+  faulted whole runs against the reference model;
 * the exact-summation primitive (``np.add.accumulate`` + scalar
   carry) the kernel's float accumulation correctness rests on;
 * a ``PYTHONHASHSEED`` subprocess pair — both engines, both seeds,
@@ -323,11 +325,13 @@ DISQUALIFIERS = [
 
 def disqualified(trace, disqualifier):
     """``(trace, simulate() keywords)`` with ``disqualifier`` applied
-    (the sanitizer is armed here; the ``unsanitized`` fixture disarms it)."""
+    (the sanitizer is armed here; the ``unsanitized`` fixture disarms it).
+    An enabled fault spec sends every policy but GD to the loop: only the
+    GD kernel replays faults."""
     first = next(iter(trace.functions))
     kwargs = {
         "tracer": {"tracer": Tracer(RingBufferSink())},
-        "fault_spec": {"fault_spec": FaultSpec(seed=1)},
+        "fault_spec": {"fault_spec": FaultSpec(seed=1, spot_mtbf_s=2000.0)},
         "reserved_concurrency": {"reserved_concurrency": {first: 1}},
         "track_memory_timeline": {"track_memory_timeline": True},
         "warmup_s": {"warmup_s": 60.0},
@@ -417,7 +421,17 @@ class TestEveryPolicyOnTheKernel:
     def test_each_static_disqualifier_declines(self, disqualifier, policy):
         trace, kwargs = disqualified(churn_trace(num_functions=30, seed=4), disqualifier)
         result = simulate(trace, policy, 2 * registry_mb(trace), **kwargs)
-        assert result.path == "sequential"
+        faulted_gd = disqualifier == "fault_spec" and policy == "GD"
+        assert result.path == ("gd-kernel" if faulted_gd else "sequential")
+
+    @pytest.mark.parametrize("policy, path", [("GD", "vectorized"), ("HIST", "hist-kernel")])
+    def test_a_disabled_fault_spec_is_no_spec(self, policy, path):
+        trace = churn_trace(num_functions=30, seed=4)
+        spec = FaultSpec(seed=1, max_retries=0)
+        assert not spec.enabled
+        loop, default = loop_and_default(trace, policy, 2 * registry_mb(trace), fault_spec=spec)
+        assert default.path == path
+        assert_same_replay(loop, default)
 
     @pytest.mark.parametrize("name", available_policies())
     def test_every_policy_under_pressure_equals_the_loop(self, name):
@@ -636,6 +650,56 @@ def gd_workload(rng):
     return Trace(functions, invocations, name="gd-sweep")
 
 
+#: Pools of the faulted sweep: a shrink below the registry is pressure.
+GD_FAULT_POOLS = (0.1, 0.3, 0.6, 0.9, 1.0, 1.5)
+
+
+def gd_fault_spec(rng, horizon_s):
+    """A seeded spec that may set every :class:`FaultSpec` field: rates
+    of all three attempt faults, outages (rate-based, explicit, another
+    server's), capacity steps (explicit, at t = 0, harvested), spot
+    evictions with and without notice, and a retry policy from none
+    (no retries, no queue, no budget) to roomy."""
+    explicit_down = sorted(rng.uniform(0.0, horizon_s) for __ in range(rng.randint(0, 3)))
+    low = rng.uniform(0.05, 0.9)
+    base_delay_s = rng.choice((0.1, 1.0, 5.0))
+    return FaultSpec(
+        seed=rng.randrange(1 << 70),
+        spawn_failure_rate=rng.choice((0.0, 0.0, 0.05, 0.3)),
+        crash_rate=rng.choice((0.0, 0.0, 0.05, 0.3)),
+        timeout_rate=rng.choice((0.0, 0.0, 0.05, 0.2)),
+        server_mtbf_s=rng.choice((0.0, 0.0, 30.0, 300.0)),
+        server_recovery_s=rng.choice((1.0, 10.0, 60.0)),
+        server_downtimes=[(0, t, t + rng.choice((0.5, 5.0, 30.0))) for t in explicit_down]
+        + [(1, 1.0, 5.0)] * rng.randint(0, 1),
+        capacity_steps=[
+            (0, rng.choice((0.0, round(rng.uniform(0.0, horizon_s), 1))), rng.choice((0.1, 0.4, 1.0)))
+            for __ in range(rng.randint(0, 4))
+        ],
+        harvest_interval_s=rng.choice((0.0, 0.0, 10.0, 100.0)),
+        harvest_min_frac=low,
+        harvest_max_frac=rng.uniform(low, 1.0),
+        spot_mtbf_s=rng.choice((0.0, 0.0, 50.0, 400.0)),
+        spot_notice_s=rng.choice((0.0, 2.0, 30.0)),
+        max_retries=rng.choice((0, 1, 3, 6, 6)),
+        base_delay_s=base_delay_s,
+        max_delay_s=base_delay_s * rng.choice((1, 4, 30)),
+        jitter=rng.choice((0.0, 0.5, 1.0)),
+        max_pending_retries=rng.choice((0, 3, 1024, 1024)),
+        per_function_retry_budget=rng.choice((0, 5, 100, 100)),
+    )
+
+
+def assert_same_faulted_replay(loop, default):
+    assert_same_replay(loop, default)
+    for breakdown in ("faults_by_kind", "sheds_by_reason"):
+        assert list(getattr(default.metrics, breakdown).items()) == list(
+            getattr(loop.metrics, breakdown).items()
+        )
+    assert default.metrics.downtime_s == loop.metrics.downtime_s
+    assert default.memory_mb == loop.memory_mb
+
+
 @pytest.mark.usefixtures("unsanitized")
 class TestGdKernel:
     """An exact, fresh GD without tenant weights, at any pool size: the
@@ -728,8 +792,105 @@ class TestGdKernel:
     def test_each_static_disqualifier_declines_under_pressure(self, disqualifier):
         trace, kwargs = disqualified(churn_trace(num_functions=30, seed=4), disqualifier)
         result = simulate(trace, "GD", 0.5 * registry_mb(trace), **kwargs)
-        assert result.path == "sequential"
+        assert result.path == ("gd-kernel" if disqualifier == "fault_spec" else "sequential")
         assert result.metrics.evictions > 0
+
+    @pytest.mark.parametrize("form", ["object", "columnar", "stream"])
+    def test_seeded_faulted_sweep_equals_the_loop(self, form):
+        """Under a fault spec the kernel replays the server's timeline and
+        the retry queue: equal to the loop on every counter and breakdown,
+        the downtime, the provisioned size and ``per_function``, whose
+        entries appear at a function's first outcome."""
+        rng = random.Random(30)
+        seen = Counter()
+        for case in range(60):
+            if form == "stream":
+                trace = StreamingChurnTrace(
+                    num_functions=rng.randint(8, 30), duration_s=1500.0, seed=case
+                )
+            else:
+                trace = gd_workload(rng)
+                if form == "columnar":
+                    trace = ColumnarTrace.from_trace(trace)
+            spec = gd_fault_spec(rng, trace.last_arrival_s)
+            memory_mb = rng.choice(GD_FAULT_POOLS) * registry_mb(trace)
+            loop, default = loop_and_default(trace, "GD", memory_mb, fault_spec=spec)
+            assert default.path == "gd-kernel"
+            assert_same_faulted_replay(loop, default)
+            metrics = loop.metrics
+            assert loop.memory_mb == memory_mb
+            seen.update(metrics.faults_by_kind)
+            seen.update(metrics.sheds_by_reason)
+            for counter in ("retries", "server_downs", "deflations", "evictions"):
+                seen[counter] += getattr(metrics, counter) > 0
+            # Shed on every attempt: no outcome, so no entry.
+            arrived = {function.name for __, function in trace.arrivals()}
+            seen["never served"] += not arrived <= set(metrics.per_function)
+        assert seen["retries"] >= 12 and seen["deflations"] >= 10, seen
+        assert seen["server_downs"] >= 25 and seen["evictions"] >= 25, seen
+        assert {"unavailable", "memory_pressure", "retry_budget", "queue_full"} <= set(seen), seen
+        assert {"crash", "timeout", "spawn_failure"} <= set(seen), seen
+        assert seen["never served"] >= 10, seen
+
+    def test_server_events_fire_before_retries_due_with_them(self):
+        """``g`` outgrows the pool: its attempt at 1 s fails for memory
+        and is retried at exactly 2 s, when the server goes down. The
+        outage fires first, so the retry finds the server down. (``f``
+        at 10 s stretches the schedule's horizon past the outage.)"""
+        functions = [TraceFunction("g", 200.0, 0.5, 1.0), TraceFunction("f", 10.0, 0.5, 1.0)]
+        trace = edge_trace(functions, [(1.0, 0), (10.0, 1)])
+        spec = FaultSpec(
+            seed=1, server_downtimes=[(0, 2.0, 3.0)], max_retries=1, jitter=0.0
+        )
+        loop, default = loop_and_default(trace, "GD", 100.0, fault_spec=spec)
+        assert default.path == "gd-kernel"
+        assert_same_faulted_replay(loop, default)
+        assert loop.metrics.retries == 1
+        assert loop.metrics.sheds_by_reason == {"unavailable": 1}
+
+    def test_a_failed_server_does_not_advance_the_clock(self):
+        """The outage at 2 s loses ``h``'s idle container, priority 1e8:
+        a failure eviction leaves the clock at 0. Then ``b`` (value 2e-9)
+        and ``a`` (1e-9) fill the pool and ``c`` evicts the lower
+        priority, ``a``, so ``b`` is warm at 8 s. A clock raised to 1e8
+        would round both priorities to 1e8 and evict the older ``b``."""
+        functions = [
+            TraceFunction("h", 1e-8, 0.0, 1.0),
+            TraceFunction("a", 1.0, 0.0, 1e-9),
+            TraceFunction("b", 1.0, 0.0, 2e-9),
+            TraceFunction("c", 1.0, 0.0, 1.0),
+        ]
+        trace = edge_trace(functions, [(0.0, 0), (4.0, 2), (5.0, 1), (7.0, 3), (8.0, 2)])
+        spec = FaultSpec(seed=1, server_downtimes=[(0, 2.0, 3.0)])
+        loop, default = loop_and_default(trace, "GD", 2.0, fault_spec=spec)
+        assert default.path == "gd-kernel"
+        assert_same_faulted_replay(loop, default)
+        assert loop.metrics.per_function["b"] == FunctionOutcome(warm=1, cold=1)
+        assert loop.metrics.evictions == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_faulted_whole_runs_follow_the_specification(self, seed):
+        """The kernel under a harvest, spot, outage and per-attempt fault
+        spec against the reference model's GD, through ``Server.admit``."""
+        trace = churn_trace(num_functions=40, duration_s=4800.0, seed=seed)
+        spec = FaultSpec(
+            seed=seed, spawn_failure_rate=0.02, crash_rate=0.02, timeout_rate=0.01,
+            server_mtbf_s=2000.0, server_recovery_s=120.0, harvest_interval_s=300.0,
+            harvest_min_frac=0.3, spot_mtbf_s=1500.0, max_pending_retries=8,
+        )
+        memory_mb = 0.6 * registry_mb(trace)
+        result = simulate(trace, "GD", memory_mb, fault_spec=spec)
+        assert result.path == "gd-kernel"
+        model = Server(
+            dict(trace.functions), "GD", memory_mb, fault_spec=spec,
+            horizon_s=trace.last_arrival_s,
+        )
+        for now_s, function in trace.arrivals():
+            model.admit(function, now_s)
+        model.finish()
+        assert result.metrics.counters() == model.counters
+        for counter in ("evictions", "deflations", "retries", "sheds", "faults_injected"):
+            assert model.counters[counter], counter
 
 
 class TestExactSummation:

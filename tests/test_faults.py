@@ -14,7 +14,10 @@ The contract under test, end to end:
 """
 
 import dataclasses
+import hashlib
 import json
+import random
+import struct
 
 import pytest
 
@@ -28,6 +31,7 @@ from repro.faults import (
     derive_seed,
     load_fault_spec,
 )
+from repro.faults.model import UniformDraws
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.synth import skewed_frequency_trace
 from tests.conftest import make_trace
@@ -142,6 +146,71 @@ class TestFaultSpec:
         assert derive_seed(5, "x", 1) != derive_seed(6, "x", 1)
         # Type-tagged packing: ("a", 1) never collides with ("a1",).
         assert derive_seed(0, "a", "1") != derive_seed(0, "a1")
+
+
+def frozen_u01(base, *parts):
+    """The draw as first shipped: a salted blake2b built per call over
+    each part's type-tagged packing. Every seeded decision of every
+    fault spec ever recorded rests on these bytes."""
+
+    def pack(part):
+        if isinstance(part, str):
+            data = part.encode("utf-8")
+            return b"s" + len(data).to_bytes(4, "little") + data
+        if isinstance(part, bool):
+            return b"b" + bytes([part])
+        if isinstance(part, int):
+            return b"i" + part.to_bytes(16, "little", signed=True)
+        if isinstance(part, float):
+            return b"f" + struct.pack("<d", part)
+        raise TypeError(part)
+
+    h = hashlib.blake2b(digest_size=8, salt=(base & ((1 << 64) - 1)).to_bytes(8, "little"))
+    for part in parts:
+        h.update(pack(part))
+    return (int.from_bytes(h.digest(), "little") & ((1 << 53) - 1)) / float(1 << 53)
+
+
+class TestUniformDraws:
+    """The draw behind every injection and jitter decision keeps its
+    bytes: one hasher per seed, copied per draw, packed by type."""
+
+    EDGE_PARTS = (
+        "", "jitter", "fn-ü", True, False, 0, -1, -(1 << 70), (1 << 64) + 3, (1 << 126),
+        0.0, -0.0, 1234.5, float("inf"), float("-inf"), 5e-324,
+    )
+
+    def test_equal_to_the_frozen_draw(self):
+        rng = random.Random(2026)
+        seeds = (0, 1, 2026, (1 << 64) - 1, 1 << 64, (1 << 64) + 7, (1 << 90) + 5)
+        for seed in seeds:
+            draws = UniformDraws(seed)
+            for part in self.EDGE_PARTS:
+                assert draws("k", part) == frozen_u01(seed, "k", part), (seed, part)
+            for __ in range(500):
+                parts = tuple(rng.choice(self.EDGE_PARTS) for __ in range(rng.randint(0, 5)))
+                assert draws(*parts) == frozen_u01(seed, *parts), (seed, parts)
+
+    def test_subclassed_and_unhashable_parts(self):
+        class Name(str):
+            pass
+
+        draws = UniformDraws(3)
+        assert draws(Name("f"), 2.0) == frozen_u01(3, "f", 2.0)
+        with pytest.raises(TypeError):
+            draws(None)
+
+    def test_owners_draw_from_their_own_seed(self):
+        spec = FaultSpec(seed=1 << 65, spawn_failure_rate=0.5, jitter=1.0)
+        model = FaultModel(spec)
+        for attempt in range(40):
+            draw = frozen_u01(spec.seed, "spawn", "f", 12.5, attempt)
+            assert model.spawn_fails("f", 12.5, attempt) == (draw < 0.5)
+        retry = RetryPolicy.from_spec(spec)
+        u = frozen_u01(spec.seed, "jitter", "f", 1, 12.5)
+        assert retry.next_delay("f", 1, 12.5) == min(
+            spec.max_delay_s, spec.base_delay_s * (1.0 + spec.jitter * (u - 0.5))
+        )
 
 
 class TestFaultModel:

@@ -600,6 +600,18 @@ class TestSchedulerHarvest:
         assert metrics.capacity_grows > 0
         assert metrics.deflations > 0
 
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_result_reports_the_provisioned_size(self, engine):
+        """A run that ends shrunk (here held at half its size from t = 0,
+        deferral-clamped while busy) is still the run of the server it
+        was provisioned as."""
+        trace = self._simulator().trace
+        spec = FaultSpec(seed=1, capacity_steps=[(0, 0.0, 0.5)])
+        result = simulate(trace, "GD", 1000.0, engine=engine, fault_spec=spec)
+        assert result.metrics.capacity_shrinks == 1
+        assert result.memory_mb == 1000.0
+        assert "memory=1000 MB" in repr(result)
+
     def test_cluster_spec_strips_capacity_fields(self):
         spec = FaultSpec(
             seed=1,

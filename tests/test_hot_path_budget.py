@@ -5,7 +5,8 @@ one performance number that repeats exactly: function calls, Python
 and builtin alike, made inside one ``simulate()``. This suite counts
 them the same way — ``sys.setprofile``, no clock anywhere — over two
 small GD replays (the eviction one on the arrival loop and on the GD
-kernel, the warm one on the loop and on the vectorized kernel), a HIST
+kernel, the warm one on the loop and on the vectorized kernel), the
+warm one's trace under harvest and spot faults on the GD kernel, a HIST
 one (on the loop and on the HIST kernel), a streamed kernel replay and
 a pipelined live request stream, and holds
 them to what the code pays today, so a refactor that puts a frame or a
@@ -29,6 +30,7 @@ import pytest
 from repro import bench
 from repro.checks.sanitize import set_sanitize
 from repro.core.clock import SimClock
+from repro.faults import FaultSpec
 from repro.live.server import LiveHTTPServer, _Connection
 from repro.live.service import LivePoolService
 from repro.sim import columnar  # noqa: F401 - simulate() imports it lazily, on a first call
@@ -50,12 +52,21 @@ CONTAINER_MB = 128.0
 EVICT_CALLS = 30_291
 WARM_CALLS = 14_217
 #: The eviction replay through the default ``simulate()``, which the GD
-#: kernel answers: 11.08 calls per arrival (6,650) — the arrivals
-#: generator, three dict lookups (outcome, Freq, containers), a heap
-#: push and a pop for the run, and per victim a pop off the index, an
-#: ``append`` to the cover, a ``remove`` from its function's list and
-#: the new container's ``__init__``.
-GD_KERNEL_CALLS = 6_650
+#: kernel answers: 11.08 calls per arrival (6,650), then 10.09 (6,056)
+#: once an outcome is booked by subscript — the arrivals generator, two
+#: dict lookups (Freq, containers), a heap push and a pop for the run,
+#: and per victim a pop off the index, an ``append`` to the cover, a
+#: ``remove`` from its function's list and the new container's
+#: ``__init__``.
+GD_KERNEL_CALLS = 6_056
+#: The warm replay's trace on 0.9 x its working set under harvest steps
+#: and a spot eviction (a down and a restore, 98 retries, 45 deflations),
+#: through the default ``simulate()``, which the GD kernel answers:
+#: 12.56 calls per arrival (8,930), against 39.95 (28,405) on the loop.
+#: Beside the eviction replay's calls it pays the timeline generator and
+#: per retry a ``next_delay`` (its jitter draw: a hasher copy, four
+#: packs, a digest) and a heap push and pop.
+GD_FAULT_KERNEL_CALLS = 8_930
 #: The same warm replay on the vectorized kernel (GD replayed at
 #: ``ttl_s = inf``): 0.53 calls per arrival (379) — the eligibility
 #: test, one object-trace chunk transposed and a few dozen ufuncs.
@@ -185,6 +196,28 @@ def test_gd_kernel_call_budget(unsanitized):
     )
 
 
+#: The spec of the faulted replay: harvest steps every ~2 minutes, a
+#: spot eviction with its notice, a one-minute replacement.
+HARVEST_SPEC = FaultSpec(
+    seed=1, harvest_interval_s=120.0, harvest_min_frac=0.55, harvest_max_frac=0.95,
+    spot_mtbf_s=400.0, spot_notice_s=30.0, server_recovery_s=60.0,
+)
+
+
+def test_gd_fault_kernel_call_budget(unsanitized):
+    trace = churn_trace()
+    calls, result = counted(
+        simulate, trace, "GD", 0.9 * 60 * CONTAINER_MB, fault_spec=HARVEST_SPEC
+    )
+    assert result.path == "gd-kernel"
+    metrics = result.metrics
+    assert (metrics.server_downs, metrics.retries, metrics.deflations) == (1, 98, 45)
+    assert calls <= GD_FAULT_KERNEL_CALLS, (
+        f"{calls / 711:.2f} calls per arrival on the faulted GD kernel replay, "
+        f"budget {GD_FAULT_KERNEL_CALLS / 711:.2f}"
+    )
+
+
 def test_warm_replay_call_budget(unsanitized):
     trace = churn_trace()
     calls, metrics = count_calls(
@@ -299,6 +332,30 @@ def test_gd_kernel_peak_stays_within_the_loops(unsanitized):
     assert peaks["gd-kernel"] <= peaks["sequential"], peaks
 
 
+def test_gd_fault_kernel_peak_stays_within_the_loops(unsanitized):
+    """The same bound on a harvest and spot replay (650 functions at
+    0.9 x the registry), where outages leave stale index entries behind:
+    the purge keeps the kernel's peak at or below the loop's."""
+    trace = bench.churn_trace(650, 9600.0, seed=3)
+    memory_mb = 0.9 * sum(f.memory_mb for f in trace.functions.values())
+    spec = FaultSpec(
+        seed=2026, harvest_interval_s=600.0, harvest_min_frac=0.55,
+        harvest_max_frac=0.95, spot_mtbf_s=4000.0, spot_notice_s=30.0,
+    )
+    peaks = {}
+    for engine in ("object", "columnar"):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = simulate(trace, "GD", memory_mb, engine=engine, fault_spec=spec)
+            peaks[result.path] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    metrics = result.metrics
+    assert metrics.server_downs and metrics.deflations and metrics.retries
+    assert peaks["gd-kernel"] <= peaks["sequential"], peaks
+
+
 class RecordingTransport:
     def __init__(self):
         self.written = bytearray()
@@ -359,3 +416,8 @@ def test_counts_repeat_exactly(unsanitized):
         first, __ = count_calls(trace, 12 * CONTAINER_MB, engine=engine)
         second, __ = count_calls(trace, 12 * CONTAINER_MB, engine=engine)
         assert first == second, engine
+    # The faulted GD kernel: the retry jitter hashes on every retry.
+    faulted = churn_trace()
+    first, __ = count_calls(faulted, 0.9 * 60 * CONTAINER_MB, fault_spec=HARVEST_SPEC)
+    second, __ = count_calls(faulted, 0.9 * 60 * CONTAINER_MB, fault_spec=HARVEST_SPEC)
+    assert first == second
