@@ -75,12 +75,13 @@ def diurnal_peak_to_mean(
         raise ValueError(f"window must be positive, got {window_s}")
     if len(trace) == 0:
         return 0.0
-    start = trace.invocations[0].time_s
+    times = trace.times_s
+    start = times[0]
     end = trace.last_arrival_s
     num_windows = max(1, int((end - start) / window_s) + 1)
     counts = [0] * num_windows
-    for invocation in trace.invocations:
-        index = min(int((invocation.time_s - start) / window_s), num_windows - 1)
+    for time_s in times:
+        index = min(int((time_s - start) / window_s), num_windows - 1)
         counts[index] += 1
     mean = sum(counts) / num_windows
     return max(counts) / mean if mean > 0 else 0.0

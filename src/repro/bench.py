@@ -4,8 +4,8 @@ The ROADMAP's north star is month-long, million-invocation replays
 "as fast as the hardware allows"; this module is how the repository
 *measures* that promise instead of asserting it. It defines a small
 suite of pinned-seed scenarios — 100k-invocation TTL, HIST, and GDSF
-(GD) replays of columnar traces, a streamed million-plus invocation
-TTL replay, a harvested-capacity GD replay of an object trace, and
+(GD) replays of pinned traces, a streamed million-plus invocation
+TTL replay, a harvested-capacity GD replay of a churn trace, and
 one sweep cell — and a runner that:
 
 * times each scenario (best-of-N wall clocks via
@@ -47,7 +47,6 @@ from repro.obs.counters import fingerprint_counters
 from repro.sim.scheduler import SimulationResult, simulate
 from repro.sim.server import GB_MB
 from repro.sim.sweep import point_fingerprint, run_cell
-from repro.traces.columnar import ColumnarTrace
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 
@@ -218,9 +217,7 @@ def _kernel_replay_payload(
 
 
 def _ttl_scenario(scale: float):
-    trace = ColumnarTrace.from_trace(
-        churn_trace(num_functions=_scaled(1620, scale), seed=_CHURN_SEED_TTL)
-    )
+    trace = churn_trace(num_functions=_scaled(1620, scale), seed=_CHURN_SEED_TTL)
     capacity_mb = 2048.0 * 128.0
 
     def run() -> Dict[str, object]:
@@ -232,12 +229,10 @@ def _ttl_scenario(scale: float):
 
 
 def _hist_scenario(scale: float):
-    trace = ColumnarTrace.from_trace(
-        churn_trace(
-            num_functions=_scaled(1620, scale),
-            seed=_CHURN_SEED_HIST,
-            name="bench-churn-hist",
-        )
+    trace = churn_trace(
+        num_functions=_scaled(1620, scale),
+        seed=_CHURN_SEED_HIST,
+        name="bench-churn-hist",
     )
     capacity_mb = 2048.0 * 128.0
 
@@ -250,9 +245,7 @@ def _hist_scenario(scale: float):
 
 
 def _gdsf_scenario(scale: float):
-    trace = ColumnarTrace.from_trace(
-        eviction_trace(rounds=_scaled(125, scale, floor=2))
-    )
+    trace = eviction_trace(rounds=_scaled(125, scale, floor=2))
 
     def run() -> Dict[str, object]:
         return _kernel_replay_payload(

@@ -62,55 +62,26 @@ from repro.core.pool import CapacityError
 from repro.faults import FaultModel, FaultSpec, RetryPolicy
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.scheduler import SimulationResult
-from repro.traces.columnar import (
-    DEFAULT_CHUNK_INVOCATIONS,
-    ColumnarTrace,
-    FunctionTable,
-)
-from repro.traces.model import Invocation, Trace, TraceFunction
+from repro.traces.model import DEFAULT_CHUNK_INVOCATIONS, FunctionTable, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 
 __all__ = ["run_gd_kernel", "run_hist_kernel", "run_ttl_kernel"]
 
-#: Every trace form the kernel reads: an object trace (transposed a
-#: chunk at a time), materialized columnar arrays, or a restartable
-#: chunk stream.
-KernelSource = Union[Trace, ColumnarTrace, StreamingChurnTrace]
-
-#: Arrivals of an object trace transposed per chunk: the kernel's
-#: temporaries stay a few kilobytes each (a whole-trace transpose would
-#: hold the trace twice over, and NumPy's temporaries scale with it).
-_OBJECT_CHUNK = 1024
-
-_TIME = attrgetter("time_s")
-_NAME = attrgetter("function_name")
-
-
-def _transposed(
-    invocations: Sequence[Invocation], table: FunctionTable, chunk: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    for start in range(0, len(invocations), chunk):
-        part = invocations[start:start + chunk]
-        yield (
-            np.fromiter(map(_TIME, part), np.float64, len(part)),
-            np.fromiter(map(table.index_of, map(_NAME, part)), np.int32, len(part)),
-        )
+#: Every trace form the kernels read: a trace's own columns, or a
+#: restartable chunk stream.
+KernelSource = Union[Trace, StreamingChurnTrace]
 
 
 def _columns(
     trace: KernelSource, chunk_invocations: Optional[int]
-) -> Tuple[FunctionTable, Iterator[Tuple[np.ndarray, np.ndarray]]]:
-    """The function table and the ``(times, function_ids)`` chunks of
-    ``trace`` in replay order."""
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The ``(times, function_ids)`` chunks of ``trace`` in replay
+    order: a trace's column slices wrapped without a copy."""
     if isinstance(trace, StreamingChurnTrace):
-        return trace.functions_table, trace.chunks()  # its own chunking
-    if isinstance(trace, ColumnarTrace):
-        return trace.functions_table, trace.iter_chunks(
-            chunk_invocations or DEFAULT_CHUNK_INVOCATIONS
-        )
-    table = FunctionTable(trace.functions.values())
-    return table, _transposed(
-        trace.invocations, table, chunk_invocations or _OBJECT_CHUNK
+        return trace.chunks()  # its own chunking
+    return (
+        (np.frombuffer(times, np.float64), np.frombuffer(ids, np.int32))
+        for times, ids in trace.iter_chunks(chunk_invocations or DEFAULT_CHUNK_INVOCATIONS)
     )
 
 
@@ -145,10 +116,17 @@ def _columns(
 
 
 class _TTLKernelState:
-    """Per-function recurrence state carried across chunks."""
+    """The registry's columns, and the per-function recurrence state
+    carried across chunks."""
 
     def __init__(self, table: FunctionTable) -> None:
         count = len(table)
+        self.names = table.names
+        objects = table.objects()
+        self.warm_time_s, self.cold_time_s = np.array(
+            [[f.warm_time_s for f in objects], [f.cold_time_s for f in objects]],
+            dtype=np.float64,
+        )
         self.d_prev = np.full(count, -np.inf)  # deadline after last use
         self.t_prev = np.full(count, -np.inf)  # last arrival time
         self.arrived = np.zeros(count, dtype=bool)
@@ -172,15 +150,14 @@ def run_ttl_kernel(
     expire); None when an arrival gap is shorter than its function's
     cold time. The caller has established that ``capacity_mb`` holds
     the whole registry. The result does not depend on
-    ``chunk_invocations`` (default: 65,536 for a :class:`ColumnarTrace`,
-    1,024 for an object trace; a stream brings its own chunking)."""
+    ``chunk_invocations`` (default: ``DEFAULT_CHUNK_INVOCATIONS`` for a
+    :class:`Trace`; a stream brings its own chunking)."""
     started = wall_clock_s()
-    table, chunks = _columns(trace, chunk_invocations)
-    state = _TTLKernelState(table)
-    for times, fids in chunks:
-        if not _ttl_kernel_chunk(state, table, times, fids, ttl_s):
+    state = _TTLKernelState(trace.functions_table)
+    for times, fids in _columns(trace, chunk_invocations):
+        if not _ttl_kernel_chunk(state, times, fids, ttl_s):
             return None
-    metrics = _ttl_kernel_metrics(state, table)
+    metrics = _ttl_kernel_metrics(state)
     metrics.wall_time_s = wall_clock_s() - started
     return SimulationResult(
         trace_name=trace.name,
@@ -193,7 +170,6 @@ def run_ttl_kernel(
 
 def _ttl_kernel_chunk(
     state: _TTLKernelState,
-    table: FunctionTable,
     times: np.ndarray,
     fids: np.ndarray,
     ttl_s: float,
@@ -205,12 +181,12 @@ def _ttl_kernel_chunk(
     # Group by function with arrival order preserved inside groups.
     # A stable sort of 16-bit keys is a radix sort (of int32, a merge
     # sort ten times slower): same permutation wherever the ids fit.
-    keys = fids.astype(np.uint16) if len(table) <= 65_536 else fids
+    keys = fids.astype(np.uint16) if len(state.names) <= 65_536 else fids
     order = np.argsort(keys, kind="stable")
     fs = fids[order]
     ts = times[order]
-    warm_t = table.warm_time_s[fs]
-    cold_t = table.cold_time_s[fs]
+    warm_t = state.warm_time_s[fs]
+    cold_t = state.cold_time_s[fs]
     seg_start = np.empty(size, dtype=bool)
     seg_start[0] = True
     np.not_equal(fs[1:], fs[:-1], out=seg_start[1:])
@@ -270,7 +246,7 @@ def _ttl_kernel_chunk(
 
     # Counters and the oracle's exact sequential metric sums, in
     # global arrival order.
-    function_count = len(table)
+    function_count = len(state.names)
     state.cold_counts += np.bincount(
         fs[cold_sorted], minlength=function_count
     )
@@ -279,12 +255,12 @@ def _ttl_kernel_chunk(
     cold_in_order[order] = cold_sorted
     ideal = np.empty(size + 1)
     ideal[0] = state.ideal_sum
-    ideal[1:] = table.warm_time_s[fids]
+    ideal[1:] = state.warm_time_s[fids]
     state.ideal_sum = float(np.add.accumulate(ideal)[-1])
     actual = np.empty(size + 1)
     actual[0] = state.actual_sum
     actual[1:] = np.where(
-        cold_in_order, table.cold_time_s[fids], table.warm_time_s[fids]
+        cold_in_order, state.cold_time_s[fids], state.warm_time_s[fids]
     )
     state.actual_sum = float(np.add.accumulate(actual)[-1])
     state.invocations += int(size)
@@ -292,9 +268,7 @@ def _ttl_kernel_chunk(
     return True
 
 
-def _ttl_kernel_metrics(
-    state: _TTLKernelState, table: FunctionTable
-) -> SimulationMetrics:
+def _ttl_kernel_metrics(state: _TTLKernelState) -> SimulationMetrics:
     metrics = SimulationMetrics()
     if not state.invocations:
         return metrics
@@ -310,7 +284,7 @@ def _ttl_kernel_metrics(
     metrics.expirations = (
         total_cold - len(state.appearance) + finals_lapsed
     )
-    names = table.names
+    names = state.names
     cold_counts = state.cold_counts
     total_counts = state.total_counts
     for fid in state.appearance:

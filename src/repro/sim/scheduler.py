@@ -834,8 +834,8 @@ class KeepAliveSimulator:
     def run(self) -> SimulationResult:
         """Replay the whole trace and return the collected metrics.
 
-        The one arrival loop: every trace form (object, columnar,
-        streamed) hands over ``(time_s, function)`` pairs through its
+        The one arrival loop: every trace form (a trace's columns, a
+        stream's chunks) hands over ``(time_s, function)`` pairs through its
         ``arrivals()``, so nothing here depends on the representation.
 
         Besides the paper's counters this also records throughput

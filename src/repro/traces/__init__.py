@@ -11,8 +11,9 @@ if TYPE_CHECKING:
     )
     from repro.traces.io import load_trace_csv, load_trace_json, save_trace_csv, save_trace_json
     from repro.traces.functionbench import TABLE1_ROWS, functionbench_app, functionbench_apps
-    from repro.traces.columnar import DEFAULT_CHUNK_INVOCATIONS, ColumnarTrace, FunctionTable
-    from repro.traces.model import Invocation, Trace, TraceFunction
+    from repro.traces.model import (
+        DEFAULT_CHUNK_INVOCATIONS, FunctionTable, Invocation, Trace, TraceFunction,
+    )
     from repro.traces.preprocess import (
         dataset_to_trace, minute_bucket_times, trace_function_from_record,
     )
@@ -32,8 +33,7 @@ __all__ = [
     "TABLE1_ROWS",
     "load_trace_csv", "load_trace_json", "save_trace_csv", "save_trace_json",
     "functionbench_app", "functionbench_apps",
-    "Invocation", "Trace", "TraceFunction",
-    "ColumnarTrace", "FunctionTable", "DEFAULT_CHUNK_INVOCATIONS",
+    "Invocation", "Trace", "TraceFunction", "FunctionTable", "DEFAULT_CHUNK_INVOCATIONS",
     "StreamingChurnTrace", "STREAM_IAT_CHOICES_S",
     "dataset_to_trace", "minute_bucket_times", "trace_function_from_record",
     "TABLE2_TARGET_RATES", "make_paper_traces", "random_sample", "rare_sample",
@@ -49,8 +49,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "io": "load_trace_csv load_trace_json save_trace_csv save_trace_json",
     "functionbench": "TABLE1_ROWS functionbench_app functionbench_apps",
-    "columnar": "DEFAULT_CHUNK_INVOCATIONS ColumnarTrace FunctionTable",
-    "model": "Invocation Trace TraceFunction",
+    "model": "DEFAULT_CHUNK_INVOCATIONS FunctionTable Invocation Trace TraceFunction",
     "preprocess": "dataset_to_trace minute_bucket_times trace_function_from_record",
     "sampling": (
         "TABLE2_TARGET_RATES make_paper_traces random_sample rare_sample representative_sample "

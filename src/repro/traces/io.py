@@ -19,15 +19,34 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
-from typing import Union
+from operator import itemgetter
+from typing import List, Sequence, Tuple, Union
 
-from repro.traces.model import Invocation, Trace, TraceFunction
+from repro.traces.model import FunctionTable, Trace, TraceFunction
 
 __all__ = ["save_trace_json", "load_trace_json", "save_trace_csv", "load_trace_csv"]
 
 _FORMAT_VERSION = 1
 
 PathLike = Union[str, pathlib.Path]
+
+
+def _named_arrivals(trace: Trace):
+    """``(time_s, function_name)`` per invocation, from the columns."""
+    return zip(trace.times_s, map(trace.functions_table.names.__getitem__, trace.function_ids))
+
+
+def _from_columns(
+    path: PathLike, functions: List[TraceFunction], times: Sequence[float],
+    names: Sequence[str], name: str,
+) -> Trace:
+    """The loaders' one construction: no :class:`Invocation` per
+    arrival, and every error names the file."""
+    try:
+        table = FunctionTable(functions)
+        return Trace.from_columns(table, times, table.ids_of(names), name=name)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_trace_json(trace: Trace, path: PathLike) -> None:
@@ -49,11 +68,34 @@ def save_trace_json(trace: Trace, path: PathLike) -> None:
             }
             for f in trace.functions.values()
         ],
-        "invocations": [
-            [inv.time_s, inv.function_name] for inv in trace.invocations
-        ],
+        "invocations": list(_named_arrivals(trace)),
     }
     pathlib.Path(path).write_text(json.dumps(document))
+
+
+def _json_columns(path: PathLike, pairs: list) -> Tuple[list, list]:
+    """The time and name columns of ``[time_s, function_name]`` pairs;
+    ValueError naming the file and the first entry that is not such a
+    pair with a numeric (not boolean) time."""
+    try:
+        times = list(map(itemgetter(0), pairs))
+        names = list(map(itemgetter(1), pairs))
+        valid = set(map(len, pairs)) <= {2} and set(map(type, times)) <= {int, float}
+    except (TypeError, LookupError):
+        valid = False
+    if not valid:
+        index, pair = next(
+            (i, pair) for i, pair in enumerate(pairs)
+            if not (
+                isinstance(pair, list) and len(pair) == 2
+                and type(pair[0]) in (int, float)
+            )
+        )
+        raise ValueError(
+            f"{path}: invocation {index}: expected [time_s, function_name] "
+            f"with a numeric time, got {pair!r}"
+        )
+    return times, names
 
 
 def load_trace_json(path: PathLike) -> Trace:
@@ -75,10 +117,8 @@ def load_trace_json(path: PathLike) -> Trace:
         )
         for f in document["functions"]
     ]
-    invocations = [
-        Invocation(time_s, name) for time_s, name in document["invocations"]
-    ]
-    return Trace(functions, invocations, name=document.get("name", "trace"))
+    times, names = _json_columns(path, document["invocations"])
+    return _from_columns(path, functions, times, names, document.get("name", "trace"))
 
 
 def _csv_paths(stem: PathLike) -> tuple:
@@ -111,8 +151,23 @@ def save_trace_csv(trace: Trace, stem: PathLike) -> None:
     with open(invocations_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s", "function_name"])
-        for inv in trace.invocations:
-            writer.writerow([repr(inv.time_s), inv.function_name])
+        writer.writerows((repr(t), n) for t, n in _named_arrivals(trace))
+
+
+def _csv_times(path: PathLike, cells: List[str]) -> List[float]:
+    """``cells`` as floats; ValueError naming the file and the first
+    cell that is not a number."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        for index, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: invocation {index}: time {cell!r} is not a number"
+                ) from None
+        raise
 
 
 def load_trace_csv(stem: PathLike, name: str = "trace") -> Trace:
@@ -130,10 +185,11 @@ def load_trace_csv(stem: PathLike, name: str = "trace") -> Trace:
                     tenant_id=int(row.get("tenant_id") or 0),
                 )
             )
-    invocations = []
     with open(invocations_path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            invocations.append(
-                Invocation(float(row["time_s"]), row["function_name"])
-            )
-    return Trace(functions, invocations, name=name)
+        rows = csv.reader(handle)
+        header = next(rows, [])
+        time_column, name_column = header.index("time_s"), header.index("function_name")
+        rows = list(rows)
+    times = _csv_times(invocations_path, list(map(itemgetter(time_column), rows)))
+    names = list(map(itemgetter(name_column), rows))
+    return _from_columns(invocations_path, functions, times, names, name)

@@ -8,17 +8,36 @@ mirrors the serialized format of the original FaasCache simulator
 independent of any particular source (synthetic Azure-like traces,
 FunctionBench models, or hand-built litmus workloads).
 
+A :class:`Trace` holds its arrivals as two columns, decoded once:
+arrival times and function ids (stdlib ``array``, ~12 bytes per
+invocation), beside a :class:`FunctionTable` registry. Invocation
+objects are built only for the callers that ask for them; the replay
+kernels wrap the columns without a copy.
+
 All times are in **seconds**; memory is in **megabytes**.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import inf
-from operator import attrgetter
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from array import array
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from math import inf, isnan
+from operator import add, attrgetter, eq, le
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["TraceFunction", "Invocation", "Trace"]
+__all__ = ["TraceFunction", "Invocation", "FunctionTable", "Trace", "DEFAULT_CHUNK_INVOCATIONS"]
+
+#: Arrivals per chunk of :meth:`Trace.iter_chunks`, the TTL kernel's
+#: unit of work: its temporaries stay a few tens of kilobytes
+#: (docs/performance-log.md has the chunk-size and peak table).
+DEFAULT_CHUNK_INVOCATIONS = 2048
+
+_TIME = attrgetter("time_s")
+_NAME = attrgetter("function_name")
 
 
 @dataclass(frozen=True)
@@ -84,12 +103,91 @@ class Invocation:
             )
 
 
+class FunctionTable:
+    """The function registry: :class:`TraceFunction` rows in id order.
+
+    A trace's function ids index these rows. Names are unique, and the
+    id order is the order the functions were given in (deterministic,
+    never hash order).
+    """
+
+    def __init__(self, functions: Iterable[TraceFunction]) -> None:
+        objects: List[TraceFunction] = []
+        index: Dict[str, int] = {}
+        for func in functions:
+            if func.name in index:
+                raise ValueError(f"duplicate function name {func.name!r}")
+            index[func.name] = len(objects)
+            objects.append(func)
+        self._objects: Tuple[TraceFunction, ...] = tuple(objects)
+        self._index = index
+        #: The id of a function name (``KeyError`` for an unknown one):
+        #: the dict's own lookup, so mapping names over it costs no frame.
+        self.index_of: Callable[[str], int] = index.__getitem__
+        self._by_name: Mapping[str, TraceFunction] = MappingProxyType(
+            {f.name: f for f in objects}
+        )
+        self.names: Tuple[str, ...] = tuple(index)
+
+    def __reduce__(self):
+        return FunctionTable, (self._objects,)
+
+    def __len__(self) -> int:
+        return len(self._objects)
+
+    def object_of(self, function_id: int) -> TraceFunction:
+        return self._objects[function_id]
+
+    def objects(self) -> Tuple[TraceFunction, ...]:
+        """The interned :class:`TraceFunction` row objects, by id."""
+        return self._objects
+
+    def as_dict(self) -> Mapping[str, TraceFunction]:
+        """Name-to-function mapping. Built once; every call returns the
+        same read-only view."""
+        return self._by_name
+
+    def ids_of(self, names: Sequence[str]) -> "array[int]":
+        """The id column of ``names``; ValueError naming unknown ones."""
+        try:
+            return array("i", list(map(self.index_of, names)))
+        except KeyError:
+            missing = sorted(set(names).difference(self._index), key=str)
+            raise ValueError(
+                f"invocations reference unknown functions: {missing[:5]}"
+            ) from None
+
+    @property
+    def has_tenants(self) -> bool:
+        """True when any row carries a real (non-zero) tenant id."""
+        return any(f.tenant_id != 0 for f in self._objects)
+
+    def __repr__(self) -> str:
+        return f"FunctionTable(functions={len(self._objects)})"
+
+
+def _check_times(times: "array[float]") -> None:
+    """ValueError naming the first time that is not finite and >= 0."""
+    if any(map(isnan, times)) or min(times) < 0.0 or max(times) == inf:
+        index, time_s = next(
+            (i, t) for i, t in enumerate(times) if not 0.0 <= t < inf
+        )
+        raise ValueError(
+            f"invocation times must be finite and >= 0: invocation {index} "
+            f"is at {time_s}"
+        )
+
+
 class Trace:
     """A replayable workload: functions plus time-ordered invocations.
 
-    Invocations are sorted by ``(time_s, function_name)`` at
-    construction so replay order is deterministic regardless of how the
-    trace was assembled.
+    The invocations are two parallel columns — arrival times
+    (``array('d')``) and function ids (``array('i')``, rows of
+    :attr:`functions_table`) — kept in ascending ``(time_s,
+    function_name)`` order whatever order they came in, so replay order
+    is deterministic however the trace was assembled. Build one from
+    :class:`Invocation` objects, or with :meth:`from_columns` from no
+    objects at all.
     """
 
     def __init__(
@@ -98,93 +196,180 @@ class Trace:
         invocations: Iterable[Invocation],
         name: str = "trace",
     ) -> None:
-        self.name = name
-        self._functions: Dict[str, TraceFunction] = {}
-        for func in functions:
-            if func.name in self._functions:
-                raise ValueError(f"duplicate function name {func.name!r}")
-            self._functions[func.name] = func
-        # ``sorted(invocations)`` in two stable passes whose keys compare
-        # in C, not through the dataclass's Python-level ``__lt__``.
-        ordered = sorted(invocations, key=attrgetter("function_name"))
-        ordered.sort(key=attrgetter("time_s"))
-        self._invocations: Tuple[Invocation, ...] = tuple(ordered)
-        missing = {
-            inv.function_name
-            for inv in self._invocations
-            if inv.function_name not in self._functions
-        }
-        if missing:
+        table = FunctionTable(functions)
+        # Already in time order, the stable sort is a single pass.
+        ordered = sorted(invocations, key=_TIME)
+        self._adopt(
+            table,
+            array("d", list(map(_TIME, ordered))),
+            table.ids_of(list(map(_NAME, ordered))),
+            name,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        functions: "FunctionTable | Iterable[TraceFunction]",
+        times_s: Iterable[float],
+        function_ids: Iterable[int],
+        name: str = "trace",
+    ) -> "Trace":
+        """A trace from its columns, in any order: arrival times, and
+        ids into ``functions`` (a :class:`FunctionTable`, or the
+        functions in id order)."""
+        if not isinstance(functions, FunctionTable):
+            functions = FunctionTable(functions)
+        times, ids = array("d", times_s), array("i", function_ids)
+        if len(times) != len(ids):
             raise ValueError(
-                f"invocations reference unknown functions: {sorted(missing)[:5]}"
+                f"times and function ids must be parallel columns, got "
+                f"lengths {len(times)} and {len(ids)}"
             )
+        if ids and not (0 <= min(ids) and max(ids) < len(functions)):
+            raise ValueError(
+                f"function ids must be within [0, {len(functions)}), got "
+                f"range [{min(ids)}, {max(ids)}]"
+            )
+        trace = cls.__new__(cls)
+        trace._adopt(functions, times, ids, name)
+        return trace
+
+    def _adopt(
+        self, table: FunctionTable, times: "array[float]", ids: "array[int]", name: str
+    ) -> None:
+        """Keep the columns in canonical order. One linear pass checks
+        the times; only when it fails are they sorted (stably). Then
+        each run of equal times is put in name order."""
+        if not all(map(le, times, islice(times, 1, None))):  # a NaN fails too
+            _check_times(times)
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times = array("d", map(times.__getitem__, order))
+            ids = array("i", map(ids.__getitem__, order))
+        elif times and not (0.0 <= times[0] and times[-1] < inf):
+            _check_times(times)
+        runs: List[List[int]] = []  # [first, last] of each run of equal times
+        for i in compress(count(), map(eq, times, islice(times, 1, None))):
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1])
+        by_name = table.names.__getitem__
+        for first, last in runs:
+            ids[first:last + 1] = array("i", sorted(ids[first:last + 1], key=by_name))
+        self.name = name
+        self.functions_table = table
+        self._times = times
+        self._ids = ids
+        self._invocations: Optional[Tuple[Invocation, ...]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A pickle carries the columns, not the objects built from them.
+        return {**self.__dict__, "_invocations": None}
 
     @property
     def functions(self) -> Dict[str, TraceFunction]:
         """Mapping from function name to its static characteristics: a
         fresh copy per access, so hoist it out of a loop (or use
         :meth:`function` / :meth:`arrivals`)."""
-        return dict(self._functions)
+        return dict(self.functions_table.as_dict())
 
     @property
-    def invocations(self) -> Sequence[Invocation]:
+    def invocations(self) -> Tuple[Invocation, ...]:
+        """The invocations as objects, in replay order: built on the
+        first access and kept (iterating the trace builds them without
+        keeping them)."""
+        if self._invocations is None:
+            self._invocations = tuple(self)
         return self._invocations
 
+    @property
+    def times_s(self) -> memoryview:
+        """Arrival times in replay order (float64, read-only)."""
+        return memoryview(self._times).toreadonly()
+
+    @property
+    def function_ids(self) -> memoryview:
+        """Each arrival's row of :attr:`functions_table` (int32,
+        read-only)."""
+        return memoryview(self._ids).toreadonly()
+
+    def iter_chunks(
+        self, chunk_invocations: int = DEFAULT_CHUNK_INVOCATIONS
+    ) -> Iterator[Tuple[memoryview, memoryview]]:
+        """Yield ``(times, function_ids)`` column slices in replay
+        order, ``chunk_invocations`` at a time, without a copy."""
+        if chunk_invocations < 1:
+            raise ValueError(
+                f"chunk size must be >= 1, got {chunk_invocations}"
+            )
+        times, ids = self.times_s, self.function_ids
+        for start in range(0, len(times), chunk_invocations):
+            stop = start + chunk_invocations
+            yield times[start:stop], ids[start:stop]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the two columns (12 per invocation)."""
+        return (
+            len(self._times) * self._times.itemsize
+            + len(self._ids) * self._ids.itemsize
+        )
+
     def function(self, name: str) -> TraceFunction:
-        return self._functions[name]
+        return self.functions_table.as_dict()[name]
 
     def __len__(self) -> int:
-        return len(self._invocations)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[Invocation]:
-        return iter(self._invocations)
+        return map(Invocation, self._times, map(self.functions_table.names.__getitem__, self._ids))
 
     def arrivals(self) -> Iterator[Tuple[float, TraceFunction]]:
         """``(time_s, function)`` per invocation in replay order — the
-        iteration contract every trace form gives the simulator."""
-        functions = self._functions
-        for invocation in self._invocations:
-            yield invocation.time_s, functions[invocation.function_name]
+        iteration contract every trace form gives the simulator: the
+        columns zipped lazily, one arrival at a time."""
+        return zip(self._times, map(self.functions_table.objects().__getitem__, self._ids))
 
     @property
     def duration_s(self) -> float:
         """Time span from the first to the last invocation."""
-        if not self._invocations:
+        if not self._times:
             return 0.0
-        return self._invocations[-1].time_s - self._invocations[0].time_s
+        return self._times[-1] - self._times[0]
 
     @property
     def last_arrival_s(self) -> float:
         """Absolute time of the last invocation (0.0 when empty): the
         horizon schedules generated on absolute time must cover."""
-        return self._invocations[-1].time_s if self._invocations else 0.0
+        return self._times[-1] if self._times else 0.0
 
     @property
     def num_functions(self) -> int:
-        return len(self._functions)
+        return len(self.functions_table)
 
     def arrival_rate(self) -> float:
         """Average invocations per second over the trace duration."""
         duration = self.duration_s
         if duration <= 0:
             return 0.0
-        return len(self._invocations) / duration
+        return len(self._times) / duration
 
     def mean_interarrival_s(self) -> float:
         """Mean inter-arrival time across *all* invocations (Table 2)."""
-        if len(self._invocations) < 2:
+        if len(self._times) < 2:
             return 0.0
-        return self.duration_s / (len(self._invocations) - 1)
+        return self.duration_s / (len(self._times) - 1)
 
     def per_function_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {name: 0 for name in self._functions}
-        for inv in self._invocations:
-            counts[inv.function_name] += 1
-        return counts
+        counts = Counter(self._ids)
+        return {
+            name: counts[fid]
+            for fid, name in enumerate(self.functions_table.names)
+        }
 
     def tenant_ids(self) -> Tuple[int, ...]:
         """Sorted distinct tenant ids appearing in this trace."""
-        return tuple(sorted({f.tenant_id for f in self._functions.values()}))
+        return tuple(sorted({f.tenant_id for f in self.functions_table.objects()}))
 
     @property
     def has_tenants(self) -> bool:
@@ -195,58 +380,60 @@ class Trace:
         tenant-less traces take exactly the legacy code path, keeping
         their event streams and fingerprints byte-identical.
         """
-        return any(f.tenant_id != 0 for f in self._functions.values())
+        return self.functions_table.has_tenants
 
     def restrict(self, function_names: Iterable[str], name: str | None = None) -> "Trace":
         """A sub-trace containing only the given functions' invocations."""
         keep = set(function_names)
-        unknown = keep - set(self._functions)
+        unknown = keep.difference(self.functions_table.names)
         if unknown:
             raise ValueError(f"unknown functions: {sorted(unknown)[:5]}")
-        return Trace(
-            functions=[self._functions[n] for n in sorted(keep)],
-            invocations=[
-                inv for inv in self._invocations if inv.function_name in keep
-            ],
+        as_dict = self.functions_table.as_dict()
+        table = FunctionTable([as_dict[n] for n in sorted(keep)])
+        remap = [table._index.get(n, -1) for n in self.functions_table.names]
+        ids = list(map(remap.__getitem__, self._ids))
+        kept = list(map(le, repeat(0), ids))
+        return Trace.from_columns(
+            table, compress(self._times, kept), compress(ids, kept),
             name=name or f"{self.name}-restricted",
         )
 
     def shifted(self, offset_s: float, name: str | None = None) -> "Trace":
         """The same trace with every invocation moved by ``offset_s``."""
-        return Trace(
-            functions=self._functions.values(),
-            invocations=[
-                Invocation(inv.time_s + offset_s, inv.function_name)
-                for inv in self._invocations
-            ],
+        return Trace.from_columns(
+            self.functions_table, map(add, self._times, repeat(offset_s)), self._ids,
             name=name or self.name,
         )
 
     def truncated(self, end_s: float, name: str | None = None) -> "Trace":
         """Only invocations at or before ``end_s``."""
-        return Trace(
-            functions=self._functions.values(),
-            invocations=[inv for inv in self._invocations if inv.time_s <= end_s],
+        cut = bisect_right(self._times, end_s)
+        return Trace.from_columns(
+            self.functions_table, self._times[:cut], self._ids[:cut],
             name=name or f"{self.name}-truncated",
         )
 
     def merged_with(self, other: "Trace", name: str | None = None) -> "Trace":
         """Union of two traces; shared function names must agree exactly."""
-        for fname, func in other._functions.items():
-            if fname in self._functions and self._functions[fname] != func:
+        ours = self.functions_table.as_dict()
+        for fname, func in other.functions_table.as_dict().items():
+            if fname in ours and ours[fname] != func:
                 raise ValueError(
                     f"function {fname!r} differs between merged traces"
                 )
-        functions = dict(self._functions)
-        functions.update(other._functions)
-        return Trace(
-            functions=functions.values(),
-            invocations=self._invocations + other._invocations,
+        functions = dict(ours)
+        functions.update(other.functions_table.as_dict())
+        table = FunctionTable(functions.values())  # ours keep their ids
+        remap = list(map(table.index_of, other.functions_table.names))
+        return Trace.from_columns(
+            table,
+            self._times + other._times,
+            self._ids + array("i", map(remap.__getitem__, other._ids)),
             name=name or f"{self.name}+{other.name}",
         )
 
     def __repr__(self) -> str:
         return (
             f"Trace(name={self.name!r}, functions={self.num_functions}, "
-            f"invocations={len(self._invocations)})"
+            f"invocations={len(self._times)})"
         )

@@ -29,7 +29,7 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.traces.azure import AzureDataset
-from repro.traces.model import Invocation, Trace
+from repro.traces.model import Trace
 from repro.traces.preprocess import dataset_to_trace
 
 __all__ = [
@@ -129,13 +129,12 @@ def scale_trace_rate(trace: Trace, target_rate_per_s: float) -> Trace:
     if current <= 0:
         return trace
     factor = current / target_rate_per_s
-    first = trace.invocations[0].time_s if len(trace) else 0.0
-    return Trace(
-        functions=trace.functions.values(),
-        invocations=[
-            Invocation((inv.time_s - first) * factor, inv.function_name)
-            for inv in trace.invocations
-        ],
+    times = trace.times_s
+    first = times[0] if len(times) else 0.0
+    return Trace.from_columns(
+        trace.functions_table,
+        [(time_s - first) * factor for time_s in times],
+        trace.function_ids,
         name=trace.name,
     )
 

@@ -14,8 +14,8 @@ same shape as :func:`repro.bench.churn_trace`) that way:
   every other function's and of the chunk size;
 * the streams advance as columns, every function due inside a time
   window one step per NumPy round, and one sort per window merges them
-  into global ``(time, function name)`` replay order — the object
-  ``Trace``'s canonical sort order (docs/performance-log.md, "The
+  into global ``(time, function name)`` replay order — a
+  ``Trace``'s canonical order (docs/performance-log.md, "The
   streamed trace path", has the exactness argument);
 * :meth:`chunks` yields columnar ``(times, function_ids)`` arrays of
   at most ``chunk_invocations`` entries, so peak memory is
@@ -24,20 +24,20 @@ same shape as :func:`repro.bench.churn_trace`) that way:
 Iteration is restartable: every :meth:`chunks` call reseeds the
 per-function streams, so two passes (or a pass after a fallback)
 yield byte-identical arrivals. :meth:`materialize` concatenates the
-chunks into a :class:`~repro.traces.columnar.ColumnarTrace` — the
+chunks into a :class:`~repro.traces.model.Trace` — the
 differential-testing bridge, sensible only at small scale.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 from math import inf
 from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.traces.columnar import ColumnarTrace, FunctionTable
-from repro.traces.model import TraceFunction
+from repro.traces.model import FunctionTable, Trace, TraceFunction
 
 __all__ = ["StreamingChurnTrace", "STREAM_IAT_CHOICES_S"]
 
@@ -115,7 +115,7 @@ class StreamingChurnTrace:
         self.chunk_invocations = int(chunk_invocations)
         self.name = name
         # Zero-padded names make (time, function id) merge order equal
-        # the object trace's (time, function name) sort order.
+        # a trace's canonical (time, function name) order.
         width = len(str(num_functions - 1)) if num_functions > 1 else 1
         # num_tenants > 0 deals functions round-robin to tenants
         # 1..num_tenants (0 is reserved for "untenanted"); the default
@@ -146,8 +146,13 @@ class StreamingChurnTrace:
 
     def arrivals(self) -> Iterator[Tuple[float, TraceFunction]]:
         """``(time_s, function)`` per invocation in replay order,
-        generated chunk by chunk (restartable, like :meth:`chunks`)."""
-        return self.functions_table.arrivals(self.chunks())
+        generated chunk by chunk (restartable, like :meth:`chunks`): one
+        bulk ``tolist`` per chunk, so the consumer sees plain floats and
+        interned row objects."""
+        row = self.functions_table.objects().__getitem__
+        return chain.from_iterable(
+            zip(times.tolist(), map(row, ids.tolist())) for times, ids in self.chunks()
+        )
 
     def _streams(self) -> Tuple[np.ndarray, np.ndarray, List[Callable[[int], int]]]:
         """Fresh per-function stream state, a column each: the next
@@ -223,22 +228,14 @@ class StreamingChurnTrace:
         if held:
             yield np.concatenate(held_t), np.concatenate(held_i)
 
-    def materialize(self) -> ColumnarTrace:
+    def materialize(self) -> Trace:
         """Concatenate all chunks (small-scale differential oracle)."""
-        times: List[np.ndarray] = []
-        ids: List[np.ndarray] = []
+        times: List[float] = []
+        ids: List[int] = []
         for chunk_times, chunk_ids in self.chunks():
-            times.append(chunk_times)
-            ids.append(chunk_ids)
-        if not times:
-            times = [np.empty(0, dtype=np.float64)]
-            ids = [np.empty(0, dtype=np.int32)]
-        return ColumnarTrace(
-            self.functions_table,
-            np.concatenate(times),
-            np.concatenate(ids),
-            name=self.name,
-        )
+            times += chunk_times.tolist()
+            ids += chunk_ids.tolist()
+        return Trace.from_columns(self.functions_table, times, ids, name=self.name)
 
     def __repr__(self) -> str:
         return (

@@ -39,6 +39,15 @@ def make_trace(sequence, functions=None, gap_s: float = 10.0) -> Trace:
     return Trace(functions, invocations, name="seq")
 
 
+def from_columns(trace: Trace) -> Trace:
+    """``trace`` rebuilt from plain column lists, with no
+    :class:`Invocation` in between: the loaders' construction."""
+    return Trace.from_columns(
+        trace.functions.values(), trace.times_s.tolist(),
+        trace.function_ids.tolist(), name=trace.name,
+    )
+
+
 @pytest.fixture
 def sanitized():
     """Arm the runtime invariant sanitizer (REPRO_SANITIZE=1) for

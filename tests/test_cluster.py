@@ -425,7 +425,7 @@ class TestClusterFaults:
 
     def test_columnar_trace_replays_the_same(self):
         from repro.faults import FaultSpec
-        from repro.traces.columnar import ColumnarTrace
+        from tests.conftest import from_columns
 
         trace = self._trace()
         spec = FaultSpec(seed=5, crash_rate=0.05, server_downtimes=((0, 100.0, 160.0),))
@@ -436,7 +436,7 @@ class TestClusterFaults:
                 server_memory_mb=1024.0, fault_spec=spec,
             ).run()
 
-        over_objects, over_columns = run(trace), run(ColumnarTrace.from_trace(trace))
+        over_objects, over_columns = run(trace), run(from_columns(trace))
         assert over_columns.counters() == over_objects.counters()
         assert over_columns.routed == over_objects.routed
         assert over_columns.shed_unavailable == over_objects.shed_unavailable

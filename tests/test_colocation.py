@@ -10,9 +10,8 @@ from repro.provisioning.colocation import (
     ColocationSimulation,
     tradeoff_curve,
 )
-from repro.traces.columnar import ColumnarTrace
 from repro.traces.synth import cyclic_trace
-from tests.conftest import make_trace
+from tests.conftest import from_columns, make_trace
 
 
 class TestColocatedDemand:
@@ -89,14 +88,13 @@ class TestColocationSimulation:
     def test_resizes_are_on_the_books_for_any_trace_form(self):
         """Demand changes are events on the simulator's timeline and go
         through its capacity seam: counted, traced, and the same over a
-        columnar trace (the parent's own loop took ``Trace`` only and
-        left ``capacity_shrinks`` / ``deflations`` at 0)."""
+        trace built from its columns."""
         steps = [(0.0, 512.0), (400.0, 3072.0), (1200.0, 512.0)]
         plain = self.make_sim(steps)
         expected = plain.run()
         sink = ReportSink()
         result = ColocationSimulation(
-            ColumnarTrace.from_trace(plain.trace),
+            from_columns(plain.trace),
             ColocatedDemand(steps),
             server_memory_mb=4096.0,
             tracer=Tracer(sink),

@@ -1,24 +1,24 @@
-"""Differential suite: ``simulate()`` vs the object-path oracle.
+"""Differential suite: ``simulate()`` vs the arrival-loop oracle.
 
 The contract is *byte-identical metrics*: for any trace form and
 policy, ``simulate()`` (which lets the vectorized kernel answer every
 run pressure cannot reach) must produce exactly the payload
-:class:`KeepAliveSimulator` produces replaying the object trace — same
+:class:`KeepAliveSimulator` produces replaying the same trace — same
 counters, same ``repr``-precision percentages, same ``per_function``
 outcomes in the same insertion order. This suite holds it to that
 across:
 
 * randomized seeded workloads x the paper's policy spread (TTL, HIST,
-  GD/GDSF, LRU), columnar traces through the one arrival loop;
+  GD/GDSF, LRU), the default dispatch against the arrival loop;
 * the vectorized kernel on every registered policy, including
   chunk-size invariance, the boundaries of its preconditions (registry
   == capacity, gap == cold time) and every disqualifier that sends the
   run back onto the arrival loop;
 * the HIST kernel: a seeded sweep over HIST's keyword arguments, prewarm
-  effectiveness and the three trace forms, a boundary pair per decline,
+  effectiveness and both trace forms (a trace, a stream), a boundary pair per decline,
   its two edge cases, and whole runs against the reference model's HIST;
 * the GD kernel: a seeded sweep over GD's weights, pools from 0.05x to
-  1x the registry and the three trace forms, a self-overlapping
+  1x the registry and both trace forms, a self-overlapping
   function under pressure, every decline, and whole runs against the
   reference model's GD; then the same under seeded fault specs that set
   every field (server timeline, retry queue, per-attempt faults), and
@@ -53,7 +53,6 @@ from repro.obs.tracer import Tracer
 from repro.sim.columnar import run_ttl_kernel
 from repro.sim.metrics import FunctionOutcome
 from repro.sim.scheduler import KeepAliveSimulator, simulate
-from repro.traces.columnar import ColumnarTrace, FunctionTable
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 from repro.traces.synth import multitenant_trace, skewed_frequency_trace
@@ -89,7 +88,7 @@ class TestRandomizedDifferential:
         kwargs = {"ttl_s": 300.0} if policy == "TTL" else {}
         want, want_pf = oracle_payload(trace, policy, 96 * 128.0, **kwargs)
         got, got_pf, __ = engine_payload(
-            ColumnarTrace.from_trace(trace), policy, 96 * 128.0, **kwargs
+            trace, policy, 96 * 128.0, **kwargs
         )
         assert got == want
         assert got_pf == want_pf
@@ -100,9 +99,7 @@ class TestRandomizedDifferential:
     def test_eviction_pressure(self, policy):
         trace = eviction_trace(num_functions=120, rounds=6)
         want, want_pf = oracle_payload(trace, policy, 24 * 128.0)
-        got, got_pf, path = engine_payload(
-            ColumnarTrace.from_trace(trace), policy, 24 * 128.0
-        )
+        got, got_pf, path = engine_payload(trace, policy, 24 * 128.0)
         assert path == ("gd-kernel" if policy == "GD" else "sequential")
         assert got == want
         assert got_pf == want_pf
@@ -115,9 +112,7 @@ class TestRandomizedDifferential:
     def test_synth_traces_under_gd(self, trace_factory):
         trace = trace_factory(seed=7)
         want, want_pf = oracle_payload(trace, "GD", 4096.0)
-        got, got_pf, __ = engine_payload(
-            ColumnarTrace.from_trace(trace), "GD", 4096.0
-        )
+        got, got_pf, __ = engine_payload(trace, "GD", 4096.0)
         assert got == want
         assert got_pf == want_pf
 
@@ -159,10 +154,7 @@ class TestVectorizedTTLKernel:
             trace, "TTL", 2048 * 128.0, ttl_s=300.0
         )
         got, got_pf, path = engine_payload(
-            ColumnarTrace.from_trace(trace),
-            "TTL",
-            2048 * 128.0,
-            ttl_s=300.0,
+            trace, "TTL", 2048 * 128.0, ttl_s=300.0
         )
         assert path == "vectorized"
         assert got == want
@@ -171,27 +163,23 @@ class TestVectorizedTTLKernel:
 
     @pytest.mark.parametrize("chunk", [7, 64, 100_000])
     def test_kernel_is_chunk_size_invariant(self, chunk):
-        trace = ColumnarTrace.from_trace(
-            churn_trace(num_functions=40, seed=8)
-        )
+        trace = churn_trace(num_functions=40, seed=8)
         baseline, __, path = engine_payload(
             trace, "TTL", 2048 * 128.0, ttl_s=300.0
         )
         assert path == "vectorized"
-        # Materialized columns and an object trace transposed per chunk.
-        for form in (trace, trace.to_trace()):
-            result = run_ttl_kernel(
-                form, 300.0, 2048 * 128.0, "TTL", chunk_invocations=chunk
-            )
-            assert result.path == "vectorized"
-            assert _metrics_payload(result) == baseline
+        result = run_ttl_kernel(
+            trace, 300.0, 2048 * 128.0, "TTL", chunk_invocations=chunk
+        )
+        assert result.path == "vectorized"
+        assert _metrics_payload(result) == baseline
 
     def test_kernel_runs_streaming_traces(self):
         stream = StreamingChurnTrace(
             num_functions=30, duration_s=4000.0, seed=13
         )
         want, __ = oracle_payload(
-            stream.materialize().to_trace(), "TTL", 64 * 128.0, ttl_s=300.0
+            stream.materialize(), "TTL", 64 * 128.0, ttl_s=300.0
         )
         got, __, path = engine_payload(
             stream, "TTL", 64 * 128.0, ttl_s=300.0
@@ -203,17 +191,13 @@ class TestVectorizedTTLKernel:
         """The kernel sorts a chunk by a 16-bit copy of the ids only
         where every id of the table fits: here ids 0 and 65,536 (and
         63 and 65,599) alternate and would fold into one group."""
-        table = FunctionTable(
-            TraceFunction(f"w{i:05d}", 128.0, 0.2, 1.2) for i in range(65_600)
-        )
-        ids = np.array([0, 65_536, 63, 65_599, 65_535] * 6, dtype=np.int32)
-        trace = ColumnarTrace(
-            table, np.arange(ids.size) * 50.0, ids, name="wide"
+        functions = [TraceFunction(f"w{i:05d}", 128.0, 0.2, 1.2) for i in range(65_600)]
+        ids = [0, 65_536, 63, 65_599, 65_535] * 6
+        trace = Trace.from_columns(
+            functions, [i * 50.0 for i in range(len(ids))], ids, name="wide"
         )
         registry_mb = 65_600 * 128.0  # the pool must hold every function
-        want, want_pf = oracle_payload(
-            trace.to_trace(), "TTL", registry_mb, ttl_s=300.0
-        )
+        want, want_pf = oracle_payload(trace, "TTL", registry_mb, ttl_s=300.0)
         got, got_pf, path = engine_payload(trace, "TTL", registry_mb, ttl_s=300.0)
         assert path == "vectorized"
         assert got == want
@@ -224,61 +208,43 @@ class TestVectorizedTTLKernel:
         class TracingTTL(TTLPolicy):
             pass
 
-        trace = ColumnarTrace.from_trace(churn_trace(30, seed=4))
+        trace = churn_trace(30, seed=4)
         got, __, path = engine_payload(
             trace, TracingTTL(ttl_s=300.0), 64 * 128.0
         )
         assert path == "sequential"
-        want, __ = oracle_payload(
-            trace.to_trace(), "TTL", 64 * 128.0, ttl_s=300.0
-        )
+        want, __ = oracle_payload(trace, "TTL", 64 * 128.0, ttl_s=300.0)
         assert got == want
 
     def test_burst_gaps_fall_back_and_agree(self):
         """Same-function arrivals inside the cold time violate the
         one-container precondition; the engine must fall back and
         still agree with the oracle."""
-        table = FunctionTable(
-            [TraceFunction("f0", 128.0, 0.2, 5.0)]
-        )
-        trace = ColumnarTrace(
-            table,
-            np.array([0.0, 1.0, 2.0, 100.0]),
-            np.zeros(4, dtype=np.int32),
+        trace = Trace.from_columns(
+            [TraceFunction("f0", 128.0, 0.2, 5.0)],
+            [0.0, 1.0, 2.0, 100.0],
+            [0, 0, 0, 0],
             name="bursty",
         )
-        want, __ = oracle_payload(
-            trace.to_trace(), "TTL", 1024.0, ttl_s=30.0
-        )
+        want, __ = oracle_payload(trace, "TTL", 1024.0, ttl_s=30.0)
         got, __, path = engine_payload(trace, "TTL", 1024.0, ttl_s=30.0)
         assert path == "sequential"
         assert got == want
 
     def test_capacity_pressure_falls_back_and_agrees(self):
-        table = FunctionTable(
-            [
-                TraceFunction(f"g{i}", 512.0, 0.2, 1.0)
-                for i in range(4)
-            ]
-        )
-        trace = ColumnarTrace(
-            table,
-            np.array([0.0, 10.0, 20.0, 30.0]),
-            np.arange(4, dtype=np.int32),
+        trace = Trace.from_columns(
+            [TraceFunction(f"g{i}", 512.0, 0.2, 1.0) for i in range(4)],
+            [0.0, 10.0, 20.0, 30.0],
+            [0, 1, 2, 3],
             name="tight",
         )
-        want, __ = oracle_payload(
-            trace.to_trace(), "TTL", 1024.0, ttl_s=300.0
-        )
+        want, __ = oracle_payload(trace, "TTL", 1024.0, ttl_s=300.0)
         got, __, path = engine_payload(trace, "TTL", 1024.0, ttl_s=300.0)
         assert path == "sequential"
         assert got == want
 
     def test_empty_trace(self):
-        table = FunctionTable([TraceFunction("f", 128.0, 0.2, 1.2)])
-        empty = ColumnarTrace(
-            table, np.empty(0), np.empty(0, dtype=np.int32)
-        )
+        empty = Trace.from_columns([TraceFunction("f", 128.0, 0.2, 1.2)], [], [])
         result = simulate(
             empty, "TTL", 1024.0, engine="columnar", ttl_s=300.0
         )
@@ -382,11 +348,12 @@ class TestEveryPolicyOnTheKernel:
         ids=["registry-equals-capacity", "registry-above-capacity"],
     )
     def test_registry_against_capacity(self, capacity_mb, path):
-        table = FunctionTable(
-            TraceFunction(f"g{i}", 256.0, 0.2, 1.0) for i in range(4)
+        trace = Trace.from_columns(
+            [TraceFunction(f"g{i}", 256.0, 0.2, 1.0) for i in range(4)],
+            [i * 10.0 for i in range(12)],
+            [0, 1, 2, 3] * 3,
+            name="full",
         )
-        ids = np.tile(np.arange(4, dtype=np.int32), 3)
-        trace = ColumnarTrace(table, np.arange(12) * 10.0, ids, name="full")
         loop, default = loop_and_default(trace, "GD", capacity_mb)
         assert default.path == path
         assert_same_replay(loop, default)
@@ -397,16 +364,13 @@ class TestEveryPolicyOnTheKernel:
         ids=["gap-equals-cold-time", "gap-below-cold-time"],
     )
     def test_gap_against_cold_time(self, gap_s, path):
-        table = FunctionTable(
+        trace = Trace.from_columns(
             [
                 TraceFunction("f0", 128.0, 0.2, 5.0),
                 TraceFunction("f1", 128.0, 0.2, 1.0),
-            ]
-        )
-        trace = ColumnarTrace(
-            table,
-            np.array([0.0, 1.0, gap_s, 2 * gap_s]),
-            np.array([0, 1, 0, 0], dtype=np.int32),
+            ],
+            [0.0, 1.0, gap_s, 2 * gap_s],
+            [0, 1, 0, 0],
             name="gaps",
         )
         loop, default = loop_and_default(trace, "GD", 1024.0)
@@ -463,11 +427,10 @@ HIST_KNOBS = {
 
 
 def hist_form(form, seed):
-    """A 30-function, 3,000 s churn workload as one of the three forms."""
+    """A 30-function, 3,000 s churn workload as one of the two forms."""
     if form == "stream":
         return StreamingChurnTrace(num_functions=30, duration_s=3000.0, seed=seed)
-    trace = churn_trace(num_functions=30, duration_s=3000.0, seed=seed)
-    return ColumnarTrace.from_trace(trace) if form == "columnar" else trace
+    return churn_trace(num_functions=30, duration_s=3000.0, seed=seed)
 
 
 def edge_trace(functions, arrivals):
@@ -494,7 +457,7 @@ class TestHistKernel:
     """An exact, fresh HIST on a pool that holds the registry: the
     per-arrival HIST kernel answers it, equal to the loop."""
 
-    @pytest.mark.parametrize("form", ["object", "columnar", "stream"])
+    @pytest.mark.parametrize("form", ["object", "stream"])
     def test_seeded_sweep_equals_the_loop(self, form):
         rng = random.Random(27)
         taken = prewarmed = 0
@@ -705,7 +668,7 @@ class TestGdKernel:
     """An exact, fresh GD without tenant weights, at any pool size: the
     per-arrival GD kernel answers it, equal to the loop."""
 
-    @pytest.mark.parametrize("form", ["object", "columnar", "stream"])
+    @pytest.mark.parametrize("form", ["object", "stream"])
     def test_seeded_sweep_equals_the_loop(self, form):
         rng = random.Random(29)
         seen = Counter()
@@ -716,8 +679,6 @@ class TestGdKernel:
                 )
             else:
                 trace = gd_workload(rng)
-                if form == "columnar":
-                    trace = ColumnarTrace.from_trace(trace)
             weights = {
                 "frequency_weight": rng.choice(GD_WEIGHTS),
                 "cost_weight": rng.choice(GD_WEIGHTS),
@@ -795,7 +756,7 @@ class TestGdKernel:
         assert result.path == ("gd-kernel" if disqualifier == "fault_spec" else "sequential")
         assert result.metrics.evictions > 0
 
-    @pytest.mark.parametrize("form", ["object", "columnar", "stream"])
+    @pytest.mark.parametrize("form", ["object", "stream"])
     def test_seeded_faulted_sweep_equals_the_loop(self, form):
         """Under a fault spec the kernel replays the server's timeline and
         the retry queue: equal to the loop on every counter and breakdown,
@@ -810,8 +771,6 @@ class TestGdKernel:
                 )
             else:
                 trace = gd_workload(rng)
-                if form == "columnar":
-                    trace = ColumnarTrace.from_trace(trace)
             spec = gd_fault_spec(rng, trace.last_arrival_s)
             memory_mb = rng.choice(GD_FAULT_POOLS) * registry_mb(trace)
             loop, default = loop_and_default(trace, "GD", memory_mb, fault_spec=spec)
@@ -930,15 +889,12 @@ import json
 from repro.bench import _metrics_payload, churn_trace, fingerprint
 from repro.core.policies.base import create_policy
 from repro.sim.scheduler import KeepAliveSimulator, simulate
-from repro.traces.columnar import ColumnarTrace
 
 trace = churn_trace(num_functions=50, seed=31)
 oracle = KeepAliveSimulator(
     trace, create_policy("HIST"), 96 * 128.0
 ).run()
-columnar = simulate(
-    ColumnarTrace.from_trace(trace), "HIST", 96 * 128.0, engine="columnar"
-)
+columnar = simulate(trace, "HIST", 96 * 128.0, engine="columnar")
 print(json.dumps({
     "oracle": fingerprint(_metrics_payload(oracle)),
     "columnar": fingerprint(_metrics_payload(columnar)),

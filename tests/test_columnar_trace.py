@@ -1,13 +1,13 @@
-"""Structural tests for the columnar trace representation.
+"""Structural tests for the trace's column form.
 
-Covers the :class:`FunctionTable`/:class:`ColumnarTrace` contracts
-(lossless round-trip with the object form, validation, chunked
-iteration) and :class:`StreamingChurnTrace` determinism (restartable,
-chunk-size independent, materialize == chunk concatenation, and
-``chunks()`` byte for byte the per-arrival heap merge it replaced,
-kept here as :func:`reference_chunks`). The *behavioral* guarantee —
-identical simulation metrics from either representation — lives in
-``test_columnar_differential.py``.
+Covers the :class:`FunctionTable` registry and the :class:`Trace`
+columns (lossless against the invocation objects, validation,
+canonical order, chunked iteration) and :class:`StreamingChurnTrace`
+determinism (restartable, chunk-size independent, materialize == chunk
+concatenation, and ``chunks()`` byte for byte the per-arrival heap
+merge it replaced, kept here as :func:`reference_chunks`). The
+*behavioral* guarantee — the kernels' metrics equal the arrival loop's
+— lives in ``test_columnar_differential.py``.
 """
 
 import heapq
@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 from repro.bench import churn_trace
 from repro.faults import FaultSpec
+from repro.sim.columnar import _TTLKernelState
 from repro.sim.scheduler import simulate
 from repro.traces import streaming
-from repro.traces.columnar import ColumnarTrace, FunctionTable
 from repro.traces.io import load_trace_json
-from repro.traces.model import Invocation, TraceFunction
+from repro.traces.model import FunctionTable, Invocation, Trace, TraceFunction
 from repro.traces.streaming import (
     _STREAM_SEED_STRIDE,
     STREAM_IAT_CHOICES_S,
@@ -35,8 +35,12 @@ from repro.traces.streaming import (
 from tests.conftest import make_function, make_trace
 
 
-def small_columnar():
-    return ColumnarTrace.from_trace(make_trace("ABCBCAAB"))
+def small_trace():
+    return make_trace("ABCBCAAB")
+
+
+def column_bytes(trace):
+    return trace.times_s.tobytes(), trace.function_ids.tobytes()
 
 
 class TestFunctionTable:
@@ -48,14 +52,15 @@ class TestFunctionTable:
         assert table.object_of(1) is funcs[1]
 
     def test_columns_parallel_to_rows(self):
+        """The TTL kernel builds the columns it reads from the rows."""
         funcs = [
             TraceFunction("a", 128.0, 0.2, 1.2),
             TraceFunction("b", 512.0, 0.5, 3.0),
         ]
-        table = FunctionTable(funcs)
-        assert table.memory_mb.tolist() == [128.0, 512.0]
-        assert table.warm_time_s.tolist() == [0.2, 0.5]
-        assert table.cold_time_s.tolist() == [1.2, 3.0]
+        state = _TTLKernelState(FunctionTable(funcs))
+        assert state.names == ("a", "b")
+        assert state.warm_time_s.tolist() == [0.2, 0.5]
+        assert state.cold_time_s.tolist() == [1.2, 3.0]
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -67,8 +72,8 @@ class TestFunctionTable:
         assert table.as_dict() == trace.functions
 
     def test_functions_mapping_is_built_once(self, monkeypatch):
-        columnar = small_columnar()
-        assert columnar.functions is columnar.functions
+        table = small_trace().functions_table
+        assert table.as_dict() is table.as_dict()
         stream = StreamingChurnTrace(num_functions=5, duration_s=600.0)
         assert stream.functions is stream.functions
         # A faulted replay resolves retries by name on every arrival's
@@ -81,7 +86,7 @@ class TestFunctionTable:
             lambda table: calls.append(1) or as_dict(table),
         )
         spec = FaultSpec(seed=3, crash_rate=0.2, harvest_interval_s=300.0)
-        trace = ColumnarTrace.from_trace(churn_trace(20, duration_s=2400.0))
+        trace = churn_trace(20, duration_s=2400.0)
         result = simulate(
             trace, "GD", 12 * 128.0, engine="columnar", fault_spec=spec
         )
@@ -90,56 +95,68 @@ class TestFunctionTable:
 
 
 class TestColumnarTrace:
+    """A trace is its two columns: what the objects and the columns
+    constructors build is the same trace."""
+
     def test_round_trip_is_lossless(self):
         trace = make_trace("ABCBCAAB")
-        back = ColumnarTrace.from_trace(trace).to_trace()
-        assert back.name == trace.name
-        assert back.functions == trace.functions
-        assert back.invocations == trace.invocations
+        from_objects = Trace(trace.functions.values(), trace.invocations, name=trace.name)
+        from_columns = Trace.from_columns(
+            trace.functions.values(), trace.times_s, trace.function_ids, name=trace.name
+        )
+        for back in (from_objects, from_columns):
+            assert back.name == trace.name
+            assert back.functions == trace.functions
+            assert back.invocations == trace.invocations
+            assert column_bytes(back) == column_bytes(trace)
 
     def test_round_trip_large_seeded_trace(self):
         trace = churn_trace(num_functions=40, seed=17)
-        back = ColumnarTrace.from_trace(trace).to_trace()
+        back = Trace(trace.functions.values(), list(trace), name=trace.name)
         assert back.invocations == trace.invocations
+        assert column_bytes(back) == column_bytes(trace)
 
     def test_replay_order_preserved(self):
         trace = make_trace("BAAB")
-        columnar = ColumnarTrace.from_trace(trace)
-        names = columnar.functions_table.names
+        names = trace.functions_table.names
         replayed = [
             (t, names[i])
-            for t, i in zip(
-                columnar.times_s.tolist(), columnar.function_ids.tolist()
-            )
+            for t, i in zip(trace.times_s.tolist(), trace.function_ids.tolist())
         ]
         assert replayed == [
             (inv.time_s, inv.function_name) for inv in trace.invocations
         ]
 
     def test_footprint_is_twelve_bytes_per_invocation(self):
-        columnar = small_columnar()
-        assert columnar.nbytes == 12 * len(columnar)
+        trace = small_trace()
+        assert trace.nbytes == 12 * len(trace)
 
     def test_shape_mismatch_rejected(self):
-        table = FunctionTable([make_function("a")])
         with pytest.raises(ValueError, match="parallel"):
-            ColumnarTrace(table, np.zeros(3), np.zeros(2, dtype=np.int32))
+            Trace.from_columns([make_function("a")], [0.0, 0.0, 0.0], [0, 0])
 
-    def test_decreasing_times_rejected(self):
-        table = FunctionTable([make_function("a")])
-        with pytest.raises(ValueError, match="non-decreasing"):
-            ColumnarTrace(
-                table,
-                np.array([1.0, 0.5]),
-                np.zeros(2, dtype=np.int32),
-            )
+    def test_decreasing_times_are_sorted(self):
+        trace = Trace.from_columns([make_function("a")], [1.0, 0.5], [0, 0])
+        assert trace.times_s.tolist() == [0.5, 1.0]
+
+    def test_tied_times_replay_in_name_order(self):
+        """Columns with a tie out of name order, ``b, a, b`` at 1, 1 and
+        5 s, are the trace ``a, b, b``: on a one-container GD pool ``a``
+        is cold, ``b`` drops behind it, and ``b`` evicts ``a`` at 5 s.
+        Replayed as given, ``b`` would be warm at 5 s."""
+        a, b = TraceFunction("a", 128.0, 0.2, 1.0), TraceFunction("b", 128.0, 0.2, 1.0)
+        trace = Trace.from_columns([a, b], [1.0, 1.0, 5.0], [1, 0, 1])
+        assert [(i.time_s, i.function_name) for i in trace] == [
+            (1.0, "a"), (1.0, "b"), (5.0, "b"),
+        ]
+        for engine in ("object", "columnar"):
+            metrics = simulate(trace, "GD", 128.0, engine=engine).metrics
+            assert (metrics.warm_starts, metrics.cold_starts, metrics.evictions) == (0, 2, 1)
+            assert metrics.dropped == 1
 
     def test_negative_time_rejected(self):
-        table = FunctionTable([make_function("a")])
         with pytest.raises(ValueError, match=">= 0"):
-            ColumnarTrace(
-                table, np.array([-1.0]), np.zeros(1, dtype=np.int32)
-            )
+            Trace.from_columns([make_function("a")], [-1.0], [0])
 
     @pytest.mark.parametrize(
         "times",
@@ -149,49 +166,41 @@ class TestColumnarTrace:
         """Every check is a comparison a NaN answers False: written
         the wrong way round it lets the NaN (or an infinite fault
         horizon, ``last_arrival_s``) through to the kernel."""
-        table = FunctionTable([make_function("a")])
         with pytest.raises(ValueError, match="invocation times must be"):
-            ColumnarTrace(
-                table, np.array(times), np.zeros(len(times), dtype=np.int32)
-            )
+            Trace.from_columns([make_function("a")], times, [0] * len(times))
 
     def test_out_of_range_function_id_rejected(self):
-        table = FunctionTable([make_function("a")])
         with pytest.raises(ValueError, match="function ids"):
-            ColumnarTrace(
-                table, np.array([0.0]), np.array([1], dtype=np.int32)
-            )
+            Trace.from_columns([make_function("a")], [0.0], [1])
 
     def test_iter_chunks_partitions_in_order(self):
-        columnar = small_columnar()
-        chunks = list(columnar.iter_chunks(3))
+        trace = small_trace()
+        chunks = list(trace.iter_chunks(3))
         assert [len(t) for t, __ in chunks] == [3, 3, 2]
         times = np.concatenate([t for t, __ in chunks])
         ids = np.concatenate([i for __, i in chunks])
-        assert np.array_equal(times, columnar.times_s)
-        assert np.array_equal(ids, columnar.function_ids)
+        assert np.array_equal(times, trace.times_s)
+        assert np.array_equal(ids, trace.function_ids)
 
     def test_iter_chunks_rejects_nonpositive(self):
         with pytest.raises(ValueError, match=">= 1"):
-            list(small_columnar().iter_chunks(0))
+            list(small_trace().iter_chunks(0))
 
     def test_per_function_counts(self):
-        columnar = small_columnar()
-        assert columnar.per_function_counts() == {"A": 3, "B": 3, "C": 2}
+        assert small_trace().per_function_counts() == {"A": 3, "B": 3, "C": 2}
 
     def test_trace_compatible_surface(self):
         trace = make_trace("ABCBCAAB")
-        columnar = ColumnarTrace.from_trace(trace)
-        assert columnar.functions == trace.functions
-        assert columnar.duration_s == trace.duration_s
-        assert columnar.num_functions == len(trace.functions)
-        assert len(columnar) == len(trace.invocations)
+        columns = Trace.from_columns(
+            trace.functions_table, trace.times_s.tolist(), trace.function_ids.tolist()
+        )
+        assert columns.functions == trace.functions
+        assert columns.duration_s == trace.duration_s
+        assert columns.num_functions == len(trace.functions)
+        assert len(columns) == len(trace.invocations)
 
     def test_empty_trace(self):
-        table = FunctionTable([make_function("a")])
-        empty = ColumnarTrace(
-            table, np.empty(0), np.empty(0, dtype=np.int32)
-        )
+        empty = Trace.from_columns([make_function("a")], [], [])
         assert len(empty) == 0
         assert empty.duration_s == 0.0
         assert list(empty.iter_chunks()) == []
@@ -233,19 +242,20 @@ class TestStreamingChurnTrace:
         stream = StreamingChurnTrace(
             num_functions=25, duration_s=4000.0, seed=9
         )
-        trace = stream.materialize().to_trace()
-        expected = sorted(
-            trace.invocations,
-            key=lambda inv: (inv.time_s, inv.function_name),
-        )
-        assert list(trace.invocations) == expected
+        names = stream.functions_table.names
+        merged = [
+            (time_s, names[fid])
+            for times, ids in stream.chunks()
+            for time_s, fid in zip(times.tolist(), ids.tolist())
+        ]
+        assert merged == sorted(merged)
 
     def test_arrivals_respect_duration(self):
         stream = StreamingChurnTrace(
             num_functions=20, duration_s=1500.0, seed=3
         )
         times = stream.materialize().times_s
-        assert times.size > 0
+        assert len(times) > 0
         assert float(times[-1]) < 1500.0
 
     def test_different_seeds_differ(self):

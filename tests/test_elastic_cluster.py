@@ -224,7 +224,7 @@ class TestOneClusterTimeline:
 
     def test_columnar_trace_replays_the_same(self):
         from repro.faults import FaultSpec
-        from repro.traces.columnar import ColumnarTrace
+        from tests.conftest import from_columns
 
         trace = steady_trace(duration_s=1800.0)
         kwargs = dict(
@@ -232,7 +232,7 @@ class TestOneClusterTimeline:
             fault_spec=FaultSpec(seed=7, crash_rate=0.02, server_downtimes=((0, 300.0, 600.0),)),
         )
         over_objects = ElasticClusterSimulation(trace, **kwargs).run()
-        over_columns = ElasticClusterSimulation(ColumnarTrace.from_trace(trace), **kwargs).run()
+        over_columns = ElasticClusterSimulation(from_columns(trace), **kwargs).run()
         assert over_columns.counters() == over_objects.counters()
         assert over_columns.server_timeline == over_objects.server_timeline
         assert over_columns.shed_unavailable == over_objects.shed_unavailable

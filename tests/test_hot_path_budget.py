@@ -49,41 +49,50 @@ CONTAINER_MB = 128.0
 #: answers by default. The warm replay's 711 paid 27.99 (19,904) and pay
 #: 20.00 (14,217) on the loop, which the TTL kernel now answers by
 #: default. (One call per *run* is the simulator's ``EventQueue()``.)
-EVICT_CALLS = 30_291
-WARM_CALLS = 14_217
+#: A trace's ``arrivals()`` zips its columns instead of resuming a
+#: generator per arrival: one call less each, 49.49 (29,692) and 19.00
+#: (13,507).
+EVICT_CALLS = 29_692
+WARM_CALLS = 13_507
 #: The eviction replay through the default ``simulate()``, which the GD
 #: kernel answers: 11.08 calls per arrival (6,650), then 10.09 (6,056)
-#: once an outcome is booked by subscript — the arrivals generator, two
-#: dict lookups (Freq, containers), a heap push and a pop for the run,
-#: and per victim a pop off the index, an ``append`` to the cover, a
+#: once an outcome is booked by subscript, then 9.09 (5,452) once the
+#: arrivals are the trace's columns zipped, not a generator — two dict
+#: lookups (Freq, containers), a heap push and a pop for the run, and
+#: per victim a pop off the index, an ``append`` to the cover, a
 #: ``remove`` from its function's list and the new container's
 #: ``__init__``.
-GD_KERNEL_CALLS = 6_056
+GD_KERNEL_CALLS = 5_452
 #: The warm replay's trace on 0.9 x its working set under harvest steps
 #: and a spot eviction (a down and a restore, 98 retries, 45 deflations),
 #: through the default ``simulate()``, which the GD kernel answers:
-#: 12.56 calls per arrival (8,930), against 39.95 (28,405) on the loop.
+#: 12.56 calls per arrival (8,930), against 39.95 (28,405) on the loop;
+#: 11.55 (8,215) with the arrivals zipped from the columns.
 #: Beside the eviction replay's calls it pays the timeline generator and
 #: per retry a ``next_delay`` (its jitter draw: a hasher copy, four
 #: packs, a digest) and a heap push and pop.
-GD_FAULT_KERNEL_CALLS = 8_930
+GD_FAULT_KERNEL_CALLS = 8_215
 #: The same warm replay on the vectorized kernel (GD replayed at
-#: ``ttl_s = inf``): 0.53 calls per arrival (379) — the eligibility
-#: test, one object-trace chunk transposed and a few dozen ufuncs.
-KERNEL_WARM_CALLS = 379
+#: ``ttl_s = inf``): 0.53 calls per arrival (379) while an object trace
+#: was transposed per chunk; 0.27 (189) on the trace's own columns —
+#: the eligibility test, one chunk wrapped without a copy and a few
+#: dozen ufuncs.
+KERNEL_WARM_CALLS = 189
 #: HIST on the warm replay's trace, with a histogram sample, a plan and
 #: an expiry deadline on every arrival: 50.68 calls each (36,036) before
-#: the cuts above, 45.68 (32,481) after, on the arrival loop
+#: the cuts above, 45.68 (32,481) after, 44.68 (31,771) with the
+#: arrivals zipped from the columns, on the arrival loop
 #: (``engine="object"``; the kernels' eligibility test, 2 calls, is not
 #: asked there).
-HIST_CALLS = 32_481
+HIST_CALLS = 31_771
 #: The same HIST replay through the default ``simulate()``, which the
 #: HIST kernel answers: 13.58 calls per arrival (9,653) — the histogram
 #: sample (``record_arrival``, two ``round``, ``Welford.update``) and
 #: the plan (``_plan``, ``is_predictable``, the CoV, ``head_s``,
-#: ``tail_s``, ``max``) are HIST's own code; the kernel adds the
-#: arrivals generator, a dict lookup and a heap push or pop per prewarm.
-HIST_KERNEL_CALLS = 9_653
+#: ``tail_s``, ``max``) are HIST's own code; the kernel adds a dict
+#: lookup and a heap push or pop per prewarm: 12.58 (8,944) once the
+#: arrivals are the trace's columns zipped, not a generator.
+HIST_KERNEL_CALLS = 8_944
 #: The whole live request path, ``_Connection.data_received`` down, over
 #: the warm replay's trace as pipelined ``/admit`` requests on a pool of
 #: 0.8 x the working set: 74.49 calls per request (52,961) to frame,

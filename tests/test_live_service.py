@@ -16,8 +16,8 @@ from repro.live.service import (
     UnknownFunctionError,
 )
 from repro.sim.scheduler import KeepAliveSimulator, simulate
-from repro.traces.columnar import ColumnarTrace
 from repro.traces.synth import skewed_frequency_trace
+from tests.conftest import from_columns
 
 
 class SteppingSource:
@@ -74,7 +74,7 @@ class TestClocks:
         trace = skewed_frequency_trace(seed=5)
         last = max(inv.time_s for inv in trace)
         # Every trace form goes through the one clock-advancing loop.
-        for form in (trace, ColumnarTrace.from_trace(trace)):
+        for form in (trace, from_columns(trace)):
             sim = KeepAliveSimulator(form, create_policy("GD"), 1024.0)
             assert isinstance(sim.clock, SimClock)
             sim.run()

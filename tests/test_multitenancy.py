@@ -23,7 +23,6 @@ from repro.obs.tracer import Tracer
 from repro.sim.metrics import SimulationMetrics, jain_index
 from repro.sim.scheduler import simulate
 from repro.sim.sweep import SweepPoint, point_fingerprint, run_cell
-from repro.traces.columnar import ColumnarTrace
 from repro.traces.io import (
     load_trace_csv,
     load_trace_json,
@@ -33,6 +32,7 @@ from repro.traces.io import (
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 from repro.traces.synth import noisy_neighbor_trace
+from tests.conftest import from_columns
 
 
 def _two_tenant_trace():
@@ -104,10 +104,10 @@ class TestTenantModel:
 
     def test_columnar_round_trip_preserves_tenants(self):
         trace = _two_tenant_trace()
-        col = ColumnarTrace.from_trace(trace)
+        col = from_columns(trace)
         assert col.has_tenants
         assert col.tenant_ids() == (1, 2)
-        back = col.to_trace()
+        back = Trace(col.functions.values(), col.invocations)
         assert {
             f.name: f.tenant_id for f in back.functions.values()
         } == {"alpha": 1, "beta": 2}

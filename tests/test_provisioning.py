@@ -19,10 +19,9 @@ from repro.provisioning.static_provisioning import (
 )
 from repro.sim.config import RunConfig
 from repro.sim.scheduler import KeepAliveSimulator
-from repro.traces.columnar import ColumnarTrace
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.synth import cyclic_trace
-from tests.conftest import make_function, make_trace
+from tests.conftest import from_columns, make_function, make_trace
 
 
 def simple_curve():
@@ -388,7 +387,7 @@ class TestControllerOnTheOneTimeline:
     def test_columnar_trace_replays_to_the_same_decisions(self):
         trace = self.trace()
         over_objects = self.autoscaled(trace)
-        over_columns = self.autoscaled(ColumnarTrace.from_trace(trace), curve_of=trace)
+        over_columns = self.autoscaled(from_columns(trace), curve_of=trace)
         assert over_columns.decisions == over_objects.decisions
         assert over_columns.deflations == over_objects.deflations
         assert over_columns.metrics.counters() == over_objects.metrics.counters()

@@ -1,6 +1,7 @@
 """Tests for trace serialization (JSON and CSV round trips)."""
 
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.traces.io import (
     save_trace_csv,
     save_trace_json,
 )
+from repro.traces.model import Invocation
 from repro.traces.synth import skewed_size_trace
 from tests.conftest import make_trace
 
@@ -78,3 +80,67 @@ class TestCsvRoundTrip:
         save_trace_csv(trace, stem)
         loaded = load_trace_csv(stem)
         assert loaded.invocations[0].time_s == t
+
+
+class TestColumnsOnly:
+    """The loaders and savers work on the columns: no ``Invocation`` per
+    arrival, and a malformed time is the loader's ``ValueError``."""
+
+    def test_loaders_build_no_invocation(self, tmp_path, monkeypatch):
+        trace = skewed_size_trace(duration_s=120.0)
+        save_trace_json(trace, tmp_path / "trace.json")
+        save_trace_csv(trace, tmp_path / "trace")
+        built = []
+        monkeypatch.setattr(
+            Invocation, "__post_init__", lambda inv: built.append(inv)
+        )
+        loaded = [load_trace_json(tmp_path / "trace.json"), load_trace_csv(tmp_path / "trace")]
+        assert built == []
+        assert all(len(t) == len(trace) for t in loaded)
+
+    def test_load_then_save_is_a_fixed_point(self, tmp_path):
+        trace = skewed_size_trace(duration_s=120.0)
+        save_trace_json(trace, tmp_path / "a.json")
+        save_trace_json(load_trace_json(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        save_trace_csv(trace, tmp_path / "a")
+        save_trace_csv(load_trace_csv(tmp_path / "a"), tmp_path / "b")
+        for part in ("functions", "invocations"):
+            first = (tmp_path / f"a.{part}.csv").read_bytes()
+            assert first == (tmp_path / f"b.{part}.csv").read_bytes()
+
+    @pytest.mark.parametrize("time_s", [True, False, "10.0", None, [10.0]])
+    def test_json_rejects_a_non_numeric_or_boolean_time(self, tmp_path, time_s):
+        path = tmp_path / "trace.json"
+        save_trace_json(make_trace("AB"), path)
+        document = json.loads(path.read_text())
+        document["invocations"][1][0] = time_s
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invocation 1: "):
+            load_trace_json(path)
+
+    def test_json_rejects_a_malformed_entry(self, tmp_path):
+        path = tmp_path / "trace.json"
+        save_trace_json(make_trace("AB"), path)
+        document = json.loads(path.read_text())
+        document["invocations"][0] = [0.0, "A", "extra"]
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=r"invocation 0: expected \[time_s, function_name\]"):
+            load_trace_json(path)
+
+    @pytest.mark.parametrize("cell", ["true", "True", "", "soon"])
+    def test_csv_rejects_a_non_numeric_time(self, tmp_path, cell):
+        save_trace_csv(make_trace("AB"), tmp_path / "trace")
+        path = tmp_path / "trace.invocations.csv"
+        path.write_text(path.read_text().replace("10.0,B", f"{cell},B"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invocation 1: "):
+            load_trace_csv(tmp_path / "trace")
+
+    def test_unknown_function_names_the_file(self, tmp_path):
+        path = tmp_path / "trace.json"
+        save_trace_json(make_trace("AB"), path)
+        document = json.loads(path.read_text())
+        document["invocations"][1][1] = "Z"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=r"unknown functions: \['Z'\]"):
+            load_trace_json(path)

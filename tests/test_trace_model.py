@@ -1,5 +1,6 @@
 """Unit tests for the trace data model."""
 
+import pickle
 import tempfile
 
 import pytest
@@ -145,6 +146,15 @@ class TestTrace:
         assert isinstance(trace.invocations, tuple)
         assert trace.invocations is trace.invocations
 
+    def test_a_pickle_carries_the_columns_not_the_objects(self):
+        trace = make_trace("ABCAB" * 20)
+        columns_only = len(pickle.dumps(trace))
+        trace.invocations  # built and kept
+        assert len(pickle.dumps(trace)) == columns_only
+        back = pickle.loads(pickle.dumps(trace))
+        assert back.invocations == trace.invocations
+        assert back.functions == trace.functions and back.name == trace.name
+
 
 #: Few distinct times (an int among the floats: ``1 == 1.0``) and few
 #: names, so a drawn list is full of repeated times and repeated
@@ -154,24 +164,35 @@ arrival_lists = st.lists(
 ).map(lambda pairs: [Invocation(t, name) for t, name in pairs])
 
 
-def same_objects(left, right):
-    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
-
-
 class TestReplayOrder:
-    """``Trace`` orders arrivals with two stable key passes in C; the
-    result must be ``sorted()`` over ``Invocation.__lt__`` (the
-    dataclass's field-tuple comparison) object for object."""
+    """``Trace`` keeps its arrivals as columns in canonical order, checked
+    in one pass and sorted only where the check fails; the invocations it
+    builds back must equal ``sorted()`` over ``Invocation.__lt__`` (the
+    dataclass's field-tuple comparison). The columns hold float times,
+    so an int time comes back as the equal float."""
 
     FUNCTIONS = [make_function(name) for name in "ABC"]
 
     @given(arrival_lists)
     def test_constructor_order_is_sorted_order(self, invocations):
         ordered = Trace(self.FUNCTIONS, invocations).invocations
-        assert same_objects(ordered, sorted(invocations))
-        assert same_objects(
-            ordered, sorted(invocations, key=lambda i: (i.time_s, i.function_name))
+        assert list(ordered) == sorted(invocations)
+        assert list(ordered) == sorted(
+            invocations, key=lambda i: (i.time_s, i.function_name)
         )
+        assert all(type(inv.time_s) is float for inv in ordered)
+
+    @given(arrival_lists)
+    def test_columns_in_any_order_come_out_in_constructor_order(self, invocations):
+        ids = {f.name: i for i, f in enumerate(self.FUNCTIONS)}
+        columns = Trace.from_columns(
+            self.FUNCTIONS,
+            [inv.time_s for inv in invocations],
+            [ids[inv.function_name] for inv in invocations],
+        )
+        objects = Trace(self.FUNCTIONS, invocations)
+        assert columns.invocations == objects.invocations
+        assert columns.function_ids.tobytes() == objects.function_ids.tobytes()
 
     def test_comparison_operators_are_the_dataclass_ones(self):
         early, late = Invocation(1.0, "B"), Invocation(1.0, "C")
@@ -185,7 +206,7 @@ class TestReplayOrder:
             a.merged_with(b), a.shifted(offset_s), a.truncated(1.0), a.restrict("AB"),
         ):
             assert list(derived.invocations) == sorted(derived.invocations)
-        assert same_objects(a.merged_with(b).invocations, sorted(left + right))
+        assert list(a.merged_with(b).invocations) == sorted(left + right)
 
     @given(arrival_lists)
     def test_json_round_trip_keeps_the_order(self, invocations):
