@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, List, Optional, Set, Tuple
 
-from repro.cluster.simulation import MemberCounters, _server_level_spec
+from repro.cluster.simulation import MemberCounters, _server_level_spec, _shed_unavailable
 from repro.core.policies.base import create_policy
 from repro.faults import FaultModel, FaultSpec
 from repro.obs.tracer import Tracer, active_tracer
@@ -126,8 +126,10 @@ class ElasticClusterSimulation:
         self._servers: List[Optional[KeepAliveSimulator]] = [
             None
         ] * max_servers
-        # Metrics of every server ever started (the result sums them).
-        self._metrics: List[SimulationMetrics] = []
+        # Every server ever started: the result sums their metrics, and
+        # each runs out its retries once arrivals stop (nothing touches
+        # a retired or evicted one again, so its retries can wait).
+        self._started: List[KeepAliveSimulator] = []
         for i in range(min_servers):
             self._servers[i] = self._new_server(i)
         self._active = min_servers
@@ -146,7 +148,7 @@ class ElasticClusterSimulation:
                 else None
             ),
         )
-        self._metrics.append(server.metrics)
+        self._started.append(server)
         return server
 
     # ------------------------------------------------------------------
@@ -206,11 +208,9 @@ class ElasticClusterSimulation:
             index = max(
                 i for i, s in enumerate(self._servers) if s is not None
             )
-            retired = self._servers[index]
             self._servers[index] = None
             self._active -= 1
             result.scale_downs += 1
-            retired.drain_retries()
 
     def _apply_server_event(
         self,
@@ -232,8 +232,13 @@ class ElasticClusterSimulation:
         shrink the fleet below what the autoscaler asked for. The
         later "restore" merely frees the ring position for future
         scale-ups.
+
+        An active server first fires its own entries due before
+        ``at_s`` (its retries), as a fixed cluster's member does.
         """
         server = self._servers[index]
+        if server is not None:
+            server.fire_before(at_s)
         if kind == "down":
             self._failed.add(index)
             if server is not None:
@@ -256,10 +261,9 @@ class ElasticClusterSimulation:
             self._draining.discard(index)
             self._failed.add(index)
             if server is not None:
-                # The instance is gone: doom in-flight work, settle
-                # retries, release the slot.
+                # The instance is gone: doom in-flight work (its retries
+                # meet a failed server), release the slot.
                 server.fail_server(at_s)
-                server.drain_retries()
                 self._servers[index] = None
                 self._active -= 1
                 self._spin_replacement(at_s, result)
@@ -287,7 +291,7 @@ class ElasticClusterSimulation:
     # ------------------------------------------------------------------
 
     def run(self) -> ElasticClusterResult:
-        result = ElasticClusterResult(per_server=self._metrics)
+        result = ElasticClusterResult()
         result.server_timeline.append((0.0, self._active))
         period = self.control_period_s
         # One timeline for everything timed at the cluster level, as
@@ -330,26 +334,17 @@ class ElasticClusterSimulation:
                 events.push(at_s, partial(
                     self._apply_server_event, index=index, kind=kind, value=value, result=result
                 ))
-        for time_s, function in self.trace.arrivals():
-            if events.next_s <= time_s:
-                for at_s, action in events.pop_until(time_s):
-                    action(at_s)
+        for time_s, function in events.merge(self.trace.arrivals()):
+            if function is None:  # a tick or a server event is due
+                events.fire()
+                continue
             arrivals_in_period += 1
             server = self._route(function.name)
-            if server is None:
-                # Every active ring position is down right now.
-                result.shed_unavailable += 1
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "invocation_shed",
-                        time_s,
-                        function=function.name,
-                        reason="unavailable",
-                        attempts=1,
-                    )
+            if server is None:  # every active ring position is down
+                _shed_unavailable(result, self._tracer, function.name, time_s)
                 continue
             server.process_invocation(function, time_s)
-        for server in self._servers:
-            if server is not None:
-                server.drain_retries()
+        for server in self._started:  # past the last arrival nothing routes
+            server.drain_retries()
+        result.per_server = [server.metrics for server in self._started]
         return result

@@ -21,7 +21,7 @@ from repro.cluster.loadbalancer import (
     NoHealthyServers,
     create_balancer,
 )
-from repro.core.policies.base import KeepAlivePolicy, create_policy
+from repro.core.policies.base import create_policy
 from repro.faults import FaultModel, FaultSpec
 from repro.obs.counters import counter_names, sum_counters
 from repro.obs.tracer import Tracer, active_tracer
@@ -62,6 +62,7 @@ class MemberCounters:
     counter also reads as an attribute (``result.cold_starts``)."""
 
     per_server: List[SimulationMetrics]
+    shed_unavailable: int
 
     def counters(self) -> Dict[str, int]:
         """Every counter of :data:`repro.obs.counters.COUNTERS`, summed
@@ -82,6 +83,18 @@ class MemberCounters:
     @property
     def cold_start_pct(self) -> float:
         return 100.0 * self.cold_starts / self.served if self.served else 0.0
+
+
+def _shed_unavailable(
+    result: MemberCounters, tracer: Optional[Tracer], function_name: str, now_s: float
+) -> None:
+    """An arrival no healthy server can take: shed at the cluster level,
+    where it belongs to no member's metrics."""
+    result.shed_unavailable += 1
+    if tracer is not None:
+        tracer.emit(
+            "invocation_shed", now_s, function=function_name, reason="unavailable", attempts=1,
+        )
 
 
 @dataclass
@@ -160,14 +173,12 @@ class ClusterSimulator:
         )
         # Outage transitions and harvest/spot capacity events of every
         # server, as ``action(at_s)`` in ``FaultModel.server_events`` order.
-        self._events: EventQueue[Callable[[float], None]] = EventQueue()
-        if self._fault_spec is not None:
+        self._events: EventQueue[Callable[[float], None]] = EventQueue([
+            (at_s, partial(self._apply_server_event, index=index, kind=kind, value=value))
             for at_s, index, kind, value in FaultModel(self._fault_spec).server_events(
                 range(num_servers), trace.last_arrival_s
-            ):
-                self._events.push(
-                    at_s, partial(self._apply_server_event, index=index, kind=kind, value=value)
-                )
+            )
+        ] if self._fault_spec is not None else ())
         server_spec = _server_level_spec(self._fault_spec)
         self.servers = [
             KeepAliveSimulator(
@@ -187,54 +198,25 @@ class ClusterSimulator:
     def _apply_server_event(
         self, at_s: float, index: int, kind: str, value: float
     ) -> None:
-        """Apply one scheduled event to a server and the balancer.
-
-        * ``down`` / ``up`` — a whole-server outage starts / ends: the
-          server fails or recovers and leaves or rejoins the routing
-          set.
-        * ``capacity`` — resize the server's pool (graceful deflation
-          on shrink); routing is unaffected, the balancer's load signal
-          sees the smaller pool on the next decision.
-        * ``notice`` — pre-drain: the server stops receiving new
-          placements (it finishes its own in-flight work) while it
-          keeps serving until the eviction lands.
-        * ``evict`` — the spot instance disappears: fail the server
-          and route around it.
-        * ``restore`` — a *replacement* server joins: cold pools, full
-          nominal capacity, back in the routing set.
+        """Apply one scheduled event to a server and the balancer: the
+        server first fires its own entries due before ``at_s`` (its
+        retries), then applies the event
+        (:meth:`KeepAliveSimulator.apply_server_event`). The balancer's
+        marks: ``down`` / ``evict`` leave the routing set; ``up`` /
+        ``restore`` (a cold, full-size replacement) rejoin it; ``notice``
+        pre-drains, no new placements while the server finishes its own
+        work until the eviction lands. ``capacity`` leaves routing alone:
+        the load signal sees the resized pool on the next decision.
         """
         server = self.servers[index]
-        if kind == "down":
-            server.fail_server(at_s)
+        server.fire_before(at_s)
+        server.apply_server_event(at_s, kind, value)
+        if kind == "down" or kind == "evict":
             self.balancer.mark_down(index)
-        elif kind == "up":
-            server.recover_server(at_s)
-            self.balancer.mark_up(index)
-        elif kind == "capacity":
-            server.set_harvest_capacity(at_s, value)
+        elif kind == "up" or kind == "restore":
+            self.balancer.mark_up(index)  # clears draining too
         elif kind == "notice":
             self.balancer.mark_draining(index)
-            server.notice_eviction(at_s, evict_at_s=value)
-        elif kind == "evict":
-            server.fail_server(at_s)
-            self.balancer.mark_down(index)
-        else:  # "restore"
-            server.recover_server(at_s)
-            self.balancer.mark_up(index)  # clears draining too
-            server.set_harvest_capacity(at_s, 1.0)
-
-    def _shed_unavailable(
-        self, result: ClusterResult, function_name: str, now_s: float
-    ) -> None:
-        result.shed_unavailable += 1
-        if self._tracer is not None:
-            self._tracer.emit(
-                "invocation_shed",
-                now_s,
-                function=function_name,
-                reason="unavailable",
-                attempts=1,
-            )
 
     def run(self) -> ClusterResult:
         routed = [0] * len(self.servers)
@@ -247,11 +229,10 @@ class ClusterSimulator:
         )
         queue_signal = self.balancer.load_signal == "queue"
         events = self._events
-        for time_s, function in self.trace.arrivals():
-            # Everything scheduled up to this arrival.
-            if events.next_s <= time_s:
-                for at_s, action in events.pop_until(time_s):
-                    action(at_s)
+        for time_s, function in events.merge(self.trace.arrivals()):
+            if function is None:  # one of the cluster's entries is due
+                events.fire()
+                continue
             if queue_signal:
                 used = [float(server.outstanding) for server in self.servers]
             else:
@@ -264,7 +245,7 @@ class ClusterSimulator:
                         function.name, used, time_s, tracer
                     )
             except NoHealthyServers:
-                self._shed_unavailable(result, function.name, time_s)
+                _shed_unavailable(result, tracer, function.name, time_s)
                 continue
             if not 0 <= index < len(self.servers):
                 raise ValueError(
@@ -272,6 +253,8 @@ class ClusterSimulator:
                 )
             routed[index] += 1
             self.servers[index].process_invocation(function, time_s)
+        # Past the last arrival nothing routes: each member's retries
+        # run out on its own timeline.
         for server in self.servers:
             server.drain_retries()
         return result

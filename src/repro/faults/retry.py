@@ -97,9 +97,9 @@ class RetryPolicy:
         if used >= self.per_function_budget:
             return None
         self._budget_used[function_name] = used + 1
-        delay = min(
-            self.max_delay_s, self.base_delay_s * (2.0 ** (retry_number - 1))
-        )
+        delay = self.base_delay_s * (2.0 ** (retry_number - 1))
+        if delay > self.max_delay_s:
+            delay = self.max_delay_s
         if self.jitter > 0.0:
             u = self._u01("jitter", function_name, retry_number, failed_at_s)
             delay *= 1.0 + self.jitter * (u - 0.5)

@@ -474,9 +474,9 @@ class SimulatedInvoker:
         """Replay ``trace`` through the invoker and return the result.
 
         Everything timed that is not an arrival — completions, launch
-        and stem readiness, controller ticks — fires before an arrival
-        at the same instant, as the engine releases a container due at
-        an arrival's time before serving it."""
+        and stem readiness, controller ticks — merges with the arrivals
+        on the one timeline (:mod:`repro.sim.events`), then what is left
+        fires."""
         started = wall_clock_s()
         config = self.config
         # Stem cells reserve their memory off the top of the pool.
@@ -490,13 +490,13 @@ class SimulatedInvoker:
                 tick += period
         records: List[RequestRecord] = []
         now_s = 0.0
-        for time_s, function in trace.arrivals():
-            for now_s, action in events.pop_until(time_s):
-                action(now_s)
-            now_s = time_s
-            record = RequestRecord(function_name=function.name, arrival_s=time_s)
+        for now_s, function in events.merge(trace.arrivals()):
+            if function is None:
+                events.fire()
+                continue
+            record = RequestRecord(function_name=function.name, arrival_s=now_s)
             records.append(record)
-            self._arrive(record, function, time_s)
+            self._arrive(record, function, now_s)
         for now_s, action in events.pop_until(inf):
             action(now_s)
         # Anything still buffered after the last event would time out.

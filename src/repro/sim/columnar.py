@@ -60,6 +60,7 @@ from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
 from repro.core.pool import CapacityError
 from repro.faults import FaultModel, FaultSpec, RetryPolicy
+from repro.sim.events import EventQueue
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.scheduler import SimulationResult
 from repro.traces.model import DEFAULT_CHUNK_INVOCATIONS, FunctionTable, Trace, TraceFunction
@@ -427,11 +428,9 @@ def run_hist_kernel(
 # spec, the loop's phases at an attempt of f at time t (an arrival, or a
 # retry re-entering with no timeline advance) reduce to:
 #
-# * timeline (arrivals only): everything due by t fires first, in (time,
-#   insertion) order: the server's events (filed first, so first among
-#   equal times), then retries as they were filed; a retry filed on the
-#   way that is due by t fires too. After the last arrival, the instants
-#   that still hold a retry fire one by one (``drain_retries``);
+# * timeline (arrivals only): the one merge of :mod:`repro.sim.events`,
+#   on a queue of the server's events (filed first, so first among equal
+#   times) and the retries as they are filed;
 # * release: every run that ended by t idles its container, in (finish,
 #   id) order (container ids count up, so the kernel's own numbering
 #   keeps the loop's order); a doomed one is torn down instead, and a
@@ -480,10 +479,6 @@ def run_hist_kernel(
 #: id, container)``: below every scored key, in id order.
 _Entry = Tuple[float, float, int, "_GdContainer"]
 
-#: A timeline entry: ``(due, filing number, function, attempt)`` for a
-#: retry, ``(at, filing number, None, (kind, value))`` for a server event.
-_Timed = Tuple[float, int, Optional[TraceFunction], object]
-
 _CID = attrgetter("cid")
 
 
@@ -505,24 +500,6 @@ class _GdContainer:
         self.busy = self.parked = True
         # Torn down at its run's end; once gone it reads busy for good.
         self.doomed = False
-
-
-def _timeline(
-    arrivals: Iterator[Tuple[float, TraceFunction]], timeline: List[_Timed]
-) -> Iterator[Tuple[float, Optional[TraceFunction]]]:
-    """The loop's one timeline: each arrival after everything due by it,
-    then, while a retry is pending, the next instant's entries
-    (``KeepAliveSimulator.drain_retries``). A due entry comes as ``(its
-    time, None)``, for the consumer to pop: one it files on the way
-    that is due by then comes next."""
-    for arrival in arrivals:
-        while timeline and timeline[0][0] <= arrival[0]:
-            yield timeline[0][0], None
-        yield arrival
-    while any(entry[2] is not None for entry in timeline):
-        instant = timeline[0][0]
-        while timeline and timeline[0][0] <= instant:
-            yield instant, None
 
 
 def run_gd_kernel(
@@ -559,8 +536,6 @@ def run_gd_kernel(
     sheds_by_reason: Dict[str, int] = {}
     shrink_to: Optional[float] = None  # a deflation's pending target
     down = draw_fault = draw_spawn = False
-    timeline: List[_Timed] = []
-    filed = pending = 0  # timeline entries filed; retries on it
     faults: Optional[FaultModel] = None
     if fault_spec is not None and fault_spec.enabled:
         faults = FaultModel(fault_spec)
@@ -568,15 +543,14 @@ def run_gd_kernel(
         max_pending = fault_spec.max_pending_retries
         draw_fault = fault_spec.crash_rate > 0.0 or fault_spec.timeout_rate > 0.0
         draw_spawn = fault_spec.spawn_failure_rate > 0.0
-        # Sorted by time, then kind: in filing order, a heap already.
-        timeline = [
-            (at_s, filed, None, (kind, value))
-            for filed, (at_s, __, kind, value) in enumerate(
-                faults.server_events([server_index], trace.last_arrival_s)
-            )
-        ]
-        filed = len(timeline)
-        stream = _timeline(trace.arrivals(), timeline)
+        # A server event is ``(None, (kind, value))``, a retry
+        # ``(function, attempt)``.
+        timeline: EventQueue[Tuple[Optional[TraceFunction], object]] = EventQueue([
+            (at_s, (None, (kind, value)))
+            for at_s, __, kind, value in faults.server_events([server_index], trace.last_arrival_s)
+        ])
+        stream = timeline.merge(trace.arrivals())
+        pop, push = timeline.pop, timeline.push
     else:
         stream = trace.arrivals()
 
@@ -678,7 +652,7 @@ def run_gd_kernel(
     for now, function in stream:
         attempt = 0
         if function is None:  # the timeline's next entry is due
-            __, __, function, attempt = heappop(timeline)
+            __, (function, attempt) = pop()
             if function is None:  # one of the server's events
                 kind, value = attempt
                 if kind == "capacity":
@@ -698,8 +672,6 @@ def run_gd_kernel(
                     continue  # already failed
                 down, down_since = True, now
                 downs += 1  # released below, then lost
-            else:
-                pending -= 1  # a retry re-enters
         while running and running[0][0] <= now:
             finish, __, box = heappop(running)
             if finish > box.last_used:
@@ -849,14 +821,12 @@ def run_gd_kernel(
             faults_by_kind[fault] = faults_by_kind.get(fault, 0) + 1
             failure = "retry_budget"
         # A failed attempt (``_handle_failure``): a retry, or a shed.
-        if pending >= max_pending:
+        if timeline.retries >= max_pending:
             failure = "queue_full"
         else:
             delay = next_delay(name, attempt + 1, now)
             if delay is not None:
-                pending += 1
-                heappush(timeline, (now + delay, filed, function, attempt + 1))
-                filed += 1
+                push(now + delay, (function, attempt + 1), True)
                 retries += 1
                 continue
         sheds += 1

@@ -206,16 +206,12 @@ class KeepAliveSimulator:
         # (possibly already-shrunk or deferral-clamped) capacity.
         self._nominal_capacity_mb = float(memory_mb)
         fault_spec = config.fault_spec
-        # The one timeline (docs/simulation.md): everything timed that
-        # is not an arrival, as ``action(at_s)`` fired in (time,
-        # insertion) order — this server's outage / harvest / spot
-        # schedule (pushed below, so first among equal times), retries
-        # as they are scheduled, what a driver adds via :meth:`schedule`.
-        # The tie-break is the queue's own counter, never process-global:
-        # every decision is identical across processes.
+        # The one timeline (:mod:`repro.sim.events`), of ``action(at_s)``:
+        # this server's outage / harvest / spot schedule (filed here, so
+        # first among equal times), retries, what a driver adds via
+        # :meth:`schedule`. Its tie-break is its own counter, never
+        # process-global: every decision is identical across processes.
         self._events: EventQueue[Callable[[float], None]] = EventQueue()
-        # How many of them are retries (``max_pending_retries`` bounds it).
-        self._pending_retries = 0
         self._faults: Optional[FaultModel] = None
         self._retry: Optional[RetryPolicy] = None
         if fault_spec is not None and fault_spec.enabled:
@@ -223,10 +219,13 @@ class KeepAliveSimulator:
             self._retry = RetryPolicy.from_spec(fault_spec)
             # Schedules are generated on absolute time from 0, so the
             # horizon is the last arrival time.
-            for at_s, __, kind, value in self._faults.server_events(
-                [self._server_index], trace.last_arrival_s
-            ):
-                self._events.push(at_s, partial(self._apply_server_event, kind=kind, value=value))
+            self._events = EventQueue([
+                (at_s, partial(self.apply_server_event, kind=kind, value=value))
+                for at_s, __, kind, value in self._faults.server_events(
+                    [self._server_index], trace.last_arrival_s
+                )
+            ])
+        self._retrying = 0  # the retry re-entering process_invocation, 0 for an arrival
         # Provisioned concurrency: pinned containers exist from t=0.
         for name, count in (config.reserved_concurrency or {}).items():
             function = functions.get(name)
@@ -375,12 +374,13 @@ class KeepAliveSimulator:
         if self._policy_prewarms and self.policy.next_prewarm_s() <= now_s:
             self._materialize_prewarms(now_s)
 
-    def process_invocation(self, function: TraceFunction, now_s: float, attempt: int = 0) -> str:
+    def process_invocation(self, function: TraceFunction, now_s: float) -> str:
         """Handle one arrival; returns 'warm', 'cold', 'dropped',
         'retried', or 'shed' (the last two only with a fault spec).
-        ``attempt`` > 0 is the retry queue re-entering: one attempt at
-        serving, no timeline advance, no ``invocation_arrived``."""
-        if self._events.next_s <= now_s and attempt == 0:
+        :meth:`_retry_attempt` re-enters here: one attempt at serving,
+        no timeline advance, no ``invocation_arrived``."""
+        attempt = self._retrying
+        if self._events.next_s <= now_s and not attempt:
             self._advance_faults(now_s)
         faults = self._faults
         pool = self.pool
@@ -616,13 +616,12 @@ class KeepAliveSimulator:
         replaces unbounded queueing.
         """
         assert self._faults is not None and self._retry is not None
-        if self._pending_retries >= self._faults.spec.max_pending_retries:
+        if self._events.retries >= self._faults.spec.max_pending_retries:
             return self._shed(function, now_s, attempt, "queue_full")
         delay = self._retry.next_delay(function.name, attempt + 1, now_s)
         if delay is None:
             return self._shed(function, now_s, attempt, shed_reason)
-        self._pending_retries += 1
-        self._events.push(now_s + delay, partial(self._retry_attempt, function, attempt + 1))
+        self._events.push(now_s + delay, partial(self._retry_attempt, attempt + 1, function), retry=True)
         if self._tracer is not None:
             self._tracer.emit(
                 "invocation_retried",
@@ -636,9 +635,11 @@ class KeepAliveSimulator:
         self._sample_memory(now_s)
         return "retried"
 
-    def _retry_attempt(self, function: TraceFunction, attempt: int, due_s: float) -> None:
-        self._pending_retries -= 1
-        self.process_invocation(function, due_s, attempt)
+    def _retry_attempt(self, attempt: int, function: TraceFunction, due_s: float) -> None:
+        """Retry ``attempt`` of ``function``, fired off the timeline."""
+        self._retrying = attempt
+        self.process_invocation(function, due_s)
+        self._retrying = 0
 
     def schedule(self, due_s: float, action: Callable[[float], None]) -> None:
         """Put a driver-timed event on the timeline: ``action(due_s)``
@@ -649,12 +650,15 @@ class KeepAliveSimulator:
         self._events.push(due_s, action)
 
     def _advance_faults(self, now_s: float) -> None:
-        """Fire everything due by ``now_s`` in (time, insertion) order —
-        interleaved, so a retry due while the server is down, or freshly
-        shrunk, sees that state; at equal times server events (pushed at
-        construction) precede retries and driver events."""
+        """Fire everything due by ``now_s`` (an arrival's advance)."""
         for at_s, action in self._events.pop_until(now_s):
             action(at_s)
+
+    def fire_before(self, at_s: float) -> None:
+        """Fire this server's own entries due before ``at_s``: what a
+        cluster does before one of its entries touches the server."""
+        for due_s, action in self._events.pop_before(at_s):
+            action(due_s)
 
     def fail_server(self, now_s: float) -> None:
         """Take this server down: its warm pool is lost and running
@@ -709,7 +713,7 @@ class KeepAliveSimulator:
     # Harvested / spot capacity (docs/robustness.md)
     # ------------------------------------------------------------------
 
-    def _apply_server_event(
+    def apply_server_event(
         self, at_s: float, kind: str, value: float
     ) -> None:
         """Dispatch one scheduled outage or capacity event (see
@@ -822,14 +826,13 @@ class KeepAliveSimulator:
             )
 
     def drain_retries(self) -> None:
-        """Run the timeline on past the end of the trace until no retry
-        is pending, so no failed attempt is left without a terminal
-        outcome (events that precede a retry fire on the way; what lies
-        beyond the last one — a periodic actor's next tick — stays
-        queued). Called by :meth:`run`; cluster drivers call it once
-        arrivals stop."""
-        while self._pending_retries:  # one instant at a time
-            self._advance_faults(self._events.next_s)
+        """The timeline past the last arrival (:meth:`EventQueue.merge`'s
+        tail): a terminal outcome for every pending retry. Called by
+        :meth:`finalize`; cluster drivers call it once arrivals stop."""
+        events = self._events
+        if events.retries:  # a fault-free run starts no merge
+            for __ in events.merge(()):
+                events.fire()
 
     def run(self) -> SimulationResult:
         """Replay the whole trace and return the collected metrics.

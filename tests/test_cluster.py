@@ -417,9 +417,11 @@ class TestClusterFaults:
             fault_spec=spec,
         )
         # The server-level spec hands outage ownership to the cluster:
-        # members must not also schedule the downtime themselves.
+        # members must not also schedule the downtime themselves, so a
+        # member's own timeline has nothing to fire.
         for server in sim.servers:
-            assert len(server._events) == 0
+            server.fire_before(float("inf"))
+            assert server.metrics.server_downs == 0 and not server.is_down
         result = sim.run()
         assert result.server_downs == 1
 
@@ -440,3 +442,94 @@ class TestClusterFaults:
         assert over_columns.counters() == over_objects.counters()
         assert over_columns.routed == over_objects.routed
         assert over_columns.shed_unavailable == over_objects.shed_unavailable
+
+
+def _member_timeline_trace(seed, mean_gap_s, count):
+    """``count`` arrivals with exponential gaps over six functions of
+    200–700 MB."""
+    import random
+
+    from repro.traces.model import Invocation, Trace, TraceFunction
+
+    functions = [
+        TraceFunction(f"f{i}", 200.0 + 100.0 * i, 0.4 + 0.1 * i, 1.5 + 0.3 * i)
+        for i in range(6)
+    ]
+    rng = random.Random(seed)
+    time_s, invocations = 0.0, []
+    for __ in range(count):
+        time_s += rng.expovariate(1.0 / mean_gap_s)
+        invocations.append(Invocation(time_s, rng.choice(functions).name))
+    return Trace(functions, invocations)
+
+
+class TestMemberTimeline:
+    """A member's retries wait on its own timeline while the cluster
+    files the member's outage and harvest events on one of its own.
+    Before a cluster entry touches a member at T, the member fires its
+    own entries due before T, so the member sees its entries in (time,
+    filing) order. Without that rule a retry due before a cluster event
+    fires after it."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("driver", ["fixed", "elastic"])
+    def test_one_server_cluster_is_the_server(self, driver, seed):
+        """Crash + harvest faults only: outages and spot evictions are
+        the cluster's own and mean more there (a spot eviction retires
+        an elastic member). Without the member rule every seed differs."""
+        from repro.cluster.elastic import ElasticClusterSimulation
+        from repro.faults import FaultSpec
+        from repro.sim.scheduler import simulate
+
+        trace = _member_timeline_trace(seed, mean_gap_s=3.0, count=400)
+        spec = FaultSpec(
+            seed=seed, crash_rate=0.2, harvest_interval_s=5.0, harvest_min_frac=0.3,
+            base_delay_s=0.5,
+        )
+        server = simulate(trace, "GD", 2000.0, fault_spec=spec, engine="object").metrics
+        if driver == "fixed":
+            cluster = ClusterSimulator(
+                trace, "round-robin", num_servers=1, server_memory_mb=2000.0, fault_spec=spec,
+            ).run()
+        else:
+            cluster = ElasticClusterSimulation(
+                trace, server_memory_mb=2000.0, min_servers=1, max_servers=1, fault_spec=spec,
+            ).run()
+        assert server.retries > 0 and server.capacity_shrinks > 0
+        assert cluster.counters() == server.counters()
+
+    def test_retries_fire_in_order_with_the_clusters_outage(self):
+        """Server 0 of two is down over [3, 50). Its retries due before
+        3 s fire before ``server_down``, those due inside the outage
+        meet a failed server, and nothing is served there. Without the
+        member rule, retries filed before the outage fire after the
+        recovery and cold-start on the server while it is down."""
+        from repro.faults import FaultSpec
+        from repro.obs.sinks import RingBufferSink
+        from repro.obs.tracer import Tracer
+
+        trace = _member_timeline_trace(7, mean_gap_s=1.0, count=100)
+        spec = FaultSpec(seed=7, crash_rate=0.5, server_downtimes=((0, 3.0, 50.0),))
+        sink = RingBufferSink(capacity=100_000)
+        ClusterSimulator(
+            trace, "round-robin", num_servers=2, server_memory_mb=2000.0, fault_spec=spec,
+            tracer=Tracer(sink),
+        ).run()
+        events = [event for event in sink.snapshot() if event.get("server") == 0]
+        kinds = [event["event"] for event in events]
+        down, up = kinds.index("server_down"), kinds.index("server_recovered")
+        attempts = {"fault_injected", "invocation_retried", "invocation_shed", "cold_start", "warm_hit"}
+        phases = [
+            (0 if event["time_s"] < 3.0 else 1 if event["time_s"] < 50.0 else 2,
+             0 if i < down else 1 if i < up else 2)
+            for i, event in enumerate(events) if event["event"] in attempts
+        ]
+        assert all(by_time == by_order for by_time, by_order in phases)
+        # Retries were filed before the outage, due before it and inside it.
+        filed = [
+            event["time_s"] + event["delay_s"]
+            for event in events[:down] if event["event"] == "invocation_retried"
+        ]
+        assert any(due < 3.0 for due in filed) and any(3.0 <= due < 50.0 for due in filed)
+        inside = [event["event"] for event in events[down:up] if event["event"] in attempts]
+        assert inside and "cold_start" not in inside and "warm_hit" not in inside

@@ -70,8 +70,13 @@ GD_KERNEL_CALLS = 5_452
 #: 11.55 (8,215) with the arrivals zipped from the columns.
 #: Beside the eviction replay's calls it pays the timeline generator and
 #: per retry a ``next_delay`` (its jitter draw: a hasher copy, four
-#: packs, a digest) and a heap push and pop.
-GD_FAULT_KERNEL_CALLS = 8_215
+#: packs, a digest) and a heap push and pop. On the one timeline
+#: (``EventQueue.merge``) it pays 11.70 (8,322): one ``pop`` frame per
+#: entry it consumes (98 retries and 9 server events) and one ``push``
+#: frame per retry (+205), the queue's construction (+2), less the
+#: ``min`` each ``next_delay`` no longer calls (−98) and the tail's
+#: ``any`` scan (−2): +107, one call per entry consumed.
+GD_FAULT_KERNEL_CALLS = 8_322
 #: The same warm replay on the vectorized kernel (GD replayed at
 #: ``ttl_s = inf``): 0.53 calls per arrival (379) while an object trace
 #: was transposed per chunk; 0.27 (189) on the trace's own columns —

@@ -627,7 +627,7 @@ MUTANTS = {
         ("GD", "partitioned", ("deflate_to",)), "MB is free",
     ),
     "retry-ahead-of-a-same-instant-server-event": (  # the one queue's tie rule, broken
-        (EventQueue, "push", "next(self._counter), payload", "-next(self._counter), payload"),
+        (EventQueue, "push", "(time_s, self._filed, retry", "(time_s, -self._filed, retry"),
         ("GD", "shared", ("admit", "advance")), "used_mb",  # served ahead of the outage
     ),
     "idle-enrols-above-the-current-key": (  # the one way the lazy index skips the minimum
