@@ -14,6 +14,9 @@ loadgen`` over actual loopback sockets, and fails on:
 * a failed expiry tick, or a head memo that was not hit (the loadgen's
   10k heads differ only in ``Content-Length``: tens of misses, not
   thousands),
+* pipelined admits that were not decided in runs (the loadgen keeps
+  up to 256 in flight: a read carries many, so far fewer
+  ``admit_many`` batches than requests),
 * a ``SIGTERM`` — what ``kill``, systemd, Docker and Kubernetes send —
   that does not end the server with exit status 0 and "shutting down".
 
@@ -50,6 +53,7 @@ STARTUP_TIMEOUT_S = 30.0
 SOCKET_TIMEOUT_S = 10.0
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: gate\r\n\r\n"
 MAX_HEAD_MISSES = 100  # of LIMIT requests; a miss per request is ~10,000
+MAX_ADMIT_BATCHES = 3_000  # of LIMIT admits (~1,300 on two cores); one each: 10,000
 
 
 def _exchange(host: str, port: int, request: bytes) -> bytes:
@@ -97,6 +101,16 @@ def refused_burst_failures(host: str, port: int) -> list:
             f"stats.http.head_misses = {http['head_misses']} of "
             f"{http['requests']} requests: the head memo is not being hit"
         )
+    if not 0 < http["admit_batches"] < MAX_ADMIT_BATCHES:
+        failures.append(
+            f"stats.http.admit_batches = {http['admit_batches']} of "
+            f"{http['requests']} requests: pipelined admits are not batched"
+        )
+    print(
+        f"live-smoke: {http['requests']} requests, "
+        f"{http['admit_batches']} admit batches, "
+        f"{http['head_misses']} head misses"
+    )
     return failures
 
 

@@ -14,7 +14,10 @@ future per request — exposing the
 
 Connections are keep-alive and fully pipelined. Each socket read lands
 in the connection's buffer; every complete request already buffered is
-framed from its head bytes, answered in order, and the replies leave in
+framed from its head bytes and answered in order (each run of
+``/admit`` requests decided in one
+:meth:`~repro.live.service.LivePoolService.admit_many` pass, under one
+lock, before any later request is answered), and the replies leave in
 one transport write — which is what lets one client replay a trace at
 high QPS over a single socket in the simulator's arrival order. A
 client that stops reading pauses the connection (``pause_writing`` →
@@ -34,9 +37,23 @@ import asyncio
 import json
 import math
 import threading
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+    cast,
+)
 
-from repro.live.service import LivePoolService, UnknownFunctionError
+from repro.live.service import (
+    AdmitDecision,
+    LivePoolService,
+    UnknownFunctionError,
+)
 
 __all__ = ["LiveHTTPServer", "ServerThread"]
 
@@ -70,12 +87,21 @@ _HEADS = {
 }
 _KEEP_ALIVE = b"\r\nConnection: keep-alive\r\n\r\n"
 _CLOSE = b"\r\nConnection: close\r\n\r\n"
+# An admit's reply is at most this many times its request's bytes: the
+# function name is its one variable part, and no character of it takes
+# more than six bytes per body byte to escape (a raw DEL is \u007f).
+_REPLY_PER_REQUEST_BYTE = 6
 # json.dumps(..., separators=...) builds a fresh encoder per call, and
 # json.loads(bytes) sniffs every body's encoding.
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
-_decode_json = json.JSONDecoder().decode
+_decoder = json.JSONDecoder()
+_decode_json = _decoder.decode
+# One JSON value at an index, in C (typeshed's JSONDecoder omits it).
+_scan_json: Callable[[str, int], Tuple[Any, int]] = getattr(_decoder, "scan_once")
 _INF = math.inf
 _Route = Optional[Tuple[str, str]]  # (METHOD, path); None: malformed line
+_ADMIT: _Route = ("POST", "/admit")
+_Arrival = Tuple[str, Optional[float]]  # what an /admit asks for
 _Payload = Union[dict, bytes]  # a reply to encode, or its JSON already
 
 
@@ -127,6 +153,32 @@ def _json_object(body: bytes) -> dict:
         if not finite:
             raise _BadBody("'now_s' must be a finite number")
     return request
+
+
+def _admit_args(body: bytes) -> _Arrival:
+    """``(function, now_s)`` off an ``/admit`` body, or ``_BadBody``.
+    A plain body -- one JSON object the decoder's C scanner consumes
+    whole, with a string ``function`` and a ``now_s`` that is absent,
+    null or a finite float -- is read by the scanner alone; any other
+    body gets the full decode's verdict from :func:`_json_object`."""
+    try:
+        text = body.decode()
+        request, end = _scan_json(text, 0)
+        whole = end == len(text)
+    except (ValueError, StopIteration, RecursionError):
+        whole = False
+    if whole and type(request) is dict:
+        name = request.get("function")
+        now_s = request.get("now_s")
+        if type(name) is str and (
+            now_s is None or (type(now_s) is float and -_INF < now_s < _INF)
+        ):
+            return name, now_s
+    request = _json_object(body)
+    name = request.get("function")
+    if not isinstance(name, str):
+        raise _BadBody("missing string field 'function'")
+    return name, request.get("now_s")
 
 
 def _header_value(lower: bytes, key: bytes) -> Optional[bytes]:
@@ -206,16 +258,21 @@ class _Connection(asyncio.Protocol):
         """Answer every complete request in the buffer, in order, with
         one transport write (one more per ``_WRITE_CHUNK_BYTES`` of
         replies); stop consuming while the transport has writing
-        paused."""
+        paused. A run of ``/admit`` requests is decided in one
+        :meth:`LiveHTTPServer._decide` call; any other request (or a
+        refusal) is answered only once the run before it is decided."""
         buffer = self._buffer
         server = self._server
         heads = server._heads
-        payload: _Payload
+        payload: Optional[_Payload]
         replies: List[bytes] = []
+        admits: List[_Arrival] = []  # the run not yet decided
         unwritten = 0
+        held = 0  # bound on the bytes of the run's replies
         start = 0
         close = False
         while not close:
+            arrival = None
             head_end = buffer.find(b"\r\n\r\n", start)
             # Not found: up to three bytes may be a terminator's start.
             head_bytes = (head_end if head_end >= 0 else len(buffer) - 3) - start
@@ -247,17 +304,39 @@ class _Connection(asyncio.Protocol):
                 if len(buffer) < body_end:
                     break
                 body = bytes(buffer[head_end + 4:body_end])
-                status, payload = server._answer(route, body)
+                payload = None  # answered once the run before it is
+                if route == _ADMIT:
+                    try:
+                        arrival = _admit_args(body)
+                    except Exception as exc:  # noqa: BLE001 - its 400 or 500
+                        status, payload = server._failure(exc)
+                if arrival is not None:
+                    admits.append(arrival)
+                    held += _REPLY_PER_REQUEST_BYTE * (body_end - start)
                 start, close = body_end, close_asked
-            server.requests_served += 1
-            reply = _encode_response(status, payload, close)
-            replies.append(reply)
-            unwritten += len(reply)
+                if arrival is not None and not close and (
+                    unwritten + held < _WRITE_CHUNK_BYTES
+                ):
+                    continue
+            if admits:
+                unwritten += server._decide(
+                    admits, replies, close and arrival is not None
+                )
+                admits, held = [], 0
+            if arrival is None:
+                if payload is None:
+                    status, payload = server._answer(route, body)
+                server.requests_served += 1
+                reply = _encode_response(status, payload, close)
+                replies.append(reply)
+                unwritten += len(reply)
             if unwritten >= _WRITE_CHUNK_BYTES:
                 self._write(replies)
                 replies, unwritten = [], 0
                 if self._paused:
                     break
+        if admits:  # the buffer ends in the run's last request, or part of the next
+            server._decide(admits, replies, False)
         del buffer[:len(buffer) if close else start]
         if replies:
             self._write(replies)
@@ -279,9 +358,10 @@ class LiveHTTPServer:
         port: int = 0,
         tick_interval_s: float = 0.25,
     ) -> None:
-        if tick_interval_s < 0.0:
+        # nan fails every comparison: it must fail this one.
+        if not 0.0 <= tick_interval_s < _INF:
             raise ValueError(
-                f"tick_interval_s must be >= 0, got {tick_interval_s}"
+                f"tick_interval_s must be finite and >= 0, got {tick_interval_s}"
             )
         self.service = service
         self.host = host
@@ -294,6 +374,7 @@ class LiveHTTPServer:
         self.connections: Set[_Connection] = set()  # currently open
         self.writes = 0  # transport writes; requests / writes = coalescing
         self.head_misses = 0  # heads framed, not answered from the memo
+        self.admit_batches = 0  # admit_many calls; requests / batches
         self.tick_errors = 0  # expire_tick() failures the timer survived
         self._heads: Dict[bytes, Tuple[int, bool, _Route]] = {}
         self._quoted = _Quoted()  # outcomes and admitted function names
@@ -303,47 +384,73 @@ class LiveHTTPServer:
     # ------------------------------------------------------------------
 
     def _answer(self, route: _Route, body: bytes) -> Tuple[int, _Payload]:
-        """One framed request → ``(status, payload)``."""
+        """One framed request, not an ``/admit`` → ``(status, payload)``."""
         if route is None:
             return 400, {"error": "malformed request line"}
         try:
             return self._dispatch(route[0], route[1], body)
-        except _BadBody as refusal:
-            return 400, {"error": refusal.args[0]}
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self.errors_5xx += 1
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+        except Exception as exc:  # noqa: BLE001 - its 400 or 500
+            return self._failure(exc)
 
-    def _dispatch(
-        self, method: str, path: str, body: bytes
+    def _failure(self, exc: Exception) -> Tuple[int, _Payload]:
+        """The reply to a request that raised ``exc``: 400 for a bad
+        body, else a last-resort 500, counted."""
+        if isinstance(exc, _BadBody):
+            return 400, {"error": exc.args[0]}
+        self.errors_5xx += 1
+        return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
+    def _decide(
+        self, admits: List[_Arrival], replies: List[bytes], close: bool
+    ) -> int:
+        """Decide a run of ``/admit`` requests in one
+        :meth:`LivePoolService.admit_many` call and append their
+        replies in order, the last one closing if ``close``; returns
+        the bytes appended."""
+        results = self.service.admit_many(admits)
+        self.admit_batches += 1
+        self.requests_served += len(results)
+        last = results[-1]
+        size = 0
+        for result in results:
+            status, payload = self._admit_reply(result)
+            reply = _encode_response(status, payload, close and result is last)
+            replies.append(reply)
+            size += len(reply)
+        return size
+
+    def _admit_reply(
+        self, result: Union[AdmitDecision, Exception]
     ) -> Tuple[int, _Payload]:
-        if path == "/admit" and method == "POST":
-            request = _json_object(body)
-            name = request.get("function")
-            if not isinstance(name, str):
-                return 400, {"error": "missing string field 'function'"}
-            try:
-                decision = self.service.admit(name, request.get("now_s"))
-            except UnknownFunctionError:
-                return 404, {"error": f"unknown function {name!r}"}
-            now_s = decision.now_s
-            decision_us = decision.decision_latency_s * 1e6
+        """``(status, payload)`` for what the service made of one
+        ``/admit``: its decision, or the exception that refused it."""
+        if type(result) is AdmitDecision:
+            outcome, function, now_s, latency_s = result
+            decision_us = latency_s * 1e6
             if type(now_s) is float is type(decision_us) and (
                 -_INF < now_s < _INF and -_INF < decision_us < _INF
             ):
                 # The encoder's bytes for the dict below (it, too, writes
                 # a finite float with float.__repr__), without the dict.
+                quoted = self._quoted
                 return 200, (
-                    f'{{"outcome":{self._quoted[decision.outcome]},"function":'
-                    f'{self._quoted[decision.function]},"now_s":{now_s!r},'
+                    f'{{"outcome":{quoted[outcome]},"function":'
+                    f'{quoted[function]},"now_s":{now_s!r},'
                     f'"decision_us":{decision_us!r}}}'
                 ).encode()
             return 200, {
-                "outcome": decision.outcome,
-                "function": decision.function,
+                "outcome": outcome,
+                "function": function,
                 "now_s": now_s,
                 "decision_us": decision_us,
             }
+        if isinstance(result, UnknownFunctionError):
+            return 404, {"error": f"unknown function {result.args[0]!r}"}
+        return self._failure(cast(Exception, result))
+
+    def _dispatch(
+        self, method: str, path: str, body: bytes
+    ) -> Tuple[int, _Payload]:
         if path == "/release" and method == "POST":
             now_s = _json_object(body).get("now_s")
             return 200, {"released": self.service.release(now_s)}
@@ -355,6 +462,7 @@ class LiveHTTPServer:
                 "connections": len(self.connections),
                 "writes": self.writes,
                 "head_misses": self.head_misses,
+                "admit_batches": self.admit_batches,
                 "tick_errors": self.tick_errors,
             }
             return 200, stats

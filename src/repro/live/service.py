@@ -8,7 +8,9 @@ docs/live-serving.md), stamps arrivals from a
 behind a single :class:`threading.Lock`.
 
 Lock discipline (FC009-verifiable): the lock is acquired at the top of
-every public method and nothing under it blocks — admission decisions
+every public method that touches the engine (``admit`` is one
+``admit_many`` call, which decides a run of arrivals under one
+acquisition) and nothing under it blocks — admission decisions
 are microseconds of pure computation — so any number of frontend
 threads (or an asyncio loop plus a timer) can share one service. No
 pool or policy state is ever touched outside the lock.
@@ -17,7 +19,17 @@ pool or policy state is ever touched outside the lock.
 from __future__ import annotations
 
 import threading
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.clock import Clock, RealTimeClock, wall_clock_s
 from repro.core.policies.base import KeepAlivePolicy, create_policy
@@ -42,6 +54,10 @@ class AdmitDecision(NamedTuple):
     function: str
     now_s: float  # service-clock time the decision was made at
     decision_latency_s: float  # wall time spent inside the engine
+
+
+# AdmitDecision(...) without its generated __new__'s Python frame.
+_new_tuple: Callable[..., Any] = tuple.__new__
 
 
 class LivePoolService:
@@ -118,21 +134,50 @@ class LivePoolService:
 
         ``now_s`` is only honoured under an advanceable (sim) clock;
         under the real-time clock the service stamps the arrival
-        itself, so clients cannot time-travel the pool.
+        itself, so clients cannot time-travel the pool. Raises
+        :class:`UnknownFunctionError`, or what the engine raised.
         """
+        result = self.admit_many(((function_name, now_s),))[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def admit_many(
+        self, arrivals: Sequence[Tuple[str, Optional[float]]]
+    ) -> List[Union[AdmitDecision, Exception]]:
+        """Decide ``(function_name, now_s)`` arrivals in order, under
+        one lock acquisition: per arrival its :class:`AdmitDecision`,
+        or the exception that refused that arrival alone
+        (:class:`UnknownFunctionError`, or what the engine raised).
+        Each decision is timed on its own into the latency histogram."""
         with self._lock:
-            function = self._functions.get(function_name)
-            if function is None:
-                raise UnknownFunctionError(function_name)
-            if now_s is not None and self._advance_to is not None:
-                self._advance_to(now_s)
-            now = self._clock.now()  # _resolve_now, inline: the hot path
-            entered_s = wall_clock_s()
-            outcome = self._sim.process_invocation(function, now)
-            latency_s = wall_clock_s() - entered_s
-            self._decision_latency.record(latency_s)
-            self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
-            return AdmitDecision(outcome, function_name, now, latency_s)
+            function_of = self._functions.get
+            advance_to = self._advance_to
+            clock_now = self._clock.now
+            process = self._sim.process_invocation
+            record = self._decision_latency.record
+            outcomes = self._outcomes
+            results: List[Union[AdmitDecision, Exception]] = []
+            append = results.append
+            for name, now_s in arrivals:
+                function = function_of(name)
+                if function is None:
+                    append(UnknownFunctionError(name))
+                    continue
+                try:
+                    if now_s is not None and advance_to is not None:
+                        advance_to(now_s)
+                    now = clock_now()
+                    entered_s = wall_clock_s()
+                    outcome = process(function, now)
+                    latency_s = wall_clock_s() - entered_s
+                except Exception as exc:  # noqa: BLE001 - refuses this arrival alone
+                    append(exc)
+                    continue
+                record(latency_s)
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+                append(_new_tuple(AdmitDecision, (outcome, name, now, latency_s)))
+            return results
 
     def release(self, now_s: Optional[float] = None) -> int:
         """Return finished invocations to the warm pool (and apply any

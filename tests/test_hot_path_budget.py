@@ -102,8 +102,16 @@ HIST_KERNEL_CALLS = 8_944
 #: the warm replay's trace as pipelined ``/admit`` requests on a pool of
 #: 0.8 x the working set: 74.49 calls per request (52,961) to frame,
 #: decode, decide, evict and reply before the cuts above, 65.38 (46,484)
-#: after.
-LIVE_CALLS = 46_484
+#: after. Each read's 64 admits decided in one ``admit_many`` run, with
+#: the body read by the decoder's C ``scan_once``: 53.45 (38,000). Per
+#: request 16 calls leave (``_answer``, ``_dispatch``, ``_json_object``,
+#: ``decode``, ``raw_decode`` and its two whitespace ``match`` + ``end``,
+#: two ``isinstance``, ``isfinite``, a ``dict.get``, ``admit``,
+#: ``AdmitDecision.__new__``, the lock's ``__exit__``) and 4 come
+#: (``_admit_args``, ``_admit_reply``, two ``list.append``); per run of
+#: the 12 come ``admit_many``, ``_decide``, a ``len`` and its one
+#: ``__exit__``: 46,484 - 16 x 711 + 4 x 711 + 4 x 12 = 38,000.
+LIVE_CALLS = 38_000
 #: The vectorized TTL kernel over a 300-function, 3,600 s stream, trace
 #: generation included. A heap pop, ``uniform``, ``round`` and push per
 #: arrival paid 8.69 calls each (60,411); columns and one sort per window

@@ -296,6 +296,19 @@ class TestLoopbackSmoke:
             thread.stop()  # and stop() has nothing to re-raise
         assert thread.error is None and len(calls) >= 2
 
+    @pytest.mark.parametrize(
+        "interval", [-0.25, math.nan, math.inf, -math.inf],
+        ids=["negative", "nan", "inf", "-inf"],
+    )
+    def test_tick_interval_must_be_finite_and_non_negative(self, interval):
+        # nan fails every comparison: it once passed a "< 0" check and
+        # ran no expiry timer at all; inf started one that never fired.
+        __, service = _sim_service()
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            LiveHTTPServer(service, tick_interval_s=interval)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            ServerThread(service, tick_interval_s=interval)
+
 
 # ----------------------------------------------------------------------
 # The connection protocol, driven directly (no socket, no event loop)
@@ -351,7 +364,8 @@ def _admit(name, now_s, headers=()):
 
 def _split_responses(data):
     """``[(status, Connection header, payload)]`` with everything that
-    reads a wall clock, or counts transport writes, taken out."""
+    reads a wall clock, or counts transport writes or admit batches,
+    taken out."""
     responses = []
     data = bytes(data)
     at = 0
@@ -366,6 +380,7 @@ def _split_responses(data):
         payload.pop("decision_latency", None)
         payload.pop("uptime_s", None)
         payload.get("http", {}).pop("writes", None)
+        payload.get("http", {}).pop("admit_batches", None)
         responses.append(
             (int(lines[0].split(" ")[1]), headers["Connection"], payload)
         )
@@ -650,7 +665,7 @@ class TestProtocolFraming:
         assert http == {
             "requests": 9, "errors_5xx": 0, "connections": 2, "writes": 1,
             # /healthz once (eight answered from the memo), then /stats.
-            "head_misses": 2, "tick_errors": 0,
+            "head_misses": 2, "admit_batches": 0, "tick_errors": 0,
         }
         first.connection_lost(None)
         assert server.connections == {second}
@@ -670,6 +685,150 @@ class TestProtocolFraming:
             (200, "keep-alive", {"ok": True}),
         ]
         assert server.errors_5xx == 1 and not transport.closed
+
+
+class TestAdmitRuns:
+    """A read's pipelined ``/admit`` requests are decided in runs, one
+    ``admit_many`` call each; every other route waits for the run
+    before it, so no cut of the stream into reads changes an answer."""
+
+    @staticmethod
+    def _mixed_requests(seed):
+        """Admits (mostly valid, some refused each way) with every other
+        route between them, a close, and a request after the close."""
+        trace, __ = _sim_service()
+        names = list(trace.functions)  # four
+        rng = random.Random(seed)
+        others = [
+            _admit("no-such-function", 1.0),
+            _raw("POST", "/admit", b"{not json"),
+            _raw("POST", "/admit", b'{"function": "%b", "now_s": 1e999}'
+                 % names[0].encode()),
+            _raw("POST", "/admit", b'{"now_s": 2.0}'),  # no function
+            # Plain enough for a human, not for the scanner alone:
+            # leading whitespace, an int time, a UTF-16 body.
+            _raw("POST", "/admit", b' {"function": "%b"}' % names[1].encode()),
+            _raw("POST", "/admit", b'{"function": "%b", "now_s": 3}'
+                 % names[2].encode()),
+            _raw("POST", "/admit", json.dumps({"function": names[3]})
+                 .encode("utf-16")),
+            _raw("POST", "/release", b'{"now_s": 4.0}'),
+            _raw("GET", "/stats"),
+            _raw("GET", "/healthz"),
+            _raw("GET", "/admit"),  # 405
+            b"BROKEN\r\n\r\n",  # a malformed request line
+        ]
+        requests = others * 3 + [None] * 120  # None: a valid admit
+        rng.shuffle(requests)
+        now_s = 0.0
+        for at, request in enumerate(requests):
+            if request is None:
+                now_s += rng.choice([0.0, 0.5, 2.0])
+                requests[at] = _admit(rng.choice(names), now_s)
+        requests += [
+            _raw("GET", "/stats"),
+            _admit(names[0], now_s, headers=["Connection: close"]),
+            _admit(names[1], now_s),  # after the close: never answered
+        ]
+        return requests
+
+    @staticmethod
+    def _answers_and_batches(requests, cuts):
+        server = LiveHTTPServer(_sim_service()[1])
+        answers, transport = _answers(b"".join(requests), cuts, server)
+        assert transport.closed
+        return answers, server.admit_batches
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_cut_of_a_mixed_stream_gets_the_same_answers(self, seed):
+        requests = self._mixed_requests(seed)
+        stream = b"".join(requests)
+        whole, batches = self._answers_and_batches(requests, [])
+        assert len(whole) == len(requests) - 1
+        assert whole[-1][1] == "close"
+        assert {status for status, __, __ in whole} == {200, 400, 404, 405}
+        by_byte, __ = self._answers_and_batches(requests, range(1, len(stream)))
+        assert by_byte == whole
+        ends = [len(b"".join(requests[:i])) for i in range(1, len(requests))]
+        by_request, one_each = self._answers_and_batches(requests, ends)
+        assert by_request == whole
+        cuts = sorted(random.Random(seed).sample(range(1, len(stream)), 40))
+        assert self._answers_and_batches(requests, cuts)[0] == whole
+        # In one read a run ends at another route or a refusal (these
+        # runs stay far below the chunk bound); one request per read
+        # makes every admit a run of its own.
+        routed = sum(1 for __, __, p in whole if "outcome" not in p)
+        assert batches <= routed + 1 < one_each
+        # Every /stats sees exactly the requests and decisions before it.
+        for at, (status, __, payload) in enumerate(whole):
+            if "http" in payload:
+                before = whole[:at]
+                decided = sum(1 for __, __, p in before if "outcome" in p)
+                assert payload["http"]["requests"] == at
+                assert sum(payload["decisions"].values()) == decided
+
+    def test_an_engine_exception_fails_its_own_admit_alone(self, monkeypatch):
+        trace, service = _sim_service()
+        names = list(trace.functions)[:4] * 2
+        stream = b"".join(_admit(name, float(i)) for i, name in enumerate(names))
+        process = service._sim.process_invocation
+        arrivals = []
+
+        def fails_third(function, now_s):
+            arrivals.append(function.name)
+            if len(arrivals) == 3:
+                raise RuntimeError("boom")
+            return process(function, now_s)
+
+        monkeypatch.setattr(service._sim, "process_invocation", fails_third)
+        server = LiveHTTPServer(service)
+        answers, transport = _answers(stream, [], server)
+        assert server.admit_batches == 1 and server.errors_5xx == 1
+        assert [status for status, __, __ in answers] == [200] * 2 + [500] + [200] * 5
+        assert answers[2][2] == {"error": "RuntimeError: boom"}
+        assert not transport.closed
+        # The rest are what a service never sent the failed arrival says.
+        kept = [(name, float(i)) for i, name in enumerate(names) if i != 2]
+        reference = LivePoolService(trace, "GD", MEMORY_MB, clock=SimClock())
+        expected = [reference.admit(name, now_s).outcome for name, now_s in kept]
+        assert [p["outcome"] for __, __, p in answers if "outcome" in p] == expected
+        assert sum(service.stats()["decisions"].values()) == 7
+
+    def test_a_paused_connection_holds_one_chunk_past_a_run(self):
+        trace, service = _sim_service()
+        names = list(trace.functions)
+        server = LiveHTTPServer(service)
+        connection, transport = _connect(server)
+        write = transport.write
+        transport.write = lambda data: (write(data), connection.pause_writing())
+        # Admits of every reply size: a long unknown name's 404 is ~16 KB,
+        # and a raw DEL, one body byte, is five in the 404 (six in a 200).
+        unknown = ["x" * 16_000, "\x7f" * 8_000]
+        named = [
+            unknown[i % 2] if i % 97 == 0 else names[i % len(names)]
+            for i in range(2_000)
+        ]
+        requests = [
+            _raw("POST", "/admit", json.dumps(
+                {"function": name, "now_s": float(i)}, ensure_ascii=False
+            ).encode())
+            for i, name in enumerate(named)
+        ]
+        connection.data_received(b"".join(requests))
+        assert 0 < server.requests_served < len(requests)
+        assert len(transport.written) < 2 * _WRITE_CHUNK_BYTES
+        rounds = 0
+        while server.requests_served < len(requests):
+            held = len(transport.written)
+            connection.resume_writing()
+            assert len(transport.written) - held < 2 * _WRITE_CHUNK_BYTES
+            rounds += 1
+            assert rounds <= len(requests)
+        answers = _split_responses(transport.written)
+        assert [p.get("function") or p["error"] for __, __, p in answers] == [
+            name if name in names else f"unknown function {name!r}"
+            for name in named
+        ]
 
 
 class TestEncodeResponse:
@@ -718,12 +877,10 @@ class TestAdmitReplyBytes:
 
     @staticmethod
     def _reply(decision):
-        """``_dispatch``'s payload for a service that decided so, and
+        """The server's ``/admit`` payload for that decision, and
         the dict the parent handed the encoder for that decision."""
-        service = SimpleNamespace(admit=lambda name, now_s: decision)
-        body = json.dumps({"function": decision.function}).encode()
-        status, payload = LiveHTTPServer(service)._dispatch(
-            "POST", "/admit", body
+        status, payload = LiveHTTPServer(SimpleNamespace())._admit_reply(
+            decision
         )
         assert status == 200
         return payload, {

@@ -151,6 +151,23 @@ class TestLivePoolService:
         with pytest.raises(UnknownFunctionError):
             service.admit("no-such-function")
 
+    def test_admit_many_is_admit_in_order(self):
+        trace = skewed_frequency_trace(seed=1)
+        arrivals = [(inv.function_name, inv.time_s) for inv in trace][:300]
+        arrivals.insert(50, ("no-such-function", None))
+        many = LivePoolService(trace, "GD", 4096.0, clock=SimClock())
+        one = LivePoolService(trace, "GD", 4096.0, clock=SimClock())
+        results = many.admit_many(arrivals)
+        # The unknown name refuses itself alone; the run goes on.
+        assert isinstance(results.pop(50), UnknownFunctionError)
+        del arrivals[50]
+        singles = [one.admit(name, now_s) for name, now_s in arrivals]
+        assert all(type(r) is AdmitDecision for r in results)
+        assert [r[:3] for r in results] == [d[:3] for d in singles]
+        assert many.counters() == one.counters()
+        # Each decision is timed on its own.
+        assert many.stats()["decision_latency"]["count"] == 300
+
     def test_real_clock_ignores_client_now(self):
         # Clients must not be able to time-travel a real-time pool.
         trace = skewed_frequency_trace(seed=1)
