@@ -49,16 +49,15 @@ __all__ = [
 ]
 
 
-def wall_clock_s() -> float:
-    """Monotonic wall-clock seconds, for throughput observability only.
-
-    The single sanctioned wall-clock accessor in the deterministic
-    layers (lint rule FC001, see ``docs/static-analysis.md``):
-    simulation *logic* must never branch on wall time, but the replay
-    loop may measure its own duration through this function (e.g.
-    ``SimulationMetrics.wall_time_s``).
-    """
-    return time.perf_counter()
+# Monotonic wall-clock seconds, for throughput observability only.
+#
+# The single sanctioned wall-clock accessor in the deterministic layers
+# (lint rule FC001, see ``docs/static-analysis.md``): simulation *logic*
+# must never branch on wall time, but the replay loop may measure its
+# own duration through this name (e.g. ``SimulationMetrics.wall_time_s``).
+# It is ``time.perf_counter`` itself, not a wrapper around it, so a
+# timed decision pays no Python frame for its two readings.
+wall_clock_s: Callable[[], float] = time.perf_counter
 
 
 class LogicalClock:

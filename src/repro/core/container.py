@@ -32,6 +32,14 @@ class ContainerState(enum.Enum):
     DEAD = "dead"        # terminated (evicted or expired)
 
 
+# The members, bound once: a module global costs a fraction of an Enum
+# attribute read, and the per-arrival transitions below (and the pool's
+# scans) make several. Members are singletons: a state compares with ``is``.
+_WARM = ContainerState.WARM
+_RUNNING = ContainerState.RUNNING
+_DEAD = ContainerState.DEAD
+
+
 class Container:
     """One virtual execution environment for one function.
 
@@ -59,7 +67,7 @@ class Container:
     def __init__(self, function: TraceFunction, created_at_s: float) -> None:
         self.container_id: int = next(_container_ids)
         self.function = function
-        self.state = ContainerState.WARM
+        self.state = _WARM
         self.created_at_s = created_at_s
         self.last_used_s = created_at_s
         self.busy_until_s: float = created_at_s
@@ -89,20 +97,20 @@ class Container:
 
     @property
     def is_idle(self) -> bool:
-        return self.state == ContainerState.WARM
+        return self.state is _WARM
 
     @property
     def is_running(self) -> bool:
-        return self.state == ContainerState.RUNNING
+        return self.state is _RUNNING
 
     def start_invocation(self, now_s: float, duration_s: float) -> None:
         """Transition to RUNNING for ``duration_s`` seconds."""
-        if self.state != ContainerState.WARM:
+        if self.state is not _WARM:
             raise RuntimeError(
                 f"container {self.container_id} ({self.function.name}) "
                 f"cannot start an invocation in state {self.state.value}"
             )
-        self.state = ContainerState.RUNNING
+        self.state = _RUNNING
         self.last_used_s = now_s
         self.busy_until_s = now_s + duration_s
         self.invocation_count += 1
@@ -115,12 +123,12 @@ class Container:
 
     def finish_invocation(self, now_s: float) -> None:
         """Transition back to WARM once the invocation completes."""
-        if self.state != ContainerState.RUNNING:
+        if self.state is not _RUNNING:
             raise RuntimeError(
                 f"container {self.container_id} ({self.function.name}) "
                 f"is not running"
             )
-        self.state = ContainerState.WARM
+        self.state = _WARM
         if now_s > self.last_used_s:
             self.last_used_s = now_s
         pool = self.pool
@@ -135,12 +143,12 @@ class Container:
 
     def terminate(self) -> None:
         """Transition to DEAD; a dead container can never be reused."""
-        if self.state == ContainerState.RUNNING:
+        if self.state is _RUNNING:
             raise RuntimeError(
                 f"container {self.container_id} ({self.function.name}) "
                 f"cannot be terminated while running"
             )
-        self.state = ContainerState.DEAD
+        self.state = _DEAD
 
     def idle_time_s(self, now_s: float) -> float:
         """Seconds since the container last finished / was last used."""

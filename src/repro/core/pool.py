@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -49,6 +49,13 @@ TENANT_MODES = ("shared", "partitioned", "quota")
 #: it. Compares below every real ``(priority, last_used, id)`` key, so
 #: the first pop revalidates and rescores the entry.
 _UNSCORED_KEY = (float("-inf"), float("-inf"), -1)
+
+# ContainerState's members, bound once (as in repro.core.container): the
+# per-arrival scans below test a state with ``is`` on a module global,
+# not an Enum attribute read.
+_WARM = ContainerState.WARM
+_RUNNING = ContainerState.RUNNING
+_DEAD = ContainerState.DEAD
 
 
 class CapacityError(Exception):
@@ -130,11 +137,11 @@ class ContainerPool:
         self._slack_mb = 1e-9 * self._capacity_mb
         self._used_mb = 0.0
         self._containers: Dict[int, Container] = {}
-        # Per-function container ids in ascending (creation) order.
+        # Per-function containers in ascending id (creation) order.
         # Ids come from a global monotone counter, so admission appends
-        # and every lookup walks an already-sorted list instead of
-        # paying a per-call ``sorted()``.
-        self._by_function: Dict[str, List[int]] = {}
+        # and every lookup walks an already-sorted list of the
+        # containers themselves: no per-call ``sorted()``, no id lookup.
+        self._by_function: Dict[str, List[Container]] = {}
         # Lazy victim index: a min-heap of (key, container_id) entries,
         # one live entry per unpinned container (here, in ``_taken`` or
         # in ``_parked``), revalidated on pop (:meth:`iter_victims`).
@@ -386,7 +393,7 @@ class ContainerPool:
         function = container.function
         memory_mb = function.memory_mb
         tenant_id = function.tenant_id
-        if container.state == ContainerState.DEAD:
+        if container.state is _DEAD:
             raise ValueError("cannot add a dead container")
         if cid in self._containers:
             raise ValueError(f"container {cid} already pooled")
@@ -407,12 +414,12 @@ class ContainerPool:
         container.pool = self
         self._containers[cid] = container
         peers = self._by_function.setdefault(function.name, [])
-        if peers and cid < peers[-1]:
+        if peers and cid < peers[-1].container_id:
             # Only reachable with externally-built containers; ids from
             # the global counter always append in ascending order.
-            insort(peers, cid)
+            peers.insert(bisect_left([peer.container_id for peer in peers], cid), container)
         else:
-            peers.append(cid)
+            peers.append(container)
         self._used_mb += memory_mb
         self._tenant_used_mb[tenant_id] = (
             self._tenant_used_mb.get(tenant_id, 0.0) + memory_mb
@@ -435,7 +442,7 @@ class ContainerPool:
             # else enters the victim index unscored and the expiry
             # index unscheduled (until a policy hook sets a deadline).
             self._unscheduled[cid] = container
-            if container.state == ContainerState.WARM:
+            if container.state is _WARM:
                 heapq.heappush(self._victim_heap, (_UNSCORED_KEY, cid))
                 self._evictable_mb += memory_mb
                 self._idle_unpinned += 1
@@ -458,15 +465,15 @@ class ContainerPool:
                 f"container {cid} is pinned "
                 "(provisioned concurrency) and cannot be evicted"
             )
-        if container.state is ContainerState.RUNNING:  # ``terminate()``, inline
+        if container.state is _RUNNING:  # ``terminate()``, inline
             raise RuntimeError(f"container {cid} cannot be terminated while running")
-        container.state = ContainerState.DEAD
+        container.state = _DEAD
         container.pool = None
         del self._containers[cid]
         function = container.function
         memory_mb = function.memory_mb
         peers = self._by_function[function.name]
-        del peers[bisect_left(peers, cid)]
+        peers.remove(container)  # by identity: Container defines no ``__eq__``
         if not peers:
             del self._by_function[function.name]
         self._used_mb -= memory_mb
@@ -641,19 +648,16 @@ class ContainerPool:
         so that hot containers stay hot (matching the original
         simulator's behaviour of reusing the oldest match). Ties on
         ``last_used_s`` break toward the lowest container id; the
-        per-function index is kept in ascending id order, so the scan
-        is allocation-free and hash-seed independent.
+        per-function index holds the containers in ascending id order,
+        so the scan is allocation-free and hash-seed independent.
         """
-        ids = self._by_function.get(function_name)
-        if not ids:
+        peers = self._by_function.get(function_name)
+        if peers is None:
             return None
-        containers = self._containers
-        warm = ContainerState.WARM
         best: Optional[Container] = None
         best_last = 0.0
-        for cid in ids:
-            container = containers[cid]
-            if container.state != warm:
+        for container in peers:
+            if container.state is not _WARM:
                 continue
             if best is None or container.last_used_s < best_last:
                 best = container
@@ -665,14 +669,12 @@ class ContainerPool:
         container-id (creation) order.
 
         The index is maintained in sorted id order, so this is a plain
-        copy: deterministic (no raw set-iteration order, the FC003
-        blind spot the ROADMAP flagged) without a per-call sort.
+        slice copy: deterministic (no raw set-iteration order, the FC003
+        blind spot the ROADMAP flagged) without a per-call sort, and the
+        caller's list, not the index.
         """
-        ids = self._by_function.get(function_name)
-        if not ids:
-            return []
-        containers = self._containers
-        return [containers[i] for i in ids]
+        peers = self._by_function.get(function_name)
+        return [] if peers is None else peers[:]
 
     def has_containers_of(self, function_name: str) -> bool:
         return bool(self._by_function.get(function_name))
@@ -842,7 +844,6 @@ class ContainerPool:
         containers = self._containers
         parked = self._parked
         sanitize = self._sanitize
-        warm = ContainerState.WARM
         # Sanitizer: the monotone-key contract implies yielded keys
         # never decrease; a regression here would silently evict the
         # wrong containers.
@@ -860,7 +861,7 @@ class ContainerPool:
                 continue  # evicted since enrollment: drop the entry
             if container.pinned:
                 continue  # reserved capacity: never a candidate
-            if container.state != warm:
+            if container.state is not _WARM:
                 # Busy right now; park the entry until the container
                 # goes idle again (its key can only have grown by then,
                 # and a running container can never be a candidate, so

@@ -105,6 +105,10 @@ class LatencyHistogram:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0 or self._min is None or self._max is None:
             return 0.0
+        if q == 0.0:
+            return self._min
+        if q == 1.0:
+            return self._max
         rank = q * self.count
         seen = 0
         for i, n in enumerate(self._buckets):

@@ -99,7 +99,9 @@ class LivePoolService:
         self._functions = trace.functions
         self._clock: Clock = clock if clock is not None else RealTimeClock()
         # SimClock drivers carry their own instants; a clock without
-        # advance_to (the real-time one) ignores per-request times.
+        # advance_to (the real-time one) ignores per-request times. Like
+        # SimClock's, an ``advance_to`` returns the clock's ``now()``
+        # (the replay loop reads its timestamps the same way).
         self._advance_to = getattr(self._clock, "advance_to", None)
         self._decision_latency = LatencyHistogram()
         self._outcomes: Dict[str, int] = {}
@@ -111,7 +113,7 @@ class LivePoolService:
 
     def _resolve_now(self, now_s: Optional[float]) -> float:
         if now_s is not None and self._advance_to is not None:
-            self._advance_to(now_s)
+            return self._advance_to(now_s)
         return self._clock.now()
 
     # ------------------------------------------------------------------
@@ -156,6 +158,7 @@ class LivePoolService:
             clock_now = self._clock.now
             process = self._sim.process_invocation
             record = self._decision_latency.record
+            wall = wall_clock_s  # read twice per decision
             outcomes = self._outcomes
             results: List[Union[AdmitDecision, Exception]] = []
             append = results.append
@@ -166,11 +169,12 @@ class LivePoolService:
                     continue
                 try:
                     if now_s is not None and advance_to is not None:
-                        advance_to(now_s)
-                    now = clock_now()
-                    entered_s = wall_clock_s()
+                        now = advance_to(now_s)
+                    else:
+                        now = clock_now()
+                    entered_s = wall()
                     outcome = process(function, now)
-                    latency_s = wall_clock_s() - entered_s
+                    latency_s = wall() - entered_s
                 except Exception as exc:  # noqa: BLE001 - refuses this arrival alone
                     append(exc)
                     continue

@@ -18,10 +18,13 @@ comprehensions and counts fewer). Lowering one after a real cut is
 the point; raising one needs the ledger row that paid for it.
 """
 
+import dis
 import gc
+import inspect
 import json
 import random
 import sys
+import textwrap
 import tracemalloc
 from collections import Counter
 
@@ -30,11 +33,14 @@ import pytest
 from repro import bench
 from repro.checks.sanitize import set_sanitize
 from repro.core.clock import SimClock
+from repro.core.container import Container
+from repro.core.policies.greedy_dual import GreedyDualPolicy
+from repro.core.pool import ContainerPool
 from repro.faults import FaultSpec
 from repro.live.server import LiveHTTPServer, _Connection
 from repro.live.service import LivePoolService
 from repro.sim import columnar  # noqa: F401 - simulate() imports it lazily, on a first call
-from repro.sim.scheduler import simulate
+from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 
@@ -51,9 +57,12 @@ CONTAINER_MB = 128.0
 #: default. (One call per *run* is the simulator's ``EventQueue()``.)
 #: A trace's ``arrivals()`` zips its columns instead of resuming a
 #: generator per arrival: one call less each, 49.49 (29,692) and 19.00
-#: (13,507).
+#: (13,507). The warm replay's 651 warm hits each find their container's
+#: siblings by a slice of the per-function index, not a comprehension
+#: frame, and ``wall_clock_s`` is the C counter itself (two frames per
+#: run): 13,507 - 651 - 2 = 12,854 (18.08).
 EVICT_CALLS = 29_692
-WARM_CALLS = 13_507
+WARM_CALLS = 12_854
 #: The eviction replay through the default ``simulate()``, which the GD
 #: kernel answers: 11.08 calls per arrival (6,650), then 10.09 (6,056)
 #: once an outcome is booked by subscript, then 9.09 (5,452) once the
@@ -110,8 +119,13 @@ HIST_KERNEL_CALLS = 8_944
 #: ``AdmitDecision.__new__``, the lock's ``__exit__``) and 4 come
 #: (``_admit_args``, ``_admit_reply``, two ``list.append``); per run of
 #: the 12 come ``admit_many``, ``_decide``, a ``len`` and its one
-#: ``__exit__``: 46,484 - 16 x 711 + 4 x 711 + 4 x 12 = 38,000.
-LIVE_CALLS = 38_000
+#: ``__exit__``: 46,484 - 16 x 711 + 4 x 711 + 4 x 12 = 38,000. With
+#: ``wall_clock_s`` the C counter itself, each decision's two readings
+#: lose their frames; the timestamp is what ``SimClock.advance_to``
+#: returns, not a ``now()`` call after it; and each of the 531 warm hits
+#: finds its siblings by a slice, not a comprehension frame: 38,000 -
+#: 3 x 711 - 531 = 35,336 (49.70).
+LIVE_CALLS = 35_336
 #: The vectorized TTL kernel over a 300-function, 3,600 s stream, trace
 #: generation included. A heap pop, ``uniform``, ``round`` and push per
 #: arrival paid 8.69 calls each (60,411); columns and one sort per window
@@ -443,3 +457,54 @@ def test_counts_repeat_exactly(unsanitized):
     first, __ = count_calls(faulted, 0.9 * 60 * CONTAINER_MB, fault_spec=HARVEST_SPEC)
     second, __ = count_calls(faulted, 0.9 * 60 * CONTAINER_MB, fault_spec=HARVEST_SPEC)
     assert first == second
+
+
+#: What every live decision and every loop arrival runs through. A call
+#: budget cannot see an ``Enum`` member read (``ContainerState.WARM`` is
+#: an attribute load, not a call), yet on CPython 3.11 one costs >10x a
+#: module constant; these read the members bound once per module.
+PER_ARRIVAL = (
+    KeepAliveSimulator.process_invocation,
+    KeepAliveSimulator._release_finished,
+    Container.start_invocation,
+    Container.finish_invocation,
+    ContainerPool.idle_warm_container,
+    ContainerPool.containers_of,
+    ContainerPool.add,
+    ContainerPool.evict,
+    ContainerPool.iter_victims,
+    GreedyDualPolicy.on_invocation,
+    GreedyDualPolicy.on_warm_start,
+    LivePoolService.admit_many,
+)
+
+
+def loaded_globals(function):
+    """Names ``function`` (nested code objects included) loads as globals."""
+    names, codes = set(), [function.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(
+            ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"
+        )
+        codes.extend(const for const in code.co_consts if inspect.iscode(const))
+    return names
+
+
+@pytest.mark.parametrize("function", PER_ARRIVAL, ids=lambda f: f.__qualname__)
+def test_no_enum_member_read_per_arrival(function):
+    assert "ContainerState" not in loaded_globals(function)
+
+
+def test_the_enum_guard_bites():
+    """The pool's idle scan with its state test back on the Enum."""
+    function = ContainerPool.idle_warm_container
+    source = textwrap.dedent(inspect.getsource(function))
+    old = "container.state is not _WARM"
+    assert source.count(old) == 1
+    scope = {}
+    exec(  # noqa: S102
+        source.replace(old, "container.state is not ContainerState.WARM"),
+        function.__globals__, scope,
+    )
+    assert "ContainerState" in loaded_globals(scope["idle_warm_container"])

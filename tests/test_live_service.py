@@ -294,6 +294,23 @@ class TestLatencyHistogram:
         assert hist.percentile(1.0) > 10.0
         assert hist.summary()["max_us"] == 1e15
 
+    def test_quantile_zero_is_the_recorded_min(self):
+        # 10, 10.5 and 11 us share one bucket, whose geometric midpoint
+        # (~10.59 us) is what every inner quantile reads.
+        hist = LatencyHistogram()
+        for value_s in (10e-6, 10.5e-6, 11e-6):
+            hist.record(value_s)
+        assert hist.percentile(0.0) == 10e-6
+        assert 10e-6 < hist.percentile(0.5) < 11e-6
+        assert hist.percentile(0.5) == hist.percentile(0.01) == hist.percentile(0.99)
+
+    def test_quantile_one_is_the_recorded_max(self):
+        hist = LatencyHistogram()
+        for value_s in (10e-6, 10.5e-6, 11e-6):
+            hist.record(value_s)
+        assert hist.percentile(1.0) == 11e-6
+        assert hist.percentile(0.999) < 11e-6
+
     def test_record_files_each_sample_in_its_log_bucket(self):
         # 13 buckets, two per decade from 1 us: bucket = the clamped
         # int((log10(v) + 6) * 2).

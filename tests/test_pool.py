@@ -1,5 +1,7 @@
 """Unit tests for the container pool."""
 
+import random
+
 import pytest
 
 from repro.core.container import Container
@@ -161,3 +163,109 @@ class TestQueries:
         busy = pooled(pool, f)
         busy.start_invocation(0.0, 10.0)
         assert pool.evictable_mb() == pytest.approx(100.0)
+
+
+class TestPerFunctionIndex:
+    """The per-function index holds the containers themselves, in
+    ascending id order, whatever order they were admitted in."""
+
+    def built(self, function, count):
+        # Externally built: ids ascend in construction order.
+        return [Container(function, 0.0) for __ in range(count)]
+
+    def test_out_of_order_adds_keep_id_order(self):
+        pool = ContainerPool(1000.0)
+        f = make_function("A", memory_mb=100.0)
+        first, second, third, fourth = self.built(f, 4)
+        for container in (third, first, fourth, second):
+            pool.add(container)
+        assert pool.containers_of("A") == [first, second, third, fourth]
+
+    def test_idle_warm_container_is_lru_then_lowest_id(self):
+        pool = ContainerPool(1000.0)
+        f = make_function("A", memory_mb=100.0)
+        first, second, third = self.built(f, 3)
+        for container in (third, second, first):
+            pool.add(container)
+        # All three last used at 0.0: the tie goes to the lowest id.
+        assert pool.idle_warm_container("A") is first
+        first.start_invocation(1.0, 1.0)
+        first.finish_invocation(2.0)
+        assert pool.idle_warm_container("A") is second
+        second.start_invocation(3.0, 1.0)
+        third.start_invocation(3.5, 1.0)
+        # Only ``first`` is idle now, whatever its recency.
+        assert pool.idle_warm_container("A") is first
+
+    def test_mutating_containers_of_leaves_the_pool_alone(self):
+        pool = ContainerPool(1000.0)
+        f = make_function("A", memory_mb=100.0)
+        first, second = pooled(pool, f), pooled(pool, f)
+        got = pool.containers_of("A")
+        got.reverse()
+        got.append(Container(f, 0.0))
+        assert pool.containers_of("A") == [first, second]
+        got.clear()
+        assert pool.idle_warm_container("A") is first
+        empty = pool.containers_of("missing")
+        empty.append(first)
+        assert pool.containers_of("missing") == []
+
+    def test_evicting_a_middle_container_keeps_the_order(self):
+        pool = ContainerPool(1000.0)
+        f = make_function("A", memory_mb=100.0)
+        containers = self.built(f, 5)
+        for container in reversed(containers):
+            pool.add(container)
+        pool.evict(containers[2])
+        assert pool.containers_of("A") == containers[:2] + containers[3:]
+        pool.evict(containers[0])
+        pool.evict(containers[4])
+        assert pool.containers_of("A") == [containers[1], containers[3]]
+
+    def test_random_operations_match_a_naive_scan(self):
+        rng = random.Random(34)
+        functions = [make_function(f"fn-{i}", memory_mb=10.0) for i in range(4)]
+        pool = ContainerPool(10_000.0)
+        backlog, now = [], 0.0
+        for __ in range(2_000):
+            now += rng.uniform(0.0, 1.0)
+            pooled_now = list(pool._containers.values())
+            op = rng.random()
+            if op < 0.15:
+                # Built now, admitted later: an out-of-order add.
+                backlog.append(Container(rng.choice(functions), now))
+            elif op < 0.35:
+                if backlog and rng.random() < 0.5:
+                    container = backlog.pop(rng.randrange(len(backlog)))
+                else:
+                    container = Container(rng.choice(functions), now)
+                pool.add(container)
+            elif op < 0.6:
+                idle = [c for c in pooled_now if c.is_idle]
+                if idle:
+                    rng.choice(idle).start_invocation(now, rng.uniform(0.1, 2.0))
+            elif op < 0.85:
+                running = [c for c in pooled_now if c.is_running]
+                if running:
+                    rng.choice(running).finish_invocation(now)
+            else:
+                idle = [c for c in pooled_now if c.is_idle]
+                if idle:
+                    pool.evict(rng.choice(idle))
+            for function in functions:
+                name = function.name
+                naive = sorted(
+                    (c for c in pool._containers.values() if c.function.name == name),
+                    key=lambda c: c.container_id,
+                )
+                assert pool.containers_of(name) == naive
+                idle = [c for c in naive if c.is_idle]
+                expected = min(
+                    idle, key=lambda c: (c.last_used_s, c.container_id), default=None
+                )
+                assert pool.idle_warm_container(name) is expected
+            assert pool.function_names() == sorted(
+                {c.function.name for c in pool._containers.values()}
+            )
+        assert len(pool) > 10  # the sequence kept a populated pool

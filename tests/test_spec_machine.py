@@ -617,7 +617,7 @@ def mutate(monkeypatch, owner, name, old, new):
 INDEX_ORDER = "lambda c: (self.policy.priority(c, now_s), c.last_used_s, c.container_id)"
 MUTANTS = {
     "add-enrols-running-as-evictable": (
-        (ContainerPool, "add", "if container.state == ContainerState.WARM:", "if True:"),
+        (ContainerPool, "add", "if container.state is _WARM:", "if True:"),
         ("GD", "shared", None), "evictable",  # the model's figure, or the sanitizer's
     ),
     "arrival-keeps-stale-plan": (
