@@ -17,8 +17,11 @@ loadgen`` over actual loopback sockets, and fails on:
 * pipelined admits that were not decided in runs (the loadgen keeps
   up to 256 in flight: a read carries many, so far fewer
   ``admit_many`` batches than requests),
+* a connection that pipelines admits and never reads holding up a
+  second connection's ``/healthz`` and admits past the socket timeout,
 * a ``SIGTERM`` — what ``kill``, systemd, Docker and Kubernetes send —
-  that does not end the server with exit status 0 and "shutting down".
+  that does not end the server with exit status 0 and "shutting down"
+  (with that stalled connection still open).
 
 This is the two-process path — CLI parsing, signal handling, and the
 port-announce handshake included — as opposed to the in-process
@@ -39,6 +42,7 @@ import sys
 import time
 
 from repro.live.loadgen import fetch_stats
+from repro.traces.synth import skewed_frequency_trace
 
 TRACE = "skewed-frequency"
 POLICY = "GD"
@@ -52,6 +56,7 @@ ANNOUNCE = re.compile(r"at http://([\d.]+):(\d+)")
 STARTUP_TIMEOUT_S = 30.0
 SOCKET_TIMEOUT_S = 10.0
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: gate\r\n\r\n"
+STALL_S = 0.5  # sends refused this long: the server has stopped reading
 MAX_HEAD_MISSES = 100  # of LIMIT requests; a miss per request is ~10,000
 MAX_ADMIT_BATCHES = 3_000  # of LIMIT admits (~1,300 on two cores); one each: 10,000
 
@@ -112,6 +117,56 @@ def refused_burst_failures(host: str, port: int) -> list:
         f"{http['head_misses']} head misses"
     )
     return failures
+
+
+def _admit(name: str, close: bool = False) -> bytes:
+    body = b'{"function":"%s"}' % name.encode()
+    return b"POST /admit HTTP/1.1\r\nHost: gate\r\n%sContent-Length: %d\r\n\r\n%s" % (
+        b"Connection: close\r\n" if close else b"", len(body), body
+    )
+
+
+def stalled_connection(host: str, port: int) -> socket.socket:
+    """A connection that pipelines admits and never reads, sent to until
+    the server has stopped reading it (its sends refused for
+    ``STALL_S``); raises ``OSError`` if that does not happen in time."""
+    names = list(skewed_frequency_trace().functions)
+    burst = b"".join(_admit(name) for name in names) * 50
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # before the handshake
+    sock.connect((host, port))
+    sock.setblocking(False)
+    deadline = time.monotonic() + SOCKET_TIMEOUT_S
+    pending, refused_since = memoryview(burst), None
+    while time.monotonic() < deadline:
+        try:
+            pending = pending[sock.send(pending):] or memoryview(burst)
+            refused_since = None
+        except BlockingIOError:
+            now = time.monotonic()
+            if refused_since is None:
+                refused_since = now
+            elif now - refused_since >= STALL_S:
+                return sock
+            time.sleep(0.01)
+    sock.close()
+    raise TimeoutError("the server kept reading a client that never reads")
+
+
+def neighbour_failures(host: str, port: int) -> list:
+    """Beside a stalled connection, another is answered in time."""
+    names = list(skewed_frequency_trace().functions)[:3]
+    request = HEALTHZ + b"".join(
+        _admit(name, close=at == len(names) - 1) for at, name in enumerate(names)
+    )
+    try:
+        received = _exchange(host, port, request)
+    except OSError as exc:  # a timeout: the stalled connection held it up
+        return [f"the neighbour of a stalled connection: {exc!r}"]
+    if _statuses(received) != [200] * (1 + len(names)):
+        return [f"the neighbour of a stalled connection got {_statuses(received)}"]
+    print("live-smoke: a stalled connection's neighbour was answered")
+    return []
 
 
 def shutdown_failures(server: subprocess.Popen) -> list:
@@ -184,7 +239,15 @@ def main() -> int:
             failures = refused_burst_failures(host, int(port))
         except OSError as exc:  # e.g. a timeout: the server never closed
             failures = [f"refused-burst probe: {exc!r}"]
-        failures += shutdown_failures(server)
+        try:
+            stalled = stalled_connection(host, int(port))
+        except OSError as exc:
+            failures.append(f"stalled-connection probe: {exc!r}")
+            failures += shutdown_failures(server)
+        else:
+            with stalled:  # still open at the SIGTERM: stop() hangs it up
+                failures += neighbour_failures(host, int(port))
+                failures += shutdown_failures(server)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         if failures:

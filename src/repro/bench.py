@@ -305,7 +305,7 @@ def _harvest_scenario(scale: float):
 
 def _live_smoke_scenario(scale: float):
     # The live serving stack end to end (docs/live-serving.md): a
-    # sim-clock LivePoolService behind the asyncio HTTP frontend on an
+    # sim-clock LivePoolService behind the threaded HTTP frontend on an
     # ephemeral loopback port, replayed by the pipelined deterministic
     # load generator. The timed figure is whole-stack decisions/s over
     # HTTP; the payload is the engine's counters plus the client's
@@ -321,8 +321,8 @@ def _live_smoke_scenario(scale: float):
     capacity_mb = 200.0 * 128.0
 
     def run() -> Dict[str, object]:
-        # Imported lazily: the live stack (threading + asyncio) is only
-        # touched when this scenario actually runs.
+        # Imported lazily: the live stack (server threads, asyncio
+        # client) is only touched when this scenario actually runs.
         from repro.core.clock import SimClock
         from repro.live.loadgen import run_loadgen
         from repro.live.server import ServerThread
@@ -406,7 +406,7 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
     ),
     BenchScenario(
         "live_smoke",
-        "10k-decision live replay over the asyncio HTTP frontend "
+        "10k-decision live replay over the threaded HTTP frontend "
         "(sim-clock determinism, whole-stack decisions/s)",
         _live_smoke_scenario,
     ),

@@ -753,7 +753,6 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the live HTTP serving mode (docs/live-serving.md)."""
-    import asyncio
     import signal
 
     from repro.core.clock import SimClock
@@ -789,15 +788,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    async def serve() -> None:
-        # kill <pid> (systemd, Docker, Kubernetes) stops it as Ctrl-C does.
-        cancel = asyncio.current_task().cancel
-        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, cancel)
-        await server.serve_forever(on_ready=announce)
-
+    # kill <pid> (systemd, Docker, Kubernetes) stops it as Ctrl-C does.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        asyncio.run(serve())
-    except (KeyboardInterrupt, asyncio.CancelledError):
+        server.serve_forever(on_ready=announce)
+    except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     finally:
         close_tracer()

@@ -9,8 +9,9 @@ requests under a :class:`~repro.core.clock.RealTimeClock` —
 * :class:`~repro.live.service.LivePoolService` — the thread-safe
   facade (single-lock discipline, decision-latency histogram);
 * :class:`~repro.live.server.LiveHTTPServer` /
-  :class:`~repro.live.server.ServerThread` — the asyncio HTTP
-  frontend (``/admit``, ``/release``, ``/stats``, ``/healthz``);
+  :class:`~repro.live.server.ServerThread` — the HTTP frontend on
+  blocking sockets, one thread per connection (``/admit``,
+  ``/release``, ``/stats``, ``/healthz``);
 * :func:`~repro.live.loadgen.run_loadgen` — trace replay against a
   running server (deterministic pipelined mode and open-loop mode)
   with p50/p99/p999 decision-latency reporting.

@@ -1,68 +1,46 @@
-"""Asyncio HTTP frontend for the live keep-alive service.
+"""Blocking-socket HTTP frontend for the live keep-alive service.
 
-A deliberately small HTTP/1.1 server on one stdlib
-:class:`asyncio.Protocol` — no web framework, no thread, coroutine or
-future per request — exposing the
+A deliberately small HTTP/1.1 server on stdlib sockets, one thread per
+connection -- no web framework, no event loop, no coroutine or future
+per request -- exposing the
 :class:`~repro.live.service.LivePoolService` API as JSON endpoints:
+``POST /admit`` (``{"function": NAME, "now_s": optional}``, ``now_s``
+honoured under a sim clock only), ``POST /release``, ``GET /stats``
+(engine and HTTP counters, decision latencies) and ``GET /healthz``.
 
-* ``POST /admit``   ``{"function": NAME, "now_s": optional}`` →
-  admission decision (``now_s`` only honoured under a sim clock);
-* ``POST /release`` → completed invocations returned to the pool;
-* ``GET /stats``    → counters, decision-latency percentiles, pool
-  occupancy, HTTP counters;
-* ``GET /healthz``  → liveness.
-
-Connections are keep-alive and fully pipelined. Each socket read lands
-in the connection's buffer; every complete request already buffered is
-framed from its head bytes and answered in order (each run of
+Connections are keep-alive and fully pipelined. A connection's thread
+answers every complete request it has read, in order (each run of
 ``/admit`` requests decided in one
 :meth:`~repro.live.service.LivePoolService.admit_many` pass, under one
-lock, before any later request is answered), and the replies leave in
-one transport write — which is what lets one client replay a trace at
-high QPS over a single socket in the simulator's arrival order. A
-client that stops reading pauses the connection (``pause_writing`` →
-``pause_reading``) until the transport drains. A request the server
-cannot frame (oversized head or body, bad ``Content-Length``, any
-``Transfer-Encoding``) is answered ``Connection: close`` and the
-connection dropped, as is one that asks for ``Connection: close``.
-Decision work happens inline on the event loop — a decision is
-microseconds of lock-protected computation, so handing it to a thread
-pool would cost more than it frees. A periodic timer drains expirations
-during idle stretches.
+lock), and the replies leave in one ``sendall``. A client that stops
+reading blocks its own thread in that ``sendall``, and no other: no
+write happens under the service lock. A request the server cannot
+frame is answered ``Connection: close`` and the connection dropped, as
+is one that asks for ``Connection: close``. A timer thread drains
+expirations during idle stretches.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
+import re
+import socket
 import threading
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-    cast,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union, cast
 
-from repro.live.service import (
-    AdmitDecision,
-    LivePoolService,
-    UnknownFunctionError,
-)
+from repro.live.service import AdmitDecision, LivePoolService, UnknownFunctionError
 
 __all__ = ["LiveHTTPServer", "ServerThread"]
 
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
 # Replies accumulated past this are written before the batch goes on,
-# so a paused connection holds at most this much beyond the transport's
-# own high-water mark.
+# so a write blocked on a client that does not read holds at most this
+# much plus one run's replies.
 _WRITE_CHUNK_BYTES = 64 * 1024
+# One recv: room for a pipelining client's whole window of requests.
+_READ_BYTES = 256 * 1024
 # The head memo (a client repeats its head byte for byte): at most this
 # many heads of at most this many bytes, cleared when full -- no LRU.
 _MEMO_HEADS = 256
@@ -99,6 +77,9 @@ _decode_json = _decoder.decode
 # One JSON value at an index, in C (typeshed's JSONDecoder omits it).
 _scan_json: Callable[[str, int], Tuple[Any, int]] = getattr(_decoder, "scan_once")
 _INF = math.inf
+# A header line with a blank before its colon: a 400 (RFC 7230 3.2.4),
+# or "Content-Length : 28" leaves its body to frame as the next request.
+_SPACED_NAME = re.compile(rb"\r\n[^:\r\n \t]*[ \t][^:\r\n]*:").search
 _Route = Optional[Tuple[str, str]]  # (METHOD, path); None: malformed line
 _ADMIT: _Route = ("POST", "/admit")
 _Arrival = Tuple[str, Optional[float]]  # what an /admit asks for
@@ -195,6 +176,8 @@ def _frame(head: bytes) -> Tuple[int, bool, _Route]:
     """``(body length, close after the reply, route)`` off a request's
     head bytes alone: the request line and header lines, CRLF-terminated."""
     lower = head.lower()
+    if _SPACED_NAME(lower):
+        raise _Unframed(400, "whitespace before a header's colon")
     if b"\r\ntransfer-encoding:" in lower:
         raise _Unframed(400, "transfer-encoding is not supported")
     length = 0
@@ -214,54 +197,80 @@ def _frame(head: bytes) -> Tuple[int, bool, _Route]:
     return length, b"close" in asked, route
 
 
-class _Connection(asyncio.Protocol):
-    """One client connection: buffer, frame, answer, write."""
+class _SocketWriter:
+    """A connection's socket as its :class:`_Connection` writes to it. A
+    client that does not read blocks ``write``: that is the backpressure.
+    The write buffer is what the kernel has not taken of a blocked write."""
 
-    __slots__ = ("_server", "_transport", "_buffer", "_paused")
-    _transport: asyncio.Transport  # from connection_made on
+    __slots__ = ("_sock", "_unsent", "closed")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock, self._unsent, self.closed = sock, 0, False
+
+    def write(self, data: bytes) -> None:
+        try:
+            sent = self._sock.send(data, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            sent = 0
+        if sent < len(data):  # the client's window is full: wait on it
+            self._unsent = len(data) - sent
+            try:
+                self._sock.sendall(memoryview(data)[sent:])
+            finally:
+                self._unsent = 0
+
+    def close(self) -> None:
+        self.closed = True  # the connection's thread closes the socket
+
+    def get_write_buffer_limits(self) -> Tuple[int, int]:
+        return 0, 0
+
+    def get_write_buffer_size(self) -> int:
+        return self._unsent
+
+
+#: The HTTP counters each connection keeps; ``/stats`` reports their sums.
+_HTTP_COUNTS = ("requests", "errors_5xx", "writes", "head_misses", "admit_batches")
+
+
+class _Connection:
+    """One client connection: buffer, frame, answer, write. It keeps
+    its own share of the ``/stats`` HTTP counters, which only its
+    thread writes, so their sums are exact."""
+
+    __slots__ = ("_server", "_transport", "_buffer", *_HTTP_COUNTS)
+    _transport: _SocketWriter  # from connection_made on
 
     def __init__(self, server: "LiveHTTPServer") -> None:
         self._server = server
         self._buffer = bytearray()
-        self._paused = False
+        self.requests = self.errors_5xx = self.writes = self.head_misses = 0
+        self.admit_batches = 0
 
     def connection_made(self, transport) -> None:
         self._transport = transport
-        self._server.connections.add(self)
+        with self._server._lock:
+            self._server.connections[self] = None  # its thread, once started
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._server.connections.discard(self)
+        server = self._server
+        with server._lock:
+            del server.connections[self]
+            for key in _HTTP_COUNTS:
+                server._retired[key] += getattr(self, key)
 
-    def close(self) -> None:
-        self._transport.close()  # once the write buffer is flushed
+    @property
+    def _paused(self) -> bool:  # a write blocked on a client not reading
+        return self._transport.get_write_buffer_size() > 0
 
     def data_received(self, data: bytes) -> None:
-        self._buffer += data
-        if not self._paused:
-            self._answer_buffered()
-
-    # eof_received is the base class's: the transport closes itself
-    # once its write buffer is flushed, so a half-closed client still
-    # reads every reply (reading is paused while replies are held back,
-    # so EOF never overtakes a buffered request).
-
-    def pause_writing(self) -> None:
-        self._paused = True
-        self._transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self._paused = False
-        self._transport.resume_reading()
-        self._answer_buffered()
-
-    def _answer_buffered(self) -> None:
         """Answer every complete request in the buffer, in order, with
-        one transport write (one more per ``_WRITE_CHUNK_BYTES`` of
-        replies); stop consuming while the transport has writing
-        paused. A run of ``/admit`` requests is decided in one
-        :meth:`LiveHTTPServer._decide` call; any other request (or a
-        refusal) is answered only once the run before it is decided."""
+        one write (one more per ``_WRITE_CHUNK_BYTES`` of replies). A
+        run of ``/admit`` requests is decided in one :meth:`_decide`
+        call; any other request (or a refusal) is answered only once
+        the run before it is decided."""
         buffer = self._buffer
+        buffer += data
         server = self._server
         heads = server._heads
         payload: Optional[_Payload]
@@ -287,7 +296,7 @@ class _Connection(asyncio.Protocol):
                 framed = heads.get(head)
                 # A verdict outlives no limit it was reached under.
                 if framed is None or framed[0] > _MAX_BODY_BYTES:
-                    server.head_misses += 1
+                    self.head_misses += 1
                     framed = _frame(head)  # a refusal is not remembered
                     if len(head) <= _MEMO_HEAD_BYTES:
                         if len(heads) >= _MEMO_HEADS:
@@ -319,37 +328,69 @@ class _Connection(asyncio.Protocol):
                 ):
                     continue
             if admits:
-                unwritten += server._decide(
+                unwritten += self._decide(
                     admits, replies, close and arrival is not None
                 )
                 admits, held = [], 0
             if arrival is None:
                 if payload is None:
                     status, payload = server._answer(route, body)
-                server.requests_served += 1
+                self.requests += 1
+                if status == 500:
+                    self.errors_5xx += 1
                 reply = _encode_response(status, payload, close)
                 replies.append(reply)
                 unwritten += len(reply)
             if unwritten >= _WRITE_CHUNK_BYTES:
-                self._write(replies)
+                self.writes += 1
+                self._transport.write(b"".join(replies))
                 replies, unwritten = [], 0
-                if self._paused:
-                    break
         if admits:  # the buffer ends in the run's last request, or part of the next
-            server._decide(admits, replies, False)
+            self._decide(admits, replies, False)
         del buffer[:len(buffer) if close else start]
         if replies:
-            self._write(replies)
+            self.writes += 1
+            self._transport.write(b"".join(replies))
         if close:
-            self.close()
+            self._transport.close()
 
-    def _write(self, replies: List[bytes]) -> None:
-        self._server.writes += 1
-        self._transport.write(b"".join(replies))
+    def _decide(
+        self, admits: List[_Arrival], replies: List[bytes], close: bool
+    ) -> int:
+        """Decide a run of ``/admit`` requests in one
+        :meth:`LivePoolService.admit_many` call and append their
+        replies in order, the last one closing if ``close``; returns
+        the bytes appended."""
+        server = self._server
+        results = server.service.admit_many(admits)
+        self.admit_batches += 1
+        self.requests += len(results)
+        admit_reply = server._admit_reply
+        last = results[-1]
+        size = 0
+        for result in results:
+            status, payload = admit_reply(result)
+            if status == 500:
+                self.errors_5xx += 1
+            reply = _encode_response(status, payload, close and result is last)
+            replies.append(reply)
+            size += len(reply)
+        return size
+
+
+def _summed(key: str) -> property:
+    return property(lambda self: self.http_counts()[key])
 
 
 class LiveHTTPServer:
-    """Serves one :class:`LivePoolService` over HTTP."""
+    """Serves one :class:`LivePoolService` over HTTP: an accept thread,
+    a thread per connection and an expiry timer thread."""
+
+    requests_served = _summed("requests")
+    errors_5xx = _summed("errors_5xx")
+    writes = _summed("writes")  # sendall calls; requests / writes = coalescing
+    head_misses = _summed("head_misses")  # heads framed, not from the memo
+    admit_batches = _summed("admit_batches")  # admit_many calls
 
     def __init__(
         self,
@@ -367,57 +408,36 @@ class LiveHTTPServer:
         self.host = host
         self.port = port  # replaced by the bound port after start()
         self.tick_interval_s = tick_interval_s
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._tick_task: Optional["asyncio.Task"] = None
-        self.requests_served = 0
-        self.errors_5xx = 0
-        self.connections: Set[_Connection] = set()  # currently open
-        self.writes = 0  # transport writes; requests / writes = coalescing
-        self.head_misses = 0  # heads framed, not answered from the memo
-        self.admit_batches = 0  # admit_many calls; requests / batches
+        self._lock = threading.Lock()  # connections and _retired
+        # Open connections, in the order they opened, to their threads.
+        self.connections: Dict[_Connection, Optional[threading.Thread]] = {}
+        self._retired = dict.fromkeys(_HTTP_COUNTS, 0)  # closed ones' counts
+        self._listener: Optional[socket.socket] = None
+        self._threads: List[threading.Thread] = []  # accept, timer
+        self._stopped = threading.Event()
         self.tick_errors = 0  # expire_tick() failures the timer survived
         self._heads: Dict[bytes, Tuple[int, bool, _Route]] = {}
         self._quoted = _Quoted()  # outcomes and admitted function names
+
+    def http_counts(self) -> Dict[str, int]:
+        """The HTTP counters of every connection, open or closed, summed."""
+        with self._lock:
+            open_now, counts = list(self.connections), dict(self._retired)
+        for key in _HTTP_COUNTS:
+            counts[key] += sum(getattr(connection, key) for connection in open_now)
+        return counts
 
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
 
-    def _answer(self, route: _Route, body: bytes) -> Tuple[int, _Payload]:
-        """One framed request, not an ``/admit`` → ``(status, payload)``."""
-        if route is None:
-            return 400, {"error": "malformed request line"}
-        try:
-            return self._dispatch(route[0], route[1], body)
-        except Exception as exc:  # noqa: BLE001 - its 400 or 500
-            return self._failure(exc)
-
-    def _failure(self, exc: Exception) -> Tuple[int, _Payload]:
+    @staticmethod
+    def _failure(exc: Exception) -> Tuple[int, _Payload]:
         """The reply to a request that raised ``exc``: 400 for a bad
-        body, else a last-resort 500, counted."""
+        body, else a last-resort 500 (its connection counts it)."""
         if isinstance(exc, _BadBody):
             return 400, {"error": exc.args[0]}
-        self.errors_5xx += 1
         return 500, {"error": f"{type(exc).__name__}: {exc}"}
-
-    def _decide(
-        self, admits: List[_Arrival], replies: List[bytes], close: bool
-    ) -> int:
-        """Decide a run of ``/admit`` requests in one
-        :meth:`LivePoolService.admit_many` call and append their
-        replies in order, the last one closing if ``close``; returns
-        the bytes appended."""
-        results = self.service.admit_many(admits)
-        self.admit_batches += 1
-        self.requests_served += len(results)
-        last = results[-1]
-        size = 0
-        for result in results:
-            status, payload = self._admit_reply(result)
-            reply = _encode_response(status, payload, close and result is last)
-            replies.append(reply)
-            size += len(reply)
-        return size
 
     def _admit_reply(
         self, result: Union[AdmitDecision, Exception]
@@ -448,95 +468,127 @@ class LiveHTTPServer:
             return 404, {"error": f"unknown function {result.args[0]!r}"}
         return self._failure(cast(Exception, result))
 
-    def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, _Payload]:
-        if path == "/release" and method == "POST":
-            now_s = _json_object(body).get("now_s")
-            return 200, {"released": self.service.release(now_s)}
-        if path == "/stats" and method == "GET":
-            stats = self.service.stats()
-            stats["http"] = {
-                "requests": self.requests_served,
-                "errors_5xx": self.errors_5xx,
-                "connections": len(self.connections),
-                "writes": self.writes,
-                "head_misses": self.head_misses,
-                "admit_batches": self.admit_batches,
-                "tick_errors": self.tick_errors,
-            }
-            return 200, stats
+    def _answer(self, route: _Route, body: bytes) -> Tuple[int, _Payload]:
+        """One framed request, not an ``/admit`` → ``(status, payload)``."""
+        if route is None:
+            return 400, {"error": "malformed request line"}
+        method, path = route
+        try:
+            if path == "/release" and method == "POST":
+                now_s = _json_object(body).get("now_s")
+                return 200, {"released": self.service.release(now_s)}
+            if path == "/stats" and method == "GET":
+                stats = self.service.stats()
+                stats["http"] = dict(
+                    self.http_counts(),
+                    connections=len(self.connections),
+                    tick_errors=self.tick_errors,
+                )
+                return 200, stats
+        except Exception as exc:  # noqa: BLE001 - its 400 or 500
+            return self._failure(exc)
         if path == "/healthz" and method == "GET":
             return 200, {"ok": True}
         if path in ("/admit", "/release", "/stats", "/healthz"):
             return 405, {"error": f"{method} not allowed on {path}"}
         return 404, {"error": f"no route for {path}"}
 
-    async def _tick_loop(self) -> None:
-        """Drain completions/expirations on a timer so idle periods
-        (no arrivals to piggyback housekeeping on) still free memory."""
+    # ------------------------------------------------------------------
+    # Threads and lifecycle
+    # ------------------------------------------------------------------
+
+    def _accept(self, listener: socket.socket) -> None:
+        """Accept until :meth:`stop` shuts the listener down; a
+        connection is open before its thread starts."""
         while True:
-            await asyncio.sleep(self.tick_interval_s)
+            try:
+                sock, __ = listener.accept()
+            except OSError:  # stop() shut the listener down
+                return
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            connection = _Connection(self)
+            connection.connection_made(_SocketWriter(sock))
+            thread = threading.Thread(target=self._serve, args=(connection, sock), daemon=True)
+            with self._lock:
+                self.connections[connection] = thread
+            thread.start()
+
+    def _serve(self, connection: _Connection, sock: socket.socket) -> None:
+        """One connection's thread: read and answer until either side
+        closes (at EOF every reply is already written)."""
+        writer, recv, received = connection._transport, sock.recv, connection.data_received
+        try:
+            while not writer.closed:
+                data = recv(_READ_BYTES)
+                if not data:
+                    break
+                received(data)
+        except OSError:  # reset by the client, or hung up by stop()
+            pass
+        finally:
+            connection.connection_lost(None)
+            sock.close()
+
+    def _tick(self) -> None:
+        """Expire on a timer, so an idle pool (no arrivals) frees memory."""
+        while not self._stopped.wait(self.tick_interval_s):
             try:
                 self.service.expire_tick()
             except Exception:  # noqa: BLE001 - counted; the timer lives
                 self.tick_errors += 1
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: _Connection(self), self.host, self.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+    def start(self) -> None:
+        """Bind (``port`` is the bound one on return); start the threads."""
+        family = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server((self.host, self.port), family=family)
+        self.port = self._listener.getsockname()[1]
+        self._stopped.clear()
+        self._threads = [
+            threading.Thread(target=self._accept, args=(self._listener,), daemon=True)
+        ]
         if self.tick_interval_s > 0.0:
-            self._tick_task = loop.create_task(self._tick_loop())
+            self._threads.append(threading.Thread(target=self._tick, daemon=True))
+        for thread in self._threads:
+            thread.start()
 
-    async def stop(self) -> None:
-        if self._tick_task is not None:
-            self._tick_task.cancel()
-            try:
-                await self._tick_task
-            except asyncio.CancelledError:
-                pass
-            self._tick_task = None
-        if self._server is not None:
-            self._server.close()
-            # Connections a client holds open would otherwise outlive
-            # the listener (and, from Python 3.12 on, keep
-            # wait_closed() waiting for the client to hang up).
-            for connection in list(self.connections):
-                connection.close()
-            await self._server.wait_closed()
-            self._server = None
+    def stop(self) -> None:
+        """Shut the listener down, hang up on every open connection
+        (an idle keep-alive client, or one a blocked ``sendall`` waits
+        on), and join every thread. Idempotent."""
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+        self._stopped.set()
+        listener.shutdown(socket.SHUT_RDWR)  # wakes accept() (Linux)
+        self._threads[0].join()  # no connection opens after this
+        listener.close()
+        with self._lock:
+            for connection, thread in self.connections.items():
+                try:  # wakes a blocked recv (EOF) or sendall (an error)
+                    connection._transport._sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client hung up first
+                    pass
+                self._threads.append(thread)
+        for thread in self._threads[1:]:
+            thread.join()
 
-    async def serve_forever(self, on_ready=None) -> None:
-        """Start and serve until cancelled. ``on_ready`` (called with
-        the server once the socket is bound) lets the CLI announce the
-        resolved ephemeral port."""
-        await self.start()
-        assert self._server is not None
-        if on_ready is not None:
-            on_ready(self)
+    def serve_forever(self, on_ready: Optional[Callable[..., None]] = None) -> None:
+        """Start, serve until :meth:`stop` or a ``KeyboardInterrupt``
+        (the CLI turns SIGTERM into one), then stop. ``on_ready(server)``
+        runs once the socket is bound (the CLI announces the port)."""
+        self.start()
         try:
-            await self._server.serve_forever()
+            if on_ready is not None:
+                on_ready(self)
+            self._stopped.wait()
         finally:
-            await self.stop()
+            self.stop()
 
 
 class ServerThread:
-    """Runs a :class:`LiveHTTPServer` on its own event-loop thread.
-
-    The in-process embedding tests, the ``live_smoke`` bench scenario,
-    and ``make live-smoke`` use this: start() blocks until the socket
-    is bound (so the caller can read the ephemeral port), stop() joins
-    the loop thread cleanly.
-    """
+    """``ServerThread(service).start()``: a :class:`LiveHTTPServer`
+    (no expiry timer by default) for in-process callers -- the tests,
+    the ``live_smoke`` bench scenario; ``stop()`` hangs up and joins."""
 
     def __init__(
         self,
@@ -545,51 +597,14 @@ class ServerThread:
         port: int = 0,
         tick_interval_s: float = 0.0,
     ) -> None:
-        self.server = LiveHTTPServer(
-            service, host=host, port=port, tick_interval_s=tick_interval_s
-        )
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
-        self.error: Optional[BaseException] = None
+        self.server = LiveHTTPServer(service, host, port, tick_interval_s)
 
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def host(self) -> str:
-        return self.server.host
+    host = property(lambda self: self.server.host)
+    port = property(lambda self: self.server.port)
 
     def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-live-server", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self.error is not None:
-            raise RuntimeError("live server failed to start") from self.error
+        self.server.start()
         return self
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to starter
-            self.error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        await self.server.start()
-        self._ready.set()
-        await self._stop_event.wait()
-        await self.server.stop()
-
     def stop(self) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        self.server.stop()

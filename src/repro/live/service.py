@@ -12,8 +12,9 @@ every public method that touches the engine (``admit`` is one
 ``admit_many`` call, which decides a run of arrivals under one
 acquisition) and nothing under it blocks — admission decisions
 are microseconds of pure computation — so any number of frontend
-threads (or an asyncio loop plus a timer) can share one service. No
-pool or policy state is ever touched outside the lock.
+threads (one per HTTP connection, plus the expiry timer) can share one
+service. No pool or policy state is ever touched outside the lock, and
+a frontend writes nothing to a socket while holding it.
 """
 
 from __future__ import annotations

@@ -124,8 +124,12 @@ HIST_KERNEL_CALLS = 8_944
 #: lose their frames; the timestamp is what ``SimClock.advance_to``
 #: returns, not a ``now()`` call after it; and each of the 531 warm hits
 #: finds its siblings by a slice, not a comprehension frame: 38,000 -
-#: 3 x 711 - 531 = 35,336 (49.70).
-LIVE_CALLS = 35_336
+#: 3 x 711 - 531 = 35,336 (49.70). A read is answered and written in
+#: ``data_received`` itself (no ``_answer_buffered`` or ``_write`` frame:
+#: 2 x 12 leave), and each of the 5 head misses makes one regex search
+#: for whitespace before a header's colon: 35,336 - 24 + 5 = 35,317
+#: (49.67).
+LIVE_CALLS = 35_317
 #: The vectorized TTL kernel over a 300-function, 3,600 s stream, trace
 #: generation included. A heap pop, ``uniform``, ``round`` and push per
 #: arrival paid 8.69 calls each (60,411); columns and one sort per window
