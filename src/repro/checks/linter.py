@@ -71,6 +71,8 @@ __all__ = [
     "main",
 ]
 
+#: Kept under the old private names for in-repo callers.
+_NOQA_RE = NOQA_RE
 _PRAGMA_RE = re.compile(r"#\s*repro-checks-module:\s*([\w.]+)")
 
 #: Directory fragment excluded from directory walks by default: the

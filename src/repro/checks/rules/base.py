@@ -209,9 +209,16 @@ class RuleContext:
 
     # -- scope helpers ----------------------------------------------
 
+    def in_scope(self, prefixes: Sequence[str]) -> bool:
+        return _in_scope(self.module, prefixes)
+
     @property
     def current_class(self) -> Optional[ClassSummary]:
         return self.class_stack[-1] if self.class_stack else None
+
+    @property
+    def current_function(self) -> Optional[FunctionSummary]:
+        return self.func_stack[-1].summary if self.func_stack else None
 
     @property
     def in_async_function(self) -> bool:

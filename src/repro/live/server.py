@@ -4,9 +4,13 @@ A deliberately small HTTP/1.1 server on stdlib sockets, one thread per
 connection -- no web framework, no event loop, no coroutine or future
 per request -- exposing the
 :class:`~repro.live.service.LivePoolService` API as JSON endpoints:
-``POST /admit`` (``{"function": NAME, "now_s": optional}``, ``now_s``
-honoured under a sim clock only), ``POST /release``, ``GET /stats``
-(engine and HTTP counters, decision latencies) and ``GET /healthz``.
+
+* ``POST /admit``   ``{"function": NAME, "now_s": optional}`` →
+  admission decision (``now_s`` only honoured under a sim clock);
+* ``POST /release`` → completed invocations returned to the pool;
+* ``GET /stats``    → counters, decision-latency percentiles, pool
+  occupancy, HTTP counters;
+* ``GET /healthz``  → liveness.
 
 Connections are keep-alive and fully pipelined. A connection's thread
 answers every complete request it has read, in order (each run of
@@ -15,9 +19,10 @@ answers every complete request it has read, in order (each run of
 lock), and the replies leave in one ``sendall``. A client that stops
 reading blocks its own thread in that ``sendall``, and no other: no
 write happens under the service lock. A request the server cannot
-frame is answered ``Connection: close`` and the connection dropped, as
-is one that asks for ``Connection: close``. A timer thread drains
-expirations during idle stretches.
+frame (oversized head or body, bad ``Content-Length``, any
+``Transfer-Encoding``) is answered ``Connection: close`` and the
+connection dropped, as is one that asks for ``Connection: close``. A
+timer thread drains expirations during idle stretches.
 """
 
 from __future__ import annotations
@@ -27,9 +32,22 @@ import math
 import re
 import socket
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union, cast
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    cast,
+)
 
-from repro.live.service import AdmitDecision, LivePoolService, UnknownFunctionError
+from repro.live.service import (
+    AdmitDecision,
+    LivePoolService,
+    UnknownFunctionError,
+)
 
 __all__ = ["LiveHTTPServer", "ServerThread"]
 
@@ -199,34 +217,15 @@ def _frame(head: bytes) -> Tuple[int, bool, _Route]:
 
 class _SocketWriter:
     """A connection's socket as its :class:`_Connection` writes to it. A
-    client that does not read blocks ``write``: that is the backpressure.
-    The write buffer is what the kernel has not taken of a blocked write."""
+    client that does not read blocks ``write``: that is the backpressure."""
 
-    __slots__ = ("_sock", "_unsent", "closed")
+    __slots__ = ("_sock", "write", "closed")
 
     def __init__(self, sock: socket.socket) -> None:
-        self._sock, self._unsent, self.closed = sock, 0, False
-
-    def write(self, data: bytes) -> None:
-        try:
-            sent = self._sock.send(data, socket.MSG_DONTWAIT)
-        except BlockingIOError:
-            sent = 0
-        if sent < len(data):  # the client's window is full: wait on it
-            self._unsent = len(data) - sent
-            try:
-                self._sock.sendall(memoryview(data)[sent:])
-            finally:
-                self._unsent = 0
+        self._sock, self.write, self.closed = sock, sock.sendall, False
 
     def close(self) -> None:
         self.closed = True  # the connection's thread closes the socket
-
-    def get_write_buffer_limits(self) -> Tuple[int, int]:
-        return 0, 0
-
-    def get_write_buffer_size(self) -> int:
-        return self._unsent
 
 
 #: The HTTP counters each connection keeps; ``/stats`` reports their sums.
@@ -258,10 +257,6 @@ class _Connection:
             del server.connections[self]
             for key in _HTTP_COUNTS:
                 server._retired[key] += getattr(self, key)
-
-    @property
-    def _paused(self) -> bool:  # a write blocked on a client not reading
-        return self._transport.get_write_buffer_size() > 0
 
     def data_received(self, data: bytes) -> None:
         """Answer every complete request in the buffer, in order, with
@@ -378,19 +373,9 @@ class _Connection:
         return size
 
 
-def _summed(key: str) -> property:
-    return property(lambda self: self.http_counts()[key])
-
-
 class LiveHTTPServer:
     """Serves one :class:`LivePoolService` over HTTP: an accept thread,
     a thread per connection and an expiry timer thread."""
-
-    requests_served = _summed("requests")
-    errors_5xx = _summed("errors_5xx")
-    writes = _summed("writes")  # sendall calls; requests / writes = coalescing
-    head_misses = _summed("head_misses")  # heads framed, not from the memo
-    admit_batches = _summed("admit_batches")  # admit_many calls
 
     def __init__(
         self,
@@ -408,14 +393,15 @@ class LiveHTTPServer:
         self.host = host
         self.port = port  # replaced by the bound port after start()
         self.tick_interval_s = tick_interval_s
-        self._lock = threading.Lock()  # connections and _retired
+        self._lock = threading.Lock()  # connections, _retired, accept_errors
         # Open connections, in the order they opened, to their threads.
         self.connections: Dict[_Connection, Optional[threading.Thread]] = {}
         self._retired = dict.fromkeys(_HTTP_COUNTS, 0)  # closed ones' counts
-        self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []  # accept, timer
+        self._listeners: List[socket.socket] = []
+        self._threads: List[threading.Thread] = []  # accept ones, timer
         self._stopped = threading.Event()
         self.tick_errors = 0  # expire_tick() failures the timer survived
+        self.accept_errors = 0  # accept() failures the accept loop survived
         self._heads: Dict[bytes, Tuple[int, bool, _Route]] = {}
         self._quoted = _Quoted()  # outcomes and admitted function names
 
@@ -483,6 +469,7 @@ class LiveHTTPServer:
                     self.http_counts(),
                     connections=len(self.connections),
                     tick_errors=self.tick_errors,
+                    accept_errors=self.accept_errors,
                 )
                 return 200, stats
         except Exception as exc:  # noqa: BLE001 - its 400 or 500
@@ -498,20 +485,35 @@ class LiveHTTPServer:
     # ------------------------------------------------------------------
 
     def _accept(self, listener: socket.socket) -> None:
-        """Accept until :meth:`stop` shuts the listener down; a
-        connection is open before its thread starts."""
-        while True:
+        """Accept until :meth:`stop`; a connection is open before its
+        thread starts. A client the server has no descriptor, buffer or
+        thread for is dropped (counted), and the loop goes on."""
+        while not self._stopped.is_set():
             try:
                 sock, __ = listener.accept()
-            except OSError:  # stop() shut the listener down
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except ConnectionAbortedError:  # the client gave up first
+                continue
+            except OSError:  # stop() shut it down, or EMFILE, ENOBUFS, ...
+                if not self._stopped.is_set():
+                    with self._lock:
+                        self.accept_errors += 1
+                    self._stopped.wait(0.1)  # descriptors free as clients leave
+                continue
             connection = _Connection(self)
-            connection.connection_made(_SocketWriter(sock))
-            thread = threading.Thread(target=self._serve, args=(connection, sock), daemon=True)
-            with self._lock:
-                self.connections[connection] = thread
-            thread.start()
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                thread = threading.Thread(
+                    target=self._serve, args=(connection, sock), daemon=True
+                )
+                connection.connection_made(_SocketWriter(sock))
+                with self._lock:
+                    self.connections[connection] = thread
+                thread.start()
+            except (OSError, RuntimeError):  # RuntimeError: no new thread
+                with self._lock:
+                    self.accept_errors += 1
+                    self.connections.pop(connection, None)
+                sock.close()
 
     def _serve(self, connection: _Connection, sock: socket.socket) -> None:
         """One connection's thread: read and answer until either side
@@ -538,13 +540,32 @@ class LiveHTTPServer:
                 self.tick_errors += 1
 
     def start(self) -> None:
-        """Bind (``port`` is the bound one on return); start the threads."""
-        family = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_STREAM)[0][0]
-        self._listener = socket.create_server((self.host, self.port), family=family)
-        self.port = self._listener.getsockname()[1]
+        """Bind a listener on every address ``host`` resolves to (``""``:
+        every interface), all on one port (``port`` is the bound one on
+        return); start the threads."""
+        addresses = dict.fromkeys(
+            (family, address[0])
+            for family, __, __, __, address in socket.getaddrinfo(
+                self.host or None, self.port,
+                type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE,
+            )
+        )
+        listeners: List[socket.socket] = []
+        try:
+            for family, address in addresses:
+                listeners.append(
+                    socket.create_server((address, self.port), family=family)
+                )
+                self.port = listeners[0].getsockname()[1]
+        except OSError:
+            for listener in listeners:
+                listener.close()
+            raise
+        self._listeners = listeners
         self._stopped.clear()
         self._threads = [
-            threading.Thread(target=self._accept, args=(self._listener,), daemon=True)
+            threading.Thread(target=self._accept, args=(listener,), daemon=True)
+            for listener in listeners
         ]
         if self.tick_interval_s > 0.0:
             self._threads.append(threading.Thread(target=self._tick, daemon=True))
@@ -552,16 +573,20 @@ class LiveHTTPServer:
             thread.start()
 
     def stop(self) -> None:
-        """Shut the listener down, hang up on every open connection
+        """Shut the listeners down, hang up on every open connection
         (an idle keep-alive client, or one a blocked ``sendall`` waits
         on), and join every thread. Idempotent."""
-        listener, self._listener = self._listener, None
-        if listener is None:
+        listeners, self._listeners = self._listeners, []
+        if not listeners:
             return
         self._stopped.set()
-        listener.shutdown(socket.SHUT_RDWR)  # wakes accept() (Linux)
-        self._threads[0].join()  # no connection opens after this
-        listener.close()
+        for listener in listeners:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes accept() (Linux)
+        accepting = len(listeners)
+        for thread in self._threads[:accepting]:
+            thread.join()  # no connection opens after this
+        for listener in listeners:
+            listener.close()
         with self._lock:
             for connection, thread in self.connections.items():
                 try:  # wakes a blocked recv (EOF) or sendall (an error)
@@ -569,7 +594,7 @@ class LiveHTTPServer:
                 except OSError:  # the client hung up first
                     pass
                 self._threads.append(thread)
-        for thread in self._threads[1:]:
+        for thread in self._threads[accepting:]:
             thread.join()
 
     def serve_forever(self, on_ready: Optional[Callable[..., None]] = None) -> None:

@@ -3,6 +3,7 @@ generator, and the trace/stats counter-consistency contract."""
 
 from __future__ import annotations
 
+import errno
 import http.client
 import json
 import math
@@ -39,6 +40,7 @@ from repro.live.server import (
     ServerThread,
     _BadBody,
     _Connection,
+    _SocketWriter,
     _encode_response,
     _json_object,
 )
@@ -143,7 +145,7 @@ class TestEndpoints:
             }
         finally:
             conn.close()
-        assert thread.server.errors_5xx == 0
+        assert thread.server.http_counts()["errors_5xx"] == 0
 
     @pytest.mark.parametrize("path", ["/admit", "/release"])
     @pytest.mark.parametrize(
@@ -176,7 +178,7 @@ class TestEndpoints:
             thread, "POST", "/admit", {"function": name, "now_s": 2.0}
         )
         assert (status, payload["now_s"]) == (200, 2.0)
-        assert thread.server.errors_5xx == 0
+        assert thread.server.http_counts()["errors_5xx"] == 0
 
     def test_missing_function_field_is_400(self, live_server):
         __, __, __, thread = live_server
@@ -377,7 +379,7 @@ def _gated(server, stream, total):
         while answered < total:
             assert transport.entered.acquire(timeout=10), "no write came"
             answered = len(_split_responses(transport.written))
-            assert server.requests_served == answered
+            assert server.http_counts()["requests"] == answered
             transport.let_through()
     finally:
         transport.let_through()  # a failed check leaves no thread behind
@@ -489,7 +491,7 @@ class TestProtocolFraming:
             server._heads.update(seen._heads)
             answers, __ = _answers(stream, cuts, server)
             # Every head of the stream can be framed, so none misses.
-            assert server.head_misses == 0
+            assert server.http_counts()["head_misses"] == 0
             return answers
 
         for __, __, payload in cold:
@@ -564,7 +566,7 @@ class TestProtocolFraming:
             ]
             assert transport.closed
         assert list(server._heads) == [_raw("GET", "/healthz")[:-2]]
-        assert server.head_misses == 1 + 3
+        assert server.http_counts()["head_misses"] == 1 + 3
 
     def test_a_remembered_head_does_not_outlive_the_body_limit(
         self, monkeypatch
@@ -574,7 +576,8 @@ class TestProtocolFraming:
         served = [(200, "keep-alive", {"released": 0})]
         assert _answers(stream, [], server)[0] == served
         assert _answers(stream, [], server)[0] == served
-        assert server.head_misses == 1  # the second came from the memo
+        # The second came from the memo.
+        assert server.http_counts()["head_misses"] == 1
         monkeypatch.setattr(server_module, "_MAX_BODY_BYTES", 99)
         responses, transport = _answers(stream, [], server)
         assert responses == [(413, "close", {"error": "body too large"})]
@@ -612,7 +615,7 @@ class TestProtocolFraming:
             for request in requests:
                 connection.data_received(request)
                 assert len(server._heads) <= _MEMO_HEADS
-            assert server.head_misses == len(requests)
+            assert server.http_counts()["head_misses"] == len(requests)
             assert all(len(head) <= _MEMO_HEAD_BYTES for head in server._heads)
             return _split_responses(transport.written), server
 
@@ -686,17 +689,17 @@ class TestProtocolFraming:
         reader.start()
         try:
             assert transport.entered.acquire(timeout=10)
-            served = server.requests_served
+            served = server.http_counts()["requests"]
             assert 0 < served < total
             assert len(transport.written) < 2 * _WRITE_CHUNK_BYTES
             time.sleep(0.05)  # blocked means blocked: nothing moves
-            assert server.requests_served == served
+            assert server.http_counts()["requests"] == served
             assert len(_split_responses(transport.written)) == served
         finally:
             for __ in range(total):
                 transport.let_through()
             reader.join(10)
-        assert server.requests_served == total
+        assert server.http_counts()["requests"] == total
 
     def test_http_counters(self):
         __, service = _sim_service()
@@ -710,6 +713,7 @@ class TestProtocolFraming:
             "requests": 9, "errors_5xx": 0, "connections": 2, "writes": 1,
             # /healthz once (eight answered from the memo), then /stats.
             "head_misses": 2, "admit_batches": 0, "tick_errors": 0,
+            "accept_errors": 0,
         }
         first.connection_lost(None)
         assert list(server.connections) == [second]
@@ -728,7 +732,7 @@ class TestProtocolFraming:
             (500, "keep-alive", {"error": "RuntimeError: boom"}),
             (200, "keep-alive", {"ok": True}),
         ]
-        assert server.errors_5xx == 1 and not transport.closed
+        assert server.http_counts()["errors_5xx"] == 1 and not transport.closed
 
 
 class TestAdmitRuns:
@@ -781,7 +785,7 @@ class TestAdmitRuns:
         server = LiveHTTPServer(_sim_service()[1])
         answers, transport = _answers(b"".join(requests), cuts, server)
         assert transport.closed
-        return answers, server.admit_batches
+        return answers, server.http_counts()["admit_batches"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_cut_of_a_mixed_stream_gets_the_same_answers(self, seed):
@@ -827,7 +831,8 @@ class TestAdmitRuns:
         monkeypatch.setattr(service._sim, "process_invocation", fails_third)
         server = LiveHTTPServer(service)
         answers, transport = _answers(stream, [], server)
-        assert server.admit_batches == 1 and server.errors_5xx == 1
+        counts = server.http_counts()
+        assert counts["admit_batches"] == 1 and counts["errors_5xx"] == 1
         assert [status for status, __, __ in answers] == [200] * 2 + [500] + [200] * 5
         assert answers[2][2] == {"error": "RuntimeError: boom"}
         assert not transport.closed
@@ -1140,6 +1145,28 @@ def _unmoved(answers):
     ]
 
 
+def _send_until_blocked(sock, unsent, served):
+    """Feed ``unsent`` to the non-blocking client ``sock`` until the
+    server is blocked on it, as seen from outside: for 0.2 s the
+    client's sends are refused and ``served()`` (the server's request
+    count) does not move. Returns that count."""
+    deadline = time.monotonic() + 20
+    still_since, last = time.monotonic(), None
+    while True:
+        try:
+            sent = sock.send(unsent)
+        except BlockingIOError:
+            sent = 0
+        del unsent[:sent]
+        now, count = time.monotonic(), served()
+        if sent or count != last:
+            still_since, last = now, count
+        elif now - still_since > 0.2:
+            return count
+        assert now < deadline, "the server never blocked"
+        time.sleep(0.001)
+
+
 def _stalled_neighbour(thread):
     """A connection pipelining /stats that never reads, fed until the
     server's thread for it blocks in a write (it must be the only open
@@ -1150,17 +1177,9 @@ def _stalled_neighbour(thread):
     sock.connect((thread.host, thread.port))
     sock.setblocking(False)
     unsent = bytearray(_raw("GET", "/stats") * 12000)
-    deadline = time.monotonic() + 20
-    while True:
-        (connection,) = thread.server.connections or (None,)
-        if connection is not None and connection._paused:
-            return sock, connection
-        assert time.monotonic() < deadline, "the server never blocked"
-        try:
-            del unsent[:sock.send(unsent)]
-        except BlockingIOError:
-            pass
-        time.sleep(0.001)
+    _send_until_blocked(sock, unsent, lambda: thread.server.http_counts()["requests"])
+    (connection,) = thread.server.connections
+    return sock, connection
 
 
 class TestSockets:
@@ -1206,6 +1225,55 @@ class TestSockets:
             assert time.perf_counter() - started < 1.0
             assert _read_to_eof(sock) == b""
         assert not thread.server.connections
+
+    def test_accept_survives_running_out_of_resources(self, monkeypatch):
+        """EMFILE from accept(), then a thread that cannot start: each
+        costs one client at most, the next is served, stop() returns."""
+        __, service = _sim_service()
+        faults = [OSError(errno.EMFILE, "Too many open files")]
+        accept = socket.socket.accept
+
+        def failing_accept(self):
+            if faults:
+                raise faults.pop()
+            return accept(self)
+
+        refusals = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                if refusals:
+                    raise refusals.pop()
+                super().start()
+
+        monkeypatch.setattr(socket.socket, "accept", failing_accept)
+        monkeypatch.setattr(server_module.threading, "Thread", Thread)
+        thread = ServerThread(service).start()
+        try:
+            refusals.append(RuntimeError("can't start new thread"))
+            with socket.create_connection((thread.host, thread.port), 10) as sock:
+                assert _read_to_eof(sock) == b""  # hung up on, unserved
+            assert _request(thread, "GET", "/healthz") == (200, {"ok": True})
+            http = fetch_stats(thread.host, thread.port)["http"]
+            assert http["accept_errors"] == 2 and http["connections"] == 1
+        finally:
+            started = time.perf_counter()
+            thread.stop()
+        assert time.perf_counter() - started < 1.0
+        assert not thread.server.connections
+
+    def test_an_empty_host_listens_on_every_interface(self):
+        __, service = _sim_service()
+        thread = ServerThread(service, host="").start()
+        try:
+            for host in ["127.0.0.1"] + (["::1"] if socket.has_ipv6 else []):
+                with socket.create_connection((host, thread.port), 10) as sock:
+                    sock.sendall(_raw("GET", "/healthz", headers=["Connection: close"]))
+                    assert _split_responses(_read_to_eof(sock)) == [
+                        (200, "close", {"ok": True})
+                    ]
+        finally:
+            thread.stop()
 
     def test_oversized_body_does_not_desync_the_connection(self, live_server):
         __, __, __, thread = live_server
@@ -1292,14 +1360,20 @@ class TestSockets:
         self, live_server, monkeypatch
     ):
         __, __, __, thread = live_server
-        made = []
-        connection_made = _Connection.connection_made
+        largest = [0]
+        init = _SocketWriter.__init__
 
-        def spy(self, transport):
-            made.append((self, transport))
-            connection_made(self, transport)
+        def spy(self, sock):
+            init(self, sock)
+            sendall = self.write
 
-        monkeypatch.setattr(_Connection, "connection_made", spy)
+            def measured(data):
+                largest[0] = max(largest[0], len(data))
+                sendall(data)
+
+            self.write = measured
+
+        monkeypatch.setattr(_SocketWriter, "__init__", spy)
         total = 12000  # x ~0.7 KB of /stats: beyond any loopback buffering
         unsent = bytearray(
             _raw("GET", "/stats") * (total - 1)
@@ -1312,27 +1386,21 @@ class TestSockets:
             except BlockingIOError:
                 pass
 
+        def served():
+            return thread.server.http_counts()["requests"]
+
         sock = socket.socket()
         # A small, fixed receive window, set before the handshake.
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         with sock:
             sock.connect((thread.host, thread.port))
             sock.setblocking(False)
-            deadline = time.monotonic() + 20
-            while not (made and made[0][0]._paused):
-                assert time.monotonic() < deadline, "server never paused"
-                send_some()
-                time.sleep(0.001)
-            connection, transport = made[0]
-            time.sleep(0.1)  # paused means paused: nothing moves
-            served = thread.server.requests_served
-            assert connection._paused and served < total
-            high_water = transport.get_write_buffer_limits()[1]
-            assert transport.get_write_buffer_size() <= (
-                high_water + 2 * _WRITE_CHUNK_BYTES
-            )
+            blocked_at = _send_until_blocked(sock, unsent, served)
+            assert blocked_at < total
+            # No write is larger than one chunk plus one /stats reply.
+            assert 0 < largest[0] < 2 * _WRITE_CHUNK_BYTES
             time.sleep(0.05)
-            assert thread.server.requests_served == served
+            assert served() == blocked_at
             # Now read: every request is answered, in order, and the
             # last one's close ends the stream.
             received = bytearray()
