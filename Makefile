@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install ci-install test bench bench-pytest paper-figures ledger-smoke import-budget ledger-pairs fairness serve live-smoke lint typecheck check check-incremental sanitize examples reproduce clean
+.PHONY: install ci-install test bench bench-pytest paper-figures ledger-smoke import-budget ledger-pairs fairness serve live-smoke lint typecheck check sanitize examples reproduce clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -97,28 +97,10 @@ lint:
 typecheck:
 	mypy src/repro
 
-# The determinism & invariant linter (rules FC001-FC011, FC005
-# retired; see docs/static-analysis.md). Stdlib-only: needs no extra
-# installs.
-# Uses the incremental cache (.repro-checks-cache.json) so warm
-# re-runs finish in well under 2 seconds.
+# The determinism linter (rules FC001, FC002, FC003, FC007; see
+# docs/static-analysis.md). Stdlib-only: needs no extra installs.
 check:
 	PYTHONPATH=src $(PYTHON) -m repro.checks src tests --stats
-
-# CI's incremental-cache contract, locally: a cold run then a warm
-# run, which must agree finding-for-finding (modulo the cache
-# section of the stats) and hit the cache on every file.
-check-incremental:
-	rm -f .repro-checks-cache.json
-	PYTHONPATH=src $(PYTHON) -m repro.checks src tests --stats-json .stats_cold.json
-	PYTHONPATH=src $(PYTHON) -m repro.checks src tests --stats-json .stats_warm.json
-	PYTHONPATH=src $(PYTHON) -c "import json; \
-		cold = json.load(open('.stats_cold.json')); \
-		warm = json.load(open('.stats_warm.json')); \
-		assert warm['cache']['hit_rate'] == 1.0, warm['cache']; \
-		cold.pop('cache'); warm.pop('cache'); \
-		assert cold == warm, (cold, warm); \
-		print('cold and warm runs agree')"
 
 # Tier-1 tests with the runtime invariant sanitizer hooks enabled.
 sanitize:

@@ -2,16 +2,10 @@
 
 Two halves:
 
-* the static analyzer — a two-phase, project-wide engine: phase 1
-  (:mod:`repro.checks.dataflow`) summarizes every file, phase 2
-  (:mod:`repro.checks.callgraph` + the per-rule modules under
-  :mod:`repro.checks.rules`) resolves set types, return summaries,
-  and async/entry-point reachability across files. Rules FC001–FC011
-  (FC005 is retired), driven by :mod:`repro.checks.linter` (``repro-faascache check`` /
-  ``python -m repro.checks``), with SARIF output
-  (:mod:`repro.checks.sarif`), an incremental cache
-  (:mod:`repro.checks.cache`) and autofixes
-  (:mod:`repro.checks.fixes`);
+* the static analyzer — one pass per file, stdlib-only: rules FC001,
+  FC002, FC003 and FC007 under :mod:`repro.checks.rules`, driven by
+  :mod:`repro.checks.linter` (``repro-faascache check`` /
+  ``python -m repro.checks``);
 * :mod:`repro.checks.sanitize` — the runtime invariant sanitizer,
   enabled with ``REPRO_SANITIZE=1`` or the CLI ``--sanitize`` flag.
 

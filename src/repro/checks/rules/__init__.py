@@ -1,5 +1,5 @@
-"""Rule registry: the one list the engine, CLI, SARIF output, cache
-environment hash, docs table, and fixture tests all derive from.
+"""Rule registry: the one list the engine, CLI, docs table, and
+fixture tests all derive from.
 
 To add a rule: write ``fc0xx_name.py`` with a :class:`~repro.checks.
 rules.base.Rule` subclass, import it here, and append an instance to
@@ -14,15 +14,7 @@ from repro.checks.rules.base import FileEngine, Finding, Rule, RuleContext
 from repro.checks.rules.fc001_wall_clock import WallClockRule
 from repro.checks.rules.fc002_rng import UnseededRngRule
 from repro.checks.rules.fc003_set_order import SetOrderRule
-from repro.checks.rules.fc004_event_names import EventNameRule
-from repro.checks.rules.fc006_pickle_safety import PickleSafetyRule
 from repro.checks.rules.fc007_float_equality import FloatEqualityRule
-from repro.checks.rules.fc008_mutable_defaults import MutableDefaultRule
-from repro.checks.rules.fc009_lock_discipline import LockDisciplineRule
-from repro.checks.rules.fc010_blocking_async import BlockingAsyncRule
-from repro.checks.rules.fc011_swallowed_exceptions import (
-    SwallowedExceptionRule,
-)
 
 __all__ = [
     "ALL_RULES",
@@ -35,19 +27,14 @@ __all__ = [
 ]
 
 #: Rule instances in code order; the engine iterates these per file.
-#: FC005 (counter-contract drift) is retired — the contract is one
-#: table now, repro.obs.counters — and the code is not reused.
+#: Retired codes are not reused: FC005 (its counter mirrors became one
+#: table, repro.obs.counters) and FC004, FC006, FC008-FC011, which
+#: never had a true finding (docs/static-analysis.md has the census).
 ALL_RULES: List[Rule] = [
     WallClockRule(),
     UnseededRngRule(),
     SetOrderRule(),
-    EventNameRule(),
-    PickleSafetyRule(),
     FloatEqualityRule(),
-    MutableDefaultRule(),
-    LockDisciplineRule(),
-    BlockingAsyncRule(),
-    SwallowedExceptionRule(),
 ]
 
 #: code -> (summary, fix hint); derived from the instances so the two

@@ -1,23 +1,18 @@
 """FC003 — unordered set iteration in deterministic paths.
 
 Set iteration order depends on ``PYTHONHASHSEED``; an unsorted set
-walk is a replay difference waiting to happen. Since the two-phase
-engine landed, the rule follows sets *interprocedurally*: through
-``self._attr`` loads (class attribute types inferred from
-``__init__``/dataclass fields), through function return values (call
-graph return summaries), and through module-level constants — the
-standing ROADMAP gap the single-pass visitor could not close.
+walk is a replay difference waiting to happen. The rule follows a set
+within its file: a literal, a local assigned one, a ``self._attr``
+its class only ever assigns a set, or a module-level set constant.
 
-The membership sub-rule (a set rebuilt inside the loop it guards) is
-unchanged.
+The membership sub-rule flags a set rebuilt inside the loop it guards.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.checks.dataflow import is_set_expr
-from repro.checks.rules.base import Rule, RuleContext
+from repro.checks.rules.base import Rule, RuleContext, is_set_expr
 from repro.checks.rules.fc001_wall_clock import DETERMINISTIC_SCOPE
 
 _REASON_MESSAGES = {
@@ -33,10 +28,6 @@ _REASON_MESSAGES = {
         "attribute {name!r} is set-typed (inferred from its class) and "
         "is iterated unordered; iterate sorted(...) of it"
     ),
-    "call": (
-        "{name}() returns a set (per its return summary) and is "
-        "iterated unordered; iterate sorted(...) of it"
-    ),
     "const": (
         "module constant {name!r} is a set and is iterated unordered; "
         "iterate sorted(...) of it"
@@ -50,8 +41,6 @@ def _described_name(node: ast.expr) -> str:
     if isinstance(node, ast.Attribute):
         base = _described_name(node.value)
         return f"{base}.{node.attr}" if base else node.attr
-    if isinstance(node, ast.Call):
-        return _described_name(node.func)
     return "<expr>"
 
 
@@ -71,14 +60,9 @@ class SetOrderRule(Rule):
         reason = ctx.set_reason(iter_node)
         if reason is None:
             return
-        template = _REASON_MESSAGES[reason]
-        name = _described_name(iter_node)
-        if reason == "call":
-            message = template.format(name=name)
-        elif reason == "literal":
-            message = template
-        else:
-            message = template.format(name=name)
+        message = _REASON_MESSAGES[reason].format(
+            name=_described_name(iter_node)
+        )
         ctx.report(iter_node, self.code, message)
 
     def on_compare(self, node: ast.Compare, ctx: RuleContext) -> None:

@@ -2,8 +2,7 @@
 
 Greedy-Dual priorities are accumulated floats; exact ``==``/``!=`` is
 representation-dependent. Compare with a tolerance or
-``math.isclose`` (the ``--fix`` autofixer rewrites the mechanical
-cases to the latter).
+``math.isclose``.
 """
 
 from __future__ import annotations

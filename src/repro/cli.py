@@ -29,8 +29,8 @@ one of the built-in workload names (``cyclic``, ``skewed-size``,
 see ``docs/robustness.md`` for the spec format and the determinism
 guarantees — and ``--sanitize`` to turn on the runtime invariant
 sanitizer (equivalent to ``REPRO_SANITIZE=1``; see
-``docs/static-analysis.md``). ``check`` runs the determinism &
-invariant linter (rules FC001–FC008) over the given paths. ``bench``
+``docs/static-analysis.md``). ``check`` runs the determinism
+linter (rules FC001, FC002, FC003, FC007) over the given paths. ``bench``
 runs the pinned-seed benchmark suite and gates timing plus metrics
 fingerprints against a baseline report (``docs/performance.md``).
 """
@@ -215,32 +215,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name in args.scenarios or []:
         forwarded += ["--scenario", name]
     return bench_main(forwarded)
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    """Run the determinism & invariant linter (repro.checks)."""
-    from repro.checks.linter import main as check_main
-
-    forwarded: List[str] = list(args.paths)
-    if args.select:
-        forwarded += ["--select", args.select]
-    if args.include_fixtures:
-        forwarded.append("--include-fixtures")
-    if args.stats:
-        forwarded.append("--stats")
-    if args.stats_json:
-        forwarded += ["--stats-json", args.stats_json]
-    if args.format != "text":
-        forwarded += ["--format", args.format]
-    if args.output:
-        forwarded += ["--output", args.output]
-    if args.fix:
-        forwarded.append("--fix")
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    if args.cache_path:
-        forwarded += ["--cache-path", args.cache_path]
-    return check_main(forwarded)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -1294,72 +1268,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.set_defaults(func=_cmd_bench)
 
-    check = sub.add_parser(
+    # Every check flag lives in repro.checks.linter; main() hands it
+    # the rest of the command line.
+    sub.add_parser(
         "check",
+        add_help=False,
         help=(
-            "run the determinism & invariant linter "
-            "(rules FC001-FC011, FC005 retired; "
-            "docs/static-analysis.md)"
+            "run the determinism linter (rules FC001, FC002, FC003, "
+            "FC007; docs/static-analysis.md)"
         ),
     )
-    check.add_argument(
-        "paths",
-        nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
-    )
-    check.add_argument(
-        "--select",
-        metavar="FC001,FC002,...",
-        help="only run these rule codes",
-    )
-    check.add_argument(
-        "--include-fixtures",
-        action="store_true",
-        help=(
-            "also lint the deliberately-broken fixtures under "
-            "tests/fixtures/checks/"
-        ),
-    )
-    check.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-rule counts, including suppressed (noqa) findings",
-    )
-    check.add_argument(
-        "--stats-json",
-        metavar="PATH",
-        help="write machine-readable run stats to PATH",
-    )
-    check.add_argument(
-        "--format",
-        choices=("text", "sarif"),
-        default="text",
-        help="findings output format (default: text)",
-    )
-    check.add_argument(
-        "--output",
-        metavar="PATH",
-        help="write findings to PATH instead of stdout",
-    )
-    check.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply the mechanical autofixes (FC007/FC008) first",
-    )
-    check.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental result cache",
-    )
-    check.add_argument(
-        "--cache-path",
-        metavar="PATH",
-        default=None,
-        help="incremental cache location "
-        "(default: .repro-checks-cache.json)",
-    )
-    check.set_defaults(func=_cmd_check)
 
     return parser
 
@@ -1367,7 +1285,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "check":
+        from repro.checks.linter import main as check_main
+
+        return check_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

@@ -7,7 +7,7 @@ docs/live-serving.md), stamps arrivals from a
 :class:`~repro.core.clock.Clock`, and serializes every entry point
 behind a single :class:`threading.Lock`.
 
-Lock discipline (FC009-verifiable): the lock is acquired at the top of
+Lock discipline: the lock is acquired at the top of
 every public method that touches the engine (``admit`` is one
 ``admit_many`` call, which decides a run of arrivals under one
 acquisition) and nothing under it blocks — admission decisions

@@ -1,8 +1,7 @@
 # repro-checks-module: repro.sim.fixture_fc003
 """FC003: iterating an unordered set in a deterministic path —
-directly, through a variable, and (since the two-phase engine)
-through a set-typed ``self`` attribute, a set-returning function, and
-a module-level set constant."""
+directly, through a variable, through a set-typed ``self`` attribute,
+and through a module-level set constant."""
 
 from typing import Dict, Set
 
@@ -43,19 +42,6 @@ class DrainTracker:
 
     def drain_order(self):
         return [name for name in self._down]
-
-
-def _warm_names():
-    return {"alpha", "beta"}
-
-
-def walk_returned():
-    # The function-return gap: the loop source resolves to a
-    # set-returning function via its return summary.
-    out = []
-    for name in _warm_names():
-        out.append(name)
-    return out
 
 
 def walk_constant():

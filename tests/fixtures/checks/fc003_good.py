@@ -1,9 +1,9 @@
 # repro-checks-module: repro.sim.fixture_fc003_ok
 """FC003 fixed: sets are sorted before iteration (including ones
-reached through a variable, a set-typed attribute, a set-returning
-function, or a module constant), the membership set is hoisted out of
-the loop, and membership tests against a set stay allowed — only
-*iteration* order is hash-seed dependent."""
+reached through a variable, a set-typed attribute, or a module
+constant), the membership set is hoisted out of the loop, and
+membership tests against a set stay allowed — only *iteration* order
+is hash-seed dependent."""
 
 from typing import Dict, Set
 
@@ -42,26 +42,6 @@ class DrainTracker:
 
     def is_down(self, name):
         return name in self._down  # membership, not iteration
-
-
-def _warm_names():
-    return {"alpha", "beta"}
-
-
-def _maybe_names(flag):
-    # Mixed return paths degrade to unknown — never flagged wrong.
-    if flag:
-        return {"alpha"}
-    return ["alpha"]
-
-
-def walk_returned(flag):
-    out = []
-    for name in sorted(_warm_names()):
-        out.append(name)
-    for name in _maybe_names(flag):
-        out.append(name)
-    return out
 
 
 def walk_constant(items):

@@ -8,6 +8,7 @@ gate the CI ``check`` job enforces.
 """
 
 import pathlib
+import textwrap
 
 import pytest
 
@@ -87,6 +88,101 @@ class TestScoping:
         result = check_paths([clock])
         assert result.ok, [format_finding(f) for f in result.findings]
 
+    def test_select_restricts_rules(self, tmp_path):
+        path = tmp_path / "snippet.py"
+        path.write_text(
+            "# repro-checks-module: repro.sim.snippet\n"
+            "import time\n\n\n"
+            "def at_half():\n    return time.time() == 0.5\n"
+        )
+        assert sorted(f.code for f in check_paths([path]).findings) == [
+            "FC001", "FC007",
+        ]
+        result = check_paths([path], select={"FC007"})
+        assert [f.code for f in result.findings] == ["FC007"]
+
+
+def _write(tmp_path, name, source):
+    path = tmp_path / name
+    path.write_text(textwrap.dedent(source))
+    return path
+
+
+class TestSetTracking:
+    """FC003 follows a set within its own file: through a ``self``
+    attribute and a module constant, besides literals and locals."""
+
+    def test_attribute_load_flagged(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "mod.py",
+            """\
+            # repro-checks-module: repro.sim.attrcase
+            class Tracker:
+                def __init__(self):
+                    self._down = set()
+
+                def order(self):
+                    return [n for n in self._down]
+            """,
+        )
+        result = check_paths([path])
+        assert [f.code for f in result.findings] == ["FC003"]
+        assert "_down" in result.findings[0].message
+
+    def test_module_constant_flagged(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "mod.py",
+            """\
+            # repro-checks-module: repro.sim.constcase
+            STATES = {"warm", "cold"}
+
+
+            def walk():
+                return [s for s in STATES]
+            """,
+        )
+        result = check_paths([path])
+        assert [f.code for f in result.findings] == ["FC003"]
+
+    def test_local_rebind_shadows_module_constant(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "mod.py",
+            """\
+            # repro-checks-module: repro.sim.shadowcase
+            STATES = {"warm", "cold"}
+
+
+            def walk(items):
+                STATES = sorted(items)
+                return [s for s in STATES]
+            """,
+        )
+        assert check_paths([path]).ok
+
+    def test_ambiguous_attribute_not_flagged(self, tmp_path):
+        # The attribute is a set in __init__ but rebound to a list in
+        # another method: ambiguous, so the rule must stay silent.
+        path = _write(
+            tmp_path,
+            "mod.py",
+            """\
+            # repro-checks-module: repro.sim.ambiguous
+            class Tracker:
+                def __init__(self):
+                    self._down = set()
+
+                def freeze(self):
+                    self._down = sorted(self._down)
+
+                def order(self):
+                    return [n for n in self._down]
+            """,
+        )
+        assert check_paths([path]).ok
+
 
 class TestSuppression:
     def _violating(self, tmp_path, trailer=""):
@@ -111,33 +207,10 @@ class TestSuppression:
         assert len(result.suppressed) == 1
 
     def test_noqa_for_other_code_does_not_suppress(self, tmp_path):
-        path = self._violating(tmp_path, "  # noqa: FC008")
+        path = self._violating(tmp_path, "  # noqa: FC002")
         result = check_paths([path])
         assert [f.code for f in result.findings] == ["FC001"]
         assert result.suppressed == []
-
-
-class TestSymbolTable:
-    def test_schema_defined_in_checked_set_wins(self, tmp_path):
-        # A file set that declares its own (restricted) event
-        # vocabulary is judged against it, not the canonical one.
-        path = tmp_path / "schema.py"
-        path.write_text(
-            'EVENT_SCHEMAS = {"ping": {}}\n\n\n'
-            'def go(tracer):\n    tracer.emit("warm_hit", 0.0)\n'
-        )
-        result = check_paths([path])
-        assert [f.code for f in result.findings] == ["FC004"]
-
-    def test_select_restricts_rules(self, tmp_path):
-        path = tmp_path / "snippet.py"
-        path.write_text(
-            "# repro-checks-module: repro.sim.snippet\n"
-            "import time\n\n\n"
-            "def now(acc=[]):\n    acc.append(time.time())\n    return acc\n"
-        )
-        result = check_paths([path], select={"FC008"})
-        assert [f.code for f in result.findings] == ["FC008"]
 
 
 class TestCli:
@@ -147,6 +220,18 @@ class TestCli:
         )
         assert code == 1
         assert "FC001" in capsys.readouterr().out
+
+    def test_check_forwards_every_flag_to_the_linter(self, capsys):
+        # The check subcommand has no parser of its own: options ahead
+        # of the paths reach repro.checks.linter unchanged.
+        code = cli_main(
+            [
+                "check", "--select", "FC002", "--include-fixtures",
+                str(FIXTURES / "fc001_bad.py"),
+            ]
+        )
+        assert code == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_check_repo_exits_zero(self, capsys):
         code = cli_main(

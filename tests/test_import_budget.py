@@ -53,7 +53,7 @@ REPLAY_PROBE = "import repro.sim.scheduler, repro.sim.columnar, repro.traces.str
 #: ``setup_s`` row that paid for it.
 REPLAY_PROBE_MODULES = 44
 REPLAY_PROBE_FORBIDDEN = (
-    "repro.checks.linter", "repro.checks.dataflow", "repro.provisioning",
+    "repro.checks.linter", "repro.checks.rules", "repro.provisioning",
     "repro.cluster", "repro.openwhisk", "repro.live", "repro.traces.azure",
     "repro.obs.report", "argparse", "multiprocessing", "concurrent.futures",
 )
