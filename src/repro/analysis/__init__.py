@@ -2,8 +2,7 @@
 
 Figure-series builders live in :mod:`repro.analysis.curves`; they are
 not imported here because they depend on the policy and simulator
-packages, which themselves use :mod:`repro.analysis.stats` (HIST's
-Welford CoV). Import them explicitly::
+packages. Import them explicitly::
 
     from repro.analysis.curves import figure3_data
 """

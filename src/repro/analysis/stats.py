@@ -30,11 +30,11 @@ __all__ = [
 class Welford:
     """Welford's online algorithm for mean and variance.
 
-    Numerically stable single-pass computation; used by the HIST policy
-    to maintain the coefficient of variation of a function's
-    inter-arrival times without storing them all. ``count`` and ``mean``
-    are plain attributes (HIST reads them on every arrival); only
-    :meth:`update` and :meth:`merge` write them.
+    Numerically stable single-pass computation. HIST keeps the same sums
+    in its histogram (:mod:`repro.core.policies.histogram`), updated with
+    :meth:`update`'s expressions, and the executable specification checks
+    its CoV with this class. ``count`` and ``mean`` are plain attributes;
+    only :meth:`update` and :meth:`merge` write them.
 
     >>> w = Welford()
     >>> for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
@@ -85,8 +85,8 @@ class Welford:
         denominator = abs(self.mean)
         if denominator <= 0.0:
             return math.inf if self._m2 > 0.0 else 0.0
-        # ``stddev`` spelled out (same expression, same rounding): HIST
-        # reads this once per arrival and each property hop is a frame.
+        # ``stddev`` spelled out (same expression, same rounding), as
+        # HIST's inline copy spells it.
         return math.sqrt(self._m2 / (self.count - 1)) / denominator
 
     def merge(self, other: "Welford") -> "Welford":

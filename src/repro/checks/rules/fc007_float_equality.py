@@ -11,8 +11,8 @@ import ast
 
 from repro.checks.rules.base import Rule, RuleContext
 
-#: repro.analysis feeds the HIST policy's predictability classifier
-#: (Welford CoV), so its float guards are priority math too.
+#: repro.core.policies.histogram holds the HIST policy's predictability
+#: classifier (Welford CoV), so its float guards are priority math too.
 FLOAT_EQ_SCOPE = ("repro.sim", "repro.core", "repro.analysis")
 
 

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf, sqrt
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.stats import Welford
 from repro.core.container import Container
 from repro.core.policies.base import (
     KeepAlivePolicy,
@@ -75,87 +75,102 @@ class FunctionHistogram:
 
     All state starts empty and is fed through :meth:`record_arrival`
     alone (the constructor takes the window and nothing else), so the
-    in-window sample count has one source, ``welford.count``: it is the
-    total the percentiles rank against *and* the count
-    :meth:`is_predictable` and :meth:`mean_iat_s` read.
+    in-window sample count has one source, ``in_window_count``: it is
+    the total the percentiles rank against *and* Welford's count, beside
+    ``iat_mean`` and ``iat_m2`` (minutes; updated as
+    :meth:`repro.analysis.stats.Welford.update` does, bit for bit).
     """
 
     __slots__ = (
-        "window_minutes", "buckets", "welford", "out_of_window",
-        "last_arrival_s", "plan", "_head", "_tail",
+        "window_minutes", "buckets", "in_window_count", "iat_mean", "iat_m2",
+        "out_of_window", "last_arrival_s", "plan", "_head_at", "_head_below",
+        "_tail_at", "_tail_below", "_memo_key", "_memo",
     )
 
     def __init__(self, window_minutes: int) -> None:
         self.window_minutes = window_minutes
         self.buckets: List[int] = [0] * window_minutes
-        self.welford = Welford()
+        self.in_window_count, self.iat_mean, self.iat_m2 = 0, 0.0, 0.0
         self.out_of_window = 0
         self.last_arrival_s: Optional[float] = None
         #: The owning policy's :data:`Plan` for the current state, None
         #: until it computes one; every recorded arrival clears it.
         self.plan: Optional[Plan] = None
-        self._head = [0, 0]
-        self._tail = [0, 0]
+        self._head_at = self._head_below = self._tail_at = self._tail_below = 0
+        #: The last predictable plan, and the key it was computed from.
+        self._memo: Optional[Plan] = None
+        self._memo_key: Optional[Tuple[int, int]] = None
 
     def record_arrival(self, now_s: float) -> None:
+        # Welford's update and both cursor steps spelled out: this runs
+        # on every arrival and each frame shows in the replay ledger.
         if self.last_arrival_s is not None:
             iat_minutes = (now_s - self.last_arrival_s) / _MINUTE_S
             bucket = int(iat_minutes)
             if bucket < self.window_minutes:
                 buckets = self.buckets
                 buckets[bucket] += 1
-                self.welford.update(iat_minutes)
-                total = self.welford.count
-                for cursor, target in (
-                    (self._head, round(0.05 * total) or 1),
-                    (self._tail, round(0.99 * total) or 1),
-                ):
-                    at, below = cursor
-                    if bucket < at:
-                        below += 1
-                    while below >= target:
-                        at -= 1
-                        below -= buckets[at]
-                    while below + buckets[at] < target:
-                        below += buckets[at]
-                        at += 1
-                    cursor[0] = at
-                    cursor[1] = below
+                total = self.in_window_count = self.in_window_count + 1
+                delta = iat_minutes - self.iat_mean
+                mean = self.iat_mean = self.iat_mean + delta / total
+                self.iat_m2 += delta * (iat_minutes - mean)
+                target = round(0.05 * total) or 1
+                at, below = self._head_at, self._head_below
+                if bucket < at:
+                    below += 1
+                while below >= target:
+                    at -= 1
+                    below -= buckets[at]
+                while below + buckets[at] < target:
+                    below += buckets[at]
+                    at += 1
+                self._head_at, self._head_below = at, below
+                target = round(0.99 * total) or 1
+                at, below = self._tail_at, self._tail_below
+                if bucket < at:
+                    below += 1
+                while below >= target:
+                    at -= 1
+                    below -= buckets[at]
+                while below + buckets[at] < target:
+                    below += buckets[at]
+                    at += 1
+                self._tail_at, self._tail_below = at, below
             else:
                 self.out_of_window += 1
         self.last_arrival_s = now_s
         self.plan = None
 
-    @property
-    def in_window_count(self) -> int:
-        return self.welford.count
-
     def is_predictable(self, cov_threshold: float, min_samples: int) -> bool:
         """CoV <= threshold, enough samples, mostly in-window IATs."""
-        in_window = self.welford.count
+        in_window = self.in_window_count
         if in_window < min_samples:
             return False
         if self.out_of_window > (in_window + self.out_of_window) / 2:
             return False
-        return self.welford.coefficient_of_variation <= cov_threshold
+        # Stddev over |mean|: 0 for equal IATs (M2 is 0 under two
+        # samples), inf for varying IATs of mean 0 (Welford's CoV).
+        mean, m2 = abs(self.iat_mean), self.iat_m2
+        cov = 0.0 if m2 <= 0.0 else inf if mean <= 0.0 else sqrt(m2 / (in_window - 1)) / mean
+        return cov <= cov_threshold
 
     def head_s(self) -> float:
         """Pre-warm window: nearest-rank 5th-percentile IAT, lower
         bucket edge (0 on an empty histogram)."""
-        return float(self._head[0]) * _MINUTE_S
+        return float(self._head_at) * _MINUTE_S
 
     def tail_s(self) -> float:
         """Keep-alive window: nearest-rank 99th-percentile IAT, *upper*
         bucket edge so the window covers every IAT that fell in it (0 on
         an empty histogram)."""
-        if self.welford.count == 0:
+        if self.in_window_count == 0:
             return 0.0
-        return float(self._tail[0] + 1) * _MINUTE_S
+        return float(self._tail_at + 1) * _MINUTE_S
 
     def mean_iat_s(self) -> Optional[float]:
-        if self.welford.count == 0:
+        if self.in_window_count == 0:
             return None
-        return self.welford.mean * _MINUTE_S
+        return self.iat_mean * _MINUTE_S
 
 
 @register_policy("HIST")
@@ -228,17 +243,30 @@ class HistogramPolicy(KeepAlivePolicy):
         A pure function of the histogram's state (and this policy's
         constructor parameters), so one computation serves every start
         hook and every :meth:`priority` call until the next arrival of
-        the function clears it.
+        the function clears it. A predictable plan reads only the head
+        and tail buckets and whether any IAT is in the window: while
+        those stand, the last one is returned as it is.
         """
-        if hist.is_predictable(self.cov_threshold, self.min_samples):
-            head = hist.head_s()
-            keep_s = self.tail_margin * max(hist.tail_s(), head + _MINUTE_S)
-            if head > self.release_threshold_s:
-                # Release soon, pre-warm just before the predicted arrival.
-                plan = (self.release_threshold_s, self.head_margin * head, keep_s, head)
+        # ``hist.is_predictable`` spelled out, CoV included (per arrival).
+        count, beyond, m2 = hist.in_window_count, hist.out_of_window, hist.iat_m2
+        mean = hist.iat_mean if hist.iat_mean >= 0.0 else -hist.iat_mean
+        predictable = count >= self.min_samples and beyond <= (count + beyond) / 2 and (
+            0.0 if m2 <= 0.0 else inf if mean <= 0.0 else sqrt(m2 / (count - 1)) / mean
+        ) <= self.cov_threshold
+        if predictable:
+            key = (hist._head_at, hist._tail_at if count else -1)
+            if key == hist._memo_key:
+                plan = hist._memo
             else:
-                # Frequent function: keep alive through the whole window.
-                plan = (keep_s, None, keep_s, head)
+                head = hist.head_s()
+                keep_s = self.tail_margin * max(hist.tail_s(), head + _MINUTE_S)
+                if head > self.release_threshold_s:
+                    # Release soon, pre-warm just before the predicted arrival.
+                    plan = (self.release_threshold_s, self.head_margin * head, keep_s, head)
+                else:
+                    # Frequent function: keep alive through the whole window.
+                    plan = (keep_s, None, keep_s, head)
+                hist._memo_key, hist._memo = key, plan
         else:
             ttl_s = self.generic_ttl_s
             mean_iat_s = hist.mean_iat_s()

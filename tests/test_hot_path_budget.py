@@ -97,16 +97,25 @@ KERNEL_WARM_CALLS = 189
 #: the cuts above, 45.68 (32,481) after, 44.68 (31,771) with the
 #: arrivals zipped from the columns, on the arrival loop
 #: (``engine="object"``; the kernels' eligibility test, 2 calls, is not
-#: asked there).
-HIST_CALLS = 31_771
+#: asked there). With Welford's update and the predictability test
+#: spelled out and the plan memoised (the kernel's cut, below): 38.93
+#: (27,677).
+HIST_CALLS = 27_677
 #: The same HIST replay through the default ``simulate()``, which the
 #: HIST kernel answers: 13.58 calls per arrival (9,653) — the histogram
 #: sample (``record_arrival``, two ``round``, ``Welford.update``) and
 #: the plan (``_plan``, ``is_predictable``, the CoV, ``head_s``,
 #: ``tail_s``, ``max``) are HIST's own code; the kernel adds a dict
-#: lookup and a heap push or pop per prewarm: 12.58 (8,944) once the
-#: arrivals are the trace's columns zipped, not a generator.
-HIST_KERNEL_CALLS = 8_944
+#: lookup and a heap push or pop per prewarm: 12.58 (8,942) once the
+#: arrivals are the trace's columns zipped, not a generator. Welford's
+#: count, mean and M2 in the histogram's own slots and the
+#: predictability test inline in ``_plan`` take ``Welford.update``
+#: (651), ``is_predictable`` (711), ``coefficient_of_variation`` and its
+#: ``abs`` (591 each) and the 60 ``Welford.__init__`` off the replay; a
+#: predictable plan memoised on its head bucket, tail bucket and
+#: ``count == 0`` answers 496 of the 591 without ``head_s``, ``tail_s``
+#: or ``max``: 8,942 - 4,092 = 4,850 (6.82).
+HIST_KERNEL_CALLS = 4_850
 #: The whole live request path, ``_Connection.data_received`` down, over
 #: the warm replay's trace as pipelined ``/admit`` requests on a pool of
 #: 0.8 x the working set: 74.49 calls per request (52,961) to frame,

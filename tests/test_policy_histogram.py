@@ -107,7 +107,7 @@ class TestFunctionHistogram:
 
     def test_state_is_fed_by_arrivals_only(self):
         # Preloaded buckets used to rank percentiles against a total
-        # that is_predictable / mean_iat_s never saw (welford.count
+        # that is_predictable / mean_iat_s never saw (the Welford count
         # stayed 0): the constructor takes the window and nothing else.
         with pytest.raises(TypeError):
             FunctionHistogram(window_minutes=240, buckets=[0, 3] + [0] * 238)
@@ -242,16 +242,54 @@ class TestPlanCache:
         policy.on_warm_start(c, arrivals_s[-1], pool)
         return pool, f, c
 
-    @pytest.mark.parametrize("gap_s", [600.0, 241 * MIN])  # in / out of window
+    # In the window on the head's bucket, out of the window, and in the
+    # window a bucket that becomes the head: only the last moves the plan.
+    @pytest.mark.parametrize("gap_s", [600.0, 241 * MIN, 60.0])
     def test_every_arrival_invalidates_the_plan(self, gap_s):
+        arrivals_s = [0.0, 600.0, 1200.0, 1200.0 + gap_s]
         policy = HistogramPolicy()
-        pool, f, c = self._started(policy, [0.0, 600.0, 1200.0])
+        pool, f, c = self._started(policy, arrivals_s[:-1])
         hist = policy.histogram_of("A")
-        stale = hist.plan
-        policy.on_invocation(f, 1200.0 + gap_s)
+        before = hist.plan
+        policy.on_invocation(f, arrivals_s[-1])
         assert hist.plan is None
-        policy.on_warm_start(c, 1200.0 + gap_s, pool)
-        assert hist.plan is not None and hist.plan is not stale
+        policy.on_warm_start(c, arrivals_s[-1], pool)
+        fresh = HistogramPolicy()
+        self._started(fresh, arrivals_s)
+        assert hist.plan == fresh.histogram_of("A").plan
+        assert (hist.plan != before) == (gap_s == 60.0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        windows_and_gaps(),
+        st.sampled_from([0, 1, 2]),
+        st.sampled_from([0.0, 60.0, 3600.0]),
+    )
+    def test_the_memoised_plan_is_the_fresh_plan(
+        self, window_and_gaps, min_samples, release_threshold_s
+    ):
+        # A generic TTL no predictable plan can hold (its keep-alive is
+        # at least 1.15 minutes) tells the two branches apart, so the
+        # spelled-out CoV test is held to is_predictable as well.
+        window, gaps = window_and_gaps
+        params = dict(
+            window_minutes=window, min_samples=min_samples,
+            release_threshold_s=release_threshold_s, generic_ttl_s=0.5,
+        )
+        policy = HistogramPolicy(**params)
+        hist = policy.histogram_of("A")
+        arrivals_s = [0.0]
+        for gap_s in gaps:
+            arrivals_s.append(arrivals_s[-1] + gap_s)
+        for i, now_s in enumerate(arrivals_s):
+            hist.record_arrival(now_s)
+            plan = policy._plan(hist)
+            fresh = FunctionHistogram(window)
+            for then_s in arrivals_s[: i + 1]:
+                fresh.record_arrival(then_s)
+            assert plan == HistogramPolicy(**params)._plan(fresh)
+            unpredictable = not hist.is_predictable(2.0, min_samples)
+            assert (plan[2] == 0.5) == unpredictable
 
     def test_reset_drops_cached_plans(self):
         policy = HistogramPolicy()

@@ -624,6 +624,14 @@ MUTANTS = {
         (FunctionHistogram, "record_arrival", "self.plan = None", "pass"),
         ("HIST", "shared", None), "next_expiry_s",
     ),
+    "hist-prewarm-one-bucket-late": (  # the head cursor rests a bucket past its rank
+        (
+            FunctionHistogram, "record_arrival",
+            "self._head_at, self._head_below = at, below",
+            "self._head_at, self._head_below = at + 1, below + buckets[at]",
+        ),
+        ("HIST", "shared", None), "next_expiry_s",
+    ),
     "freq-survives-last-container": (
         (GreedyDualPolicy, "on_evict", "self._frequency.pop(name, None)", "pass"),
         ("GD", "shared", ("admit", "hawkes_burst", "advance", "release")), "victims",
