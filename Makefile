@@ -46,17 +46,21 @@ ledger-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ledger -q
 
 # The tool's own cold start (docs/performance.md): the 15 costliest
-# imports, by self time, of the three entry points in a fresh
-# interpreter, then the exact module budget.
-IMPORTTIME = PYTHONPATH=src $(PYTHON) -X importtime
-TOP15 = 2>&1 >/dev/null | grep '^import time' | sort -t: -k2 -n | tail -15
+# imports, by self time, of four entry points in a fresh interpreter,
+# each followed by that interpreter's peak RSS (VmHWM, read at exit
+# from /proc/self/status), then the exact module budget.
+IMPORTTIME = PYTHONPATH=src $(PYTHON) -X importtime -c
+VMHWM = import atexit, sys; atexit.register(lambda: print(*next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split(), file=sys.stderr));
+TOP15 = 2>&1 >/dev/null | awk '/^VmHWM/ { hwm = $$0; next } /^import time/ { print | "sort -t: -k2 -n | tail -15" } END { close("sort -t: -k2 -n | tail -15"); print hwm }'
 import-budget:
 	@echo "== replay probe (the ledger's import child)"
-	@$(IMPORTTIME) -c "import repro.sim.scheduler, repro.sim.columnar, repro.traces.streaming" $(TOP15)
+	@$(IMPORTTIME) "$(VMHWM) import repro.sim.scheduler, repro.sim.columnar, repro.traces.streaming" $(TOP15)
 	@echo "== cli --help"
-	@$(IMPORTTIME) -m repro.cli --help $(TOP15)
+	@$(IMPORTTIME) "$(VMHWM) import repro.cli; repro.cli.main()" --help $(TOP15)
 	@echo "== serve (modules behind the serve subcommand)"
-	@$(IMPORTTIME) -c "import repro.cli, repro.core.clock, repro.live.server, repro.live.service, repro.traces.io" $(TOP15)
+	@$(IMPORTTIME) "$(VMHWM) import repro.cli, repro.core.clock, repro.live.server, repro.live.service, repro.traces.io" $(TOP15)
+	@echo "== GD replay under memory pressure (skewed-frequency, 256 MB, through simulate())"
+	@$(IMPORTTIME) "$(VMHWM) from repro.sim.scheduler import simulate; from repro.traces.synth import skewed_frequency_trace; assert simulate(skewed_frequency_trace(), 'GD', 256.0).path == 'gd-kernel'" $(TOP15)
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_import_budget.py -q
 
 # The perf protocol (docs/performance.md) in one command: >= 10

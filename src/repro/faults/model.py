@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import pathlib
 import random
@@ -80,6 +79,8 @@ def _pack(part: Union[str, int, float]) -> bytes:
 
 
 def _digest(base: int, parts: Tuple[Union[str, int, float], ...]) -> bytes:
+    import hashlib
+
     h = hashlib.blake2b(
         digest_size=_SEED_BYTES,
         salt=(base & ((1 << 64) - 1)).to_bytes(8, "little"),
@@ -116,6 +117,8 @@ class UniformDraws:
     __slots__ = ("_base",)
 
     def __init__(self, seed: int) -> None:
+        import hashlib
+
         self._base = hashlib.blake2b(
             digest_size=_SEED_BYTES,
             salt=(seed & ((1 << 64) - 1)).to_bytes(8, "little"),

@@ -51,9 +51,7 @@ from collections import defaultdict
 from heapq import heapify, heappop, heappush, heappushpop
 from math import inf
 from operator import attrgetter
-from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.clock import wall_clock_s
 from repro.core.policies.greedy_dual import GreedyDualPolicy
@@ -65,6 +63,9 @@ from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.scheduler import SimulationResult
 from repro.traces.model import DEFAULT_CHUNK_INVOCATIONS, FunctionTable, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
+
+if TYPE_CHECKING:  # NumPy loads when the TTL kernel runs (DESIGN.md §7.3)
+    import numpy as np
 
 __all__ = ["run_gd_kernel", "run_hist_kernel", "run_ttl_kernel"]
 
@@ -78,6 +79,8 @@ def _columns(
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The ``(times, function_ids)`` chunks of ``trace`` in replay
     order: a trace's column slices wrapped without a copy."""
+    import numpy as np
+
     if isinstance(trace, StreamingChurnTrace):
         return trace.chunks()  # its own chunking
     return (
@@ -121,6 +124,8 @@ class _TTLKernelState:
     carried across chunks."""
 
     def __init__(self, table: FunctionTable) -> None:
+        import numpy as np
+
         count = len(table)
         self.names = table.names
         objects = table.objects()
@@ -176,6 +181,8 @@ def _ttl_kernel_chunk(
     ttl_s: float,
 ) -> bool:
     """Process one chunk; False on a precondition violation."""
+    import numpy as np
+
     size = times.size
     if size == 0:
         return True
@@ -270,6 +277,8 @@ def _ttl_kernel_chunk(
 
 
 def _ttl_kernel_metrics(state: _TTLKernelState) -> SimulationMetrics:
+    import numpy as np
+
     metrics = SimulationMetrics()
     if not state.invocations:
         return metrics

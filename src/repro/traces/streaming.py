@@ -33,11 +33,12 @@ from __future__ import annotations
 import random
 from itertools import chain
 from math import inf
-from typing import Callable, Iterator, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, List, Tuple
 
 from repro.traces.model import FunctionTable, Trace, TraceFunction
+
+if TYPE_CHECKING:  # NumPy loads with the first chunk (DESIGN.md §7.3)
+    import numpy as np
 
 __all__ = ["StreamingChurnTrace", "STREAM_IAT_CHOICES_S"]
 
@@ -67,6 +68,8 @@ def _round6(x: np.ndarray) -> np.ndarray:
     2**-53``), lies that close to a tie. Those elements (all of them
     from ``scaled >= 2**51``, where the margin reaches .5) take the
     builtin."""
+    import numpy as np
+
     scaled = x * 1e6
     nearest = np.rint(scaled)
     rounded = nearest / 1e6
@@ -159,6 +162,8 @@ class StreamingChurnTrace:
         (rounded) arrival, ``inf`` once the stream has passed
         ``duration_s``; the inter-arrival time; the function's own
         generator's ``getrandbits``."""
+        import numpy as np
+
         rngs = [
             random.Random(self.seed * _STREAM_SEED_STRIDE + i)
             for i in range(self.num_functions)
@@ -175,6 +180,8 @@ class StreamingChurnTrace:
         Restartable: every call regenerates the same arrivals from the
         per-function seeds.
         """
+        import numpy as np
+
         next_t, iat, bits = self._streams()
         duration_s, chunk = self.duration_s, self.chunk_invocations
         window_s = _WINDOW_ARRIVALS / float(np.add.reduce(1.0 / iat))
