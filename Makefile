@@ -16,9 +16,11 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Pinned-seed replay suite gated against the checked-in baseline
-# (docs/performance.md). Writes BENCH_local.json.
+# (docs/performance.md). Writes the ignored BENCH_run.json; the committed
+# BENCH_local.json is refreshed only on purpose, with --out BENCH_local.json.
 bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_bench.py --baseline benchmarks/BASELINE.json
+	PYTHONPATH=src $(PYTHON) benchmarks/run_bench.py --out BENCH_run.json \
+		--baseline benchmarks/BASELINE.json
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -122,6 +124,8 @@ reproduce:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
+# benchmarks/results holds committed figures: drop only what is untracked.
 clean:
-	rm -rf .pytest_cache benchmarks/results .benchmarks
+	rm -rf .pytest_cache .benchmarks
+	git clean -fdqx -- benchmarks/results
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -57,6 +57,12 @@ def _pack_str(part: str) -> bytes:
     return b"s" + len(data).to_bytes(4, "little") + data
 
 
+def _pack_int(part: int) -> bytes:
+    return b"i" + part.to_bytes(16, "little", signed=True)
+
+
+_pack_float = functools.partial(struct.Struct("<cd").pack, b"f")
+
 #: The byte encoding of a hash-key part, by type: each is tagged so
 #: ``("a", 1)`` and ``("a1",)`` can never collide, and floats go through
 #: IEEE-754 packing, platform- and repr-independent. Listed bool before
@@ -64,8 +70,8 @@ def _pack_str(part: str) -> bytes:
 _PACKERS: Dict[type, Callable[[Any], bytes]] = {
     str: _pack_str,
     bool: lambda part: b"b" + bytes([part]),
-    int: lambda part: b"i" + part.to_bytes(16, "little", signed=True),
-    float: functools.partial(struct.Struct("<cd").pack, b"f"),
+    int: _pack_int,
+    float: _pack_float,
 }
 
 
@@ -76,6 +82,21 @@ def _pack(part: Union[str, int, float]) -> bytes:
         if isinstance(part, kind):
             return pack(part)
     raise TypeError(f"unhashable fault-key part: {part!r}")
+
+
+def _pack_key(head: bytes, name: str, first: float, second: float) -> bytes:
+    """A draw's key: ``head`` (its packed kind), then ``name``, ``first``
+    and ``second`` packed as :func:`_pack` packs them, by runtime type
+    (an ``int`` time stays ``i``, a ``bool`` ``b``); a ``str``, ``float``
+    or ``int`` skips the dispatch."""
+    return b"".join((
+        head,
+        _pack_str(name) if type(name) is str else _pack(name),
+        _pack_float(first) if type(first) is float
+        else _pack_int(first) if type(first) is int else _pack(first),
+        _pack_float(second) if type(second) is float
+        else _pack_int(second) if type(second) is int else _pack(second),
+    ))
 
 
 def _digest(base: int, parts: Tuple[Union[str, int, float], ...]) -> bytes:
@@ -111,7 +132,7 @@ class UniformDraws:
     One salted hasher is built per seed and copied per draw, so a draw
     pays the hash of its parts only; the owner of the seed (a
     :class:`FaultModel`, a :class:`~repro.faults.retry.RetryPolicy`)
-    holds it.
+    holds it and packs its keys itself (:meth:`draw`).
     """
 
     __slots__ = ("_base",)
@@ -125,14 +146,14 @@ class UniformDraws:
         )
 
     def __call__(self, *parts: Union[str, int, float]) -> float:
+        # A subclass, or a part :func:`_pack` refuses, takes its dispatch.
+        return self.draw(b"".join([_PACKERS.get(type(part), _pack)(part) for part in parts]))
+
+    def draw(self, key: bytes) -> float:
+        """The draw of the parts whose :func:`_pack` bytes, joined, are
+        ``key`` (one update hashes what one per part did)."""
         h = self._base.copy()
-        update = h.update
-        for part in parts:
-            try:
-                pack = _PACKERS[type(part)]
-            except KeyError:  # a subclass, or a part :func:`_pack` refuses
-                pack = _pack
-            update(pack(part))
+        h.update(key)
         return (int.from_bytes(h.digest(), "little") & _MASK_53) / _SCALE_53
 
 
@@ -384,6 +405,9 @@ def cell_fault_spec(
     )
 
 
+_SPAWN, _INVOKE = _pack_str("spawn"), _pack_str("invoke")
+
+
 class FaultModel:
     """Answers every injection question a simulator asks, statelessly.
 
@@ -403,7 +427,7 @@ class FaultModel:
         rate = self.spec.spawn_failure_rate
         if rate <= 0.0:
             return False
-        return self._u01("spawn", function_name, time_s, attempt) < rate
+        return self._u01.draw(_pack_key(_SPAWN, function_name, time_s, attempt)) < rate
 
     def invocation_fault(
         self, function_name: str, time_s: float, attempt: int
@@ -416,7 +440,7 @@ class FaultModel:
         crash, timeout = self.spec.crash_rate, self.spec.timeout_rate
         if crash <= 0.0 and timeout <= 0.0:
             return None
-        draw = self._u01("invoke", function_name, time_s, attempt)
+        draw = self._u01.draw(_pack_key(_INVOKE, function_name, time_s, attempt))
         if draw < crash:
             return "crash"
         if draw < crash + timeout:

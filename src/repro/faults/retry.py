@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.faults.model import FaultSpec, UniformDraws
+from repro.faults.model import FaultSpec, UniformDraws, _pack_key, _pack_str
 
 __all__ = ["RetryPolicy"]
+
+_JITTER = _pack_str("jitter")
 
 
 class RetryPolicy:
@@ -101,7 +103,7 @@ class RetryPolicy:
         if delay > self.max_delay_s:
             delay = self.max_delay_s
         if self.jitter > 0.0:
-            u = self._u01("jitter", function_name, retry_number, failed_at_s)
+            u = self._u01.draw(_pack_key(_JITTER, function_name, retry_number, failed_at_s))
             delay *= 1.0 + self.jitter * (u - 0.5)
             # The cap must bound the *final* delay: once the
             # exponential term saturates, upward jitter would otherwise

@@ -582,7 +582,9 @@ def run_gd_kernel(
                 else:
                     box.parked = True
                 continue
-            if (priority, last_used) != (box.priority, box.last_used):
+            if priority is not box.priority and priority != box.priority or (
+                last_used is not box.last_used and last_used != box.last_used
+            ):  # the tuples' ``!=`` (identity first, so a NaN key matches itself)
                 rescored = (box.priority, box.last_used, box_id, box)
                 continue
             taken.append(box)
@@ -769,7 +771,9 @@ def run_gd_kernel(
                         else:
                             box.parked = True
                         continue
-                    if (priority, last_used) != (box.priority, box.last_used):
+                    if priority is not box.priority and priority != box.priority or (
+                        last_used is not box.last_used and last_used != box.last_used
+                    ):  # the tuples' ``!=``, unbuilt
                         rescored = (box.priority, box.last_used, box_id, box)
                         continue
                     taken.append(box)
@@ -812,7 +816,15 @@ def run_gd_kernel(
                 used += memory
                 pooled += 1
                 cid += 1
-                box = _GdContainer(cid, name, memory, clock, clock + value, now)
+                if victims:
+                    # A victim's record: the walk popped its one entry, so
+                    # nothing points at it (a crashed record's may not be).
+                    box = victims[-1]
+                    box.cid, box.name, box.memory_mb = cid, name, memory
+                    box.stamp, box.priority, box.last_used = clock, clock + value, now
+                    box.busy = box.parked = True  # ``doomed`` is False: it idled
+                else:
+                    box = _GdContainer(cid, name, memory, clock, clock + value, now)
                 if boxes is None:
                     by_function[name] = [box]
                 else:

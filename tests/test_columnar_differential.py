@@ -19,16 +19,19 @@ across:
   its two edge cases, and whole runs against the reference model's HIST;
 * the GD kernel: a seeded sweep over GD's weights, pools from 0.05x to
   1x the registry and both trace forms, a self-overlapping
-  function under pressure, every decline, and whole runs against the
-  reference model's GD; then the same under seeded fault specs that set
-  every field (server timeline, retry queue, per-attempt faults), and
-  faulted whole runs against the reference model;
+  function under pressure, NaN priorities, every decline, and whole
+  runs against the reference model's GD; then the same under seeded
+  fault specs that set every field (server timeline, retry queue,
+  per-attempt faults), the victim order beside a crash's and an
+  outage's teardowns, and faulted whole runs against the reference
+  model;
 * the exact-summation primitive (``np.add.accumulate`` + scalar
   carry) the kernel's float accumulation correctness rests on;
 * a ``PYTHONHASHSEED`` subprocess pair — both engines, both seeds,
   one fingerprint.
 """
 
+import inspect
 import json
 import os
 import pathlib
@@ -50,6 +53,7 @@ from repro.core.policies.ttl import TTLPolicy
 from repro.faults import FaultSpec
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
+from repro.sim import columnar
 from repro.sim.columnar import run_ttl_kernel
 from repro.sim.metrics import FunctionOutcome
 from repro.sim.scheduler import KeepAliveSimulator, simulate
@@ -663,6 +667,56 @@ def assert_same_faulted_replay(loop, default):
     assert default.memory_mb == loop.memory_mb
 
 
+def loop_victims(trace, memory_mb, **config):
+    """The arrival loop's run and the containers it terminated, in
+    order: ``(function, container id, pressure)`` per ``on_evict``."""
+    policy, victims = GreedyDualPolicy(), []
+    on_evict = policy.on_evict
+
+    def record(container, now_s, pool, pressure):
+        victims.append((container.function.name, container.container_id, pressure))
+        on_evict(container, now_s, pool, pressure)
+
+    policy.on_evict = record
+    return simulate(trace, policy, memory_mb, engine="object", **config), victims
+
+
+def kernel_victims(trace, memory_mb, **config):
+    """The default run and the containers the GD kernel terminated, in
+    order: ``(function, cid, pressure)`` of the record at each of its
+    ``peers.remove(box)`` lines (``evict`` and the inlined pressure
+    eviction), read by a line tracer."""
+    source, first = inspect.getsourcelines(columnar.run_gd_kernel)
+    lines = {first + i for i, line in enumerate(source) if line.strip() == "peers.remove(box)"}
+    assert len(lines) == 2
+    victims = []
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            box = frame.f_locals["box"]
+            victims.append((box.name, box.cid, frame.f_locals.get("pressure", True)))
+        return on_line
+
+    kernel = columnar.run_gd_kernel.__code__
+    codes = {kernel} | {
+        code for code in kernel.co_consts if inspect.iscode(code) and code.co_name == "evict"
+    }
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code in codes else None)
+    try:
+        result = simulate(trace, "GD", memory_mb, **config)
+    finally:
+        sys.settrace(previous)
+    return result, victims
+
+
+def by_creation(victims):
+    """``victims`` with each id replaced by its rank among their ids: the
+    loop numbers containers globally, the kernel per run."""
+    rank = {cid: r for r, cid in enumerate(sorted(cid for __, cid, __ in victims))}
+    return [(name, rank[cid], pressure) for name, cid, pressure in victims]
+
+
 @pytest.mark.usefixtures("unsanitized")
 class TestGdKernel:
     """An exact, fresh GD without tenant weights, at any pool size: the
@@ -729,6 +783,17 @@ class TestGdKernel:
         model.finish()
         assert result.metrics.counters() == model.counters
         assert model.counters["evictions"]
+
+    def test_a_nan_priority_matches_its_own_entry(self):
+        """An infinite Freq weight on zero-cost functions scores every
+        container NaN. A popped entry still matches its container (a tuple
+        compare tries identity first), so each walk ends, as on the loop."""
+        functions = [TraceFunction(f"f{i}", 100.0, 1.0, 1.0) for i in range(5)]
+        trace = edge_trace(functions, [(float(t), t % 5) for t in range(0, 60, 2)])
+        loop, default = loop_and_default(trace, "GD", 300.0, {"frequency_weight": float("inf")})
+        assert default.path == "gd-kernel"
+        assert_same_replay(loop, default)
+        assert loop.metrics.evictions == 27
 
     def test_fresh_exact_policy_against_used_or_subclassed(self):
         class TunedGD(GreedyDualPolicy):
@@ -826,6 +891,36 @@ class TestGdKernel:
         assert_same_faulted_replay(loop, default)
         assert loop.metrics.per_function["b"] == FunctionOutcome(warm=1, cold=1)
         assert loop.metrics.evictions == 1
+
+    def test_only_a_pressure_victim_lends_its_record(self):
+        """Doomed and outage-lost records under pressure, held to the loop
+        on its counters, outcomes and victim order. ``a``'s warm start at
+        10 s crashes (the one crash seed 220 draws here) while its entry
+        sits in the victim index; the record is torn down at 12 s. A
+        record lent to ``d`` then would be idle under that stale entry at
+        20 s, which ``e``'s walk re-files: two live entries for one
+        container, both taken by ``g``'s 300 MB walk at 30 s. The outage
+        at 45 s loses ``g``'s idle container; the refill evicts again."""
+        functions = [TraceFunction(name, 100.0, 1.0, 2.0) for name in "abcde"]
+        functions.append(TraceFunction("g", 300.0, 1.0, 2.0))
+        trace = edge_trace(functions, [
+            (0.0, 0), (0.0, 1), (0.0, 2), (10.0, 0), (12.0, 3), (20.0, 4), (30.0, 5),
+            (40.0, 5), (55.0, 0), (56.0, 1), (57.0, 2), (60.0, 3),
+        ])
+        spec = FaultSpec(
+            seed=220, crash_rate=0.3, max_retries=0, server_downtimes=[(0, 45.0, 50.0)]
+        )
+        loop, looped = loop_victims(trace, 300.0, fault_spec=spec)
+        default, walked = kernel_victims(trace, 300.0, fault_spec=spec)
+        assert default.path == "gd-kernel"
+        assert_same_faulted_replay(loop, default)
+        assert by_creation(walked) == by_creation(looped)
+        assert loop.metrics.faults_by_kind == {"crash": 1}
+        assert loop.metrics.server_downs == 1
+        assert [(name, pressure) for name, __, pressure in looped] == [
+            ("a", False), ("b", True), ("c", True), ("d", True), ("e", True),
+            ("g", False), ("a", True),
+        ]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_faulted_whole_runs_follow_the_specification(self, seed):

@@ -15,6 +15,7 @@ The contract under test, end to end:
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import struct
@@ -31,7 +32,8 @@ from repro.faults import (
     derive_seed,
     load_fault_spec,
 )
-from repro.faults.model import UniformDraws
+from repro.faults.model import _INVOKE, _SPAWN, UniformDraws, _pack_key
+from repro.faults.retry import _JITTER
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.synth import skewed_frequency_trace
 from tests.conftest import make_trace
@@ -171,6 +173,10 @@ def frozen_u01(base, *parts):
     return (int.from_bytes(h.digest(), "little") & ((1 << 53) - 1)) / float(1 << 53)
 
 
+class Name(str):
+    pass
+
+
 class TestUniformDraws:
     """The draw behind every injection and jitter decision keeps its
     bytes: one hasher per seed, copied per draw, packed by type."""
@@ -191,26 +197,48 @@ class TestUniformDraws:
                 parts = tuple(rng.choice(self.EDGE_PARTS) for __ in range(rng.randint(0, 5)))
                 assert draws(*parts) == frozen_u01(seed, *parts), (seed, parts)
 
-    def test_subclassed_and_unhashable_parts(self):
-        class Name(str):
-            pass
+    def test_packed_keys_equal_the_frozen_draw(self):
+        """The owners' keys, packed whole (``_pack_key``) and hashed in one
+        update (``draw``), are the bytes ``frozen_u01`` hashes part by
+        part: an ``int`` time stays ``i``, a ``bool`` ``b``, a ``str``
+        subclass ``s``."""
+        names = ("f", "fn-ü", "", Name("f"))
+        numbers = (0, 3, True, False, -(1 << 70), 12.5, -0.0, 7, float("inf"))
+        for seed in (0, 1 << 65):
+            draws = UniformDraws(seed)
+            for kind, head in (("spawn", _SPAWN), ("invoke", _INVOKE), ("jitter", _JITTER)):
+                for name, first, second in itertools.product(names, numbers, numbers):
+                    assert draws.draw(_pack_key(head, name, first, second)) == frozen_u01(
+                        seed, kind, name, first, second
+                    ), (seed, kind, name, first, second)
 
+    def test_subclassed_and_unhashable_parts(self):
         draws = UniformDraws(3)
         assert draws(Name("f"), 2.0) == frozen_u01(3, "f", 2.0)
         with pytest.raises(TypeError):
             draws(None)
 
     def test_owners_draw_from_their_own_seed(self):
-        spec = FaultSpec(seed=1 << 65, spawn_failure_rate=0.5, jitter=1.0)
-        model = FaultModel(spec)
-        for attempt in range(40):
-            draw = frozen_u01(spec.seed, "spawn", "f", 12.5, attempt)
-            assert model.spawn_fails("f", 12.5, attempt) == (draw < 0.5)
-        retry = RetryPolicy.from_spec(spec)
-        u = frozen_u01(spec.seed, "jitter", "f", 1, 12.5)
-        assert retry.next_delay("f", 1, 12.5) == min(
-            spec.max_delay_s, spec.base_delay_s * (1.0 + spec.jitter * (u - 0.5))
+        """Each owner's draw is the frozen one of its key, whatever the
+        runtime types of the parts: a live ``now_s`` may be an ``int``."""
+        spec = FaultSpec(
+            seed=1 << 65, spawn_failure_rate=0.5, crash_rate=0.3, timeout_rate=0.3, jitter=1.0
         )
+        model = FaultModel(spec)
+        for name, time_s in itertools.product(("f", Name("f")), (12.5, 12)):
+            for attempt in (*range(40), True):
+                draw = frozen_u01(spec.seed, "spawn", name, time_s, attempt)
+                assert model.spawn_fails(name, time_s, attempt) == (draw < 0.5)
+                draw = frozen_u01(spec.seed, "invoke", name, time_s, attempt)
+                assert model.invocation_fault(name, time_s, attempt) == (
+                    "crash" if draw < spec.crash_rate
+                    else "timeout" if draw < spec.crash_rate + spec.timeout_rate else None
+                )
+            retry = RetryPolicy.from_spec(spec)
+            u = frozen_u01(spec.seed, "jitter", name, 1, time_s)
+            assert retry.next_delay(name, 1, time_s) == min(
+                spec.max_delay_s, spec.base_delay_s * (1.0 + spec.jitter * (u - 0.5))
+            )
 
 
 class TestFaultModel:

@@ -70,8 +70,11 @@ WARM_CALLS = 12_854
 #: lookups (Freq, containers), a heap push and a pop for the run, and
 #: per victim a pop off the index, an ``append`` to the cover, a
 #: ``remove`` from its function's list and the new container's
-#: ``__init__``.
-GD_KERNEL_CALLS = 5_452
+#: ``__init__``. Measured 5,450; then 8.18 (4,908) once a cold start
+#: that evicted resets its victim's record in place: the ``__init__``
+#: frame of each of the 542 goes, and nothing replaces it (an index,
+#: not a call). The frame was the cost, more than the count says.
+GD_KERNEL_CALLS = 4_908
 #: The warm replay's trace on 0.9 x its working set under harvest steps
 #: and a spot eviction (a down and a restore, 98 retries, 45 deflations),
 #: through the default ``simulate()``, which the GD kernel answers:
@@ -84,8 +87,14 @@ GD_KERNEL_CALLS = 5_452
 #: entry it consumes (98 retries and 9 server events) and one ``push``
 #: frame per retry (+205), the queue's construction (+2), less the
 #: ``min`` each ``next_delay`` no longer calls (−98) and the tail's
-#: ``any`` scan (−2): +107, one call per entry consumed.
-GD_FAULT_KERNEL_CALLS = 8_322
+#: ``any`` scan (−2): +107, one call per entry consumed. Measured
+#: 8,320; then 10.72 (7,624): each jitter draw packs its key whole and
+#: hashes it in one ``update``: the ``"jitter"`` part's four packing
+#: calls and three of the four updates go, and ``_pack_key``, its
+#: ``join`` and ``draw`` stand for the ``__call__`` frame, 19 calls to
+#: 14 (−490); and the 206 cold starts that evicted reuse a victim's
+#: record (−206 ``__init__``).
+GD_FAULT_KERNEL_CALLS = 7_624
 #: The same warm replay on the vectorized kernel (GD replayed at
 #: ``ttl_s = inf``): 0.53 calls per arrival (379) while an object trace
 #: was transposed per chunk; 0.27 (189) on the trace's own columns —
