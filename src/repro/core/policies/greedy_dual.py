@@ -65,17 +65,16 @@ class GreedyDualPolicy(KeepAlivePolicy):
         self.clock = LogicalClock()
         self._frequency_weight = frequency_weight
         self._cost_weight = cost_weight
+        weights = (("frequency_weight", frequency_weight), ("cost_weight", cost_weight))
         if tenant_weights is not None:
-            for tid, weight in sorted(tenant_weights.items()):
-                # NaN slips past a plain ``< 0`` check and then poisons
-                # the monotone priority index (every comparison against
-                # NaN is false), so finiteness is part of the invariant.
-                if not math.isfinite(weight) or weight < 0:
-                    raise ValueError(
-                        f"tenant {tid}: weight must be finite and >= 0, "
-                        f"got {weight}"
-                    )
+            weights += tuple((f"tenant {t}: weight", w) for t, w in sorted(tenant_weights.items()))
             tenant_weights = dict(tenant_weights)
+        for name, weight in weights:
+            # NaN would poison the monotone priority index (every
+            # comparison against it is false: this test rejects it), and
+            # an infinite weight times a zero term is NaN.
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {weight}")
         self._tenant_weights = tenant_weights
         plain = type(self)._value_term is GreedyDualPolicy._value_term
         self._inline_term = plain and tenant_weights is None  # see on_invocation

@@ -108,7 +108,13 @@ def _columns(
 #   one step of history decides: ``cold_i = not cold_{i-1}`` (a cold
 #   predecessor's longer deadline survives, a warm one's has lapsed).
 #   Ambiguity therefore *alternates*, and a run of ambiguous arrivals
-#   after a certain one resolves by parity — a gather plus an XOR.
+#   after a certain one resolves by parity.
+# * Evaluation: a chunk sorts stably into one segment per function.
+#   Only a segment's head reads the carried state (its gap and the
+#   exact previous deadline, so a head is always certain) and only its
+#   tail writes it back; interior arrivals compare shifted slices. The
+#   parity pass (a gather plus an XOR) runs only over the ambiguous
+#   arrivals of a chunk that has any: at ``ttl = inf`` none has.
 # * Expirations: every non-final container of a function expired
 #   before the cold start that replaced it, and the final one expires
 #   iff its deadline precedes the global last arrival (the expiry
@@ -135,10 +141,9 @@ class _TTLKernelState:
         )
         self.d_prev = np.full(count, -np.inf)  # deadline after last use
         self.t_prev = np.full(count, -np.inf)  # last arrival time
-        self.arrived = np.zeros(count, dtype=bool)
         self.cold_counts = np.zeros(count, dtype=np.int64)
         self.total_counts = np.zeros(count, dtype=np.int64)
-        self.appearance: List[int] = []  # fids in first-arrival order
+        self.appearance: List[np.ndarray] = []  # fids in first-arrival order
         self.ideal_sum = 0.0
         self.actual_sum = 0.0
         self.invocations = 0
@@ -191,86 +196,84 @@ def _ttl_kernel_chunk(
     # sort ten times slower): same permutation wherever the ids fit.
     keys = fids.astype(np.uint16) if len(state.names) <= 65_536 else fids
     order = np.argsort(keys, kind="stable")
-    fs = fids[order]
+    ids = fids.astype(np.intp)  # a native-width index gathers twice as fast
+    fs = ids[order]
     ts = times[order]
-    warm_t = state.warm_time_s[fs]
-    cold_t = state.cold_time_s[fs]
-    seg_start = np.empty(size, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(fs[1:], fs[:-1], out=seg_start[1:])
+    # The metric sums' terms: a carry, then each arrival's warm time in
+    # arrival order (a cold start's cold time, for the actual sum).
+    sums = np.empty(size + 1)
+    sums[1:] = state.warm_time_s[ids]
+    del ids  # what is dead is freed: the chunk's peak is the kernel's
+    # One segment per function, heads[k]..tails[k] in sorted order:
+    # only a head reads the carried state, only a tail writes it.
+    heads = np.concatenate(((0,), (fs[1:] != fs[:-1]).nonzero()[0] + 1))
+    tails = np.concatenate((heads[1:], (size,))) - 1
+    seg_fs = fs[heads]
+    head_ts = ts[heads]
+    t_prev = state.t_prev[seg_fs]
 
     # Precondition: every same-function gap covers the cold time, so
     # the previous invocation (warm or cold) has always finished and
     # a function never needs a second concurrent container.
+    cold_t = state.cold_time_s[fs]
     gaps = np.empty(size)
-    gaps[0] = np.inf
     np.subtract(ts[1:], ts[:-1], out=gaps[1:])
-    carried_t_prev = state.t_prev[fs]
-    gaps = np.where(seg_start, ts - carried_t_prev, gaps)
-    if bool(np.any(gaps < cold_t)):
+    gaps[heads] = head_ts - t_prev
+    if (gaps < cold_t).any():
         return False
+    del gaps
 
-    first_seen = seg_start & ~state.arrived[fs]
-    if bool(np.any(first_seen)):
+    first_seen = t_prev == -inf  # no earlier arrival
+    if first_seen.any():
         # Record first arrivals (one segment head per function) in
         # *global* chunk order — the order the oracle's per-function
         # dict acquires its keys.
-        state.appearance.extend(fids[np.sort(order[first_seen])].tolist())
-        state.arrived[fs[first_seen]] = True
+        firsts = order[heads[first_seen]]
+        firsts.sort()
+        state.appearance.append(fids[firsts])
 
     # Deadline candidates after each arrival: the simulator schedules
-    # (start + duration) + ttl with exactly this association order.
-    d_warm = (ts + warm_t) + ttl_s
-    d_cold = (ts + cold_t) + ttl_s
+    # (start + duration) + ttl with exactly this association order
+    # (in place: duration + start is the same double).
+    d_warm = sums[1:][order]
+    d_warm += ts
+    d_warm += ttl_s
+    d_cold = np.add(cold_t, ts, out=cold_t)
+    d_cold += ttl_s
 
-    # Classify arrivals. Segment heads compare against the carried
-    # (exact) previous deadline; interior arrivals against their
-    # predecessor's two candidates.
-    prev_dw = np.empty(size)
-    prev_dc = np.empty(size)
-    prev_dw[0] = prev_dc[0] = np.inf  # head: decided by carried state
-    prev_dw[1:] = d_warm[:-1]
-    prev_dc[1:] = d_cold[:-1]
-    certainly_cold = prev_dc <= ts
-    certainly_warm = prev_dw > ts
-    head_cold = state.d_prev[fs] <= ts
-    certain = seg_start | certainly_cold | certainly_warm
-    certain_value = np.where(seg_start, head_cold, certainly_cold)
-    # Ambiguous arrivals alternate (cold_i = not cold_{i-1}); resolve
-    # each against the nearest earlier certain arrival by parity.
-    positions = np.arange(size)
-    anchor = np.where(certain, positions, -1)
-    np.maximum.accumulate(anchor, out=anchor)
-    cold_sorted = certain_value[anchor] ^ (((positions - anchor) & 1) == 1)
+    # Classify arrivals: interior ones against their predecessor's two
+    # candidates, heads against the carried (exact) previous deadline.
+    cold_sorted = np.empty(size, dtype=bool)
+    certain = np.empty(size, dtype=bool)
+    np.less_equal(d_cold[:-1], ts[1:], out=cold_sorted[1:])
+    np.greater(d_warm[:-1], ts[1:], out=certain[1:])
+    certain |= cold_sorted
+    cold_sorted[heads] = state.d_prev[seg_fs] <= head_ts
+    certain[heads] = True
+    if not certain.all():
+        # Ambiguous arrivals alternate (cold_i = not cold_{i-1}); resolve
+        # each against the nearest earlier certain arrival by parity.
+        anchors = certain.nonzero()[0]
+        ambiguous = (~certain).nonzero()[0]
+        anchor = anchors[anchors.searchsorted(ambiguous) - 1]
+        cold_sorted[ambiguous] = cold_sorted[anchor] ^ ((ambiguous - anchor) & 1 == 1)
 
     # Commit per-function recurrence state at segment tails.
-    seg_end = np.empty(size, dtype=bool)
-    seg_end[-1] = True
-    seg_end[:-1] = seg_start[1:]
-    d_final = np.where(cold_sorted, d_cold, d_warm)
-    tail_fids = fs[seg_end]
-    state.d_prev[tail_fids] = d_final[seg_end]
-    state.t_prev[tail_fids] = ts[seg_end]
+    np.copyto(d_warm, d_cold, where=cold_sorted)  # each arrival's deadline
+    state.d_prev[seg_fs] = d_warm[tails]
+    state.t_prev[seg_fs] = ts[tails]
 
     # Counters and the oracle's exact sequential metric sums, in
     # global arrival order.
-    function_count = len(state.names)
-    state.cold_counts += np.bincount(
-        fs[cold_sorted], minlength=function_count
-    )
-    state.total_counts += np.bincount(fs, minlength=function_count)
-    cold_in_order = np.empty(size, dtype=bool)
-    cold_in_order[order] = cold_sorted
-    ideal = np.empty(size + 1)
-    ideal[0] = state.ideal_sum
-    ideal[1:] = state.warm_time_s[fids]
-    state.ideal_sum = float(np.add.accumulate(ideal)[-1])
-    actual = np.empty(size + 1)
-    actual[0] = state.actual_sum
-    actual[1:] = np.where(
-        cold_in_order, state.cold_time_s[fids], state.warm_time_s[fids]
-    )
-    state.actual_sum = float(np.add.accumulate(actual)[-1])
+    state.total_counts[seg_fs] += tails - heads + 1
+    cold_at = cold_sorted.nonzero()[0]
+    cold_fs = fs[cold_at]
+    state.cold_counts += np.bincount(cold_fs, minlength=len(state.names))
+    sums[0] = state.ideal_sum
+    state.ideal_sum = float(np.add.accumulate(sums)[-1])
+    sums[0] = state.actual_sum
+    sums[1 + order[cold_at]] = state.cold_time_s[cold_fs]
+    state.actual_sum = float(np.add.accumulate(sums)[-1])
     state.invocations += int(size)
     state.t_last = float(times[-1])
     return True
@@ -282,26 +285,21 @@ def _ttl_kernel_metrics(state: _TTLKernelState) -> SimulationMetrics:
     metrics = SimulationMetrics()
     if not state.invocations:
         return metrics
-    total_cold = int(np.add.reduce(state.cold_counts))
-    metrics.cold_starts = total_cold
+    cold_counts = state.cold_counts.tolist()
+    total_counts = state.total_counts.tolist()
+    metrics.cold_starts = total_cold = sum(cold_counts)
     metrics.warm_starts = state.invocations - total_cold
     metrics.ideal_exec_time_s = state.ideal_sum
     metrics.actual_exec_time_s = state.actual_sum
-    arrived_fids = np.array(state.appearance, dtype=np.int64)
-    finals_lapsed = int(
-        np.count_nonzero(state.d_prev[arrived_fids] <= state.t_last)
-    )
-    metrics.expirations = (
-        total_cold - len(state.appearance) + finals_lapsed
-    )
+    # (cold_starts - functions_arrived) + finals_lapsed, where a function
+    # that never arrived counts as lapsed (d_prev = -inf <= t_last).
+    lapsed = int(np.add.reduce(state.d_prev <= state.t_last, dtype=np.int64))
+    metrics.expirations = total_cold - len(state.names) + lapsed
     names = state.names
-    cold_counts = state.cold_counts
-    total_counts = state.total_counts
-    for fid in state.appearance:
-        cold = int(cold_counts[fid])
-        metrics.per_function[names[fid]] = FunctionOutcome(
-            warm=int(total_counts[fid]) - cold, cold=cold
-        )
+    metrics.per_function = {
+        names[fid]: FunctionOutcome(total_counts[fid] - cold_counts[fid], cold_counts[fid])
+        for fid in np.concatenate(state.appearance).tolist()
+    }
     return metrics
 
 

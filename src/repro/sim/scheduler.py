@@ -946,7 +946,7 @@ def _exact_kernels(
     ):
         return ()
     footprint = 0.0
-    for function in trace.functions.values():
+    for function in trace.functions_table.objects():
         if function.tenant_id:
             return ()
         footprint += function.memory_mb

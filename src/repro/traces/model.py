@@ -32,9 +32,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 __all__ = ["TraceFunction", "Invocation", "FunctionTable", "Trace", "DEFAULT_CHUNK_INVOCATIONS"]
 
 #: Arrivals per chunk of :meth:`Trace.iter_chunks`, the TTL kernel's
-#: unit of work: its temporaries stay a few tens of kilobytes
+#: unit of work: its temporaries stay a few hundred kilobytes
 #: (docs/performance-log.md has the chunk-size and peak table).
-DEFAULT_CHUNK_INVOCATIONS = 2048
+DEFAULT_CHUNK_INVOCATIONS = 4096
 
 _TIME = attrgetter("time_s")
 _NAME = attrgetter("function_name")

@@ -19,7 +19,10 @@ same shape as :func:`repro.bench.churn_trace`) that way:
   streamed trace path", has the exactness argument);
 * :meth:`chunks` yields columnar ``(times, function_ids)`` arrays of
   at most ``chunk_invocations`` entries, so peak memory is
-  ``O(num_functions + chunk_invocations)`` regardless of duration.
+  ``O(num_functions + chunk_invocations)`` regardless of duration. The
+  default is one merge window: the TTL kernel replays a stream ~10 %
+  faster in chunks that size than in 65,536-arrival ones, at 59 % of
+  the peak (docs/performance-log.md, "The TTL kernel's chunk pass").
 
 Iteration is restartable: every :meth:`chunks` call reseeds the
 per-function streams, so two passes (or a pass after a fallback)
@@ -88,7 +91,7 @@ class StreamingChurnTrace:
         num_functions: int = 1620,
         duration_s: float = 9600.0,
         seed: int = 0,
-        chunk_invocations: int = 65_536,
+        chunk_invocations: int = _WINDOW_ARRIVALS,
         memory_mb: float = 128.0,
         warm_time_s: float = 0.2,
         cold_time_s: float = 1.2,

@@ -40,6 +40,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from math import isnan
 
 import numpy as np
 import pytest
@@ -148,6 +149,34 @@ def unsanitized():
     set_sanitize(None)
 
 
+#: Keep-alive of :func:`ambiguous_ttl_trace`, whose functions run 0.5 s
+#: warm and 2 s cold: a gap below 10.5 s is certainly warm, one of 12 s
+#: or more certainly cold, and one between depends on the previous start.
+AMBIGUOUS_TTL_S = 10.0
+
+
+def ambiguous_ttl_trace(seed, num_functions=6):
+    """Per function: certain gaps only until t = 200, then runs of two
+    to four ambiguous gaps between certain ones until t = 600; then one
+    more function, arriving once, last."""
+    rng = random.Random(seed)
+    functions = [TraceFunction(f"f{i}", 128.0, 0.5, 2.0) for i in range(num_functions + 1)]
+    invocations = []
+    for function in functions[:-1]:
+        t, ambiguous = rng.uniform(0.0, 10.0), 0
+        while t < 600.0:
+            invocations.append(Invocation(t, function.name))
+            if ambiguous:
+                ambiguous -= 1
+                t += rng.choice((10.75, 11.0, 11.25, 11.5))
+            else:
+                if t >= 200.0:
+                    ambiguous = rng.randint(2, 4)
+                t += rng.choice((3.0, 5.0, 10.0, 20.0))
+    invocations.append(Invocation(700.0, functions[-1].name))
+    return Trace(functions, invocations, name="ambiguous")
+
+
 @pytest.mark.usefixtures("unsanitized")
 class TestVectorizedTTLKernel:
     """The closed-form path: taken when eligible, exact always."""
@@ -177,6 +206,23 @@ class TestVectorizedTTLKernel:
         )
         assert result.path == "vectorized"
         assert _metrics_payload(result) == baseline
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_branches_of_the_chunk_pass_equal_the_loop(self, seed):
+        """Chunks with no ambiguous arrival skip the parity pass; the
+        others resolve runs of ambiguous gaps (between ``ttl + warm`` and
+        ``ttl + cold``) that straddle chunk boundaries, and the last
+        function's only arrival is the last of its chunk (head and tail
+        at once)."""
+        trace = ambiguous_ttl_trace(seed)
+        loop = simulate(trace, "TTL", 1024.0, engine="object", ttl_s=AMBIGUOUS_TTL_S)
+        assert loop.metrics.cold_starts > len(trace.functions)  # some gaps lapse
+        for chunk in (1, 2, 3, 2048, 8192):
+            result = run_ttl_kernel(
+                trace, AMBIGUOUS_TTL_S, 1024.0, "TTL", chunk_invocations=chunk
+            )
+            assert result.path == "vectorized"
+            assert_same_replay(loop, result)
 
     def test_kernel_runs_streaming_traces(self):
         stream = StreamingChurnTrace(
@@ -785,15 +831,21 @@ class TestGdKernel:
         assert model.counters["evictions"]
 
     def test_a_nan_priority_matches_its_own_entry(self):
-        """An infinite Freq weight on zero-cost functions scores every
-        container NaN. A popped entry still matches its container (a tuple
-        compare tries identity first), so each walk ends, as on the loop."""
+        """A finite Freq weight can still overflow: 1e308 x Freq 2 is inf,
+        and inf times a zero-cost function's zero term is NaN, so every
+        container hit twice scores NaN. A popped entry still matches its
+        container (a tuple compare tries identity first), so each walk
+        ends, as on the loop."""
         functions = [TraceFunction(f"f{i}", 100.0, 1.0, 1.0) for i in range(5)]
-        trace = edge_trace(functions, [(float(t), t % 5) for t in range(0, 60, 2)])
-        loop, default = loop_and_default(trace, "GD", 300.0, {"frequency_weight": float("inf")})
+        # Each function twice in a row (cold, then a warm hit at Freq 2).
+        trace = edge_trace(functions, [(2.0 * t, (t // 2) % 5) for t in range(60)])
+        loop, default = loop_and_default(trace, "GD", 300.0, {"frequency_weight": 1e308})
         assert default.path == "gd-kernel"
         assert_same_replay(loop, default)
-        assert loop.metrics.evictions == 27
+        assert (loop.metrics.evictions, loop.metrics.warm_starts) == (27, 30)
+        simulator = KeepAliveSimulator(trace, GreedyDualPolicy(frequency_weight=1e308), 300.0)
+        simulator.run()
+        assert all(isnan(c.priority) for c in simulator.pool.all_containers())
 
     def test_fresh_exact_policy_against_used_or_subclassed(self):
         class TunedGD(GreedyDualPolicy):

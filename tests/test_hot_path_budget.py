@@ -99,8 +99,12 @@ GD_FAULT_KERNEL_CALLS = 7_624
 #: ``ttl_s = inf``): 0.53 calls per arrival (379) while an object trace
 #: was transposed per chunk; 0.27 (189) on the trace's own columns —
 #: the eligibility test, one chunk wrapped without a copy and a few
-#: dozen ufuncs.
-KERNEL_WARM_CALLS = 189
+#: dozen ufuncs. Then 0.24 (172): the chunk pass reads and writes the
+#: carried state at segment heads and tails (no ``np.where``, no
+#: ``arange``), tests with ``ndarray`` methods rather than the
+#: ``np.any`` / ``np.sort`` / ``np.count_nonzero`` wrappers, and the
+#: eligibility test walks the table's rows, not a copied dict.
+KERNEL_WARM_CALLS = 172
 #: HIST on the warm replay's trace, with a histogram sample, a plan and
 #: an expiry deadline on every arrival: 50.68 calls each (36,036) before
 #: the cuts above, 45.68 (32,481) after, 44.68 (31,771) with the
@@ -154,8 +158,9 @@ LIVE_CALLS = 35_317
 #: paid 2.38 (16,543; 16,536 once the kernel's per-chunk footprint test
 #: left), one ``random()`` per uniform drawn; one ``getrandbits`` (and
 #: its ``to_bytes``) per 32-uniform refill of a function (a short stream
-#: over-draws) and a few ufuncs per round pay 0.82 (5,708).
-STREAM_CALLS = 5_708
+#: over-draws) and a few ufuncs per round pay 0.82 (5,708); 5,694 with
+#: the kernel's leaner chunk pass (the warm replay's cuts, above).
+STREAM_CALLS = 5_694
 
 
 @pytest.fixture
@@ -412,6 +417,28 @@ def test_gd_fault_kernel_peak_stays_within_the_loops(unsanitized):
     metrics = result.metrics
     assert metrics.server_downs and metrics.deflations and metrics.retries
     assert peaks["gd-kernel"] <= peaks["sequential"], peaks
+
+
+def test_streamed_replay_peak_stays_with_the_default_chunk(unsanitized):
+    """A stream's default chunk (one merge window) bounds the TTL
+    kernel's temporaries: a 2,000-function replay peaks at most 60 % of
+    the same replay in 65,536-arrival chunks (0.59 measured; the rest is
+    the generator's own per-function state)."""
+    peaks = {}
+    for chunk in (None, 65_536):
+        stream = StreamingChurnTrace(
+            num_functions=2000, duration_s=21_600.0, seed=2026,
+            **({"chunk_invocations": chunk} if chunk else {}),
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = simulate(stream, "TTL", 2 * 2000 * CONTAINER_MB, ttl_s=300.0)
+            peaks[chunk] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.path == "vectorized" and result.metrics.served > 65_536
+    assert peaks[None] <= 0.6 * peaks[65_536], peaks
 
 
 class RecordingTransport:

@@ -167,6 +167,14 @@ class TestVictimSelection:
         victims = policy.select_victims(pool, 150.0, 5.0)
         assert victims == [ca]
 
+    @pytest.mark.parametrize("name", ["frequency_weight", "cost_weight"])
+    @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan"), -1.0])
+    def test_nonfinite_or_negative_term_weight_rejected(self, name, weight):
+        """As for tenant weights: an infinite weight times a zero-cost
+        function's zero term scores NaN, and a NaN never compares."""
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            GreedyDualPolicy(**{name: weight})
+
     def test_weights_allow_lru_degeneration(self):
         """Zeroing the value weights reduces GD to pure clock order."""
         policy = GreedyDualPolicy(frequency_weight=0.0)
