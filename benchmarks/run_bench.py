@@ -3,7 +3,11 @@
 
 Usage:
     PYTHONPATH=src python benchmarks/run_bench.py \
-        --out BENCH_local.json --baseline benchmarks/BASELINE.json
+        --baseline benchmarks/BASELINE.json
+
+The report goes to the git-ignored ``BENCH_run.json`` unless ``--out``
+names another path; the committed ``BENCH_local.json`` is refreshed
+only on purpose, with ``--out BENCH_local.json``.
 
 See docs/performance.md for methodology and baseline-update steps.
 """

@@ -562,7 +562,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="pinned-seed benchmark suite (docs/performance.md)",
     )
     parser.add_argument(
-        "--out", default="BENCH_local.json", help="report output path"
+        "--out",
+        default="BENCH_run.json",
+        help="report output path (default: the git-ignored BENCH_run.json)",
     )
     parser.add_argument(
         "--baseline",

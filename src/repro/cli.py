@@ -16,23 +16,24 @@ Gives downstream users the common workflows without writing Python::
     repro-faascache bench --baseline benchmarks/BASELINE.json
 
 ``--trace`` accepts a JSON trace file (see :mod:`repro.traces.io`) or
-one of the built-in workload names (``cyclic``, ``skewed-size``,
-``skewed-frequency``, ``multitenant``, ``noisy-neighbor``,
-``harvest-day``).
+a built-in workload name (the keys of :data:`_WORKLOADS`).
 
-``simulate``, ``sweep``, and ``trace`` take the multi-tenancy flags
-(``--tenant-mode``, ``--tenant-quota TENANT=MB``,
-``--tenant-weights TENANT=WEIGHT`` — see ``docs/multi-tenancy.md``).
+The run subcommands ``simulate``, ``sweep``, ``trace`` and ``serve``
+share one declaration of each run flag (:func:`_add_run_flags`):
+``--trace``, ``--policy``, ``--memory-gb``, ``--trace-out``,
+``--metrics-out``, the multi-tenancy flags (``--tenant-mode``,
+``--tenant-quota TENANT=MB``, ``--tenant-weights TENANT=WEIGHT`` — see
+``docs/multi-tenancy.md``) and, except on ``serve``, ``--fault-spec
+SPEC.json`` (seeded, deterministic fault injection — see
+``docs/robustness.md``) and ``--sanitize`` (the runtime invariant
+sanitizer, as ``REPRO_SANITIZE=1`` — see ``docs/static-analysis.md``).
+A flag that feeds :class:`~repro.sim.config.RunConfig` parses into the
+field of its name: a run's config is ``RunConfig.split(vars(args))``.
 
-``simulate``, ``sweep``, and ``trace`` additionally accept
-``--fault-spec SPEC.json`` for seeded, deterministic fault injection —
-see ``docs/robustness.md`` for the spec format and the determinism
-guarantees — and ``--sanitize`` to turn on the runtime invariant
-sanitizer (equivalent to ``REPRO_SANITIZE=1``; see
-``docs/static-analysis.md``). ``check`` runs the determinism
-linter (rules FC001, FC002, FC003, FC007) over the given paths. ``bench``
-runs the pinned-seed benchmark suite and gates timing plus metrics
-fingerprints against a baseline report (``docs/performance.md``).
+``check`` (the determinism linter, rules FC001, FC002, FC003, FC007)
+and ``bench`` (the pinned-seed benchmark suite gated against a baseline
+report, ``docs/performance.md``) hand the rest of the command line to
+their own module's parser.
 """
 
 from __future__ import annotations
@@ -50,44 +51,79 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "build_parser"]
 
-_BUILTIN_WORKLOADS = (
-    "cyclic",
-    "skewed-size",
-    "skewed-frequency",
-    "multitenant",
-    "noisy-neighbor",
-    "harvest-day",
-)
+#: The built-in workloads ``--trace`` takes by name, each with its
+#: :mod:`repro.traces.synth` builder.
+_WORKLOADS = {
+    "cyclic": "cyclic_trace",
+    "skewed-size": "skewed_size_trace",
+    "skewed-frequency": "skewed_frequency_trace",
+    "multitenant": "multitenant_trace",
+    "noisy-neighbor": "noisy_neighbor_trace",
+    "harvest-day": "harvest_day_trace",
+}
+
+#: Subcommands whose every flag belongs to another module's parser:
+#: :func:`main` hands that module's ``main`` the rest of the command line.
+_FORWARDED = {"check": "repro.checks.linter", "bench": "repro.bench"}
 
 
 def _load_trace(spec: str) -> Trace:
-    if spec in _BUILTIN_WORKLOADS:
+    """A built-in workload by name, else the JSON trace file ``spec``."""
+    if spec in _WORKLOADS:
         from repro.traces import synth
 
-        builders = {
-            "cyclic": synth.cyclic_trace,
-            "skewed-size": synth.skewed_size_trace,
-            "skewed-frequency": synth.skewed_frequency_trace,
-            "multitenant": synth.multitenant_trace,
-            "noisy-neighbor": synth.noisy_neighbor_trace,
-            "harvest-day": synth.harvest_day_trace,
-        }
-        return builders[spec]()
+        return getattr(synth, _WORKLOADS[spec])()
     from repro.traces.io import load_trace_json
 
     return load_trace_json(spec)
 
 
-def _load_fault_spec(path: Optional[str]):
-    """Load a ``--fault-spec`` JSON file, or ``None`` when not given."""
-    if not path:
-        return None
+def _gigabytes(text: str) -> float:
+    """A ``*-gb`` flag's size: a number > 0 (``inf`` is one, NaN not)."""
+    try:
+        size = float(text)
+    except ValueError:
+        size = math.nan
+    if not size > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a size > 0 GB, got {text!r}")
+    return size
+
+
+def _fault_spec(path: str):
+    """``--fault-spec``: the :class:`~repro.faults.FaultSpec` in ``path``."""
     from repro.faults import load_fault_spec
 
     try:
         return load_fault_spec(path)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"--fault-spec {path}: {exc}")
+
+
+class _Pairs(argparse.Action):
+    """``NAME=VALUE ...`` into a dict (``None`` if empty): ``key`` and
+    ``value`` convert each side, and a value must be finite and >= 0 (a
+    NaN weight corrupts the GD priority index, a negative quota or
+    weight inverts the eviction order), so a bad pair dies here."""
+
+    def __init__(self, *args, key: type, value: type, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.key, self.value = key, value
+
+    def __call__(self, parser, namespace, specs, option_string=None) -> None:
+        pairs = {}
+        for spec in specs:
+            name, __, text = spec.partition("=")
+            try:
+                key, number = self.key(name), self.value(text)
+            except ValueError:
+                key, number = None, math.nan
+            if not (name and number >= 0 and math.isfinite(number)):
+                raise SystemExit(
+                    f"{option_string} expects {self.metavar} with the value "
+                    f"finite and >= 0, got {spec!r}"
+                )
+            pairs[key] = number
+        setattr(namespace, self.dest, pairs or None)
 
 
 def _apply_sanitize(args: argparse.Namespace) -> None:
@@ -100,121 +136,37 @@ def _apply_sanitize(args: argparse.Namespace) -> None:
         os.environ["REPRO_SANITIZE"] = "1"
 
 
-def _add_sanitize_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "enable the runtime invariant sanitizer (same as "
-            "REPRO_SANITIZE=1; see docs/static-analysis.md)"
-        ),
-    )
+def _run_inputs(args: argparse.Namespace, policies: List[str]):
+    """What a run subcommand starts from: ``(trace, config,
+    policy_kwargs)``, the config from the flags named after its fields.
 
-
-def _add_tenant_flags(parser: argparse.ArgumentParser) -> None:
-    """Multi-tenancy flags shared by simulate/sweep/trace
-    (docs/multi-tenancy.md)."""
-    parser.add_argument(
-        "--tenant-mode",
-        choices=("shared", "partitioned", "quota"),
-        default="shared",
-        help=(
-            "pool tenancy mode: shared (legacy, default), partitioned "
-            "(hard per-tenant slices), or quota (soft limits with "
-            "preferential eviction)"
-        ),
-    )
-    parser.add_argument(
-        "--tenant-quota",
-        nargs="*",
-        metavar="TENANT=MB",
-        help=(
-            "per-tenant memory limit (slice in partitioned mode, soft "
-            "quota in quota mode); omit to split capacity equally over "
-            "the trace's tenants"
-        ),
-    )
-    parser.add_argument(
-        "--tenant-weights",
-        nargs="*",
-        metavar="TENANT=WEIGHT",
-        help=(
-            "per-tenant multiplicative weight on the GD value term "
-            "(only meaningful with GD-family policies)"
-        ),
-    )
-
-
-def _parse_tenant_map(
-    specs: Optional[List[str]], flag: str
-) -> Optional[dict]:
-    """Parse repeated ``TENANT=NUMBER`` arguments into an int->float
-    map (``None`` when the flag was not given)."""
-    if not specs:
-        return None
-    parsed = {}
-    for spec in specs:
-        tenant, sep, value = spec.partition("=")
-        if not sep or not tenant:
-            raise SystemExit(f"{flag} expects TENANT=NUMBER, got {spec!r}")
-        try:
-            number = float(value)
-            key = int(tenant)
-        except ValueError:
-            raise SystemExit(
-                f"{flag}: tenant must be an integer and the value a "
-                f"number, got {spec!r}"
-            )
-        # A NaN weight silently corrupts the GDSF monotone-priority
-        # index (NaN compares false against everything) and a negative
-        # quota/weight inverts eviction order, so both die here rather
-        # than deep in a replay.
-        if not math.isfinite(number) or number < 0.0:
-            raise SystemExit(
-                f"{flag}: value must be finite and >= 0, got {spec!r}"
-            )
-        parsed[key] = number
-    return parsed
-
-
-def _run_config(args: argparse.Namespace, **fields):
-    """The RunConfig of a subcommand's ``--tenant-mode`` /
-    ``--tenant-quota`` / (where it has one) ``--fault-spec`` flags."""
+    Before the workload loads, ``--sanitize`` is exported and
+    ``--tenant-weights`` checked against ``policies``: a usage error
+    (:class:`argparse.ArgumentTypeError`) names the first that takes no
+    weights; an unknown policy name is left to fail as its run does.
+    """
     from repro.sim.config import RunConfig
 
-    return RunConfig(
-        fault_spec=_load_fault_spec(getattr(args, "fault_spec", None)),
-        tenant_mode=args.tenant_mode,
-        tenant_quotas=_parse_tenant_map(args.tenant_quota, "--tenant-quota"),
-        **fields,
-    )
+    _apply_sanitize(args)
+    kwargs = {"tenant_weights": args.tenant_weights} if args.tenant_weights else {}
+    if kwargs:
+        from repro.core.policies import create_policy
 
-
-def _tenant_policy_kwargs(args: argparse.Namespace) -> dict:
-    """Policy kwargs implied by ``--tenant-weights`` (empty when the
-    flag is absent, so tenant-less invocations stay untouched)."""
-    weights = _parse_tenant_map(args.tenant_weights, "--tenant-weights")
-    return {"tenant_weights": weights} if weights else {}
+        for name in policies:
+            try:
+                create_policy(name, **kwargs)
+            except TypeError:
+                raise argparse.ArgumentTypeError(
+                    f"--tenant-weights: policy {name} takes no tenant weights"
+                )
+            except ValueError:
+                pass
+    return _load_trace(args.trace), RunConfig.split(vars(args))[0], kwargs
 
 
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the pinned-seed benchmark suite (repro.bench)."""
-    from repro.bench import main as bench_main
-
-    forwarded: List[str] = ["--out", args.out]
-    if args.baseline:
-        forwarded += ["--baseline", args.baseline]
-    forwarded += ["--tolerance", str(args.tolerance)]
-    forwarded += ["--repeats", str(args.repeats)]
-    forwarded += ["--scale", str(args.scale)]
-    for name in args.scenarios or []:
-        forwarded += ["--scenario", name]
-    return bench_main(forwarded)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -277,17 +229,14 @@ def _make_tracer(
     return Tracer(sink, strict=strict), sink.close
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _replay(args: argparse.Namespace, strict: bool = False):
+    """The one run of ``simulate`` and ``trace``: the workload replayed
+    under the flags' config, policy keywords and tracer sinks; returns
+    ``(trace, result)``."""
     from repro.sim.scheduler import simulate
 
-    _apply_sanitize(args)
-    trace = _load_trace(args.trace)
-    config = _run_config(
-        args,
-        warmup_s=args.warmup_s,
-        reserved_concurrency=_parse_reserved(args.reserve),
-    )
-    tracer, close_tracer = _make_tracer(args.trace_out, args.metrics_out)
+    trace, config, policy_kwargs = _run_inputs(args, [args.policy])
+    tracer, close_tracer = _make_tracer(args.trace_out, args.metrics_out, strict)
     try:
         result = simulate(
             trace,
@@ -295,10 +244,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.memory_gb * 1024.0,
             config,
             tracer=tracer,
-            **_tenant_policy_kwargs(args),
+            **policy_kwargs,
         )
     finally:
         close_tracer()
+    return trace, result
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    trace, result = _replay(args)
     if args.trace_out:
         print(f"wrote event trace {args.trace_out}", file=sys.stderr)
     if args.metrics_out:
@@ -319,60 +273,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_reserved(specs: Optional[List[str]]) -> Optional[dict]:
-    """Parse ``NAME=COUNT`` reserved-concurrency arguments."""
-    if not specs:
-        return None
-    reserved = {}
-    for spec in specs:
-        name, sep, count = spec.partition("=")
-        if not sep or not name:
-            raise SystemExit(f"--reserve expects NAME=COUNT, got {spec!r}")
-        try:
-            reserved[name] = int(count)
-        except ValueError:
-            raise SystemExit(f"--reserve count must be an integer: {spec!r}")
-    return reserved
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.policies import PAPER_POLICIES
     from repro.sim.parallel import run_sweep_parallel
-    from repro.sim.sweep import run_sweep
 
-    _apply_sanitize(args)
-    trace = _load_trace(args.trace)
-    config = _run_config(args)
     policies = args.policies or list(PAPER_POLICIES)
-    policy_kwargs = _tenant_policy_kwargs(args) or None
-    if args.workers is not None and args.workers != 1:
-        def report(done: int, total: int, policy: str, memory_gb: float) -> None:
-            print(
-                f"[{done}/{total}] {policy} @ {memory_gb:g} GB",
-                file=sys.stderr,
-            )
+    trace, config, policy_kwargs = _run_inputs(args, policies)
 
-        sweep = run_sweep_parallel(
-            trace,
-            args.memory_gb,
-            policies=policies,
-            max_workers=args.workers or None,
-            progress=report if not args.quiet else None,
-            trace_dir=args.trace_dir,
-            config=config,
-            policy_kwargs=policy_kwargs,
-        )
-        for cell in sweep.failed_cells:
-            print(
-                f"warning: cell {cell.policy} @ {cell.memory_gb:g} GB "
-                f"failed: {cell.error}",
-                file=sys.stderr,
-            )
-    else:
-        sweep = run_sweep(
-            trace, args.memory_gb, policies=policies,
-            trace_dir=args.trace_dir, config=config,
-            policy_kwargs=policy_kwargs,
+    def report(done: int, total: int, policy: str, memory_gb: float) -> None:
+        print(f"[{done}/{total}] {policy} @ {memory_gb:g} GB", file=sys.stderr)
+
+    # Omitted or 1 runs the cells in this process; 0 is one per CPU.
+    sweep = run_sweep_parallel(
+        trace,
+        args.memory_gb,
+        policies=policies,
+        max_workers=1 if args.workers is None else args.workers or None,
+        progress=report if not args.quiet else None,
+        trace_dir=args.trace_dir,
+        config=config,
+        policy_kwargs=policy_kwargs,
+    )
+    for cell in sweep.failed_cells:
+        print(
+            f"warning: cell {cell.policy} @ {cell.memory_gb:g} GB "
+            f"failed: {cell.error}",
+            file=sys.stderr,
         )
     if args.trace_dir:
         print(
@@ -616,24 +542,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Replay one simulation with event tracing on, writing JSONL."""
     import json
 
-    from repro.sim.scheduler import simulate
-
-    _apply_sanitize(args)
-    trace = _load_trace(args.trace)
-    config = _run_config(args)
-    tracer, close_tracer = _make_tracer(
-        args.out, args.metrics_out, strict=args.strict
-    )
-    try:
-        result = simulate(
-            trace, args.policy, args.memory_gb * 1024.0, config,
-            tracer=tracer, **_tenant_policy_kwargs(args),
-        )
-    finally:
-        close_tracer()
+    trace, result = _replay(args, strict=args.strict)
     metrics = result.metrics
     print(
-        f"wrote {args.out}: {metrics.total_requests} invocations traced "
+        f"wrote {args.trace_out}: {metrics.total_requests} invocations traced "
         f"({args.policy.upper()} @ {args.memory_gb:g} GB on {trace.name!r})"
     )
     if args.metrics_out:
@@ -733,8 +645,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.live.server import LiveHTTPServer
     from repro.live.service import LivePoolService
 
-    trace = _load_trace(args.trace)
-    config = _run_config(args)
+    trace, config, policy_kwargs = _run_inputs(args, [args.policy])
     tracer, close_tracer = _make_tracer(args.trace_out, args.metrics_out)
     service = LivePoolService(
         trace,
@@ -743,7 +654,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         clock=SimClock() if args.clock == "sim" else None,
         tracer=tracer,
         config=config,
-        **_tenant_policy_kwargs(args),
+        **policy_kwargs,
     )
     server = LiveHTTPServer(
         service,
@@ -775,6 +686,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Replay a trace against a live server and gate the results."""
+    import json
+
     from repro.live.loadgen import fetch_stats, run_loadgen
 
     trace = _load_trace(args.trace)
@@ -814,8 +727,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
     )
     if args.json_out:
-        import json
-
         with open(args.json_out, "w") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
         print(f"wrote {args.json_out}", file=sys.stderr)
@@ -842,8 +753,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.max_p99_ms is not None:
         ceiling_ms = args.max_p99_ms
         if args.calibration_baseline:
-            import json
-
             from repro.bench import calibration_s
 
             with open(args.calibration_baseline) as handle:
@@ -877,6 +786,115 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
+def _add_workload_flags(parser: argparse.ArgumentParser, policy: bool = True) -> None:
+    """``--trace`` and, with ``policy``, ``--policy``."""
+    parser.add_argument(
+        "--trace",
+        required=True,
+        help=f"JSON trace file or built-in workload ({', '.join(_WORKLOADS)})",
+    )
+    if policy:
+        parser.add_argument(
+            "--policy", default="GD", help="keep-alive policy (GD, TTL, LRU, HIST, ...)"
+        )
+
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    grid: bool = False,
+    traced: bool = False,
+    replay: bool = True,
+) -> None:
+    """Declare the flags of a run subcommand (simulate, sweep, trace,
+    serve), each here once. A flag that feeds
+    :class:`~repro.sim.config.RunConfig` parses into the field of its
+    name.
+
+    ``grid`` (sweep) takes ``--memory-gb`` as a required list of cells,
+    with no ``--policy`` and no events file (``--trace-dir`` writes one
+    per cell); ``traced`` (trace) makes the events file the required
+    ``--out``; ``replay=False`` (serve) leaves out ``--fault-spec`` and
+    ``--sanitize``.
+    """
+    _add_workload_flags(parser, policy=not grid)
+    parser.add_argument(
+        "--memory-gb",
+        type=_gigabytes,
+        help="pool size in GB" + (", one cell per size" if grid else ""),
+        **({"nargs": "+", "required": True} if grid else {"default": 16.0}),
+    )
+    if not grid:
+        parser.add_argument(
+            "--out" if traced else "--trace-out",
+            dest="trace_out",
+            required=traced,
+            metavar="EVENTS.jsonl",
+            help="record lifecycle events to this JSONL file",
+        )
+    parser.add_argument(
+        "--metrics-out",
+        metavar="METRICS.prom",
+        help=(
+            "write lifecycle counters to this Prometheus textfile (sweep: "
+            "one series per cell, labelled by policy and memory size; "
+            "serve: on shutdown)"
+        ),
+    )
+    if replay:
+        parser.add_argument(
+            "--fault-spec",
+            type=_fault_spec,
+            metavar="SPEC.json",
+            help=(
+                "inject deterministic faults per this JSON spec, a sweep's "
+                "cells each under its own coordinate-derived seed (see "
+                "docs/robustness.md)"
+            ),
+        )
+        parser.add_argument(
+            "--sanitize",
+            action="store_true",
+            help=(
+                "enable the runtime invariant sanitizer (same as "
+                "REPRO_SANITIZE=1; see docs/static-analysis.md)"
+            ),
+        )
+    parser.add_argument(
+        "--tenant-mode",
+        choices=("shared", "partitioned", "quota"),
+        default="shared",
+        help=(
+            "pool tenancy mode: shared (legacy, default), partitioned "
+            "(hard per-tenant slices), or quota (soft limits with "
+            "preferential eviction)"
+        ),
+    )
+    parser.add_argument(
+        "--tenant-quota",
+        dest="tenant_quotas",
+        nargs="*",
+        action=_Pairs,
+        key=int,
+        value=float,
+        metavar="TENANT=MB",
+        help=(
+            "per-tenant memory limit (slice in partitioned mode, soft "
+            "quota in quota mode); omit to split capacity equally over "
+            "the trace's tenants"
+        ),
+    )
+    parser.add_argument(
+        "--tenant-weights",
+        nargs="*",
+        action=_Pairs,
+        key=int,
+        value=float,
+        metavar="TENANT=WEIGHT",
+        help="per-tenant multiplicative weight on the GD value term (GD-family policies)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-faascache",
@@ -904,9 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pressure-free HIST, the GD kernel a plain GD at any size and under any --fault-spec; "
         "the per-arrival loop every other run (docs/simulation.md).",
     )
-    simulate.add_argument("--trace", required=True)
-    simulate.add_argument("--policy", default="GD")
-    simulate.add_argument("--memory-gb", type=float, default=16.0)
+    _add_run_flags(simulate)
     simulate.add_argument(
         "--warmup-s",
         type=float,
@@ -915,35 +931,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--reserve",
+        dest="reserved_concurrency",
         nargs="*",
+        action=_Pairs,
+        key=str,
+        value=int,
         metavar="NAME=COUNT",
         help="pin NAME=COUNT provisioned-concurrency containers",
     )
-    simulate.add_argument(
-        "--trace-out",
-        metavar="EVENTS.jsonl",
-        help="also record lifecycle events to this JSONL file",
-    )
-    simulate.add_argument(
-        "--metrics-out",
-        metavar="METRICS.prom",
-        help="also write Prometheus-textfile counters to this path",
-    )
-    simulate.add_argument(
-        "--fault-spec",
-        metavar="SPEC.json",
-        help=(
-            "inject deterministic faults per this JSON spec "
-            "(see docs/robustness.md)"
-        ),
-    )
-    _add_tenant_flags(simulate)
-    _add_sanitize_flag(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="sweep policies across memory sizes")
-    sweep.add_argument("--trace", required=True)
-    sweep.add_argument("--memory-gb", type=float, nargs="+", required=True)
+    _add_run_flags(sweep, grid=True)
     sweep.add_argument("--policies", nargs="*")
     sweep.add_argument(
         "--metric",
@@ -956,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "fan the grid out over worker processes (0 = one per CPU); "
-            "omit or pass 1 for the sequential engine"
+            "omit or pass 1 to run the cells in this process"
         ),
     )
     sweep.add_argument(
@@ -972,82 +971,52 @@ def build_parser() -> argparse.ArgumentParser:
             "memory) cell under DIR; works with any --workers setting"
         ),
     )
-    sweep.add_argument(
-        "--metrics-out",
-        metavar="METRICS.prom",
-        help=(
-            "write per-cell lifecycle counters (labelled by policy and "
-            "memory size) as a Prometheus textfile"
-        ),
-    )
-    sweep.add_argument(
-        "--fault-spec",
-        metavar="SPEC.json",
-        help=(
-            "inject deterministic faults into every cell, each under "
-            "its own coordinate-derived seed (see docs/robustness.md)"
-        ),
-    )
-    _add_tenant_flags(sweep)
-    _add_sanitize_flag(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     provision = sub.add_parser("provision", help="static server sizing")
-    provision.add_argument("--trace", required=True)
+    _add_workload_flags(provision, policy=False)
     provision.add_argument("--target-hit-ratio", type=float, default=0.9)
     provision.set_defaults(func=_cmd_provision)
 
     autoscale = sub.add_parser("autoscale", help="dynamic vertical scaling")
-    autoscale.add_argument("--trace", required=True)
+    _add_workload_flags(autoscale)
     autoscale.add_argument("--miss-ratio", type=float, default=0.05)
     autoscale.add_argument("--period-s", type=float, default=600.0)
-    autoscale.add_argument("--policy", default="GD")
     autoscale.set_defaults(func=_cmd_autoscale)
 
     plan = sub.add_parser(
         "plan", help="full capacity-planning report (Markdown)"
     )
-    plan.add_argument("--trace", required=True)
+    _add_workload_flags(plan, policy=False)
     plan.add_argument("--out")
     plan.set_defaults(func=_cmd_plan)
 
     characterize = sub.add_parser(
         "characterize", help="Section 3 workload statistics"
     )
-    characterize.add_argument("--trace", required=True)
+    _add_workload_flags(characterize, policy=False)
     characterize.set_defaults(func=_cmd_characterize)
 
     balancers = sub.add_parser(
         "balancers", help="compare cluster load-balancing policies"
     )
-    balancers.add_argument("--trace", required=True)
+    _add_workload_flags(balancers)
     balancers.add_argument("--servers", type=int, default=4)
-    balancers.add_argument("--server-memory-gb", type=float, default=4.0)
-    balancers.add_argument("--policy", default="GD")
+    balancers.add_argument("--server-memory-gb", type=_gigabytes, default=4.0)
     balancers.set_defaults(func=_cmd_balancers)
 
     loadtest = sub.add_parser(
         "loadtest", help="OpenWhisk vs FaasCache on the simulated invoker"
     )
-    loadtest.add_argument(
-        "--workload", default="cyclic",
-    )
-    loadtest.add_argument("--memory-gb", type=float, default=1.625)
+    loadtest.add_argument("--workload", default="cyclic")
+    loadtest.add_argument("--memory-gb", type=_gigabytes, default=1.625)
     loadtest.add_argument("--cores", type=int, default=8)
     loadtest.set_defaults(func=_cmd_loadtest)
 
     trace_cmd = sub.add_parser(
         "trace", help="run one simulation with event tracing enabled"
     )
-    trace_cmd.add_argument("--trace", required=True)
-    trace_cmd.add_argument("--policy", default="GD")
-    trace_cmd.add_argument("--memory-gb", type=float, default=16.0)
-    trace_cmd.add_argument(
-        "--out",
-        required=True,
-        metavar="EVENTS.jsonl",
-        help="JSONL file the lifecycle events are written to",
-    )
+    _add_run_flags(trace_cmd, traced=True)
     trace_cmd.add_argument(
         "--summary-json",
         metavar="SUMMARY.json",
@@ -1057,25 +1026,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     trace_cmd.add_argument(
-        "--metrics-out",
-        metavar="METRICS.prom",
-        help="also write Prometheus-textfile counters to this path",
-    )
-    trace_cmd.add_argument(
         "--strict",
         action="store_true",
         help="validate every event against the schema while emitting",
     )
-    trace_cmd.add_argument(
-        "--fault-spec",
-        metavar="SPEC.json",
-        help=(
-            "inject deterministic faults per this JSON spec "
-            "(see docs/robustness.md)"
-        ),
-    )
-    _add_tenant_flags(trace_cmd)
-    _add_sanitize_flag(trace_cmd)
     trace_cmd.set_defaults(func=_cmd_trace)
 
     trace_report = sub.add_parser(
@@ -1113,9 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(docs/live-serving.md)"
         ),
     )
-    serve.add_argument("--trace", required=True, help="function registry")
-    serve.add_argument("--policy", default="GD")
-    serve.add_argument("--memory-gb", type=float, default=16.0)
+    _add_run_flags(serve, replay=False)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8077, help="0 picks an ephemeral port"
@@ -1136,17 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.25,
         help="expiry-timer period; 0 disables the background tick",
     )
-    serve.add_argument(
-        "--trace-out",
-        metavar="EVENTS.jsonl",
-        help="record lifecycle events (JSONL, repro.obs schema)",
-    )
-    serve.add_argument(
-        "--metrics-out",
-        metavar="PROM.txt",
-        help="write a Prometheus textfile on shutdown",
-    )
-    _add_tenant_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(
@@ -1156,7 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
             "p50/p99/p999 decision latency plus achieved QPS"
         ),
     )
-    loadgen.add_argument("--trace", required=True)
+    _add_workload_flags(loadgen, policy=False)
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, default=8077)
     loadgen.add_argument(
@@ -1226,58 +1167,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.set_defaults(func=_cmd_loadgen)
 
-    bench = sub.add_parser(
-        "bench",
-        help=(
-            "run the pinned-seed benchmark suite and optionally gate "
-            "against a baseline (docs/performance.md)"
-        ),
-    )
-    bench.add_argument(
-        "--out", default="BENCH_local.json", help="report output path"
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="BASELINE.json",
-        help=(
-            "compare against this report (e.g. benchmarks/BASELINE.json); "
-            "exit 1 on slowdown beyond tolerance or metrics drift"
-        ),
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed fractional slowdown vs the baseline (default 0.10)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="timed runs per scenario"
-    )
-    bench.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload size multiplier (use < 1 for smoke runs)",
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        help="run only this scenario (repeatable)",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
-    # Every check flag lives in repro.checks.linter; main() hands it
-    # the rest of the command line.
-    sub.add_parser(
-        "check",
-        add_help=False,
-        help=(
-            "run the determinism linter (rules FC001, FC002, FC003, "
-            "FC007; docs/static-analysis.md)"
-        ),
-    )
+    for name, help_text in (
+        ("check", "run the determinism linter (rules FC001, FC002, FC003, FC007; "
+         "docs/static-analysis.md)"),
+        ("bench", "run the pinned-seed benchmark suite and optionally gate against "
+         "a baseline (docs/performance.md)"),
+    ):
+        sub.add_parser(name, add_help=False, help=help_text)
 
     return parser
 
@@ -1286,13 +1182,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args, rest = parser.parse_known_args(argv)
-    if args.command == "check":
-        from repro.checks.linter import main as check_main
+    if args.command in _FORWARDED:
+        import importlib
 
-        return check_main(rest)
+        return importlib.import_module(_FORWARDED[args.command]).main(rest)
     if rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

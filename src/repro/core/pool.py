@@ -72,7 +72,7 @@ class ContainerPool:
         tenant_mode: str = "shared",
         tenant_limits_mb: Optional[Dict[int, float]] = None,
     ) -> None:
-        if capacity_mb <= 0:
+        if not capacity_mb > 0:
             raise ValueError(f"capacity must be positive, got {capacity_mb}")
         if tenant_mode not in TENANT_MODES:
             raise ValueError(
@@ -218,7 +218,7 @@ class ContainerPool:
         the caller has already evicted enough idle containers; the pool
         refuses to be put into an over-committed state.
         """
-        if capacity_mb <= 0:
+        if not capacity_mb > 0:
             raise ValueError(f"capacity must be positive, got {capacity_mb}")
         if capacity_mb < self._used_mb - 1e-9 * max(
             self._capacity_mb, float(capacity_mb)
@@ -278,7 +278,7 @@ class ContainerPool:
         :meth:`set_capacity` keeps its strict never-over-committed
         contract; only this path may shrink below used memory.
         """
-        if capacity_mb <= 0:
+        if not capacity_mb > 0:
             raise ValueError(f"capacity must be positive, got {capacity_mb}")
         target = float(capacity_mb)
         if self._tenant_mode == "partitioned":

@@ -145,10 +145,6 @@ class UniformDraws:
             salt=(seed & ((1 << 64) - 1)).to_bytes(8, "little"),
         )
 
-    def __call__(self, *parts: Union[str, int, float]) -> float:
-        # A subclass, or a part :func:`_pack` refuses, takes its dispatch.
-        return self.draw(b"".join([_PACKERS.get(type(part), _pack)(part) for part in parts]))
-
     def draw(self, key: bytes) -> float:
         """The draw of the parts whose :func:`_pack` bytes, joined, are
         ``key`` (one update hashes what one per part did)."""

@@ -73,6 +73,10 @@ class ProportionalController:
             raise ValueError("max size must be >= min size")
         if not 0.0 <= deadband:
             raise ValueError(f"deadband must be non-negative, got {deadband}")
+        if not control_period_s > 0:
+            raise ValueError(
+                f"control period must be positive, got {control_period_s}"
+            )
         self.curve = curve
         self.target_miss_speed = target_miss_speed
         self.cache_size_mb = float(initial_size_mb)

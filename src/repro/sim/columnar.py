@@ -522,7 +522,7 @@ def run_gd_kernel(
     server ``server_index``; a disabled spec is no spec). It never
     declines. The policy object is only read: a run leaves it fresh."""
     started = wall_clock_s()
-    if capacity_mb <= 0:
+    if not capacity_mb > 0:
         raise ValueError(f"capacity must be positive, got {capacity_mb}")
     frequency_weight, cost_weight = policy._frequency_weight, policy._cost_weight
     nominal = capacity = float(capacity_mb)

@@ -46,7 +46,7 @@ from repro.sim.config import RunConfig
 from repro.sim.sweep import FailedCell, SweepResult, run_cell
 from repro.traces.model import Trace
 
-__all__ = ["run_sweep_parallel", "simulate_cell"]
+__all__ = ["run_sweep_parallel"]
 
 #: What every cell of one sweep shares, broadcast once per worker
 #: through the pool initializer so a cell submission only pickles its
@@ -84,21 +84,6 @@ def _run_cell(policy_name: str, memory_gb: float):
     return run_cell(
         trace, policy_name, memory_gb, trace_dir=trace_dir,
         config=config, policy_kwargs=policy_kwargs,
-    )
-
-
-def simulate_cell(
-    trace: Trace,
-    policy_name: str,
-    memory_gb: float,
-    trace_dir: Optional[str] = None,
-    **cell_kwargs,
-):
-    """Run one (policy, memory) cell: :func:`repro.sim.sweep.run_cell`
-    without the process-local ``tracer`` (``cell_kwargs`` are its
-    ``config`` / config fields / ``policy_kwargs``)."""
-    return run_cell(
-        trace, policy_name, memory_gb, trace_dir=trace_dir, **cell_kwargs
     )
 
 

@@ -992,6 +992,10 @@ def simulate(
     >>> result.metrics.served > 0
     True
     """
+    if not memory_mb > 0:
+        # Written so NaN fails too: the kernels' routing and the loop
+        # would each read a NaN pool differently.
+        raise ValueError(f"capacity must be positive, got {memory_mb}")
     config, policy_kwargs = RunConfig.split(kwargs, config)
     if isinstance(policy, str):
         policy = create_policy(policy, **policy_kwargs)

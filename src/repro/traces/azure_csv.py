@@ -53,10 +53,6 @@ class AzureCsvLoadReport:
     functions_without_durations: int
     apps_without_memory: int
 
-    @property
-    def total_seen(self) -> int:
-        return self.functions_loaded + self.functions_without_durations
-
 
 def _function_key(row: Dict[str, str]) -> Tuple[str, str, str]:
     return (row["HashOwner"], row["HashApp"], row["HashFunction"])

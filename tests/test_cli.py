@@ -220,6 +220,27 @@ class TestSweepEngineCLI:
         assert "cells FAILED" in captured.err
         assert "NOPE" in captured.err
 
+    def test_serial_sweep_reports_failed_cells(
+        self, small_trace_file, capsys
+    ):
+        """Without --workers a bad cell is reported as with them: the
+        partial table, a warning naming it and exit 1, not a traceback;
+        per-cell progress goes to stderr."""
+        code = main(
+            [
+                "sweep",
+                "--trace", str(small_trace_file),
+                "--memory-gb", "1",
+                "--policies", "GD", "NOPE",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "GD" in captured.out
+        assert "[2/2] NOPE @ 1 GB" in captured.err
+        assert "cell NOPE @ 1 GB failed" in captured.err
+        assert "1 cells FAILED" in captured.err
+
     def test_throughput_line_printed(self, small_trace_file, capsys):
         assert main(
             [
@@ -441,6 +462,57 @@ class TestTenantMapValidation:
                 tenant_mode="quota",
                 tenant_limits_mb={1: math.nan},
             )
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--trace", "cyclic", "--memory-gb", "nan"],
+        ["simulate", "--trace", "cyclic", "--memory-gb", "0"],
+        ["sweep", "--trace", "cyclic", "--memory-gb", "1", "-2"],
+        ["serve", "--trace", "cyclic", "--memory-gb", "nan"],
+        ["loadtest", "--memory-gb", "nan"],
+        ["balancers", "--trace", "cyclic", "--server-memory-gb", "0"],
+    ])
+    def test_gb_flags_take_sizes_above_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(command)
+        assert exited.value.code == 2
+        assert "expected a size > 0 GB" in capsys.readouterr().err
+
+    def test_simulate_weights_on_a_policy_without_them(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--trace", "cyclic", "--policy", "LRU",
+                  "--memory-gb", "1", "--tenant-weights", "0=1"])
+        assert exited.value.code == 2
+        assert "policy LRU takes no tenant weights" in capsys.readouterr().err
+
+    def test_sweep_weights_refused_before_any_cell(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--trace", "cyclic", "--memory-gb", "1",
+                  "--tenant-weights", "0=1"])
+        err = capsys.readouterr().err
+        assert exited.value.code == 2
+        assert "policy TTL takes no tenant weights" in err
+        assert "[1/" not in err
+
+
+class TestForwardedCommands:
+    def test_bench_takes_its_flags_from_repro_bench(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["bench", "--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro-faascache bench")
+        assert "BENCH_run.json" in out
+
+    def test_bench_scenario_is_forwarded(self, monkeypatch):
+        import repro.bench
+
+        seen = []
+        monkeypatch.setattr(repro.bench, "main", lambda argv: seen.append(argv) or 7)
+        argv = ["--scenario", "gd_warm", "--scale", "0.1", "--out", "x.json"]
+        assert main(["bench", *argv]) == 7
+        assert seen == [argv]
 
 
 class TestLiveCLI:

@@ -146,7 +146,7 @@ SURFACE = {
 
 #: ``bench``'s options, as :func:`repro.bench.main` parses them.
 BENCH = {
-    "--out": (None, None, False, "BENCH_local.json"),
+    "--out": (None, None, False, "BENCH_run.json"),
     "--baseline": (None, None, False, None),
     "--tolerance": (None, None, False, 0.1),
     "--repeats": (None, None, False, 3),

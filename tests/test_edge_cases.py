@@ -127,6 +127,71 @@ class TestControllerBoundaries:
         assert decision.cache_size_mb == 200.0
 
 
+class TestControlPeriod:
+    """A control period that is not > 0 would divide by zero (0), run
+    the timeline backwards (< 0) or poison the rates (NaN)."""
+
+    @pytest.mark.parametrize("period_s", [0.0, -5.0, float("nan")])
+    def test_rejected_at_construction(self, period_s):
+        from repro.provisioning.controller import ProportionalController
+        from repro.provisioning.hit_ratio import HitRatioCurve
+
+        curve = HitRatioCurve.from_distances([100.0, 200.0])
+        with pytest.raises(ValueError, match="control period"):
+            ProportionalController(
+                curve, target_miss_speed=1.0, initial_size_mb=200.0,
+                control_period_s=period_s,
+            )
+
+
+class TestNanCapacity:
+    """A NaN pool passes a ``<= 0`` test, and the TTL kernel's routing
+    (``footprint > nan`` is False) and the loop then answered the same
+    run differently; every path refuses it as it refuses 0."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("policy", ["GD", "LRU", "TTL", "HIST"])
+    @pytest.mark.parametrize("engine", ["columnar", "object"])
+    def test_simulate_raises(self, policy, engine):
+        from repro.sim.scheduler import simulate
+        from repro.traces.synth import cyclic_trace
+
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            simulate(cyclic_trace(), policy, self.NAN, engine=engine)
+
+    def test_pool_and_resize_raise(self):
+        from repro.core.pool import ContainerPool
+
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            ContainerPool(self.NAN)
+        pool = ContainerPool(1024.0)
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            pool.set_capacity(self.NAN)
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            pool.deflate_to(self.NAN, [])
+
+    def test_gd_kernel_and_live_service_raise(self):
+        from repro.core.policies.greedy_dual import GreedyDualPolicy
+        from repro.live.service import LivePoolService
+        from repro.sim.columnar import run_gd_kernel
+        from repro.traces.synth import cyclic_trace
+
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            run_gd_kernel(cyclic_trace(), GreedyDualPolicy(), self.NAN)
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            LivePoolService(cyclic_trace(), "GD", self.NAN)
+
+    def test_infinite_capacity_still_runs(self):
+        from repro.sim.scheduler import simulate
+        from repro.traces.synth import cyclic_trace
+
+        trace = cyclic_trace()
+        fast = simulate(trace, "GD", float("inf"))
+        loop = simulate(trace, "GD", float("inf"), engine="object")
+        assert fast.metrics.counters() == loop.metrics.counters()
+
+
 class TestInvokerQueueEdges:
     def test_zero_capacity_queue_drops_everything_unservable(self):
         from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker

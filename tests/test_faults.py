@@ -32,7 +32,7 @@ from repro.faults import (
     derive_seed,
     load_fault_spec,
 )
-from repro.faults.model import _INVOKE, _SPAWN, UniformDraws, _pack_key
+from repro.faults.model import _INVOKE, _SPAWN, UniformDraws, _pack, _pack_key
 from repro.faults.retry import _JITTER
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.synth import skewed_frequency_trace
@@ -192,10 +192,13 @@ class TestUniformDraws:
         for seed in seeds:
             draws = UniformDraws(seed)
             for part in self.EDGE_PARTS:
-                assert draws("k", part) == frozen_u01(seed, "k", part), (seed, part)
+                assert draws.draw(_pack("k") + _pack(part)) == frozen_u01(seed, "k", part), (
+                    seed, part
+                )
             for __ in range(500):
                 parts = tuple(rng.choice(self.EDGE_PARTS) for __ in range(rng.randint(0, 5)))
-                assert draws(*parts) == frozen_u01(seed, *parts), (seed, parts)
+                key = b"".join(_pack(part) for part in parts)
+                assert draws.draw(key) == frozen_u01(seed, *parts), (seed, parts)
 
     def test_packed_keys_equal_the_frozen_draw(self):
         """The owners' keys, packed whole (``_pack_key``) and hashed in one
@@ -211,12 +214,6 @@ class TestUniformDraws:
                     assert draws.draw(_pack_key(head, name, first, second)) == frozen_u01(
                         seed, kind, name, first, second
                     ), (seed, kind, name, first, second)
-
-    def test_subclassed_and_unhashable_parts(self):
-        draws = UniformDraws(3)
-        assert draws(Name("f"), 2.0) == frozen_u01(3, "f", 2.0)
-        with pytest.raises(TypeError):
-            draws(None)
 
     def test_owners_draw_from_their_own_seed(self):
         """Each owner's draw is the frozen one of its key, whatever the

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.checks.sanitize import SanitizeError, check_tenant_counter_equality
-from repro.cli import _parse_tenant_map
+from repro.cli import build_parser
 from repro.core.container import Container
 from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.pool import CapacityError, ContainerPool
@@ -507,16 +507,21 @@ class TestBackwardCompat:
 
 
 class TestCliTenantFlags:
+    @staticmethod
+    def quotas(*specs):
+        argv = ["simulate", "--trace", "t"] + (["--tenant-quota", *specs] if specs else [])
+        return build_parser().parse_args(argv).tenant_quotas
+
     def test_parse_tenant_map(self):
-        assert _parse_tenant_map(None, "--tenant-quota") is None
-        assert _parse_tenant_map([], "--tenant-quota") is None
-        assert _parse_tenant_map(
-            ["1=1024", "2=512.5"], "--tenant-quota"
-        ) == {1: 1024.0, 2: 512.5}
+        assert self.quotas() is None
+        assert build_parser().parse_args(
+            ["simulate", "--trace", "t", "--tenant-quota"]
+        ).tenant_quotas is None
+        assert self.quotas("1=1024", "2=512.5") == {1: 1024.0, 2: 512.5}
 
     @pytest.mark.parametrize(
         "spec", ["nope", "1:1024", "x=1024", "1=lots"]
     )
     def test_parse_tenant_map_rejects_bad_specs(self, spec):
-        with pytest.raises(SystemExit):
-            _parse_tenant_map([spec], "--tenant-quota")
+        with pytest.raises(SystemExit, match="TENANT=MB"):
+            self.quotas(spec)

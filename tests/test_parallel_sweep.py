@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.parallel import run_sweep_parallel, simulate_cell
+from repro.sim.parallel import run_sweep_parallel
 from repro.sim.sweep import FailedCell, cell_trace_path, run_sweep
 from tests.conftest import make_trace
 
@@ -44,12 +44,6 @@ class TestParallelSweep:
         )
         assert len(result.points) == 1
         assert result.points[0].policy == "GD"
-
-    def test_simulate_cell_standalone(self, trace):
-        point = simulate_cell(trace, "LRU", 1.0)
-        assert point.policy == "LRU"
-        assert point.memory_gb == 1.0
-        assert 0.0 <= point.cold_start_pct <= 100.0
 
     def test_grid_complete(self, trace):
         result = run_sweep_parallel(
