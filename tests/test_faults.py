@@ -199,6 +199,8 @@ class TestUniformDraws:
                 parts = tuple(rng.choice(self.EDGE_PARTS) for __ in range(rng.randint(0, 5)))
                 key = b"".join(_pack(part) for part in parts)
                 assert draws.draw(key) == frozen_u01(seed, *parts), (seed, parts)
+        with pytest.raises(TypeError):
+            _pack(None)
 
     def test_packed_keys_equal_the_frozen_draw(self):
         """The owners' keys, packed whole (``_pack_key``) and hashed in one
