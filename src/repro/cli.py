@@ -42,7 +42,7 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.analysis.reporting import format_series_table, format_table
 
@@ -78,15 +78,24 @@ def _load_trace(spec: str) -> Trace:
     return load_trace_json(spec)
 
 
-def _gigabytes(text: str) -> float:
-    """A ``*-gb`` flag's size: a number > 0 (``inf`` is one, NaN not)."""
-    try:
-        size = float(text)
-    except ValueError:
-        size = math.nan
-    if not size > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a size > 0 GB, got {text!r}")
-    return size
+def _number(expected: str, accepts: Callable[[float], bool]) -> Callable[[str], float]:
+    """The ``type=`` of a float flag: a number that ``accepts`` holds
+    for (a comparison, so NaN never does), else a usage error naming
+    what was ``expected``. Each flag accepts what its consumer does."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_gigabytes = _number("a size > 0 GB", lambda size: size > 0.0)
 
 
 def _fault_spec(path: str):
@@ -925,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(simulate)
     simulate.add_argument(
         "--warmup-s",
-        type=float,
+        type=_number("a time >= 0 s", lambda time_s: time_s >= 0.0),
         default=0.0,
         help="exclude invocations before this time from the metrics",
     )
@@ -975,13 +984,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     provision = sub.add_parser("provision", help="static server sizing")
     _add_workload_flags(provision, policy=False)
-    provision.add_argument("--target-hit-ratio", type=float, default=0.9)
+    provision.add_argument(
+        "--target-hit-ratio",
+        type=_number("a hit ratio in (0, 1]", lambda ratio: 0.0 < ratio <= 1.0),
+        default=0.9,
+    )
     provision.set_defaults(func=_cmd_provision)
 
     autoscale = sub.add_parser("autoscale", help="dynamic vertical scaling")
     _add_workload_flags(autoscale)
-    autoscale.add_argument("--miss-ratio", type=float, default=0.05)
-    autoscale.add_argument("--period-s", type=float, default=600.0)
+    autoscale.add_argument(
+        "--miss-ratio",
+        type=_number("a miss ratio in (0, 1)", lambda ratio: 0.0 < ratio < 1.0),
+        default=0.05,
+    )
+    autoscale.add_argument(
+        "--period-s",
+        type=_number("a period > 0 s", lambda period_s: period_s > 0.0),
+        default=600.0,
+    )
     autoscale.set_defaults(func=_cmd_autoscale)
 
     plan = sub.add_parser(
@@ -1084,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--tick-interval-s",
-        type=float,
+        type=_number("a finite period >= 0 s", lambda period_s: 0.0 <= period_s < math.inf),
         default=0.25,
         help="expiry-timer period; 0 disables the background tick",
     )

@@ -9,14 +9,12 @@ if TYPE_CHECKING:
     from repro.core.container import Container, ContainerState
     from repro.core.function import FunctionStats, FunctionStatsTable
     from repro.core.pool import CapacityError, ContainerPool
-    from repro.core.sizing import ResourceVector, SizingStrategy, scalar_size
 
 __all__ = [
     "LogicalClock",
     "Container", "ContainerState",
     "FunctionStats", "FunctionStatsTable",
     "CapacityError", "ContainerPool",
-    "ResourceVector", "SizingStrategy", "scalar_size",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -24,5 +22,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "container": "Container ContainerState",
     "function": "FunctionStats FunctionStatsTable",
     "pool": "CapacityError ContainerPool",
-    "sizing": "ResourceVector SizingStrategy scalar_size",
 })

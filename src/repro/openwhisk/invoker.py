@@ -86,7 +86,7 @@ class InvokerConfig:
     stem_cell_mb: float = 256.0
 
     def __post_init__(self) -> None:
-        if self.memory_mb <= 0:
+        if not self.memory_mb > 0:
             raise ValueError("memory must be positive")
         if self.cpu_cores <= 0:
             raise ValueError("cpu cores must be positive")

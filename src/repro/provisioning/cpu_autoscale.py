@@ -3,27 +3,23 @@
 The paper's vertical memory scaling "can also be combined with cpu
 auto-scaling based on the function arrival rate, using classical
 predictive and reactive auto-scaling techniques found in web-clusters"
-[Gandhi et al., AutoScale]. This module supplies that companion:
-
-* **Reactive** scaling sizes the core count from the smoothed offered
-  load (arrival rate x mean service time) and a target utilization,
-  scaling *up* immediately but delaying scale-*down* by a hold time —
-  AutoScale's key insight for avoiding oscillation under bursty load.
-* **Predictive** scaling adds a seasonal (previous-cycle) forecast:
-  the core count is provisioned for the maximum of the current
-  estimate and the rate observed one period (e.g. one day) earlier,
-  absorbing recurring diurnal ramps before they arrive.
+[Gandhi et al., AutoScale]. This module supplies the reactive half,
+which :mod:`repro.cluster.elastic` uses to size its server count: the
+core count follows the smoothed offered load (arrival rate x mean
+service time) and a target utilization, scaling *up* immediately but
+delaying scale-*down* by a hold time — AutoScale's key insight for
+avoiding oscillation under bursty load.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.analysis.stats import EWMA
 
-__all__ = ["CpuScalingDecision", "ReactiveCpuScaler", "PredictiveCpuScaler"]
+__all__ = ["CpuScalingDecision", "ReactiveCpuScaler"]
 
 
 @dataclass(frozen=True)
@@ -62,15 +58,10 @@ class ReactiveCpuScaler:
         self.cores = max(min(initial_cores, max_cores), min_cores)
         self._rate_ewma = EWMA(alpha=ewma_alpha)
         self._below_since: Optional[float] = None
-        self.history: List[CpuScalingDecision] = []
 
     def _desired_cores(self, offered_load: float) -> int:
         raw = math.ceil(offered_load / self.target_utilization)
         return max(self.min_cores, min(self.max_cores, raw))
-
-    def _offered_load(self, now_s: float, rate: float, service_s: float) -> float:
-        smoothed = self._rate_ewma.update(rate)
-        return smoothed * service_s
 
     def step(
         self,
@@ -81,7 +72,7 @@ class ReactiveCpuScaler:
         """One control period: observe the rate, maybe resize."""
         if mean_service_time_s <= 0:
             raise ValueError("mean service time must be positive")
-        offered = self._offered_load(now_s, arrival_rate, mean_service_time_s)
+        offered = self._rate_ewma.update(arrival_rate) * mean_service_time_s
         desired = self._desired_cores(offered)
         resized = False
         if desired > self.cores:
@@ -100,49 +91,10 @@ class ReactiveCpuScaler:
                 resized = True
         else:
             self._below_since = None
-        decision = CpuScalingDecision(
+        return CpuScalingDecision(
             time_s=now_s,
             arrival_rate=arrival_rate,
             offered_load_cores=offered,
             cores=self.cores,
             resized=resized,
         )
-        self.history.append(decision)
-        return decision
-
-    def mean_cores(self) -> float:
-        if not self.history:
-            return float(self.cores)
-        return sum(d.cores for d in self.history) / len(self.history)
-
-
-class PredictiveCpuScaler(ReactiveCpuScaler):
-    """Reactive scaling plus a seasonal (previous-cycle) forecast.
-
-    The provisioned cores cover ``max(current estimate, rate at the
-    same phase one season ago)``, so recurring ramps (the paper's
-    diurnal pattern) are absorbed proactively.
-    """
-
-    def __init__(
-        self,
-        season_s: float = 24 * 3600.0,
-        bucket_s: float = 600.0,
-        **kwargs,
-    ) -> None:
-        super().__init__(**kwargs)
-        if season_s <= 0 or bucket_s <= 0 or bucket_s > season_s:
-            raise ValueError("need 0 < bucket_s <= season_s")
-        self.season_s = season_s
-        self.bucket_s = bucket_s
-        self._seasonal: Dict[int, float] = {}
-
-    def _bucket(self, now_s: float) -> int:
-        return int((now_s % self.season_s) / self.bucket_s)
-
-    def _offered_load(self, now_s: float, rate: float, service_s: float) -> float:
-        smoothed = self._rate_ewma.update(rate)
-        bucket = self._bucket(now_s)
-        forecast = self._seasonal.get(bucket, 0.0)
-        self._seasonal[bucket] = rate
-        return max(smoothed, forecast) * service_s

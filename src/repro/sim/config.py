@@ -76,7 +76,7 @@ class RunConfig:
                 f"prewarm effectiveness must be in [0, 1], "
                 f"got {self.prewarm_effectiveness}"
             )
-        if self.warmup_s < 0.0:
+        if not self.warmup_s >= 0.0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup_s}")
         if self.tenant_mode not in TENANT_MODES:
             raise ValueError(

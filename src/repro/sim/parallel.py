@@ -36,6 +36,7 @@ Engine design (vs. the naive per-cell pickle of earlier revisions):
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -165,35 +166,45 @@ def run_sweep_parallel(
             policy_name, memory_gb = cells[index]
             progress(done, total, policy_name, memory_gb)
 
-    if max_workers is not None and max_workers <= 1:
+    def retry(index: int, attempts: int, exc: Exception) -> bool:
+        """The one retry rule: True while the cell has ``attempts <
+        retries``; else it is recorded as failed and settled."""
+        if attempts < retries:
+            return True
+        policy_name, memory_gb = cells[index]
+        result.failed_cells.append(FailedCell(policy_name, memory_gb, repr(exc)))
+        settle(index, None)
+        return False
+
+    in_process = max_workers is not None and max_workers <= 1
+    if in_process:
         for index, (policy_name, memory_gb) in enumerate(cells):
-            try:
-                point = run_cell(
-                    trace,
-                    policy_name,
-                    memory_gb,
-                    tracer=tracer,
-                    trace_dir=trace_dir,
-                    config=config,
-                    policy_kwargs=policy_kwargs,
-                )
-            except Exception as exc:
-                result.failed_cells.append(
-                    FailedCell(policy_name, memory_gb, repr(exc))
-                )
-                point = None
-            settle(index, point)
-        result.points = [
-            points_by_cell[i] for i in range(total) if i in points_by_cell
-        ]
-        return result
+            for attempts in itertools.count():
+                try:
+                    point = run_cell(
+                        trace,
+                        policy_name,
+                        memory_gb,
+                        tracer=tracer,
+                        trace_dir=trace_dir,
+                        config=config,
+                        policy_kwargs=policy_kwargs,
+                    )
+                except Exception as exc:
+                    if retry(index, attempts, exc):
+                        continue
+                else:
+                    settle(index, point)
+                break
 
     # Cells without a terminal outcome yet, with the retry attempts
     # each has already consumed. Surviving this map across pool
     # rebuilds is what makes retry budgets rebuild-proof: a pool crash
     # resubmits a cell with its old attempt count, while a genuine
     # cell failure increments it whichever pool generation it lands in.
-    remaining: Dict[int, int] = {index: 0 for index in range(total)}
+    remaining: Dict[int, int] = (
+        {} if in_process else {index: 0 for index in range(total)}
+    )
     generations = 0
     while remaining and generations < _MAX_POOL_GENERATIONS:
         generations += 1
@@ -229,10 +240,10 @@ def run_sweep_parallel(
                         broken = True
                         break
                     except Exception as exc:
-                        if attempts < retries:
+                        if retry(index, attempts, exc):
                             remaining[index] = attempts + 1
                             try:
-                                retry = pool.submit(
+                                again = pool.submit(
                                     _run_cell, policy_name, memory_gb
                                 )
                             except RuntimeError:
@@ -240,14 +251,10 @@ def run_sweep_parallel(
                                 # the rebuild will pick the cell up.
                                 broken = True
                                 break
-                            futures[retry] = (index, attempts + 1)
-                            pending.add(retry)
+                            futures[again] = (index, attempts + 1)
+                            pending.add(again)
                             continue
-                        result.failed_cells.append(
-                            FailedCell(policy_name, memory_gb, repr(exc))
-                        )
                         del remaining[index]
-                        settle(index, None)
                         continue
                     del remaining[index]
                     settle(index, point)

@@ -756,7 +756,7 @@ class KeepAliveSimulator:
 
     def set_capacity(self, now_s: float, target_mb: float) -> List[Container]:
         """Resize this server to ``target_mb``: the one capacity seam
-        (harvest steps, the §5.2 controller, colocated demand).
+        (harvest steps, the §5.2 controller).
 
         The graceful path for time-varying resources: a shrink evicts
         idle containers in the policy's victim order via

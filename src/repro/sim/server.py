@@ -26,7 +26,7 @@ class ServerConfig:
     cpu_cores: int = 48  # the paper's evaluation server
 
     def __post_init__(self) -> None:
-        if self.memory_mb <= 0:
+        if not self.memory_mb > 0:
             raise ValueError(f"memory must be positive, got {self.memory_mb}")
         if self.cpu_cores <= 0:
             raise ValueError(f"cpu cores must be positive, got {self.cpu_cores}")

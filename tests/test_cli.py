@@ -479,6 +479,19 @@ class TestUsageErrors:
         assert exited.value.code == 2
         assert "expected a size > 0 GB" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, expected", [
+        (["simulate", "--trace", "cyclic", "--warmup-s", "nan"], "a time >= 0 s"),
+        (["autoscale", "--trace", "cyclic", "--period-s", "0"], "a period > 0 s"),
+        (["autoscale", "--trace", "cyclic", "--miss-ratio", "1"], "a miss ratio in (0, 1)"),
+        (["provision", "--trace", "cyclic", "--target-hit-ratio", "0"], "a hit ratio in (0, 1]"),
+        (["serve", "--trace", "cyclic", "--tick-interval-s", "inf"], "a finite period >= 0 s"),
+    ], ids=["warmup-s", "period-s", "miss-ratio", "target-hit-ratio", "tick-interval-s"])
+    def test_float_flags_take_what_their_consumer_takes(self, command, expected, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(command)
+        assert exited.value.code == 2
+        assert f"expected {expected}, got" in capsys.readouterr().err
+
     def test_simulate_weights_on_a_policy_without_them(self, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["simulate", "--trace", "cyclic", "--policy", "LRU",

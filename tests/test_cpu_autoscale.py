@@ -1,11 +1,8 @@
-"""Tests for the reactive/predictive CPU auto-scalers."""
+"""Tests for the reactive CPU auto-scaler."""
 
 import pytest
 
-from repro.provisioning.cpu_autoscale import (
-    PredictiveCpuScaler,
-    ReactiveCpuScaler,
-)
+from repro.provisioning.cpu_autoscale import ReactiveCpuScaler
 
 
 def reactive(**kwargs):
@@ -63,45 +60,3 @@ class TestReactive:
         scaler2 = reactive(min_cores=4)
         scaler2.step(0.0, 0.001, 1.0)
         assert scaler2.cores >= 4
-
-    def test_mean_cores(self):
-        scaler = reactive()
-        scaler.step(0.0, 10.0, 1.0)  # 20
-        scaler.step(100.0, 10.0, 1.0)  # 20
-        assert scaler.mean_cores() == pytest.approx(20.0)
-
-
-class TestPredictive:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictiveCpuScaler(season_s=0.0)
-        with pytest.raises(ValueError):
-            PredictiveCpuScaler(season_s=100.0, bucket_s=200.0)
-
-    def test_seasonal_forecast_preprovisions(self):
-        scaler = PredictiveCpuScaler(
-            season_s=1000.0,
-            bucket_s=100.0,
-            target_utilization=0.5,
-            ewma_alpha=1.0,
-            scale_down_hold_s=0.0,
-        )
-        # First season: a burst in bucket 3.
-        scaler.step(300.0, 40.0, 1.0)
-        # Quiet period afterwards lets it scale down.
-        scaler.step(600.0, 1.0, 1.0)
-        scaler.step(700.0, 1.0, 1.0)
-        low = scaler.cores
-        # Next season, same phase as the burst but *before* the load
-        # arrives: the forecast provisions for it anyway.
-        decision = scaler.step(1300.0, 1.0, 1.0)
-        assert decision.cores > low
-        assert decision.offered_load_cores >= 40.0
-
-    def test_falls_back_to_reactive_without_history(self):
-        scaler = PredictiveCpuScaler(
-            season_s=1000.0, bucket_s=100.0, target_utilization=0.5,
-            ewma_alpha=1.0,
-        )
-        decision = scaler.step(0.0, 10.0, 1.0)
-        assert decision.cores == 20

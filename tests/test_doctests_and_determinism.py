@@ -13,7 +13,6 @@ import pytest
 import repro.analysis.stats
 import repro.core.clock
 import repro.core.policies.base
-import repro.core.sizing
 import repro.cluster.loadbalancer
 import repro.provisioning.analytical
 import repro.provisioning.hit_ratio
@@ -26,7 +25,6 @@ DOCTESTED_MODULES = [
     repro.analysis.stats,
     repro.core.clock,
     repro.core.policies.base,
-    repro.core.sizing,
     repro.cluster.loadbalancer,
     repro.provisioning.analytical,
     repro.provisioning.hit_ratio,

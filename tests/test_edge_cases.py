@@ -192,6 +192,44 @@ class TestNanCapacity:
         assert fast.metrics.counters() == loop.metrics.counters()
 
 
+class TestNanConfig:
+    """NaN passes a ``< 0`` or ``<= 0`` test. A NaN warm-up sent a run
+    to the GD kernel (``nan > 0`` is False), which counted every
+    arrival, while the loop (``now_s >= nan`` is never true) counted
+    none; a NaN server or invoker size constructed."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("engine", ["columnar", "object"])
+    def test_nan_warmup_raises(self, engine):
+        from repro.sim.config import RunConfig
+        from repro.sim.scheduler import simulate
+        from repro.traces.synth import cyclic_trace
+
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            RunConfig(warmup_s=self.NAN)
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            simulate(cyclic_trace(), "GD", 2048.0, warmup_s=self.NAN, engine=engine)
+
+    def test_infinite_warmup_agrees(self):
+        from repro.sim.scheduler import simulate
+        from repro.traces.synth import cyclic_trace
+
+        trace = cyclic_trace()
+        fast = simulate(trace, "GD", 2048.0, warmup_s=float("inf"))
+        loop = simulate(trace, "GD", 2048.0, warmup_s=float("inf"), engine="object")
+        assert fast.metrics.counters() == loop.metrics.counters()
+
+    def test_nan_memory_raises(self):
+        from repro.openwhisk.invoker import InvokerConfig
+        from repro.sim.server import ServerConfig
+
+        with pytest.raises(ValueError, match="memory must be positive"):
+            ServerConfig(memory_mb=self.NAN)
+        with pytest.raises(ValueError, match="memory must be positive"):
+            InvokerConfig(memory_mb=self.NAN)
+
+
 class TestInvokerQueueEdges:
     def test_zero_capacity_queue_drops_everything_unservable(self):
         from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker

@@ -160,6 +160,45 @@ class TestModuleBudget:
         ]
 
 
+#: Modules no other file imports, each an entry point of its own.
+CENSUS_ENTRY_POINTS = {
+    "repro.cli": "the repro-faascache console script (pyproject.toml)",
+    "repro.checks.__main__": "python -m repro.checks, the analyzer's own command",
+    "repro.traces.azure_csv": "the loader for the paper's Azure Functions 2019 dataset",
+}
+
+
+def module_name(path):
+    """The dotted name of a file under ``src/``."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imported_modules(path, lazy):
+    """Every module an ``import`` statement of ``path`` names, outside
+    ``if TYPE_CHECKING:`` blocks; ``lazy`` maps each lazy package's
+    names to the modules they come from."""
+    tree = ast.parse(path.read_text())
+    hidden = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for statement in block.body for node in ast.walk(statement)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in hidden:
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            table = lazy.get(node.module, {})
+            found.add(node.module)
+            for alias in node.names:
+                found.add(table.get(alias.name, f"{node.module}.{alias.name}"))
+    return found
+
+
 def static_reexports(package):
     """``(module, name)`` of every import a package ``__init__`` keeps
     under ``if TYPE_CHECKING:`` — what an eager import would bind."""
@@ -186,6 +225,33 @@ class TestSurface:
             assert getattr(package, name) is eager, (package_name, name)
             assert vars(package)[name] is eager  # cached: resolved once
         assert set(package.__all__) <= set(dir(package))
+
+    def test_every_module_has_a_reader(self):
+        """The census: every module under ``src/repro`` is imported by
+        another ``src/`` module, a benchmark or an example, or is a
+        named entry point. ``if TYPE_CHECKING:`` imports and a package's
+        lazy table do not count; ``from package import name`` counts
+        for the module the package's table takes ``name`` from."""
+        lazy = {
+            package: {name: module for module, name in
+                      static_reexports(importlib.import_module(package))}
+            for package in LAZY_PACKAGES
+        }
+        modules = {
+            module_name(path) for path in (SRC / "repro").rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        readers = [
+            *SRC.rglob("*.py"),
+            *(SRC.parent / "benchmarks").rglob("*.py"),
+            *(SRC.parent / "examples").rglob("*.py"),
+        ]
+        read = set()
+        for path in readers:
+            own = module_name(path) if path.is_relative_to(SRC) else None
+            read |= imported_modules(path, lazy) - {own}
+        assert set(CENSUS_ENTRY_POINTS) <= modules
+        assert sorted(modules - read - set(CENSUS_ENTRY_POINTS)) == []
 
     def test_star_import_dir_and_unknown_attribute(self):
         out = fresh(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.parallel import run_sweep_parallel
-from repro.sim.sweep import FailedCell, cell_trace_path, run_sweep
+from repro.sim.sweep import FailedCell, cell_trace_path, run_cell, run_sweep
 from tests.conftest import make_trace
 
 
@@ -119,6 +119,44 @@ class TestFaultTolerance:
         )
         assert result.points == []
         assert len(result.failed_cells) == 1
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_in_process_cell_is_retried(self, trace, monkeypatch, retries):
+        """The in-process path retries a failing cell as the pool does:
+        a cell that fails its first attempt only yields its point with
+        one retry and is a failed cell with none."""
+        import repro.sim.parallel as parallel
+
+        attempts = []
+
+        def flaky(trace, policy_name, memory_gb, **kwargs):
+            attempts.append(policy_name)
+            if attempts.count(policy_name) == 1 and policy_name == "LRU":
+                raise RuntimeError("first attempt")
+            return run_cell(trace, policy_name, memory_gb, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_cell", flaky)
+        result = run_sweep_parallel(
+            trace, [1.0], policies=("GD", "LRU"), max_workers=1, retries=retries
+        )
+        assert attempts == ["GD", "LRU"] + ["LRU"] * retries
+        if retries:
+            assert result.points == run_sweep(trace, [1.0], policies=("GD", "LRU")).points
+            assert result.failed_cells == []
+        else:
+            assert [p.policy for p in result.points] == ["GD"]
+            assert result.failed_cells == [
+                FailedCell("LRU", 1.0, "RuntimeError('first attempt')")
+            ]
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_failed_cells_sorted_alike(self, trace, max_workers):
+        result = run_sweep_parallel(
+            trace, [1.0, 0.5], policies=("NOPE", "GD", "BAD"), max_workers=max_workers
+        )
+        assert [(c.policy, c.memory_gb) for c in result.failed_cells] == [
+            ("BAD", 0.5), ("BAD", 1.0), ("NOPE", 0.5), ("NOPE", 1.0),
+        ]
 
 
 class TestSweepTracing:

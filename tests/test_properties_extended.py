@@ -147,20 +147,6 @@ def test_lru_hit_ratio_monotone_in_cache(models, f1, f2):
     assert hr_small <= hr_large + 1e-9
 
 
-@settings(deadline=None, max_examples=15)
-@given(traces(max_len=50), st.floats(min_value=256.0, max_value=8192.0))
-def test_sla_percentiles_bounded_by_cold_time(trace, memory_mb):
-    """Response-time percentiles never exceed the worst cold time."""
-    from repro.provisioning.sla import response_time_percentiles
-
-    if len(trace) == 0:
-        return
-    percentiles = response_time_percentiles(trace, "GD", memory_mb, q=100.0)
-    for name, value in percentiles.items():
-        function = trace.functions[name]
-        assert function.warm_time_s - 1e-9 <= value <= function.cold_time_s + 1e-9
-
-
 @settings(deadline=None, max_examples=10)
 @given(traces(max_len=60))
 def test_elastic_cluster_conserves(trace):
