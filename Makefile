@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install ci-install test bench bench-pytest paper-figures ledger-smoke import-budget ledger-pairs fairness serve live-smoke lint typecheck check sanitize examples reproduce clean
+.PHONY: install ci-install test bench-pytest paper-figures ledger-smoke import-budget ledger-pairs fairness serve live-smoke lint typecheck check sanitize examples reproduce clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -14,13 +14,6 @@ ci-install:
 
 test:
 	$(PYTHON) -m pytest tests/
-
-# Pinned-seed replay suite gated against the checked-in baseline
-# (docs/performance.md). Writes the ignored BENCH_run.json; the committed
-# BENCH_local.json is refreshed only on purpose, with --out BENCH_local.json.
-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_bench.py --out BENCH_run.json \
-		--baseline benchmarks/BASELINE.json
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -91,7 +84,7 @@ serve:
 		--policy GD --memory-gb 8 --port 8077
 
 # Two-process serve+loadgen smoke gate: zero 5xx, server/client
-# counter consistency, calibration-normalized decision p99 ceiling.
+# counter consistency, a decision p99 ceiling scaled by the host's speed.
 live-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/live_smoke_gate.py
 

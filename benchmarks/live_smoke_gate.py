@@ -7,7 +7,8 @@ loadgen`` over actual loopback sockets, and fails on:
 
 * any 5xx response,
 * any server/client decision-counter inconsistency,
-* a calibration-normalized decision-latency p99 above the ceiling,
+* a decision-latency p99 above the ceiling (``MAX_P99_MS``, raised on
+  a host slower than the reference by the calibration loop's ratio),
 * a pipelined burst ending in an oversized ``Content-Length`` that is
   not answered in order, ``413`` last, and then closed — or that costs
   any other connection its service,
@@ -24,9 +25,9 @@ loadgen`` over actual loopback sockets, and fails on:
   (with that stalled connection still open).
 
 This is the two-process path — CLI parsing, signal handling, and the
-port-announce handshake included — as opposed to the in-process
-``live_smoke`` bench scenario. CI's ``live-smoke`` job and
-``make live-smoke`` both run this script.
+port-announce handshake included; ``tests/test_live_http.py`` holds the
+in-process server to the offline replay's results. CI's ``live-smoke``
+job and ``make live-smoke`` both run this script.
 
 Usage: PYTHONPATH=src python benchmarks/live_smoke_gate.py
 """
@@ -41,6 +42,7 @@ import subprocess
 import sys
 import time
 
+from repro.core.clock import wall_clock_s
 from repro.live.loadgen import fetch_stats
 from repro.traces.synth import skewed_frequency_trace
 
@@ -48,10 +50,8 @@ TRACE = "skewed-frequency"
 POLICY = "GD"
 MEMORY_GB = "2"
 LIMIT = "10000"
-MAX_P99_MS = "5"
-BASELINE = os.path.join(
-    os.path.dirname(__file__), "BASELINE.json"
-)
+MAX_P99_MS = 5.0  # on the reference host
+REFERENCE_CALIBRATION_S = 0.132634  # calibration_s() on the reference host
 ANNOUNCE = re.compile(r"at http://([\d.]+):(\d+)")
 STARTUP_TIMEOUT_S = 30.0
 SOCKET_TIMEOUT_S = 10.0
@@ -59,6 +59,32 @@ HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: gate\r\n\r\n"
 STALL_S = 0.5  # sends refused this long: the server has stopped reading
 MAX_HEAD_MISSES = 100  # of LIMIT requests; a miss per request is ~10,000
 MAX_ADMIT_BATCHES = 3_000  # of LIMIT admits (~1,300 on two cores); one each: 10,000
+
+
+def calibration_s() -> float:
+    """Best of three timings of a fixed pure-Python workload: this
+    host's speed, against ``REFERENCE_CALIBRATION_S``."""
+    best = float("inf")
+    for __ in range(3):
+        started = wall_clock_s()
+        acc = 0
+        for i in range(2_000_000):
+            acc = (acc + i * i) % 1000003
+        best = min(best, wall_clock_s() - started)
+    return best
+
+
+def max_p99_ms() -> float:
+    """The decision p99 ceiling on this host: a slower host gets a
+    proportionally higher one, never a lower one."""
+    calibration = calibration_s()
+    ceiling_ms = MAX_P99_MS * max(1.0, calibration / REFERENCE_CALIBRATION_S)
+    print(
+        f"live-smoke: calibration {calibration:.6f} s "
+        f"(reference {REFERENCE_CALIBRATION_S} s): "
+        f"decision p99 ceiling {ceiling_ms:.2f} ms"
+    )
+    return ceiling_ms
 
 
 def _exchange(host: str, port: int, request: bytes) -> bytes:
@@ -186,6 +212,7 @@ def shutdown_failures(server: subprocess.Popen) -> list:
 
 
 def main() -> int:
+    ceiling_ms = max_p99_ms()  # before the server starts, on an idle host
     env = dict(os.environ)
     server = subprocess.Popen(
         [
@@ -227,8 +254,7 @@ def main() -> int:
                 "--port", port,
                 "--limit", LIMIT,
                 "--check-consistency",
-                "--max-p99-ms", MAX_P99_MS,
-                "--calibration-baseline", BASELINE,
+                "--max-p99-ms", repr(ceiling_ms),
             ],
             env=env,
         )

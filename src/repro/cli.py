@@ -13,7 +13,6 @@ Gives downstream users the common workflows without writing Python::
     repro-faascache serve --trace day.json --policy GD --port 8077
     repro-faascache loadgen --trace day.json --port 8077 --check-consistency
     repro-faascache check src tests
-    repro-faascache bench --baseline benchmarks/BASELINE.json
 
 ``--trace`` accepts a JSON trace file (see :mod:`repro.traces.io`) or
 a built-in workload name (the keys of :data:`_WORKLOADS`).
@@ -31,9 +30,7 @@ A flag that feeds :class:`~repro.sim.config.RunConfig` parses into the
 field of its name: a run's config is ``RunConfig.split(vars(args))``.
 
 ``check`` (the determinism linter, rules FC001, FC002, FC003, FC007)
-and ``bench`` (the pinned-seed benchmark suite gated against a baseline
-report, ``docs/performance.md``) hand the rest of the command line to
-their own module's parser.
+hands the rest of the command line to its own module's parser.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ _WORKLOADS = {
 
 #: Subcommands whose every flag belongs to another module's parser:
 #: :func:`main` hands that module's ``main`` the rest of the command line.
-_FORWARDED = {"check": "repro.checks.linter", "bench": "repro.bench"}
+_FORWARDED = {"check": "repro.checks.linter"}
 
 
 def _load_trace(spec: str) -> Trace:
@@ -761,16 +758,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             )
     if args.max_p99_ms is not None:
         ceiling_ms = args.max_p99_ms
-        if args.calibration_baseline:
-            from repro.bench import calibration_s
-
-            with open(args.calibration_baseline) as handle:
-                base_cal = float(json.load(handle).get("calibration_s", 0.0))
-            cur_cal = calibration_s()
-            if base_cal > 0.0 and cur_cal > 0.0:
-                # Slower machine -> proportionally higher ceiling
-                # (never a lower one), mirroring bench-regression.
-                ceiling_ms *= max(1.0, cur_cal / base_cal)
         p99_ms = report.decision_latency.percentile(0.99) * 1e3
         if p99_ms > ceiling_ms:
             failures.append(
@@ -1139,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--speed",
-        type=float,
+        type=_number("a finite speed > 0", lambda speed: 0.0 < speed < math.inf),
         default=3600.0,
         help=(
             "open-loop time compression: trace seconds replayed per "
@@ -1148,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--duration-s",
-        type=float,
+        type=_number("a duration > 0 s", lambda duration_s: duration_s > 0.0),
         help="open-loop wall-clock budget; truncates the replay",
     )
     loadgen.add_argument(
@@ -1172,29 +1159,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--max-p99-ms",
-        type=float,
+        type=_number("a finite ceiling > 0 ms", lambda ms: 0.0 < ms < math.inf),
         help="fail if the p99 in-engine decision latency exceeds this",
-    )
-    loadgen.add_argument(
-        "--calibration-baseline",
-        metavar="BASELINE.json",
-        help=(
-            "scale --max-p99-ms by this bench report's machine "
-            "calibration (like the bench-regression gate)"
-        ),
     )
     loadgen.add_argument(
         "--json-out", metavar="REPORT.json", help="write the summary JSON"
     )
     loadgen.set_defaults(func=_cmd_loadgen)
 
-    for name, help_text in (
-        ("check", "run the determinism linter (rules FC001, FC002, FC003, FC007; "
-         "docs/static-analysis.md)"),
-        ("bench", "run the pinned-seed benchmark suite and optionally gate against "
-         "a baseline (docs/performance.md)"),
-    ):
-        sub.add_parser(name, add_help=False, help=help_text)
+    sub.add_parser(
+        "check", add_help=False,
+        help="run the determinism linter (rules FC001, FC002, FC003, FC007; "
+        "docs/static-analysis.md)",
+    )
 
     return parser
 

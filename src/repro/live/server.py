@@ -43,6 +43,7 @@ from typing import (
     cast,
 )
 
+from repro.core.clock import wall_clock_s
 from repro.live.service import (
     AdmitDecision,
     LivePoolService,
@@ -63,6 +64,12 @@ _READ_BYTES = 256 * 1024
 # many heads of at most this many bytes, cleared when full -- no LRU.
 _MEMO_HEADS = 256
 _MEMO_HEAD_BYTES = 1024
+# A connection the server closes is half-closed and drained first, for
+# at most this long and this many bytes (RFC 7230 section 6.6): a socket
+# closed with unread bytes sends a reset, which can discard the last
+# reply before the client reads it.
+_LINGER_S = 1.0
+_LINGER_BYTES = _MAX_BODY_BYTES
 
 _REASONS = {
     200: "OK",
@@ -529,6 +536,8 @@ class LiveHTTPServer:
             pass
         finally:
             connection.connection_lost(None)
+            if writer.closed:
+                _linger(sock)
             sock.close()
 
     def _tick(self) -> None:
@@ -608,6 +617,22 @@ class LiveHTTPServer:
             self._stopped.wait()
         finally:
             self.stop()
+
+
+def _linger(sock: socket.socket) -> None:
+    """Half-close ``sock`` and read what the client still sends, up to
+    its EOF or ``_LINGER_BYTES`` / ``_LINGER_S``, whichever comes first."""
+    deadline, left = wall_clock_s() + _LINGER_S, _LINGER_BYTES
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        while left > 0 and (timeout_s := deadline - wall_clock_s()) > 0.0:
+            sock.settimeout(timeout_s)
+            data = sock.recv(_READ_BYTES)
+            if not data:
+                break
+            left -= len(data)
+    except OSError:  # the client reset, or the time ran out
+        pass
 
 
 class ServerThread:

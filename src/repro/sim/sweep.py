@@ -119,13 +119,12 @@ def point_fingerprint(point: SweepPoint) -> str:
     ``repr`` precision, and the sorted lifecycle counters — but not
     the wall-clock observability fields, which vary between identical
     runs. Two replays of the same seeded cell must fingerprint
-    identically; the benchmark regression gate relies on this to
-    detect silent result drift.
+    identically; ``tests/test_pinned_replays.py`` pins one to catch
+    silent result drift.
 
     The per-tenant payload joins the hash only when the cell actually
     has one: tenant-less cells fingerprint exactly as they did before
-    multi-tenancy existed, so committed baselines
-    (``benchmarks/BASELINE.json``) stay valid without regeneration.
+    multi-tenancy existed, so pinned fingerprints stay valid.
     The harvested-capacity counters follow the same rule
     (:func:`repro.obs.counters.fingerprint_counters`): a zero counter
     (no harvest/spot activity) is dropped from the hash, so

@@ -7,7 +7,7 @@ independent seeded stream, so the whole trace is a deterministic
 
 :class:`StreamingChurnTrace` generates the benchmark churn workload
 (periodic per-function arrivals with seeded inter-arrival jitter, the
-same shape as :func:`repro.bench.churn_trace`) that way:
+same shape as :func:`repro.traces.synth.churn_trace`) that way:
 
 * every function owns a :class:`random.Random` seeded from
   ``(seed, function index)``, so its arrival stream is independent of

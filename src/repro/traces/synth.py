@@ -11,6 +11,11 @@ floating-point function.
 All generators are deterministic given a seed: arrivals are periodic
 with optional exponential jitter so container reuse patterns are
 realistic rather than metronomic.
+
+Two stress workloads for the simulator's own tests close the module:
+a keep-alive churn trace (:func:`churn_trace`) and a working set far
+above capacity (:func:`eviction_trace`); ``tests/test_pinned_replays.py``
+pins their replays' metrics.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ __all__ = [
     "multitenant_trace",
     "noisy_neighbor_trace",
     "harvest_day_trace",
+    "churn_trace",
+    "eviction_trace",
 ]
 
 
@@ -459,3 +466,65 @@ def harvest_day_trace(
             rng=rng,
         )
     return Trace(functions, invocations, name="harvest-day")
+
+
+def churn_trace(
+    num_functions: int = 1620,
+    duration_s: float = 9600.0,
+    seed: int = 1001,
+    name: str = "bench-churn",
+) -> Trace:
+    """A keep-alive churn workload: a large, mostly-idle warm pool.
+
+    Each function arrives roughly periodically with a per-function
+    inter-arrival time drawn from {60, 120, 240, 480, 960} seconds
+    (seeded), jittered +/-30%. Under a 300 s TTL the short-IAT
+    majority stays warm for the whole replay while the long-IAT tail
+    expires before every arrival — exactly the regime where a
+    per-event full-pool expiry scan is quadratic and the incremental
+    expiry index is not.
+    """
+    rng = random.Random(seed)
+    iat_choices = (60.0, 120.0, 240.0, 480.0, 960.0)
+    functions: List[TraceFunction] = []
+    invocations: List[Invocation] = []
+    for i in range(num_functions):
+        iat = iat_choices[rng.randrange(len(iat_choices))]
+        function = TraceFunction(
+            name=f"bench-{i:04d}",
+            memory_mb=128.0,
+            warm_time_s=0.2,
+            cold_time_s=1.2,
+        )
+        functions.append(function)
+        t = rng.uniform(0.0, iat)
+        while t < duration_s:
+            invocations.append(Invocation(round(t, 6), function.name))
+            t += iat * rng.uniform(0.7, 1.3)
+    invocations.sort(key=lambda inv: (inv.time_s, inv.function_name))
+    return Trace(functions, invocations, name=name)
+
+
+def eviction_trace(
+    num_functions: int = 800,
+    rounds: int = 125,
+    seed: int = 1003,
+    name: str = "bench-eviction",
+) -> Trace:
+    """Shuffled round-robin arrivals over a working set far above
+    capacity: nearly every arrival is a cold start that must select a
+    victim, stressing the lazy victim index rather than expiry."""
+    functions = [
+        TraceFunction(f"evict-{i:03d}", 128.0, 0.2, 1.0)
+        for i in range(num_functions)
+    ]
+    rng = random.Random(seed)
+    invocations: List[Invocation] = []
+    t = 0.0
+    for __ in range(rounds):
+        order = list(range(num_functions))
+        rng.shuffle(order)
+        for i in order:
+            invocations.append(Invocation(round(t, 6), f"evict-{i:03d}"))
+            t += 0.05
+    return Trace(functions, invocations, name=name)

@@ -58,6 +58,16 @@ def sanitized():
 
 
 @pytest.fixture
+def unsanitized():
+    """Disarm the sanitizer, even under REPRO_SANITIZE=1: a sanitized run
+    takes the arrival loop by design, so a test of a kernel, or of the
+    plain hot path's cost, pins it off."""
+    set_sanitize(False)
+    yield
+    set_sanitize(None)
+
+
+@pytest.fixture
 def abc_functions():
     """Three functions with distinct sizes and costs."""
     return [

@@ -1,25 +1,14 @@
-"""Smoke tests for the pinned-seed benchmark harness (repro.bench).
-
-The full suite replays ~100k invocations per scenario; here every
-scenario runs at a tiny ``--scale`` so CI proves the harness end to
-end — workload construction, timing, fingerprinting, baseline
-comparison, and the CLI wrapper — in seconds.
+"""The benchmark tooling outside ``benchmarks/ledger``: the seeded
+stress traces of :mod:`repro.traces.synth` that the pinned replays
+(``tests/test_pinned_replays.py``) and the hot-path budgets replay, and
+the pairs protocol's verdict (``benchmarks/ledger_pairs.py``).
 """
 
-import json
-import subprocess
-import sys
 import pathlib
 
 import pytest
 
-from repro.bench import (
-    SCENARIOS,
-    churn_trace,
-    compare_reports,
-    eviction_trace,
-    run_suite,
-)
+from repro.traces.synth import churn_trace, eviction_trace
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,104 +33,6 @@ class TestWorkloadBuilders:
         assert len(trace) == 60
         times = [i.time_s for i in trace.invocations]
         assert times == sorted(times)
-
-
-class TestRunSuite:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_suite(repeats=1, scale=0.02)
-
-    def test_covers_every_scenario(self, report):
-        assert set(report["scenarios"]) == {s.name for s in SCENARIOS}
-
-    def test_entries_are_complete(self, report):
-        for entry in report["scenarios"].values():
-            assert entry["invocations"] > 0
-            assert entry["best_s"] > 0.0
-            assert len(entry["fingerprint"]) == 64
-
-    def test_fingerprints_reproduce(self, report):
-        again = run_suite(repeats=1, scale=0.02)
-        for name, entry in report["scenarios"].items():
-            assert entry["fingerprint"] == again["scenarios"][name]["fingerprint"]
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            run_suite(repeats=0)
-        with pytest.raises(ValueError):
-            run_suite(scale=0.0)
-
-
-class TestCompareReports:
-    def base(self):
-        return {
-            "scale": 1.0,
-            "calibration_s": 1.0,
-            "scenarios": {
-                "ttl": {"best_s": 1.0, "fingerprint": "a" * 64},
-            },
-        }
-
-    def test_identical_passes(self):
-        assert compare_reports(self.base(), self.base()) == []
-
-    def test_slowdown_fails(self):
-        current = self.base()
-        current["scenarios"]["ttl"]["best_s"] = 1.5
-        failures = compare_reports(current, self.base(), tolerance=0.10)
-        assert len(failures) == 1
-        assert "slowdown" in failures[0]
-
-    def test_slowdown_normalized_by_calibration(self):
-        # Same nominal slowdown, but the machine is 2x slower overall:
-        # the calibration ratio absorbs it.
-        current = self.base()
-        current["scenarios"]["ttl"]["best_s"] = 1.5
-        current["calibration_s"] = 2.0
-        assert compare_reports(current, self.base(), tolerance=0.10) == []
-
-    def test_metrics_drift_fails(self):
-        current = self.base()
-        current["scenarios"]["ttl"]["fingerprint"] = "b" * 64
-        failures = compare_reports(current, self.base())
-        assert len(failures) == 1
-        assert "drift" in failures[0]
-
-    def test_drift_ignored_across_scales(self):
-        # A smoke run at a different scale replays a different
-        # workload; only the timing gate applies then.
-        current = self.base()
-        current["scale"] = 0.05
-        current["scenarios"]["ttl"]["fingerprint"] = "b" * 64
-        assert compare_reports(current, self.base()) == []
-
-    def test_missing_scenario_fails(self):
-        current = self.base()
-        del current["scenarios"]["ttl"]
-        failures = compare_reports(current, self.base())
-        assert len(failures) == 1
-        assert "missing" in failures[0]
-
-
-class TestCliWrapper:
-    def test_run_bench_script(self, tmp_path):
-        out = tmp_path / "bench.json"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "benchmarks" / "run_bench.py"),
-                "--out", str(out),
-                "--repeats", "1",
-                "--scale", "0.02",
-                "--scenario", "sweep_cell",
-            ],
-            env={"PYTHONPATH": str(REPO / "src")},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(out.read_text())
-        assert list(report["scenarios"]) == ["sweep_cell"]
 
 
 class TestLedgerPairsVerdict:

@@ -25,13 +25,6 @@ from repro.traces.synth import skewed_frequency_trace
 from tests.conftest import make_function
 
 
-@pytest.fixture
-def unsanitized():
-    set_sanitize(False)
-    yield
-    set_sanitize(None)
-
-
 def make_pool(capacity_mb=1000.0):
     return ContainerPool(capacity_mb)
 

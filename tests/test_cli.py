@@ -485,7 +485,11 @@ class TestUsageErrors:
         (["autoscale", "--trace", "cyclic", "--miss-ratio", "1"], "a miss ratio in (0, 1)"),
         (["provision", "--trace", "cyclic", "--target-hit-ratio", "0"], "a hit ratio in (0, 1]"),
         (["serve", "--trace", "cyclic", "--tick-interval-s", "inf"], "a finite period >= 0 s"),
-    ], ids=["warmup-s", "period-s", "miss-ratio", "target-hit-ratio", "tick-interval-s"])
+        (["loadgen", "--trace", "cyclic", "--max-p99-ms", "nan"], "a finite ceiling > 0 ms"),
+        (["loadgen", "--trace", "cyclic", "--speed", "nan"], "a finite speed > 0"),
+        (["loadgen", "--trace", "cyclic", "--duration-s", "0"], "a duration > 0 s"),
+    ], ids=["warmup-s", "period-s", "miss-ratio", "target-hit-ratio", "tick-interval-s",
+            "max-p99-ms", "speed", "duration-s"])
     def test_float_flags_take_what_their_consumer_takes(self, command, expected, capsys):
         with pytest.raises(SystemExit) as exited:
             main(command)
@@ -507,25 +511,6 @@ class TestUsageErrors:
         assert exited.value.code == 2
         assert "policy TTL takes no tenant weights" in err
         assert "[1/" not in err
-
-
-class TestForwardedCommands:
-    def test_bench_takes_its_flags_from_repro_bench(self, capsys):
-        with pytest.raises(SystemExit) as exited:
-            main(["bench", "--help"])
-        assert exited.value.code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("usage: repro-faascache bench")
-        assert "BENCH_run.json" in out
-
-    def test_bench_scenario_is_forwarded(self, monkeypatch):
-        import repro.bench
-
-        seen = []
-        monkeypatch.setattr(repro.bench, "main", lambda argv: seen.append(argv) or 7)
-        argv = ["--scenario", "gd_warm", "--scale", "0.1", "--out", "x.json"]
-        assert main(["bench", *argv]) == 7
-        assert seen == [argv]
 
 
 class TestLiveCLI:

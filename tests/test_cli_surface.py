@@ -4,9 +4,8 @@ Every option of every ``repro-faascache`` subcommand, with its
 ``nargs``, ``choices``, ``required`` and parsed default, is asserted
 against the literal table below: a refactor of how the parser is built
 must leave what a user can type, and what it parses to, unchanged.
-``type`` and ``dest`` are deliberately not pinned. ``check`` and
-``bench`` hand their arguments to their own module's parser, so
-``bench``'s table is held against :func:`repro.bench.main`'s parser.
+``type`` and ``dest`` are deliberately not pinned. ``check`` hands its
+arguments to the linter's own parser.
 
 The second half parses full command lines taken from CI's ``trace`` /
 ``sweep`` runs and asserts the run configuration and policy keywords
@@ -139,23 +138,12 @@ SURFACE = {
         "--real-clock": (0, None, False, False),
         "--check-consistency": (0, None, False, False),
         "--max-p99-ms": (None, None, False, None),
-        "--calibration-baseline": (None, None, False, None),
         "--json-out": (None, None, False, None),
     },
 }
 
-#: ``bench``'s options, as :func:`repro.bench.main` parses them.
-BENCH = {
-    "--out": (None, None, False, "BENCH_run.json"),
-    "--baseline": (None, None, False, None),
-    "--tolerance": (None, None, False, 0.1),
-    "--repeats": (None, None, False, 3),
-    "--scale": (None, None, False, 1.0),
-    "--scenario": (None, None, False, None),
-}
-
 #: Subcommands whose every flag belongs to another module's parser.
-FORWARDED = ("bench", "check")
+FORWARDED = ("check",)
 
 
 def surface(parser):
@@ -192,25 +180,6 @@ def subcommands():
     return action.choices
 
 
-class _Built(BaseException):
-    """Carries a parser out of the ``main`` that built it."""
-
-
-def bench_parser(monkeypatch):
-    """The parser :func:`repro.bench.main` builds, caught at its
-    ``parse_args`` before anything runs."""
-    from repro.bench import main as bench_main
-
-    def capture(self, args=None, namespace=None):
-        raise _Built(self)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
-    with pytest.raises(_Built) as caught:
-        bench_main([])
-    monkeypatch.undo()
-    return caught.value.args[0]
-
-
 class TestSurface:
     def test_subcommand_names(self):
         assert sorted(subcommands()) == sorted([*SURFACE, *FORWARDED])
@@ -218,9 +187,6 @@ class TestSurface:
     @pytest.mark.parametrize("command", sorted(SURFACE))
     def test_options(self, command):
         assert surface(subcommands()[command]) == SURFACE[command]
-
-    def test_bench_options(self, monkeypatch):
-        assert surface(bench_parser(monkeypatch)) == BENCH
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -45,7 +45,6 @@ from math import isnan
 import numpy as np
 import pytest
 
-from repro.bench import _metrics_payload, churn_trace, eviction_trace
 from repro.checks.sanitize import set_sanitize
 from repro.core.policies.base import available_policies, create_policy
 from repro.core.policies.greedy_dual import GreedyDualPolicy
@@ -60,8 +59,11 @@ from repro.sim.metrics import FunctionOutcome
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
-from repro.traces.synth import multitenant_trace, skewed_frequency_trace
+from repro.traces.synth import (
+    churn_trace, eviction_trace, multitenant_trace, skewed_frequency_trace,
+)
 from tests.reference_model import Server
+from tests.test_pinned_replays import _metrics_payload
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -137,16 +139,6 @@ class TestRandomizedDifferential:
         assert _metrics_payload(obj) == _metrics_payload(col)
         with pytest.raises(ValueError, match="engine"):
             simulate(trace, "TTL", 64 * 128.0, engine="rowwise")
-
-
-@pytest.fixture
-def unsanitized():
-    # Sanitized runs deliberately route everything through the
-    # sequential path; pin sanitize off so these tests exercise
-    # the kernel even inside the REPRO_SANITIZE=1 CI job.
-    set_sanitize(False)
-    yield
-    set_sanitize(None)
 
 
 #: Keep-alive of :func:`ambiguous_ttl_trace`, whose functions run 0.5 s
@@ -1033,9 +1025,10 @@ class TestExactSummation:
 
 _SUBPROCESS_SCRIPT = """
 import json
-from repro.bench import _metrics_payload, churn_trace, fingerprint
 from repro.core.policies.base import create_policy
 from repro.sim.scheduler import KeepAliveSimulator, simulate
+from repro.traces.synth import churn_trace
+from tests.test_pinned_replays import _metrics_payload, fingerprint
 
 trace = churn_trace(num_functions=50, seed=31)
 oracle = KeepAliveSimulator(
@@ -1051,7 +1044,7 @@ print(json.dumps({
 
 def _fingerprints_with_hashseed(hashseed):
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
     env["PYTHONHASHSEED"] = hashseed
     proc = subprocess.run(
         [sys.executable, "-c", _SUBPROCESS_SCRIPT],

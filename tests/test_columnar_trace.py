@@ -19,7 +19,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.bench import churn_trace
 from repro.faults import FaultSpec
 from repro.sim.columnar import _TTLKernelState
 from repro.sim.scheduler import simulate
@@ -32,6 +31,7 @@ from repro.traces.streaming import (
     StreamingChurnTrace,
     _round6,
 )
+from repro.traces.synth import churn_trace
 from tests.conftest import make_function, make_trace
 
 

@@ -30,7 +30,6 @@ from repro.cluster.loadbalancer import (
     NoHealthyServers,
     create_balancer,
 )
-from repro.bench import churn_trace
 from repro.cluster.simulation import ClusterSimulator, _server_level_spec
 from repro.core.container import Container
 from repro.core.policies.base import available_policies, create_policy
@@ -40,7 +39,7 @@ from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
-from repro.traces.synth import harvest_day_trace
+from repro.traces.synth import churn_trace, harvest_day_trace
 from tests.test_spec_machine import replay_both
 
 REPO = pathlib.Path(__file__).resolve().parents[1]

@@ -30,8 +30,6 @@ from collections import Counter
 
 import pytest
 
-from repro import bench
-from repro.checks.sanitize import set_sanitize
 from repro.core.clock import SimClock
 from repro.core.container import Container
 from repro.core.policies.greedy_dual import GreedyDualPolicy
@@ -41,6 +39,7 @@ from repro.live.server import LiveHTTPServer, _Connection
 from repro.live.service import LivePoolService
 from repro.sim import columnar  # noqa: F401 - simulate() imports it lazily, on a first call
 from repro.sim.scheduler import KeepAliveSimulator, simulate
+from repro.traces import synth
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 
@@ -161,15 +160,6 @@ LIVE_CALLS = 35_317
 #: over-draws) and a few ufuncs per round pay 0.82 (5,708); 5,694 with
 #: the kernel's leaner chunk pass (the warm replay's cuts, above).
 STREAM_CALLS = 5_694
-
-
-@pytest.fixture
-def unsanitized():
-    """The sanitizer attaches a tracer and recomputes the accounting
-    on every add/evict: a different (and deliberately slow) path."""
-    set_sanitize(False)
-    yield
-    set_sanitize(None)
 
 
 def round_robin_trace(num_functions=200, rounds=3, seed=16):
@@ -379,7 +369,7 @@ def test_gd_kernel_peak_stays_within_the_loops(unsanitized):
     0.95 x the registry, a victim every ~40 arrivals) its peak stays at
     or below the loop's. An index that files an entry per warm start and
     never purges the superseded ones peaks at ~10x the loop's here."""
-    trace = bench.churn_trace(650, 9600.0, seed=3)
+    trace = synth.churn_trace(650, 9600.0, seed=3)
     memory_mb = 0.95 * sum(f.memory_mb for f in trace.functions.values())
     peaks = {}
     for engine in ("object", "columnar"):
@@ -399,7 +389,7 @@ def test_gd_fault_kernel_peak_stays_within_the_loops(unsanitized):
     """The same bound on a harvest and spot replay (650 functions at
     0.9 x the registry), where outages leave stale index entries behind:
     the purge keeps the kernel's peak at or below the loop's."""
-    trace = bench.churn_trace(650, 9600.0, seed=3)
+    trace = synth.churn_trace(650, 9600.0, seed=3)
     memory_mb = 0.9 * sum(f.memory_mb for f in trace.functions.values())
     spec = FaultSpec(
         seed=2026, harvest_interval_s=600.0, harvest_min_frac=0.55,

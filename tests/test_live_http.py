@@ -1288,11 +1288,32 @@ class TestSockets:
             (200, "keep-alive", {"ok": True}),
             (413, "close", {"error": "body too large"}),
         ]
-        # One connection's refusal is no one else's problem.
-        assert _request(thread, "GET", "/healthz") == (200, {"ok": True})
+        # One connection's refusal is no one else's problem. This one
+        # closes too: at its EOF the server has let it go, so the count
+        # below cannot race its teardown.
+        with socket.create_connection((thread.host, thread.port), 10) as sock:
+            sock.sendall(_raw("GET", "/healthz", headers=["Connection: close"]))
+            assert _split_responses(_read_to_eof(sock)) == [(200, "close", {"ok": True})]
         http = fetch_stats(thread.host, thread.port)["http"]
         assert http["errors_5xx"] == 0
         assert http["connections"] == 1  # the one asking
+
+    def test_a_refused_client_still_sending_gets_every_reply(self, live_server):
+        """A socket closed with unread bytes resets, and the reset drops
+        the replies still queued to a client that has not read them: the
+        server half-closes and drains first (RFC 7230 section 6.6)."""
+        __, __, __, thread = live_server
+        oversized = _raw(
+            "POST", "/admit", headers=[f"Content-Length: {2 * _MAX_BODY_BYTES}"]
+        )
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # before the handshake
+        sock.connect((thread.host, thread.port))
+        with sock:
+            sock.sendall(_raw("GET", "/healthz") * 200 + oversized + b"x" * 400_000)
+            time.sleep(0.2)  # the server answers and closes; the client reads only now
+            statuses = [status for status, __, __ in _split_responses(_read_to_eof(sock))]
+        assert statuses == [200] * 200 + [413]
 
     def test_concurrent_connections_answer_as_a_lone_one_does(self):
         """Clients replay one mixed stream each, all at once, beside a

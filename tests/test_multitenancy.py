@@ -4,7 +4,7 @@ fairness metrics, and backward compatibility (docs/multi-tenancy.md).
 The backward-compat tests are the load-bearing ones: a tenant-less
 trace simulated in shared mode must behave — and serialize, and
 fingerprint — exactly as it did before multi-tenancy existed, so the
-committed baselines (benchmarks/BASELINE.json) stay valid.
+pinned fingerprints (tests/test_pinned_replays.py) stay valid.
 """
 
 import dataclasses
@@ -448,7 +448,7 @@ class TestBackwardCompat:
 
     def test_tenantless_fingerprint_matches_legacy_point(self):
         """A tenant-less SweepPoint must hash exactly as a pre-tenancy
-        point with the same values: BASELINE.json stays valid."""
+        point with the same values: pinned fingerprints stay valid."""
         values = dict(
             policy="GD", memory_gb=1.0, cold_start_pct=12.5,
             exec_time_increase_pct=3.0, drop_ratio=0.0, hit_ratio=0.875,

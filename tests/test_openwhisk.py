@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench import churn_trace
 from repro.checks.sanitize import check_counter_equality
 from repro.core.function import FunctionStatsTable
 from repro.core.policies import available_policies, create_policy
@@ -19,7 +18,7 @@ from repro.obs.tracer import Tracer
 from repro.sim.scheduler import simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.synth import (
-    cyclic_trace, figure8_trace, multitenant_trace, skewed_size_trace,
+    churn_trace, cyclic_trace, figure8_trace, multitenant_trace, skewed_size_trace,
 )
 from tests.conftest import make_function
 

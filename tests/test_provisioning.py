@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bench import churn_trace
 from repro.checks.sanitize import check_counter_equality
 from repro.core.container import Container
 from repro.core.policies import create_policy
@@ -20,7 +19,7 @@ from repro.provisioning.static_provisioning import (
 from repro.sim.config import RunConfig
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Invocation, Trace, TraceFunction
-from repro.traces.synth import cyclic_trace
+from repro.traces.synth import churn_trace, cyclic_trace
 from tests.conftest import from_columns, make_function, make_trace
 
 

@@ -10,13 +10,12 @@ the index, must evict exactly what the executable specification
 
 import pytest
 
-from repro.bench import churn_trace
 from repro.core.container import Container
 from repro.core.policies import available_policies, create_policy
 from repro.core.pool import ContainerPool
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import TraceFunction
-from repro.traces.synth import multitenant_trace, skewed_frequency_trace
+from repro.traces.synth import churn_trace, multitenant_trace, skewed_frequency_trace
 from tests.conftest import make_function, make_trace
 from tests.test_spec_machine import random_script, replay_both
 
