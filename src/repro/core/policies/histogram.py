@@ -47,6 +47,9 @@ __all__ = ["HistogramPolicy", "FunctionHistogram"]
 
 _MINUTE_S = 60.0
 
+#: Buckets a :class:`FunctionHistogram` grows by at a time.
+GROWTH_BUCKETS = 8
+
 #: What HIST does after an invocation of a function, as offsets from
 #: the invocation time: ``(keep_s, prewarm_after_s, prewarm_keep_s,
 #: predicted_gap_s)`` — expire the started container after ``keep_s``;
@@ -79,17 +82,34 @@ class FunctionHistogram:
     the total the percentiles rank against *and* Welford's count, beside
     ``iat_mean`` and ``iat_m2`` (minutes; updated as
     :meth:`repro.analysis.stats.Welford.update` does, bit for bit).
+
+    ``buckets`` starts empty and grows, in blocks of
+    :data:`GROWTH_BUCKETS` zeros, only when an in-window IAT lands past
+    its end, so ``len(buckets)`` is never more than one block past the
+    highest in-window bucket seen, nor more than ``window_minutes``
+    (most functions' IATs stay in the first minutes of a four-hour
+    window). The cursors never read past the highest populated bucket,
+    so a shorter list ranks exactly as the full one would.
+
+    An arrival before the last one records no IAT and changes no bucket:
+    the series restarts at it. No engine clock goes back within a run,
+    but a used policy handed a new trace does, at its first arrival. A
+    NaN IAT is refused with ``ValueError``.
     """
 
     __slots__ = (
-        "window_minutes", "buckets", "in_window_count", "iat_mean", "iat_m2",
+        "window_minutes", "buckets", "_width", "in_window_count", "iat_mean", "iat_m2",
         "out_of_window", "last_arrival_s", "plan", "_head_at", "_head_below",
         "_tail_at", "_tail_below", "_memo_key", "_memo",
     )
 
     def __init__(self, window_minutes: int) -> None:
+        # An int: a float window would split a bucket at its edge.
+        if type(window_minutes) is not int or window_minutes < 1:
+            raise ValueError(f"window_minutes must be an int >= 1, got {window_minutes!r}")
         self.window_minutes = window_minutes
-        self.buckets: List[int] = [0] * window_minutes
+        self.buckets: List[int] = []
+        self._width = 0  # len(self.buckets), kept without a call
         self.in_window_count, self.iat_mean, self.iat_m2 = 0, 0.0, 0.0
         self.out_of_window = 0
         self.last_arrival_s: Optional[float] = None
@@ -106,9 +126,20 @@ class FunctionHistogram:
         # on every arrival and each frame shows in the replay ledger.
         if self.last_arrival_s is not None:
             iat_minutes = (now_s - self.last_arrival_s) / _MINUTE_S
-            bucket = int(iat_minutes)
-            if bucket < self.window_minutes:
+            # Tested on the IAT, not its bucket: ``int`` truncates toward
+            # zero, so a gap just under 0 would land in bucket 0. Under an
+            # int window, ``iat_minutes < window`` is ``bucket < window``.
+            if 0.0 <= iat_minutes < self.window_minutes:
+                bucket = int(iat_minutes)
                 buckets = self.buckets
+                if bucket >= self._width:
+                    # Grow to the end of the bucket's block, never past
+                    # the window: operators only, no profiled call.
+                    width = (bucket // GROWTH_BUCKETS + 1) * GROWTH_BUCKETS
+                    if width > self.window_minutes:
+                        width = self.window_minutes
+                    buckets += [0] * (width - self._width)
+                    self._width = width
                 buckets[bucket] += 1
                 total = self.in_window_count = self.in_window_count + 1
                 delta = iat_minutes - self.iat_mean
@@ -136,8 +167,11 @@ class FunctionHistogram:
                     below += buckets[at]
                     at += 1
                 self._tail_at, self._tail_below = at, below
-            else:
+            elif iat_minutes >= self.window_minutes:
                 self.out_of_window += 1
+            elif iat_minutes != iat_minutes:
+                raise ValueError(f"NaN IAT: {now_s} s after {self.last_arrival_s} s")
+            # A negative IAT records nothing: the series restarts here.
         self.last_arrival_s = now_s
         self.plan = None
 
@@ -188,6 +222,18 @@ class HistogramPolicy(KeepAlivePolicy):
         release_threshold_s: float = 60.0,
     ) -> None:
         super().__init__()
+        # The HIST kernel and the loop part ways on a NaN parameter, so
+        # each test below is false on NaN; inf still means "never".
+        if type(window_minutes) is not int or window_minutes < 1:
+            raise ValueError(f"window_minutes must be an int >= 1, got {window_minutes!r}")
+        if cov_threshold != cov_threshold:
+            raise ValueError("cov_threshold must not be NaN")
+        for name, value in (
+            ("generic_ttl_s", generic_ttl_s), ("head_margin", head_margin),
+            ("tail_margin", tail_margin), ("release_threshold_s", release_threshold_s),
+        ):
+            if not 0.0 <= value:
+                raise ValueError(f"{name} must be >= 0 and not NaN, got {value}")
         self.window_minutes = window_minutes
         self.cov_threshold = cov_threshold
         self.generic_ttl_s = generic_ttl_s

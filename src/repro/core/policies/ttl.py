@@ -32,7 +32,7 @@ class TTLPolicy(KeepAlivePolicy):
 
     def __init__(self, ttl_s: float = OPENWHISK_DEFAULT_TTL_S) -> None:
         super().__init__()
-        if ttl_s <= 0:
+        if not ttl_s > 0:  # NaN too: the kernel and the loop part ways on it
             raise ValueError(f"ttl must be positive, got {ttl_s}")
         self.ttl_s = ttl_s
 

@@ -25,6 +25,8 @@ across:
   per-attempt faults), the victim order beside a crash's and an
   outage's teardowns, and faulted whole runs against the reference
   model;
+* the parameters the two engines would read differently (NaN),
+  refused at construction, and ``inf`` equal on both;
 * the exact-summation primitive (``np.add.accumulate`` + scalar
   carry) the kernel's float accumulation correctness rests on;
 * a ``PYTHONHASHSEED`` subprocess pair — both engines, both seeds,
@@ -40,7 +42,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
-from math import isnan
+from math import inf, isnan
 
 import numpy as np
 import pytest
@@ -62,6 +64,7 @@ from repro.traces.streaming import StreamingChurnTrace
 from repro.traces.synth import (
     churn_trace, eviction_trace, multitenant_trace, skewed_frequency_trace,
 )
+from tests.conftest import make_trace
 from tests.reference_model import Server
 from tests.test_pinned_replays import _metrics_payload
 
@@ -284,6 +287,22 @@ class TestVectorizedTTLKernel:
         got, __, path = engine_payload(trace, "TTL", 1024.0, ttl_s=300.0)
         assert path == "sequential"
         assert got == want
+
+    def test_an_arrival_on_its_deadline_is_cold(self):
+        """10 s gaps, 3 s cold runs and a 7 s TTL: every arrival lands on
+        its predecessor's deadline, which has expired by then (the loop's
+        ``<=``). In one chunk the interior comparison decides; one
+        arrival per chunk makes every arrival a head, read against the
+        carried deadline."""
+        trace = make_trace("AAAA")
+        loop = simulate(trace, "TTL", 4096.0, engine="object", ttl_s=7.0)
+        default = simulate(trace, "TTL", 4096.0, ttl_s=7.0)
+        assert default.path == "vectorized"
+        assert loop.metrics.cold_starts == default.metrics.cold_starts == 4
+        assert_same_replay(loop, default)
+        heads = run_ttl_kernel(trace, 7.0, 4096.0, "TTL", chunk_invocations=1)
+        assert heads.metrics.cold_starts == 4
+        assert_same_replay(loop, heads)
 
     def test_empty_trace(self):
         empty = Trace.from_columns([TraceFunction("f", 128.0, 0.2, 1.2)], [], [])
@@ -626,6 +645,51 @@ class TestHistKernel:
         model.finish()
         assert result.metrics.counters() == model.counters
         assert model.counters["prewarms"] and model.counters["expirations"]
+
+
+NAN = float("nan")
+
+
+class TestParametersTheEnginesPartOn:
+    """A parameter the kernels and the loop read differently is refused
+    at construction. NaN fails every comparison, so before the refusal
+    ``ttl_s=nan`` read 90 cold starts on the TTL kernel and 2 on the
+    loop, and HIST's ``generic_ttl_s=nan`` read 6 on the HIST kernel
+    against 2. ``inf`` keeps meaning "never", on both."""
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [("TTL", {"ttl_s": NAN}), ("TTL", {"ttl_s": 0.0}), ("TTL", {"ttl_s": -1.0})]
+        + [("HIST", {"window_minutes": w}) for w in (0, -5, 2.5, 240.0, True)]
+        + [("HIST", {"cov_threshold": NAN})]
+        + [
+            ("HIST", {knob: value})
+            for knob in ("generic_ttl_s", "head_margin", "tail_margin", "release_threshold_s")
+            for value in (NAN, -1.0, -inf)
+        ],
+        ids=repr,
+    )
+    def test_refused(self, name, kwargs):
+        with pytest.raises(ValueError):
+            create_policy(name, **kwargs)
+        with pytest.raises(ValueError):
+            simulate(make_trace("ABABAABBA" * 20), name, 4096.0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [("TTL", {"ttl_s": inf})]
+        + [
+            ("HIST", {knob: inf})
+            for knob in ("generic_ttl_s", "head_margin", "tail_margin", "release_threshold_s")
+        ]
+        + [("HIST", {"cov_threshold": value}) for value in (inf, -inf)],
+        ids=repr,
+    )
+    def test_inf_means_never_on_both(self, name, kwargs, unsanitized):
+        trace = make_trace("ABABAABBA" * 20)
+        loop, default = loop_and_default(trace, name, 4096.0, kwargs)
+        assert default.path == ("vectorized" if name == "TTL" else "hist-kernel")
+        assert_same_replay(loop, default)
 
 
 #: GD's weights the seeded sweep draws from: a zero weight drops its

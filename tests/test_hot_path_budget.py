@@ -20,6 +20,7 @@ the point; raising one needs the ledger row that paid for it.
 
 import dis
 import gc
+import importlib
 import inspect
 import json
 import random
@@ -198,6 +199,10 @@ def churn_trace(num_functions=60, duration_s=1200.0, seed=16):
     return Trace(functions, invocations, name="churn")
 
 
+#: What replay code imports inside a function, on first use.
+_LAZY_IMPORTS = ("hashlib", "numpy")
+
+
 def counted(run, *args, **kwargs):
     """``(calls made inside run(*args, **kwargs), its result)``."""
     calls = 0
@@ -207,8 +212,14 @@ def counted(run, *args, **kwargs):
         if event == "call" or event == "c_call":
             calls += 1
 
-    # Finalizers of an earlier test's garbage are calls too: collect it
-    # now and keep the collector out of the counted region.
+    # A module the replay imports lazily (hashlib for a fault draw,
+    # NumPy in the TTL kernel) costs ~1,000 importlib calls the first
+    # time: load them now, so a budget counts the replay alone, whatever
+    # ran before it. Finalizers of an earlier test's garbage are calls
+    # too: collect it now and keep the collector out of the counted
+    # region.
+    for module in _LAZY_IMPORTS:
+        importlib.import_module(module)
     gc.collect()
     gc.disable()
     sys.setprofile(profiler)

@@ -1,11 +1,13 @@
 """Unit tests for the HIST (hybrid histogram) policy."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.container import Container
-from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
+from repro.core.policies.histogram import GROWTH_BUCKETS, FunctionHistogram, HistogramPolicy
 from repro.core.pool import ContainerPool
 from repro.traces.model import Trace
 from tests.conftest import make_function
@@ -135,6 +137,75 @@ class TestFunctionHistogram:
                 beyond += 1
             assert (h.head_s(), h.tail_s()) == naive_windows(in_window)
             assert (h.in_window_count, h.out_of_window) == (len(in_window), beyond)
+            assert sum(h.buckets) == h.in_window_count
+            # Grown to cover the highest in-window bucket, by at most one
+            # block past it and never past the window.
+            highest = max(in_window, default=-1)
+            assert highest < len(h.buckets) <= min(highest + GROWTH_BUCKETS, window)
+
+    def test_buckets_grow_by_blocks_up_to_the_window(self):
+        h = FunctionHistogram(window_minutes=20)
+        assert h.buckets == []
+        h.record_arrival(0.0)
+        assert h.buckets == []  # a first arrival has no IAT
+        widths = []
+        for gap_minutes in (0.5, 7.9, 8.0, 3.0, 19.99, 25.0):
+            h.record_arrival(h.last_arrival_s + gap_minutes * MIN)
+            widths.append(len(h.buckets))
+        assert widths == [8, 8, 16, 16, 20, 20]
+        assert h.out_of_window == 1
+
+    @pytest.mark.parametrize("window", [0, -1, 2.5, 240.0, True, None])
+    def test_window_is_a_positive_int(self, window):
+        with pytest.raises(ValueError, match="window_minutes must be an int >= 1"):
+            FunctionHistogram(window_minutes=window)
+
+    @pytest.mark.parametrize("back_s", [0.001, 30.0, 90.0, 300 * MIN])
+    def test_an_arrival_before_the_last_records_nothing(self, back_s):
+        # Before, -30 s landed in bucket 0, -90 s in the window's last
+        # bucket (``buckets[-1]``) and -300 minutes raised IndexError.
+        h = FunctionHistogram(window_minutes=240)
+        for now_s in (0.0, 600.0, 1200.0):
+            h.record_arrival(now_s)
+
+        def state():
+            return (list(h.buckets), h.in_window_count, h.iat_mean, h.iat_m2,
+                    h.out_of_window, h.head_s(), h.tail_s())
+
+        before = state()
+        h.record_arrival(1200.0 - back_s)
+        assert state() == before
+        # The series restarts at the earlier arrival.
+        assert h.last_arrival_s == 1200.0 - back_s
+        h.record_arrival(1200.0 - back_s + 600.0)
+        assert h.buckets[10] == 3 and h.in_window_count == 3
+
+    def test_a_nan_arrival_is_refused(self):
+        h = FunctionHistogram(window_minutes=240)
+        h.record_arrival(0.0)
+        with pytest.raises(ValueError):
+            h.record_arrival(float("nan"))
+        assert (h.buckets, h.in_window_count, h.last_arrival_s) == ([], 0, 0.0)
+
+    def test_footprint_follows_the_iats_not_the_window(self):
+        """1,000 functions whose IATs all stay under 16 minutes of a
+        240-minute window: the eager list of 240 zeros alone took
+        1,976 B per function."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            histograms = [FunctionHistogram(window_minutes=240) for __ in range(1000)]
+            for i, h in enumerate(histograms):
+                now_s = float(i)
+                h.record_arrival(now_s)
+                for gap_s in (59.0, 900.0, 450.5, 61.0, 959.0):
+                    now_s += gap_s
+                    h.record_arrival(now_s)
+            per_function = (tracemalloc.get_traced_memory()[0] - before) / len(histograms)
+        finally:
+            tracemalloc.stop()
+        assert all(len(h.buckets) == 16 for h in histograms)
+        assert per_function < 1000, f"{per_function:.0f} B per function"
 
 
 class TestHistogramPolicyExpiry:
