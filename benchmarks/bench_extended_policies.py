@@ -24,7 +24,7 @@ MEMORY_GRID_GB = [10.0, 20.0, 40.0]
 
 
 def run_comparison(trace):
-    return run_sweep(trace, MEMORY_GRID_GB, policies=POLICIES)
+    return run_sweep(trace, MEMORY_GRID_GB, policies=POLICIES).require_complete()
 
 
 def test_extended_policies(benchmark, paper_traces):

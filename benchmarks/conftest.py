@@ -74,7 +74,7 @@ class _SweepCache:
         if name not in self._sweeps:
             self._sweeps[name] = run_sweep(
                 self._traces[name], MEMORY_GRIDS[name]
-            )
+            ).require_complete()
         return self._sweeps[name]
 
 

@@ -36,7 +36,7 @@ def main() -> None:
             f"\n=== {name}: {trace.num_functions} functions, "
             f"{len(trace)} invocations ==="
         )
-        sweep = run_sweep(trace, MEMORY_GRID_GB)
+        sweep = run_sweep(trace, MEMORY_GRID_GB).require_complete()
         series = {
             policy: [
                 value

@@ -71,7 +71,7 @@ def figure5_data(
     policies: Sequence[str] = PAPER_POLICIES,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Per-policy (memory GB, % execution-time increase) series."""
-    sweep = run_sweep(trace, memory_gbs, policies)
+    sweep = run_sweep(trace, memory_gbs, policies).require_complete()
     return {
         policy: sweep.series(policy, "exec_time_increase_pct")
         for policy in policies
@@ -84,7 +84,7 @@ def figure6_data(
     policies: Sequence[str] = PAPER_POLICIES,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Per-policy (memory GB, % cold starts) series."""
-    sweep = run_sweep(trace, memory_gbs, policies)
+    sweep = run_sweep(trace, memory_gbs, policies).require_complete()
     return {
         policy: sweep.series(policy, "cold_start_pct") for policy in policies
     }

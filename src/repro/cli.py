@@ -75,14 +75,17 @@ def _load_trace(spec: str) -> Trace:
     return load_trace_json(spec)
 
 
-def _number(expected: str, accepts: Callable[[float], bool]) -> Callable[[str], float]:
-    """The ``type=`` of a float flag: a number that ``accepts`` holds
-    for (a comparison, so NaN never does), else a usage error naming
-    what was ``expected``. Each flag accepts what its consumer does."""
+def _number(
+    expected: str, accepts: Callable[[float], bool], kind: Callable[[str], float] = float
+) -> Callable[[str], float]:
+    """The ``type=`` of a numeric flag: a ``kind`` (``float`` or
+    ``int``) that ``accepts`` holds for (a comparison, so NaN never
+    does), else a usage error naming what was ``expected``. Each flag
+    accepts what its consumer does."""
 
     def parse(text: str) -> float:
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
         if not accepts(value):
@@ -281,7 +284,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.policies import PAPER_POLICIES
-    from repro.sim.parallel import run_sweep_parallel
+    from repro.sim.sweep import run_sweep
 
     policies = args.policies or list(PAPER_POLICIES)
     trace, config, policy_kwargs = _run_inputs(args, policies)
@@ -290,7 +293,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"[{done}/{total}] {policy} @ {memory_gb:g} GB", file=sys.stderr)
 
     # Omitted or 1 runs the cells in this process; 0 is one per CPU.
-    sweep = run_sweep_parallel(
+    sweep = run_sweep(
         trace,
         args.memory_gb,
         policies=policies,
@@ -947,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers",
-        type=int,
+        type=_number("a worker count >= 0", lambda count: count >= 0, int),
         default=None,
         help=(
             "fan the grid out over worker processes (0 = one per CPU); "

@@ -116,10 +116,6 @@ class LoadBalancer(abc.ABC):
             raise ValueError(f"server {server} out of range")
         self._draining.add(server)
 
-    def clear_draining(self, server: int) -> None:
-        """Withdraw an eviction notice. Idempotent."""
-        self._draining.discard(server)
-
     @property
     def down_servers(self) -> Set[int]:
         """A copy of the currently-down server set."""

@@ -19,9 +19,17 @@ from typing import Optional
 
 from repro.traces.model import TraceFunction
 
-__all__ = ["ContainerState", "Container"]
+__all__ = ["ContainerState", "Container", "restart_container_ids"]
 
 _container_ids = itertools.count()
+
+
+def restart_container_ids() -> None:
+    """Number the next container 0. Ids are process-wide, so a run that
+    restarts them names its containers by creation order whatever ran
+    before it; no other run may be creating containers meanwhile."""
+    global _container_ids
+    _container_ids = itertools.count()
 
 
 class ContainerState(enum.Enum):

@@ -15,8 +15,8 @@ Three implementations cover the usual consumers:
 
 Sinks hold process-local resources (file handles, buffers). They are
 deliberately **not** picklable: a sink must never be silently shared
-across processes (see ``run_sweep_parallel``'s ``trace_dir``, which
-re-opens JSONL sinks by *path* inside each worker instead).
+across processes (see ``run_sweep``'s ``trace_dir``, which re-opens
+JSONL sinks by *path* inside each worker instead).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class Sink:
     def __reduce__(self):
         raise TypeError(
             f"{type(self).__name__} holds process-local state and cannot "
-            "be pickled; pass a path (e.g. run_sweep_parallel's "
+            "be pickled; pass a path (e.g. run_sweep's "
             "trace_dir) and re-open the sink inside each worker instead"
         )
 

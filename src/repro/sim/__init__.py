@@ -8,7 +8,6 @@ if TYPE_CHECKING:
     from repro.sim.config import RunConfig
     from repro.sim.events import EventQueue
     from repro.sim.metrics import FunctionOutcome, SimulationMetrics
-    from repro.sim.parallel import run_sweep_parallel
     from repro.sim.scheduler import KeepAliveSimulator, SimulationResult, simulate
     from repro.sim.server import GB_MB, ServerConfig
     from repro.sim.sweep import FailedCell, SweepPoint, SweepResult, memory_sizes_gb, run_sweep
@@ -18,7 +17,6 @@ __all__ = [
     "EventQueue",
     "FunctionOutcome", "SimulationMetrics",
     "RunConfig",
-    "run_sweep_parallel",
     "KeepAliveSimulator", "SimulationResult", "simulate",
     "GB_MB", "ServerConfig",
     "SweepPoint", "SweepResult", "memory_sizes_gb", "run_sweep",
@@ -28,7 +26,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "config": "RunConfig",
     "events": "EventQueue",
     "metrics": "FunctionOutcome SimulationMetrics",
-    "parallel": "run_sweep_parallel",
     "scheduler": "KeepAliveSimulator SimulationResult simulate",
     "server": "GB_MB ServerConfig",
     "sweep": "FailedCell SweepPoint SweepResult memory_sizes_gb run_sweep",

@@ -339,16 +339,6 @@ class SimulationMetrics:
         """
         return read_tenant_counters(self.per_tenant)
 
-    def tenant_cold_start_ratios(self) -> Dict[int, float]:
-        """Per-tenant cold-start ratio over served invocations, in
-        ascending tenant-id order. Empty on tenant-less runs."""
-        return {
-            tenant_id: (
-                outcome.cold / outcome.served if outcome.served else 0.0
-            )
-            for tenant_id, outcome in sorted(self.per_tenant.items())
-        }
-
     @property
     def jain_fairness_index(self) -> float:
         """Jain's fairness index over per-tenant warm-hit ratios

@@ -907,12 +907,12 @@ def _exact_kernels(
     three phase hooks the fast paths above test lets a container go only
     under pressure, so no policy state reaches an outcome: the
     recurrence at ``ttl_s = inf``. An exact :class:`HistogramPolicy` is
-    replayed per arrival on its own histograms and plans, if it is fresh
-    (a used one holds histograms the kernel would not see). An exact
+    replayed per arrival on its own histograms and plans. An exact
     :class:`GreedyDualPolicy` without tenant weights is replayed per
-    arrival at any pool size, if it is fresh (no Freq, clock at 0): after
-    the TTL kernel, which declines self-overlapping functions, or alone
-    when the registry outgrows the pool. Under an enabled fault spec only
+    arrival at any pool size: after the TTL kernel, which declines
+    self-overlapping functions, or alone when the registry outgrows the
+    pool. (:func:`simulate` resets a policy it is handed, so each kernel
+    starts from a fresh one.) Under an enabled fault spec only
     the GD kernel may answer (it replays the server's fault timeline and
     retry queue; the others know nothing of faults); a disabled spec is
     no spec. Tracer, reserved concurrency, timeline, warm-up, tenants
@@ -920,16 +920,13 @@ def _exact_kernels(
     the loop.
     """
     kind = type(policy)
-    gd = (
-        kind is GreedyDualPolicy and policy._tenant_weights is None
-        and not policy._frequency and not policy.clock.value
-    )
+    gd = kind is GreedyDualPolicy and policy._tenant_weights is None
     spec = config.fault_spec
     if spec is not None and spec.enabled:
         if not gd:
             return ()
         kernels: Tuple[str, ...] = ("gd",)
-    elif kind is HistogramPolicy and not policy._histograms:
+    elif kind is HistogramPolicy:
         kernels = ("hist",)
     elif kind is TTLPolicy or (
         kind.expired_containers is KeepAlivePolicy.expired_containers
@@ -967,7 +964,8 @@ def simulate(
     """Convenience one-shot simulation.
 
     ``policy`` may be a short policy name (``"GD"``, ``"TTL"``, ...) or
-    an already-constructed policy instance. The simulator's own knobs
+    an already-constructed policy instance, which is reset first: every
+    run starts from a fresh policy state. The simulator's own knobs
     are the fields of :class:`~repro.sim.config.RunConfig`, given as
     ``config`` and/or as individual keywords (``warmup_s=…``,
     ``fault_spec=…``, ...); any remaining keyword arguments configure
@@ -977,7 +975,7 @@ def simulate(
     names that does not decline: for a run memory pressure cannot reach,
     the vectorized TTL kernel (:func:`repro.sim.columnar.run_ttl_kernel`)
     or the per-arrival HIST kernel
-    (:func:`repro.sim.columnar.run_hist_kernel`); for a fresh, plain GD
+    (:func:`repro.sim.columnar.run_hist_kernel`); for a plain GD
     at any pool size and under any fault spec, the per-arrival GD kernel
     (:func:`repro.sim.columnar.run_gd_kernel`, after the TTL kernel when
     the registry fits and no spec is enabled). Every other run, a run its
@@ -1001,6 +999,8 @@ def simulate(
         policy = create_policy(policy, **policy_kwargs)
     elif policy_kwargs:
         raise ValueError("policy_kwargs are only valid with a policy name")
+    else:
+        policy.reset()
     if engine not in ("object", "columnar"):
         raise ValueError(
             f"engine must be 'object' or 'columnar', got {engine!r}"

@@ -5,17 +5,29 @@ the execution-time increase and the cold-start fraction of seven
 keep-alive policies across a range of server memory sizes. This module
 runs those grids and returns tidy result tables the benchmark harness
 and plotting code consume.
+
+:func:`run_sweep` is the one grid runner: in this process, or on a
+process pool, as the artifact's ``many_run.py`` ran one process per
+cell. On the pool the trace is broadcast once per worker (a cell
+submission carries only its coordinates), cells stream back as they
+finish, a pool whose worker died hard is rebuilt, and after
+``_MAX_POOL_GENERATIONS`` crashes each leftover cell runs in a
+quarantine pool of its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.container import restart_container_ids
 from repro.core.policies import PAPER_POLICIES, create_policy
 from repro.faults import cell_fault_spec
 from repro.obs.counters import fingerprint_counters
@@ -155,15 +167,27 @@ def point_fingerprint(point: SweepPoint) -> str:
 class SweepResult:
     """All points of a sweep over one trace.
 
-    ``failed_cells`` is always empty for the sequential
-    :func:`run_sweep` (a raising cell propagates); the parallel runner
-    fills it instead of discarding the surviving grid — callers that
-    need completeness must check it.
+    A cell that still raises after its retries lands in
+    ``failed_cells`` instead of discarding the surviving grid; callers
+    that need the whole grid call :meth:`require_complete`.
     """
 
     trace_name: str
     points: List[SweepPoint] = field(default_factory=list)
     failed_cells: List[FailedCell] = field(default_factory=list)
+
+    def require_complete(self) -> "SweepResult":
+        """This result, or :class:`RuntimeError` naming each failed cell."""
+        if self.failed_cells:
+            cells = "; ".join(
+                f"{c.policy} @ {c.memory_gb:g} GB: {c.error}"
+                for c in self.failed_cells
+            )
+            raise RuntimeError(
+                f"{len(self.failed_cells)} sweep cells failed on "
+                f"{self.trace_name!r}: {cells}"
+            )
+        return self
 
     def series(self, policy: str, metric: str) -> List[tuple]:
         """(memory_gb, value) pairs for one policy, sorted by memory."""
@@ -218,10 +242,9 @@ def cell_trace_path(
 ) -> pathlib.Path:
     """The JSONL file one sweep cell's events go to under ``trace_dir``.
 
-    Shared by the sequential and parallel engines so both produce the
-    same layout, and path-addressable so parallel workers can each
-    (re-)open their own sink instead of inheriting a parent file
-    handle.
+    Path-addressable, so pool workers each (re-)open their own sink
+    instead of inheriting a parent file handle, and every mode of
+    :func:`run_sweep` writes the same layout.
     """
     return pathlib.Path(trace_dir) / f"{policy_name}_{memory_gb:g}GB.jsonl"
 
@@ -230,21 +253,19 @@ def run_cell(
     trace: Trace,
     policy_name: str,
     memory_gb: float,
-    tracer: Optional[Tracer] = None,
     trace_dir: Optional[str] = None,
     config: Optional[RunConfig] = None,
     policy_kwargs: Optional[Mapping[str, object]] = None,
     **config_fields,
 ) -> SweepPoint:
-    """Run one (policy, memory) cell with optional tracing, through
+    """Run one (policy, memory) cell, through
     :func:`~repro.sim.scheduler.simulate` (so a cell memory pressure
     cannot reach is answered by the vectorized kernel).
 
-    ``tracer`` (in-process use) is bound with the cell coordinates so
-    a single sink can receive several cells' events distinguishably;
-    ``trace_dir`` instead writes the cell's events to its own JSONL
-    file (see :func:`cell_trace_path`) — the only tracing mode that is
-    safe across processes.
+    ``trace_dir`` writes the cell's events to its own JSONL file (see
+    :func:`cell_trace_path`). Container ids restart at 0 for each cell,
+    so the file is the same bytes whichever process ran the cell and
+    whatever ran there before it.
 
     ``config`` (and/or its fields as keywords, e.g. ``fault_spec=…``,
     ``tenant_mode=…``) is the *sweep-level*
@@ -252,25 +273,20 @@ def run_cell(
     sweep-level spec: the cell derives its own seed from it via
     :func:`repro.faults.cell_fault_spec`, a pure function of the cell
     coordinates. Cells therefore see independent fault draws, while
-    any re-execution of the same cell — sequential, parallel, or a
-    retry after a worker crash — replays the identical fault sequence.
+    any re-execution of the same cell — in this process, in a pool
+    worker, or a retry after a worker crash — replays the identical
+    fault sequence.
 
     ``policy_kwargs`` are forwarded to :func:`create_policy` (e.g.
     GD's ``tenant_weights``) — callers own matching them to policies
     that accept them.
     """
     config = RunConfig.resolve(config, config_fields)
-    cell_tracer = None
-    owned_sink = None
+    sink = None
     if trace_dir is not None:
-        if tracer is not None:
-            raise ValueError("pass either tracer or trace_dir, not both")
-        owned_sink = JsonlSink(
+        sink = JsonlSink(
             cell_trace_path(trace_dir, policy_name, memory_gb), eager=True
         )
-        cell_tracer = Tracer(owned_sink)
-    elif tracer is not None:
-        cell_tracer = tracer.bind(policy=policy_name, memory_gb=memory_gb)
     spec = config.fault_spec
     if spec is not None:
         config = dataclasses.replace(
@@ -278,21 +294,59 @@ def run_cell(
         )
     try:
         policy = create_policy(policy_name, **dict(policy_kwargs or {}))
+        restart_container_ids()
         result = simulate(
-            trace, policy, memory_gb * GB_MB, config, tracer=cell_tracer
+            trace, policy, memory_gb * GB_MB, config,
+            tracer=None if sink is None else Tracer(sink),
         )
         return point_from_result(policy_name, memory_gb, result)
     finally:
-        if owned_sink is not None:
-            owned_sink.close()
+        if sink is not None:
+            sink.close()
+
+
+#: What every cell of one sweep shares, broadcast once per pool worker
+#: through the initializer so a cell submission only pickles its
+#: (policy, memory) coordinates: ``(trace, trace_dir, config,
+#: policy_kwargs)``. The event-trace directory travels as a *path* —
+#: each worker opens its own per-cell JSONL sink, so no file handle
+#: ever crosses a process boundary.
+_Broadcast = Tuple[Trace, Optional[str], RunConfig, Optional[Mapping[str, object]]]
+_WORKER_STATE: Optional[_Broadcast] = None
+
+#: How many times a crashed pool is rebuilt before falling back to
+#: per-cell quarantine. Rebuilding keeps the surviving cells parallel;
+#: the cap stops a systematically-crashing environment from looping.
+_MAX_POOL_GENERATIONS = 3
+
+#: ``progress(done, total, policy, memory_gb)``, called as each cell
+#: settles (point produced or finally failed).
+ProgressCallback = Callable[[int, int, str, float], None]
+
+
+def _init_worker(*state) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = state
+
+
+def _run_cell(policy_name: str, memory_gb: float) -> SweepPoint:
+    """Worker-side cell execution against the broadcast state."""
+    if _WORKER_STATE is None:
+        raise RuntimeError("worker pool was not initialized with a trace")
+    trace, trace_dir, config, policy_kwargs = _WORKER_STATE
+    return run_cell(
+        trace, policy_name, memory_gb, trace_dir=trace_dir,
+        config=config, policy_kwargs=policy_kwargs,
+    )
 
 
 def run_sweep(
     trace: Trace,
     memory_gbs: Sequence[float],
     policies: Iterable[str] = PAPER_POLICIES,
-    progress: Optional[Callable[[str, float], None]] = None,
-    tracer: Optional[Tracer] = None,
+    max_workers: Optional[int] = 1,
+    progress: Optional[ProgressCallback] = None,
+    retries: int = 1,
     trace_dir: Optional[str] = None,
     config: Optional[RunConfig] = None,
     policy_kwargs: Optional[Mapping[str, object]] = None,
@@ -300,34 +354,120 @@ def run_sweep(
 ) -> SweepResult:
     """Simulate every (policy, memory) cell over ``trace``.
 
-    Each cell gets a fresh policy instance, so runs are independent and
-    order-insensitive. ``progress`` (if given) is called with the
-    policy name and memory size before each cell, for long sweeps.
+    ``max_workers=1`` runs the cells in this process, one after the
+    other (also the safe choice inside an already-parallel harness);
+    any larger count fans them out over that many worker processes,
+    and ``None`` over one per CPU.
 
-    Tracing: ``tracer`` streams every cell's events to one sink, each
-    event stamped with its ``policy``/``memory_gb`` context;
-    ``trace_dir`` writes one JSONL file per cell instead (the layout
-    the parallel engine also produces).
+    Each failing cell is retried ``retries`` times; a cell that still
+    fails lands in the returned :attr:`SweepResult.failed_cells` (as
+    ``(policy, memory_gb, error)``, sorted) while every other point is
+    kept — a partial grid instead of a lost one. Points are ordered
+    policy-major, then memory, with failed cells skipped.
+    ``progress(done, total, policy, memory_gb)`` is called as each
+    cell settles.
 
-    ``config`` / its fields as keywords apply to every cell; a
+    ``trace_dir`` writes one JSONL event file per cell (see
+    :func:`cell_trace_path`) in every mode. ``config`` / its fields as
+    keywords and ``policy_kwargs`` apply to every cell; a
     ``fault_spec`` injects deterministic faults into each under its
-    own coordinate-derived seed (see :func:`run_cell`).
+    own coordinate-derived seed (see :func:`run_cell`), so faulted and
+    tenant-aware grids are equal in every mode.
     """
     config = RunConfig.resolve(config, config_fields)
+    if max_workers is not None and not (
+        isinstance(max_workers, int) and max_workers >= 1
+    ):
+        raise ValueError(f"max_workers must be None or >= 1, got {max_workers!r}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    cells: List[Tuple[str, float]] = [
+        (policy, memory_gb)
+        for policy in policies
+        for memory_gb in memory_gbs
+    ]
     result = SweepResult(trace_name=trace.name)
-    for policy_name in policies:
-        for memory_gb in memory_gbs:
-            if progress is not None:
-                progress(policy_name, memory_gb)
-            result.points.append(
-                run_cell(
-                    trace,
-                    policy_name,
-                    memory_gb,
-                    tracer=tracer,
-                    trace_dir=trace_dir,
-                    config=config,
-                    policy_kwargs=policy_kwargs,
-                )
+    total = len(cells)
+    points_by_cell: Dict[int, SweepPoint] = {}
+    # Cells without a verdict yet, with the retries each has used. It
+    # outlives a crashed pool, so a rebuilt pool resubmits each cell
+    # with its old count: a crash uses no retry, a cell's own
+    # exception one, whichever pool generation it lands in.
+    remaining: Dict[int, int] = dict.fromkeys(range(total), 0)
+
+    def settle(index: int, verdict: SweepPoint | Exception) -> None:
+        """Record a cell's point, or the exception it finally failed with."""
+        del remaining[index]
+        if isinstance(verdict, Exception):
+            result.failed_cells.append(FailedCell(*cells[index], repr(verdict)))
+        else:
+            points_by_cell[index] = verdict
+        if progress is not None:
+            progress(total - len(remaining), total, *cells[index])
+
+    def settled(index: int, attempt: Callable[[], SweepPoint]) -> bool:
+        """Run one ``attempt`` of a cell: False when it raised with a
+        retry left (and used it), else True once the cell is settled."""
+        try:
+            verdict = attempt()
+        except BrokenProcessPool:
+            raise
+        except Exception as exc:
+            if remaining[index] < retries:
+                remaining[index] += 1
+                return False
+            verdict = exc
+        settle(index, verdict)
+        return True
+
+    if max_workers == 1:
+        for index, cell in enumerate(cells):
+            attempt = functools.partial(
+                run_cell, trace, *cell, trace_dir=trace_dir,
+                config=config, policy_kwargs=policy_kwargs,
             )
+            while not settled(index, attempt):
+                pass
+    state: _Broadcast = (trace, trace_dir, config, policy_kwargs)
+    for __ in range(_MAX_POOL_GENERATIONS):
+        if not remaining:
+            break
+        try:
+            with ProcessPoolExecutor(
+                max_workers=max_workers,
+                initializer=_init_worker,
+                initargs=state,
+            ) as pool:
+                futures = {
+                    pool.submit(_run_cell, *cells[index]): index
+                    for index in sorted(remaining)
+                }
+                while futures:
+                    finished = wait(futures, return_when=FIRST_COMPLETED).done
+                    for future in finished:
+                        index = futures.pop(future)
+                        if not settled(index, future.result):
+                            futures[pool.submit(_run_cell, *cells[index])] = index
+        except BrokenProcessPool:
+            # A worker died hard; every sibling future fails alike.
+            # Rebuild the pool for the cells still in ``remaining``.
+            pass
+
+    # Cells still unfinished after the generation cap: something keeps
+    # hard-killing workers. Quarantine each in its own solo pool so
+    # the poison stays contained and every cell still gets a verdict.
+    for index in sorted(remaining):
+        try:
+            with ProcessPoolExecutor(
+                max_workers=1, initializer=_init_worker, initargs=state
+            ) as solo:
+                verdict = solo.submit(_run_cell, *cells[index]).result()
+        except Exception as exc:
+            verdict = exc
+        settle(index, verdict)
+
+    result.points = [
+        points_by_cell[i] for i in range(total) if i in points_by_cell
+    ]
+    result.failed_cells.sort(key=lambda c: (c.policy, c.memory_gb))
     return result

@@ -496,6 +496,16 @@ class TestUsageErrors:
         assert exited.value.code == 2
         assert f"expected {expected}, got" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["-3", "two", "1.5"])
+    def test_sweep_workers_is_a_count(self, workers, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--trace", "cyclic", "--memory-gb", "1",
+                  "--workers", workers])
+        err = capsys.readouterr().err
+        assert exited.value.code == 2
+        assert f"expected a worker count >= 0, got {workers!r}" in err
+        assert "[1/" not in err
+
     def test_simulate_weights_on_a_policy_without_them(self, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["simulate", "--trace", "cyclic", "--policy", "LRU",

@@ -212,7 +212,6 @@ def _reached_cell(trace, policy, memory_gb, config=None, policy_kwargs=None, **k
 @pytest.fixture
 def reach(monkeypatch, tmp_path):
     """Run a command line up to the simulator; what it reached it with."""
-    import repro.sim.parallel
     import repro.sim.scheduler
     import repro.sim.sweep
 
@@ -220,7 +219,6 @@ def reach(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_SANITIZE", "0")
     monkeypatch.setattr(repro.sim.scheduler, "simulate", _reached_simulate)
     monkeypatch.setattr(repro.sim.sweep, "run_cell", _reached_cell)
-    monkeypatch.setattr(repro.sim.parallel, "run_cell", _reached_cell)
 
     def run(line):
         with pytest.raises(_Reached) as reached:

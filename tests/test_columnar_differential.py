@@ -459,6 +459,17 @@ class TestEveryPolicyOnTheKernel:
         assert_same_replay(loop, default)
 
     @pytest.mark.parametrize("name", available_policies())
+    def test_a_used_policy_replays_as_a_fresh_one(self, name):
+        """simulate() resets a policy it is handed: a second loop run of
+        one instance, under pressure, equals a fresh policy's."""
+        trace = churn_trace(num_functions=20, seed=4)
+        kwargs = {"trace": trace} if name.startswith("ORACLE") else {}
+        memory_mb = 0.5 * registry_mb(trace)
+        policy = create_policy(name, **kwargs)
+        first = simulate(trace, policy, memory_mb, engine="object")
+        assert_same_replay(first, simulate(trace, policy, memory_mb, engine="object"))
+
+    @pytest.mark.parametrize("name", available_policies())
     def test_every_policy_under_pressure_equals_the_loop(self, name):
         trace = churn_trace(num_functions=60, duration_s=4800.0, seed=5)
         kwargs = {"trace": trace} if name.startswith("ORACLE") else {}
@@ -599,12 +610,17 @@ class TestHistKernel:
 
         trace = churn_trace(num_functions=20, seed=4)
         memory_mb = registry_mb(trace)
+        fresh = simulate(trace, "HIST", memory_mb)
+        assert fresh.path == "hist-kernel"
+        # The loop leaves a policy holding histograms and pending
+        # prewarms; simulate() resets it, so the kernel still answers.
         policy = create_policy("HIST")
-        assert simulate(trace, policy, memory_mb).path == "hist-kernel"
-        # The kernel left it fresh; the loop leaves it holding histograms.
-        assert simulate(trace, policy, memory_mb).path == "hist-kernel"
-        simulate(trace, policy, memory_mb, engine="object")
-        assert simulate(trace, policy, memory_mb).path == "sequential"
+        loop = simulate(trace, policy, memory_mb, engine="object")
+        assert policy._histograms
+        used = simulate(trace, policy, memory_mb)
+        assert used.path == "hist-kernel"
+        assert_same_replay(fresh, used)
+        assert_same_replay(loop, simulate(trace, policy, memory_mb, engine="object"))
         assert simulate(trace, TunedHIST(), memory_mb).path == "sequential"
 
     @pytest.mark.parametrize("effectiveness", [1.0, 0.5])
@@ -909,13 +925,17 @@ class TestGdKernel:
 
         trace = churn_trace(num_functions=20, seed=4)
         memory_mb = 0.5 * registry_mb(trace)
+        fresh = simulate(trace, "GD", memory_mb)
+        assert fresh.path == "gd-kernel"
+        # The loop leaves a policy holding Freq and a clock; simulate()
+        # resets it, so the kernel still answers.
         policy = create_policy("GD")
-        assert simulate(trace, policy, memory_mb).path == "gd-kernel"
-        # The kernel left it fresh; the loop leaves it holding Freq and a clock.
-        assert simulate(trace, policy, memory_mb).path == "gd-kernel"
-        simulate(trace, policy, memory_mb, engine="object")
+        loop = simulate(trace, policy, memory_mb, engine="object")
         assert policy.clock.value > 0.0
-        assert simulate(trace, policy, memory_mb).path == "sequential"
+        used = simulate(trace, policy, memory_mb)
+        assert used.path == "gd-kernel"
+        assert_same_replay(fresh, used)
+        assert_same_replay(loop, simulate(trace, policy, memory_mb, engine="object"))
         # GDS and every other subclass, and tenant weights (even all 1).
         for declined in (
             create_policy("GDS"), TunedGD(), GreedyDualPolicy(tenant_weights={0: 1.0}),

@@ -1,10 +1,9 @@
-"""Unit tests for the event queue and the sweep runner."""
+"""Unit tests for the event queue and the sweep memory grid."""
 
 import pytest
 
 from repro.sim.events import EventQueue
-from repro.sim.sweep import memory_sizes_gb, run_sweep
-from tests.conftest import make_trace
+from repro.sim.sweep import memory_sizes_gb
 
 
 class TestEventQueue:
@@ -128,53 +127,3 @@ class TestMemorySizes:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             memory_sizes_gb(1.0, 2.0, 0.0)
-
-
-class TestRunSweep:
-    def test_grid_is_complete(self):
-        trace = make_trace("ABCABCAB" * 5, gap_s=1.0)
-        result = run_sweep(trace, [0.5, 1.0], policies=("GD", "LRU"))
-        assert len(result.points) == 4
-        assert set(result.policies()) == {"GD", "LRU"}
-        assert result.memory_sizes() == [0.5, 1.0]
-
-    def test_series_sorted_by_memory(self):
-        trace = make_trace("ABAB" * 5, gap_s=1.0)
-        result = run_sweep(trace, [2.0, 1.0], policies=("GD",))
-        series = result.series("GD", "cold_start_pct")
-        assert [m for m, __ in series] == [1.0, 2.0]
-
-    def test_more_memory_never_hurts_resource_conserving_policy(self):
-        trace = make_trace("ABCDEABCDE" * 10, gap_s=2.0)
-        result = run_sweep(trace, [0.25, 0.5, 1.0, 2.0], policies=("GD",))
-        series = result.series("GD", "cold_start_pct")
-        values = [v for __, v in series]
-        assert values == sorted(values, reverse=True)
-
-    def test_best_policy_at(self):
-        trace = make_trace("ABAB" * 5, gap_s=1.0)
-        result = run_sweep(trace, [1.0], policies=("GD", "LRU"))
-        best = result.best_policy_at(1.0, "cold_start_pct")
-        assert best in ("GD", "LRU")
-        with pytest.raises(ValueError):
-            result.best_policy_at(9.0, "cold_start_pct")
-
-    def test_progress_callback(self):
-        trace = make_trace("AB", gap_s=1.0)
-        calls = []
-        run_sweep(
-            trace, [1.0], policies=("GD", "LRU"),
-            progress=lambda p, m: calls.append((p, m)),
-        )
-        assert calls == [("GD", 1.0), ("LRU", 1.0)]
-
-    def test_cells_are_independent(self):
-        """Policy state must not leak between sweep cells."""
-        trace = make_trace("ABCABC" * 10, gap_s=1.0)
-        once = run_sweep(trace, [1.0], policies=("GD",))
-        twice = run_sweep(trace, [1.0, 1.0], policies=("GD",))
-        assert (
-            once.points[0].cold_start_pct
-            == twice.points[0].cold_start_pct
-            == twice.points[1].cold_start_pct
-        )

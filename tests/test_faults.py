@@ -571,21 +571,25 @@ class TestInjectionAndRecovery:
 
 class TestFaultedSweeps:
     def test_serial_parallel_identical(self):
-        from repro.sim.parallel import run_sweep_parallel
-        from repro.sim.sweep import run_sweep
+        from repro.sim.sweep import point_fingerprint, run_sweep
 
         trace = make_trace("ABCDABCDBCAD" * 20, gap_s=2.0)
         spec = dataclasses.replace(CHAOS, server_downtimes=())
-        grid = [0.5, 1.0]
-        policies = ("GD", "TTL")
-        sequential = run_sweep(trace, grid, policies=policies, fault_spec=spec)
-        parallel = run_sweep_parallel(
-            trace, grid, policies=policies, max_workers=2, fault_spec=spec
+        sequential, parallel = (
+            run_sweep(
+                trace, [0.5, 1.0], policies=("GD", "TTL", "LRU", "HIST"),
+                max_workers=workers, fault_spec=spec,
+            )
+            for workers in (1, 2)
         )
+        assert sequential.failed_cells == parallel.failed_cells == []
         assert parallel.points == sequential.points
-        assert (
-            parallel.points[0].counters == sequential.points[0].counters
-        )
+        assert [p.counters for p in parallel.points] == [
+            p.counters for p in sequential.points
+        ]
+        assert [point_fingerprint(p) for p in parallel.points] == [
+            point_fingerprint(p) for p in sequential.points
+        ]
         totals = sequential.total_counters()
         assert totals["faults_injected"] > 0
 
