@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 from typing import Callable, List, Optional, Set, Tuple
 
 from repro.cluster.simulation import MemberCounters, _server_level_spec, _shed_unavailable
@@ -130,6 +131,7 @@ class ElasticClusterSimulation:
         # each runs out its retries once arrivals stop (nothing touches
         # a retired or evicted one again, so its retries can wait).
         self._started: List[KeepAliveSimulator] = []
+        self._container_ids = count()  # shared by every member, replacements too
         for i in range(min_servers):
             self._servers[i] = self._new_server(i)
         self._active = min_servers
@@ -147,6 +149,7 @@ class ElasticClusterSimulation:
                 if self._tracer is not None
                 else None
             ),
+            container_ids=self._container_ids,
         )
         self._started.append(server)
         return server

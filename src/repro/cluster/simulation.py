@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.loadbalancer import (
@@ -180,6 +181,7 @@ class ClusterSimulator:
             )
         ] if self._fault_spec is not None else ())
         server_spec = _server_level_spec(self._fault_spec)
+        container_ids = count()  # one run: ids unique across the members
         self.servers = [
             KeepAliveSimulator(
                 trace,
@@ -191,6 +193,7 @@ class ClusterSimulator:
                     if self._tracer is not None
                     else None
                 ),
+                container_ids=container_ids,
             )
             for i in range(num_servers)
         ]

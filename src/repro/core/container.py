@@ -14,22 +14,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from typing import Optional
 
 from repro.traces.model import TraceFunction
 
-__all__ = ["ContainerState", "Container", "restart_container_ids"]
-
-_container_ids = itertools.count()
-
-
-def restart_container_ids() -> None:
-    """Number the next container 0. Ids are process-wide, so a run that
-    restarts them names its containers by creation order whatever ran
-    before it; no other run may be creating containers meanwhile."""
-    global _container_ids
-    _container_ids = itertools.count()
+__all__ = ["ContainerState", "Container"]
 
 
 class ContainerState(enum.Enum):
@@ -72,8 +61,8 @@ class Container:
         "pool",
     )
 
-    def __init__(self, function: TraceFunction, created_at_s: float) -> None:
-        self.container_id: int = next(_container_ids)
+    def __init__(self, function: TraceFunction, created_at_s: float, container_id: int) -> None:
+        self.container_id = container_id  # its run's: 0, 1, ... in creation order
         self.function = function
         self.state = _WARM
         self.created_at_s = created_at_s

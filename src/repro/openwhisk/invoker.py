@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from math import inf
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.clock import wall_clock_s
 from repro.core.container import Container
@@ -243,24 +243,12 @@ class SimulatedInvoker:
             deflation_engine = DeflationEngine()
         self.deflation_engine = deflation_engine
         self.tracer = tracer
-        self.deflations = []
-        self._period_arrivals = 0
-        self._period_colds = 0
         #: Learned cold / warm times, folded in at every completion;
         #: :func:`~repro.openwhisk.loadgen.faascache_invoker` shares it
         #: with the policy that prices from it.
         self.stats = FunctionStatsTable()
         #: The keep-alive engine, built by :meth:`run`.
         self.simulator: Optional[KeepAliveSimulator] = None
-        self._stems_available = config.stem_cell_count
-        self.stem_hits = 0
-        #: Synchronous eviction rounds, and containers the background
-        #: reclaim took (the Section 6 slow-path ablation's columns).
-        self.eviction_events = 0
-        self.background_evictions = 0
-        self._events: EventQueue[Callable[[float], None]] = EventQueue()
-        self._queue: Deque[Tuple[RequestRecord, TraceFunction]] = deque()
-        self._launches = 0
 
     # ------------------------------------------------------------------
     # The engine, as this platform asks it
@@ -369,7 +357,7 @@ class SimulatedInvoker:
             eviction_stall = self._make_room(function, now_s)
             if eviction_stall is None:
                 return False
-            container = Container(function, created_at_s=now_s)
+            container = Container(function, now_s, next(self.simulator._container_ids))
             duration = model.cold_duration_s(function) + eviction_stall
             launch = model.launch_duration_s(function) + eviction_stall
             if self._stems_available > 0:
@@ -479,10 +467,21 @@ class SimulatedInvoker:
         fires."""
         started = wall_clock_s()
         config = self.config
+        # Every run starts from what the constructor left: a fresh policy,
+        # no learned times, full stems, zero counts, an empty timeline.
+        self.policy.reset()
+        self.stats.reset()
+        self.deflations = []
+        self._period_arrivals = self._period_colds = self._launches = self.stem_hits = 0
+        self._stems_available = config.stem_cell_count
+        # Synchronous eviction rounds, and containers the background
+        # reclaim took (the Section 6 slow-path ablation's columns).
+        self.eviction_events = self.background_evictions = 0
+        events = self._events = EventQueue()
+        self._queue: Deque[Tuple[RequestRecord, TraceFunction]] = deque()
         # Stem cells reserve their memory off the top of the pool.
         pool_mb = config.memory_mb - config.stem_cell_count * config.stem_cell_mb
         self.simulator = KeepAliveSimulator(trace, self.policy, pool_mb, tracer=self.tracer)
-        events = self._events
         if self.controller is not None and len(trace):
             period = tick = self.controller.control_period_s
             while tick <= trace.last_arrival_s + period:

@@ -23,10 +23,11 @@ the behaviour that separates FaaS keep-alive from classical caching
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from functools import partial
 from math import inf
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from repro.checks.sanitize import (
     check_counter_equality,
@@ -88,6 +89,7 @@ class KeepAliveSimulator:
         memory_mb: float,
         config: Optional[RunConfig] = None,
         tracer: Optional[Tracer] = None,
+        container_ids: Optional[Iterator[int]] = None,
         **config_fields,
     ) -> None:
         """``trace`` is read three times, here: its function registry,
@@ -108,6 +110,9 @@ class KeepAliveSimulator:
         *every* invocation, including those before ``warmup_s`` that
         the metrics exclude.
 
+        ``container_ids`` numbers the containers built here: by default
+        its own count from 0; a cluster hands its members one count.
+
         Per-tenant metrics and ``tenant`` event fields are recorded
         whenever the trace carries tenant ids, in every tenant mode;
         tenant-less traces replay byte-identically to the pre-tenancy
@@ -119,6 +124,7 @@ class KeepAliveSimulator:
         functions = trace.functions
         self._trace_name = trace.name
         self.policy = policy
+        self._container_ids = itertools.count() if container_ids is None else container_ids
         # ``None`` when tracing is disabled: every emission site guards
         # with a plain ``is None`` test, the cheapest off switch.
         self._tracer = active_tracer(tracer)
@@ -234,7 +240,7 @@ class KeepAliveSimulator:
             if count < 1:
                 raise ValueError(f"reserved count for {name!r} must be >= 1")
             for __ in range(count):
-                container = Container(function, created_at_s=0.0)
+                container = Container(function, 0.0, next(self._container_ids))
                 container.pinned = True
                 self.pool.add(container)  # raises CapacityError if too big
 
@@ -312,7 +318,7 @@ class KeepAliveSimulator:
                 continue
             if not self.pool.can_admit(function):
                 continue
-            container = Container(function, created_at_s=request.at_time_s)
+            container = Container(function, request.at_time_s, next(self._container_ids))
             container.prewarmed = True
             self.pool.add(container)
             self.policy.on_prewarm(container, request, self.pool)
@@ -505,7 +511,7 @@ class KeepAliveSimulator:
                 self._sample_memory(now_s)
             return "dropped"
 
-        container = Container(function, created_at_s=now_s)
+        container = Container(function, now_s, next(self._container_ids))
         if fault_kind is not None:
             return self._faulted_start(
                 container, function, now_s, attempt, fault_kind,

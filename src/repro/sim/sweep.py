@@ -27,7 +27,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.container import restart_container_ids
 from repro.core.policies import PAPER_POLICIES, create_policy
 from repro.faults import cell_fault_spec
 from repro.obs.counters import fingerprint_counters
@@ -263,9 +262,8 @@ def run_cell(
     cannot reach is answered by the vectorized kernel).
 
     ``trace_dir`` writes the cell's events to its own JSONL file (see
-    :func:`cell_trace_path`). Container ids restart at 0 for each cell,
-    so the file is the same bytes whichever process ran the cell and
-    whatever ran there before it.
+    :func:`cell_trace_path`): the same bytes whichever process ran the
+    cell and whatever ran there before it (a run numbers its own ids).
 
     ``config`` (and/or its fields as keywords, e.g. ``fault_spec=…``,
     ``tenant_mode=…``) is the *sweep-level*
@@ -294,7 +292,6 @@ def run_cell(
         )
     try:
         policy = create_policy(policy_name, **dict(policy_kwargs or {}))
-        restart_container_ids()
         result = simulate(
             trace, policy, memory_gb * GB_MB, config,
             tracer=None if sink is None else Tracer(sink),

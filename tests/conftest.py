@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.checks.sanitize import set_sanitize
+from repro.core.container import Container
 from repro.traces.azure import AzureGeneratorConfig, generate_azure_dataset
 from repro.traces.model import Invocation, Trace, TraceFunction
 
@@ -21,6 +24,15 @@ def make_function(
         warm_time_s=warm_time_s,
         cold_time_s=cold_time_s,
     )
+
+
+#: Ids for the containers unit tests build by hand, outside any run:
+#: unique and in creation order, all a pool asks of them.
+_unit_container_ids = itertools.count()
+
+
+def make_container(function: TraceFunction, created_at_s: float = 0.0) -> Container:
+    return Container(function, created_at_s, next(_unit_container_ids))
 
 
 def make_trace(sequence, functions=None, gap_s: float = 10.0) -> Trace:

@@ -26,16 +26,6 @@ from repro.traces.sampling import (
 
 
 class TestGenerator:
-    def test_deterministic_for_seed(self):
-        cfg = AzureGeneratorConfig(num_functions=40)
-        a = generate_azure_dataset(cfg, seed=3)
-        b = generate_azure_dataset(cfg, seed=3)
-        assert a.total_invocations() == b.total_invocations()
-        fa = a.functions["fn-00000"]
-        fb = b.functions["fn-00000"]
-        assert fa.minute_counts == fb.minute_counts
-        assert fa.avg_duration_ms == fb.avg_duration_ms
-
     def test_seed_changes_output(self):
         cfg = AzureGeneratorConfig(num_functions=40)
         a = generate_azure_dataset(cfg, seed=3)
@@ -197,6 +187,11 @@ class TestSamplers:
         quartile = max(len(ordered) // 4, 1)
         hit_quartiles = {min(rank[fid] // quartile, 3) for fid in sample}
         assert hit_quartiles == {0, 1, 2, 3}
+
+    def test_representative_topup_never_repeats(self, small_dataset):
+        # n much larger than any quartile forces the top-up branch.
+        sample = representative_sample(small_dataset, n=70, seed=5)
+        assert len(sample) == len(set(sample)) == 70
 
     def test_random_sample_size_and_determinism(self, small_dataset):
         a = random_sample(small_dataset, n=20, seed=2)

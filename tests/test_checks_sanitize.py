@@ -15,14 +15,13 @@ from repro.checks.sanitize import (
     sanitize_enabled,
     set_sanitize,
 )
-from repro.core.container import Container
 from repro.core.policies.base import create_policy
 from repro.core.pool import ContainerPool
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.synth import skewed_frequency_trace
-from tests.conftest import make_function
+from tests.conftest import make_container, make_function
 
 
 def make_pool(capacity_mb=1000.0):
@@ -30,7 +29,7 @@ def make_pool(capacity_mb=1000.0):
 
 
 def pooled(pool, memory_mb=200.0, name="f"):
-    container = Container(make_function(name=name, memory_mb=memory_mb), 0.0)
+    container = make_container(make_function(name=name, memory_mb=memory_mb), 0.0)
     pool.add(container)
     return container
 
@@ -187,7 +186,7 @@ class TestDriftClampChurn:
             live = []
             for i in range(20):
                 mem = rng.choice((33.3, 128.7, 0.07, 501.101, 76.49))
-                c = Container(
+                c = make_container(
                     make_function(name=f"f{i}", memory_mb=mem), 0.0
                 )
                 pool.add(c)  # sanitizer recomputes exactly per op
@@ -222,7 +221,7 @@ class TestDriftClampChurn:
         for i in range(100):
             assert pool.can_fit(0.1)
             pool.add(
-                Container(
+                make_container(
                     make_function(name=f"s{i}", memory_mb=0.1), 0.0
                 )
             )
@@ -232,7 +231,7 @@ class TestDriftClampChurn:
         pool = ContainerPool(10.0)
         for i in range(100):
             pool.add(
-                Container(
+                make_container(
                     make_function(name=f"s{i}", memory_mb=0.1), 0.0
                 )
             )

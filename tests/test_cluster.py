@@ -389,24 +389,6 @@ class TestClusterFaults:
         assert result.server_downs == 1
         assert result.served + result.dropped == len(trace)
 
-    def test_deterministic_across_runs(self):
-        from repro.faults import FaultSpec
-
-        trace = self._trace()
-        spec = FaultSpec(
-            seed=5, crash_rate=0.05, server_downtimes=((0, 100.0, 160.0),)
-        )
-
-        def run():
-            r = ClusterSimulator(
-                trace, "affinity-spillover", num_servers=2,
-                server_memory_mb=1024.0, fault_spec=spec,
-            ).run()
-            return (r.warm_starts, r.cold_starts, r.faults_injected,
-                    r.retries, r.sheds, r.shed_unavailable, r.routed)
-
-        assert run() == run()
-
     def test_member_simulators_do_not_double_apply_outages(self):
         from repro.faults import FaultSpec
 

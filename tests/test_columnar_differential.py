@@ -28,17 +28,14 @@ across:
 * the parameters the two engines would read differently (NaN),
   refused at construction, and ``inf`` equal on both;
 * the exact-summation primitive (``np.add.accumulate`` + scalar
-  carry) the kernel's float accumulation correctness rests on;
-* a ``PYTHONHASHSEED`` subprocess pair — both engines, both seeds,
-  one fingerprint.
+  carry) the kernel's float accumulation correctness rests on.
+
+Both engines under two hash seeds are the ``hist-kernel`` row of
+tests/test_determinism.py.
 """
 
 import inspect
-import json
-import os
-import pathlib
 import random
-import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -67,8 +64,6 @@ from repro.traces.synth import (
 from tests.conftest import make_trace
 from tests.reference_model import Server
 from tests.test_pinned_replays import _metrics_payload
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def oracle_payload(trace, policy_name, memory_mb, **policy_kwargs):
@@ -1106,42 +1101,3 @@ class TestExactSummation:
             carry = float(np.add.accumulate(buf)[-1])
         assert carry == sequential
 
-
-_SUBPROCESS_SCRIPT = """
-import json
-from repro.core.policies.base import create_policy
-from repro.sim.scheduler import KeepAliveSimulator, simulate
-from repro.traces.synth import churn_trace
-from tests.test_pinned_replays import _metrics_payload, fingerprint
-
-trace = churn_trace(num_functions=50, seed=31)
-oracle = KeepAliveSimulator(
-    trace, create_policy("HIST"), 96 * 128.0
-).run()
-columnar = simulate(trace, "HIST", 96 * 128.0, engine="columnar")
-print(json.dumps({
-    "oracle": fingerprint(_metrics_payload(oracle)),
-    "columnar": fingerprint(_metrics_payload(columnar)),
-}))
-"""
-
-
-def _fingerprints_with_hashseed(hashseed):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
-    env["PYTHONHASHSEED"] = hashseed
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def test_fingerprints_stable_across_hash_seeds():
-    a = _fingerprints_with_hashseed("0")
-    b = _fingerprints_with_hashseed("4242")
-    assert a == b
-    assert a["oracle"] == a["columnar"]

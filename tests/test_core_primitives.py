@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.clock import LogicalClock
-from repro.core.container import Container, ContainerState
+from repro.core.container import ContainerState
 from repro.core.function import FunctionStats, FunctionStatsTable
-from tests.conftest import make_function
+from repro.core.policies import create_policy
+from repro.sim.scheduler import KeepAliveSimulator
+from tests.conftest import make_container, make_function, make_trace
 
 
 class TestLogicalClock:
@@ -39,18 +41,22 @@ class TestLogicalClock:
 
 class TestContainer:
     def test_new_container_is_warm(self):
-        c = Container(make_function(), created_at_s=5.0)
+        c = make_container(make_function(), created_at_s=5.0)
         assert c.state == ContainerState.WARM
         assert c.is_idle
         assert not c.is_running
 
     def test_unique_ids(self):
-        f = make_function()
-        a, b = Container(f, 0.0), Container(f, 0.0)
-        assert a.container_id != b.container_id
+        """A run numbers its containers from 0 in creation order, however
+        many containers earlier runs in the process built."""
+        trace = make_trace("ABCA", gap_s=0.5)
+        for __ in range(2):
+            sim = KeepAliveSimulator(trace, create_policy("LRU"), 4096.0)
+            sim.run()
+            assert [c.container_id for c in sim.pool.all_containers()] == [0, 1, 2, 3]
 
     def test_start_and_finish_invocation(self):
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         c.start_invocation(10.0, duration_s=3.0)
         assert c.is_running
         assert c.busy_until_s == pytest.approx(13.0)
@@ -60,41 +66,41 @@ class TestContainer:
         assert c.last_used_s == pytest.approx(13.0)
 
     def test_cannot_start_while_running(self):
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         c.start_invocation(0.0, 5.0)
         with pytest.raises(RuntimeError):
             c.start_invocation(1.0, 5.0)
 
     def test_cannot_finish_idle(self):
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         with pytest.raises(RuntimeError):
             c.finish_invocation(1.0)
 
     def test_cannot_terminate_running(self):
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         c.start_invocation(0.0, 5.0)
         with pytest.raises(RuntimeError):
             c.terminate()
 
     def test_terminate_idle(self):
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         c.terminate()
         assert c.state == ContainerState.DEAD
 
     def test_cannot_start_after_termination(self):
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         c.terminate()
         with pytest.raises(RuntimeError):
             c.start_invocation(1.0, 1.0)
 
     def test_idle_time(self):
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         c.start_invocation(0.0, 2.0)
         c.finish_invocation(2.0)
         assert c.idle_time_s(10.0) == pytest.approx(8.0)
 
     def test_memory_comes_from_function(self):
-        c = Container(make_function(memory_mb=333.0), 0.0)
+        c = make_container(make_function(memory_mb=333.0), 0.0)
         assert c.memory_mb == 333.0
 
 

@@ -1,9 +1,8 @@
-"""Docstring examples and end-to-end determinism.
+"""Docstring examples, and the invoker's latency percentiles.
 
 The doctests double as API documentation; running them here keeps the
-examples in module docstrings honest. The determinism tests pin the
-property every EXPERIMENTS.md number relies on: identical seeds yield
-identical results across the whole pipeline.
+examples in module docstrings honest. End-to-end determinism (sampled
+paper traces, the invoker) is tests/test_determinism.py's table.
 """
 
 import doctest
@@ -52,45 +51,6 @@ def test_simulate_doctest():
 
 
 class TestEndToEndDeterminism:
-    def test_full_pipeline_is_deterministic(self):
-        from repro.sim.scheduler import simulate
-        from repro.traces.azure import AzureGeneratorConfig, generate_azure_dataset
-        from repro.traces.sampling import make_paper_traces
-
-        def run_once():
-            dataset = generate_azure_dataset(
-                AzureGeneratorConfig(num_functions=200, max_daily_invocations=800),
-                seed=99,
-            )
-            traces = make_paper_traces(
-                dataset, sizes={"rare": 30, "representative": 40, "random": 20},
-                seed=99,
-            )
-            return {
-                name: simulate(trace, "GD", 4096.0).metrics.summary()
-                for name, trace in traces.items()
-            }
-
-        assert run_once() == run_once()
-
-    def test_invoker_is_deterministic(self):
-        from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker
-        from repro.traces.synth import multitenant_trace
-
-        def run_once():
-            trace = multitenant_trace(duration_s=600.0, seed=4)
-            result = SimulatedInvoker(
-                InvokerConfig(memory_mb=4096.0, cpu_cores=8), policy="GD"
-            ).run(trace)
-            return (
-                result.warm_starts,
-                result.cold_starts,
-                result.dropped,
-                round(result.mean_latency_s(), 9),
-            )
-
-        assert run_once() == run_once()
-
     def test_percentile_latency(self):
         from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker
         from repro.traces.synth import figure8_trace

@@ -159,21 +159,6 @@ class TestElasticFaults:
         assert result.server_downs >= 1
         assert result.served + result.dropped + result.sheds == len(trace)
 
-    def test_deterministic(self):
-        trace = steady_trace(duration_s=1800.0)
-
-        def run():
-            r = ElasticClusterSimulation(
-                trace, requests_per_server_per_s=10.0,
-                control_period_s=300.0, max_servers=4,
-                fault_spec=self._spec(),
-            ).run()
-            return (r.served, r.dropped, r.sheds, r.faults_injected,
-                    r.retries, r.server_downs, r.shed_unavailable,
-                    r.scale_ups, r.scale_downs)
-
-        assert run() == run()
-
     def test_zero_fault_spec_is_baseline(self):
         from repro.faults import FaultSpec
 

@@ -7,9 +7,9 @@ randomized equivalence suite drives thousands of mixed operations
 through the simulator and the executable specification's full scan.
 """
 
-from repro.core.container import Container
 from repro.core.pool import ContainerPool
 from repro.traces.model import TraceFunction
+from tests.conftest import make_container
 from tests.test_spec_machine import random_script
 
 
@@ -18,7 +18,7 @@ def make_function(name, memory_mb=10.0):
 
 
 def pooled(pool, name="F", at=0.0):
-    container = Container(make_function(name), at)
+    container = make_container(make_function(name), at)
     pool.add(container)
     return container
 
@@ -92,7 +92,7 @@ class TestScheduleAndPop:
 
     def test_pinned_is_never_scheduled(self):
         pool = ContainerPool(1000.0)
-        container = Container(make_function("P"), 0.0)
+        container = make_container(make_function("P"), 0.0)
         container.pinned = True
         pool.add(container)
         pool.schedule_expiry(container, 1.0)

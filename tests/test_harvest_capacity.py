@@ -13,16 +13,13 @@ Covers the time-varying-resources subsystem end to end
   ``iter_victims`` with no materialized sort (regression for the
   thousands-of-tenants scaling bottleneck);
 * load-balancer draining semantics and the min-worker-set /
-  join-shortest-queue policies;
-* cross-``PYTHONHASHSEED`` subprocess determinism of a harvested
-  replay.
+  join-shortest-queue policies.
+
+A harvested replay under two hash seeds is the ``gd-harvest`` row of
+tests/test_determinism.py.
 """
 
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -31,7 +28,6 @@ from repro.cluster.loadbalancer import (
     create_balancer,
 )
 from repro.cluster.simulation import ClusterSimulator, _server_level_spec
-from repro.core.container import Container
 from repro.core.policies.base import available_policies, create_policy
 from repro.core.pool import CapacityError, ContainerPool
 from repro.faults import CapacityStep, FaultModel, FaultSpec
@@ -40,9 +36,8 @@ from repro.obs.tracer import Tracer
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.synth import churn_trace, harvest_day_trace
+from tests.conftest import make_container
 from tests.test_spec_machine import replay_both
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def make_function(name, memory_mb=100.0, tenant_id=0):
@@ -189,7 +184,7 @@ class TestDeflateTo:
         pool = ContainerPool(count * memory_mb)
         containers = []
         for i in range(count):
-            c = Container(make_function(f"f{i}", memory_mb), 0.0)
+            c = make_container(make_function(f"f{i}", memory_mb), 0.0)
             c.last_used_s = float(i)  # victim order: f0 first
             pool.add(c)
             containers.append(c)
@@ -260,13 +255,13 @@ class TestDeflateTo:
         )
         hog = []
         for i in range(3):  # tenant 1 holds 300 MB against a 100 MB quota
-            c = Container(make_function(f"hog{i}", 100.0, tenant_id=1), 0.0)
+            c = make_container(make_function(f"hog{i}", 100.0, tenant_id=1), 0.0)
             c.last_used_s = 100.0 + i  # recently used: last in LRU order
             pool.add(c)
             hog.append(c)
         quiet = []
         for i in range(2):
-            c = Container(make_function(f"quiet{i}", 100.0, tenant_id=2), 0.0)
+            c = make_container(make_function(f"quiet{i}", 100.0, tenant_id=2), 0.0)
             c.last_used_s = float(i)  # oldest — plain LRU would pick these
             pool.add(c)
             quiet.append(c)
@@ -278,10 +273,10 @@ class TestDeflateTo:
 
     def test_pinned_containers_never_deflate(self):
         pool = ContainerPool(200.0)
-        pinned = Container(make_function("pinned", 100.0), 0.0)
+        pinned = make_container(make_function("pinned", 100.0), 0.0)
         pinned.pinned = True
         pool.add(pinned)
-        idle = Container(make_function("idle", 100.0), 0.0)
+        idle = make_container(make_function("idle", 100.0), 0.0)
         pool.add(idle)
         victims = pool.deflate_to(50.0, pool.iter_victims(_key_of))
         assert victims == [idle]
@@ -301,11 +296,11 @@ class TestQuotaSelectionIndexed:
             1000.0, tenant_mode="quota", tenant_limits_mb={1: 100.0, 2: 500.0}
         )
         for i in range(3):
-            c = Container(make_function(f"hog{i}", 100.0, tenant_id=1), 0.0)
+            c = make_container(make_function(f"hog{i}", 100.0, tenant_id=1), 0.0)
             c.last_used_s = 50.0 + i
             pool.add(c)
         for i in range(4):
-            c = Container(make_function(f"q{i}", 100.0, tenant_id=2), 0.0)
+            c = make_container(make_function(f"q{i}", 100.0, tenant_id=2), 0.0)
             c.last_used_s = float(i)
             pool.add(c)
         return pool
@@ -715,48 +710,3 @@ def test_partitioned_shrink_stays_pending_while_a_busy_tenant_is_over_its_slice(
     assert sim.pool.deflation_target_mb is None
     assert sim.pool.tenant_used_mb(2) == 0.0 and sim.metrics.deflations == 1
 
-
-# ----------------------------------------------------------------------
-# Determinism: cross-hash-seed subprocesses
-# ----------------------------------------------------------------------
-
-_SUBPROCESS_SCRIPT = """
-import json
-from repro.core.policies.base import create_policy
-from repro.faults import FaultSpec
-from repro.sim.scheduler import KeepAliveSimulator
-from repro.traces.synth import harvest_day_trace
-
-trace = harvest_day_trace(duration_s=1200.0)
-spec = FaultSpec(
-    seed=7,
-    harvest_interval_s=240.0,
-    harvest_min_frac=0.5,
-    spot_mtbf_s=900.0,
-    spot_notice_s=30.0,
-)
-sim = KeepAliveSimulator(trace, create_policy("GD"), 4096.0, fault_spec=spec)
-metrics = sim.run().metrics
-print(json.dumps(dict(sorted(metrics.counters().items()))))
-"""
-
-
-def _harvest_counters_with_hashseed(hashseed):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    env["PYTHONHASHSEED"] = hashseed
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def test_harvest_replay_stable_across_hash_seeds():
-    a = _harvest_counters_with_hashseed("0")
-    b = _harvest_counters_with_hashseed("4242")
-    assert a == b
-    assert a["capacity_shrinks"] > 0 or a["deflations"] > 0

@@ -14,7 +14,6 @@ import pytest
 
 from repro.checks.sanitize import SanitizeError, check_tenant_counter_equality
 from repro.cli import build_parser
-from repro.core.container import Container
 from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.pool import CapacityError, ContainerPool
 from repro.obs.report import report_from_events
@@ -32,7 +31,7 @@ from repro.traces.io import (
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 from repro.traces.synth import noisy_neighbor_trace
-from tests.conftest import from_columns
+from tests.conftest import from_columns, make_container
 
 
 def _two_tenant_trace():
@@ -129,7 +128,7 @@ class TestTenantModel:
 
 def _container(name, memory_mb, tenant_id, created_at=0.0):
     func = TraceFunction(name, memory_mb, 0.1, 1.0, tenant_id=tenant_id)
-    return Container(func, created_at)
+    return make_container(func, created_at)
 
 
 class TestPoolModes:

@@ -265,6 +265,26 @@ class TestSimulatedInvoker:
         invoker = SimulatedInvoker(InvokerConfig(**defaults), policy=policy)
         return invoker.run(trace)
 
+    def test_a_reused_invoker_replays_as_a_fresh_one(self):
+        """A second run starts from what the constructor left: a fresh
+        policy, learned times, stems and counts."""
+        trace = multitenant_trace(duration_s=200.0, seed=4)
+        config = InvokerConfig(
+            memory_mb=4096.0, cpu_cores=8, stem_cell_count=2,
+            free_threshold_mb=256.0, async_reclaim=True,
+        )
+
+        def outcome(invoker):
+            result = invoker.run(trace)
+            return (
+                result.metrics.counters(), [(r.outcome, r.completion_s) for r in result.records],
+                invoker.stem_hits, invoker.eviction_events, invoker.background_evictions,
+            )
+
+        invoker = faascache_invoker(config)
+        first = outcome(invoker)
+        assert outcome(invoker) == first == outcome(faascache_invoker(config))
+
     def test_single_request_is_cold(self):
         f = make_function("A", memory_mb=100.0)
         trace = Trace([f], [Invocation(0.0, "A")])

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.policies import create_policy
 from repro.core.policies.doorkeeper import DoorkeeperPolicy
 from repro.core.policies.oracle import CostAwareOraclePolicy, OraclePolicy
@@ -12,7 +11,7 @@ from repro.core.pool import ContainerPool
 from repro.sim.scheduler import simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.synth import cyclic_trace
-from tests.conftest import make_function, make_trace
+from tests.conftest import make_container, make_function, make_trace
 
 
 class TestOracle:
@@ -26,15 +25,15 @@ class TestOracle:
         trace, policy, pool = self.make_oracle_pool("ABAB")
         # At t=15 (after A B A), B returns at t=30; a dead function
         # never returns.
-        dead = Container(make_function("Z", memory_mb=100.0), 0.0)
+        dead = make_container(make_function("Z", memory_mb=100.0), 0.0)
         assert policy.priority(dead, 15.0) == -math.inf
 
     def test_sooner_next_use_has_higher_priority(self):
         trace, policy, pool = self.make_oracle_pool("ABBA")
         # Arrivals: A@0, B@10, B@20, A@30. At t=11: B next at 20,
         # A next at 30 -> A is the better victim.
-        ca = Container(trace.function("A"), 0.0)
-        cb = Container(trace.function("B"), 10.0)
+        ca = make_container(trace.function("A"), 0.0)
+        cb = make_container(trace.function("B"), 10.0)
         assert policy.priority(ca, 11.0) < policy.priority(cb, 11.0)
 
     def test_oracle_at_least_matches_lru_on_cyclic(self):
@@ -111,7 +110,7 @@ class TestDoorkeeper:
         pool = ContainerPool(1000.0)
         f = make_function("A")
         dk.on_invocation(f, 0.0)
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         assert not dk.should_retain(c, 1.0, pool)
         assert dk.rejections == 1
@@ -122,7 +121,7 @@ class TestDoorkeeper:
         f = make_function("A")
         dk.on_invocation(f, 0.0)
         dk.on_invocation(f, 5.0)
-        c = Container(f, 5.0)
+        c = make_container(f, 5.0)
         pool.add(c)
         assert dk.should_retain(c, 6.0, pool)
 
@@ -134,7 +133,7 @@ class TestDoorkeeper:
         pool = ContainerPool(1000.0)
         f = make_function("A")
         dk.on_invocation(f, 0.0)
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         pool.evict(c)
         dk.on_evict(c, 1.0, pool, pressure=True)
@@ -181,7 +180,7 @@ class TestDoorkeeper:
         f = make_function("A")
         dk.on_invocation(f, 0.0)
         dk.on_invocation(f, 1.0)
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         dk.on_cold_start(c, 0.0, pool)
         assert dk.expired_containers(pool, 100.0)

@@ -10,7 +10,6 @@ selection, and time-based expiry must all skip them.
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.policies import (
     EXTENDED_POLICIES,
     PAPER_POLICIES,
@@ -18,7 +17,7 @@ from repro.core.policies import (
 )
 from repro.core.pool import ContainerPool
 from repro.sim.scheduler import KeepAliveSimulator, simulate
-from tests.conftest import make_function, make_trace
+from tests.conftest import make_container, make_function, make_trace
 
 ALL_SIMPLE = list(PAPER_POLICIES) + list(EXTENDED_POLICIES)
 ALL_NAMES = ALL_SIMPLE + ["ORACLE", "ORACLE-CS", "DOORKEEPER"]
@@ -116,13 +115,13 @@ class TestPinnedAcrossPolicies:
         policy = build_policy(name, pressure_trace)
         pool = ContainerPool(400.0)
         f_pinned = make_function("P", memory_mb=100.0)
-        pinned = Container(f_pinned, 0.0)
+        pinned = make_container(f_pinned, 0.0)
         pinned.pinned = True
         pool.add(pinned)
         for i, fname in enumerate("ABC"):
             f = make_function(fname, memory_mb=100.0)
             policy.on_invocation(f, float(i))
-            c = Container(f, float(i))
+            c = make_container(f, float(i))
             pool.add(c)
             policy.on_cold_start(c, float(i), pool)
         # Fully reclaimable memory is 300 MB; asking for more must fail
@@ -148,7 +147,7 @@ class TestPinnedMechanics:
 
     def test_pool_refuses_to_evict_pinned(self):
         pool = ContainerPool(512.0)
-        container = Container(make_function("A"), 0.0)
+        container = make_container(make_function("A"), 0.0)
         container.pinned = True
         pool.add(container)
         with pytest.raises(ValueError, match="pinned"):
@@ -156,7 +155,7 @@ class TestPinnedMechanics:
 
     def test_pinned_not_counted_evictable(self):
         pool = ContainerPool(512.0)
-        container = Container(make_function("A", memory_mb=256.0), 0.0)
+        container = make_container(make_function("A", memory_mb=256.0), 0.0)
         container.pinned = True
         pool.add(container)
         assert pool.evictable_mb() == 0.0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.pool import ContainerPool
 from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker
 from repro.openwhisk.latency import ColdStartModel
@@ -10,7 +9,7 @@ from repro.sim.scheduler import KeepAliveSimulator
 from repro.core.policies import create_policy
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.synth import figure8_trace
-from tests.conftest import make_function
+from tests.conftest import make_container, make_function
 
 
 class TestStemCells:
@@ -111,7 +110,7 @@ class TestProvisionedConcurrency:
 
     def test_pinned_container_cannot_be_evicted(self):
         pool = ContainerPool(1000.0)
-        c = Container(make_function("A"), 0.0)
+        c = make_container(make_function("A"), 0.0)
         c.pinned = True
         pool.add(c)
         assert pool.idle_containers() == []

@@ -8,7 +8,6 @@ doorkeeper) through the appropriate factory.
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.policies import (
     EXTENDED_POLICIES,
     PAPER_POLICIES,
@@ -18,7 +17,7 @@ from repro.core.policies import (
 from repro.core.pool import ContainerPool
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Invocation, Trace, TraceFunction
-from tests.conftest import make_function, make_trace
+from tests.conftest import make_container, make_function, make_trace
 
 ALL_SIMPLE = list(PAPER_POLICIES) + list(EXTENDED_POLICIES)
 ALL_NAMES = ALL_SIMPLE + ["ORACLE", "ORACLE-CS", "DOORKEEPER"]
@@ -59,7 +58,7 @@ class TestPolicyContract:
         policy = build_policy(name, battery_trace)
         pool = ContainerPool(200.0)
         f = make_function("A", memory_mb=200.0)
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         c.start_invocation(0.0, 100.0)
         policy.on_invocation(f, 0.0)
@@ -72,7 +71,7 @@ class TestPolicyContract:
         for i, fname in enumerate("ABCD"):
             f = make_function(fname, memory_mb=100.0)
             policy.on_invocation(f, float(i))
-            c = Container(f, float(i))
+            c = make_container(f, float(i))
             pool.add(c)
             policy.on_cold_start(c, float(i), pool)
             containers.append(c)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.policies import EXTENDED_POLICIES, available_policies, create_policy
 from repro.core.policies.arc import ARCPolicy
 from repro.core.policies.baselines import FIFOPolicy, RandomPolicy
@@ -12,12 +11,12 @@ from repro.core.policies.slru import SegmentedLRUPolicy
 from repro.core.pool import ContainerPool
 from repro.sim.scheduler import simulate
 from repro.traces.synth import cyclic_trace
-from tests.conftest import make_function, make_trace
+from tests.conftest import make_container, make_function, make_trace
 
 
 def cold_start(policy, pool, function, now):
     policy.on_invocation(function, now)
-    container = Container(function, now)
+    container = make_container(function, now)
     pool.add(container)
     container.start_invocation(now, function.cold_time_s)
     policy.on_cold_start(container, now, pool)

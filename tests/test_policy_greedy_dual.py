@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.pool import ContainerPool
-from tests.conftest import make_function
+from tests.conftest import make_container, make_function
 
 
 def start_cold(policy, pool, function, now):
     """Simulate the scheduler's cold-start sequence for one invocation."""
     policy.on_invocation(function, now)
-    container = Container(function, now)
+    container = make_container(function, now)
     pool.add(container)
     container.start_invocation(now, function.cold_time_s)
     policy.on_cold_start(container, now, pool)
@@ -151,7 +150,7 @@ class TestVictimSelection:
         policy = GreedyDualPolicy()
         pool = ContainerPool(300.0)
         f = make_function("A", memory_mb=200.0)
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         c.start_invocation(0.0, 100.0)  # running: not evictable
         assert policy.select_victims(pool, 200.0, 1.0) is None
@@ -262,7 +261,7 @@ class TestArrivalValueTerm:
     def _cold(self, policy, pool, function, now, announce=True):
         if announce:
             policy.on_invocation(function, now, pool)
-        container = Container(function, now)
+        container = make_container(function, now)
         container.start_invocation(now, function.cold_time_s)
         pool.add(container)
         policy.on_cold_start(container, now, pool)

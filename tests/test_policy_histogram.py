@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.container import Container
 from repro.core.policies.histogram import GROWTH_BUCKETS, FunctionHistogram, HistogramPolicy
 from repro.core.pool import ContainerPool
 from repro.traces.model import Trace
-from tests.conftest import make_function
+from tests.conftest import make_container, make_function
 from tests.test_hot_path_budget import CONTAINER_MB, churn_trace
 from tests.test_spec_machine import Pair, replay_both
 
@@ -213,7 +212,7 @@ class TestHistogramPolicyExpiry:
         policy = HistogramPolicy(generic_ttl_s=7200.0)
         pool = ContainerPool(1000.0)
         f = make_function("A")
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         policy.on_invocation(f, 0.0)
         policy.on_cold_start(c, 0.0, pool)
@@ -225,7 +224,7 @@ class TestHistogramPolicyExpiry:
         policy = HistogramPolicy(min_samples=2)
         pool = ContainerPool(1000.0)
         f = make_function("A")
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         # Train: IATs of ~30 s (bucket 0 -> head 0, release threshold
         # keeps the container alive through the tail).
@@ -242,7 +241,7 @@ class TestHistogramPolicyExpiry:
         policy = HistogramPolicy(min_samples=2, release_threshold_s=60.0)
         pool = ContainerPool(1000.0)
         f = make_function("A")
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         t = 0.0
         for __ in range(10):
@@ -262,7 +261,7 @@ class TestHistogramPolicyExpiry:
         policy = HistogramPolicy(min_samples=2, release_threshold_s=60.0)
         pool = ContainerPool(1000.0)
         f = make_function("A")
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         t = 0.0
         for __ in range(10):
@@ -280,7 +279,7 @@ class TestHistogramPolicyExpiry:
         policy = HistogramPolicy()
         pool = ContainerPool(1000.0)
         f = make_function("A")
-        c = Container(f, 100.0)
+        c = make_container(f, 100.0)
         pool.add(c)
         from repro.core.policies.base import PrewarmRequest
 
@@ -293,7 +292,7 @@ class TestHistogramPolicyExpiry:
         policy = HistogramPolicy()
         pool = ContainerPool(1000.0)
         f = make_function("A")
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         policy.on_invocation(f, 0.0)
         policy.on_cold_start(c, 0.0, pool)
@@ -306,7 +305,7 @@ class TestPlanCache:
     def _started(self, policy, arrivals_s):
         pool = ContainerPool(1000.0)
         f = make_function("A")
-        c = Container(f, 0.0)
+        c = make_container(f, 0.0)
         pool.add(c)
         for t in arrivals_s:
             policy.on_invocation(f, t)
@@ -373,7 +372,7 @@ class TestPlanCache:
         # on_invocation before it: no histogram yet, generic TTL.
         policy = HistogramPolicy(generic_ttl_s=7200.0)
         pool = ContainerPool(1000.0)
-        c = Container(make_function("A"), 5.0)
+        c = make_container(make_function("A"), 5.0)
         pool.add(c)
         policy.on_cold_start(c, 5.0, pool)
         assert pool.expiry_deadline_of(c) == 5.0 + 7200.0
@@ -389,11 +388,11 @@ class TestPlanCache:
         # itself (tests/reference_model.py), bit for bit.
         f = make_function("A")
         now_s = 0.1
-        with Pair(Trace([f], []), "HIST", 1000.0) as pair:
-            for i in range(40):
-                now_s += mean_gap_s * (0.7 + 0.6 * ((i * 7) % 10) / 9.0)
-                pair.admit(f, now_s)
-            assert (pair.sim.metrics.prewarms > 0) == (mean_gap_s > 100.0)
+        pair = Pair(Trace([f], []), "HIST", 1000.0)
+        for i in range(40):
+            now_s += mean_gap_s * (0.7 + 0.6 * ((i * 7) % 10) / 9.0)
+            pair.admit(f, now_s)
+        assert (pair.sim.metrics.prewarms > 0) == (mean_gap_s > 100.0)
 
 
 class TestHistogramPolicyPressure:
@@ -407,9 +406,9 @@ class TestHistogramPolicyPressure:
         for i in range(10):
             policy.on_invocation(soon, i * 120.0)
             policy.on_invocation(late, i * 1800.0)
-        cs = Container(soon, 1080.0)
+        cs = make_container(soon, 1080.0)
         cs.last_used_s = 1080.0
-        cl = Container(late, 1080.0)
+        cl = make_container(late, 1080.0)
         cl.last_used_s = 1080.0
         pool.add(cs)
         pool.add(cl)

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.policies.landlord import LandlordPolicy
 from repro.core.pool import ContainerPool
-from tests.conftest import make_function
+from tests.conftest import make_container, make_function
 
 
 def admit(policy, pool, function, now=0.0):
-    c = Container(function, now)
+    c = make_container(function, now)
     pool.add(c)
     policy.on_cold_start(c, now, pool)
     return c

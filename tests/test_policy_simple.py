@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.policies.base import available_policies, create_policy
 from repro.core.policies.lfu import LFUPolicy
 from repro.core.policies.lru import LRUPolicy
 from repro.core.policies.size import SizePolicy
 from repro.core.policies.ttl import OPENWHISK_DEFAULT_TTL_S, TTLPolicy
 from repro.core.pool import ContainerPool
-from tests.conftest import make_function
+from tests.conftest import make_container, make_function
 
 
 def idle_container(pool, function, last_used_s):
-    c = Container(function, created_at_s=last_used_s)
+    c = make_container(function, created_at_s=last_used_s)
     c.last_used_s = last_used_s
     pool.add(c)
     return c

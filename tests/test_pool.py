@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.pool import CapacityError, ContainerPool
-from tests.conftest import make_function
+from tests.conftest import make_container, make_function
 
 
 def pooled(pool, function, created_at=0.0):
-    c = Container(function, created_at)
+    c = make_container(function, created_at)
     pool.add(c)
     return c
 
@@ -80,14 +79,14 @@ class TestMembership:
 
     def test_cannot_add_dead_container(self):
         pool = ContainerPool(1000.0)
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         c.terminate()
         with pytest.raises(ValueError):
             pool.add(c)
 
     def test_evict_unknown_raises(self):
         pool = ContainerPool(1000.0)
-        c = Container(make_function(), 0.0)
+        c = make_container(make_function(), 0.0)
         with pytest.raises(KeyError):
             pool.evict(c)
 
@@ -171,7 +170,7 @@ class TestPerFunctionIndex:
 
     def built(self, function, count):
         # Externally built: ids ascend in construction order.
-        return [Container(function, 0.0) for __ in range(count)]
+        return [make_container(function, 0.0) for __ in range(count)]
 
     def test_out_of_order_adds_keep_id_order(self):
         pool = ContainerPool(1000.0)
@@ -203,7 +202,7 @@ class TestPerFunctionIndex:
         first, second = pooled(pool, f), pooled(pool, f)
         got = pool.containers_of("A")
         got.reverse()
-        got.append(Container(f, 0.0))
+        got.append(make_container(f, 0.0))
         assert pool.containers_of("A") == [first, second]
         got.clear()
         assert pool.idle_warm_container("A") is first
@@ -234,12 +233,12 @@ class TestPerFunctionIndex:
             op = rng.random()
             if op < 0.15:
                 # Built now, admitted later: an out-of-order add.
-                backlog.append(Container(rng.choice(functions), now))
+                backlog.append(make_container(rng.choice(functions), now))
             elif op < 0.35:
                 if backlog and rng.random() < 0.5:
                     container = backlog.pop(rng.randrange(len(backlog)))
                 else:
-                    container = Container(rng.choice(functions), now)
+                    container = make_container(rng.choice(functions), now)
                 pool.add(container)
             elif op < 0.6:
                 idle = [c for c in pooled_now if c.is_idle]

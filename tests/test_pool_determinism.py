@@ -3,23 +3,13 @@
 ``ContainerPool.containers_of`` used to return raw ``set`` iteration
 order (the FC003 blind spot the ROADMAP flagged) and
 ``idle_warm_container`` broke ``last_used_s`` ties by the same raw
-order. Beyond the same-process ordering assertions, the subprocess
-test replays a seeded simulation under different ``PYTHONHASHSEED``
-values — the environment knob that exposes any surviving
-set-iteration-order dependence — and requires identical metrics.
+order. A seeded replay under different ``PYTHONHASHSEED`` values is the
+``simulate`` row of tests/test_determinism.py.
 """
 
-import json
-import os
-import pathlib
-import subprocess
-import sys
-
-from repro.core.container import Container
 from repro.core.pool import ContainerPool
 from repro.traces.model import TraceFunction
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
+from tests.conftest import make_container
 
 
 def make_function(name, memory_mb=100.0):
@@ -30,7 +20,7 @@ class TestOrderedQueries:
     def test_containers_of_in_id_order(self):
         pool = ContainerPool(10_000.0)
         f = make_function("A")
-        containers = [Container(f, float(i)) for i in range(20)]
+        containers = [make_container(f, float(i)) for i in range(20)]
         for container in containers:
             pool.add(container)
         ids = [c.container_id for c in pool.containers_of("A")]
@@ -39,48 +29,17 @@ class TestOrderedQueries:
     def test_function_names_sorted(self):
         pool = ContainerPool(10_000.0)
         for name in ("zeta", "alpha", "mid"):
-            pool.add(Container(make_function(name), 0.0))
+            pool.add(make_container(make_function(name), 0.0))
         assert pool.function_names() == ["alpha", "mid", "zeta"]
 
     def test_idle_warm_tie_breaks_to_lowest_id(self):
         pool = ContainerPool(10_000.0)
         f = make_function("A")
-        first = Container(f, 0.0)
-        second = Container(f, 0.0)
+        first = make_container(f, 0.0)
+        second = make_container(f, 0.0)
         pool.add(first)
         pool.add(second)
         # Identical last_used_s: the winner must be the lowest id, not
         # whatever the hash seed makes the set yield first.
         assert first.last_used_s == second.last_used_s
         assert pool.idle_warm_container("A") is first
-
-
-_SUBPROCESS_SCRIPT = """
-import json
-from repro.core.policies import create_policy
-from repro.sim.scheduler import KeepAliveSimulator
-from repro.traces.synth import multitenant_trace
-
-trace = multitenant_trace(duration_s=300.0, num_tenants=16)
-sim = KeepAliveSimulator(trace, create_policy("TTL", ttl_s=60.0), 1024.0)
-result = sim.run()
-print(json.dumps(dict(sorted(result.metrics.counters().items()))))
-"""
-
-
-def _counters_with_hashseed(hashseed):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    env["PYTHONHASHSEED"] = hashseed
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def test_replay_stable_across_hash_seeds():
-    assert _counters_with_hashseed("0") == _counters_with_hashseed("4242")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.checks.sanitize import check_counter_equality
-from repro.core.container import Container
 from repro.core.policies import create_policy
 from repro.faults import FaultSpec
 from repro.obs.report import ReportSink
@@ -20,7 +19,7 @@ from repro.sim.config import RunConfig
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.synth import churn_trace, cyclic_trace
-from tests.conftest import from_columns, make_function, make_trace
+from tests.conftest import from_columns, make_container, make_function, make_trace
 
 
 def simple_curve():
@@ -163,7 +162,7 @@ class TestDeflationEngine:
         sim = KeepAliveSimulator(Trace(functions, []), create_policy("LRU"), capacity)
         containers = []
         for i, function in enumerate(functions):
-            c = Container(function, float(i))
+            c = make_container(function, float(i))
             c.last_used_s = float(i)
             sim.pool.add(c)
             containers.append(c)

@@ -32,7 +32,6 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.core import container as container_module
 from repro.core.container import Container
 from repro.core.policies import PAPER_POLICIES, available_policies, create_policy
 from repro.core.policies.base import KeepAlivePolicy
@@ -59,11 +58,8 @@ class Pair:
     """The real simulator and the model, one step at a time."""
 
     def __init__(self, trace, policy_name, memory_mb, **config):
-        # Container ids come from a process-global counter: restart it
-        # so an id *is* the creation ordinal on both sides, as victims
-        # are compared by id (restored by close()).
-        self._ids = container_module._container_ids
-        container_module._container_ids = itertools.count()
+        # Victims are compared by id: the simulator numbers its
+        # containers from 0, so an id *is* the creation ordinal on both sides.
         if config.get("tenant_mode", "shared") != "shared" and "tenant_quotas" not in config:
             tenants = sorted({f.tenant_id for f in trace.functions.values()})
             config["tenant_quotas"] = {t: memory_mb / len(tenants) for t in tenants}
@@ -87,15 +83,6 @@ class Pair:
             self.victims.append(container.container_id)
 
         self.sim.pool.evict = recording_evict
-
-    def close(self):
-        container_module._container_ids = self._ids
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     def step(self, what, real, model):
         """Run one operation on both sides, then compare everything."""
@@ -264,12 +251,12 @@ class Pair:
 
 def replay_both(trace, policy_name, memory_mb, **config):
     """``trace`` through both as a fixed script; returns the real metrics."""
-    with Pair(trace, policy_name, memory_mb, **config) as pair:
-        end_s = 0.0
-        for end_s, function in trace.arrivals():
-            pair.admit(function, end_s)
-        pair.finish(end_s)
-        return pair.sim.metrics
+    pair = Pair(trace, policy_name, memory_mb, **config)
+    end_s = 0.0
+    for end_s, function in trace.arrivals():
+        pair.admit(function, end_s)
+    pair.finish(end_s)
+    return pair.sim.metrics
 
 
 # ----------------------------------------------------------------------
@@ -343,19 +330,19 @@ def random_script(policy_name, seed, steps=300, reschedules=0.0, **config):
     differential other suites keep beside the machine. Returns the real
     metrics."""
     rng = random.Random(seed)
-    with Pair(REGISTRY, policy_name, CAPACITY_MB, **config) as pair:
-        now_s = 0.0
-        for __ in range(steps):
-            now_s += rng.choice(GAP_CHOICES_S[:-1])
-            roll = rng.random()
-            if roll < reschedules and pair.model.boxes:
-                ordinal = rng.choice(pair.model.boxes).container_id
-                pair.reschedule(ordinal, now_s + rng.choice([-20.0, 5.0, 40.0, 700.0]))
-            elif roll < 0.85:
-                pair.admit(rng.choice(FUNCTIONS), now_s)
-            else:
-                pair.advance(now_s)
-        return pair.sim.metrics
+    pair = Pair(REGISTRY, policy_name, CAPACITY_MB, **config)
+    now_s = 0.0
+    for __ in range(steps):
+        now_s += rng.choice(GAP_CHOICES_S[:-1])
+        roll = rng.random()
+        if roll < reschedules and pair.model.boxes:
+            ordinal = rng.choice(pair.model.boxes).container_id
+            pair.reschedule(ordinal, now_s + rng.choice([-20.0, 5.0, 40.0, 700.0]))
+        elif roll < 0.85:
+            pair.admit(rng.choice(FUNCTIONS), now_s)
+        else:
+            pair.advance(now_s)
+    return pair.sim.metrics
 
 
 class SpecMachine(RuleBasedStateMachine):
@@ -375,10 +362,6 @@ class SpecMachine(RuleBasedStateMachine):
         if pinned:
             config["reserved_concurrency"] = {"f0": 1, "f3": 1}
         self.pair = Pair(REGISTRY, self.policy_name, CAPACITY_MB, **config)
-
-    def teardown(self):
-        if self.pair is not None:
-            self.pair.close()
 
     def _running(self):
         return [b.busy_until_s for b in self.pair.model.boxes if b.running]

@@ -10,13 +10,12 @@ the index, must evict exactly what the executable specification
 
 import pytest
 
-from repro.core.container import Container
 from repro.core.policies import available_policies, create_policy
 from repro.core.pool import ContainerPool
 from repro.sim.scheduler import KeepAliveSimulator
 from repro.traces.model import TraceFunction
 from repro.traces.synth import churn_trace, multitenant_trace, skewed_frequency_trace
-from tests.conftest import make_function, make_trace
+from tests.conftest import make_container, make_function, make_trace
 from tests.test_spec_machine import random_script, replay_both
 
 def _has_flag(name):
@@ -39,7 +38,7 @@ class TestIterVictims:
         pool = ContainerPool(100_000.0)
         containers = []
         for i, (name, mem, prio) in enumerate(specs):
-            c = Container(make_function(name, memory_mb=mem), float(i))
+            c = make_container(make_function(name, memory_mb=mem), float(i))
             c.priority = prio
             pool.add(c)
             containers.append(c)
@@ -148,7 +147,7 @@ class TestIterVictims:
 class TestEvictableAccounting:
     def test_busy_idle_transitions(self):
         pool = ContainerPool(1000.0)
-        c = Container(make_function("A", memory_mb=300.0), 0.0)
+        c = make_container(make_function("A", memory_mb=300.0), 0.0)
         pool.add(c)
         assert pool.evictable_mb() == 300.0
         c.start_invocation(0.0, 10.0)
@@ -172,7 +171,7 @@ class TestEvictableAccounting:
 
     def test_add_rejects_double_enrollment(self):
         pool_a, pool_b = ContainerPool(1000.0), ContainerPool(1000.0)
-        c = Container(make_function("A"), 0.0)
+        c = make_container(make_function("A"), 0.0)
         pool_a.add(c)
         with pytest.raises(ValueError, match="already belongs"):
             pool_b.add(c)
@@ -209,7 +208,7 @@ class TestCoverRule:
             function = TraceFunction(
                 f"f{i}", mem, 1.0, 3.0, tenant_id=tenant
             )
-            c = Container(function, float(i))
+            c = make_container(function, float(i))
             pool.add(c)
             ordered.append(c)
         return pool, ordered
@@ -271,7 +270,7 @@ class TestParkedBusyEntries:
         pool = ContainerPool(100_000.0)
         containers = []
         for i, (name, mem, prio) in enumerate(specs):
-            c = Container(make_function(name, memory_mb=mem), float(i))
+            c = make_container(make_function(name, memory_mb=mem), float(i))
             c.priority = prio
             pool.add(c)
             containers.append(c)
@@ -344,9 +343,9 @@ class TestAdmitRunningIsInvisible:
         self, sanitized
     ):
         pool = ContainerPool(1000.0)
-        idle = Container(make_function("A", memory_mb=100.0), 0.0)
+        idle = make_container(make_function("A", memory_mb=100.0), 0.0)
         pool.add(idle)
-        busy = Container(make_function("B", memory_mb=100.0), 0.0)
+        busy = make_container(make_function("B", memory_mb=100.0), 0.0)
         busy.start_invocation(0.0, 1e9)
         pool.add(busy)
         assert pool.evictable_mb() == 100.0 and pool._idle_unpinned == 1
@@ -357,7 +356,7 @@ class TestAdmitRunningIsInvisible:
 
     def test_never_idled_parked_container_cannot_be_evicted(self, sanitized):
         pool = ContainerPool(1000.0)
-        busy = Container(make_function("A", memory_mb=100.0), 0.0)
+        busy = make_container(make_function("A", memory_mb=100.0), 0.0)
         busy.start_invocation(0.0, 5.0)
         pool.add(busy)
         with pytest.raises(RuntimeError, match="while running"):
@@ -375,12 +374,12 @@ class TestAdmitRunningIsInvisible:
         """WARM: enrolled and evictable at once (prewarm, external
         drivers). RUNNING: parked. Pinned: never enrolled either way."""
         pool = ContainerPool(1000.0)
-        warm = Container(make_function("A", memory_mb=100.0), 0.0)
+        warm = make_container(make_function("A", memory_mb=100.0), 0.0)
         pool.add(warm)
         assert pool.evictable_mb() == 100.0
         assert list(pool.iter_victims(_key_of)) == [warm]
         for start in (False, True):
-            pinned = Container(make_function("P", memory_mb=100.0), 0.0)
+            pinned = make_container(make_function("P", memory_mb=100.0), 0.0)
             pinned.pinned = True
             if start:
                 pinned.start_invocation(0.0, 1.0)
