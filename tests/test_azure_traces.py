@@ -26,6 +26,16 @@ from repro.traces.sampling import (
 
 
 class TestGenerator:
+    def test_deterministic_for_seed(self):
+        cfg = AzureGeneratorConfig(num_functions=40)
+        a = generate_azure_dataset(cfg, seed=3)
+        b = generate_azure_dataset(cfg, seed=3)
+        assert a.total_invocations() == b.total_invocations()
+        fa = a.functions["fn-00000"]
+        fb = b.functions["fn-00000"]
+        assert fa.minute_counts == fb.minute_counts
+        assert fa.avg_duration_ms == fb.avg_duration_ms
+
     def test_seed_changes_output(self):
         cfg = AzureGeneratorConfig(num_functions=40)
         a = generate_azure_dataset(cfg, seed=3)

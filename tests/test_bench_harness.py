@@ -14,6 +14,13 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestWorkloadBuilders:
+    def test_churn_trace_is_seed_deterministic(self):
+        a = churn_trace(num_functions=30, duration_s=600.0, seed=5)
+        b = churn_trace(num_functions=30, duration_s=600.0, seed=5)
+        assert [(i.time_s, i.function_name) for i in a.invocations] == [
+            (i.time_s, i.function_name) for i in b.invocations
+        ]
+
     def test_churn_trace_seed_matters(self):
         a = churn_trace(num_functions=30, duration_s=600.0, seed=5)
         b = churn_trace(num_functions=30, duration_s=600.0, seed=6)

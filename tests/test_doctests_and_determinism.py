@@ -1,8 +1,10 @@
-"""Docstring examples, and the invoker's latency percentiles.
+"""Docstring examples, end-to-end determinism of the sampled paper
+traces, and the invoker's latency percentiles.
 
 The doctests double as API documentation; running them here keeps the
-examples in module docstrings honest. End-to-end determinism (sampled
-paper traces, the invoker) is tests/test_determinism.py's table.
+examples in module docstrings honest. Byte-level determinism of every
+output kind (twice, in a fresh process, across hash seeds) is
+tests/test_determinism.py's table.
 """
 
 import doctest
@@ -51,6 +53,27 @@ def test_simulate_doctest():
 
 
 class TestEndToEndDeterminism:
+    def test_full_pipeline_is_deterministic(self):
+        from repro.sim.scheduler import simulate
+        from repro.traces.azure import AzureGeneratorConfig, generate_azure_dataset
+        from repro.traces.sampling import make_paper_traces
+
+        def run_once():
+            dataset = generate_azure_dataset(
+                AzureGeneratorConfig(num_functions=200, max_daily_invocations=800),
+                seed=99,
+            )
+            traces = make_paper_traces(
+                dataset, sizes={"rare": 30, "representative": 40, "random": 20},
+                seed=99,
+            )
+            return {
+                name: simulate(trace, "GD", 4096.0).metrics.summary()
+                for name, trace in traces.items()
+            }
+
+        assert run_once() == run_once()
+
     def test_percentile_latency(self):
         from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker
         from repro.traces.synth import figure8_trace

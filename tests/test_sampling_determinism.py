@@ -1,17 +1,11 @@
 """Regression tests: trace sampling must be seed-deterministic.
 
 ``representative_sample`` used to rebuild ``set(sample)`` per
-comprehension element (the live FC003 instance this suite pins down);
-beyond same-process equality, the subprocess test asserts the samples
-are identical under different ``PYTHONHASHSEED`` values — the
-environment knob that exposes any set-iteration-order dependence.
+comprehension element (the live FC003 instance this suite pins down).
+The same-process check lives here; the top-up branch's no-repeat check
+is in tests/test_azure_traces.py, and equality in a fresh process and
+across ``PYTHONHASHSEED`` values is tests/test_determinism.py's table.
 """
-
-import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -21,8 +15,6 @@ from repro.traces.sampling import (
     rare_sample,
     representative_sample,
 )
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def small_dataset(seed=7):
@@ -41,42 +33,3 @@ def test_same_seed_same_sample(sampler):
     second = sampler(dataset, n=40, seed=3)
     assert first == second
     assert len(first) > 0
-
-
-def test_representative_topup_is_deterministic():
-    # n much larger than any quartile forces the top-up branch that
-    # used to rebuild the membership set per element.
-    dataset = small_dataset()
-    first = representative_sample(dataset, n=70, seed=5)
-    second = representative_sample(dataset, n=70, seed=5)
-    assert first == second
-    assert len(first) == len(set(first)), "sample must not repeat ids"
-
-
-_SUBPROCESS_SCRIPT = """
-import json
-from repro.traces.azure import AzureGeneratorConfig, generate_azure_dataset
-from repro.traces.sampling import representative_sample
-
-config = AzureGeneratorConfig(num_functions=80, max_daily_invocations=2000)
-dataset = generate_azure_dataset(config, seed=7)
-print(json.dumps(representative_sample(dataset, n=70, seed=5)))
-"""
-
-
-def _sample_with_hashseed(hashseed):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    env["PYTHONHASHSEED"] = hashseed
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def test_sample_stable_across_hash_seeds():
-    assert _sample_with_hashseed("0") == _sample_with_hashseed("4242")

@@ -79,6 +79,11 @@ class TestSkewedFrequency:
             if name != "floating-point":
                 assert hot > 2 * count
 
+    def test_deterministic(self):
+        a = skewed_frequency_trace(duration_s=300.0, seed=9)
+        b = skewed_frequency_trace(duration_s=300.0, seed=9)
+        assert [i.time_s for i in a] == [i.time_s for i in b]
+
     def test_uses_table1_functions(self):
         trace = skewed_frequency_trace(duration_s=60.0)
         assert "ml-inference-cnn" in trace.functions
@@ -136,6 +141,12 @@ class TestFigure8AndMultitenant:
         }
         assert len(tenant_sizes) >= 4
 
+    def test_multitenant_deterministic(self):
+        a = multitenant_trace(duration_s=300.0, seed=3)
+        b = multitenant_trace(duration_s=300.0, seed=3)
+        assert len(a) == len(b)
+        assert [i.time_s for i in a][:50] == [i.time_s for i in b][:50]
+
 
 class TestBurstyArrivals:
     def test_validation(self):
@@ -146,6 +157,14 @@ class TestBurstyArrivals:
             bursty_arrivals("f", 0.0, 1.0, 1.0, 10.0)
         with pytest.raises(ValueError):
             bursty_arrivals("f", 1.0, 0.0, 1.0, 10.0)
+
+    def test_deterministic_per_rng(self):
+        import random
+        from repro.traces.synth import bursty_arrivals
+
+        a = bursty_arrivals("f", 5.0, 10.0, 30.0, 500.0, rng=random.Random(2))
+        b = bursty_arrivals("f", 5.0, 10.0, 30.0, 500.0, rng=random.Random(2))
+        assert [x.time_s for x in a] == [x.time_s for x in b]
 
     def test_burstiness_exceeds_poisson(self):
         """Short-window rate variance far above a same-mean Poisson's."""
