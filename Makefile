@@ -43,13 +43,16 @@ ledger-smoke:
 # The tool's own cold start (docs/performance.md): the 15 costliest
 # imports, by self time, of four entry points in a fresh interpreter,
 # each followed by that interpreter's peak RSS (VmHWM, read at exit
-# from /proc/self/status), then the exact module budget.
+# from /proc/self/status); the replay probe's median wall time and
+# VmHWM with bytecode cached and uncached (benchmarks/import_probe.py);
+# then the exact module budget.
 IMPORTTIME = PYTHONPATH=src $(PYTHON) -X importtime -c
 VMHWM = import atexit, sys; atexit.register(lambda: print(*next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split(), file=sys.stderr));
 TOP15 = 2>&1 >/dev/null | awk '/^VmHWM/ { hwm = $$0; next } /^import time/ { print | "sort -t: -k2 -n | tail -15" } END { close("sort -t: -k2 -n | tail -15"); print hwm }'
 import-budget:
 	@echo "== replay probe (the ledger's import child)"
 	@$(IMPORTTIME) "$(VMHWM) import repro.sim.scheduler, repro.sim.columnar, repro.traces.streaming" $(TOP15)
+	@$(PYTHON) benchmarks/import_probe.py
 	@echo "== cli --help"
 	@$(IMPORTTIME) "$(VMHWM) import repro.cli; repro.cli.main()" --help $(TOP15)
 	@echo "== serve (modules behind the serve subcommand)"

@@ -22,11 +22,16 @@ base instead. This file only *calls* the ledger, one fresh process per
 (side, workload) exactly as the driver does; it owns no workload,
 metric or bound.
 
-Both sides run with the same bytecode-cache state: each gets its own
-``PYTHONPYCACHEPREFIX`` directory, filled by one discarded ``--smoke``
-run per workload before the first pair. Left to the trees, a fresh
-worktree has no ``__pycache__`` and a working tree usually does, which
-alone moves ``setup_s`` by a quarter and ``server_rss_mb`` by 0.8 MB.
+Both sides run in the bytecode condition of the caller, and in the
+same one. With ``PYTHONDONTWRITEBYTECODE`` set (uncached), it is kept
+and each side runs from a copy of its tree with no ``__pycache__``, so
+every ``repro`` module compiles from source in every process while the
+standard library reads its installed cache. Otherwise (cached), each
+side gets its own ``PYTHONPYCACHEPREFIX`` directory, filled by one
+discarded ``--smoke`` run per workload before the first pair. Left to
+the trees, a fresh worktree has no ``__pycache__`` and a working tree
+usually does, which alone moves ``setup_s`` by a quarter and
+``server_rss_mb`` by 0.8 MB. The first line printed names the condition.
 """
 
 from __future__ import annotations
@@ -196,13 +201,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         worktree = base_tree = scratch / "base"
     trees = {"base": base_tree, "change": ROOT}
-    # A prefix replaces every in-tree ``__pycache__`` (the standard
-    # library's too); the warm-up runs must be allowed to fill it.
-    writable = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    envs = {
-        side: dict(writable, PYTHONPYCACHEPREFIX=str(scratch / f"pycache-{side}"))
-        for side in SIDES
-    }
+    uncached = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    if uncached:
+        envs = {side: dict(os.environ) for side in SIDES}
+        condition = (
+            "uncached: PYTHONDONTWRITEBYTECODE kept, no prefix, each side run from "
+            f"a copy of its tree under {scratch} with no __pycache__"
+        )
+    else:
+        # A prefix replaces every in-tree ``__pycache__`` (the standard
+        # library's too); the warm-up runs must be allowed to fill it.
+        writable = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        envs = {
+            side: dict(writable, PYTHONPYCACHEPREFIX=str(scratch / f"pycache-{side}"))
+            for side in SIDES
+        }
+        condition = (
+            f"cached: PYTHONPYCACHEPREFIX={scratch}/pycache-<side>, each filled by one "
+            "discarded --smoke run per workload (in-tree __pycache__ unused on both sides)"
+        )
     options = ["--trace", "1" if args.layers else "0", "--seconds", str(args.seconds)]
     if args.seed is not None:
         options += ["--seed", str(args.seed)]
@@ -218,14 +235,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cwd=ROOT, check=True, capture_output=True,
             )
         for side in SIDES:
-            for workload in args.workloads:
-                run_ledger(trees[side], envs[side], workload, "--trace", "0", "--smoke")
-        print(
-            f"bytecode caches: PYTHONPYCACHEPREFIX={scratch}/pycache-<side>, each "
-            "filled by one discarded --smoke run per workload (in-tree "
-            "__pycache__ unused on both sides)",
-            flush=True,
-        )
+            if uncached:
+                trees[side] = Path(shutil.copytree(
+                    trees[side], scratch / f"tree-{side}",
+                    ignore=shutil.ignore_patterns(".git", "__pycache__", "*.pyc"),
+                ))
+            else:
+                for workload in args.workloads:
+                    run_ledger(trees[side], envs[side], workload, "--trace", "0", "--smoke")
+        print(f"bytecode: {condition}", flush=True)
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for workload in args.workloads:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.policies import PAPER_POLICIES
+from repro.core.policies.base import PAPER_POLICIES
 from repro.provisioning.hit_ratio import HitRatioCurve
 from repro.provisioning.reuse_distance import reuse_distances
 from repro.sim.scheduler import simulate

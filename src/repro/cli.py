@@ -159,7 +159,7 @@ def _run_inputs(args: argparse.Namespace, policies: List[str]):
     _apply_sanitize(args)
     kwargs = {"tenant_weights": args.tenant_weights} if args.tenant_weights else {}
     if kwargs:
-        from repro.core.policies import create_policy
+        from repro.core.policies.base import create_policy
 
         for name in policies:
             try:
@@ -283,7 +283,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core.policies import PAPER_POLICIES
+    from repro.core.policies.base import PAPER_POLICIES
     from repro.sim.sweep import run_sweep
 
     policies = args.policies or list(PAPER_POLICIES)

@@ -1,70 +1,52 @@
-"""Keep-alive policies (Section 4 of the paper).
+"""Keep-alive policies (Section 4 of the paper), registered under the
+short names of the paper's figures (``GD``, ``TTL``, ``LRU``, ``HIST``,
+``SIZE``, ``LND``, ``FREQ``, ...). Importing this package loads none of
+them: :func:`create_policy` imports a policy's module when its name is
+first asked for, and reading a class from here imports its module."""
 
-Importing this package registers every built-in policy under the short
-names used in the paper's figures: ``GD``, ``TTL``, ``LRU``, ``HIST``,
-``SIZE``, ``LND``, and ``FREQ``.
-"""
+from typing import TYPE_CHECKING
 
-from repro.core.policies.base import (
-    KeepAlivePolicy,
-    PrewarmRequest,
-    available_policies,
-    create_policy,
-    register_policy,
-)
-from repro.core.policies.arc import ARCPolicy
-from repro.core.policies.baselines import FIFOPolicy, RandomPolicy
-from repro.core.policies.doorkeeper import DoorkeeperPolicy
-from repro.core.policies.gds import GreedyDualSizePolicy
-from repro.core.policies.greedy_dual import GreedyDualPolicy
-from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
-from repro.core.policies.hyperbolic import HyperbolicPolicy
-from repro.core.policies.landlord import LandlordPolicy
-from repro.core.policies.lfu import LFUPolicy
-from repro.core.policies.lru import LRUPolicy
-from repro.core.policies.lruk import LRUKPolicy
-from repro.core.policies.oracle import CostAwareOraclePolicy, OraclePolicy
-from repro.core.policies.size import SizePolicy
-from repro.core.policies.slru import SegmentedLRUPolicy
-from repro.core.policies.ttl import OPENWHISK_DEFAULT_TTL_S, TTLPolicy
+from repro._lazy import lazy_exports
 
-#: The policy lineup of Figures 5 and 6, in the paper's legend order.
-PAPER_POLICIES = ("GD", "TTL", "LRU", "HIST", "SIZE", "LND", "FREQ")
-
-#: Additional classic policies from the caching literature the paper
-#: surveys (Section 2.2), adapted to variable-size keep-alive.
-EXTENDED_POLICIES = ("GDS", "ARC", "SLRU", "LRUK", "HYPERBOLIC", "FIFO", "RAND")
-
-#: Policies needing construction arguments (a trace for the oracles, a
-#: wrapped policy for the doorkeeper); excluded from name-only sweeps.
-PARAMETRIC_POLICIES = ("ORACLE", "ORACLE-CS", "DOORKEEPER")
+if TYPE_CHECKING:
+    from repro.core.policies.arc import ARCPolicy
+    from repro.core.policies.base import (
+        EXTENDED_POLICIES, PAPER_POLICIES, PARAMETRIC_POLICIES, KeepAlivePolicy, PrewarmRequest,
+        available_policies, create_policy, register_policy,
+    )
+    from repro.core.policies.baselines import FIFOPolicy, RandomPolicy
+    from repro.core.policies.doorkeeper import DoorkeeperPolicy
+    from repro.core.policies.gds import GreedyDualSizePolicy
+    from repro.core.policies.greedy_dual import GreedyDualPolicy
+    from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
+    from repro.core.policies.hyperbolic import HyperbolicPolicy
+    from repro.core.policies.landlord import LandlordPolicy
+    from repro.core.policies.lfu import LFUPolicy
+    from repro.core.policies.lru import LRUPolicy
+    from repro.core.policies.lruk import LRUKPolicy
+    from repro.core.policies.oracle import CostAwareOraclePolicy, OraclePolicy
+    from repro.core.policies.size import SizePolicy
+    from repro.core.policies.slru import SegmentedLRUPolicy
+    from repro.core.policies.ttl import OPENWHISK_DEFAULT_TTL_S, TTLPolicy
 
 __all__ = [
-    "KeepAlivePolicy",
-    "PrewarmRequest",
-    "available_policies",
-    "create_policy",
-    "register_policy",
-    "ARCPolicy",
-    "FIFOPolicy",
-    "RandomPolicy",
-    "DoorkeeperPolicy",
-    "OraclePolicy",
-    "CostAwareOraclePolicy",
-    "PARAMETRIC_POLICIES",
-    "GreedyDualSizePolicy",
-    "GreedyDualPolicy",
-    "HistogramPolicy",
-    "HyperbolicPolicy",
-    "FunctionHistogram",
-    "LandlordPolicy",
-    "LFUPolicy",
-    "LRUPolicy",
-    "LRUKPolicy",
-    "SizePolicy",
-    "SegmentedLRUPolicy",
-    "TTLPolicy",
-    "OPENWHISK_DEFAULT_TTL_S",
-    "PAPER_POLICIES",
-    "EXTENDED_POLICIES",
+    "KeepAlivePolicy", "PrewarmRequest", "available_policies", "create_policy", "register_policy",
+    "PAPER_POLICIES", "EXTENDED_POLICIES", "PARAMETRIC_POLICIES",
+    "ARCPolicy", "FIFOPolicy", "RandomPolicy", "DoorkeeperPolicy", "GreedyDualSizePolicy",
+    "GreedyDualPolicy", "FunctionHistogram", "HistogramPolicy", "HyperbolicPolicy",
+    "LandlordPolicy", "LFUPolicy", "LRUPolicy", "LRUKPolicy", "CostAwareOraclePolicy",
+    "OraclePolicy", "SizePolicy", "SegmentedLRUPolicy", "OPENWHISK_DEFAULT_TTL_S", "TTLPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": (
+        "EXTENDED_POLICIES PAPER_POLICIES PARAMETRIC_POLICIES KeepAlivePolicy PrewarmRequest "
+        "available_policies create_policy register_policy"
+    ),
+    "arc": "ARCPolicy", "baselines": "FIFOPolicy RandomPolicy", "doorkeeper": "DoorkeeperPolicy",
+    "gds": "GreedyDualSizePolicy", "greedy_dual": "GreedyDualPolicy",
+    "histogram": "FunctionHistogram HistogramPolicy", "hyperbolic": "HyperbolicPolicy",
+    "landlord": "LandlordPolicy", "lfu": "LFUPolicy", "lru": "LRUPolicy", "lruk": "LRUKPolicy",
+    "oracle": "CostAwareOraclePolicy OraclePolicy", "size": "SizePolicy",
+    "slru": "SegmentedLRUPolicy", "ttl": "OPENWHISK_DEFAULT_TTL_S TTLPolicy",
+})

@@ -19,12 +19,14 @@ internal state: frequencies, logical clocks, credits, histograms.
 Policies are registered by short name (``GD``, ``TTL``, ``LRU``,
 ``HIST``, ``SIZE``, ``LND``, ``FREQ``) matching the labels used in the
 paper's Figures 5 and 6, and instantiated through
-:func:`create_policy`.
+:func:`create_policy`, which imports a built-in policy's module when its
+name is first asked for (:data:`BUILTIN_POLICIES`).
 """
 
 from __future__ import annotations
 
 import abc
+from importlib import import_module
 from typing import (
     AbstractSet,
     Callable,
@@ -46,7 +48,29 @@ __all__ = [
     "register_policy",
     "create_policy",
     "available_policies",
+    "BUILTIN_POLICIES", "PAPER_POLICIES", "EXTENDED_POLICIES", "PARAMETRIC_POLICIES",
 ]
+
+#: The policy lineup of Figures 5 and 6, in the paper's legend order.
+PAPER_POLICIES = ("GD", "TTL", "LRU", "HIST", "SIZE", "LND", "FREQ")
+
+#: Additional classic policies from the caching literature the paper
+#: surveys (Section 2.2), adapted to variable-size keep-alive.
+EXTENDED_POLICIES = ("GDS", "ARC", "SLRU", "LRUK", "HYPERBOLIC", "FIFO", "RAND")
+
+#: Policies needing construction arguments (a trace for the oracles, a
+#: wrapped policy for the doorkeeper); excluded from name-only sweeps.
+PARAMETRIC_POLICIES = ("ORACLE", "ORACLE-CS", "DOORKEEPER")
+
+#: Every built-in policy name and the module of this package that
+#: registers it. :func:`create_policy` imports that module the first
+#: time the name is asked for; the names are reserved before it loads.
+BUILTIN_POLICIES: Dict[str, str] = {
+    "ARC": "arc", "DOORKEEPER": "doorkeeper", "FIFO": "baselines", "FREQ": "lfu",
+    "GD": "greedy_dual", "GDS": "gds", "HIST": "histogram", "HYPERBOLIC": "hyperbolic",
+    "LND": "landlord", "LRU": "lru", "LRUK": "lruk", "ORACLE": "oracle", "ORACLE-CS": "oracle",
+    "RAND": "baselines", "SIZE": "size", "SLRU": "slru", "TTL": "ttl",
+}
 
 
 class PrewarmRequest:
@@ -370,11 +394,13 @@ _REGISTRY: Dict[str, Callable[..., KeepAlivePolicy]] = {}
 
 
 def register_policy(name: str):
-    """Class decorator registering a policy under ``name``."""
+    """Class decorator registering a policy under ``name``; a built-in
+    name, loaded or not, only from its own module."""
 
     def decorator(cls: Type[KeepAlivePolicy]) -> Type[KeepAlivePolicy]:
         key = name.upper()
-        if key in _REGISTRY:
+        home = BUILTIN_POLICIES.get(key)
+        if key in _REGISTRY or (home and cls.__module__ != f"{__package__}.{home}"):
             raise ValueError(f"policy {key!r} is already registered")
         _REGISTRY[key] = cls
         cls.name = key
@@ -391,15 +417,17 @@ def create_policy(name: str, **kwargs) -> KeepAlivePolicy:
     'LRU'
     """
     key = name.upper()
+    if key not in _REGISTRY and key in BUILTIN_POLICIES:
+        import_module(f"{__package__}.{BUILTIN_POLICIES[key]}")
     try:
         factory = _REGISTRY[key]
     except KeyError:
         raise ValueError(
-            f"unknown policy {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown policy {name!r}; available: {available_policies()}"
         ) from None
     return factory(**kwargs)
 
 
 def available_policies() -> List[str]:
-    """Names of all registered policies, sorted."""
-    return sorted(_REGISTRY)
+    """Names of all registered policies, built-in ones loaded or not, sorted."""
+    return sorted(_REGISTRY.keys() | BUILTIN_POLICIES.keys())

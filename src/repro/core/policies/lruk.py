@@ -38,8 +38,8 @@ class LRUKPolicy(KeepAlivePolicy):
 
     def __init__(self, k: int = 2) -> None:
         super().__init__()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
         self.k = k
         self._history: Dict[str, Deque[float]] = {}
 

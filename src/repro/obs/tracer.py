@@ -13,15 +13,16 @@ context — constant fields like ``policy="GD"`` or ``server=3`` set
 once via :meth:`Tracer.bind` — and hands the finished dict to its
 sink. ``strict=True`` validates every event against
 :mod:`repro.obs.events` at emission time (tests and debugging; off in
-production paths).
+production paths). Only a strict tracer loads the schema (when built),
+and nothing here loads the sinks: an untraced run loads neither.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
 
-from repro.obs.events import validate_event
-from repro.obs.sinks import Sink
+if TYPE_CHECKING:
+    from repro.obs.sinks import Sink
 
 __all__ = ["Tracer", "NullTracer", "NULL_TRACER", "active_tracer"]
 
@@ -29,7 +30,7 @@ __all__ = ["Tracer", "NullTracer", "NULL_TRACER", "active_tracer"]
 class Tracer:
     """Emits structured lifecycle events to a sink."""
 
-    __slots__ = ("sink", "strict", "_context")
+    __slots__ = ("sink", "strict", "_context", "_validate")
 
     #: Class-level so the disabled check never touches the instance dict.
     enabled: bool = True
@@ -43,6 +44,11 @@ class Tracer:
         self.sink = sink
         self.strict = strict
         self._context: Dict[str, Any] = dict(context or {})
+        self._validate: Optional[Callable[[Mapping[str, Any]], None]] = None
+        if strict:
+            from repro.obs.events import validate_event
+
+            self._validate = validate_event
 
     @property
     def context(self) -> Dict[str, Any]:
@@ -61,8 +67,8 @@ class Tracer:
         if self._context:
             event.update(self._context)
         event.update(fields)
-        if self.strict:
-            validate_event(event)
+        if self._validate is not None:
+            self._validate(event)
         self.sink.emit(event)
 
     def flush(self) -> None:
@@ -95,7 +101,7 @@ class NullTracer(Tracer):
     enabled = False
 
     def __init__(self) -> None:
-        super().__init__(sink=_NULL_SINK)
+        super().__init__(sink=None)  # type: ignore[arg-type]
 
     def bind(self, **context: Any) -> "NullTracer":
         return self
@@ -103,16 +109,12 @@ class NullTracer(Tracer):
     def emit(self, event_type: str, time_s: float, **fields: Any) -> None:
         pass
 
+    def flush(self) -> None:
+        pass
+
     def close(self) -> None:
         pass
 
-
-class _NullSinkSingleton(Sink):
-    def emit(self, event: Mapping[str, Any]) -> None:  # pragma: no cover
-        pass
-
-
-_NULL_SINK = _NullSinkSingleton()
 
 #: Shared disabled tracer, for APIs that want a tracer-shaped default.
 NULL_TRACER = NullTracer()

@@ -227,6 +227,7 @@ class SimulatedInvoker:
         the engine's capacity seam
         (:meth:`~repro.sim.scheduler.KeepAliveSimulator.set_capacity`),
         priced by ``deflation_engine`` (cascade deflation by default).
+        Every :meth:`run` starts it over (``controller.reset()``).
         Without a controller the pool size is static.
 
         ``tracer`` is the engine's own: the run's lifecycle events, for
@@ -467,9 +468,12 @@ class SimulatedInvoker:
         fires."""
         started = wall_clock_s()
         config = self.config
-        # Every run starts from what the constructor left: a fresh policy,
-        # no learned times, full stems, zero counts, an empty timeline.
+        # Every run starts from what the constructor left: a fresh policy
+        # and controller, no learned times, full stems, zero counts, an
+        # empty timeline.
         self.policy.reset()
+        if self.controller is not None:
+            self.controller.reset()
         self.stats.reset()
         self.deflations = []
         self._period_arrivals = self._period_colds = self._launches = self.stem_hits = 0

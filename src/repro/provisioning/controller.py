@@ -79,12 +79,19 @@ class ProportionalController:
             )
         self.curve = curve
         self.target_miss_speed = target_miss_speed
-        self.cache_size_mb = float(initial_size_mb)
+        self.initial_size_mb = float(initial_size_mb)
         self.min_size_mb = min_size_mb
         self.max_size_mb = max_size_mb
         self.deadband = deadband
         self.control_period_s = control_period_s
-        self._arrival_ewma = EWMA(alpha=ewma_alpha)
+        self._ewma_alpha = ewma_alpha
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every period observed (a new run): the initial size,
+        a fresh arrival EWMA and an empty history."""
+        self.cache_size_mb = self.initial_size_mb
+        self._arrival_ewma = EWMA(alpha=self._ewma_alpha)
         self.history: List[ControllerDecision] = []
 
     @classmethod

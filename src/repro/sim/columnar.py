@@ -57,15 +57,16 @@ from repro.core.clock import wall_clock_s
 from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import FunctionHistogram, HistogramPolicy
 from repro.core.pool import CapacityError
-from repro.faults import FaultModel, FaultSpec, RetryPolicy
 from repro.sim.events import EventQueue
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
 from repro.sim.scheduler import SimulationResult
 from repro.traces.model import DEFAULT_CHUNK_INVOCATIONS, FunctionTable, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
 
-if TYPE_CHECKING:  # NumPy loads when the TTL kernel runs (DESIGN.md §7.3)
+if TYPE_CHECKING:  # NumPy loads when the TTL kernel runs, faults under a spec (DESIGN.md §7.3)
     import numpy as np
+
+    from repro.faults.model import FaultModel, FaultSpec
 
 __all__ = ["run_gd_kernel", "run_hist_kernel", "run_ttl_kernel"]
 
@@ -545,6 +546,9 @@ def run_gd_kernel(
     down = draw_fault = draw_spawn = False
     faults: Optional[FaultModel] = None
     if fault_spec is not None and fault_spec.enabled:
+        from repro.faults.model import FaultModel
+        from repro.faults.retry import RetryPolicy
+
         faults = FaultModel(fault_spec)
         next_delay = RetryPolicy.from_spec(fault_spec).next_delay
         max_pending = fault_spec.max_pending_retries

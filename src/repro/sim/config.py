@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.core.pool import TENANT_MODES
-from repro.faults import FaultSpec
+
+if TYPE_CHECKING:
+    from repro.faults.model import FaultSpec
 
 __all__ = ["RunConfig"]
 

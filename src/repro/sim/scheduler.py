@@ -41,7 +41,6 @@ from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import HistogramPolicy
 from repro.core.policies.ttl import TTLPolicy
 from repro.core.pool import CapacityError, ContainerPool
-from repro.faults import FaultModel, RetryPolicy
 from repro.obs.counters import eviction_counters
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim.config import RunConfig
@@ -50,6 +49,8 @@ from repro.sim.metrics import SimulationMetrics
 from repro.traces.model import Trace, TraceFunction
 
 if TYPE_CHECKING:
+    from repro.faults.model import FaultModel
+    from repro.faults.retry import RetryPolicy
     from repro.obs.report import ReportSink
 
 __all__ = ["KeepAliveSimulator", "SimulationResult", "simulate"]
@@ -221,6 +222,9 @@ class KeepAliveSimulator:
         self._faults: Optional[FaultModel] = None
         self._retry: Optional[RetryPolicy] = None
         if fault_spec is not None and fault_spec.enabled:
+            from repro.faults.model import FaultModel  # only a faulted run loads them
+            from repro.faults.retry import RetryPolicy
+
             self._faults = FaultModel(fault_spec)
             self._retry = RetryPolicy.from_spec(fault_spec)
             # Schedules are generated on absolute time from 0, so the

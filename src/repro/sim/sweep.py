@@ -27,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.policies import PAPER_POLICIES, create_policy
+from repro.core.policies.base import PAPER_POLICIES, create_policy
 from repro.faults import cell_fault_spec
 from repro.obs.counters import fingerprint_counters
 from repro.obs.sinks import JsonlSink

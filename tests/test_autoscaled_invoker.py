@@ -106,6 +106,9 @@ class _ShrinkOnce:
         self.size_mb = size_mb
         self.ticks = 0
 
+    def reset(self):
+        self.ticks = 0
+
     def step(self, now_s, arrivals, colds):
         self.ticks += 1
         return SimpleNamespace(resized=self.ticks == 1, cache_size_mb=self.size_mb)

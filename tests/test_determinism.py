@@ -35,6 +35,9 @@ from repro.live.service import LivePoolService
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 from repro.openwhisk.invoker import InvokerConfig, SimulatedInvoker
+from repro.provisioning.controller import ProportionalController
+from repro.provisioning.hit_ratio import HitRatioCurve
+from repro.provisioning.reuse_distance import reuse_distances
 from repro.sim.scheduler import KeepAliveSimulator, simulate
 from repro.sim.sweep import run_sweep
 from repro.traces.azure import AzureGeneratorConfig, generate_azure_dataset
@@ -149,11 +152,33 @@ def traced_elastic(tmp):
 
 
 def traced_invoker(tmp):
-    result, events = _traced(tmp, lambda tracer: SimulatedInvoker(
-        InvokerConfig(memory_mb=4096.0, cpu_cores=8), policy="GD", tracer=tracer
-    ).run(multitenant_trace(duration_s=200.0, seed=4)))
-    records = [[r.outcome, r.start_s, r.completion_s] for r in result.records]
-    return {"jsonl": events, "metrics": _metrics(result.metrics), "records": records}
+    """Two runs of one invoker and its controller: the second, on the
+    used pair, must replay as the first did."""
+    trace = multitenant_trace(duration_s=200.0, seed=4)
+    controller = ProportionalController.from_miss_ratio_target(
+        HitRatioCurve.from_distances(reuse_distances(trace)), desired_miss_ratio=0.05,
+        mean_arrival_rate=trace.arrival_rate(), initial_size_mb=4096.0, deadband=0.1,
+        control_period_s=50.0,
+    )
+
+    def run(invoker):
+        result = invoker.run(trace)
+        return {
+            "metrics": _metrics(result.metrics),
+            "records": [[r.outcome, r.start_s, r.completion_s] for r in result.records],
+            "sizes": [d.cache_size_mb for d in controller.history],
+        }
+
+    def twice(tracer):
+        invoker = SimulatedInvoker(
+            InvokerConfig(memory_mb=4096.0, cpu_cores=8), policy="GD", controller=controller,
+            tracer=tracer,
+        )
+        return [run(invoker), run(invoker)]
+
+    runs, events = _traced(tmp, twice)
+    assert runs[1] == runs[0]
+    return {"jsonl": events, **runs[0]}
 
 
 def sweep(tmp, workers):

@@ -200,7 +200,7 @@ def churn_trace(num_functions=60, duration_s=1200.0, seed=16):
 
 
 #: What replay code imports inside a function, on first use.
-_LAZY_IMPORTS = ("hashlib", "numpy")
+_LAZY_IMPORTS = ("hashlib", "numpy", "repro.faults.model", "repro.faults.retry")
 
 
 def counted(run, *args, **kwargs):
@@ -212,8 +212,8 @@ def counted(run, *args, **kwargs):
         if event == "call" or event == "c_call":
             calls += 1
 
-    # A module the replay imports lazily (hashlib for a fault draw,
-    # NumPy in the TTL kernel) costs ~1,000 importlib calls the first
+    # A module the replay imports lazily (the fault machinery and
+    # hashlib under a spec, NumPy in the TTL kernel) costs ~1,000 importlib calls the first
     # time: load them now, so a budget counts the replay alone, whatever
     # ran before it. Finalizers of an earlier test's garbage are calls
     # too: collect it now and keep the collector out of the counted

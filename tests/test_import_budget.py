@@ -23,17 +23,18 @@ import sys
 import pytest
 
 import repro
+from repro.core.policies.base import _REGISTRY, BUILTIN_POLICIES
 from repro.sim.config import RunConfig
 from repro.sim.scheduler import simulate
 from repro.traces.synth import skewed_frequency_trace
 
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
 
-#: Packages whose ``__init__`` only re-exports (``core.policies`` and
-#: ``checks.rules`` register by import and stay eager).
+#: Packages whose ``__init__`` only re-exports (``checks.rules``
+#: registers by import and stays eager).
 LAZY_PACKAGES = ("repro",) + tuple(
     f"repro.{name}" for name in (
-        "core", "sim", "traces", "obs", "faults", "checks",
+        "core", "core.policies", "sim", "traces", "obs", "faults", "checks",
         "provisioning", "analysis", "cluster", "openwhisk", "live",
     )
 )
@@ -43,26 +44,31 @@ LAZY_PACKAGES = ("repro",) + tuple(
 REPLAY_PROBE = "import repro.sim.scheduler, repro.sim.columnar, repro.traces.streaming"
 #: ``repro.*`` modules (``repro`` itself included) the probe loads: 7
 #: lazy package ``__init__``s and the helper, the engine (``core`` 3;
-#: ``core.policies`` 17, registered by import), ``sim`` 5 (``events``
+#: ``core.policies`` 5: the package, ``base`` and the three policies the
+#: engine's fast paths name, GD, HIST and TTL), ``sim`` 5 (``events``
 #: since the simulator keeps its timeline on ``EventQueue``: stdlib
-#: ``heapq`` / ``itertools`` only), ``traces`` 2, ``faults`` 2, ``obs``
-#: 4 (tracer, its sink base and schema, the counter table),
-#: ``checks.sanitize``. PR 22's parent loaded 88; 45 until
-#: ``traces.columnar`` merged into ``Trace``; 44 until HIST kept
-#: Welford's sums in its own histogram and stopped importing
-#: ``analysis`` and ``analysis.stats``. It counts ``repro.*`` alone, so
-#: NumPy and ``hashlib`` leaving the probe (imported by the TTL kernel,
-#: the stream generator and the fault draws when they run) left it at
-#: 42: ``REPLAY_PROBE_FORBIDDEN`` holds them out instead.
-#: Lower it after a real cut; raising it needs the
-#: ``setup_s`` row that paid for it.
-REPLAY_PROBE_MODULES = 42
+#: ``heapq`` / ``itertools`` only), ``traces`` 2, ``obs`` 2 (the tracer
+#: and the counter table), ``checks.sanitize``. Before the lazy
+#: namespaces it loaded 88; 45 until ``traces.columnar`` merged into
+#: ``Trace``; 44 until HIST kept Welford's sums in its own histogram
+#: and stopped importing ``analysis`` and ``analysis.stats``. It
+#: counts ``repro.*`` alone, so NumPy and ``hashlib`` leaving the probe
+#: (imported by the TTL kernel, the stream generator and the fault
+#: draws when they run) left it at 42: ``REPLAY_PROBE_FORBIDDEN`` holds
+#: them out instead. 25 since the policies load by name, the fault
+#: machinery under an enabled spec and the tracer's sinks and schema
+#: with a tracer that uses them. Lower it after a real cut; raising it
+#: needs the ``setup_s`` row that paid for it.
+REPLAY_PROBE_MODULES = 25
 REPLAY_PROBE_FORBIDDEN = (
     "repro.checks.linter", "repro.checks.rules", "repro.provisioning",
     "repro.cluster", "repro.openwhisk", "repro.live", "repro.traces.azure",
-    "repro.obs.report", "argparse", "multiprocessing", "concurrent.futures",
-    "numpy", "_hashlib",
+    "repro.obs.report", "repro.obs.sinks", "repro.obs.events", "repro.faults",
+    "argparse", "multiprocessing", "concurrent.futures", "numpy", "_hashlib",
 )
+#: The policy modules any replay loads: the registry and the policies
+#: the engine's kernels test for.
+ENGINE_POLICIES = ["base", "greedy_dual", "histogram", "ttl"]
 
 #: What ``repro-faascache serve`` runs before it announces its port,
 #: minus the socket: the CLI module, a registry, the service, one
@@ -77,6 +83,13 @@ service = LivePoolService(trace, "GD", 2048.0, clock=SimClock())
 assert service.admit(service.function_names()[0], now_s=0.0).outcome == "cold"
 LiveHTTPServer(service, port=0)
 """
+#: ``repro.*`` modules behind :data:`SERVE_PATH`: the replay probe's 25
+#: less ``sim.columnar`` and ``traces.streaming``, plus the CLI and its
+#: table helpers (``cli``, ``analysis``, ``analysis.reporting``), the
+#: service (``live`` 4) and the built-in workloads (``traces.synth``,
+#: ``traces.functionbench``). 49 while the policies, the fault
+#: machinery and the tracer's sinks loaded with the engine.
+SERVE_PATH_MODULES = 32
 #: One run through ``simulate()``'s default dispatch on a small trace
 #: (four functions, gaps above their cold time), and the path it took.
 SMALL_RUN = """
@@ -130,6 +143,24 @@ class TestModuleBudget:
         assert not modules.intersection(
             ("numpy", "repro.checks.linter", "asyncio", "ssl", "_hashlib")
         ), ours(modules)
+        assert len(ours(modules)) == SERVE_PATH_MODULES, ours(modules)
+
+    @pytest.mark.parametrize("args, path", [
+        ('"GD", 256.0', "gd-kernel"), ('"GD", 256.0, engine="object"', "sequential"),
+    ], ids=["gd-kernel", "loop"])
+    def test_a_plain_replay_loads_no_faults_sinks_or_other_policies(self, args, path):
+        """An untraced, fault-free GD replay, on the GD kernel or the
+        loop: no fault machinery, no sink or event schema, and of the
+        policies only the engine's own. (The run without ``SMALL_RUN``'s
+        own ``FaultSpec`` import.)"""
+        run = SMALL_RUN.format(args=args, path=path)
+        run = run.replace("from repro.faults.model import FaultSpec\n", "")
+        modules = ours(loaded_after(run, REPRO_SANITIZE=""))
+        assert not [m for m in modules if m.startswith("repro.faults")], modules
+        assert not {"repro.obs.sinks", "repro.obs.events"}.intersection(modules)
+        assert [m for m in modules if m.startswith("repro.core.policies.")] == [
+            f"repro.core.policies.{name}" for name in ENGINE_POLICIES
+        ]
 
     @pytest.mark.parametrize("args, path, loads, skips", [
         ('"GD", 256.0', "gd-kernel", (), ("numpy", "_hashlib")),
@@ -158,6 +189,53 @@ class TestModuleBudget:
             "repro", "repro._lazy", "repro.analysis",
             "repro.analysis.reporting", "repro.cli",
         ]
+
+
+class TestPoliciesLoadByName:
+    """The registry names every built-in policy before its module loads
+    (``BUILTIN_POLICIES``); :func:`create_policy` imports one on first use."""
+
+    def test_available_policies_lists_all_and_imports_none(self):
+        out = fresh(
+            "import sys\n"
+            "from repro.core.policies.base import available_policies\n"
+            "print(*available_policies())\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('repro.core.policies.')))\n"
+        )
+        names, modules = out.splitlines()
+        assert names.split() == sorted(BUILTIN_POLICIES) and len(BUILTIN_POLICIES) == 17
+        assert modules.split() == ["repro.core.policies.base"]
+
+    def test_create_policy_loads_exactly_its_module(self):
+        out = fresh(
+            "import sys\n"
+            "from repro.core.policies.base import create_policy\n"
+            "before = set(sys.modules)\n"
+            "print(type(create_policy('lru')).__name__, *sorted(set(sys.modules) - before))\n"
+        )
+        assert out.split() == ["LRUPolicy", "repro.core.policies.lru"]
+
+    def test_a_builtin_name_is_refused_before_its_module_loads(self):
+        out = fresh(
+            "import sys\n"
+            "from repro.core.policies.base import KeepAlivePolicy, create_policy, register_policy\n"
+            "try:\n"
+            "    register_policy('lru')(type('Mine', (KeepAlivePolicy,), {}))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "print('repro.core.policies.lru' in sys.modules, type(create_policy('LRU')).__name__)\n"
+        )
+        assert out.splitlines() == ["policy 'LRU' is already registered", "False LRUPolicy"]
+
+    def test_the_table_is_what_the_modules_register(self):
+        for module in set(BUILTIN_POLICIES.values()):
+            importlib.import_module(f"repro.core.policies.{module}")
+        registered = {
+            name: factory.__module__.rsplit(".", 1)[1]
+            for name, factory in _REGISTRY.items()
+            if factory.__module__.startswith("repro.core.policies.")
+        }
+        assert registered == BUILTIN_POLICIES
 
 
 #: Modules no other file imports, each an entry point of its own.
@@ -231,7 +309,9 @@ class TestSurface:
         another ``src/`` module, a benchmark or an example, or is a
         named entry point. ``if TYPE_CHECKING:`` imports and a package's
         lazy table do not count; ``from package import name`` counts
-        for the module the package's table takes ``name`` from."""
+        for the module the package's table takes ``name`` from, and
+        ``BUILTIN_POLICIES`` for each module it names, which
+        ``create_policy`` imports by that name."""
         lazy = {
             package: {name: module for module, name in
                       static_reexports(importlib.import_module(package))}
@@ -246,7 +326,7 @@ class TestSurface:
             *(SRC.parent / "benchmarks").rglob("*.py"),
             *(SRC.parent / "examples").rglob("*.py"),
         ]
-        read = set()
+        read = {f"repro.core.policies.{module}" for module in BUILTIN_POLICIES.values()}
         for path in readers:
             own = module_name(path) if path.is_relative_to(SRC) else None
             read |= imported_modules(path, lazy) - {own}

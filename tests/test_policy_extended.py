@@ -68,6 +68,12 @@ class TestLRUK:
         with pytest.raises(ValueError):
             LRUKPolicy(k=0)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 1.5, 2.0])
+    def test_k_must_be_an_integer(self, k):
+        # Refused at construction, not by the deque mid-replay.
+        with pytest.raises(ValueError, match="integer"):
+            create_policy("LRUK", k=k)
+
     def test_one_timers_evicted_before_established(self):
         policy = LRUKPolicy(k=2)
         pool = ContainerPool(300.0)
