@@ -43,16 +43,28 @@ ledger-smoke:
 # The tool's own cold start (docs/performance.md): the 15 costliest
 # imports, by self time, of four entry points in a fresh interpreter,
 # each followed by that interpreter's peak RSS (VmHWM, read at exit
-# from /proc/self/status); the replay probe's median wall time and
-# VmHWM with bytecode cached and uncached (benchmarks/import_probe.py);
-# then the exact module budget.
+# from /proc/self/status); the replay probe's wall time (best of seven
+# fresh interpreters) and VmHWM with bytecode cached (a
+# PYTHONPYCACHEPREFIX filled by one discarded run) and uncached
+# (PYTHONDONTWRITEBYTECODE=1, as the benchmark reads setup_s), both on
+# a copy of src/ with no __pycache__; then the exact module budget.
 IMPORTTIME = PYTHONPATH=src $(PYTHON) -X importtime -c
 VMHWM = import atexit, sys; atexit.register(lambda: print(*next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split(), file=sys.stderr));
+REPLAY_PROBE = import repro.sim.scheduler, repro.sim.columnar, repro.traces.streaming
 TOP15 = 2>&1 >/dev/null | awk '/^VmHWM/ { hwm = $$0; next } /^import time/ { print | "sort -t: -k2 -n | tail -15" } END { close("sort -t: -k2 -n | tail -15"); print hwm }'
 import-budget:
 	@echo "== replay probe (the ledger's import child)"
-	@$(IMPORTTIME) "$(VMHWM) import repro.sim.scheduler, repro.sim.columnar, repro.traces.streaming" $(TOP15)
-	@$(PYTHON) benchmarks/import_probe.py
+	@$(IMPORTTIME) "$(VMHWM) $(REPLAY_PROBE)" $(TOP15)
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && cp -r src "$$tmp" && \
+	find "$$tmp/src" -name __pycache__ -prune -exec rm -rf {} + && \
+	cached="env -u PYTHONDONTWRITEBYTECODE PYTHONPYCACHEPREFIX=$$tmp/pycache" && \
+	$$cached PYTHONPATH="$$tmp/src" $(PYTHON) -c "$(REPLAY_PROBE)" && \
+	for cell in "cached|$$cached" "uncached|env PYTHONDONTWRITEBYTECODE=1"; do \
+		echo "== replay probe, bytecode $${cell%%|*}"; \
+		$${cell#*|} PYTHONPATH="$$tmp/src" $(PYTHON) -m timeit -n 1 -r 7 -s "import subprocess, sys" \
+			"subprocess.run([sys.executable, '-c', '$(REPLAY_PROBE)'], check=True)" && \
+		$${cell#*|} PYTHONPATH="$$tmp/src" $(PYTHON) -c "$(VMHWM) $(REPLAY_PROBE)" || exit 1; \
+	done
 	@echo "== cli --help"
 	@$(IMPORTTIME) "$(VMHWM) import repro.cli; repro.cli.main()" --help $(TOP15)
 	@echo "== serve (modules behind the serve subcommand)"

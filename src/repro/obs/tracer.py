@@ -30,7 +30,7 @@ __all__ = ["Tracer", "NullTracer", "NULL_TRACER", "active_tracer"]
 class Tracer:
     """Emits structured lifecycle events to a sink."""
 
-    __slots__ = ("sink", "strict", "_context", "_validate")
+    __slots__ = ("sink", "_context", "_validate")
 
     #: Class-level so the disabled check never touches the instance dict.
     enabled: bool = True
@@ -42,13 +42,17 @@ class Tracer:
         strict: bool = False,
     ) -> None:
         self.sink = sink
-        self.strict = strict
         self._context: Dict[str, Any] = dict(context or {})
         self._validate: Optional[Callable[[Mapping[str, Any]], None]] = None
         if strict:
             from repro.obs.events import validate_event
 
             self._validate = validate_event
+
+    @property
+    def strict(self) -> bool:
+        """Whether :meth:`emit` validates each event (fixed when built)."""
+        return self._validate is not None
 
     @property
     def context(self) -> Dict[str, Any]:

@@ -69,6 +69,8 @@ REPLAY_PROBE_FORBIDDEN = (
 #: The policy modules any replay loads: the registry and the policies
 #: the engine's kernels test for.
 ENGINE_POLICIES = ["base", "greedy_dual", "histogram", "ttl"]
+#: What an untraced, fault-free run has no use for.
+UNUSED = ("repro.faults", "repro.obs.sinks", "repro.obs.events")
 
 #: What ``repro-faascache serve`` runs before it announces its port,
 #: minus the socket: the CLI module, a registry, the service, one
@@ -93,7 +95,6 @@ SERVE_PATH_MODULES = 32
 #: One run through ``simulate()``'s default dispatch on a small trace
 #: (four functions, gaps above their cold time), and the path it took.
 SMALL_RUN = """
-from repro.faults.model import FaultSpec
 from repro.sim.scheduler import simulate
 from repro.traces.model import Invocation, Trace, TraceFunction
 functions = [TraceFunction(f"f{{i}}", 128.0, 0.2, 1.0) for i in range(4)]
@@ -145,42 +146,38 @@ class TestModuleBudget:
         ), ours(modules)
         assert len(ours(modules)) == SERVE_PATH_MODULES, ours(modules)
 
-    @pytest.mark.parametrize("args, path", [
-        ('"GD", 256.0', "gd-kernel"), ('"GD", 256.0, engine="object"', "sequential"),
-    ], ids=["gd-kernel", "loop"])
-    def test_a_plain_replay_loads_no_faults_sinks_or_other_policies(self, args, path):
-        """An untraced, fault-free GD replay, on the GD kernel or the
-        loop: no fault machinery, no sink or event schema, and of the
-        policies only the engine's own. (The run without ``SMALL_RUN``'s
-        own ``FaultSpec`` import.)"""
-        run = SMALL_RUN.format(args=args, path=path)
-        run = run.replace("from repro.faults.model import FaultSpec\n", "")
-        modules = ours(loaded_after(run, REPRO_SANITIZE=""))
-        assert not [m for m in modules if m.startswith("repro.faults")], modules
-        assert not {"repro.obs.sinks", "repro.obs.events"}.intersection(modules)
-        assert [m for m in modules if m.startswith("repro.core.policies.")] == [
-            f"repro.core.policies.{name}" for name in ENGINE_POLICIES
-        ]
-
     @pytest.mark.parametrize("args, path, loads, skips", [
-        ('"GD", 256.0', "gd-kernel", (), ("numpy", "_hashlib")),
-        ('"HIST", 512.0', "hist-kernel", (), ("numpy", "_hashlib")),
+        ('"GD", 256.0', "gd-kernel", (), ("numpy", "_hashlib", *UNUSED)),
+        ('"GD", 256.0, engine="object"', "sequential", (),
+         ("numpy", "_hashlib", "repro.sim.columnar", *UNUSED)),
+        ('"HIST", 512.0', "hist-kernel", (), ("numpy", "_hashlib", *UNUSED)),
         # No kernel answers LRU with the registry above the pool, and the
         # eligibility test is O(functions) and imports no kernel.
-        ('"LRU", 256.0', "sequential", (), ("numpy", "_hashlib", "repro.sim.columnar")),
+        ('"LRU", 256.0', "sequential", ("repro.core.policies.lru",),
+         ("numpy", "_hashlib", "repro.sim.columnar", *UNUSED)),
         ('"GD", 256.0, fault_spec=FaultSpec(seed=1, crash_rate=0.1)',
          "gd-kernel", ("_hashlib",), ("numpy",)),
         ('"TTL", 512.0', "vectorized", ("numpy",), ()),
-    ], ids=["gd-pressured", "hist", "lru-declined", "gd-faulted", "ttl"])
+    ], ids=["gd-pressured", "gd-loop", "hist", "lru-declined", "gd-faulted", "ttl"])
     def test_a_run_loads_only_what_its_path_uses(self, args, path, loads, skips):
         """NumPy and OpenSSL are deferred to the code that uses them,
         not dropped: the TTL kernel still loads NumPy and fault draws
-        still load ``_hashlib``; every other run loads neither. The
-        sanitizer is off in the child whatever the suite runs under: it
-        sends every run to the loop, so no kernel path would be taken."""
-        modules = loaded_after(SMALL_RUN.format(args=args, path=path), REPRO_SANITIZE="")
+        still load ``_hashlib``; every other run loads neither, and an
+        untraced, fault-free one no fault machinery, sink or event
+        schema. Of the policies, a run loads the engine's and the one it
+        names. The sanitizer is off in the child whatever the suite runs
+        under: it sends every run to the loop, so no kernel path would
+        be taken."""
+        run = SMALL_RUN.format(args=args, path=path)
+        if "FaultSpec" in args:
+            run = "from repro.faults.model import FaultSpec\n" + run
+        modules = loaded_after(run, REPRO_SANITIZE="")
         assert modules.issuperset(loads), sorted(modules)
         assert not modules.intersection(skips), sorted(modules)
+        policies = {m for m in modules if m.startswith("repro.core.policies.")}
+        assert policies.difference(loads) == {
+            f"repro.core.policies.{name}" for name in ENGINE_POLICIES
+        }, sorted(policies)
 
     def test_cli_help_loads_the_cli_alone(self):
         modules = loaded_after(CLI_HELP)
