@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.domains import Domain, probability
+
 __all__ = [
     "Welford",
     "EWMA",
@@ -133,8 +135,7 @@ class EWMA:
     """
 
     def __init__(self, alpha: float = 0.3, initial: float | None = None) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        Domain(0.0, 1.0, low_open=True).check("alpha", alpha)
         self._alpha = alpha
         self._value = initial
         self._count = 0 if initial is None else 1
@@ -220,8 +221,7 @@ class EmpiricalCDF:
 
     def quantile(self, q: float) -> float:
         """Smallest sample value v with P(X <= v) >= q."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        probability.check("q", q)
         # The range check above pins q >= 0, so <= covers exactly the
         # q == 0 case without a float equality (FC007).
         if q <= 0.0:
@@ -242,8 +242,7 @@ def percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of a non-empty sample; ``q`` in [0, 100]."""
     if not samples:
         raise ValueError("cannot take a percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    Domain(0.0, 100.0).check("q", q)
     ordered = sorted(samples)
     # q >= 0 is enforced above; <= avoids the float equality (FC007).
     if q <= 0.0:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.domains import Domain, positive
 from repro.traces.model import Trace
 
 __all__ = [
@@ -47,8 +48,7 @@ def gini_coefficient(values: Sequence[float]) -> float:
 
 def top_share(values: Sequence[float], fraction: float = 0.1) -> float:
     """Share of the total held by the top ``fraction`` of values."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    Domain(0.0, 1.0, low_open=True).check("fraction", fraction)
     if not values:
         raise ValueError("cannot compute top share of an empty sample")
     ordered = sorted(values, reverse=True)
@@ -71,8 +71,7 @@ def diurnal_peak_to_mean(
     trace: Trace, window_s: float = 3600.0
 ) -> float:
     """Peak-to-mean ratio of the windowed arrival rate."""
-    if window_s <= 0:
-        raise ValueError(f"window must be positive, got {window_s}")
+    positive.check("window_s", window_s)
     if len(trace) == 0:
         return 0.0
     times = trace.times_s

@@ -42,6 +42,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.analysis.reporting import format_series_table, format_table
+from repro.domains import Domain, int_at_least, nonneg, positive
 
 if TYPE_CHECKING:
     from repro.traces.model import Trace
@@ -65,37 +66,35 @@ _FORWARDED = {"check": "repro.checks.linter"}
 
 
 def _load_trace(spec: str) -> Trace:
-    """A built-in workload by name, else the JSON trace file ``spec``."""
+    """A built-in workload by name, else the JSON trace file ``spec``
+    (a usage error if it is not one)."""
     if spec in _WORKLOADS:
         from repro.traces import synth
 
         return getattr(synth, _WORKLOADS[spec])()
     from repro.traces.io import load_trace_json
 
-    return load_trace_json(spec)
+    try:
+        return load_trace_json(spec)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
-def _number(
-    expected: str, accepts: Callable[[float], bool], kind: Callable[[str], float] = float
-) -> Callable[[str], float]:
-    """The ``type=`` of a numeric flag: a ``kind`` (``float`` or
-    ``int``) that ``accepts`` holds for (a comparison, so NaN never
-    does), else a usage error naming what was ``expected``. Each flag
-    accepts what its consumer does."""
+def _number(domain: Domain) -> Callable[[str], float]:
+    """The ``type=`` of a numeric flag: a number in ``domain``, the
+    domain of the knob the flag fills, else a usage error."""
 
     def parse(text: str) -> float:
         try:
-            value = kind(text)
+            value = (int if domain.integer else float)(text)
         except ValueError:
             value = math.nan
-        if not accepts(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        if not domain.holds(value):
+            raise argparse.ArgumentTypeError(f"expected {domain.phrase}, got {text!r}")
         return value
 
+    parse.domain = domain
     return parse
-
-
-_gigabytes = _number("a size > 0 GB", lambda size: size > 0.0)
 
 
 def _fault_spec(path: str):
@@ -105,33 +104,31 @@ def _fault_spec(path: str):
     try:
         return load_fault_spec(path)
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"--fault-spec {path}: {exc}")
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 class _Pairs(argparse.Action):
-    """``NAME=VALUE ...`` into a dict (``None`` if empty): ``key`` and
-    ``value`` convert each side, and a value must be finite and >= 0 (a
-    NaN weight corrupts the GD priority index, a negative quota or
-    weight inverts the eviction order), so a bad pair dies here."""
+    """``NAME=VALUE ...`` into a dict (``None`` if empty): ``key``
+    converts each name, and each value is a number in ``domain``, the
+    domain of the values of the field the flag fills."""
 
-    def __init__(self, *args, key: type, value: type, **kwargs) -> None:
+    def __init__(self, *args, key: type, domain: Domain, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.key, self.value = key, value
+        self.key, self.domain = key, domain
 
     def __call__(self, parser, namespace, specs, option_string=None) -> None:
         pairs = {}
         for spec in specs:
             name, __, text = spec.partition("=")
             try:
-                key, number = self.key(name), self.value(text)
-            except ValueError:
-                key, number = None, math.nan
-            if not (name and number >= 0 and math.isfinite(number)):
-                raise SystemExit(
-                    f"{option_string} expects {self.metavar} with the value "
-                    f"finite and >= 0, got {spec!r}"
+                pairs[self.key(name)] = _number(self.domain)(text)
+            except (ValueError, argparse.ArgumentTypeError):
+                name = ""
+            if not name:
+                parser.error(
+                    f"{option_string}: expected {self.metavar} with the value "
+                    f"{self.domain.phrase}, got {spec!r}"
                 )
-            pairs[key] = number
         setattr(namespace, self.dest, pairs or None)
 
 
@@ -819,7 +816,7 @@ def _add_run_flags(
     _add_workload_flags(parser, policy=not grid)
     parser.add_argument(
         "--memory-gb",
-        type=_gigabytes,
+        type=_number(positive.or_inf),
         help="pool size in GB" + (", one cell per size" if grid else ""),
         **({"nargs": "+", "required": True} if grid else {"default": 16.0}),
     )
@@ -875,7 +872,7 @@ def _add_run_flags(
         nargs="*",
         action=_Pairs,
         key=int,
-        value=float,
+        domain=nonneg,
         metavar="TENANT=MB",
         help=(
             "per-tenant memory limit (slice in partitioned mode, soft "
@@ -888,7 +885,7 @@ def _add_run_flags(
         nargs="*",
         action=_Pairs,
         key=int,
-        value=float,
+        domain=nonneg,
         metavar="TENANT=WEIGHT",
         help="per-tenant multiplicative weight on the GD value term (GD-family policies)",
     )
@@ -902,15 +899,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     generate = sub.add_parser("generate", help="generate a synthetic trace")
-    generate.add_argument("--functions", type=int, default=1000)
-    generate.add_argument("--max-daily-invocations", type=int, default=20_000)
-    generate.add_argument("--seed", type=int, default=0)
+    generate.add_argument("--functions", type=_number(int_at_least(1)), default=1000)
+    generate.add_argument(
+        "--max-daily-invocations", type=_number(int_at_least(1)), default=20_000
+    )
+    generate.add_argument("--seed", type=_number(int_at_least(0)), default=0)
     generate.add_argument(
         "--sample",
         choices=("full", "rare", "representative", "random"),
         default="representative",
     )
-    generate.add_argument("--sample-size", type=int, default=400)
+    generate.add_argument("--sample-size", type=_number(int_at_least(1)), default=400)
     generate.add_argument("--out", required=True)
     generate.set_defaults(func=_cmd_generate)
 
@@ -924,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(simulate)
     simulate.add_argument(
         "--warmup-s",
-        type=_number("a time >= 0 s", lambda time_s: time_s >= 0.0),
+        type=_number(nonneg.or_inf),
         default=0.0,
         help="exclude invocations before this time from the metrics",
     )
@@ -934,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         action=_Pairs,
         key=str,
-        value=int,
+        domain=int_at_least(1),
         metavar="NAME=COUNT",
         help="pin NAME=COUNT provisioned-concurrency containers",
     )
@@ -950,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers",
-        type=_number("a worker count >= 0", lambda count: count >= 0, int),
+        type=_number(int_at_least(0)),
         default=None,
         help=(
             "fan the grid out over worker processes (0 = one per CPU); "
@@ -976,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_flags(provision, policy=False)
     provision.add_argument(
         "--target-hit-ratio",
-        type=_number("a hit ratio in (0, 1]", lambda ratio: 0.0 < ratio <= 1.0),
+        type=_number(Domain(0.0, 1.0, low_open=True)),
         default=0.9,
     )
     provision.set_defaults(func=_cmd_provision)
@@ -985,12 +984,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_flags(autoscale)
     autoscale.add_argument(
         "--miss-ratio",
-        type=_number("a miss ratio in (0, 1)", lambda ratio: 0.0 < ratio < 1.0),
+        type=_number(Domain(0.0, 1.0, low_open=True, high_open=True)),
         default=0.05,
     )
     autoscale.add_argument(
         "--period-s",
-        type=_number("a period > 0 s", lambda period_s: period_s > 0.0),
+        type=_number(positive),
         default=600.0,
     )
     autoscale.set_defaults(func=_cmd_autoscale)
@@ -1012,16 +1011,16 @@ def build_parser() -> argparse.ArgumentParser:
         "balancers", help="compare cluster load-balancing policies"
     )
     _add_workload_flags(balancers)
-    balancers.add_argument("--servers", type=int, default=4)
-    balancers.add_argument("--server-memory-gb", type=_gigabytes, default=4.0)
+    balancers.add_argument("--servers", type=_number(int_at_least(1)), default=4)
+    balancers.add_argument("--server-memory-gb", type=_number(positive.or_inf), default=4.0)
     balancers.set_defaults(func=_cmd_balancers)
 
     loadtest = sub.add_parser(
         "loadtest", help="OpenWhisk vs FaasCache on the simulated invoker"
     )
     loadtest.add_argument("--workload", default="cyclic")
-    loadtest.add_argument("--memory-gb", type=_gigabytes, default=1.625)
-    loadtest.add_argument("--cores", type=int, default=8)
+    loadtest.add_argument("--memory-gb", type=_number(positive.or_inf), default=1.625)
+    loadtest.add_argument("--cores", type=_number(int_at_least(1)), default=8)
     loadtest.set_defaults(func=_cmd_loadtest)
 
     trace_cmd = sub.add_parser(
@@ -1064,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_report.add_argument(
         "--top",
-        type=int,
+        type=_number(int_at_least(0)),
         default=10,
         help="functions to list in the eviction-churn table",
     )
@@ -1081,7 +1080,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(serve, replay=False)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=8077, help="0 picks an ephemeral port"
+        "--port", type=_number(int_at_least(0)), default=8077,
+        help="0 picks an ephemeral port"
     )
     serve.add_argument(
         "--clock",
@@ -1095,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--tick-interval-s",
-        type=_number("a finite period >= 0 s", lambda period_s: 0.0 <= period_s < math.inf),
+        type=_number(nonneg),
         default=0.25,
         help="expiry-timer period; 0 disables the background tick",
     )
@@ -1110,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_flags(loadgen, policy=False)
     loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=8077)
+    loadgen.add_argument("--port", type=_number(int_at_least(0)), default=8077)
     loadgen.add_argument(
         "--mode",
         choices=("pipeline", "openloop"),
@@ -1122,14 +1122,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     loadgen.add_argument(
-        "--connections", type=int, default=4, help="open-loop sockets"
+        "--connections", type=_number(int_at_least(1)), default=4, help="open-loop sockets"
     )
     loadgen.add_argument(
-        "--window", type=int, default=256, help="pipeline in-flight depth"
+        "--window", type=_number(int_at_least(1)), default=256, help="pipeline in-flight depth"
     )
     loadgen.add_argument(
         "--speed",
-        type=_number("a finite speed > 0", lambda speed: 0.0 < speed < math.inf),
+        type=_number(positive),
         default=3600.0,
         help=(
             "open-loop time compression: trace seconds replayed per "
@@ -1138,11 +1138,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--duration-s",
-        type=_number("a duration > 0 s", lambda duration_s: duration_s > 0.0),
+        type=_number(positive.or_inf),
         help="open-loop wall-clock budget; truncates the replay",
     )
     loadgen.add_argument(
-        "--limit", type=int, help="replay only the first N invocations"
+        "--limit", type=_number(int_at_least(0)), help="replay only the first N invocations"
     )
     loadgen.add_argument(
         "--real-clock",
@@ -1162,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--max-p99-ms",
-        type=_number("a finite ceiling > 0 ms", lambda ms: 0.0 < ms < math.inf),
+        type=_number(positive),
         help="fail if the p99 in-engine decision latency exceeds this",
     )
     loadgen.add_argument(

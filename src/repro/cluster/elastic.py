@@ -26,6 +26,7 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.cluster.simulation import MemberCounters, _server_level_spec, _shed_unavailable
 from repro.core.policies.base import create_policy
+from repro.domains import positive
 from repro.faults import FaultModel, FaultSpec
 from repro.obs.tracer import Tracer, active_tracer
 from repro.provisioning.cpu_autoscale import ReactiveCpuScaler
@@ -85,8 +86,7 @@ class ElasticClusterSimulation:
         tracer: Optional[Tracer] = None,
         fault_spec: Optional[FaultSpec] = None,
     ) -> None:
-        if requests_per_server_per_s <= 0:
-            raise ValueError("per-server request capacity must be positive")
+        positive.check("requests_per_server_per_s", requests_per_server_per_s)
         if not 1 <= min_servers <= max_servers:
             raise ValueError("need 1 <= min_servers <= max_servers")
         self.trace = trace

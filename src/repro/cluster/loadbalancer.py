@@ -47,7 +47,10 @@ from __future__ import annotations
 import abc
 import hashlib
 import random
+from math import inf
 from typing import Dict, List, Sequence, Set
+
+from repro.domains import Domain, int_at_least, positive
 
 __all__ = [
     "LoadBalancer",
@@ -78,8 +81,7 @@ class LoadBalancer(abc.ABC):
     load_signal: str = "memory"
 
     def __init__(self, num_servers: int) -> None:
-        if num_servers <= 0:
-            raise ValueError(f"need at least one server, got {num_servers}")
+        int_at_least(1).check("num_servers", num_servers)
         self.num_servers = num_servers
         #: Servers currently failed (health-aware routing skips them).
         self._down: Set[int] = set()
@@ -301,10 +303,7 @@ class AffinityWithSpilloverBalancer(HashAffinityBalancer):
         spillover_factor: float = 1.5,
     ) -> None:
         super().__init__(num_servers, replicas=replicas, seed=seed)
-        if spillover_factor <= 1.0:
-            raise ValueError(
-                f"spillover factor must exceed 1, got {spillover_factor}"
-            )
+        Domain(1.0, inf, low_open=True).check("spillover_factor", spillover_factor)
         self.spillover_factor = spillover_factor
         self.spillovers = 0
 
@@ -407,14 +406,8 @@ class MinWorkerSetBalancer(LoadBalancer):
         high_watermark: float = 0.85,
     ) -> None:
         super().__init__(num_servers)
-        if server_capacity_mb <= 0:
-            raise ValueError(
-                f"server capacity must be > 0, got {server_capacity_mb}"
-            )
-        if not 0.0 < high_watermark <= 1.0:
-            raise ValueError(
-                f"high watermark must be in (0, 1], got {high_watermark}"
-            )
+        positive.check("server_capacity_mb", server_capacity_mb)
+        Domain(0.0, 1.0, low_open=True).check("high_watermark", high_watermark)
         self.server_capacity_mb = server_capacity_mb
         self.high_watermark = high_watermark
 

@@ -40,6 +40,7 @@ from typing import (
 
 from repro.core.container import Container
 from repro.core.pool import ContainerPool
+from repro.domains import Domain
 from repro.traces.model import TraceFunction
 
 __all__ = [
@@ -117,6 +118,9 @@ class KeepAlivePolicy(abc.ABC):
     #: LND's rent) must keep the default. ``REPRO_SANITIZE=1`` checks
     #: the claim on every index walk.
     monotone_priority: bool = False
+
+    #: Each numeric constructor parameter's domain (:mod:`repro.domains`).
+    domains: Dict[str, Domain] = {}
 
     def __init__(self) -> None:
         # Shared per-function frequency counters, used by the

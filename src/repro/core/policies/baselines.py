@@ -14,6 +14,7 @@ import random
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, PrewarmRequest, register_policy
 from repro.core.pool import ContainerPool
+from repro.domains import check_args, int_at_least
 
 __all__ = ["FIFOPolicy", "RandomPolicy"]
 
@@ -44,8 +45,11 @@ class RandomPolicy(KeepAlivePolicy):
     # index applies.
     monotone_priority = True
 
+    domains = {"seed": int_at_least(0)}
+
     def __init__(self, seed: int = 0) -> None:
         super().__init__()
+        check_args(self.domains, locals())
         self._seed = seed
         self._rng = random.Random(seed)
 

@@ -32,6 +32,7 @@ from repro.core.policies.base import (
     register_policy,
 )
 from repro.core.pool import ContainerPool
+from repro.domains import check_args, int_at_least
 from repro.traces.model import TraceFunction
 
 __all__ = ["DoorkeeperPolicy"]
@@ -40,6 +41,8 @@ __all__ = ["DoorkeeperPolicy"]
 @register_policy("DOORKEEPER")
 class DoorkeeperPolicy(KeepAlivePolicy):
     """Admission-gated wrapper around another keep-alive policy."""
+
+    domains = {"admission_threshold": int_at_least(1), "aging_interval": int_at_least(1)}
 
     def __init__(
         self,
@@ -51,14 +54,7 @@ class DoorkeeperPolicy(KeepAlivePolicy):
         admission counts are halved (TinyLFU's aging), so ancient
         popularity cannot grant admission forever."""
         super().__init__()
-        if admission_threshold < 1:
-            raise ValueError(
-                f"admission threshold must be >= 1, got {admission_threshold}"
-            )
-        if aging_interval < 1:
-            raise ValueError(
-                f"aging interval must be >= 1, got {aging_interval}"
-            )
+        check_args(self.domains, locals())
         if isinstance(inner, str):
             inner = create_policy(inner)
         self.inner = inner

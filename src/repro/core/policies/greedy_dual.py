@@ -20,13 +20,13 @@ under memory pressure, never on a timer.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from repro.core.clock import LogicalClock
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, register_policy
 from repro.core.pool import ContainerPool
+from repro.domains import check_args, nonneg
 from repro.traces.model import TraceFunction
 
 __all__ = ["GreedyDualPolicy"]
@@ -40,6 +40,11 @@ class GreedyDualPolicy(KeepAlivePolicy):
     # (frequency only grows while the function stays resident), so the
     # lazy victim index applies. GDS inherits the same structure.
     monotone_priority = True
+
+    #: Finite: an infinite weight times a zero term is NaN, and NaN
+    #: would poison the monotone priority index. A tenant's weight
+    #: (``tenant_weights``' values) has the same domain.
+    domains = {"frequency_weight": nonneg, "cost_weight": nonneg}
 
     def __init__(
         self,
@@ -62,19 +67,14 @@ class GreedyDualPolicy(KeepAlivePolicy):
         to the unweighted policy.
         """
         super().__init__()
+        check_args(self.domains, locals())
         self.clock = LogicalClock()
         self._frequency_weight = frequency_weight
         self._cost_weight = cost_weight
-        weights = (("frequency_weight", frequency_weight), ("cost_weight", cost_weight))
         if tenant_weights is not None:
-            weights += tuple((f"tenant {t}: weight", w) for t, w in sorted(tenant_weights.items()))
             tenant_weights = dict(tenant_weights)
-        for name, weight in weights:
-            # NaN would poison the monotone priority index (every
-            # comparison against it is false: this test rejects it), and
-            # an infinite weight times a zero term is NaN.
-            if not 0.0 <= weight < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {weight}")
+            for tenant, weight in sorted(tenant_weights.items()):
+                nonneg.check(f"tenant {tenant}: weight", weight)
         self._tenant_weights = tenant_weights
         plain = type(self)._value_term is GreedyDualPolicy._value_term
         self._inline_term = plain and tenant_weights is None  # see on_invocation

@@ -41,6 +41,7 @@ from repro.core.policies.base import (
     register_policy,
 )
 from repro.core.pool import ContainerPool
+from repro.domains import check_args, finite, int_at_least, nonneg
 from repro.traces.model import TraceFunction
 
 __all__ = ["HistogramPolicy", "FunctionHistogram"]
@@ -211,6 +212,16 @@ class FunctionHistogram:
 class HistogramPolicy(KeepAlivePolicy):
     """Hybrid histogram TTL + prefetch keep-alive."""
 
+    #: An int window: a float one would split a bucket at its edge. ``inf``
+    #: is "never": no (-inf: every) function is unpredictable, no margin,
+    #: TTL or release threshold ever lets a container go.
+    domains = {
+        "window_minutes": int_at_least(1), "cov_threshold": finite.or_inf,
+        "generic_ttl_s": nonneg.or_inf, "head_margin": nonneg.or_inf,
+        "tail_margin": nonneg.or_inf, "min_samples": int_at_least(0),
+        "release_threshold_s": nonneg.or_inf,
+    }
+
     def __init__(
         self,
         window_minutes: int = 240,
@@ -222,18 +233,7 @@ class HistogramPolicy(KeepAlivePolicy):
         release_threshold_s: float = 60.0,
     ) -> None:
         super().__init__()
-        # The HIST kernel and the loop part ways on a NaN parameter, so
-        # each test below is false on NaN; inf still means "never".
-        if type(window_minutes) is not int or window_minutes < 1:
-            raise ValueError(f"window_minutes must be an int >= 1, got {window_minutes!r}")
-        if cov_threshold != cov_threshold:
-            raise ValueError("cov_threshold must not be NaN")
-        for name, value in (
-            ("generic_ttl_s", generic_ttl_s), ("head_margin", head_margin),
-            ("tail_margin", tail_margin), ("release_threshold_s", release_threshold_s),
-        ):
-            if not 0.0 <= value:
-                raise ValueError(f"{name} must be >= 0 and not NaN, got {value}")
+        check_args(self.domains, locals())
         self.window_minutes = window_minutes
         self.cov_threshold = cov_threshold
         self.generic_ttl_s = generic_ttl_s

@@ -21,6 +21,7 @@ from typing import Deque, Dict, Optional
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, register_policy
 from repro.core.pool import ContainerPool
+from repro.domains import check_args, int_at_least
 from repro.traces.model import TraceFunction
 
 __all__ = ["LRUKPolicy"]
@@ -36,10 +37,11 @@ class LRUKPolicy(KeepAlivePolicy):
     # class transition monotone too — the lazy victim index applies.
     monotone_priority = True
 
+    domains = {"k": int_at_least(1)}  # the history deque's length
+
     def __init__(self, k: int = 2) -> None:
         super().__init__()
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        check_args(self.domains, locals())
         self.k = k
         self._history: Dict[str, Deque[float]] = {}
 

@@ -21,6 +21,7 @@ from typing import Dict, List
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, register_policy
 from repro.core.pool import ContainerPool
+from repro.domains import Domain, check_args
 
 __all__ = ["SegmentedLRUPolicy"]
 
@@ -29,12 +30,11 @@ __all__ = ["SegmentedLRUPolicy"]
 class SegmentedLRUPolicy(KeepAlivePolicy):
     """Two-segment LRU with a protected-fraction cap."""
 
+    domains = {"protected_fraction": Domain(0.0, 1.0, low_open=True, high_open=True)}
+
     def __init__(self, protected_fraction: float = 0.8) -> None:
         super().__init__()
-        if not 0.0 < protected_fraction < 1.0:
-            raise ValueError(
-                f"protected fraction must be in (0, 1), got {protected_fraction}"
-            )
+        check_args(self.domains, locals())
         self.protected_fraction = protected_fraction
         #: container id -> True if in the protected segment.
         self._protected: Dict[int, bool] = {}

@@ -15,6 +15,7 @@ from typing import List, Tuple
 from repro.core.container import Container
 from repro.core.policies.base import KeepAlivePolicy, register_policy
 from repro.core.pool import ContainerPool
+from repro.domains import check_args, positive
 
 __all__ = ["TTLPolicy", "OPENWHISK_DEFAULT_TTL_S"]
 
@@ -30,10 +31,12 @@ class TTLPolicy(KeepAlivePolicy):
     # the lazy victim index applies; TTL expiry is a separate path.
     monotone_priority = True
 
+    #: ``inf``: a container never expires.
+    domains = {"ttl_s": positive.or_inf}
+
     def __init__(self, ttl_s: float = OPENWHISK_DEFAULT_TTL_S) -> None:
         super().__init__()
-        if not ttl_s > 0:  # NaN too: the kernel and the loop part ways on it
-            raise ValueError(f"ttl must be positive, got {ttl_s}")
+        check_args(self.domains, locals())
         self.ttl_s = ttl_s
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
@@ -31,6 +30,7 @@ from typing import (
 
 from repro.checks.sanitize import SanitizeError, sanitize_enabled
 from repro.core.container import Container, ContainerState
+from repro.domains import int_at_least, nonneg
 from repro.traces.model import TraceFunction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -81,16 +81,11 @@ class ContainerPool:
             )
         limits: Dict[int, float] = {}
         for tid, limit in sorted((tenant_limits_mb or {}).items()):
-            if tid < 0:
-                raise ValueError(f"tenant id must be >= 0, got {tid}")
+            int_at_least(0).check("tenant id", tid)
             # Finiteness matters as much as sign: a NaN limit makes
             # every quota comparison false and an inf slice defeats the
             # partition-sum capacity check below.
-            if not math.isfinite(limit) or limit < 0:
-                raise ValueError(
-                    f"tenant {tid}: limit must be finite and >= 0, "
-                    f"got {limit}"
-                )
+            nonneg.check(f"tenant {tid}: limit", limit)
             limits[int(tid)] = float(limit)
         if tenant_mode == "shared" and limits:
             raise ValueError("tenant limits are meaningless in shared mode")

@@ -34,6 +34,8 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
+from repro.domains import Domain, check_fields, int_at_least, knob, nonneg, positive, probability
+
 __all__ = [
     "FaultSpec",
     "FaultModel",
@@ -153,21 +155,23 @@ class UniformDraws:
         return (int.from_bytes(h.digest(), "little") & _MASK_53) / _SCALE_53
 
 
+#: A share of a server's nominal capacity: more than none, at most all.
+_FRACTION = Domain(0.0, 1.0, low_open=True)
+
+
 @dataclass(frozen=True)
 class ServerDowntime:
     """One explicitly scheduled outage of one server."""
 
-    server: int
-    down_s: float
-    up_s: float
+    server: int = knob(int_at_least(0))
+    down_s: float = knob(nonneg)
+    #: ``inf``: the server never comes back.
+    up_s: float = knob(positive.or_inf)
 
     def __post_init__(self) -> None:
-        if self.server < 0:
-            raise ValueError(f"server index must be >= 0, got {self.server}")
-        if not 0.0 <= self.down_s < self.up_s:
-            raise ValueError(
-                f"need 0 <= down_s < up_s, got [{self.down_s}, {self.up_s}]"
-            )
+        check_fields(self)
+        if not self.down_s < self.up_s:
+            raise ValueError(f"need down_s < up_s, got [{self.down_s}, {self.up_s}]")
 
 
 @dataclass(frozen=True)
@@ -181,19 +185,26 @@ class CapacityStep:
     step, so steps commute with reordering of equal-time duplicates.
     """
 
-    server: int
-    time_s: float
-    capacity_frac: float
+    server: int = knob(int_at_least(0))
+    time_s: float = knob(nonneg)
+    capacity_frac: float = knob(_FRACTION)
 
     def __post_init__(self) -> None:
-        if self.server < 0:
-            raise ValueError(f"server index must be >= 0, got {self.server}")
-        if self.time_s < 0.0:
-            raise ValueError(f"time_s must be >= 0, got {self.time_s}")
-        if not 0.0 < self.capacity_frac <= 1.0:
-            raise ValueError(
-                f"capacity_frac must be in (0, 1], got {self.capacity_frac}"
-            )
+        check_fields(self)
+
+
+def _entries(kind: Any, entries: Iterable[Any]) -> Tuple[Any, ...]:
+    """``entries`` as ``kind`` instances (a :class:`ServerDowntime` or a
+    :class:`CapacityStep`)."""
+    normalized: List[Any] = []
+    for entry in entries:
+        if isinstance(entry, Mapping):
+            entry = kind(**entry)
+        elif not isinstance(entry, kind):
+            server, first, second = entry
+            entry = kind(int(server), float(first), float(second))
+        normalized.append(entry)
+    return tuple(normalized)
 
 
 @dataclass(frozen=True)
@@ -213,119 +224,48 @@ class FaultSpec:
     per-function lifetime retry budget.
     """
 
-    seed: int = 0
+    seed: int = knob(int_at_least(0), 0)
     # -- invocation-level fault rates --------------------------------
-    spawn_failure_rate: float = 0.0
-    crash_rate: float = 0.0
-    timeout_rate: float = 0.0
+    spawn_failure_rate: float = knob(probability, 0.0)
+    crash_rate: float = knob(probability, 0.0)
+    timeout_rate: float = knob(probability, 0.0)
     # -- whole-server outages ----------------------------------------
-    server_mtbf_s: float = 0.0  # 0 disables rate-based outages
-    server_recovery_s: float = 300.0
+    server_mtbf_s: float = knob(nonneg, 0.0)  # 0 disables rate-based outages
+    server_recovery_s: float = knob(positive, 300.0)
     server_downtimes: Tuple[ServerDowntime, ...] = ()
     # -- harvested capacity (time-varying server memory) -------------
     capacity_steps: Tuple[CapacityStep, ...] = ()
-    harvest_interval_s: float = 0.0  # 0 disables rate-based harvesting
-    harvest_min_frac: float = 0.5
-    harvest_max_frac: float = 1.0
+    harvest_interval_s: float = knob(nonneg, 0.0)  # 0 disables rate-based harvesting
+    harvest_min_frac: float = knob(_FRACTION, 0.5)
+    harvest_max_frac: float = knob(_FRACTION, 1.0)
     # -- spot evictions (whole-server loss with advance notice) ------
-    spot_mtbf_s: float = 0.0  # 0 disables spot evictions
-    spot_notice_s: float = 30.0
+    spot_mtbf_s: float = knob(nonneg, 0.0)  # 0 disables spot evictions
+    spot_notice_s: float = knob(nonneg, 30.0)
     # -- recovery / retry --------------------------------------------
-    max_retries: int = 3
-    base_delay_s: float = 1.0
-    max_delay_s: float = 60.0
-    jitter: float = 0.5
-    max_pending_retries: int = 1024
-    per_function_retry_budget: int = 100
+    max_retries: int = knob(int_at_least(0), 3)
+    base_delay_s: float = knob(positive, 1.0)
+    max_delay_s: float = knob(positive, 60.0)
+    jitter: float = knob(probability, 0.5)
+    max_pending_retries: int = knob(int_at_least(0), 1024)
+    per_function_retry_budget: int = knob(int_at_least(0), 100)
 
     def __post_init__(self) -> None:
-        for name in ("spawn_failure_rate", "crash_rate", "timeout_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        check_fields(self)
         if self.crash_rate + self.timeout_rate > 1.0 + 1e-12:
             raise ValueError(
                 "crash_rate + timeout_rate must not exceed 1, got "
                 f"{self.crash_rate} + {self.timeout_rate}"
             )
-        if self.server_mtbf_s < 0.0:
-            raise ValueError(
-                f"server_mtbf_s must be >= 0, got {self.server_mtbf_s}"
-            )
-        if self.server_recovery_s <= 0.0:
-            raise ValueError(
-                f"server_recovery_s must be positive, "
-                f"got {self.server_recovery_s}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_delay_s <= 0.0 or self.max_delay_s < self.base_delay_s:
-            raise ValueError(
-                "need 0 < base_delay_s <= max_delay_s, got "
-                f"{self.base_delay_s}/{self.max_delay_s}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.max_pending_retries < 0:
-            raise ValueError(
-                f"max_pending_retries must be >= 0, "
-                f"got {self.max_pending_retries}"
-            )
-        if self.per_function_retry_budget < 0:
-            raise ValueError(
-                f"per_function_retry_budget must be >= 0, "
-                f"got {self.per_function_retry_budget}"
-            )
-        if self.harvest_interval_s < 0.0:
-            raise ValueError(
-                f"harvest_interval_s must be >= 0, "
-                f"got {self.harvest_interval_s}"
-            )
-        if not (
-            0.0 < self.harvest_min_frac
-            <= self.harvest_max_frac
-            <= 1.0
+        for low, high in (
+            ("base_delay_s", "max_delay_s"), ("harvest_min_frac", "harvest_max_frac"),
         ):
-            raise ValueError(
-                "need 0 < harvest_min_frac <= harvest_max_frac <= 1, got "
-                f"{self.harvest_min_frac}/{self.harvest_max_frac}"
-            )
-        if self.spot_mtbf_s < 0.0:
-            raise ValueError(
-                f"spot_mtbf_s must be >= 0, got {self.spot_mtbf_s}"
-            )
-        if self.spot_notice_s < 0.0:
-            raise ValueError(
-                f"spot_notice_s must be >= 0, got {self.spot_notice_s}"
-            )
-        # Normalize downtime entries: accept ServerDowntime instances,
-        # mappings, or (server, down_s, up_s) sequences, in any
-        # container — literal construction is as lenient as from_dict.
-        normalized: List[ServerDowntime] = []
-        for entry in self.server_downtimes:
-            if isinstance(entry, ServerDowntime):
-                normalized.append(entry)
-            elif isinstance(entry, Mapping):
-                normalized.append(ServerDowntime(**entry))
-            else:
-                server, down_s, up_s = entry
-                normalized.append(
-                    ServerDowntime(int(server), float(down_s), float(up_s))
-                )
-        object.__setattr__(self, "server_downtimes", tuple(normalized))
-        # Same leniency for capacity steps.
-        steps: List[CapacityStep] = []
-        for step in self.capacity_steps:
-            if isinstance(step, CapacityStep):
-                steps.append(step)
-            elif isinstance(step, Mapping):
-                steps.append(CapacityStep(**step))
-            else:
-                server, time_s, frac = step
-                steps.append(
-                    CapacityStep(int(server), float(time_s), float(frac))
-                )
-        object.__setattr__(self, "capacity_steps", tuple(steps))
+            low_value, high_value = getattr(self, low), getattr(self, high)
+            if high_value < low_value:
+                raise ValueError(f"need {low} <= {high}, got {low_value}/{high_value}")
+        # Downtimes and capacity steps may be given as instances, mappings
+        # or ``(server, a, b)`` sequences, in any container, as from_dict.
+        for name, kind in (("server_downtimes", ServerDowntime), ("capacity_steps", CapacityStep)):
+            object.__setattr__(self, name, _entries(kind, getattr(self, name)))
 
     @property
     def enabled(self) -> bool:

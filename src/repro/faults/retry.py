@@ -20,15 +20,24 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.domains import check_args, declared_fields
 from repro.faults.model import FaultSpec, UniformDraws, _pack_key, _pack_str
 
 __all__ = ["RetryPolicy"]
 
 _JITTER = _pack_str("jitter")
+_SPEC_DOMAINS = dict(declared_fields(FaultSpec))
 
 
 class RetryPolicy:
     """Decides whether — and when — a failed attempt runs again."""
+
+    #: The domains :class:`FaultSpec` declares for the same knobs.
+    domains = {
+        **{name: _SPEC_DOMAINS[name] for name in ("max_retries", "base_delay_s", "max_delay_s")},
+        "jitter": _SPEC_DOMAINS["jitter"],
+        "per_function_budget": _SPEC_DOMAINS["per_function_retry_budget"],
+    }
 
     def __init__(
         self,
@@ -39,19 +48,9 @@ class RetryPolicy:
         per_function_budget: int = 100,
         seed: int = 0,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if base_delay_s <= 0.0 or max_delay_s < base_delay_s:
-            raise ValueError(
-                "need 0 < base_delay_s <= max_delay_s, got "
-                f"{base_delay_s}/{max_delay_s}"
-            )
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {jitter}")
-        if per_function_budget < 0:
-            raise ValueError(
-                f"per_function_budget must be >= 0, got {per_function_budget}"
-            )
+        check_args(self.domains, locals())
+        if max_delay_s < base_delay_s:
+            raise ValueError(f"need base_delay_s <= max_delay_s, got {base_delay_s}/{max_delay_s}")
         self.max_retries = max_retries
         self.base_delay_s = base_delay_s
         self.max_delay_s = max_delay_s

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
+from repro.domains import int_at_least, positive, probability
+
 __all__ = ["LatencyHistogram"]
 
 
@@ -47,12 +49,10 @@ class LatencyHistogram:
         max_s: float = 100.0,
         buckets_per_decade: int = 20,
     ) -> None:
-        if min_s <= 0.0 or max_s <= min_s:
-            raise ValueError(f"need 0 < min_s < max_s, got {min_s}/{max_s}")
-        if buckets_per_decade < 1:
-            raise ValueError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
+        positive.check("min_s", min_s)
+        if not min_s < max_s:
+            raise ValueError(f"need min_s < max_s, got {min_s}/{max_s}")
+        int_at_least(1).check("buckets_per_decade", buckets_per_decade)
         self._log_min = math.log10(min_s)
         self._buckets_per_decade = buckets_per_decade
         decades = math.log10(max_s) - self._log_min
@@ -101,8 +101,7 @@ class LatencyHistogram:
         """The latency (seconds) at quantile ``q`` in [0, 1]; 0.0 when
         empty. Exact at the recorded min/max, geometric-midpoint
         interpolated inside a bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        probability.check("q", q)
         if self.count == 0 or self._min is None or self._max is None:
             return 0.0
         if q == 0.0:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.clock import wall_clock_s
+from repro.domains import int_at_least, positive
 from repro.live.latency import LatencyHistogram
 from repro.traces.model import Trace
 
@@ -281,10 +282,8 @@ def run_loadgen(
     """
     if mode not in ("pipeline", "openloop"):
         raise ValueError(f"mode must be pipeline or openloop, got {mode!r}")
-    if connections < 1:
-        raise ValueError(f"connections must be >= 1, got {connections}")
-    if speed <= 0.0:
-        raise ValueError(f"speed must be > 0, got {speed}")
+    int_at_least(1).check("connections", connections)
+    positive.check("speed", speed)
     arrivals: List[Tuple[float, str]] = [
         (inv.time_s, inv.function_name) for inv in trace
     ]

@@ -44,6 +44,7 @@ from typing import (
 )
 
 from repro.core.clock import wall_clock_s
+from repro.domains import nonneg
 from repro.live.service import (
     AdmitDecision,
     LivePoolService,
@@ -391,11 +392,7 @@ class LiveHTTPServer:
         port: int = 0,
         tick_interval_s: float = 0.25,
     ) -> None:
-        # nan fails every comparison: it must fail this one.
-        if not 0.0 <= tick_interval_s < _INF:
-            raise ValueError(
-                f"tick_interval_s must be finite and >= 0, got {tick_interval_s}"
-            )
+        nonneg.check("tick_interval_s", tick_interval_s)  # 0: no background tick
         self.service = service
         self.host = host
         self.port = port  # replaced by the bound port after start()

@@ -39,6 +39,8 @@ from typing import (
     Union,
 )
 
+from repro.domains import int_at_least
+
 __all__ = [
     "Sink",
     "NullSink",
@@ -91,8 +93,7 @@ class RingBufferSink(Sink):
     """Keeps the most recent ``capacity`` events in memory."""
 
     def __init__(self, capacity: int = 65536) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        int_at_least(1).check("capacity", capacity)
         self.capacity = capacity
         self._events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
         self.total_emitted = 0

@@ -40,6 +40,7 @@ from repro.core.clock import wall_clock_s
 from repro.core.container import Container
 from repro.core.function import FunctionStatsTable
 from repro.core.policies.base import KeepAlivePolicy, create_policy
+from repro.domains import check_fields, int_at_least, knob, nonneg, positive
 from repro.obs.tracer import Tracer
 from repro.openwhisk.latency import ColdStartModel
 from repro.sim.events import EventQueue
@@ -57,21 +58,22 @@ class InvokerConfig:
     #: ContainerPool user-memory (the keep-alive cache size). OpenWhisk
     #: reserves most of a server's physical RAM for the system; the
     #: pool's usable share is this configured value.
-    memory_mb: float = 8192.0
-    cpu_cores: int = 48
+    #: ``inf``: an unbounded pool, as :func:`~repro.sim.scheduler.simulate` takes.
+    memory_mb: float = knob(positive.or_inf, 8192.0)
+    cpu_cores: int = knob(int_at_least(1), 48)
     #: Buffered-request capacity before immediate drops.
-    queue_capacity: int = 512
-    #: Buffered requests older than this are dropped.
-    request_timeout_s: float = 30.0
+    queue_capacity: int = knob(int_at_least(0), 512)
+    #: Buffered requests older than this are dropped; ``inf``: never.
+    request_timeout_s: float = knob(positive.or_inf, 30.0)
     #: Concurrent container launches (Docker daemon parallelism).
-    max_concurrent_launches: int = 4
+    max_concurrent_launches: int = knob(int_at_least(1), 4)
     #: Batched-eviction free threshold (0 disables batching).
-    free_threshold_mb: float = 0.0
+    free_threshold_mb: float = knob(nonneg, 0.0)
     #: Slow-path stall of entering an eviction round (pool sort plus
     #: Docker round trip) — charged to the triggering cold start.
-    eviction_event_latency_s: float = 0.5
+    eviction_event_latency_s: float = knob(nonneg, 0.5)
     #: Docker removal time per evicted container.
-    eviction_per_container_s: float = 0.25
+    eviction_per_container_s: float = knob(nonneg, 0.25)
     #: kswapd-style background reclaim toward the free threshold,
     #: keeping eviction off the invocation critical path (the
     #: Section 6 future-work design). Requires free_threshold_mb > 0.
@@ -82,26 +84,13 @@ class InvokerConfig:
     #: that grabs a stem skips the Docker-creation phase (the stem is
     #: specialized in place); the stem is replenished in the
     #: background. Stems occupy ``stem_cell_mb`` each.
-    stem_cell_count: int = 0
-    stem_cell_mb: float = 256.0
+    stem_cell_count: int = knob(int_at_least(0), 0)
+    stem_cell_mb: float = knob(positive, 256.0)
 
     def __post_init__(self) -> None:
-        if not self.memory_mb > 0:
-            raise ValueError("memory must be positive")
-        if self.cpu_cores <= 0:
-            raise ValueError("cpu cores must be positive")
-        if self.queue_capacity < 0:
-            raise ValueError("queue capacity must be non-negative")
-        if self.request_timeout_s <= 0:
-            raise ValueError("request timeout must be positive")
-        if self.max_concurrent_launches <= 0:
-            raise ValueError("launch concurrency must be positive")
-        if self.free_threshold_mb < 0:
-            raise ValueError("free threshold must be non-negative")
+        check_fields(self)
         if self.async_reclaim and self.free_threshold_mb == 0:
             raise ValueError("async reclaim needs a free threshold above 0")
-        if self.stem_cell_count < 0 or self.stem_cell_mb <= 0:
-            raise ValueError("invalid stem-cell configuration")
         if self.stem_cell_count * self.stem_cell_mb >= self.memory_mb:
             raise ValueError("stem cells would consume the whole pool")
 
@@ -228,10 +217,16 @@ class SimulatedInvoker:
         (:meth:`~repro.sim.scheduler.KeepAliveSimulator.set_capacity`),
         priced by ``deflation_engine`` (cascade deflation by default).
         Every :meth:`run` starts it over (``controller.reset()``).
-        Without a controller the pool size is static.
+        Without a controller the pool size is static. The controller's
+        ``max_size_mb`` must be set, at most ``config.memory_mb``.
 
         ``tracer`` is the engine's own: the run's lifecycle events, for
         ``trace-report --check`` against ``InvokerResult.metrics``."""
+        if controller is not None and not (controller.max_size_mb or inf) <= config.memory_mb:
+            raise ValueError(
+                f"the controller's max_size_mb must be at most the invoker's memory_mb "
+                f"({config.memory_mb}), got {controller.max_size_mb}"
+            )
         if isinstance(policy, str):
             policy = create_policy(policy)
         self.config = config

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
+from repro.domains import check_fields, knob, nonneg, positive
 from repro.traces.model import Trace
 
 __all__ = [
@@ -49,18 +50,11 @@ class FunctionArrivalModel:
     rate and a container size."""
 
     name: str
-    rate_per_s: float
-    size_mb: float
+    rate_per_s: float = knob(positive)
+    size_mb: float = knob(positive)
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ValueError(
-                f"{self.name}: arrival rate must be positive, got {self.rate_per_s}"
-            )
-        if self.size_mb <= 0:
-            raise ValueError(
-                f"{self.name}: size must be positive, got {self.size_mb}"
-            )
+        check_fields(self, f"{self.name}: ")
 
 
 def models_from_trace(trace: Trace) -> List[FunctionArrivalModel]:
@@ -70,8 +64,7 @@ def models_from_trace(trace: Trace) -> List[FunctionArrivalModel]:
     information and are skipped.
     """
     duration = trace.duration_s
-    if duration <= 0:
-        raise ValueError("trace must span positive time")
+    positive.check("trace duration_s", duration)
     counts = trace.per_function_counts()
     models = []
     for name, count in counts.items():
@@ -93,8 +86,7 @@ def ttl_expected_memory_mb(
     models: Sequence[FunctionArrivalModel], ttl_s: float
 ) -> float:
     """Expected resident memory of a TTL-``ttl_s`` keep-alive cache."""
-    if ttl_s < 0:
-        raise ValueError(f"ttl must be >= 0, got {ttl_s}")
+    nonneg.or_inf.check("ttl_s", ttl_s)
     return sum(
         m.size_mb * (1.0 - math.exp(-m.rate_per_s * ttl_s)) for m in models
     )
@@ -116,8 +108,7 @@ def characteristic_time(
     >>> round(characteristic_time(m, 50.0), 4)  # 100(1-e^-T) = 50
     0.6931
     """
-    if cache_mb <= 0:
-        raise ValueError(f"cache size must be positive, got {cache_mb}")
+    positive.or_inf.check("cache_mb", cache_mb)
     working_set = sum(m.size_mb for m in models)
     if cache_mb >= working_set:
         return math.inf

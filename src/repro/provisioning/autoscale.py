@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.policies.base import KeepAlivePolicy, create_policy
+from repro.domains import positive
 from repro.obs.tracer import Tracer
 from repro.provisioning.controller import ControllerDecision, ProportionalController
 from repro.provisioning.deflation import DeflationEngine, DeflationReport
@@ -57,8 +58,7 @@ class AutoscaleResult:
 
     def savings_vs_static(self, static_size_mb: float) -> float:
         """Fractional average-size reduction vs a static provision."""
-        if static_size_mb <= 0:
-            raise ValueError("static size must be positive")
+        positive.check("static_size_mb", static_size_mb)
         return 1.0 - self.mean_cache_size_mb / static_size_mb
 
 

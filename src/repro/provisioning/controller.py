@@ -28,11 +28,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.analysis.stats import EWMA
+from repro.domains import Domain, check_args, nonneg, positive
 from repro.provisioning.hit_ratio import HitRatioCurve
 
 __all__ = ["ControllerDecision", "ProportionalController"]
 
 logger = logging.getLogger(__name__)
+
+#: A miss ratio a controller can aim for: 0 needs an infinite cache, 1 none.
+MISS_RATIO = Domain(0.0, 1.0, low_open=True, high_open=True)
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,13 @@ class ControllerDecision:
 class ProportionalController:
     """Hit-ratio-curve-driven proportional cache-size controller."""
 
+    #: ``max_size_mb`` is ``None`` (no cap) or at least ``min_size_mb``.
+    domains = {
+        "target_miss_speed": positive, "initial_size_mb": positive, "min_size_mb": positive,
+        "deadband": nonneg, "ewma_alpha": Domain(0.0, 1.0, low_open=True),
+        "control_period_s": positive,
+    }
+
     def __init__(
         self,
         curve: HitRatioCurve,
@@ -63,20 +74,9 @@ class ProportionalController:
         ewma_alpha: float = 0.3,
         control_period_s: float = 600.0,
     ) -> None:
-        if target_miss_speed <= 0:
-            raise ValueError(
-                f"target miss speed must be positive, got {target_miss_speed}"
-            )
-        if min_size_mb <= 0:
-            raise ValueError(f"min size must be positive, got {min_size_mb}")
-        if max_size_mb is not None and max_size_mb < min_size_mb:
-            raise ValueError("max size must be >= min size")
-        if not 0.0 <= deadband:
-            raise ValueError(f"deadband must be non-negative, got {deadband}")
-        if not control_period_s > 0:
-            raise ValueError(
-                f"control period must be positive, got {control_period_s}"
-            )
+        check_args(self.domains, locals())
+        if max_size_mb is not None and not min_size_mb <= max_size_mb:
+            raise ValueError(f"max_size_mb must be None or >= min_size_mb, got {max_size_mb}")
         self.curve = curve
         self.target_miss_speed = target_miss_speed
         self.initial_size_mb = float(initial_size_mb)
@@ -104,12 +104,8 @@ class ProportionalController:
         **kwargs,
     ) -> "ProportionalController":
         """Derive the miss-speed target as ``desired_miss_ratio * λ̄``."""
-        if not 0.0 < desired_miss_ratio < 1.0:
-            raise ValueError(
-                f"desired miss ratio must be in (0, 1), got {desired_miss_ratio}"
-            )
-        if mean_arrival_rate <= 0:
-            raise ValueError("mean arrival rate must be positive")
+        MISS_RATIO.check("desired_miss_ratio", desired_miss_ratio)
+        positive.check("mean_arrival_rate", mean_arrival_rate)
         return cls(
             curve,
             target_miss_speed=desired_miss_ratio * mean_arrival_rate,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.stats import EWMA
+from repro.domains import Domain
 
 __all__ = ["CpuScalingDecision", "ReactiveCpuScaler"]
 
@@ -45,10 +46,9 @@ class ReactiveCpuScaler:
         ewma_alpha: float = 0.3,
         initial_cores: int = 1,
     ) -> None:
-        if not 0.0 < target_utilization < 1.0:
-            raise ValueError(
-                f"target utilization must be in (0, 1), got {target_utilization}"
-            )
+        Domain(0.0, 1.0, low_open=True, high_open=True).check(
+            "target_utilization", target_utilization
+        )
         if min_cores < 1 or max_cores < min_cores:
             raise ValueError("need 1 <= min_cores <= max_cores")
         self.target_utilization = target_utilization

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.container import Container
+from repro.domains import probability
 
 __all__ = ["DeflationReport", "DeflationEngine"]
 
@@ -61,10 +62,7 @@ class DeflationEngine:
         """``unplug_fraction`` is the share of reclaimed memory the
         guest OS can hot-unplug; the rest must be swapped by the
         hypervisor (fragmentation prevents a clean unplug)."""
-        if not 0.0 <= unplug_fraction <= 1.0:
-            raise ValueError(
-                f"unplug fraction must be in [0, 1], got {unplug_fraction}"
-            )
+        probability.check("unplug_fraction", unplug_fraction)
         self.hot_unplug_s_per_gb = hot_unplug_s_per_gb
         self.page_swap_s_per_gb = page_swap_s_per_gb
         self.unplug_fraction = unplug_fraction

@@ -24,6 +24,8 @@ import bisect
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.domains import nonneg, probability
+
 __all__ = ["HitRatioCurve"]
 
 
@@ -42,8 +44,7 @@ class HitRatioCurve:
             raise ValueError("weights must match distances in length")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        if infinite_weight < 0:
-            raise ValueError("infinite weight must be non-negative")
+        nonneg.check("infinite_weight", infinite_weight)
         pairs = sorted(zip(finite_distances, weights))
         self._distances: List[float] = []
         self._cumulative: List[float] = []
@@ -136,10 +137,7 @@ class HitRatioCurve:
         Raises ``ValueError`` when the target exceeds the achievable
         maximum (compulsory misses cap the curve).
         """
-        if not 0.0 <= target_hit_ratio <= 1.0:
-            raise ValueError(
-                f"target hit ratio must be in [0, 1], got {target_hit_ratio}"
-            )
+        probability.check("target_hit_ratio", target_hit_ratio)
         if target_hit_ratio <= 0.0:
             return 0.0
         if target_hit_ratio > self.max_hit_ratio + 1e-12:

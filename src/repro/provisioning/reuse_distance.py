@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
+from repro.domains import int_at_least
 from repro.traces.model import Trace
 
 __all__ = ["reuse_distances", "reuse_distances_naive", "FenwickTree"]
@@ -35,8 +36,7 @@ class FenwickTree:
     """A binary indexed tree over float weights, 0-indexed externally."""
 
     def __init__(self, size: int) -> None:
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
+        int_at_least(0).check("size", size)
         self._size = size
         self._tree = [0.0] * (size + 1)
 

@@ -23,6 +23,7 @@ import hashlib
 import math
 from typing import List, Tuple
 
+from repro.domains import Domain
 from repro.provisioning.hit_ratio import HitRatioCurve
 from repro.provisioning.reuse_distance import reuse_distances
 from repro.traces.model import Trace
@@ -44,8 +45,7 @@ def shards_sample_functions(
     trace: Trace, rate: float, seed: int = 0
 ) -> List[str]:
     """Function names selected by the spatial hash filter."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"sampling rate must be in (0, 1], got {rate}")
+    Domain(0.0, 1.0, low_open=True).check("rate", rate)
     return [
         name
         for name in trace.functions

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.domains import nonneg
 from repro.provisioning.hit_ratio import HitRatioCurve
 from repro.provisioning.reuse_distance import reuse_distances
 from repro.traces.model import Trace
@@ -61,8 +62,7 @@ class StaticProvisioner:
             raise ValueError(
                 f"unknown strategy {strategy!r}; choose from {self.STRATEGIES}"
             )
-        if headroom_fraction < 0:
-            raise ValueError("headroom must be non-negative")
+        nonneg.check("headroom_fraction", headroom_fraction)
         self.curve = curve
         self.strategy = strategy
         self.target_hit_ratio = target_hit_ratio

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.core.pool import TENANT_MODES
+from repro.domains import check_fields, int_at_least, knob, nonneg, positive, probability
 
 if TYPE_CHECKING:
     from repro.faults.model import FaultSpec
@@ -33,7 +35,7 @@ class RunConfig:
     #: ``SimulationMetrics.memory_timeline``, at most one per
     #: ``timeline_interval_s`` of trace time.
     track_memory_timeline: bool = False
-    timeline_interval_s: float = 60.0
+    timeline_interval_s: float = knob(positive, 60.0)
     #: Section 9's explicit-initialization discussion: a prefetched
     #: (HIST) container only skips the application-level initialization
     #: if the function provides an explicit init callback, which the
@@ -42,7 +44,7 @@ class RunConfig:
     #: the first invocation on a prewarmed container still pays the
     #: full init (prewarming only saved the environment creation the
     #: trace's cold overhead does not include anyway).
-    prewarm_effectiveness: float = 1.0
+    prewarm_effectiveness: float = knob(probability, 1.0)
     #: Function name -> number of *pinned* containers created before
     #: replay — AWS-style provisioned concurrency (the paper's
     #: introduction cites exactly this industry mechanism). Pinned
@@ -54,15 +56,15 @@ class RunConfig:
     #: with full fidelity (they populate the cache and the policy
     #: state) but are not counted in the metrics, removing the
     #: compulsory-miss transient from short replays — standard
-    #: discrete-event-simulation practice.
-    warmup_s: float = 0.0
+    #: discrete-event-simulation practice. ``inf``: nothing is measured.
+    warmup_s: float = knob(nonneg.or_inf, 0.0)
     #: Deterministic fault injection and retry/shed recovery
     #: (``docs/robustness.md``). ``None`` or an all-zero spec leaves
     #: the failure-free path byte-identical to a run without one.
     fault_spec: Optional[FaultSpec] = None
     #: Identifies this server in ``server_down``/``server_recovered``
     #: events and as the coordinate of its outage/capacity schedule.
-    server_index: int = 0
+    server_index: int = knob(int_at_least(0), 0)
     #: The pool's multi-tenant behavior (docs/multi-tenancy.md):
     #: ``shared`` (single-owner semantics), ``partitioned`` (hard
     #: per-tenant capacity slices), or ``quota`` (soft limits — an
@@ -73,13 +75,7 @@ class RunConfig:
     tenant_quotas: Optional[Mapping[int, float]] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.prewarm_effectiveness <= 1.0:
-            raise ValueError(
-                f"prewarm effectiveness must be in [0, 1], "
-                f"got {self.prewarm_effectiveness}"
-            )
-        if not self.warmup_s >= 0.0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup_s}")
+        check_fields(self)
         if self.tenant_mode not in TENANT_MODES:
             raise ValueError(
                 f"tenant_mode must be one of {TENANT_MODES}, got "
@@ -94,10 +90,16 @@ class RunConfig:
     ) -> Tuple["RunConfig", Dict[str, object]]:
         """Fold the config fields found in ``kwargs`` over ``base``
         (default: all defaults); returns the config and the keywords
-        that are not fields — an entry point's policy kwargs."""
-        own = {k: v for k, v in kwargs.items() if k in _FIELD_NAMES}
-        rest = {k: v for k, v in kwargs.items() if k not in _FIELD_NAMES}
-        return dataclasses.replace(base or cls(), **own), rest
+        that are not fields — an entry point's policy kwargs. With no
+        field to fold, ``base`` itself (it is frozen): a run validates
+        one config at most."""
+        own: Dict[str, object] = {}
+        rest: Dict[str, object] = {}
+        for name, value in kwargs.items():
+            (own if name in _FIELDS else rest)[name] = value
+        base = base or _DEFAULT
+        # ``dataclasses.replace`` without its per-field ``getattr`` calls.
+        return (cls(**dict(zip(_FIELDS, _field_values(base)), **own)) if own else base), rest
 
     @classmethod
     def resolve(
@@ -114,4 +116,7 @@ class RunConfig:
         return config
 
 
-_FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(RunConfig))
+_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
+_field_values = attrgetter(*_FIELDS)
+#: The all-defaults config, validated once, here.
+_DEFAULT = RunConfig()

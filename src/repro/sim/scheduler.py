@@ -41,6 +41,7 @@ from repro.core.policies.greedy_dual import GreedyDualPolicy
 from repro.core.policies.histogram import HistogramPolicy
 from repro.core.policies.ttl import TTLPolicy
 from repro.core.pool import CapacityError, ContainerPool
+from repro.domains import int_at_least
 from repro.obs.counters import eviction_counters
 from repro.obs.tracer import Tracer, active_tracer
 from repro.sim.config import RunConfig
@@ -241,8 +242,7 @@ class KeepAliveSimulator:
             function = functions.get(name)
             if function is None:
                 raise ValueError(f"reserved function {name!r} not in trace")
-            if count < 1:
-                raise ValueError(f"reserved count for {name!r} must be >= 1")
+            int_at_least(1).check(f"reserved_concurrency[{name!r}]", count)
             for __ in range(count):
                 container = Container(function, 0.0, next(self._container_ids))
                 container.pinned = True

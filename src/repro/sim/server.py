@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.domains import check_fields, int_at_least, knob, positive
+
 __all__ = ["ServerConfig", "GB_MB"]
 
 #: Megabytes per gigabyte, for the GB-axis sweeps of Figures 5 and 6.
@@ -22,14 +24,12 @@ GB_MB = 1024.0
 class ServerConfig:
     """Physical resources of one FaaS server."""
 
-    memory_mb: float
-    cpu_cores: int = 48  # the paper's evaluation server
+    #: ``inf``: an unbounded pool, as :func:`~repro.sim.scheduler.simulate` takes.
+    memory_mb: float = knob(positive.or_inf)
+    cpu_cores: int = knob(int_at_least(1), 48)  # the paper's evaluation server
 
     def __post_init__(self) -> None:
-        if not self.memory_mb > 0:
-            raise ValueError(f"memory must be positive, got {self.memory_mb}")
-        if self.cpu_cores <= 0:
-            raise ValueError(f"cpu cores must be positive, got {self.cpu_cores}")
+        check_fields(self)
 
     @property
     def memory_gb(self) -> float:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.policies.base import PAPER_POLICIES, create_policy
+from repro.domains import int_at_least, positive
 from repro.faults import cell_fault_spec
 from repro.obs.counters import fingerprint_counters
 from repro.obs.sinks import JsonlSink
@@ -226,8 +227,7 @@ class SweepResult:
 
 def memory_sizes_gb(start_gb: float, stop_gb: float, step_gb: float) -> List[float]:
     """Inclusive memory-size grid, e.g. the paper's 500 MB steps."""
-    if step_gb <= 0:
-        raise ValueError(f"step must be positive, got {step_gb}")
+    positive.check("step_gb", step_gb)
     sizes = []
     size = start_gb
     while size <= stop_gb + 1e-9:
@@ -372,12 +372,9 @@ def run_sweep(
     tenant-aware grids are equal in every mode.
     """
     config = RunConfig.resolve(config, config_fields)
-    if max_workers is not None and not (
-        isinstance(max_workers, int) and max_workers >= 1
-    ):
-        raise ValueError(f"max_workers must be None or >= 1, got {max_workers!r}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
+    if max_workers is not None:
+        int_at_least(1).check("max_workers", max_workers)
+    int_at_least(0).check("retries", retries)
     cells: List[Tuple[str, float]] = [
         (policy, memory_gb)
         for policy in policies

@@ -20,7 +20,7 @@ import csv
 import json
 import pathlib
 from operator import itemgetter
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.traces.model import FunctionTable, Trace, TraceFunction
 
@@ -37,7 +37,7 @@ def _named_arrivals(trace: Trace):
 
 
 def _from_columns(
-    path: PathLike, functions: List[TraceFunction], times: Sequence[float],
+    path: PathLike, functions: Iterable[TraceFunction], times: Sequence[float],
     names: Sequence[str], name: str,
 ) -> Trace:
     """The loaders' one construction: no :class:`Invocation` per
@@ -107,16 +107,17 @@ def load_trace_json(path: PathLike) -> Trace:
         raise ValueError(
             f"{path}: unsupported trace version {document.get('version')}"
         )
-    functions = [
+    # Built inside _from_columns, so a refused value names the file.
+    functions = (
         TraceFunction(
             name=f["name"],
             memory_mb=f["memory_mb"],
             warm_time_s=f["warm_time_s"],
             cold_time_s=f["cold_time_s"],
-            tenant_id=int(f.get("tenant_id", 0)),
+            tenant_id=f.get("tenant_id", 0),
         )
         for f in document["functions"]
-    ]
+    )
     times, names = _json_columns(path, document["invocations"])
     return _from_columns(path, functions, times, names, document.get("name", "trace"))
 
@@ -173,18 +174,16 @@ def _csv_times(path: PathLike, cells: List[str]) -> List[float]:
 def load_trace_csv(stem: PathLike, name: str = "trace") -> Trace:
     """Read a trace written by :func:`save_trace_csv`."""
     functions_path, invocations_path = _csv_paths(stem)
-    functions = []
     with open(functions_path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            functions.append(
-                TraceFunction(
-                    name=row["name"],
-                    memory_mb=float(row["memory_mb"]),
-                    warm_time_s=float(row["warm_time_s"]),
-                    cold_time_s=float(row["cold_time_s"]),
-                    tenant_id=int(row.get("tenant_id") or 0),
-                )
-            )
+        rows = list(csv.DictReader(handle))
+    try:
+        functions = [
+            TraceFunction(row["name"], float(row["memory_mb"]), float(row["warm_time_s"]),
+                          float(row["cold_time_s"]), int(row.get("tenant_id") or 0))
+            for row in rows
+        ]
+    except ValueError as exc:
+        raise ValueError(f"{functions_path}: {exc}") from None
     with open(invocations_path, newline="") as handle:
         rows = csv.reader(handle)
         header = next(rows, [])

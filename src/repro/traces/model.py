@@ -29,6 +29,8 @@ from operator import add, attrgetter, eq, le
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.domains import check_fields, int_at_least, knob, nonneg, positive
+
 __all__ = ["TraceFunction", "Invocation", "FunctionTable", "Trace", "DEFAULT_CHUNK_INVOCATIONS"]
 
 #: Arrivals per chunk of :meth:`Trace.iter_chunks`, the TTL kernel's
@@ -57,26 +59,13 @@ class TraceFunction:
     """
 
     name: str
-    memory_mb: float
-    warm_time_s: float
-    cold_time_s: float
-    tenant_id: int = 0
+    memory_mb: float = knob(positive)
+    warm_time_s: float = knob(nonneg)
+    cold_time_s: float = knob(nonneg)
+    tenant_id: int = knob(int_at_least(0), 0)
 
     def __post_init__(self) -> None:
-        if self.memory_mb <= 0:
-            raise ValueError(
-                f"function {self.name!r}: memory must be positive, "
-                f"got {self.memory_mb}"
-            )
-        if self.tenant_id < 0:
-            raise ValueError(
-                f"function {self.name!r}: tenant_id must be >= 0, "
-                f"got {self.tenant_id}"
-            )
-        if self.warm_time_s < 0 or self.cold_time_s < 0:
-            raise ValueError(
-                f"function {self.name!r}: running times must be non-negative"
-            )
+        check_fields(self, f"function {self.name!r}: ")
         if self.cold_time_s < self.warm_time_s:
             raise ValueError(
                 f"function {self.name!r}: cold time ({self.cold_time_s}) "
@@ -298,10 +287,7 @@ class Trace:
     ) -> Iterator[Tuple[memoryview, memoryview]]:
         """Yield ``(times, function_ids)`` column slices in replay
         order, ``chunk_invocations`` at a time, without a copy."""
-        if chunk_invocations < 1:
-            raise ValueError(
-                f"chunk size must be >= 1, got {chunk_invocations}"
-            )
+        int_at_least(1).check("chunk_invocations", chunk_invocations)
         times, ids = self.times_s, self.function_ids
         for start in range(0, len(times), chunk_invocations):
             stop = start + chunk_invocations

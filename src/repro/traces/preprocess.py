@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.domains import int_at_least
 from repro.traces.azure import AzureDataset, AzureFunctionRecord
 from repro.traces.model import Invocation, Trace, TraceFunction
 
@@ -62,8 +63,7 @@ def trace_function_from_record(
     app_memory_mb: float,
 ) -> TraceFunction:
     """Apply the memory-split and cold-overhead rules to one function."""
-    if functions_in_app < 1:
-        raise ValueError("an application must contain at least one function")
+    int_at_least(1).check("functions_in_app", functions_in_app)
     memory_mb = max(app_memory_mb / functions_in_app, 1.0)
     warm_time_s = record.avg_duration_ms / _MS_PER_S
     cold_time_s = record.max_duration_ms / _MS_PER_S

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
+from repro.domains import Domain, positive
 from repro.traces.azure import AzureDataset
 from repro.traces.model import Trace
 from repro.traces.preprocess import dataset_to_trace
@@ -65,8 +66,7 @@ def rare_sample(
     seed: int = 0,
 ) -> List[str]:
     """A random sample of ``n`` functions from the rarest quartile."""
-    if not 0.0 < rarest_fraction <= 1.0:
-        raise ValueError(f"rarest_fraction must be in (0, 1], got {rarest_fraction}")
+    Domain(0.0, 1.0, low_open=True).check("rarest_fraction", rarest_fraction)
     candidates = _reused_functions(dataset)
     pool_size = max(int(len(candidates) * rarest_fraction), 1)
     pool = candidates[:pool_size]
@@ -123,8 +123,7 @@ def scale_trace_rate(trace: Trace, target_rate_per_s: float) -> Trace:
     Timestamps are multiplied by ``current_rate / target_rate``, which
     preserves arrival order and relative gaps exactly.
     """
-    if target_rate_per_s <= 0:
-        raise ValueError(f"target rate must be positive, got {target_rate_per_s}")
+    positive.check("target_rate_per_s", target_rate_per_s)
     current = trace.arrival_rate()
     if current <= 0:
         return trace

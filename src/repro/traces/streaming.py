@@ -38,6 +38,7 @@ from itertools import chain
 from math import inf
 from typing import TYPE_CHECKING, Callable, Iterator, List, Tuple
 
+from repro.domains import check_args, int_at_least, positive
 from repro.traces.model import FunctionTable, Trace, TraceFunction
 
 if TYPE_CHECKING:  # NumPy loads with the first chunk (DESIGN.md §7.3)
@@ -86,6 +87,11 @@ def _round6(x: np.ndarray) -> np.ndarray:
 class StreamingChurnTrace:
     """Chunked generator for the churn workload at unbounded scale."""
 
+    domains = {
+        "num_functions": int_at_least(1), "duration_s": positive,
+        "chunk_invocations": int_at_least(1), "num_tenants": int_at_least(0),
+    }
+
     def __init__(
         self,
         num_functions: int = 1620,
@@ -98,22 +104,7 @@ class StreamingChurnTrace:
         name: str = "stream-churn",
         num_tenants: int = 0,
     ) -> None:
-        if num_functions < 1:
-            raise ValueError(
-                f"need at least one function, got {num_functions}"
-            )
-        if not 0 < duration_s < inf:
-            raise ValueError(
-                f"duration must be positive and finite, got {duration_s}"
-            )
-        if not chunk_invocations >= 1 or chunk_invocations % 1:
-            raise ValueError(
-                f"chunk size must be an integer >= 1, got {chunk_invocations}"
-            )
-        if num_tenants < 0:
-            raise ValueError(
-                f"num_tenants must be >= 0, got {num_tenants}"
-            )
+        check_args(self.domains, locals())
         self.num_functions = num_functions
         self.num_tenants = num_tenants
         self.duration_s = duration_s

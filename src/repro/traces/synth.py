@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.domains import int_at_least, nonneg, positive, probability
 from repro.traces.functionbench import functionbench_apps
 from repro.traces.model import Invocation, Trace, TraceFunction
 
@@ -55,10 +56,8 @@ def periodic_arrivals(
     process with the same mean rate (each gap drawn exponentially).
     Intermediate values interpolate linearly between the two.
     """
-    if interarrival_s <= 0:
-        raise ValueError(f"interarrival must be positive, got {interarrival_s}")
-    if not 0.0 <= jitter <= 1.0:
-        raise ValueError(f"jitter must be in [0, 1], got {jitter}")
+    positive.check("interarrival_s", interarrival_s)
+    probability.check("jitter", jitter)
     if jitter > 0 and rng is None:
         rng = random.Random(0)
     arrivals: List[Invocation] = []
@@ -91,10 +90,9 @@ def bursty_arrivals(
     exponential with the given means; within a burst, arrivals are
     Poisson at ``burst_rate_per_s``.
     """
-    if burst_rate_per_s <= 0:
-        raise ValueError("burst rate must be positive")
-    if burst_duration_s <= 0 or idle_duration_s < 0:
-        raise ValueError("durations must be positive (idle may be zero)")
+    positive.check("burst_rate_per_s", burst_rate_per_s)
+    positive.check("burst_duration_s", burst_duration_s)
+    nonneg.check("idle_duration_s", idle_duration_s)
     rng = rng if rng is not None else random.Random(0)
     arrivals: List[Invocation] = []
     t = start_s
@@ -167,8 +165,7 @@ def cyclic_trace(
     (equal value terms leave only the clock), so heterogeneity is what
     makes this workload discriminating.
     """
-    if num_functions < 2:
-        raise ValueError("a cycle needs at least 2 functions")
+    int_at_least(2).check("num_functions", num_functions)  # a cycle
     functions = [
         TraceFunction(
             name=f"cyclic-{i:03d}",
@@ -347,12 +344,8 @@ def noisy_neighbor_trace(
     Deterministic given ``seed``; tenant id 0 is never used so the
     trace always reads as tenant-carrying.
     """
-    if num_victims < 1:
-        raise ValueError(f"need at least one victim, got {num_victims}")
-    if num_attacker_functions < 1:
-        raise ValueError(
-            f"need at least one attacker function, got {num_attacker_functions}"
-        )
+    int_at_least(1).check("num_victims", num_victims)
+    int_at_least(1).check("num_attacker_functions", num_attacker_functions)
     rng = random.Random(seed)
     functions: List[TraceFunction] = []
     invocations: List[Invocation] = []
@@ -422,10 +415,8 @@ def harvest_day_trace(
     Deterministic given ``seed``; functions carry no tenant ids so the
     workload composes with any tenant mode.
     """
-    if num_steady < 1:
-        raise ValueError(f"need at least one steady function, got {num_steady}")
-    if num_bursty < 0:
-        raise ValueError(f"bursty count must be >= 0, got {num_bursty}")
+    int_at_least(1).check("num_steady", num_steady)
+    int_at_least(0).check("num_bursty", num_bursty)
     rng = random.Random(seed)
     classes = list(_TENANT_CLASSES.items())
     functions: List[TraceFunction] = []

@@ -74,6 +74,14 @@ class TestAutoscaledInvoker:
         assert invoker.deflations == []
         assert invoker.simulator.pool.capacity_mb == 8192.0
 
+    @pytest.mark.parametrize("max_mb", [None, 8192.5])
+    def test_controller_above_the_invokers_memory_refused(self, curve, trace, max_mb):
+        """An uncapped controller once grew a 4,096 MB invoker's pool to
+        32,960 MB: the pool cannot outgrow the invoker's memory."""
+        controller = make_controller(curve, trace, 4096.0, max_size_mb=max_mb)
+        with pytest.raises(ValueError, match="max_size_mb must be at most the invoker's memory_mb"):
+            SimulatedInvoker(InvokerConfig(memory_mb=8192.0), policy="GD", controller=controller)
+
     def test_default_deflation_engine_created(self, curve, trace):
         controller = make_controller(curve, trace, 8192.0)
         invoker = SimulatedInvoker(
@@ -101,6 +109,7 @@ class _ShrinkOnce:
     """A controller that asks for ``size_mb`` once, at its first tick."""
 
     control_period_s = 1.0
+    max_size_mb = 1000.0
 
     def __init__(self, size_mb):
         self.size_mb = size_mb

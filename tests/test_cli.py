@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.traces.io import save_trace_json
+from tests.conftest import make_trace
 
 
 @pytest.fixture
@@ -264,8 +266,8 @@ class TestSweepEngineCLI:
         ) == 0
         assert "invocations_per_s" in capsys.readouterr().out
 
-    def test_malformed_reserve_rejected(self, small_trace_file):
-        with pytest.raises(SystemExit, match="NAME=COUNT"):
+    def test_malformed_reserve_rejected(self, small_trace_file, capsys):
+        with pytest.raises(SystemExit) as exited:
             main(
                 [
                     "simulate",
@@ -275,6 +277,8 @@ class TestSweepEngineCLI:
                     "--reserve", "fn-00001",
                 ]
             )
+        assert exited.value.code == 2
+        assert "expected NAME=COUNT" in capsys.readouterr().err
 
 
 class TestObservabilityCLI:
@@ -409,8 +413,8 @@ class TestTenantMapValidation:
     negative values before they can corrupt priority math."""
 
     @pytest.mark.parametrize("bad", ["1=nan", "1=inf", "1=-inf", "1=-2.5"])
-    def test_bad_weights_rejected(self, bad):
-        with pytest.raises(SystemExit, match="finite and >= 0"):
+    def test_bad_weights_rejected(self, bad, capsys):
+        with pytest.raises(SystemExit) as exited:
             main(
                 [
                     "simulate",
@@ -420,9 +424,11 @@ class TestTenantMapValidation:
                     "--tenant-weights", bad,
                 ]
             )
+        assert exited.value.code == 2
+        assert "the value a finite number >= 0" in capsys.readouterr().err
 
-    def test_bad_quota_rejected(self):
-        with pytest.raises(SystemExit, match="finite and >= 0"):
+    def test_bad_quota_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exited:
             main(
                 [
                     "simulate",
@@ -433,6 +439,8 @@ class TestTenantMapValidation:
                     "--tenant-quota", "1=nan",
                 ]
             )
+        assert exited.value.code == 2
+        assert "the value a finite number >= 0" in capsys.readouterr().err
 
     def test_valid_weights_still_accepted(self, capsys):
         assert main(
@@ -465,6 +473,29 @@ class TestTenantMapValidation:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("value, refusal", [
+        ("NaN", "memory_mb must be a finite number > 0, got nan"),
+        ('"x"', "memory_mb must be a finite number > 0, got 'x'"),
+    ], ids=["nan", "string"])
+    def test_a_bad_trace_file_is_a_usage_error(self, tmp_path, capsys, value, refusal):
+        path = tmp_path / "trace.json"
+        save_trace_json(make_trace("AB"), path)
+        path.write_text(path.read_text().replace('"memory_mb": 256.0', f'"memory_mb": {value}', 1))
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--trace", str(path)])
+        assert exited.value.code == 2
+        assert f"{path}: function 'A': {refusal}" in capsys.readouterr().err
+
+    def test_a_bad_fault_spec_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"crash_rate": 0.1, "max_retries": NaN}')
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--trace", "cyclic", "--fault-spec", str(path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --fault-spec: {path}: invalid fault spec: " in err
+        assert "max_retries must be an integer >= 0, got nan" in err
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--trace", "cyclic", "--memory-gb", "nan"],
         ["simulate", "--trace", "cyclic", "--memory-gb", "0"],
@@ -477,17 +508,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exited:
             main(command)
         assert exited.value.code == 2
-        assert "expected a size > 0 GB" in capsys.readouterr().err
+        assert "expected a number > 0 or inf, got" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, expected", [
-        (["simulate", "--trace", "cyclic", "--warmup-s", "nan"], "a time >= 0 s"),
-        (["autoscale", "--trace", "cyclic", "--period-s", "0"], "a period > 0 s"),
-        (["autoscale", "--trace", "cyclic", "--miss-ratio", "1"], "a miss ratio in (0, 1)"),
-        (["provision", "--trace", "cyclic", "--target-hit-ratio", "0"], "a hit ratio in (0, 1]"),
-        (["serve", "--trace", "cyclic", "--tick-interval-s", "inf"], "a finite period >= 0 s"),
-        (["loadgen", "--trace", "cyclic", "--max-p99-ms", "nan"], "a finite ceiling > 0 ms"),
-        (["loadgen", "--trace", "cyclic", "--speed", "nan"], "a finite speed > 0"),
-        (["loadgen", "--trace", "cyclic", "--duration-s", "0"], "a duration > 0 s"),
+        (["simulate", "--trace", "cyclic", "--warmup-s", "nan"], "a number >= 0 or inf"),
+        (["autoscale", "--trace", "cyclic", "--period-s", "0"], "a finite number > 0"),
+        (["autoscale", "--trace", "cyclic", "--miss-ratio", "1"], "a number in (0, 1)"),
+        (["provision", "--trace", "cyclic", "--target-hit-ratio", "0"], "a number in (0, 1]"),
+        (["serve", "--trace", "cyclic", "--tick-interval-s", "inf"], "a finite number >= 0"),
+        (["loadgen", "--trace", "cyclic", "--max-p99-ms", "nan"], "a finite number > 0"),
+        (["loadgen", "--trace", "cyclic", "--speed", "nan"], "a finite number > 0"),
+        (["loadgen", "--trace", "cyclic", "--duration-s", "0"], "a number > 0 or inf"),
     ], ids=["warmup-s", "period-s", "miss-ratio", "target-hit-ratio", "tick-interval-s",
             "max-p99-ms", "speed", "duration-s"])
     def test_float_flags_take_what_their_consumer_takes(self, command, expected, capsys):
@@ -503,7 +534,7 @@ class TestUsageErrors:
                   "--workers", workers])
         err = capsys.readouterr().err
         assert exited.value.code == 2
-        assert f"expected a worker count >= 0, got {workers!r}" in err
+        assert f"expected an integer >= 0, got {workers!r}" in err
         assert "[1/" not in err
 
     def test_simulate_weights_on_a_policy_without_them(self, capsys):

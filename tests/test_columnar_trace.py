@@ -266,7 +266,7 @@ class TestStreamingChurnTrace:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="num_functions must be an integer >= 1"):
             StreamingChurnTrace(num_functions=0)
         with pytest.raises(ValueError, match="duration"):
             StreamingChurnTrace(duration_s=0.0)
@@ -284,7 +284,7 @@ class TestStreamingChurnTrace:
         ],
     )
     def test_non_finite_and_fractional_sizes_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="duration|chunk size"):
+        with pytest.raises(ValueError, match="duration_s|chunk_invocations"):
             StreamingChurnTrace(num_functions=3, **kwargs)
 
 

@@ -153,12 +153,13 @@ def traced_elastic(tmp):
 
 def traced_invoker(tmp):
     """Two runs of one invoker and its controller: the second, on the
-    used pair, must replay as the first did."""
+    used pair, must replay as the first did. The pool starts below the
+    invoker's memory, the controller's ceiling, so that it can grow."""
     trace = multitenant_trace(duration_s=200.0, seed=4)
     controller = ProportionalController.from_miss_ratio_target(
         HitRatioCurve.from_distances(reuse_distances(trace)), desired_miss_ratio=0.05,
-        mean_arrival_rate=trace.arrival_rate(), initial_size_mb=4096.0, deadband=0.1,
-        control_period_s=50.0,
+        mean_arrival_rate=trace.arrival_rate(), initial_size_mb=2048.0, max_size_mb=4096.0,
+        deadband=0.1, control_period_s=50.0,
     )
 
     def run(invoker):
@@ -178,6 +179,7 @@ def traced_invoker(tmp):
 
     runs, events = _traced(tmp, twice)
     assert runs[1] == runs[0]
+    assert runs[0]["sizes"] and 2048.0 not in runs[0]["sizes"]  # the pool grew
     return {"jsonl": events, **runs[0]}
 
 

@@ -57,9 +57,12 @@ REPLAY_PROBE = "import repro.sim.scheduler, repro.sim.columnar, repro.traces.str
 #: draws when they run) left it at 42: ``REPLAY_PROBE_FORBIDDEN`` holds
 #: them out instead. 25 since the policies load by name, the fault
 #: machinery under an enabled spec and the tracer's sinks and schema
-#: with a tracer that uses them. Lower it after a real cut; raising it
-#: needs the ``setup_s`` row that paid for it.
-REPLAY_PROBE_MODULES = 25
+#: with a tracer that uses them. 26 with ``repro.domains``, the stdlib-only
+#: leaf that declares every numeric knob's domain (the policies, the run
+#: config and the trace's functions check their knobs against it). Lower
+#: it after a real cut; raising it needs the ``setup_s`` row that paid
+#: for it.
+REPLAY_PROBE_MODULES = 26
 REPLAY_PROBE_FORBIDDEN = (
     "repro.checks.linter", "repro.checks.rules", "repro.provisioning",
     "repro.cluster", "repro.openwhisk", "repro.live", "repro.traces.azure",
@@ -85,13 +88,15 @@ service = LivePoolService(trace, "GD", 2048.0, clock=SimClock())
 assert service.admit(service.function_names()[0], now_s=0.0).outcome == "cold"
 LiveHTTPServer(service, port=0)
 """
-#: ``repro.*`` modules behind :data:`SERVE_PATH`: the replay probe's 25
-#: less ``sim.columnar`` and ``traces.streaming``, plus the CLI and its
+#: ``repro.*`` modules behind :data:`SERVE_PATH`: the replay probe's 26
+#: (``repro.domains`` among them) less ``sim.columnar`` and
+#: ``traces.streaming``, plus the CLI and its
 #: table helpers (``cli``, ``analysis``, ``analysis.reporting``), the
 #: service (``live`` 4) and the built-in workloads (``traces.synth``,
 #: ``traces.functionbench``). 49 while the policies, the fault
-#: machinery and the tracer's sinks loaded with the engine.
-SERVE_PATH_MODULES = 32
+#: machinery and the tracer's sinks loaded with the engine; 32 before
+#: ``repro.domains``.
+SERVE_PATH_MODULES = 33
 #: One run through ``simulate()``'s default dispatch on a small trace
 #: (four functions, gaps above their cold time), and the path it took.
 SMALL_RUN = """
@@ -182,9 +187,10 @@ class TestModuleBudget:
     def test_cli_help_loads_the_cli_alone(self):
         modules = loaded_after(CLI_HELP)
         assert "numpy" not in modules
+        # ``repro.domains``: each numeric flag parses into its knob's domain.
         assert ours(modules) == [
             "repro", "repro._lazy", "repro.analysis",
-            "repro.analysis.reporting", "repro.cli",
+            "repro.analysis.reporting", "repro.cli", "repro.domains",
         ]
 
 

@@ -306,9 +306,9 @@ class TestLoopbackSmoke:
         # nan fails every comparison: it once passed a "< 0" check and
         # ran no expiry timer at all; inf started one that never fired.
         __, service = _sim_service()
-        with pytest.raises(ValueError, match="must be finite and >= 0"):
+        with pytest.raises(ValueError, match="must be a finite number >= 0"):
             LiveHTTPServer(service, tick_interval_s=interval)
-        with pytest.raises(ValueError, match="must be finite and >= 0"):
+        with pytest.raises(ValueError, match="must be a finite number >= 0"):
             ServerThread(service, tick_interval_s=interval)
 
 

@@ -57,10 +57,6 @@ class TestTenantModel:
         func = TraceFunction("f", 128.0, 0.1, 1.0)
         assert func.tenant_id == 0
 
-    def test_negative_tenant_rejected(self):
-        with pytest.raises(ValueError):
-            TraceFunction("f", 128.0, 0.1, 1.0, tenant_id=-1)
-
     def test_trace_tenant_ids_sorted_and_has_tenants(self):
         trace = _two_tenant_trace()
         assert trace.tenant_ids() == (1, 2)
@@ -521,6 +517,8 @@ class TestCliTenantFlags:
     @pytest.mark.parametrize(
         "spec", ["nope", "1:1024", "x=1024", "1=lots"]
     )
-    def test_parse_tenant_map_rejects_bad_specs(self, spec):
-        with pytest.raises(SystemExit, match="TENANT=MB"):
+    def test_parse_tenant_map_rejects_bad_specs(self, spec, capsys):
+        with pytest.raises(SystemExit) as exited:
             self.quotas(spec)
+        assert exited.value.code == 2
+        assert "expected TENANT=MB" in capsys.readouterr().err

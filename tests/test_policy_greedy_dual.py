@@ -171,7 +171,7 @@ class TestVictimSelection:
     def test_nonfinite_or_negative_term_weight_rejected(self, name, weight):
         """As for tenant weights: an infinite weight times a zero-cost
         function's zero term scores NaN, and a NaN never compares."""
-        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number >= 0"):
             GreedyDualPolicy(**{name: weight})
 
     def test_weights_allow_lru_degeneration(self):

@@ -501,6 +501,24 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**bad)
 
+    @pytest.mark.parametrize("engine", ["columnar", "object"])
+    def test_a_run_validates_one_config_at_most(self, engine, monkeypatch):
+        """``split`` folds the keywords over the frozen default instead of
+        building a default and then a replaced copy; the simulator keeps
+        the config it is handed."""
+        checked, post_init = [], RunConfig.__post_init__
+
+        def counted(self):
+            checked.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(RunConfig, "__post_init__", counted)
+        trace = make_trace("ABAB", gap_s=10.0)
+        simulate(trace, "GD", 1024.0, engine=engine)
+        assert len(checked) == 0
+        simulate(trace, "GD", 1024.0, engine=engine, warmup_s=15.0)
+        assert len(checked) == 1
+
     def test_pickles(self):
         config = RunConfig(
             warmup_s=5.0,

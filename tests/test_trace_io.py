@@ -136,6 +136,13 @@ class TestColumnsOnly:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invocation 1: "):
             load_trace_csv(tmp_path / "trace")
 
+    def test_csv_function_row_nan_names_the_file_and_field(self, tmp_path):
+        save_trace_csv(make_trace("AB"), tmp_path / "trace")
+        path = tmp_path / "trace.functions.csv"
+        path.write_text(path.read_text().replace("256.0", "nan", 1))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: function 'A': memory_mb "):
+            load_trace_csv(tmp_path / "trace")
+
     def test_unknown_function_names_the_file(self, tmp_path):
         path = tmp_path / "trace.json"
         save_trace_json(make_trace("AB"), path)
