@@ -132,6 +132,13 @@ class LoadBalancer(abc.ABC):
         """Whether ``server`` may receive new placements."""
         return server not in self._down and server not in self._draining
 
+    def _check_loads(self, used_mb: Sequence[float]) -> None:
+        """ValueError unless ``used_mb`` has one entry per server."""
+        if len(used_mb) != self.num_servers:
+            raise ValueError(
+                f"expected {self.num_servers} load entries, got {len(used_mb)}"
+            )
+
     def _healthy(self) -> List[int]:
         """Ascending indices of placeable servers; raises if none.
 
@@ -308,10 +315,7 @@ class AffinityWithSpilloverBalancer(HashAffinityBalancer):
         self.spillovers = 0
 
     def route(self, function_name: str, used_mb: Sequence[float]) -> int:
-        if len(used_mb) != self.num_servers:
-            raise ValueError(
-                f"expected {self.num_servers} load entries, got {len(used_mb)}"
-            )
+        self._check_loads(used_mb)
         home = super().route(function_name, used_mb)
         # Load statistics consider healthy servers only: a dead
         # server's zero usage must not drag the mean down or attract
@@ -359,10 +363,7 @@ class LeastLoadedBalancer(LoadBalancer):
     name = "least-loaded"
 
     def route(self, function_name: str, used_mb: Sequence[float]) -> int:
-        if len(used_mb) != self.num_servers:
-            raise ValueError(
-                f"expected {self.num_servers} load entries, got {len(used_mb)}"
-            )
+        self._check_loads(used_mb)
         best = -1
         for i in range(self.num_servers):
             if not self._available(i):
@@ -412,10 +413,7 @@ class MinWorkerSetBalancer(LoadBalancer):
         self.high_watermark = high_watermark
 
     def route(self, function_name: str, used_mb: Sequence[float]) -> int:
-        if len(used_mb) != self.num_servers:
-            raise ValueError(
-                f"expected {self.num_servers} load entries, got {len(used_mb)}"
-            )
+        self._check_loads(used_mb)
         threshold = self.high_watermark * self.server_capacity_mb
         best = -1
         for i in range(self.num_servers):
@@ -449,10 +447,7 @@ class JoinShortestQueueBalancer(LoadBalancer):
     load_signal = "queue"
 
     def route(self, function_name: str, used_mb: Sequence[float]) -> int:
-        if len(used_mb) != self.num_servers:
-            raise ValueError(
-                f"expected {self.num_servers} load entries, got {len(used_mb)}"
-            )
+        self._check_loads(used_mb)
         best = -1
         for i in range(self.num_servers):
             if not self._available(i):

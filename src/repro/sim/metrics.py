@@ -66,13 +66,24 @@ def tenant_fairness(tenant_counters: Mapping[int, Mapping[str, int]]) -> float:
     return jain_index(ratios)
 
 
-@dataclass
 class FunctionOutcome:
-    """Per-function invocation outcome counters."""
+    """Per-function invocation outcome counters, slotted: one allocation
+    per row, no instance ``__dict__``."""
 
-    warm: int = 0
-    cold: int = 0
-    dropped: int = 0
+    __slots__ = ("warm", "cold", "dropped")
+
+    def __init__(self, warm: int = 0, cold: int = 0, dropped: int = 0) -> None:
+        self.warm = warm
+        self.cold = cold
+        self.dropped = dropped
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.warm, self.cold, self.dropped) == (other.warm, other.cold, other.dropped)
+
+    def __repr__(self) -> str:
+        return f"FunctionOutcome(warm={self.warm!r}, cold={self.cold!r}, dropped={self.dropped!r})"
 
     @property
     def served(self) -> int:

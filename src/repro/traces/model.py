@@ -27,7 +27,9 @@ from itertools import compress, count, islice, repeat
 from math import inf, isnan
 from operator import add, attrgetter, eq, le
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.domains import check_fields, int_at_least, knob, nonneg, positive
 
@@ -38,8 +40,10 @@ __all__ = ["TraceFunction", "Invocation", "FunctionTable", "Trace", "DEFAULT_CHU
 #: (docs/performance-log.md has the chunk-size and peak table).
 DEFAULT_CHUNK_INVOCATIONS = 4096
 
+_tuple_new = tuple.__new__
 _TIME = attrgetter("time_s")
 _NAME = attrgetter("function_name")
+_FUNCTION_NAME = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -78,18 +82,30 @@ class TraceFunction:
         return self.cold_time_s - self.warm_time_s
 
 
-@dataclass(frozen=True, order=True)
-class Invocation:
-    """One function invocation request at an absolute time."""
-
+class _InvocationFields(NamedTuple):
     time_s: float
     function_name: str
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.time_s < inf:  # a NaN fails every comparison
-            raise ValueError(
-                f"invocation time must be finite and >= 0, got {self.time_s}"
-            )
+
+class Invocation(_InvocationFields):
+    """One function invocation request at an absolute time.
+
+    The tuple ``(time_s, function_name)`` with a checked time: it
+    orders, hashes and compares equal as that plain tuple does, and its
+    fields are C tuple getters.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, time_s: float, function_name: str) -> "Invocation":
+        if not 0 <= time_s < inf:  # a NaN fails every comparison
+            raise ValueError(f"invocation time must be finite and >= 0, got {time_s}")
+        return _tuple_new(cls, (time_s, function_name))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "Invocation":
+        # ``_replace`` builds through here: keep the check on that path.
+        return cls(*iterable)
 
 
 class FunctionTable:
@@ -101,22 +117,19 @@ class FunctionTable:
     """
 
     def __init__(self, functions: Iterable[TraceFunction]) -> None:
-        objects: List[TraceFunction] = []
-        index: Dict[str, int] = {}
-        for func in functions:
-            if func.name in index:
-                raise ValueError(f"duplicate function name {func.name!r}")
-            index[func.name] = len(objects)
-            objects.append(func)
-        self._objects: Tuple[TraceFunction, ...] = tuple(objects)
+        objects: Tuple[TraceFunction, ...] = tuple(functions)
+        names: Tuple[str, ...] = tuple(map(_FUNCTION_NAME, objects))
+        index: Dict[str, int] = dict(zip(names, count()))
+        if len(index) != len(names):
+            duplicate = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"duplicate function name {duplicate!r}")
+        self._objects = objects
         self._index = index
         #: The id of a function name (``KeyError`` for an unknown one):
         #: the dict's own lookup, so mapping names over it costs no frame.
         self.index_of: Callable[[str], int] = index.__getitem__
-        self._by_name: Mapping[str, TraceFunction] = MappingProxyType(
-            {f.name: f for f in objects}
-        )
-        self.names: Tuple[str, ...] = tuple(index)
+        self._by_name: Mapping[str, TraceFunction] = MappingProxyType(dict(zip(names, objects)))
+        self.names = names
 
     def __reduce__(self):
         return FunctionTable, (self._objects,)
@@ -186,9 +199,11 @@ class Trace:
         name: str = "trace",
     ) -> None:
         table = FunctionTable(functions)
-        # Already in time order, the stable sort is a single pass.
+        # Already in time order, the stable sort is a single pass. Each
+        # Invocation checked its own time, so the sorted column needs no
+        # second look: only its runs of equal times go in name order.
         ordered = sorted(invocations, key=_TIME)
-        self._adopt(
+        self._keep(
             table,
             array("d", list(map(_TIME, ordered))),
             table.ids_of(list(map(_NAME, ordered))),
@@ -228,7 +243,7 @@ class Trace:
     ) -> None:
         """Keep the columns in canonical order. One linear pass checks
         the times; only when it fails are they sorted (stably). Then
-        each run of equal times is put in name order."""
+        :meth:`_keep` puts each run of equal times in name order."""
         if not all(map(le, times, islice(times, 1, None))):  # a NaN fails too
             _check_times(times)
             order = sorted(range(len(times)), key=times.__getitem__)
@@ -236,6 +251,13 @@ class Trace:
             ids = array("i", map(ids.__getitem__, order))
         elif times and not (0.0 <= times[0] and times[-1] < inf):
             _check_times(times)
+        self._keep(table, times, ids, name)
+
+    def _keep(
+        self, table: FunctionTable, times: "array[float]", ids: "array[int]", name: str
+    ) -> None:
+        """Keep checked, time-sorted columns, each run of equal times
+        put in name order."""
         runs: List[List[int]] = []  # [first, last] of each run of equal times
         for i in compress(count(), map(eq, times, islice(times, 1, None))):
             if runs and runs[-1][1] == i:

@@ -492,7 +492,6 @@ def churn_trace(
         while t < duration_s:
             invocations.append(Invocation(round(t, 6), function.name))
             t += iat * rng.uniform(0.7, 1.3)
-    invocations.sort(key=lambda inv: (inv.time_s, inv.function_name))
     return Trace(functions, invocations, name=name)
 
 

@@ -66,6 +66,15 @@ class TestBalancers:
         with pytest.raises(ValueError):
             lb.route("f", [1.0])
 
+    @pytest.mark.parametrize("name", [
+        "affinity-spillover", "least-loaded", "min-worker-set", "join-shortest-queue",
+    ])
+    def test_load_aware_balancers_refuse_a_short_load_vector(self, name):
+        lb = create_balancer(name, 3)
+        with pytest.raises(ValueError, match=r"^expected 3 load entries, got 2$"):
+            lb.route("f", [1.0, 2.0])
+        assert lb.route("f", [0.0, 0.0, 0.0]) in range(3)
+
 
 class TestClusterSimulator:
     def test_all_invocations_routed(self):

@@ -48,7 +48,7 @@ class TestTable:
                 assert row.where[0] in EVENT_SCHEMAS[row.event], row
             assert row.name in _int_fields(SimulationMetrics), row
             if row.per_tenant is not None:
-                assert row.per_tenant in _int_fields(FunctionOutcome), row
+                assert row.per_tenant in FunctionOutcome.__slots__, row
 
     def test_eviction_rows_use_known_reasons(self):
         reasons = counter_table.eviction_counters()

@@ -1,5 +1,7 @@
 """Edge-case coverage for metrics, server config, and boundary paths."""
 
+import pickle
+
 import pytest
 
 from repro.sim.metrics import FunctionOutcome, SimulationMetrics
@@ -18,6 +20,37 @@ class TestFunctionOutcome:
         o = FunctionOutcome()
         assert o.hit_ratio == 0.0
         assert o.total == 0
+
+    def test_one_slotted_object_with_the_dataclass_surface(self):
+        o = FunctionOutcome(1, 2)
+        assert not hasattr(o, "__dict__")
+        assert repr(o) == "FunctionOutcome(warm=1, cold=2, dropped=0)"
+        assert o == FunctionOutcome(warm=1, cold=2, dropped=0)
+        assert o != FunctionOutcome(1, 2, 1) and o != (1, 2, 0)
+        o.dropped += 3
+        assert (o.warm, o.cold, o.dropped, o.total) == (1, 2, 3, 6)
+        with pytest.raises(TypeError):
+            hash(o)
+
+    def test_outcomes_pickle_and_cross_the_sweep_pool(self):
+        from repro.sim.scheduler import simulate
+        from repro.sim.sweep import run_sweep
+        from repro.traces.synth import noisy_neighbor_trace
+
+        trace = noisy_neighbor_trace(duration_s=600.0)
+        metrics = simulate(trace, "GD", 2048.0).metrics
+        back = pickle.loads(pickle.dumps(metrics))
+        assert back.per_function == metrics.per_function
+        assert back.per_tenant == metrics.per_tenant and len(back.per_tenant) > 1
+        inline, pooled = (
+            run_sweep(trace, [2.0], policies=("GD", "LRU"), max_workers=workers)
+            for workers in (1, 2)
+        )
+        assert pooled.failed_cells == [] and pooled.points == inline.points
+        assert pooled.points[0].tenant_counters == {
+            str(tenant): dict(counts)
+            for tenant, counts in metrics.tenant_counters().items()
+        }
 
 
 class TestSimulationMetricsDirect:

@@ -161,6 +161,18 @@ LIVE_CALLS = 35_317
 #: over-draws) and a few ufuncs per round pay 0.82 (5,708); 5,694 with
 #: the kernel's leaner chunk pass (the warm replay's cuts, above).
 STREAM_CALLS = 5_694
+#: Building 1,000 ``Invocation``s (shuffled times on a 0.1 s grid, 89
+#: equal-time neighbours) and their ``Trace`` over 100 functions, an
+#: exact count. 2,375 with a frozen-dataclass ``Invocation``: two frames
+#: each (``__init__``, ``__post_init__``; its two ``object.__setattr__``
+#: are slot wrappers the profiler does not see, so the dataclass's cost
+#: shows in wall time, not here), two calls per function in the
+#: registry's loop (``len``, ``append``) and the time column's order
+#: check. With the ``NamedTuple``: still two each (``__new__`` and
+#: ``tuple.__new__``), the registry built by ``dict(zip(...))`` and no
+#: second look at the sorted column: 2,175. Each run of equal times
+#: costs two (a ``list.append`` and its ``sorted``).
+TRACE_BUILD_CALLS = 2_175
 
 
 def round_robin_trace(num_functions=200, rounds=3, seed=16):
@@ -197,6 +209,21 @@ def churn_trace(num_functions=60, duration_s=1200.0, seed=16):
             invocations.append(Invocation(round(t, 6), function.name))
             t += iat * rng.uniform(0.7, 1.3)
     return Trace(functions, invocations, name="churn")
+
+
+def build_pairs(num_functions=100, num_invocations=1000, seed=16):
+    """Functions, and arrival times and names in no order, with ties."""
+    rng = random.Random(seed)
+    functions = [
+        TraceFunction(f"b-{i:03d}", CONTAINER_MB, 0.2, 1.0) for i in range(num_functions)
+    ]
+    times = [round(rng.uniform(0.0, 600.0), 1) for __ in range(num_invocations)]
+    names = [functions[rng.randrange(num_functions)].name for __ in times]
+    return functions, times, names
+
+
+def build_trace(functions, times, names):
+    return Trace(functions, list(map(Invocation, times, names)), name="build")
 
 
 #: What replay code imports inside a function, on first use.
@@ -558,3 +585,15 @@ def test_the_enum_guard_bites():
         function.__globals__, scope,
     )
     assert "ContainerState" in loaded_globals(scope["idle_warm_container"])
+
+
+def test_trace_build_call_budget():
+    functions, times, names = build_pairs()
+    calls, trace = counted(build_trace, functions, times, names)
+    ordered = list(trace.times_s)
+    assert len(trace) == 1000 and ordered == sorted(times)
+    assert sum(map(float.__eq__, ordered, ordered[1:])) == 89
+    assert calls == TRACE_BUILD_CALLS, (
+        f"{calls} calls to build 1,000 invocations and their trace, "
+        f"budget {TRACE_BUILD_CALLS}"
+    )

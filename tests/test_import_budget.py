@@ -97,6 +97,9 @@ LiveHTTPServer(service, port=0)
 #: machinery and the tracer's sinks loaded with the engine; 32 before
 #: ``repro.domains``.
 SERVE_PATH_MODULES = 33
+#: What :data:`SERVE_PATH` loads beside those under ``REPRO_SANITIZE=1``:
+#: the sanitizer reports through a tracer sink.
+SANITIZED_SERVE_EXTRA = ("repro.obs.report", "repro.obs.sinks")
 #: One run through ``simulate()``'s default dispatch on a small trace
 #: (four functions, gaps above their cold time), and the path it took.
 SMALL_RUN = """
@@ -116,10 +119,14 @@ except SystemExit:
 
 
 def fresh(code, stdin=None, **env):
-    """Run ``code`` in a new interpreter on this tree; its stdout."""
+    """Run ``code`` in a new interpreter on this tree; its stdout. A
+    variable given as ``None`` is removed from the child's environment."""
+    child_env = dict(os.environ, PYTHONPATH=str(SRC), **env)
+    for name in [name for name, value in env.items() if value is None]:
+        child_env.pop(name, None)
     done = subprocess.run(
         [sys.executable, "-c", code], input=stdin, capture_output=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC), **env), timeout=120,
+        env=child_env, timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout.decode()
@@ -142,7 +149,7 @@ class TestModuleBudget:
         assert len(ours(modules)) == REPLAY_PROBE_MODULES, ours(modules)
 
     def test_serve_path_loads_no_numpy_and_no_linter(self):
-        modules = loaded_after(SERVE_PATH)
+        modules = loaded_after(SERVE_PATH, REPRO_SANITIZE=None)
         assert "repro.live.server" in modules
         # No event loop, and with it no ssl (~8 MB of the child's VmHWM);
         # no fault draw, and with it no OpenSSL through hashlib.
@@ -150,6 +157,10 @@ class TestModuleBudget:
             ("numpy", "repro.checks.linter", "asyncio", "ssl", "_hashlib")
         ), ours(modules)
         assert len(ours(modules)) == SERVE_PATH_MODULES, ours(modules)
+        # Sanitized, the same path also loads the sanitizer's report
+        # sink, and nothing else.
+        sanitized = loaded_after(SERVE_PATH, REPRO_SANITIZE="1")
+        assert ours(sanitized) == sorted({*ours(modules), *SANITIZED_SERVE_EXTRA})
 
     @pytest.mark.parametrize("args, path, loads, skips", [
         ('"GD", 256.0', "gd-kernel", (), ("numpy", "_hashlib", *UNUSED)),

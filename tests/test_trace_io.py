@@ -90,10 +90,15 @@ class TestColumnsOnly:
         trace = skewed_size_trace(duration_s=120.0)
         save_trace_json(trace, tmp_path / "trace.json")
         save_trace_csv(trace, tmp_path / "trace")
-        built = []
-        monkeypatch.setattr(
-            Invocation, "__post_init__", lambda inv: built.append(inv)
-        )
+        built, new = [], Invocation.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Invocation, "__new__", counted_new)
+        assert Invocation(1.0, "f") == (1.0, "f") and built == [(1.0, "f")]
+        built.clear()
         loaded = [load_trace_json(tmp_path / "trace.json"), load_trace_csv(tmp_path / "trace")]
         assert built == []
         assert all(len(t) == len(trace) for t in loaded)

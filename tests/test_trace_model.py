@@ -1,6 +1,9 @@
 """Unit tests for the trace data model."""
 
+import math
 import pickle
+import random
+import re
 import tempfile
 
 import pytest
@@ -48,6 +51,55 @@ class TestInvocation:
 
     def test_ordering_by_time(self):
         assert Invocation(1.0, "b") < Invocation(2.0, "a")
+
+
+class TestInvocationContract:
+    """``Invocation`` is the tuple ``(time_s, function_name)`` with a
+    checked time: what the frozen dataclass it replaced promised, at a
+    tuple's cost."""
+
+    @pytest.mark.parametrize("time_s", [math.nan, math.inf, -math.inf, -1])
+    @pytest.mark.parametrize("keywords", [False, True])
+    def test_refuses_a_time_outside_its_domain(self, time_s, keywords):
+        message = f"invocation time must be finite and >= 0, got {time_s}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if keywords:
+                Invocation(time_s=time_s, function_name="f")
+            else:
+                Invocation(time_s, "f")
+
+    def test_replace_keeps_the_check(self):
+        assert Invocation(1.0, "f")._replace(time_s=2.0) == Invocation(2.0, "f")
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Invocation(1.0, "f")._replace(time_s=math.nan)
+
+    @pytest.mark.parametrize("field", ["time_s", "function_name", "other"])
+    def test_immutable(self, field):
+        inv = Invocation(1.0, "f")
+        with pytest.raises(AttributeError):
+            setattr(inv, field, 2.0)
+        assert not hasattr(inv, "__dict__")
+
+    def test_sorted_orders_by_time_then_name(self):
+        arrivals = [Invocation(2.0, "a"), Invocation(1.0, "c"), Invocation(1.0, "b")]
+        assert sorted(arrivals) == [
+            Invocation(1.0, "b"), Invocation(1.0, "c"), Invocation(2.0, "a"),
+        ]
+
+    def test_equals_and_hashes_as_its_plain_tuple(self):
+        inv = Invocation(time_s=1.5, function_name="f")
+        assert inv == Invocation(1.5, "f") == (1.5, "f")
+        assert hash(inv) == hash((1.5, "f"))
+        assert len({inv, Invocation(1.5, "f"), Invocation(1.5, "g")}) == 2
+        assert (inv.time_s, inv.function_name) == tuple(inv)
+
+    def test_pickle_round_trip(self):
+        inv = Invocation(0.1 + 0.2, "f")
+        back = pickle.loads(pickle.dumps(inv))
+        assert type(back) is Invocation and back == inv
+
+    def test_repr(self):
+        assert repr(Invocation(1.5, "f")) == "Invocation(time_s=1.5, function_name='f')"
 
 
 class TestTrace:
@@ -168,7 +220,7 @@ class TestReplayOrder:
     """``Trace`` keeps its arrivals as columns in canonical order, checked
     in one pass and sorted only where the check fails; the invocations it
     builds back must equal ``sorted()`` over ``Invocation.__lt__`` (the
-    dataclass's field-tuple comparison). The columns hold float times,
+    ``(time_s, function_name)`` tuple comparison). The columns hold float times,
     so an int time comes back as the equal float."""
 
     FUNCTIONS = [make_function(name) for name in "ABC"]
@@ -193,6 +245,22 @@ class TestReplayOrder:
         objects = Trace(self.FUNCTIONS, invocations)
         assert columns.invocations == objects.invocations
         assert columns.function_ids.tobytes() == objects.function_ids.tobytes()
+
+    def test_shuffled_objects_build_the_columns_from_columns_builds(self):
+        """On columns full of equal-time ties (each time three to five
+        times, names drawn with repeats), ``Trace(functions, objects)`` in
+        any order holds the bytes ``Trace.from_columns`` holds."""
+        rng = random.Random(49)
+        functions = [make_function(f"f{i:02d}") for i in range(12)]
+        times = [float(t) for t in range(200) for __ in range(rng.randint(3, 5))]
+        ids = [rng.randrange(len(functions)) for __ in times]
+        columns = Trace.from_columns(functions, times, ids)
+        objects = [Invocation(t, functions[i].name) for t, i in zip(times, ids)]
+        rng.shuffle(objects)
+        built = Trace(functions, objects)
+        assert built.times_s.tobytes() == columns.times_s.tobytes()
+        assert built.function_ids.tobytes() == columns.function_ids.tobytes()
+        assert built.invocations == tuple(sorted(objects))
 
     def test_comparison_operators_are_the_dataclass_ones(self):
         early, late = Invocation(1.0, "B"), Invocation(1.0, "C")
