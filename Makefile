@@ -18,21 +18,16 @@ test:
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Paper figures regenerated, their claim asserts run, and the committed
-# result files required to be exactly what the code prints: the §7
-# invoker's (Figures 1, 7, 8 and the eviction slow-path ablation) and
-# the simulator's Figure 5/6 sweeps and mean memory occupancy. The GD
-# kernel answers 16 of the sweeps' 17 GD cells, so the diff fails if it
-# ever leaves the loop on the paper's own numbers.
-PAPER_FIGURES = fig1_coldstart_timeline fig7_skewed_workloads fig8_server_breakdown \
-	ablation_eviction_batching fig5_exec_increase fig6_cold_starts memory_usage
+# Every bench module run, its claim asserts with it, and every committed
+# result file required to be exactly what the code prints: the paper's
+# figures and tables, the ablations and the extensions. The GD kernel
+# answers 16 of the Figure 5/6 sweeps' 17 GD cells, so the diff fails if
+# it ever leaves the loop on the paper's own numbers. Benches that only
+# time things print to stdout.
 paper-figures:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest -q -p no:cacheprovider --benchmark-disable \
-		$(foreach b,$(PAPER_FIGURES),bench_$(b).py)
-	git diff --exit-code -- benchmarks/results/fig1.txt benchmarks/results/fig7.txt \
-		benchmarks/results/fig8.txt benchmarks/results/ablation_eviction_batching.txt \
-		'benchmarks/results/fig5_*.txt' 'benchmarks/results/fig6_*.txt' \
-		benchmarks/results/memory_usage.txt
+		bench_*.py
+	git diff --exit-code -- benchmarks/results/
 
 # The repo's benchmark (BENCHMARK.json) smoke-sized, plus the harness's
 # own unit tests: every declared metric emitted, no probe target

@@ -57,7 +57,7 @@ def main(trace_out=None, counters_out=None) -> None:
         control_period_s=600.0,
         deadband=0.3,
     )
-    sink = JsonlSink(trace_out, eager=True) if trace_out else None
+    sink = JsonlSink(trace_out) if trace_out else None
     try:
         result = AutoscaledSimulation(
             trace, controller, policy="GD", deflation_engine=DeflationEngine(),

@@ -39,7 +39,7 @@ def trace_faascache(trace, config, trace_out, counters_out=None) -> None:
     invoker = faascache_invoker(
         config, free_threshold_mb=min(DEFAULT_FREE_THRESHOLD_MB, 0.05 * config.memory_mb)
     )
-    sink = JsonlSink(trace_out, eager=True)
+    sink = JsonlSink(trace_out)
     try:
         invoker.tracer = Tracer(sink, strict=True)
         counters = invoker.run(trace).metrics.counters()

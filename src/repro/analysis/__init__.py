@@ -13,27 +13,27 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.analysis.concurrency import (
-        concurrency_headroom_mb, concurrency_profile, max_concurrency, working_set_mb,
+        concurrency_headroom_mb, concurrency_profile, working_set_mb,
     )
     from repro.analysis.reporting import format_bar_chart, format_series_table, format_table
-    from repro.analysis.stats import EWMA, EmpiricalCDF, Welford, mean, percentile
+    from repro.analysis.stats import EWMA, Welford, mean, percentile
     from repro.analysis.workload import (
         WorkloadProfile, diurnal_peak_to_mean, gini_coefficient, orders_of_magnitude, profile_trace,
         top_share,
     )
 
 __all__ = [
-    "concurrency_headroom_mb", "concurrency_profile", "max_concurrency", "working_set_mb",
+    "concurrency_headroom_mb", "concurrency_profile", "working_set_mb",
     "format_bar_chart", "format_series_table", "format_table",
-    "EWMA", "EmpiricalCDF", "Welford", "mean", "percentile",
+    "EWMA", "Welford", "mean", "percentile",
     "WorkloadProfile", "diurnal_peak_to_mean", "gini_coefficient", "orders_of_magnitude",
     "profile_trace", "top_share",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "concurrency": "concurrency_headroom_mb concurrency_profile max_concurrency working_set_mb",
+    "concurrency": "concurrency_headroom_mb concurrency_profile working_set_mb",
     "reporting": "format_bar_chart format_series_table format_table",
-    "stats": "EWMA EmpiricalCDF Welford mean percentile",
+    "stats": "EWMA Welford mean percentile",
     "workload": (
         "WorkloadProfile diurnal_peak_to_mean gini_coefficient orders_of_magnitude profile_trace "
         "top_share"

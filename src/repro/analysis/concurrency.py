@@ -25,7 +25,6 @@ from repro.traces.model import Trace
 
 __all__ = [
     "concurrency_profile",
-    "max_concurrency",
     "concurrency_headroom_mb",
     "working_set_mb",
 ]
@@ -60,23 +59,6 @@ def concurrency_profile(trace: Trace, use_cold_time: bool = False) -> Dict[str, 
             peak = max(peak, current)
         peaks[name] = peak
     return peaks
-
-
-def max_concurrency(trace: Trace, use_cold_time: bool = False) -> int:
-    """Peak overlapping invocations across *all* functions."""
-    events: List[Tuple[float, int]] = []
-    for time_s, function in trace.arrivals():
-        duration = (
-            function.cold_time_s if use_cold_time else function.warm_time_s
-        )
-        events.append((time_s, +1))
-        events.append((time_s + duration, -1))
-    events.sort(key=lambda e: (e[0], e[1]))
-    current = peak = 0
-    for __, delta in events:
-        current += delta
-        peak = max(peak, current)
-    return peak
 
 
 def concurrency_headroom_mb(trace: Trace, use_cold_time: bool = False) -> float:

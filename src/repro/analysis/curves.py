@@ -1,28 +1,22 @@
-"""Series builders for the paper's figures.
-
-Each function assembles exactly the data one figure plots, from the
-library's primitives, so benchmarks and examples share one definition
-of "the Figure N data".
+"""The Figure 3 series: the reuse-distance hit-ratio curve's prediction
+beside the simulator's observed hit ratios. (Figures 5 and 6 are
+:func:`~repro.sim.sweep.run_sweep` grids, built by their benchmarks.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.core.policies.base import PAPER_POLICIES
 from repro.provisioning.hit_ratio import HitRatioCurve
 from repro.provisioning.reuse_distance import reuse_distances
 from repro.sim.scheduler import simulate
 from repro.sim.server import GB_MB
-from repro.sim.sweep import SweepResult, run_sweep
 from repro.traces.model import Trace
 
 __all__ = [
     "HitRatioComparison",
     "figure3_data",
-    "figure5_data",
-    "figure6_data",
 ]
 
 
@@ -63,28 +57,3 @@ def figure3_data(
         predicted=predicted,
         observed=observed,
     )
-
-
-def figure5_data(
-    trace: Trace,
-    memory_gbs: Sequence[float],
-    policies: Sequence[str] = PAPER_POLICIES,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-policy (memory GB, % execution-time increase) series."""
-    sweep = run_sweep(trace, memory_gbs, policies).require_complete()
-    return {
-        policy: sweep.series(policy, "exec_time_increase_pct")
-        for policy in policies
-    }
-
-
-def figure6_data(
-    trace: Trace,
-    memory_gbs: Sequence[float],
-    policies: Sequence[str] = PAPER_POLICIES,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Per-policy (memory GB, % cold starts) series."""
-    sweep = run_sweep(trace, memory_gbs, policies).require_complete()
-    return {
-        policy: sweep.series(policy, "cold_start_pct") for policy in policies
-    }

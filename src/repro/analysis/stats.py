@@ -1,29 +1,26 @@
 """Online and offline statistics helpers shared across the library.
 
-The paper relies on three statistical primitives:
+The paper relies on two statistical primitives:
 
 * Welford's online algorithm [Welford 1962] for the coefficient of
   variation used by the HIST keep-alive policy (Section 7.1).
 * Exponentially weighted moving averages for the arrival-rate estimate
   consumed by the proportional provisioning controller (Section 5.2).
-* Empirical CDFs, which *are* the hit-ratio curves of Section 5.1
-  (Equation 2: the hit ratio at cache size ``c`` is the CDF of the
-  reuse-distance distribution evaluated at ``c``).
+
+(The hit-ratio curves of Section 5.1 are empirical CDFs of reuse
+distances: :class:`~repro.provisioning.hit_ratio.HitRatioCurve`.)
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence
 
-from repro.domains import Domain, probability
+from repro.domains import Domain
 
 __all__ = [
     "Welford",
     "EWMA",
-    "EmpiricalCDF",
     "percentile",
     "mean",
 ]
@@ -68,10 +65,6 @@ class Welford:
         return self._m2 / (self.count - 1)
 
     @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
     def coefficient_of_variation(self) -> float:
         """Stddev over mean; ``inf`` when the mean is zero but data varies.
 
@@ -87,8 +80,8 @@ class Welford:
         denominator = abs(self.mean)
         if denominator <= 0.0:
             return math.inf if self._m2 > 0.0 else 0.0
-        # ``stddev`` spelled out (same expression, same rounding), as
-        # HIST's inline copy spells it.
+        # The standard deviation spelled out, as HIST's inline copy
+        # spells it.
         return math.sqrt(self._m2 / (self.count - 1)) / denominator
 
     def merge(self, other: "Welford") -> "Welford":
@@ -156,86 +149,12 @@ class EWMA:
         return self._value
 
     @property
-    def initialized(self) -> bool:
-        return self._value is not None
-
-    @property
     def count(self) -> int:
         return self._count
 
     def __repr__(self) -> str:
         inner = "empty" if self._value is None else f"{self._value:.6g}"
         return f"EWMA(alpha={self._alpha}, value={inner})"
-
-
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """An empirical cumulative distribution function over a sample.
-
-    Built once from a sample; supports evaluation, inversion (quantile
-    lookup), and weighted construction. Weighted construction is what
-    SHARDS-style sampling needs: each retained sample carries weight
-    ``1 / sampling_rate``.
-    """
-
-    values: Tuple[float, ...]
-    cumulative_weights: Tuple[float, ...]
-    total_weight: float
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Iterable[float],
-        weights: Iterable[float] | None = None,
-    ) -> "EmpiricalCDF":
-        pairs: List[Tuple[float, float]]
-        if weights is None:
-            pairs = [(float(s), 1.0) for s in samples]
-        else:
-            pairs = [(float(s), float(w)) for s, w in zip(samples, weights)]
-        if not pairs:
-            raise ValueError("cannot build a CDF from an empty sample")
-        if any(w < 0 for _, w in pairs):
-            raise ValueError("weights must be non-negative")
-        pairs.sort(key=lambda p: p[0])
-        values: List[float] = []
-        cumulative: List[float] = []
-        running = 0.0
-        for value, weight in pairs:
-            running += weight
-            if values and values[-1] == value:
-                cumulative[-1] = running
-            else:
-                values.append(value)
-                cumulative.append(running)
-        if running <= 0.0:
-            raise ValueError("total weight must be positive")
-        return cls(tuple(values), tuple(cumulative), running)
-
-    def evaluate(self, x: float) -> float:
-        """P(X <= x), in [0, 1]."""
-        idx = bisect.bisect_right(self.values, x)
-        if idx == 0:
-            return 0.0
-        return self.cumulative_weights[idx - 1] / self.total_weight
-
-    def quantile(self, q: float) -> float:
-        """Smallest sample value v with P(X <= v) >= q."""
-        probability.check("q", q)
-        # The range check above pins q >= 0, so <= covers exactly the
-        # q == 0 case without a float equality (FC007).
-        if q <= 0.0:
-            return self.values[0]
-        target = q * self.total_weight
-        idx = bisect.bisect_left(self.cumulative_weights, target)
-        idx = min(idx, len(self.values) - 1)
-        return self.values[idx]
-
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def percentile(samples: Sequence[float], q: float) -> float:

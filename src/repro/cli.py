@@ -226,7 +226,7 @@ def _make_tracer(
 
     sinks = []
     if trace_out:
-        sinks.append(JsonlSink(trace_out, eager=True))
+        sinks.append(JsonlSink(trace_out))
     if metrics_out:
         sinks.append(PrometheusTextfileSink(metrics_out))
     if not sinks:

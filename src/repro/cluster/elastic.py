@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.cluster.simulation import MemberCounters, _server_level_spec, _shed_unavailable
 from repro.core.policies.base import create_policy
-from repro.domains import positive
+from repro.domains import check_args, int_at_least, positive
 from repro.faults import FaultModel, FaultSpec
 from repro.obs.tracer import Tracer, active_tracer
 from repro.provisioning.cpu_autoscale import ReactiveCpuScaler
@@ -71,6 +71,18 @@ class ElasticClusterResult(MemberCounters):
 class ElasticClusterSimulation:
     """Replay a trace on a cluster whose size tracks the load."""
 
+    #: ``max_servers`` is at least ``min_servers``; the scaler's knobs
+    #: keep its domains. ``inf``: servers with unbounded pools, as
+    #: :func:`~repro.sim.scheduler.simulate` takes.
+    domains = {
+        "server_memory_mb": positive.or_inf, "min_servers": int_at_least(1),
+        "max_servers": int_at_least(1), "requests_per_server_per_s": positive,
+        "target_utilization": ReactiveCpuScaler.domains["target_utilization"],
+        "control_period_s": positive,
+        "scale_down_hold_s": ReactiveCpuScaler.domains["scale_down_hold_s"],
+        "seed": int_at_least(0),
+    }
+
     def __init__(
         self,
         trace: Trace,
@@ -86,9 +98,11 @@ class ElasticClusterSimulation:
         tracer: Optional[Tracer] = None,
         fault_spec: Optional[FaultSpec] = None,
     ) -> None:
-        positive.check("requests_per_server_per_s", requests_per_server_per_s)
-        if not 1 <= min_servers <= max_servers:
-            raise ValueError("need 1 <= min_servers <= max_servers")
+        check_args(self.domains, locals())
+        if max_servers < min_servers:
+            raise ValueError(
+                f"max_servers must be >= min_servers, got {max_servers} < {min_servers}"
+            )
         self.trace = trace
         self.server_memory_mb = server_memory_mb
         self.policy_name = policy.upper()

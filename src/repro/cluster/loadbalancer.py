@@ -50,7 +50,7 @@ import random
 from math import inf
 from typing import Dict, List, Sequence, Set
 
-from repro.domains import Domain, int_at_least, positive
+from repro.domains import Domain, check_args, int_at_least, positive
 
 __all__ = [
     "LoadBalancer",
@@ -79,9 +79,11 @@ class LoadBalancer(abc.ABC):
     #: invocation counts). The cluster simulator builds the matching
     #: load vector before calling :meth:`route`.
     load_signal: str = "memory"
+    #: The domain of each numeric parameter of the constructor.
+    domains = {"num_servers": int_at_least(1)}
 
     def __init__(self, num_servers: int) -> None:
-        int_at_least(1).check("num_servers", num_servers)
+        check_args(LoadBalancer.domains, locals())
         self.num_servers = num_servers
         #: Servers currently failed (health-aware routing skips them).
         self._down: Set[int] = set()
@@ -197,9 +199,11 @@ class RandomBalancer(LoadBalancer):
     """Uniform random routing — maximal simplicity, minimal locality."""
 
     name = "random"
+    domains = {**LoadBalancer.domains, "seed": int_at_least(0)}
 
     def __init__(self, num_servers: int, seed: int = 0) -> None:
         super().__init__(num_servers)
+        check_args(RandomBalancer.domains, locals())
         self._rng = random.Random(seed)
 
     def route(self, function_name: str, used_mb: Sequence[float]) -> int:
@@ -243,10 +247,13 @@ class HashAffinityBalancer(LoadBalancer):
     """
 
     name = "hash-affinity"
+    #: ``replicas`` is at most ``num_servers``; ``seed`` salts the hash.
+    domains = {**LoadBalancer.domains, "replicas": int_at_least(1), "seed": int_at_least(0)}
 
     def __init__(self, num_servers: int, replicas: int = 1, seed: int = 0) -> None:
         super().__init__(num_servers)
-        if not 1 <= replicas <= num_servers:
+        check_args(HashAffinityBalancer.domains, locals())
+        if replicas > num_servers:
             raise ValueError(
                 f"replicas must be in [1, {num_servers}], got {replicas}"
             )
@@ -301,6 +308,7 @@ class AffinityWithSpilloverBalancer(HashAffinityBalancer):
     """
 
     name = "affinity-spillover"
+    domains = {**HashAffinityBalancer.domains, "spillover_factor": Domain(1.0, inf, low_open=True)}
 
     def __init__(
         self,
@@ -310,7 +318,7 @@ class AffinityWithSpilloverBalancer(HashAffinityBalancer):
         spillover_factor: float = 1.5,
     ) -> None:
         super().__init__(num_servers, replicas=replicas, seed=seed)
-        Domain(1.0, inf, low_open=True).check("spillover_factor", spillover_factor)
+        check_args(AffinityWithSpilloverBalancer.domains, locals())
         self.spillover_factor = spillover_factor
         self.spillovers = 0
 
@@ -399,6 +407,10 @@ class MinWorkerSetBalancer(LoadBalancer):
     """
 
     name = "min-worker-set"
+    domains = {
+        **LoadBalancer.domains, "server_capacity_mb": positive,
+        "high_watermark": Domain(0.0, 1.0, low_open=True),
+    }
 
     def __init__(
         self,
@@ -407,8 +419,7 @@ class MinWorkerSetBalancer(LoadBalancer):
         high_watermark: float = 0.85,
     ) -> None:
         super().__init__(num_servers)
-        positive.check("server_capacity_mb", server_capacity_mb)
-        Domain(0.0, 1.0, low_open=True).check("high_watermark", high_watermark)
+        check_args(MinWorkerSetBalancer.domains, locals())
         self.server_capacity_mb = server_capacity_mb
         self.high_watermark = high_watermark
 

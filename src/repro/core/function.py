@@ -1,16 +1,14 @@
 """Per-function dynamic bookkeeping.
 
-The keep-alive policies need two kinds of per-function state:
-
-* the **frequency** of invocation, shared by all of a function's
-  containers and reset when the last container dies (Section 4.1), and
-* online **estimates of warm and cold running times**, because a real
-  platform (Section 6) does not know them a priori: the first
-  invocation's time is taken as the worst-case cold time, and once a
-  warm invocation completes the initialization overhead is computed by
-  subtracting warm from cold time. When the last container of a
-  function is evicted, the learned times are retained for future
-  priority computations.
+Online **estimates of warm and cold running times**, because a real
+platform (Section 6) does not know them a priori: the first
+invocation's time is taken as the worst-case cold time, and once a
+warm invocation completes the initialization overhead is computed by
+subtracting warm from cold time. When the last container of a
+function is evicted, the learned times are retained for future
+priority computations. (The frequency of Section 4.1 is the policy's
+own state: :class:`~repro.core.policies.greedy_dual.GreedyDualPolicy`
+keeps it.)
 
 The trace-driven simulator can bypass the estimator (times are known
 from the trace); the OpenWhisk substrate uses it as the paper's
@@ -19,7 +17,7 @@ implementation does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 __all__ = ["FunctionStats", "FunctionStatsTable"]
@@ -27,19 +25,14 @@ __all__ = ["FunctionStats", "FunctionStatsTable"]
 
 @dataclass
 class FunctionStats:
-    """Online cold/warm time estimates plus the shared frequency count."""
+    """Online cold/warm time estimates."""
 
     name: str
-    frequency: int = 0
     cold_time_s: Optional[float] = None
     warm_time_s: Optional[float] = None
-    total_invocations: int = 0
-    total_cold_starts: int = 0
 
     def observe_cold(self, elapsed_s: float) -> None:
         """Record a completed cold invocation's end-to-end time."""
-        self.total_invocations += 1
-        self.total_cold_starts += 1
         if self.cold_time_s is None:
             self.cold_time_s = elapsed_s
         else:
@@ -49,7 +42,6 @@ class FunctionStats:
 
     def observe_warm(self, elapsed_s: float) -> None:
         """Record a completed warm invocation's end-to-end time."""
-        self.total_invocations += 1
         if self.warm_time_s is None:
             self.warm_time_s = elapsed_s
         else:
@@ -69,19 +61,6 @@ class FunctionStats:
         if self.warm_time_s is None:
             return self.cold_time_s
         return max(0.0, self.cold_time_s - self.warm_time_s)
-
-    def record_invocation(self) -> int:
-        """Bump and return the shared frequency counter."""
-        self.frequency += 1
-        return self.frequency
-
-    def reset_frequency(self) -> None:
-        """Called when the last container of this function is evicted.
-
-        The frequency is zeroed (Section 4.1) but the learned cold and
-        warm times are retained for future invocations (Section 6).
-        """
-        self.frequency = 0
 
 
 class FunctionStatsTable:

@@ -157,9 +157,6 @@ class DoorkeeperPolicy(KeepAlivePolicy):
         self.rejections += 1
         return False
 
-    def admission_count(self, function_name: str) -> int:
-        return self._admission_counts.get(function_name, 0)
-
     def reset(self) -> None:
         super().reset()
         self.inner.reset()

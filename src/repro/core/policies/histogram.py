@@ -350,19 +350,13 @@ class HistogramPolicy(KeepAlivePolicy):
     ) -> None:
         pool.schedule_expiry(container, request.expiry_s)
 
-    def _fallback_deadline(self, container: Container) -> float:
-        """Deadline for containers no hook ever planned (manually
-        assembled pools): the generic TTL after the last use."""
-        return container.last_used_s + self.generic_ttl_s
-
     def expired_containers(
         self, pool: ContainerPool, now_s: float
     ) -> List[Tuple[Container, float]]:
-        return pool.pop_expired(now_s, self._fallback_deadline)
+        return pool.pop_expired(now_s)
 
     def next_expiry_s(self, pool: ContainerPool) -> float:
-        # Plans live in the pool's expiry index; its peek honours the
-        # unscheduled-container fallback by reporting -inf.
+        # Plans live in the pool's expiry index.
         return pool.next_expiry_s()
 
     def due_prewarms(self, now_s: float) -> List[PrewarmRequest]:

@@ -65,20 +65,13 @@ class TTLPolicy(KeepAlivePolicy):
     ) -> None:
         self._schedule(container, pool)
 
-    def _fallback_deadline(self, container: Container) -> float:
-        """Deadline for containers added without lifecycle hooks
-        (manually assembled pools): TTL after the last use."""
-        return container.last_used_s + self.ttl_s
-
     def expired_containers(
         self, pool: ContainerPool, now_s: float
     ) -> List[Tuple[Container, float]]:
-        return pool.pop_expired(now_s, self._fallback_deadline)
+        return pool.pop_expired(now_s)
 
     def next_expiry_s(self, pool: ContainerPool) -> float:
-        # Every deadline lives in the pool's expiry index (the peek
-        # reports -inf while unscheduled containers exist, so the
-        # fallback-scan case never skips the phase).
+        # Every deadline lives in the pool's expiry index.
         return pool.next_expiry_s()
 
     def priority(self, container: Container, now_s: float) -> float:

@@ -153,12 +153,6 @@ class ContainerPool:
         # discarded when popped (see :meth:`pop_expired`).
         self._expiry_heap: List[Tuple[float, int]] = []
         self._expiry_deadline: Dict[int, float] = {}
-        # Containers no policy has scheduled a deadline for yet. The
-        # simulator schedules every container through the policy
-        # lifecycle hooks, so this is empty on the hot path; manually
-        # assembled pools (unit tests, external drivers) fall back to a
-        # scan over exactly these containers.
-        self._unscheduled: Dict[int, Container] = {}
         # Idle, unpinned memory, maintained incrementally by the
         # containers' busy/idle transitions so the unsatisfiable-
         # deficit check on every drop is O(1) instead of a pool scan.
@@ -434,9 +428,8 @@ class ContainerPool:
             )
         if not container.pinned:
             # Pinned containers are never eviction candidates; everyone
-            # else enters the victim index unscored and the expiry
-            # index unscheduled (until a policy hook sets a deadline).
-            self._unscheduled[cid] = container
+            # else enters the victim index unscored (and the expiry
+            # index when a policy hook sets its deadline).
             if container.state is _WARM:
                 heapq.heappush(self._victim_heap, (_UNSCORED_KEY, cid))
                 self._evictable_mb += memory_mb
@@ -493,11 +486,9 @@ class ContainerPool:
             del self._tenant_used_mb[tenant_id]
         else:
             self._tenant_count[tenant_id] = 0
-        # Expiry bookkeeping (a container is in exactly one of the two
-        # maps): dropping the authoritative deadline turns any heap
-        # entries for this id into stale tombstones, discarded when popped.
-        if self._unscheduled.pop(cid, None) is None:
-            self._expiry_deadline.pop(cid, None)
+        # Dropping the authoritative deadline turns any heap entries for
+        # this id into stale tombstones, discarded when popped.
+        self._expiry_deadline.pop(cid, None)
         # Idle (never parked) and unpinned: counted evictable, its one
         # index entry yielded by a walk (``_taken``) or now stale.
         if self._taken.pop(cid, None) is None:
@@ -585,24 +576,11 @@ class ContainerPool:
                         f"tenant {tid} exceeds its partition slice: "
                         f"{used_t:.3f} MB used of {limit:.3f} MB"
                     )
-        # Every unpinned container is either awaiting its first
-        # deadline or carried by the expiry index — never both, never
-        # neither, and never a dangling id.
+        # The expiry index holds no dangling id.
         for cid in self._expiry_deadline:
             if cid not in self._containers:
                 raise SanitizeError(
                     f"expiry index holds deadline for container {cid} "
-                    "which is not pooled"
-                )
-            if cid in self._unscheduled:
-                raise SanitizeError(
-                    f"container {cid} is both scheduled and unscheduled "
-                    "in the expiry index"
-                )
-        for cid in self._unscheduled:
-            if cid not in self._containers:
-                raise SanitizeError(
-                    f"expiry index tracks unscheduled container {cid} "
                     "which is not pooled"
                 )
         # Parked victim-index entries exist only for pooled containers
@@ -718,14 +696,6 @@ class ContainerPool:
     def tenant_container_count(self, tenant_id: int) -> int:
         """Live containers owned by the tenant. O(1)."""
         return self._tenant_count.get(tenant_id, 0)
-
-    def tenant_usage(self) -> Dict[int, float]:
-        """Per-tenant used memory for every tenant with containers,
-        in ascending tenant-id order (deterministic)."""
-        return {
-            tid: self._tenant_used_mb[tid]
-            for tid in sorted(self._tenant_used_mb)
-        }
 
     def tenant_free_mb(self, tenant_id: int) -> float:
         """Free memory within the tenant's partition slice.
@@ -943,10 +913,7 @@ class ContainerPool:
         cid = container.container_id
         if cid not in self._containers or container.pinned:
             return
-        previous = self._expiry_deadline.get(cid)
-        if previous is None:
-            self._unscheduled.pop(cid, None)  # its first deadline
-        elif previous == deadline_s:
+        if self._expiry_deadline.get(cid) == deadline_s:
             return  # unchanged: the live heap entry still matches
         self._expiry_deadline[cid] = deadline_s
         heapq.heappush(self._expiry_heap, (deadline_s, cid))
@@ -956,21 +923,16 @@ class ContainerPool:
         return self._expiry_deadline.get(container.container_id)
 
     def next_expiry_s(self) -> float:
-        """Earliest moment anything *could* expire; ``inf`` if nothing
-        is scheduled.
+        """The earliest scheduled deadline; ``inf`` if nothing is
+        scheduled (a container without a deadline never expires).
 
         The O(1) peek behind the simulator's batched event dispatch:
         while ``now < next_expiry_s()`` the whole expiry phase — the
         policy call, :meth:`pop_expired`, and its result list — is
         skipped. Stale heap tops (evicted or rescheduled entries) are
         purged here so a dead earliest-deadline cannot pin the wake-up
-        time in the past forever. Containers nothing ever scheduled
-        (manually assembled pools) may expire via a fallback scan this
-        peek knows nothing about, so their presence disables the fast
-        path by reporting ``-inf``.
+        time in the past forever.
         """
-        if self._unscheduled:
-            return float("-inf")
         heap = self._expiry_heap
         deadlines = self._expiry_deadline
         while heap:
@@ -982,11 +944,7 @@ class ContainerPool:
             return deadline
         return float("inf")
 
-    def pop_expired(
-        self,
-        now_s: float,
-        fallback_deadline: Optional[Callable[[Container], float]] = None,
-    ) -> List[Tuple[Container, float]]:
+    def pop_expired(self, now_s: float) -> List[Tuple[Container, float]]:
         """Idle, unpinned containers whose deadline has passed, as
         ``(container, deadline)`` pairs in ascending
         ``(deadline, container_id)`` order.
@@ -1000,12 +958,8 @@ class ContainerPool:
         consume anything the caller chooses not to evict. The ordering
         matches the old scan exactly: a stable sort by deadline over
         creation-ordered containers is precisely ascending
-        ``(deadline, container_id)``.
-
-        Containers no policy ever scheduled are covered by a scan with
-        ``fallback_deadline`` (in creation order); the simulator
-        schedules every container through lifecycle hooks, so that
-        scan sees an empty dict on the hot path.
+        ``(deadline, container_id)``. Only containers a policy hook
+        scheduled (:meth:`schedule_expiry`) can expire.
         """
         expired: List[Tuple[Container, float]] = []
         heap = self._expiry_heap
@@ -1028,15 +982,6 @@ class ContainerPool:
             # entry resurfaces it on the first check after it idles.
         for entry in restore:
             heapq.heappush(heap, entry)
-        if self._unscheduled and fallback_deadline is not None:
-            for cid in sorted(self._unscheduled):
-                container = self._unscheduled[cid]
-                if not container.is_idle or container.pinned:
-                    continue
-                deadline = fallback_deadline(container)
-                if deadline <= now_s:
-                    expired.append((container, deadline))
-            expired.sort(key=lambda pair: (pair[1], pair[0].container_id))
         return expired
 
     def function_names(self) -> List[str]:

@@ -71,11 +71,6 @@ class RetryPolicy:
             seed=spec.seed,
         )
 
-    def budget_remaining(self, function_name: str) -> int:
-        return self.per_function_budget - self._budget_used.get(
-            function_name, 0
-        )
-
     def next_delay(
         self, function_name: str, retry_number: int, failed_at_s: float
     ) -> Optional[float]:

@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     )
     from repro.obs.report import TraceReport, load_report, report_from_events
     from repro.obs.sinks import (
-        JsonlSink, MultiSink, NullSink, PrometheusTextfileSink, RingBufferSink, Sink,
+        JsonlSink, MultiSink, PrometheusTextfileSink, RingBufferSink, Sink,
         read_jsonl_events, write_counters_textfile,
     )
     from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, active_tracer
@@ -43,7 +43,7 @@ __all__ = [
     "EVENT_SCHEMAS", "EVENT_TYPES", "EVICTION_REASONS", "FAULT_KINDS", "SHED_REASONS",
     "SchemaError", "validate_event",
     "Tracer", "NullTracer", "NULL_TRACER", "active_tracer",
-    "Sink", "NullSink", "RingBufferSink", "JsonlSink", "PrometheusTextfileSink", "MultiSink",
+    "Sink", "RingBufferSink", "JsonlSink", "PrometheusTextfileSink", "MultiSink",
     "read_jsonl_events", "write_counters_textfile",
     "TraceReport", "report_from_events", "load_report",
 ]
@@ -55,7 +55,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "report": "TraceReport load_report report_from_events",
     "sinks": (
-        "JsonlSink MultiSink NullSink PrometheusTextfileSink RingBufferSink Sink "
+        "JsonlSink MultiSink PrometheusTextfileSink RingBufferSink Sink "
         "read_jsonl_events write_counters_textfile"
     ),
     "tracer": "NULL_TRACER NullTracer Tracer active_tracer",

@@ -33,7 +33,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -43,7 +42,6 @@ from repro.domains import int_at_least
 
 __all__ = [
     "Sink",
-    "NullSink",
     "RingBufferSink",
     "JsonlSink",
     "PrometheusTextfileSink",
@@ -82,13 +80,6 @@ class Sink:
         )
 
 
-class NullSink(Sink):
-    """Discards everything. Useful for measuring emission overhead."""
-
-    def emit(self, event: Event) -> None:
-        pass
-
-
 class RingBufferSink(Sink):
     """Keeps the most recent ``capacity`` events in memory."""
 
@@ -119,29 +110,20 @@ class RingBufferSink(Sink):
 
 
 class JsonlSink(Sink):
-    """Appends each event as one JSON line to ``path``.
+    """Writes each event as one JSON line to ``path``.
 
-    The file is opened lazily on the first event, so constructing a
-    sink for a run that never emits leaves no empty file behind unless
-    ``eager=True`` (the CLI uses eager mode so an empty trace is still
-    a valid, empty JSONL file).
+    The file (and its directory) is created at construction, so a run
+    that emits nothing still leaves a valid, empty JSONL file.
     """
 
-    def __init__(self, path: PathLike, eager: bool = False) -> None:
+    def __init__(self, path: PathLike) -> None:
         self.path = pathlib.Path(path)
-        self._handle = None
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = open(self.path, "w")
         self.events_written = 0
-        if eager:
-            self._open()
-
-    def _open(self):
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "w")
-        return self._handle
 
     def emit(self, event: Event) -> None:
-        self._open().write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._handle.write(json.dumps(event, separators=(",", ":")) + "\n")
         self.events_written += 1
 
     def flush(self) -> None:

@@ -119,13 +119,6 @@ class RequestRecord:
             return None
         return self.start_s - self.arrival_s
 
-    @property
-    def service_s(self) -> Optional[float]:
-        """Time from service start to completion (cold or warm path)."""
-        if self.completion_s is None or self.start_s is None:
-            return None
-        return self.completion_s - self.start_s
-
 
 @dataclass
 class InvokerResult:

@@ -6,7 +6,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.provisioning.analytical import (
-        FunctionArrivalModel, characteristic_time, equivalent_cache_size_mb, equivalent_ttl,
+        FunctionArrivalModel, characteristic_time, equivalent_ttl,
         lru_hit_ratio, models_from_trace, ttl_expected_memory_mb, ttl_hit_ratio,
     )
     from repro.provisioning.autoscale import AutoscaledSimulation, AutoscaleResult
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     )
 
 __all__ = [
-    "FunctionArrivalModel", "characteristic_time", "equivalent_cache_size_mb", "equivalent_ttl",
+    "FunctionArrivalModel", "characteristic_time", "equivalent_ttl",
     "lru_hit_ratio", "models_from_trace", "ttl_expected_memory_mb", "ttl_hit_ratio",
     "CpuScalingDecision", "ReactiveCpuScaler",
     "AutoscaledSimulation", "AutoscaleResult",
@@ -43,7 +43,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "analytical": (
-        "FunctionArrivalModel characteristic_time equivalent_cache_size_mb equivalent_ttl "
+        "FunctionArrivalModel characteristic_time equivalent_ttl "
         "lru_hit_ratio models_from_trace ttl_expected_memory_mb ttl_hit_ratio"
     ),
     "autoscale": "AutoscaledSimulation AutoscaleResult",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.domains import check_fields, knob, nonneg, positive
 from repro.traces.model import Trace
@@ -40,7 +40,6 @@ __all__ = [
     "ttl_hit_ratio",
     "ttl_expected_memory_mb",
     "equivalent_ttl",
-    "equivalent_cache_size_mb",
 ]
 
 
@@ -152,18 +151,6 @@ def lru_hit_ratio(
     return ttl_hit_ratio(models, t_c)
 
 
-def per_function_hit_ratios(
-    models: Sequence[FunctionArrivalModel], cache_mb: float
-) -> Dict[str, float]:
-    """Per-function Che-approximate hit ratios at one cache size."""
-    t_c = characteristic_time(models, cache_mb)
-    if math.isinf(t_c):
-        return {m.name: 1.0 for m in models}
-    return {
-        m.name: 1.0 - math.exp(-m.rate_per_s * t_c) for m in models
-    }
-
-
 def equivalent_ttl(
     models: Sequence[FunctionArrivalModel], cache_mb: float
 ) -> float:
@@ -173,10 +160,3 @@ def equivalent_ttl(
     rare-object TTL/LRU equivalence the paper invokes for Figure 5c.
     """
     return characteristic_time(models, cache_mb)
-
-
-def equivalent_cache_size_mb(
-    models: Sequence[FunctionArrivalModel], ttl_s: float
-) -> float:
-    """The LRU size matching a TTL cache: its expected occupancy."""
-    return ttl_expected_memory_mb(models, ttl_s)

@@ -12,7 +12,7 @@ cascade-deflation engine prices each actuation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.policies.base import KeepAlivePolicy, create_policy
 from repro.domains import positive
@@ -49,12 +49,6 @@ class AutoscaleResult:
         if not self.decisions:
             return 0.0
         return max(d.cache_size_mb for d in self.decisions)
-
-    def size_timeline(self) -> List[Tuple[float, float]]:
-        return [(d.time_s, d.cache_size_mb) for d in self.decisions]
-
-    def miss_speed_timeline(self) -> List[Tuple[float, float]]:
-        return [(d.time_s, d.miss_speed) for d in self.decisions]
 
     def savings_vs_static(self, static_size_mb: float) -> float:
         """Fractional average-size reduction vs a static provision."""

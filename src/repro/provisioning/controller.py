@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.stats import EWMA
@@ -195,6 +195,3 @@ class ProportionalController:
         if not self.history:
             return self.cache_size_mb
         return sum(d.cache_size_mb for d in self.history) / len(self.history)
-
-    def resize_count(self) -> int:
-        return sum(1 for d in self.history if d.resized)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.stats import EWMA
-from repro.domains import Domain
+from repro.domains import Domain, check_args, int_at_least, nonneg
 
 __all__ = ["CpuScalingDecision", "ReactiveCpuScaler"]
 
@@ -37,6 +37,14 @@ class CpuScalingDecision:
 class ReactiveCpuScaler:
     """Utilization-targeting reactive core scaler with scale-down hold."""
 
+    #: ``max_cores`` is at least ``min_cores``; a zero hold scales down
+    #: at the first period below demand.
+    domains = {
+        "target_utilization": Domain(0.0, 1.0, low_open=True, high_open=True),
+        "min_cores": int_at_least(1), "max_cores": int_at_least(1), "scale_down_hold_s": nonneg,
+        "ewma_alpha": Domain(0.0, 1.0, low_open=True), "initial_cores": int_at_least(1),
+    }
+
     def __init__(
         self,
         target_utilization: float = 0.7,
@@ -46,11 +54,9 @@ class ReactiveCpuScaler:
         ewma_alpha: float = 0.3,
         initial_cores: int = 1,
     ) -> None:
-        Domain(0.0, 1.0, low_open=True, high_open=True).check(
-            "target_utilization", target_utilization
-        )
-        if min_cores < 1 or max_cores < min_cores:
-            raise ValueError("need 1 <= min_cores <= max_cores")
+        check_args(self.domains, locals())
+        if max_cores < min_cores:
+            raise ValueError(f"max_cores must be >= min_cores, got {max_cores} < {min_cores}")
         self.target_utilization = target_utilization
         self.min_cores = min_cores
         self.max_cores = max_cores

@@ -45,10 +45,6 @@ class DeflationReport:
     evicted_containers: int
     latency_s: float
 
-    @property
-    def fully_achieved(self) -> bool:
-        return abs(self.achieved_mb - self.requested_mb) < 1e-6
-
 
 class DeflationEngine:
     """The stage-2/3 latency model of a resize the pool already made."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.domains import nonneg, probability
 
@@ -151,12 +151,6 @@ class HitRatioCurve:
         )
         idx = min(idx, len(self._distances) - 1)
         return self._distances[idx]
-
-    def as_series(
-        self, cache_sizes_mb: Sequence[float]
-    ) -> List[Tuple[float, float]]:
-        """(size, hit ratio) pairs for plotting."""
-        return [(c, self.hit_ratio(c)) for c in cache_sizes_mb]
 
     def inflection_point_mb(self, num_points: int = 512) -> float:
         """Knee of the curve: the size of maximum marginal-utility drop.

@@ -10,7 +10,7 @@ if TYPE_CHECKING:
     from repro.sim.metrics import FunctionOutcome, SimulationMetrics
     from repro.sim.scheduler import KeepAliveSimulator, SimulationResult, simulate
     from repro.sim.server import GB_MB, ServerConfig
-    from repro.sim.sweep import FailedCell, SweepPoint, SweepResult, memory_sizes_gb, run_sweep
+    from repro.sim.sweep import FailedCell, SweepPoint, SweepResult, run_sweep
 
 __all__ = [
     "FailedCell",
@@ -19,7 +19,7 @@ __all__ = [
     "RunConfig",
     "KeepAliveSimulator", "SimulationResult", "simulate",
     "GB_MB", "ServerConfig",
-    "SweepPoint", "SweepResult", "memory_sizes_gb", "run_sweep",
+    "SweepPoint", "SweepResult", "run_sweep",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -28,5 +28,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "metrics": "FunctionOutcome SimulationMetrics",
     "scheduler": "KeepAliveSimulator SimulationResult simulate",
     "server": "GB_MB ServerConfig",
-    "sweep": "FailedCell SweepPoint SweepResult memory_sizes_gb run_sweep",
+    "sweep": "FailedCell SweepPoint SweepResult run_sweep",
 })

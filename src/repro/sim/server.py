@@ -34,7 +34,3 @@ class ServerConfig:
     @property
     def memory_gb(self) -> float:
         return self.memory_mb / GB_MB
-
-    @classmethod
-    def with_memory_gb(cls, memory_gb: float, cpu_cores: int = 48) -> "ServerConfig":
-        return cls(memory_mb=memory_gb * GB_MB, cpu_cores=cpu_cores)

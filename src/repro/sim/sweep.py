@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.policies.base import PAPER_POLICIES, create_policy
-from repro.domains import int_at_least, positive
+from repro.domains import int_at_least
 from repro.faults import cell_fault_spec
 from repro.obs.counters import fingerprint_counters
 from repro.obs.sinks import JsonlSink
@@ -45,7 +45,6 @@ __all__ = [
     "run_sweep",
     "run_cell",
     "cell_trace_path",
-    "memory_sizes_gb",
     "point_from_result",
     "point_fingerprint",
 ]
@@ -216,24 +215,6 @@ class SweepResult:
             raise ValueError(f"no sweep points at {memory_gb} GB")
         return min(candidates, key=lambda p: getattr(p, metric)).policy
 
-    def total_counters(self) -> Dict[str, int]:
-        """Grid-wide sums of the per-cell lifecycle counters."""
-        totals: Dict[str, int] = {}
-        for point in self.points:
-            for key, value in point.counters.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-
-def memory_sizes_gb(start_gb: float, stop_gb: float, step_gb: float) -> List[float]:
-    """Inclusive memory-size grid, e.g. the paper's 500 MB steps."""
-    positive.check("step_gb", step_gb)
-    sizes = []
-    size = start_gb
-    while size <= stop_gb + 1e-9:
-        sizes.append(round(size, 6))
-        size += step_gb
-    return sizes
 
 
 def cell_trace_path(
@@ -282,9 +263,7 @@ def run_cell(
     config = RunConfig.resolve(config, config_fields)
     sink = None
     if trace_dir is not None:
-        sink = JsonlSink(
-            cell_trace_path(trace_dir, policy_name, memory_gb), eager=True
-        )
+        sink = JsonlSink(cell_trace_path(trace_dir, policy_name, memory_gb))
     spec = config.fault_spec
     if spec is not None:
         config = dataclasses.replace(

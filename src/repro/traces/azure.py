@@ -27,7 +27,7 @@ hinges on (Sections 2.1 and 3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -98,10 +98,6 @@ class AzureDataset:
     @property
     def num_functions(self) -> int:
         return len(self.functions)
-
-    def app_of(self, function_id: str) -> AzureApplication:
-        app_id = self.functions[function_id].app_id
-        return self.applications[app_id]
 
     def total_invocations(self) -> int:
         return sum(f.total_invocations for f in self.functions.values())

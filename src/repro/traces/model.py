@@ -137,9 +137,6 @@ class FunctionTable:
     def __len__(self) -> int:
         return len(self._objects)
 
-    def object_of(self, function_id: int) -> TraceFunction:
-        return self._objects[function_id]
-
     def objects(self) -> Tuple[TraceFunction, ...]:
         """The interned :class:`TraceFunction` row objects, by id."""
         return self._objects
@@ -315,14 +312,6 @@ class Trace:
             stop = start + chunk_invocations
             yield times[start:stop], ids[start:stop]
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the two columns (12 per invocation)."""
-        return (
-            len(self._times) * self._times.itemsize
-            + len(self._ids) * self._ids.itemsize
-        )
-
     def function(self, name: str) -> TraceFunction:
         return self.functions_table.as_dict()[name]
 
@@ -419,25 +408,6 @@ class Trace:
         return Trace.from_columns(
             self.functions_table, self._times[:cut], self._ids[:cut],
             name=name or f"{self.name}-truncated",
-        )
-
-    def merged_with(self, other: "Trace", name: str | None = None) -> "Trace":
-        """Union of two traces; shared function names must agree exactly."""
-        ours = self.functions_table.as_dict()
-        for fname, func in other.functions_table.as_dict().items():
-            if fname in ours and ours[fname] != func:
-                raise ValueError(
-                    f"function {fname!r} differs between merged traces"
-                )
-        functions = dict(ours)
-        functions.update(other.functions_table.as_dict())
-        table = FunctionTable(functions.values())  # ours keep their ids
-        remap = list(map(table.index_of, other.functions_table.names))
-        return Trace.from_columns(
-            table,
-            self._times + other._times,
-            self._ids + array("i", map(remap.__getitem__, other._ids)),
-            name=name or f"{self.name}+{other.name}",
         )
 
     def __repr__(self) -> str:

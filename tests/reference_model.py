@@ -106,9 +106,8 @@ class Server:
     def schedule_expiry(self, box, deadline_s):
         if box in self.boxes and not box.pinned: box.deadline = deadline_s
 
-    def next_expiry_s(self):  # busy containers' too; -inf while an unpinned one has no deadline
-        deadlines = [b.deadline for b in self.boxes if not b.pinned]
-        return -INF if None in deadlines else min(deadlines, default=INF)
+    def next_expiry_s(self):  # busy containers' too; one without a deadline never expires
+        return min((b.deadline for b in self.boxes if b.deadline is not None), default=INF)
 
     def set_capacity(self, capacity_mb):
         """Strict resize: 'refused' below use or the slices. A pending shrink stays pending."""

@@ -8,11 +8,9 @@ import pytest
 from repro.provisioning.analytical import (
     FunctionArrivalModel,
     characteristic_time,
-    equivalent_cache_size_mb,
     equivalent_ttl,
     lru_hit_ratio,
     models_from_trace,
-    per_function_hit_ratios,
     ttl_expected_memory_mb,
     ttl_hit_ratio,
 )
@@ -131,17 +129,9 @@ class TestEquivalence:
         ]
         cache = 500.0
         ttl = equivalent_ttl(models, cache)
-        assert equivalent_cache_size_mb(models, ttl) == pytest.approx(
+        assert ttl_expected_memory_mb(models, ttl) == pytest.approx(
             cache, rel=1e-6
         )
-
-    def test_per_function_hit_ratios_ordering(self):
-        models = [
-            FunctionArrivalModel("hot", 1.0, 100.0),
-            FunctionArrivalModel("cold", 0.001, 100.0),
-        ]
-        ratios = per_function_hit_ratios(models, 100.0)
-        assert ratios["hot"] > ratios["cold"]
 
 
 class TestAgainstSimulation:

@@ -50,11 +50,6 @@ class TestGenerator:
             app = small_dataset.applications[record.app_id]
             assert record.function_id in app.function_ids
 
-    def test_app_of(self, small_dataset):
-        fid = next(iter(small_dataset.functions))
-        app = small_dataset.app_of(fid)
-        assert fid in app.function_ids
-
     def test_memory_within_bounds(self, small_dataset):
         cfg = AzureGeneratorConfig()
         for app in small_dataset.applications.values():

@@ -49,7 +49,7 @@ class TestFunctionTable:
         table = FunctionTable(funcs)
         assert table.names == ("zeta", "alpha", "mid")
         assert [table.index_of(f.name) for f in funcs] == [0, 1, 2]
-        assert table.object_of(1) is funcs[1]
+        assert table.objects()[1] is funcs[1]
 
     def test_columns_parallel_to_rows(self):
         """The TTL kernel builds the columns it reads from the rows."""
@@ -128,8 +128,9 @@ class TestColumnarTrace:
         ]
 
     def test_footprint_is_twelve_bytes_per_invocation(self):
-        trace = small_trace()
-        assert trace.nbytes == 12 * len(trace)
+        trace = small_trace()  # a float64 time and an int32 row id
+        assert trace.times_s.itemsize + trace.function_ids.itemsize == 12
+        assert len(trace.times_s) == len(trace.function_ids) == len(trace)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="parallel"):

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.concurrency import (
     concurrency_headroom_mb,
     concurrency_profile,
-    max_concurrency,
     working_set_mb,
 )
 from repro.provisioning.analytical import models_from_trace
@@ -50,13 +49,8 @@ class TestConcurrencyProfile:
         trace = Trace([f, g], [Invocation(0.0, "A")])
         assert concurrency_profile(trace)["B"] == 0
 
-    def test_global_max_concurrency(self):
-        # Three A invocations overlap in [4, 10); B finished at t=1.
-        assert max_concurrency(overlap_trace()) == 3
-
     def test_empty_trace(self):
         trace = Trace([make_function("A")], [])
-        assert max_concurrency(trace) == 0
         assert concurrency_headroom_mb(trace) == 0.0
 
 
@@ -131,7 +125,6 @@ class TestRegistryCopies:
 
     @pytest.mark.parametrize("analysis, allowed", [
         (concurrency_profile, 1),  # the zero-filled result, once
-        (max_concurrency, 0),
         (concurrency_headroom_mb, 1),
         (working_set_mb, 0),
         (models_from_trace, 0),

@@ -136,28 +136,6 @@ class TestFunctionStats:
     def test_init_time_without_observations(self):
         assert FunctionStats("f").init_time_s == 0.0
 
-    def test_frequency_cycle(self):
-        s = FunctionStats("f")
-        assert s.record_invocation() == 1
-        assert s.record_invocation() == 2
-        s.reset_frequency()
-        assert s.frequency == 0
-
-    def test_reset_frequency_keeps_learned_times(self):
-        s = FunctionStats("f")
-        s.observe_cold(5.0)
-        s.observe_warm(2.0)
-        s.record_invocation()
-        s.reset_frequency()
-        assert s.init_time_s == pytest.approx(3.0)
-
-    def test_counters(self):
-        s = FunctionStats("f")
-        s.observe_cold(3.0)
-        s.observe_warm(1.0)
-        assert s.total_invocations == 2
-        assert s.total_cold_starts == 1
-
 
 class TestFunctionStatsTable:
     def test_get_creates_on_first_use(self):

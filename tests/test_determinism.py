@@ -72,7 +72,7 @@ def _metrics(metrics):
 def _traced(tmp, run):
     """``run(tracer)``'s result and the bytes of the events it wrote."""
     path = tmp / "events.jsonl"
-    sink = JsonlSink(path, eager=True)
+    sink = JsonlSink(path)
     try:
         result = run(Tracer(sink))
     finally:

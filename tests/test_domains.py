@@ -1,8 +1,9 @@
 """One probe of every numeric knob, read from its one declaration
 (:mod:`repro.domains`): every registered policy's numeric parameters,
 every numeric field of the config classes and of ``TraceFunction`` (a
-trace file is outside input), the controller's parameters and every
-numeric CLI flag get NaN, ±inf, -1 and 0, and 1.5 if an integer. A value
+trace file is outside input), the numeric parameters of the controller,
+the elastic cluster, its scaler and the balancers, and every numeric
+CLI flag get NaN, ±inf, -1 and 0, and 1.5 if an integer. A value
 outside the declared domain is refused (``ValueError``; exit 2 at the
 CLI); one inside it is listed in :data:`ACCEPTED` with its reason and,
 where a kernel can answer the run, gives the same ``summary()`` on the
@@ -21,11 +22,14 @@ from importlib import import_module
 import pytest
 
 from repro.cli import _Pairs, build_parser
+from repro.cluster.elastic import ElasticClusterSimulation
+from repro.cluster.loadbalancer import _BALANCERS
 from repro.core.policies.base import _REGISTRY, BUILTIN_POLICIES, KeepAlivePolicy, create_policy
 from repro.domains import declared_fields
 from repro.faults import CapacityStep, FaultSpec, ServerDowntime
 from repro.openwhisk.invoker import InvokerConfig
 from repro.provisioning.controller import MISS_RATIO, ProportionalController
+from repro.provisioning.cpu_autoscale import ReactiveCpuScaler
 from repro.provisioning.hit_ratio import HitRatioCurve
 from repro.sim.config import RunConfig
 from repro.sim.scheduler import simulate
@@ -91,6 +95,14 @@ ACCEPTED = {
     ("TraceFunction.cold_time_s", "0.0"): "no init cost (with a zero warm time)",
     ("TraceFunction.tenant_id", "0"): "untenanted (the default)",
     ("ProportionalController.deadband", "0.0"): "every error resizes",
+    ("ReactiveCpuScaler.scale_down_hold_s", "0.0"): "scale down at the first period below demand",
+    ("ElasticClusterSimulation.scale_down_hold_s", "0.0"): "the scaler's: no hold",
+    ("ElasticClusterSimulation.server_memory_mb", "inf"): "unbounded pools, as simulate() takes",
+    ("ElasticClusterSimulation.seed", "0"): "the default seed",
+    ("RandomBalancer.seed", "0"): "the default seed",
+    ("HashAffinityBalancer.seed", "0"): "the default seed",
+    ("AffinityWithSpilloverBalancer.seed", "0"): "the default seed",
+    ("AffinityWithSpilloverBalancer.spillover_factor", "inf"): "never spills: pure affinity",
     ("--memory-gb", "inf"): "an unbounded pool, as simulate() takes",
     ("--server-memory-gb", "inf"): "an unbounded server, as ServerConfig takes",
     ("--warmup-s", "inf"): "RunConfig.warmup_s: nothing is measured",
@@ -120,8 +132,16 @@ CONFIGS = {
     InvokerConfig: {},
     TraceFunction: {"name": "f", "memory_mb": 128.0, "warm_time_s": 0.0, "cold_time_s": 1.0},
 }
-CONTROLLER = {"curve": HitRatioCurve.from_distances([100.0, 200.0]), "target_miss_speed": 1.0,
-              "initial_size_mb": 200.0}
+TRACE = churn_trace(num_functions=30, duration_s=600.0, seed=3)
+#: The classes probed at construction only (no replay reads them), each
+#: with a valid construction and a ``domains`` table over its signature.
+CONSTRUCTED = {
+    ProportionalController: {"curve": HitRatioCurve.from_distances([100.0, 200.0]),
+                             "target_miss_speed": 1.0, "initial_size_mb": 200.0},
+    ElasticClusterSimulation: {"trace": TRACE},
+    ReactiveCpuScaler: {},
+    **{balancer: {"num_servers": 4} for balancer in _BALANCERS.values()},
+}
 
 
 def knobs():
@@ -137,9 +157,9 @@ def knobs():
         for field in dataclasses.fields(cls):
             if field.type in PROBES:
                 yield f"{cls.__name__}.{field.name}", declared, field.name, field.type, build
-    build = partial(ProportionalController, **CONTROLLER)
-    for name, kind in signature_knobs(ProportionalController):
-        yield f"ProportionalController.{name}", ProportionalController.domains, name, kind, build
+    for cls, base in CONSTRUCTED.items():
+        for name, kind in signature_knobs(cls):
+            yield f"{cls.__name__}.{name}", cls.domains, name, kind, partial(cls, **base)
 
 
 KNOBS = list(knobs())
@@ -148,7 +168,6 @@ CASES = [
     for knob, domains, name, kind, build in KNOBS
     for value in PROBES[kind]
 ]
-TRACE = churn_trace(num_functions=30, duration_s=600.0, seed=3)
 #: Enables every kind of fault, so each probed field has something to act on.
 FAULTS = {
     "seed": 1, "spawn_failure_rate": 0.05, "crash_rate": 0.05, "timeout_rate": 0.05,
@@ -160,7 +179,7 @@ FAULTS = {
 def replay(owner, name, value):
     """``(trace, policy, simulate() keywords)`` of a run that reads the
     accepted ``value`` of ``owner``'s knob ``name``; ``None`` for a
-    class no replay reads (the invoker's, a server's, the controller's)."""
+    class no replay reads (the invoker's, a server's, :data:`CONSTRUCTED`)."""
     if isinstance(owner, KeepAlivePolicy):
         return TRACE, owner.name, {name: value}
     if isinstance(owner, RunConfig):

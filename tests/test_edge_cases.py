@@ -103,8 +103,7 @@ class TestSimulationMetricsDirect:
 
 class TestServerConfig:
     def test_gb_round_trip(self):
-        config = ServerConfig.with_memory_gb(48.0)
-        assert config.memory_mb == 48.0 * GB_MB
+        config = ServerConfig(memory_mb=48.0 * GB_MB)
         assert config.memory_gb == pytest.approx(48.0)
 
     def test_paper_default_cores(self):

@@ -1,9 +1,8 @@
-"""Unit tests for the event queue and the sweep memory grid."""
+"""Unit tests for the event queue."""
 
 import pytest
 
 from repro.sim.events import EventQueue
-from repro.sim.sweep import memory_sizes_gb
 
 
 class TestEventQueue:
@@ -114,16 +113,3 @@ class TestEventQueue:
         assert q
         q.clear()
         assert not q
-
-
-class TestMemorySizes:
-    def test_inclusive_grid(self):
-        assert memory_sizes_gb(1.0, 3.0, 1.0) == [1.0, 2.0, 3.0]
-
-    def test_fractional_steps(self):
-        sizes = memory_sizes_gb(0.5, 2.0, 0.5)
-        assert sizes == [0.5, 1.0, 1.5, 2.0]
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            memory_sizes_gb(1.0, 2.0, 0.0)

@@ -2,7 +2,8 @@
 
 Unit tests pin the index's contract — non-consuming pops, busy
 deferral, reschedule supersession (deadlines are *not* monotone),
-evict cleanup, pinned exclusion, and the unscheduled fallback — and a
+evict cleanup, pinned exclusion, and that only a scheduled deadline
+expires a container — and a
 randomized equivalence suite drives thousands of mixed operations
 through the simulator and the executable specification's full scan.
 """
@@ -99,23 +100,16 @@ class TestScheduleAndPop:
         assert pool.expiry_deadline_of(container) is None
         assert pool.pop_expired(100.0) == []
 
-    def test_unscheduled_fallback_scan(self):
-        # Containers added without any policy hook fall back to the
-        # caller-provided deadline function (manual pools in tests).
+    def test_unscheduled_never_expires(self):
+        # Only a policy hook's deadline expires a container.
         pool = ContainerPool(1000.0)
-        a = pooled(pool, "A")
+        pooled(pool, "A")
+        assert pool.next_expiry_s() == float("inf")
+        assert pool.pop_expired(1e9) == []
         b = pooled(pool, "B")
-        assert pool.pop_expired(100.0) == []  # no fallback, no opinion
-        result = pool.pop_expired(100.0, lambda c: c.last_used_s + 50.0)
-        assert result == [(a, 50.0), (b, 50.0)]
-
-    def test_fallback_merges_in_deadline_order(self):
-        pool = ContainerPool(1000.0)
-        scheduled = pooled(pool, "A")
-        unscheduled = pooled(pool, "B")
-        pool.schedule_expiry(scheduled, 80.0)
-        result = pool.pop_expired(100.0, lambda c: 20.0)
-        assert result == [(unscheduled, 20.0), (scheduled, 80.0)]
+        pool.schedule_expiry(b, 80.0)
+        assert pool.next_expiry_s() == 80.0
+        assert pool.pop_expired(100.0) == [(b, 80.0)]
 
 
 class TestDoubleExpiry:

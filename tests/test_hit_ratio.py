@@ -92,11 +92,6 @@ class TestHitRatioCurve:
         assert knee < 0.25 * curve.working_set_mb
         assert curve.hit_ratio(knee) >= 0.6
 
-    def test_as_series(self):
-        curve = HitRatioCurve.from_distances([1.0, 2.0])
-        series = curve.as_series([0.0, 1.0, 2.0])
-        assert series == [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)]
-
 
 class TestShards:
     def test_rate_one_selects_everything(self):

@@ -112,8 +112,11 @@ KERNEL_WARM_CALLS = 172
 #: (``engine="object"``; the kernels' eligibility test, 2 calls, is not
 #: asked there). With Welford's update and the predictability test
 #: spelled out and the plan memoised (the kernel's cut, below): 38.93
-#: (27,677).
-HIST_CALLS = 27_677
+#: (27,677). The pool's expiry index without its second map, of
+#: containers no hook had scheduled yet: one ``dict.pop`` less on a
+#: container's first deadline or on its eviction, 213 in all, 38.63
+#: (27,464).
+HIST_CALLS = 27_464
 #: The same HIST replay through the default ``simulate()``, which the
 #: HIST kernel answers: 13.58 calls per arrival (9,653) — the histogram
 #: sample (``record_arrival``, two ``round``, ``Welford.update``) and

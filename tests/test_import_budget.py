@@ -259,6 +259,44 @@ CENSUS_ENTRY_POINTS = {
     "repro.traces.azure_csv": "the loader for the paper's Azure Functions 2019 dataset",
 }
 
+#: Public functions, classes and methods no reader names, each kept for
+#: the reason beside it.
+CENSUS_KEPT_NAMES = {
+    "Welford": "tests/reference_model.py's CoV, the spec of HIST's inline one",
+    "Welford.coefficient_of_variation": "the same spec helper",
+    "FunctionHistogram.is_predictable": "the spec of the predictability test _plan inlines",
+    "reuse_distances_naive": "the paper's conventional scan, the Fenwick tree's oracle",
+    "set_sanitize": "the sanitizer's switch, which tests/conftest.py arms per test",
+    "FaultSpec.to_dict": "the fault-spec file format, from_dict's inverse",
+    "load_azure_dataset_csv": "the loader for the paper's Azure Functions 2019 dataset",
+    "save_trace_csv": "the CSV trace format, round-tripped by CI's trace-consistency step",
+    "load_trace_csv": "the CSV trace format, round-tripped by CI's trace-consistency step",
+    "Trace.shifted": "a trace tool tests build their inputs with",
+    "Trace.truncated": "a trace tool tests build their inputs with",
+    "StreamingChurnTrace.materialize": "a trace tool: a stream as the Trace tests compare it to",
+    "eviction_trace": "a trace tool: the workload of tests/test_pinned_replays.py",
+    "point_fingerprint": "a pinned API: one sweep cell's results fingerprint",
+    "ServerConfig": "a pinned API: the server model, whose knobs tests/test_domains.py probes",
+    "ServerThread": "a pinned API: the in-process server of docs/live-serving.md",
+    "RingBufferSink": "the in-memory sink tests read a run's events from",
+    "KeepAliveSimulator.is_down": "a state query tests would otherwise read privately",
+    "ContainerPool.tenant_limit_mb": "a state query tests would otherwise read privately",
+    "ContainerPool.tenant_container_count": "a state query tests would otherwise read privately",
+    "ContainerPool.expiry_deadline_of": "a state query tests would otherwise read privately",
+    "LoadBalancer.down_servers": "a state query tests would otherwise read privately",
+    "LoadBalancer.draining_servers": "a state query tests would otherwise read privately",
+}
+
+
+def census_readers():
+    """Every ``src/`` module, benchmark and example: what the censuses
+    count as a reader."""
+    return [
+        *SRC.rglob("*.py"),
+        *(SRC.parent / "benchmarks").rglob("*.py"),
+        *(SRC.parent / "examples").rglob("*.py"),
+    ]
+
 
 def module_name(path):
     """The dotted name of a file under ``src/``."""
@@ -271,12 +309,7 @@ def imported_modules(path, lazy):
     ``if TYPE_CHECKING:`` blocks; ``lazy`` maps each lazy package's
     names to the modules they come from."""
     tree = ast.parse(path.read_text())
-    hidden = {
-        id(node)
-        for block in ast.walk(tree)
-        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
-        for statement in block.body for node in ast.walk(statement)
-    }
+    hidden = hidden_nodes(tree)
     found = set()
     for node in ast.walk(tree):
         if id(node) in hidden:
@@ -289,6 +322,65 @@ def imported_modules(path, lazy):
             for alias in node.names:
                 found.add(table.get(alias.name, f"{node.module}.{alias.name}"))
     return found
+
+
+def hidden_nodes(tree):
+    """Ids of the nodes under ``if TYPE_CHECKING:`` blocks."""
+    return {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for statement in block.body for node in ast.walk(statement)
+    }
+
+
+def public_definitions(tree):
+    """``(qualified name, first line, last line)`` of each public
+    function, class and method of a module, decorators included; a
+    ``visit_*`` dispatch method, and a policy that ``register_policy``
+    files under its short name for ``create_policy``, are read by name."""
+    found = []
+
+    def walk(body, owner):
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            registered = any(
+                isinstance(d, ast.Call) and ast.unparse(d.func) == "register_policy"
+                for d in node.decorator_list
+            )
+            if not (node.name.startswith(("_", "visit_")) or registered):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                found.append((owner + node.name, first, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                walk(node.body, f"{owner}{node.name}.")
+
+    walk(tree.body, "")
+    return found
+
+
+def named_identifiers(path, tree):
+    """``(identifier, line)`` of every name, attribute and import of
+    ``path`` outside ``if TYPE_CHECKING:``, and of every string that is
+    a whole identifier (a ``getattr`` table's entry) outside a package
+    ``__init__`` (its lazy table) and ``__all__``."""
+    hidden = hidden_nodes(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            hidden.update(id(n) for n in ast.walk(node))
+    strings = path.name != "__init__.py"
+    for node in ast.walk(tree):
+        if id(node) in hidden:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
 
 
 def static_reexports(package):
@@ -335,17 +427,37 @@ class TestSurface:
             module_name(path) for path in (SRC / "repro").rglob("*.py")
             if path.name != "__init__.py"
         }
-        readers = [
-            *SRC.rglob("*.py"),
-            *(SRC.parent / "benchmarks").rglob("*.py"),
-            *(SRC.parent / "examples").rglob("*.py"),
-        ]
         read = {f"repro.core.policies.{module}" for module in BUILTIN_POLICIES.values()}
-        for path in readers:
+        for path in census_readers():
             own = module_name(path) if path.is_relative_to(SRC) else None
             read |= imported_modules(path, lazy) - {own}
         assert set(CENSUS_ENTRY_POINTS) <= modules
         assert sorted(modules - read - set(CENSUS_ENTRY_POINTS)) == []
+
+    def test_every_public_name_has_a_reader(self):
+        """The name census: every public function, class and method
+        under ``src/repro`` is named by another ``src/`` module, a
+        benchmark or an example outside its own definition, or is kept
+        in :data:`CENSUS_KEPT_NAMES` with its reason. Name-based, like
+        the module census: a method counts as read when any reader
+        names its identifier."""
+        named, definitions = {}, []
+        for path in census_readers():
+            tree = ast.parse(path.read_text())
+            for identifier, line in named_identifiers(path, tree):
+                named.setdefault(identifier, []).append((path, line))
+            if path.is_relative_to(SRC):
+                definitions += [(path, *span) for span in public_definitions(tree)]
+        unread = {
+            name
+            for path, name, first, last in definitions
+            if all(
+                where == path and first <= line <= last
+                for where, line in named.get(name.rpartition(".")[2], ())
+            )
+        }
+        assert sorted(unread - set(CENSUS_KEPT_NAMES)) == []
+        assert sorted(set(CENSUS_KEPT_NAMES) - unread) == []  # kept, yet read or gone
 
     def test_star_import_dir_and_unknown_attribute(self):
         out = fresh(

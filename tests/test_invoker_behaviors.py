@@ -138,7 +138,7 @@ class TestLatencyComposition:
             if record.completion_s is None:
                 continue
             assert record.latency_s == pytest.approx(
-                record.queue_wait_s + record.service_s
+                record.queue_wait_s + record.completion_s - record.start_s
             )
 
     def test_per_function_percentiles(self):

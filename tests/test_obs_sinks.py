@@ -8,7 +8,6 @@ import pytest
 from repro.obs.sinks import (
     JsonlSink,
     MultiSink,
-    NullSink,
     PrometheusTextfileSink,
     RingBufferSink,
     read_jsonl_events,
@@ -68,17 +67,10 @@ class TestJsonlSink:
             "needed_mb": 128.0,
         }
 
-    def test_lazy_open(self, tmp_path):
-        path = tmp_path / "lazy.jsonl"
-        sink = JsonlSink(path)
-        assert not path.exists()  # nothing emitted yet
-        sink.emit(_event())
-        sink.close()
-        assert path.exists()
-
     def test_eager_open_creates_file_immediately(self, tmp_path):
         path = tmp_path / "sub" / "eager.jsonl"
-        sink = JsonlSink(path, eager=True)
+        sink = JsonlSink(path)
+        assert path.exists()  # nothing emitted yet
         sink.close()
         assert path.exists()
         assert list(read_jsonl_events(path)) == []
@@ -171,7 +163,6 @@ class TestProcessLocality:
         "make",
         [
             RingBufferSink,
-            NullSink,
             lambda: MultiSink(RingBufferSink()),
         ],
     )
@@ -189,12 +180,6 @@ class TestProcessLocality:
 
 
 class TestNullPath:
-    def test_null_sink_discards(self):
-        sink = NullSink()
-        sink.emit(_event())
-        sink.flush()
-        sink.close()
-
     def test_null_tracer_is_inactive(self):
         assert active_tracer(None) is None
         assert active_tracer(NULL_TRACER) is None

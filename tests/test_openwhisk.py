@@ -137,7 +137,7 @@ class TestInvokerContainerPool:
         )
         # B's cold start evicted A: one round plus one removal, 0.75 s;
         # its next (warm) start owes nothing.
-        assert [r.service_s for r in result.records] == [0.5, 0.5 + 0.75, 0.25]
+        assert [r.completion_s - r.start_s for r in result.records] == [0.5, 0.5 + 0.75, 0.25]
 
     def test_online_gd_uses_learned_cost(self):
         stats = FunctionStatsTable()

@@ -138,14 +138,21 @@ class TestDoorkeeper:
         pool.evict(c)
         dk.on_evict(c, 1.0, pool, pressure=True)
         dk.on_invocation(f, 10.0)
-        assert dk.admission_count("A") == 2
+        again = make_container(f, 10.0)
+        pool.add(again)
+        assert dk.should_retain(again, 11.0, pool)  # its second arrival
 
     def test_aging_halves_counts(self):
-        dk = DoorkeeperPolicy(inner="GD", aging_interval=4)
+        dk = DoorkeeperPolicy(inner="GD", admission_threshold=3, aging_interval=4)
+        pool = ContainerPool(1000.0)
         f = make_function("A")
         for i in range(4):
             dk.on_invocation(f, float(i))
-        assert dk.admission_count("A") == 2  # halved at the 4th
+        c = make_container(f, 3.0)
+        pool.add(c)
+        assert not dk.should_retain(c, 4.0, pool)  # 4, halved at the 4th to 2
+        dk.on_invocation(f, 5.0)
+        assert dk.should_retain(c, 6.0, pool)  # 3
 
     def test_scan_resistance_end_to_end(self):
         """One-shot scan functions stop polluting the cache."""

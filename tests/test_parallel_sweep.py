@@ -12,6 +12,7 @@ import os
 import pytest
 
 import repro.sim.sweep as sweep
+from repro.obs.counters import sum_counters
 from repro.sim.sweep import (
     FailedCell,
     cell_trace_path,
@@ -280,7 +281,7 @@ class TestSweepTracing:
         assert [p.counters for p in parallel.points] == [
             p.counters for p in sequential.points
         ]
-        totals = sequential.total_counters()
+        totals = sum_counters(p.counters for p in sequential.points)
         assert totals["warm_starts"] == sum(
             p.counters["warm_starts"] for p in sequential.points
         )

@@ -18,6 +18,18 @@ def idle_container(pool, function, last_used_s):
     return c
 
 
+def served(policy, pool, function, at_s):
+    """A container that served one instant invocation at ``at_s``,
+    started as the simulator starts one: the policy's cold-start hook
+    sees it running."""
+    c = make_container(function, created_at_s=at_s)
+    pool.add(c)
+    c.start_invocation(at_s, 0.0)
+    policy.on_cold_start(c, at_s, pool)
+    c.finish_invocation(at_s)
+    return c
+
+
 class TestRegistry:
     def test_all_paper_policies_registered(self):
         names = available_policies()
@@ -47,7 +59,8 @@ class TestTTL:
     def test_expires_after_ttl(self):
         policy = TTLPolicy(ttl_s=100.0)
         pool = ContainerPool(1000.0)
-        c = idle_container(pool, make_function("A"), last_used_s=0.0)
+        c = served(policy, pool, make_function("A"), 0.0)
+        assert policy.next_expiry_s(pool) == 100.0
         assert policy.expired_containers(pool, 99.0) == []
         expired = policy.expired_containers(pool, 100.0)
         assert [pair[0] for pair in expired] == [c]
@@ -56,15 +69,15 @@ class TestTTL:
     def test_does_not_expire_running(self):
         policy = TTLPolicy(ttl_s=100.0)
         pool = ContainerPool(1000.0)
-        c = idle_container(pool, make_function("A"), last_used_s=0.0)
-        c.start_invocation(0.0, 500.0)
+        c = served(policy, pool, make_function("A"), 0.0)
+        c.start_invocation(50.0, 500.0)  # busy past its deadline
         assert policy.expired_containers(pool, 200.0) == []
 
     def test_expiry_order_is_oldest_first(self):
         policy = TTLPolicy(ttl_s=10.0)
         pool = ContainerPool(1000.0)
-        newer = idle_container(pool, make_function("A", memory_mb=10), 5.0)
-        older = idle_container(pool, make_function("B", memory_mb=10), 0.0)
+        newer = served(policy, pool, make_function("A", memory_mb=10), 5.0)
+        older = served(policy, pool, make_function("B", memory_mb=10), 0.0)
         expired = [c for c, __ in policy.expired_containers(pool, 100.0)]
         assert expired == [older, newer]
 

@@ -119,7 +119,6 @@ class TestProportionalController:
         for i in range(5):
             c.step(100.0 * (i + 1), 100, 50)
         assert len(c.history) == 5
-        assert c.resize_count() <= 5
 
     def test_mean_cache_size(self):
         c = self.make_controller()
@@ -180,7 +179,7 @@ class TestDeflationEngine:
         report = self.resize(sim, 2000.0)
         assert report.latency_s == 0.0
         assert sim.pool.capacity_mb == 2000.0
-        assert report.fully_achieved
+        assert report.achieved_mb == report.requested_mb == 2000.0
         assert report.evicted_containers == 0 and report.hot_unplug_mb == 0.0
 
     def test_deflation_evicts_in_priority_order(self):
@@ -208,7 +207,6 @@ class TestDeflationEngine:
             assert sim.process_invocation(function, 5.0) == "cold"
         report = self.resize(sim, 100.0)
         assert report.achieved_mb == pytest.approx(600.0)
-        assert not report.fully_achieved
         assert report.evicted_containers == 0
         assert sim.pool.capacity_mb == pytest.approx(600.0)
         assert sim.pool.deflation_deferred_mb == pytest.approx(500.0)
@@ -284,17 +282,6 @@ class TestAutoscaledSimulation:
         assert result.savings_vs_static(8192.0) > 0.0
         with pytest.raises(ValueError):
             result.savings_vs_static(0.0)
-
-    def test_timelines_align_with_decisions(self):
-        trace = cyclic_trace(num_functions=8, cycle_gap_s=2.0, num_cycles=100)
-        curve = curve_from_trace(trace)
-        controller = ProportionalController(
-            curve, target_miss_speed=0.1, initial_size_mb=2048.0,
-            control_period_s=120.0,
-        )
-        result = AutoscaledSimulation(trace, controller).run()
-        assert len(result.size_timeline()) == len(result.decisions)
-        assert len(result.miss_speed_timeline()) == len(result.decisions)
 
     def test_counters_account_for_every_controller_resize(self):
         trace = churn_trace()
@@ -431,7 +418,6 @@ class TestControllerOnTheOneTimeline:
         # The size at actuation; the controller keeps what it asked for
         # (the parent wrote 800 back into it and never shrank further).
         assert (report.requested_mb, report.achieved_mb) == (300.0, 800.0)
-        assert not report.fully_achieved
         assert controller.cache_size_mb == 300.0
         assert result.metrics.dropped == 1  # f0 at 150 s: every MB busy, none to admit
         pool = sim.simulator.pool

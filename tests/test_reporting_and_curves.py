@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.curves import figure3_data, figure5_data, figure6_data
+from repro.analysis.curves import figure3_data
 from repro.analysis.reporting import (
     format_bar_chart,
     format_series_table,
@@ -71,19 +71,6 @@ class TestFigureBuilders:
         # Predictions are monotone in size.
         assert data.predicted == sorted(data.predicted)
         assert data.max_deviation() >= 0.0
-
-    def test_figure5_series_shape(self):
-        trace = make_trace("ABAB" * 10, gap_s=1.0)
-        data = figure5_data(trace, [0.5, 1.0], policies=("GD", "TTL"))
-        assert set(data) == {"GD", "TTL"}
-        assert [m for m, __ in data["GD"]] == [0.5, 1.0]
-
-    def test_figure6_series_shape(self):
-        trace = make_trace("ABAB" * 10, gap_s=10.0)
-        data = figure6_data(trace, [1.0], policies=("LRU",))
-        # Plenty of memory, sequential arrivals: exactly the two
-        # compulsory misses out of 40 invocations.
-        assert data["LRU"][0][1] == pytest.approx(5.0)
 
 
 class TestLinePlot:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.stats import EWMA, EmpiricalCDF, Welford, mean, percentile
+from repro.analysis.stats import EWMA, Welford, mean, percentile
 
 
 class TestWelford:
@@ -50,7 +50,7 @@ class TestWelford:
         w = Welford()
         for x in [1.0, 3.0]:
             w.update(x)
-        assert w.coefficient_of_variation == pytest.approx(w.stddev / 2.0)
+        assert w.coefficient_of_variation == pytest.approx(math.sqrt(w.variance) / 2.0)
 
     def test_cov_zero_mean_with_variance_is_inf(self):
         w = Welford()
@@ -95,7 +95,6 @@ class TestEWMA:
 
     def test_first_observation_sets_value(self):
         e = EWMA(alpha=0.5)
-        assert not e.initialized
         e.update(10.0)
         assert e.value == 10.0
 
@@ -121,49 +120,6 @@ class TestEWMA:
         for __ in range(200):
             e.update(5.0)
         assert e.value == pytest.approx(5.0, abs=1e-6)
-
-
-class TestEmpiricalCDF:
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            EmpiricalCDF.from_samples([])
-
-    def test_basic_evaluation(self):
-        cdf = EmpiricalCDF.from_samples([1.0, 2.0, 3.0, 4.0])
-        assert cdf.evaluate(0.5) == 0.0
-        assert cdf.evaluate(1.0) == pytest.approx(0.25)
-        assert cdf.evaluate(2.5) == pytest.approx(0.5)
-        assert cdf.evaluate(4.0) == pytest.approx(1.0)
-        assert cdf.evaluate(100.0) == pytest.approx(1.0)
-
-    def test_duplicates_collapse(self):
-        cdf = EmpiricalCDF.from_samples([1.0, 1.0, 2.0])
-        assert len(cdf) == 2
-        assert cdf.evaluate(1.0) == pytest.approx(2.0 / 3.0)
-
-    def test_weighted(self):
-        cdf = EmpiricalCDF.from_samples([1.0, 2.0], weights=[3.0, 1.0])
-        assert cdf.evaluate(1.0) == pytest.approx(0.75)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalCDF.from_samples([1.0], weights=[-1.0])
-
-    def test_quantile_inverts_cdf(self):
-        cdf = EmpiricalCDF.from_samples([10.0, 20.0, 30.0, 40.0])
-        assert cdf.quantile(0.25) == 10.0
-        assert cdf.quantile(0.5) == 20.0
-        assert cdf.quantile(1.0) == 40.0
-        assert cdf.quantile(0.0) == 10.0
-
-    def test_quantile_range_check(self):
-        cdf = EmpiricalCDF.from_samples([1.0])
-        with pytest.raises(ValueError):
-            cdf.quantile(1.5)
-
-    def test_callable(self):
-        cdf = EmpiricalCDF.from_samples([5.0])
-        assert cdf(5.0) == 1.0
 
 
 class TestPercentile:

@@ -161,26 +161,6 @@ class TestTrace:
         cut = trace.truncated(15.0)
         assert len(cut) == 2
 
-    def test_merged_with(self):
-        a = make_trace("AA")
-        b = make_trace("BB")
-        merged = a.merged_with(b)
-        assert len(merged) == 4
-        assert merged.num_functions == 2
-
-    def test_merged_with_conflicting_function_raises(self):
-        a = Trace([make_function("A", memory_mb=100)], [])
-        b = Trace([make_function("A", memory_mb=200)], [])
-        with pytest.raises(ValueError):
-            a.merged_with(b)
-
-    def test_merged_with_shared_identical_function(self):
-        f = make_function("A")
-        a = Trace([f], [Invocation(0.0, "A")])
-        b = Trace([f], [Invocation(1.0, "A")])
-        merged = a.merged_with(b)
-        assert len(merged) == 2
-
     def test_function_lookup(self):
         trace = make_trace("A")
         assert trace.function("A").name == "A"
@@ -267,14 +247,11 @@ class TestReplayOrder:
         assert early < late and late > early and early <= late and late >= early
         assert Invocation(1, "B") == early and not early < Invocation(1, "B")
 
-    @given(arrival_lists, arrival_lists, st.sampled_from([0.0, 0.25, 3.0]))
-    def test_derived_traces_come_out_ordered(self, left, right, offset_s):
-        a, b = Trace(self.FUNCTIONS, left), Trace(self.FUNCTIONS, right)
-        for derived in (
-            a.merged_with(b), a.shifted(offset_s), a.truncated(1.0), a.restrict("AB"),
-        ):
+    @given(arrival_lists, st.sampled_from([0.0, 0.25, 3.0]))
+    def test_derived_traces_come_out_ordered(self, left, offset_s):
+        a = Trace(self.FUNCTIONS, left)
+        for derived in (a.shifted(offset_s), a.truncated(1.0), a.restrict("AB")):
             assert list(derived.invocations) == sorted(derived.invocations)
-        assert list(a.merged_with(b).invocations) == sorted(left + right)
 
     @given(arrival_lists)
     def test_json_round_trip_keeps_the_order(self, invocations):
